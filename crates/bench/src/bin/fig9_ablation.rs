@@ -3,7 +3,8 @@
 //! Trains the NYTimes-like corpus at K = 1000 for a fixed number of
 //! iterations under each cumulative optimisation level and prints the
 //! per-phase time breakdown (sampling, A update, preprocessing, transfer),
-//! i.e. the stacked bars of Fig. 9.
+//! i.e. the stacked bars of Fig. 9 — and, beside the modelled device time,
+//! the wall-clock this CPU measured in each phase of the same run.
 
 use saber_bench::{bench_corpus, print_header, BenchArgs};
 use saber_core::{OptLevel, SaberLda, SaberLdaConfig};
@@ -28,6 +29,7 @@ fn main() {
     ]);
 
     let mut g0_total = None;
+    let mut measured = Vec::new();
     for level in OptLevel::ALL {
         let config = SaberLdaConfig::builder()
             .n_topics(k)
@@ -50,6 +52,29 @@ fn main() {
             p.transfer,
             total,
             g0 / total
+        );
+        measured.push((level, report.measured_totals(), report.wall_seconds()));
+    }
+
+    println!("\nMeasured on this CPU (wall-clock seconds, same runs):\n");
+    print_header(&[
+        "level",
+        "sampling",
+        "rebuild A",
+        "accumulate B",
+        "refresh B̂",
+        "trees",
+        "iterate() total",
+    ]);
+    for (level, m, wall) in measured {
+        println!(
+            "| {level} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |",
+            m.sampling_s,
+            m.rebuild_doc_topic_s,
+            m.accumulate_word_topic_s,
+            m.refresh_s,
+            m.trees_s,
+            wall
         );
     }
     println!(

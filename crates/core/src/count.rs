@@ -139,9 +139,17 @@ pub fn accumulate_word_topic(
 ) {
     let map = AddressMap::default();
     let k = word_topic.cols() as u64;
-    for (word, _, topic) in chunk.iter_tokens() {
-        word_topic[(word as usize, topic as usize)] += 1;
-        tracker.atomic_add(map.word_topic + (word as u64 * k + topic as u64) * 4, 4);
+    // Runs of one word (whole segments in word-major order) share a row of B.
+    let mut start = 0;
+    for run in chunk.word_ids.chunk_by(|a, b| a == b) {
+        let word = run[0];
+        let row = word_topic.row_mut(word as usize);
+        let row_addr = map.word_topic + u64::from(word) * k * 4;
+        for &topic in &chunk.topics[start..start + run.len()] {
+            row[topic as usize] += 1;
+            tracker.atomic_add(row_addr + u64::from(topic) * 4, 4);
+        }
+        start += run.len();
     }
 }
 

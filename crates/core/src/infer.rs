@@ -96,22 +96,19 @@ pub fn em_accumulate(words: &[u32], bhat: &DenseMatrix<f32>, theta: &[f64], coun
         theta.len(),
         counts.len()
     );
+    // One responsibility buffer for the whole document, not one per word.
+    let mut resp = vec![0.0f64; k];
     for &v in words {
         let row = bhat.row(v as usize);
-        let mut resp: Vec<f64> = theta
-            .iter()
-            .zip(row.iter())
-            .map(|(&t, &b)| t * b as f64)
-            .collect();
+        for ((r, &t), &b) in resp.iter_mut().zip(theta).zip(row) {
+            *r = t * b as f64;
+        }
         let z: f64 = resp.iter().sum();
         if z <= 0.0 {
             continue;
         }
-        for r in &mut resp {
-            *r /= z;
-        }
-        for (c, r) in counts.iter_mut().zip(resp.iter()) {
-            *c += r;
+        for (c, &r) in counts.iter_mut().zip(&resp) {
+            *c += r / z;
         }
     }
 }

@@ -53,6 +53,11 @@ const BRANCH_INSTRUCTIONS: u64 = 2;
 /// * `samplers` — one pre-processed structure per word id;
 /// * `tracker` — receives the execution accounting.
 ///
+/// The accounting is a pass of its own (`account_*`) beside the sampling
+/// loop (`sample_tokens`): what the simulated kernel moves and executes depends
+/// on the chunk's layout and on the row lengths (for doc-major order, the
+/// row indices) of `doc_topic` only, never on the topics being drawn.
+///
 /// Returns the number of tokens processed.
 ///
 /// # Panics
@@ -74,101 +79,107 @@ pub fn sample_chunk(
         doc_topic.rows(),
         chunk.n_docs
     );
-    match (config.kernel, chunk.order) {
-        (KernelKind::WarpBased, TokenOrder::WordMajor) => sample_word_major(
-            chunk, doc_topic, model, samplers, config, tracker, rng, false,
-        ),
-        (KernelKind::ThreadBased, TokenOrder::WordMajor) => sample_word_major(
-            chunk, doc_topic, model, samplers, config, tracker, rng, true,
-        ),
-        (KernelKind::WarpBased, TokenOrder::DocMajor) => sample_doc_major(
-            chunk, doc_topic, model, samplers, config, tracker, rng, false,
-        ),
-        (KernelKind::ThreadBased, TokenOrder::DocMajor) => sample_doc_major(
-            chunk, doc_topic, model, samplers, config, tracker, rng, true,
-        ),
+    let thread_based = config.kernel == KernelKind::ThreadBased;
+    let k = model.n_topics();
+    match chunk.order {
+        TokenOrder::WordMajor => {
+            account_word_major(chunk, doc_topic, k, samplers, tracker, thread_based)
+        }
+        TokenOrder::DocMajor => {
+            account_doc_major(chunk, doc_topic, k, samplers, tracker, thread_based)
+        }
     }
+    sample_tokens(chunk, doc_topic, model, samplers, config.alpha, rng)
 }
 
-/// Word-major (PDOW) kernel: one block per word, `B̂_v` staged in shared
-/// memory.
-#[allow(clippy::too_many_arguments)]
-fn sample_word_major(
+/// The sampling loop: every token, in storage order, draws its topic from
+/// its document's row of `A` and its word's row of `B̂`. Both thread mappings
+/// and both token orders draw from exactly this distribution; what they
+/// change is the order of the tokens and the execution accounting.
+fn sample_tokens(
     chunk: &mut Chunk,
     doc_topic: &CsrMatrix<u32>,
     model: &LdaModel,
     samplers: &[WordSampler],
-    config: &SaberLdaConfig,
-    tracker: &mut MemoryTracker,
+    alpha: f32,
     rng: &mut StdRng,
-    thread_based: bool,
 ) -> u64 {
-    let map = AddressMap::default();
-    let k = model.n_topics();
+    let bhat = model.word_topic_prob();
     let mut scratch = SampleScratch::new();
     let mut processed = 0u64;
+    for seg in &chunk.segments {
+        let tokens = seg.start..seg.end;
+        let words = &chunk.word_ids[tokens.clone()];
+        let docs = &chunk.local_doc_ids[tokens.clone()];
+        for ((topic, &word), &d) in chunk.topics[tokens].iter_mut().zip(words).zip(docs) {
+            let (doc_row, word) = (doc_topic.row(d as usize), word as usize);
+            let sampler = &samplers[word];
+            *topic = sample_token(doc_row, bhat.row(word), alpha, sampler, &mut scratch, rng);
+        }
+        processed += seg.len() as u64;
+    }
+    processed
+}
 
-    for seg_idx in 0..chunk.segments.len() {
-        let seg = chunk.segments[seg_idx];
+/// Execution accounting of the word-major (PDOW) kernel: `B̂_v` staged in
+/// shared memory once per word, every token reading its document's row of
+/// `A` from global memory.
+fn account_word_major(
+    chunk: &Chunk,
+    doc_topic: &CsrMatrix<u32>,
+    n_topics: usize,
+    samplers: &[WordSampler],
+    tracker: &mut MemoryTracker,
+    thread_based: bool,
+) {
+    let map = AddressMap::default();
+    let row_ptr = doc_topic.row_ptr();
+    let bhat_row_bytes = (n_topics * 4) as u64;
+
+    for seg in &chunk.segments {
         let word = seg.key as usize;
         let sampler = &samplers[word];
-        let bhat_row = model.word_topic_prob().row(word);
+        let (query_shared_bytes, query_instructions) =
+            (sampler.query_shared_bytes(), sampler.query_instructions());
+        let docs = &chunk.local_doc_ids[seg.start..seg.end];
+        let row_of = |d: u32| (row_ptr[d as usize], row_ptr[d as usize + 1]);
 
         // Stage B̂_v (and, for the write-back path, B_v) in shared memory.
-        tracker.global_read(map.word_topic_prob + (word * k * 4) as u64, (k * 4) as u64);
-        tracker.shared_write((k * 4) as u64);
+        tracker.global_read(
+            map.word_topic_prob + word as u64 * bhat_row_bytes,
+            bhat_row_bytes,
+        );
+        tracker.shared_write(bhat_row_bytes);
 
-        let mut pending_waits = 0u64;
-        let mut group_nnz: Vec<usize> = Vec::with_capacity(WARP_SIZE);
-
-        for t in seg.start..seg.end {
-            let d = chunk.local_doc_ids[t] as usize;
-            let doc_row = doc_topic.row(d);
-            let nnz = doc_row.nnz();
-
+        let (mut shared_read_bytes, mut instructions) = (0u64, 0u64);
+        for &d in docs {
+            let (start, end) = row_of(d);
+            let nnz = end - start;
             // Read the document's sparse row from global memory (coalesced:
             // the row is contiguous and 128-byte aligned per §3.4).
-            tracker.global_read(
-                map.doc_topic + (doc_topic.row_ptr()[d] * 8) as u64,
-                (nnz * 8) as u64,
-            );
-            // The element-wise product reads B̂ from shared memory.
-            tracker.shared_read((nnz * 4) as u64);
-            let product_iters = nnz.div_ceil(WARP_SIZE).max(1) as u64;
-            tracker.instructions(
-                product_iters * PRODUCT_INSTRUCTIONS + REDUCE_INSTRUCTIONS + BRANCH_INSTRUCTIONS,
-            );
-            // Searching the prefix sums of P (sparse branch) or descending the
-            // tree (dense branch): charge the sparse-branch cost when the row
-            // is non-empty — it is executed with probability S/(S+Q) and the
-            // tree query otherwise; we charge the average of the two weighted
-            // by nnz presence, keeping the model deterministic.
-            if nnz > 0 {
-                tracker.instructions(product_iters * (PREFIX_SUM_INSTRUCTIONS + VOTE_INSTRUCTIONS));
-            }
-            tracker.shared_read(sampler.query_shared_bytes());
-            tracker.instructions(sampler.query_instructions());
-
-            if thread_based {
-                group_nnz.push(nnz);
-                if group_nnz.len() == WARP_SIZE {
-                    pending_waits += waiting_penalty(&group_nnz);
-                    tracker.divergence(1);
-                    group_nnz.clear();
-                }
-            }
-
-            // Draw the new topic (statistically identical across mappings).
-            let new_topic =
-                sample_token(doc_row, bhat_row, config.alpha, sampler, &mut scratch, rng);
-            chunk.topics[t] = new_topic;
-            processed += 1;
+            tracker.global_read(map.doc_topic + (start * 8) as u64, (nnz * 8) as u64);
+            // The element-wise product reads B̂ from shared memory; so does
+            // the query of the word's pre-processed structure.
+            shared_read_bytes += (nnz * 4) as u64 + query_shared_bytes;
+            instructions += token_instructions(nnz) + query_instructions;
         }
-        if !group_nnz.is_empty() {
-            pending_waits += waiting_penalty(&group_nnz);
-        }
+        tracker.shared_read(shared_read_bytes);
+        tracker.instructions(instructions);
+
         if thread_based {
-            tracker.wait(pending_waits);
+            // One thread per token: each full group of 32 diverges at the
+            // branch, and every lane waits for the longest row of its group.
+            let waits: u64 = docs
+                .chunks(WARP_SIZE)
+                .map(|group| {
+                    waiting_penalty(group.iter().map(|&d| {
+                        let (start, end) = row_of(d);
+                        end - start
+                    }))
+                })
+                .sum();
+            tracker.wait(waits);
+            tracker.divergence((seg.len() / WARP_SIZE) as u64);
         }
 
         // Write the segment's updated topics back (contiguous, coalesced).
@@ -177,87 +188,57 @@ fn sample_word_major(
             (seg.len() * 4) as u64,
         );
     }
-    processed
 }
 
-/// Doc-major kernel: one block per document, `A_d` staged in shared memory and
-/// `B̂` gathered element-by-element from global memory (Fig. 4b) — the layout
-/// of previous GPU systems and of the G0 ablation level.
-#[allow(clippy::too_many_arguments)]
-fn sample_doc_major(
-    chunk: &mut Chunk,
+/// Execution accounting of the doc-major kernel: `A_d` staged in shared
+/// memory once per document and `B̂` gathered element-by-element from global
+/// memory (Fig. 4b) — the layout of previous GPU systems and of the G0
+/// ablation level.
+fn account_doc_major(
+    chunk: &Chunk,
     doc_topic: &CsrMatrix<u32>,
-    model: &LdaModel,
+    n_topics: usize,
     samplers: &[WordSampler],
-    config: &SaberLdaConfig,
     tracker: &mut MemoryTracker,
-    rng: &mut StdRng,
     thread_based: bool,
-) -> u64 {
+) {
     let map = AddressMap::default();
-    let k = model.n_topics();
-    let mut scratch = SampleScratch::new();
-    let mut processed = 0u64;
+    let row_ptr = doc_topic.row_ptr();
 
-    for seg_idx in 0..chunk.segments.len() {
-        let seg = chunk.segments[seg_idx];
+    for seg in &chunk.segments {
         let d = seg.key as usize;
-        let doc_row = doc_topic.row(d);
-        let nnz = doc_row.nnz();
+        let topics = &doc_topic.col_indices()[row_ptr[d]..row_ptr[d + 1]];
+        let row_bytes = (topics.len() * 8) as u64;
+        let n_tokens = seg.len() as u64;
 
         // Stage A_d in shared memory once per document.
-        tracker.global_read(
-            map.doc_topic + (doc_topic.row_ptr()[d] * 8) as u64,
-            (nnz * 8) as u64,
-        );
-        tracker.shared_write((nnz * 8) as u64);
+        tracker.global_read(map.doc_topic + (row_ptr[d] * 8) as u64, row_bytes);
+        tracker.shared_write(row_bytes);
 
-        let mut group_nnz: Vec<usize> = Vec::with_capacity(WARP_SIZE);
-        let mut pending_waits = 0u64;
-
-        for t in seg.start..seg.end {
-            let word = chunk.word_ids[t] as usize;
-            let sampler = &samplers[word];
-            let bhat_row = model.word_topic_prob().row(word);
-
+        let mut query_instructions = 0u64;
+        for &word in &chunk.word_ids[seg.start..seg.end] {
+            let sampler = &samplers[word as usize];
             // Gather B̂[word][k] for every non-zero topic of the document:
             // random single-element accesses, each pulling a 128-byte line.
-            let row_base = map.word_topic_prob + (word * k * 4) as u64;
-            for &topic in doc_row.indices() {
-                tracker.global_read(row_base + (topic as u64) * 4, 4);
-            }
-            tracker.shared_read((nnz * 8) as u64);
-            let product_iters = nnz.div_ceil(WARP_SIZE).max(1) as u64;
-            tracker.instructions(
-                product_iters * PRODUCT_INSTRUCTIONS + REDUCE_INSTRUCTIONS + BRANCH_INSTRUCTIONS,
-            );
-            if nnz > 0 {
-                tracker.instructions(product_iters * (PREFIX_SUM_INSTRUCTIONS + VOTE_INSTRUCTIONS));
+            let row_base = map.word_topic_prob + (word as usize * n_topics * 4) as u64;
+            for &topic in topics {
+                tracker.global_read(row_base + u64::from(topic) * 4, 4);
             }
             // The pre-processed structure lives in global memory here (there is
             // no per-word staging in doc-major order).
-            tracker.global_read(map.trees + (word * 64) as u64, sampler.query_shared_bytes());
-            tracker.instructions(sampler.query_instructions());
-
-            if thread_based {
-                group_nnz.push(nnz);
-                if group_nnz.len() == WARP_SIZE {
-                    pending_waits += waiting_penalty(&group_nnz);
-                    tracker.divergence(1);
-                    group_nnz.clear();
-                }
-            }
-
-            let new_topic =
-                sample_token(doc_row, bhat_row, config.alpha, sampler, &mut scratch, rng);
-            chunk.topics[t] = new_topic;
-            processed += 1;
+            tracker.global_read(
+                map.trees + u64::from(word) * 64,
+                sampler.query_shared_bytes(),
+            );
+            query_instructions += sampler.query_instructions();
         }
-        if !group_nnz.is_empty() {
-            pending_waits += waiting_penalty(&group_nnz);
-        }
+        tracker.shared_read(row_bytes * n_tokens);
+        tracker.instructions(token_instructions(topics.len()) * n_tokens + query_instructions);
+
         if thread_based {
-            tracker.wait(pending_waits);
+            // Every thread of a group walks the same row `A_d`, so no lane
+            // waits; each full group of 32 still diverges at the branch.
+            tracker.divergence((seg.len() / WARP_SIZE) as u64);
         }
 
         tracker.global_write(
@@ -265,14 +246,34 @@ fn sample_doc_major(
             (seg.len() * 4) as u64,
         );
     }
-    processed
 }
 
-/// Extra warp-iterations wasted when 32 threads process rows of differing
-/// lengths: every lane waits for the longest row in its group (§3.2).
-fn waiting_penalty(group_nnz: &[usize]) -> u64 {
-    let max = group_nnz.iter().copied().max().unwrap_or(0);
-    group_nnz.iter().map(|&n| (max - n) as u64).sum()
+/// Warp instructions one token costs besides the query of its word's
+/// pre-processed structure, given the `nnz` non-zeros of its document's row.
+fn token_instructions(nnz: usize) -> u64 {
+    let product_iters = nnz.div_ceil(WARP_SIZE).max(1) as u64;
+    let product_and_branch =
+        product_iters * PRODUCT_INSTRUCTIONS + REDUCE_INSTRUCTIONS + BRANCH_INSTRUCTIONS;
+    // The search of P's prefix sums (sparse branch) runs with probability
+    // S/(S+Q) and the tree query otherwise; charging it whenever the row is
+    // non-empty, beside the query, keeps the model deterministic.
+    if nnz > 0 {
+        product_and_branch + product_iters * (PREFIX_SUM_INSTRUCTIONS + VOTE_INSTRUCTIONS)
+    } else {
+        product_and_branch
+    }
+}
+
+/// Extra warp-iterations wasted when up to 32 threads process rows of
+/// differing lengths: every lane waits for its group's longest row (§3.2).
+fn waiting_penalty(group_nnz: impl Iterator<Item = usize>) -> u64 {
+    let (mut max, mut sum, mut lanes) = (0, 0, 0);
+    for nnz in group_nnz {
+        max = max.max(nnz);
+        sum += nnz;
+        lanes += 1;
+    }
+    (max * lanes - sum) as u64
 }
 
 /// Warp-vectorised search for the position of `x` in the prefix sums of
@@ -374,6 +375,52 @@ mod tests {
             }
             let expected: u64 = chunks.iter().map(|c| c.n_tokens() as u64).sum();
             assert_eq!(total, expected);
+        }
+    }
+
+    #[test]
+    fn accounting_does_not_depend_on_the_topics_being_drawn() {
+        for (order, kernel) in [
+            (TokenOrder::WordMajor, KernelKind::WarpBased),
+            (TokenOrder::WordMajor, KernelKind::ThreadBased),
+            (TokenOrder::DocMajor, KernelKind::WarpBased),
+            (TokenOrder::DocMajor, KernelKind::ThreadBased),
+        ] {
+            let (mut chunks, model, samplers, config) = setup(order, kernel);
+            let k = model.n_topics();
+            let thread_based = kernel == KernelKind::ThreadBased;
+            let mut rng = StdRng::seed_from_u64(5);
+            for chunk in &mut chunks {
+                let a = rebuild_reference(chunk, k);
+                // Two 16-way sets: the pass has to evict, not only count.
+                let account = |chunk: &Chunk| {
+                    let mut tracker = MemoryTracker::new(4096);
+                    match order {
+                        TokenOrder::WordMajor => {
+                            account_word_major(chunk, &a, k, &samplers, &mut tracker, thread_based)
+                        }
+                        TokenOrder::DocMajor => {
+                            account_doc_major(chunk, &a, k, &samplers, &mut tracker, thread_based)
+                        }
+                    }
+                    *tracker.stats()
+                };
+                let before = account(chunk);
+                let old_topics = chunk.topics.clone();
+                let mut tracker = MemoryTracker::new(4096);
+                sample_chunk(
+                    chunk,
+                    &a,
+                    &model,
+                    &samplers,
+                    &config,
+                    &mut tracker,
+                    &mut rng,
+                );
+                assert_ne!(chunk.topics, old_topics, "sampling moved no topic");
+                assert_eq!(account(chunk), before, "{order:?}/{kernel:?}");
+                assert_eq!(*tracker.stats(), before, "{order:?}/{kernel:?}");
+            }
         }
     }
 

@@ -64,7 +64,7 @@ pub mod trees;
 pub use config::{CountRebuild, KernelKind, OptLevel, PreprocessKind, SaberLdaConfig, TokenOrder};
 pub use eval::HeldOutEvaluator;
 pub use model::LdaModel;
-pub use report::{IterationStats, PhaseTimes, TrainingReport};
+pub use report::{IterationStats, PhaseTimes, PhaseWall, TrainingReport};
 pub use trainer::SaberLda;
 pub use traits::{IterationOutcome, LdaTrainer};
 

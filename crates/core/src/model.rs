@@ -116,17 +116,14 @@ impl LdaModel {
     /// Alg. 1). Returns the number of matrix elements written, which the
     /// trainer charges to the pre-processing phase.
     pub fn refresh_probabilities(&mut self) -> usize {
-        for k in 0..self.n_topics {
-            self.topic_totals[k] = self.word_topic.col_sum(k);
-        }
-        let vbeta = self.vocab_size as f32 * self.beta;
-        for v in 0..self.vocab_size {
-            let counts = self.word_topic.row(v);
-            let probs = self.word_topic_prob.row_mut(v);
-            for k in 0..self.n_topics {
-                probs[k] = (counts[k] as f32 + self.beta) / (self.topic_totals[k] as f32 + vbeta);
+        // Column sums in one pass along the rows `B` is stored by.
+        self.topic_totals.fill(0);
+        for counts in self.word_topic.iter_rows() {
+            for (total, &c) in self.topic_totals.iter_mut().zip(counts) {
+                *total += u64::from(c);
             }
         }
+        self.write_probability_rows(0..self.vocab_size);
         self.vocab_size * self.n_topics
     }
 
@@ -146,16 +143,26 @@ impl LdaModel {
     ///
     /// Panics if any row id is `>= vocab_size`.
     pub fn refresh_probability_rows(&mut self, rows: &[u32]) -> usize {
+        self.write_probability_rows(rows.iter().map(|&v| v as usize));
+        rows.len() * self.n_topics
+    }
+
+    /// Eq. 2 for the given rows against the cached `topic_totals`; the `K`
+    /// denominators are computed once, not once per row.
+    fn write_probability_rows(&mut self, rows: impl Iterator<Item = usize>) {
         let vbeta = self.vocab_size as f32 * self.beta;
-        for &v in rows {
-            let v = v as usize;
+        let denominators: Vec<f32> = self
+            .topic_totals
+            .iter()
+            .map(|&total| total as f32 + vbeta)
+            .collect();
+        for v in rows {
             let counts = self.word_topic.row(v);
             let probs = self.word_topic_prob.row_mut(v);
-            for k in 0..self.n_topics {
-                probs[k] = (counts[k] as f32 + self.beta) / (self.topic_totals[k] as f32 + vbeta);
+            for ((p, &c), &denominator) in probs.iter_mut().zip(counts).zip(&denominators) {
+                *p = (c as f32 + self.beta) / denominator;
             }
         }
-        rows.len() * self.n_topics
     }
 
     /// Rebuilds `B` from scratch given every token's `(word, topic)` pair

@@ -49,6 +49,45 @@ impl std::iter::Sum for PhaseTimes {
     }
 }
 
+/// Wall-clock seconds the host CPU spent in each phase of one iteration —
+/// measured, where [`PhaseTimes`] is the GPU cost model's estimate of the
+/// same work. The fields carry the names of the benchmark's `core.*` layers.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseWall {
+    /// The E-step: `kernel::sample_chunk` over every chunk, execution
+    /// accounting included.
+    pub sampling_s: f64,
+    /// `count::rebuild_doc_topic` over every chunk.
+    pub rebuild_doc_topic_s: f64,
+    /// `count::accumulate_word_topic` over every chunk.
+    pub accumulate_word_topic_s: f64,
+    /// `LdaModel::refresh_probabilities`.
+    pub refresh_s: f64,
+    /// Rebuilding the per-word sampling structures.
+    pub trees_s: f64,
+}
+
+impl PhaseWall {
+    /// Seconds attributed to a phase; the rest of
+    /// [`IterationStats::wall_seconds`] went into the cost model.
+    pub fn total(&self) -> f64 {
+        self.sampling_s
+            + self.rebuild_doc_topic_s
+            + self.accumulate_word_topic_s
+            + self.refresh_s
+            + self.trees_s
+    }
+
+    /// Element-wise sum of two breakdowns.
+    pub fn merge(&mut self, other: &PhaseWall) {
+        self.sampling_s += other.sampling_s;
+        self.rebuild_doc_topic_s += other.rebuild_doc_topic_s;
+        self.accumulate_word_topic_s += other.accumulate_word_topic_s;
+        self.refresh_s += other.refresh_s;
+        self.trees_s += other.trees_s;
+    }
+}
+
 /// Statistics of one training iteration.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterationStats {
@@ -60,6 +99,8 @@ pub struct IterationStats {
     pub tokens: u64,
     /// Wall-clock seconds the host spent simulating the iteration.
     pub wall_seconds: f64,
+    /// Where those seconds went, phase by phase.
+    pub measured: PhaseWall,
     /// DRAM bytes moved by the sampling kernel.
     pub sampling_dram_bytes: u64,
     /// Training-set log-likelihood per token, if it was evaluated this
@@ -101,6 +142,42 @@ impl TrainingReport {
     /// Sum of per-phase times across all iterations (the bars of Fig. 9).
     pub fn phase_totals(&self) -> PhaseTimes {
         self.iterations.iter().map(|i| i.phases).sum()
+    }
+
+    /// Sum of the measured per-phase wall-clock times across all iterations.
+    pub fn measured_totals(&self) -> PhaseWall {
+        let mut total = PhaseWall::default();
+        for it in &self.iterations {
+            total.merge(&it.measured);
+        }
+        total
+    }
+
+    /// Total wall-clock seconds the host spent across all iterations.
+    pub fn wall_seconds(&self) -> f64 {
+        self.iterations.iter().map(|i| i.wall_seconds).sum()
+    }
+
+    /// One line setting the modelled device time beside the wall-clock the
+    /// host CPU measured, phase by phase.
+    pub fn summary(&self) -> String {
+        let m = self.measured_totals();
+        let wall = self.wall_seconds();
+        format!(
+            "{} iterations: {:.4} s simulated ({:.1} Mtoken/s); {:.3} s measured on this CPU \
+             (sampling {:.3} | rebuild A {:.3} | accumulate B {:.3} | refresh B̂ {:.3} | \
+             trees {:.3} | other {:.3})",
+            self.iterations.len(),
+            self.total_seconds(),
+            self.mean_throughput_mtokens_per_s(),
+            wall,
+            m.sampling_s,
+            m.rebuild_doc_topic_s,
+            m.accumulate_word_topic_s,
+            m.refresh_s,
+            m.trees_s,
+            wall - m.total(),
+        )
     }
 
     /// Mean throughput over all iterations, in Mtoken/s.
@@ -155,7 +232,12 @@ mod tests {
                 transfer: 0.02,
             },
             tokens: 1_000_000,
-            wall_seconds: 0.0,
+            wall_seconds: 0.5,
+            measured: PhaseWall {
+                sampling_s: 0.25,
+                refresh_s: 0.125,
+                ..PhaseWall::default()
+            },
             sampling_dram_bytes: 0,
             log_likelihood: ll,
         }
@@ -202,6 +284,14 @@ mod tests {
         assert!(report.time_to_reach(-7.0).is_none());
         assert!(report.mean_throughput_mtokens_per_s() > 0.0);
         assert_eq!(report.phase_totals().a_update, 0.4);
+        assert_eq!(report.wall_seconds(), 2.0);
+        let measured = report.measured_totals();
+        assert_eq!((measured.sampling_s, measured.refresh_s), (1.0, 0.5));
+        assert_eq!(measured.total(), 1.5);
+        let summary = report.summary();
+        assert!(summary.contains("2.000 s measured"), "{summary}");
+        assert!(summary.contains("sampling 1.000"), "{summary}");
+        assert!(summary.contains("other 0.500"), "{summary}");
     }
 
     #[test]

@@ -25,8 +25,10 @@ use crate::trees::TopicSampler;
 /// Scratch state reused across calls to avoid per-token allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SampleScratch {
-    /// Element-wise products `P_k = A_dk · B̂_vk` for the non-zero topics.
-    probs: Vec<f32>,
+    /// Inclusive prefix sums of the element-wise products
+    /// `P_k = A_dk · B̂_vk` over the non-zero topics. Only grows; a call uses
+    /// the first `K_d` slots.
+    prefix: Vec<f32>,
 }
 
 impl SampleScratch {
@@ -60,13 +62,18 @@ where
     R: Rng + ?Sized,
     S: TopicSampler + ?Sized,
 {
-    // Problem 1: P = A_d ⊙ B̂_v over the non-zeros of A_d.
-    scratch.probs.clear();
+    // Problem 1: P = A_d ⊙ B̂_v over the non-zeros of A_d, summed left to
+    // right. The running sum is kept per element: it is the very sequence a
+    // search of P's prefix sums would recompute.
+    let indices = doc_row.indices();
+    if scratch.prefix.len() < indices.len() {
+        scratch.prefix.resize(indices.len(), 0.0);
+    }
+    let prefix = &mut scratch.prefix[..indices.len()];
     let mut s = 0.0f32;
-    for (k, &count) in doc_row.iter() {
-        let p = count as f32 * bhat_row[k as usize];
-        scratch.probs.push(p);
-        s += p;
+    for ((slot, &k), &count) in prefix.iter_mut().zip(indices).zip(doc_row.values()) {
+        s += count as f32 * bhat_row[k as usize];
+        *slot = s;
     }
     let q = alpha * word_sampler.total();
 
@@ -76,18 +83,13 @@ where
         // Sample from the sparse product: position of a random number in the
         // prefix-sum array of P.
         let x = rng.gen_range(0.0..s).max(f32::MIN_POSITIVE);
-        let mut acc = 0.0f32;
-        for (i, &p) in scratch.probs.iter().enumerate() {
-            acc += p;
-            if acc >= x {
-                return doc_row.indices()[i];
-            }
-        }
-        // Floating-point round-off: fall through to the last non-zero topic.
-        *doc_row
-            .indices()
-            .last()
-            .expect("s > 0 implies at least one non-zero")
+        // Floating-point round-off can leave `x` above the last sum: fall
+        // through to the last non-zero topic.
+        let i = prefix
+            .iter()
+            .position(|&acc| acc >= x)
+            .unwrap_or(indices.len() - 1);
+        indices[i]
     } else {
         // Sample from the pre-processed dense distribution.
         let u: f32 = rng.gen_range(0.0..1.0);

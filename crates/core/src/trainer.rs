@@ -37,7 +37,7 @@ use crate::eval::HeldOutEvaluator;
 use crate::kernel::sample_chunk;
 use crate::layout::{build_chunks, Chunk};
 use crate::model::LdaModel;
-use crate::report::{IterationStats, PhaseTimes, TrainingReport};
+use crate::report::{IterationStats, PhaseTimes, PhaseWall, TrainingReport};
 use crate::traits::{IterationOutcome, LdaTrainer};
 use crate::trees::{TopicSampler, WordSampler};
 use crate::{Result, SaberError};
@@ -66,6 +66,21 @@ pub struct SaberLda {
     rows_rebuilt: u64,
     /// Full `O(V·K)` refresh + sampler rebuilds.
     full_rebuilds: u64,
+}
+
+/// The one place the trainer reads the clock.
+fn now() -> Instant {
+    // saber-lint: allow(determinism) wall-clock time is reported in
+    // IterationStats for operators, never fed back into sampling.
+    Instant::now()
+}
+
+/// Runs `f`, adding the wall-clock seconds it took to `seconds`.
+fn timed<T>(seconds: &mut f64, f: impl FnOnce() -> T) -> T {
+    let start = now();
+    let out = f();
+    *seconds += start.elapsed().as_secs_f64();
+    out
 }
 
 impl SaberLda {
@@ -142,9 +157,7 @@ impl SaberLda {
 
     /// Runs one full iteration and returns its statistics.
     pub fn iterate(&mut self) -> IterationStats {
-        // saber-lint: allow(determinism) wall-clock time is reported in
-        // IterationStats for operators, never fed back into sampling.
-        let wall_start = Instant::now();
+        let wall_start = now();
         let device_l2 = self.config.device.l2_cache_bytes;
 
         // ---- E-step: sample every chunk. ----
@@ -163,14 +176,19 @@ impl SaberLda {
             );
             sampling_stats_per_chunk.push(tracker.take_stats());
         }
+        let sampling_s = wall_start.elapsed().as_secs_f64();
 
         // ---- M-step: rebuild A per chunk, accumulate B, refresh B̂ + trees. ----
         let mut update_stats = KernelStats::default();
-        {
+        let measured = {
             let mut tracker = MemoryTracker::new(device_l2);
-            self.m_step(&mut tracker);
+            let m_step = self.m_step(&mut tracker);
             update_stats.merge(tracker.stats());
-        }
+            PhaseWall {
+                sampling_s,
+                ..m_step
+            }
+        };
 
         // ---- Convert counters to estimated device time. ----
         let balance = self.block_balance_factor();
@@ -227,6 +245,7 @@ impl SaberLda {
             phases,
             tokens,
             wall_seconds: wall_start.elapsed().as_secs_f64(),
+            measured,
             sampling_dram_bytes: sampling_dram,
             log_likelihood: None,
         };
@@ -264,32 +283,49 @@ impl SaberLda {
     }
 
     /// The M-step: rebuild per-chunk `A`, rebuild `B`, refresh `B̂`, rebuild
-    /// the per-word sampling structures.
-    fn m_step(&mut self, tracker: &mut MemoryTracker) {
+    /// the per-word sampling structures. Returns the wall-clock seconds of
+    /// each of the four.
+    fn m_step(&mut self, tracker: &mut MemoryTracker) -> PhaseWall {
+        let mut wall = PhaseWall::default();
         self.doc_topics.clear();
         self.model.word_topic_mut().clear();
         for chunk in &self.chunks {
-            let a = rebuild_doc_topic(
-                chunk,
-                self.config.n_topics,
-                self.config.count_rebuild,
-                tracker,
-            );
-            accumulate_word_topic(chunk, self.model.word_topic_mut(), tracker);
+            let a = timed(&mut wall.rebuild_doc_topic_s, || {
+                rebuild_doc_topic(
+                    chunk,
+                    self.config.n_topics,
+                    self.config.count_rebuild,
+                    tracker,
+                )
+            });
+            timed(&mut wall.accumulate_word_topic_s, || {
+                accumulate_word_topic(chunk, self.model.word_topic_mut(), tracker)
+            });
             self.doc_topics.push(a);
         }
-        self.model.refresh_probabilities();
-        self.samplers = (0..self.model.vocab_size())
-            .map(|v| {
-                WordSampler::build(self.config.preprocess, self.model.word_topic_prob().row(v))
-            })
-            .collect();
+        timed(&mut wall.refresh_s, || self.model.refresh_probabilities());
+        timed(&mut wall.trees_s, || self.rebuild_samplers());
         // A full refresh rewrites every B̂ row (the per-topic denominators
         // change), so every row is dirty for the next snapshot export, and
         // every chunk is freshly sampled against consistent counts.
         self.touched.extend(0..self.model.vocab_size() as u32);
         self.dirty_chunks.clear();
         self.full_rebuilds += 1;
+        wall
+    }
+
+    /// Rebuilds every word's sampling structure from its `B̂` row, in place:
+    /// each new structure takes over the allocation its predecessor just
+    /// released instead of a second set of `V` growing beside the first.
+    fn rebuild_samplers(&mut self) {
+        let kind = self.config.preprocess;
+        let mut rows = self.model.word_topic_prob().iter_rows();
+        for (sampler, row) in self.samplers.iter_mut().zip(&mut rows) {
+            *sampler = WordSampler::build(kind, row);
+        }
+        // The first M-step starts from no samplers at all.
+        self.samplers
+            .extend(rows.map(|row| WordSampler::build(kind, row)));
     }
 
     /// Ingests `docs` (word-id documents) as one new streamed chunk:
@@ -405,11 +441,7 @@ impl SaberLda {
     /// pipeline calls this on a cadence so incremental drift stays bounded.
     pub fn full_refresh(&mut self) {
         self.model.refresh_probabilities();
-        self.samplers = (0..self.model.vocab_size())
-            .map(|v| {
-                WordSampler::build(self.config.preprocess, self.model.word_topic_prob().row(v))
-            })
-            .collect();
+        self.rebuild_samplers();
         self.touched.extend(0..self.model.vocab_size() as u32);
         self.full_rebuilds += 1;
     }
@@ -573,6 +605,39 @@ mod tests {
         }
         // Word-topic counts must account for every token after training.
         assert_eq!(lda.model().word_topic().total(), corpus.n_tokens());
+    }
+
+    #[test]
+    fn measured_phases_account_for_the_iteration_wall_clock() {
+        // Large enough that the sweep dwarfs the cost model that follows it.
+        let corpus = SyntheticSpec {
+            n_docs: 400,
+            vocab_size: 1_000,
+            mean_doc_len: 120.0,
+            ..SyntheticSpec::small_test()
+        }
+        .generate(9);
+        let mut lda = SaberLda::new(small_config(64, 3), &corpus).unwrap();
+        let report = lda.train();
+        for it in &report.iterations {
+            let m = it.measured;
+            for phase in [
+                m.sampling_s,
+                m.rebuild_doc_topic_s,
+                m.accumulate_word_topic_s,
+                m.refresh_s,
+                m.trees_s,
+            ] {
+                assert!(phase > 0.0, "{m:?}");
+            }
+            // The phases are disjoint stretches of the iteration.
+            assert!(m.total() <= it.wall_seconds, "{m:?} > {}", it.wall_seconds);
+        }
+        let (phases, wall) = (report.measured_totals().total(), report.wall_seconds());
+        assert!(
+            phases >= 0.9 * wall,
+            "phases cover only {phases} s of {wall} s"
+        );
     }
 
     #[test]

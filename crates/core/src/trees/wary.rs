@@ -31,12 +31,19 @@ use super::TopicSampler;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaryTree {
-    /// Levels from bottom (the full prefix-sum array) to top (a single-entry
-    /// level holding the total). `levels[0].len() == n_topics`.
-    levels: Vec<Vec<f32>>,
-    n_topics: usize,
+    /// Every level in one allocation, bottom (the `K` inclusive prefix sums)
+    /// first, the single-entry top level (the total) last.
+    arena: Vec<f32>,
+    /// Level `l` is `arena[level_starts[l]..level_starts[l + 1]]`; entries
+    /// past `depth` are unused.
+    level_starts: [u32; MAX_DEPTH + 1],
+    depth: usize,
     total: f32,
 }
+
+/// Depth of the largest supported tree (`2³¹` weights), whose arena still
+/// fits `u32` offsets.
+const MAX_DEPTH: usize = 8;
 
 impl WaryTree {
     /// Builds a tree from non-negative weights.
@@ -44,46 +51,65 @@ impl WaryTree {
     /// # Panics
     ///
     /// Panics if `weights` is empty or contains a negative or non-finite
-    /// value.
+    /// value, or if it has more than `2³¹` entries.
     pub fn new(weights: &[f32]) -> Self {
         assert!(!weights.is_empty(), "W-ary tree needs at least one weight");
         assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "weights must be non-negative and finite"
+            weights.len() <= 1 << 31,
+            "W-ary tree supports at most 2^31 weights"
         );
-        // Bottom level: inclusive prefix sums, computed warp-chunk by
-        // warp-chunk exactly as `array_prefix_sum` would on the device.
-        let mut bottom = Vec::with_capacity(weights.len());
-        let mut acc = 0.0f32;
-        for &w in weights {
-            acc += w;
-            bottom.push(acc);
-        }
-        let total = acc;
-
-        let mut levels = vec![bottom];
-        while levels.last().expect("non-empty").len() > 1 {
-            let lower = levels.last().expect("non-empty");
-            let upper_len = lower.len().div_ceil(WARP_SIZE);
-            let mut upper = Vec::with_capacity(upper_len);
-            for i in 0..upper_len {
-                let last_idx = ((i + 1) * WARP_SIZE - 1).min(lower.len() - 1);
-                upper.push(lower[last_idx]);
+        // Level lengths depend on K alone, so the arena is sized up front.
+        let mut level_starts = [0u32; MAX_DEPTH + 1];
+        let mut depth = 0;
+        let mut level_len = weights.len();
+        loop {
+            level_starts[depth + 1] = level_starts[depth] + level_len as u32;
+            depth += 1;
+            if level_len == 1 {
+                break;
             }
-            levels.push(upper);
+            level_len = level_len.div_ceil(WARP_SIZE);
+        }
+        let mut arena = Vec::with_capacity(level_starts[depth] as usize);
+
+        // Bottom level: inclusive prefix sums, computed warp-chunk by
+        // warp-chunk exactly as `array_prefix_sum` would on the device, and
+        // validated in the same pass.
+        let mut acc = 0.0f32;
+        let mut valid = true;
+        arena.extend(weights.iter().map(|&w| {
+            valid &= w.is_finite() && w >= 0.0;
+            acc += w;
+            acc
+        }));
+        assert!(valid, "weights must be non-negative and finite");
+
+        // Each upper level copies the last entry of every warp-wide block of
+        // the level below.
+        for level in 1..depth {
+            let lower = level_starts[level - 1] as usize..level_starts[level] as usize;
+            for block in (lower.start..lower.end).step_by(WARP_SIZE) {
+                let last = (block + WARP_SIZE - 1).min(lower.end - 1);
+                arena.push(arena[last]);
+            }
         }
 
         WaryTree {
-            n_topics: weights.len(),
-            levels,
-            total,
+            arena,
+            level_starts,
+            depth,
+            total: acc,
         }
     }
 
     /// Number of levels in the tree (1 for `K ≤ 1`, 4 for `K ≤ 32³` as in the
     /// paper's fixed-depth layout).
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        self.depth
+    }
+
+    fn level(&self, l: usize) -> &[f32] {
+        &self.arena[self.level_starts[l] as usize..self.level_starts[l + 1] as usize]
     }
 
     /// Finds the smallest index whose prefix sum is `>= x`, descending the
@@ -91,7 +117,8 @@ impl WaryTree {
     fn descend(&self, x: f32) -> usize {
         // Start at the topmost level below the single-entry root.
         let mut index = 0usize;
-        for level in self.levels.iter().rev() {
+        for l in (0..self.depth).rev() {
+            let level = self.level(l);
             let start = index * WARP_SIZE;
             if start >= level.len() {
                 // Can only happen through floating-point round-off at the very
@@ -103,7 +130,7 @@ impl WaryTree {
             let found = warp_vote_first_active(lanes, |lane| level[start + lane] >= x);
             index = start + found.unwrap_or(lanes - 1);
         }
-        index.min(self.n_topics - 1)
+        index.min(self.len() - 1)
     }
 }
 
@@ -113,7 +140,7 @@ impl TopicSampler for WaryTree {
     }
 
     fn len(&self) -> usize {
-        self.n_topics
+        self.level_starts[1] as usize
     }
 
     fn sample_with(&self, u: f32) -> usize {
@@ -131,8 +158,8 @@ impl TopicSampler for WaryTree {
     fn build_instructions(&self) -> u64 {
         // One warp prefix-sum pass over the bottom level (10 instructions per
         // 32 elements) plus a strided copy per upper level.
-        let bottom = self.n_topics as u64;
-        let upper: u64 = self.levels[1..].iter().map(|l| l.len() as u64).sum();
+        let bottom = self.len() as u64;
+        let upper = self.arena.len() as u64 - bottom;
         bottom.div_ceil(32) * 10 + upper
     }
 
@@ -223,6 +250,41 @@ mod tests {
         WaryTree::new(&[0.0, 0.0]).sample_with(0.5);
     }
 
+    /// The index a left-to-right scan of the prefix sums of `weights` picks
+    /// for `x`.
+    fn linear_scan(weights: &[f32], x: f32) -> usize {
+        let mut acc = 0.0f32;
+        for (i, &w) in weights.iter().enumerate() {
+            acc += w;
+            if acc >= x {
+                return i;
+            }
+        }
+        weights.len() - 1
+    }
+
+    #[test]
+    fn cost_model_inputs_are_pinned_at_level_boundaries() {
+        // (K, depth, build, query instructions, query shared bytes), as the
+        // per-level `Vec` layout reported them.
+        for (k, depth, build, query, shared) in [
+            (1usize, 1usize, 10u64, 2u64, 128u64),
+            (31, 2, 11, 4, 128),
+            (32, 2, 11, 4, 128),
+            (33, 3, 23, 6, 128),
+            (1_024, 3, 353, 6, 128),
+            (1_025, 4, 366, 8, 256),
+            (32_768, 4, 11_297, 8, 256),
+        ] {
+            let tree = WaryTree::new(&vec![0.5f32; k]);
+            assert_eq!(tree.len(), k);
+            assert_eq!(tree.depth(), depth, "K = {k}");
+            assert_eq!(tree.build_instructions(), build, "K = {k}");
+            assert_eq!(tree.query_instructions(), query, "K = {k}");
+            assert_eq!(tree.query_shared_bytes(), shared, "K = {k}");
+        }
+    }
+
     proptest! {
         #[test]
         fn matches_linear_scan_oracle(
@@ -233,19 +295,25 @@ mod tests {
             prop_assume!(total > 0.0);
             let tree = WaryTree::new(&weights);
             let x = (frac * total).max(f32::MIN_POSITIVE);
-            let expected = {
-                let mut acc = 0.0f32;
-                let mut idx = weights.len() - 1;
-                for (i, &w) in weights.iter().enumerate() {
-                    acc += w;
-                    if acc >= x {
-                        idx = i;
-                        break;
-                    }
-                }
-                idx
-            };
-            prop_assert_eq!(tree.sample_with(frac), expected);
+            prop_assert_eq!(tree.sample_with(frac), linear_scan(&weights, x));
+        }
+
+        #[test]
+        fn matches_linear_scan_oracle_at_level_boundaries(
+            seed_weights in proptest::collection::vec(0.0f32..10.0, 64..65),
+            frac in 0.0f32..1.0,
+        ) {
+            // One, two, three and four levels, each just below, at and just
+            // above a power of the warp width.
+            for k in [1usize, 31, 32, 33, 1_024, 1_025, 32_768] {
+                let weights: Vec<f32> = (0..k)
+                    .map(|i| seed_weights[(i * 7 + i / 64) % 64])
+                    .collect();
+                let tree = WaryTree::new(&weights);
+                prop_assume!(tree.total() > 0.0);
+                let x = (frac * tree.total()).max(f32::MIN_POSITIVE);
+                prop_assert_eq!((k, tree.sample_with(frac)), (k, linear_scan(&weights, x)));
+            }
         }
 
         #[test]

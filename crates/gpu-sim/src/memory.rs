@@ -14,15 +14,21 @@ use crate::counters::KernelStats;
 pub const CACHE_LINE_BYTES: u64 = 128;
 
 /// A set-associative LRU cache model over 128-byte lines.
+///
+/// One flat tag array holds every set: set `s` owns
+/// `tags[s * associativity..][..associativity]`, least recently used first,
+/// ways nothing has filled yet holding a sentinel at the front.
 #[derive(Debug, Clone)]
 pub struct L2Cache {
     n_sets: usize,
     associativity: usize,
-    /// `sets[s]` holds the resident line tags, most recently used last.
-    sets: Vec<Vec<u64>>,
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
+
+/// Tag of a way that holds no line; line numbers are addresses ÷ 128.
+const EMPTY_WAY: u64 = u64::MAX;
 
 impl L2Cache {
     /// Creates a cache of `capacity_bytes` with the given associativity.
@@ -42,7 +48,7 @@ impl L2Cache {
         L2Cache {
             n_sets,
             associativity,
-            sets: vec![Vec::new(); n_sets],
+            tags: vec![EMPTY_WAY; n_sets * associativity],
             hits: 0,
             misses: 0,
         }
@@ -51,21 +57,23 @@ impl L2Cache {
     /// Accesses the line containing `addr`; returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr / CACHE_LINE_BYTES;
-        let set_idx = (line as usize) % self.n_sets;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            set.remove(pos);
-            set.push(line);
-            self.hits += 1;
-            true
+        // A division per access adds up: power-of-two set counts take a mask.
+        let set = if self.n_sets.is_power_of_two() {
+            (line as usize) & (self.n_sets - 1)
         } else {
-            if set.len() >= self.associativity {
-                set.remove(0);
-            }
-            set.push(line);
-            self.misses += 1;
-            false
-        }
+            (line as usize) % self.n_sets
+        };
+        let ways = &mut self.tags[set * self.associativity..][..self.associativity];
+        // Probe from the most recently used end; the touched tag moves to
+        // the back, and a miss takes the least recently used way's place.
+        let found = ways.iter().rposition(|&tag| tag == line);
+        let vacated = found.unwrap_or(0);
+        ways.copy_within(vacated + 1.., vacated);
+        ways[self.associativity - 1] = line;
+        let hit = found.is_some();
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
     /// Number of hits recorded so far.
@@ -90,9 +98,7 @@ impl L2Cache {
 
     /// Forgets all cached lines and statistics.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.tags.fill(EMPTY_WAY);
         self.hits = 0;
         self.misses = 0;
     }
@@ -127,14 +133,14 @@ impl MemoryTracker {
         }
         let first_line = addr / CACHE_LINE_BYTES;
         let last_line = (addr + bytes - 1) / CACHE_LINE_BYTES;
+        let mut hits = 0u64;
         for line in first_line..=last_line {
-            self.stats.global_transactions += 1;
-            if self.l2.access(line * CACHE_LINE_BYTES) {
-                self.stats.l2_hit_bytes += CACHE_LINE_BYTES;
-            } else {
-                self.stats.global_read_bytes += CACHE_LINE_BYTES;
-            }
+            hits += u64::from(self.l2.access(line * CACHE_LINE_BYTES));
         }
+        let lines = last_line - first_line + 1;
+        self.stats.global_transactions += lines;
+        self.stats.l2_hit_bytes += hits * CACHE_LINE_BYTES;
+        self.stats.global_read_bytes += (lines - hits) * CACHE_LINE_BYTES;
     }
 
     /// Records a global-memory write of `bytes` bytes starting at `addr`
@@ -146,10 +152,11 @@ impl MemoryTracker {
         let first_line = addr / CACHE_LINE_BYTES;
         let last_line = (addr + bytes - 1) / CACHE_LINE_BYTES;
         for line in first_line..=last_line {
-            self.stats.global_transactions += 1;
             self.l2.access(line * CACHE_LINE_BYTES);
-            self.stats.global_write_bytes += CACHE_LINE_BYTES;
         }
+        let lines = last_line - first_line + 1;
+        self.stats.global_transactions += lines;
+        self.stats.global_write_bytes += lines * CACHE_LINE_BYTES;
     }
 
     /// Records a shared-memory read.
@@ -239,6 +246,166 @@ impl Default for AddressMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The model this module used before the flat tag array: one heap `Vec`
+    /// of tags per set, most recently used last. Kept as the oracle the flat
+    /// [`L2Cache`] must reproduce hit for hit.
+    struct OracleL2 {
+        n_sets: usize,
+        associativity: usize,
+        sets: Vec<Vec<u64>>,
+    }
+
+    impl OracleL2 {
+        fn new(capacity_bytes: u64, associativity: usize) -> Self {
+            let n_lines = (capacity_bytes / CACHE_LINE_BYTES) as usize;
+            let n_sets = (n_lines / associativity).max(1);
+            OracleL2 {
+                n_sets,
+                associativity,
+                sets: vec![Vec::new(); n_sets],
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr / CACHE_LINE_BYTES;
+            let set = &mut self.sets[(line as usize) % self.n_sets];
+            if let Some(pos) = set.iter().position(|&t| t == line) {
+                set.remove(pos);
+                set.push(line);
+                true
+            } else {
+                if set.len() >= self.associativity {
+                    set.remove(0);
+                }
+                set.push(line);
+                false
+            }
+        }
+
+        fn reset(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    /// [`MemoryTracker`]'s line-by-line accounting as it was written over
+    /// the oracle cache.
+    struct OracleTracker {
+        l2: OracleL2,
+        stats: KernelStats,
+    }
+
+    impl OracleTracker {
+        fn global_read(&mut self, addr: u64, bytes: u64) {
+            if bytes == 0 {
+                return;
+            }
+            for line in addr / CACHE_LINE_BYTES..=(addr + bytes - 1) / CACHE_LINE_BYTES {
+                self.stats.global_transactions += 1;
+                if self.l2.access(line * CACHE_LINE_BYTES) {
+                    self.stats.l2_hit_bytes += CACHE_LINE_BYTES;
+                } else {
+                    self.stats.global_read_bytes += CACHE_LINE_BYTES;
+                }
+            }
+        }
+
+        fn global_write(&mut self, addr: u64, bytes: u64) {
+            if bytes == 0 {
+                return;
+            }
+            for line in addr / CACHE_LINE_BYTES..=(addr + bytes - 1) / CACHE_LINE_BYTES {
+                self.stats.global_transactions += 1;
+                self.l2.access(line * CACHE_LINE_BYTES);
+                self.stats.global_write_bytes += CACHE_LINE_BYTES;
+            }
+        }
+
+        fn atomic_add(&mut self, addr: u64, bytes: u64) {
+            self.stats.atomic_adds += 1;
+            self.global_read(addr, bytes);
+            self.stats.global_write_bytes += bytes;
+        }
+    }
+
+    /// Decodes one random word into an address: a small hot set, lines that
+    /// alias into one cache set, or anywhere in a 1 MiB window.
+    fn decode_addr(raw: u64, n_sets: u64) -> u64 {
+        let payload = raw >> 8;
+        match raw & 3 {
+            0 | 1 => (payload % 12) * CACHE_LINE_BYTES + payload % CACHE_LINE_BYTES,
+            2 => (payload % 40) * n_sets * CACHE_LINE_BYTES,
+            _ => payload % (1 << 20),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn flat_cache_replays_the_oracle_hit_for_hit(
+            raw in proptest::collection::vec(any::<u64>(), 1..600),
+            capacity_lines in 1u64..80,
+            associativity in 1usize..20,
+        ) {
+            // `capacity_lines < associativity` is a cache below one full set.
+            let capacity = capacity_lines * CACHE_LINE_BYTES;
+            let mut flat = L2Cache::new(capacity, associativity);
+            let mut oracle = OracleL2::new(capacity, associativity);
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for (i, &word) in raw.iter().enumerate() {
+                if word & 0xff == 0xff {
+                    flat.reset();
+                    oracle.reset();
+                    (hits, misses) = (0, 0);
+                    continue;
+                }
+                let addr = decode_addr(word, oracle.n_sets as u64);
+                let expected = oracle.access(addr);
+                prop_assert_eq!((i, addr, flat.access(addr)), (i, addr, expected));
+                hits += u64::from(expected);
+                misses += u64::from(!expected);
+            }
+            prop_assert_eq!((flat.hits(), flat.misses()), (hits, misses));
+        }
+
+        #[test]
+        fn tracker_counters_match_the_line_by_line_oracle(
+            raw in proptest::collection::vec(any::<u64>(), 1..300),
+            capacity_lines in 1u64..200,
+        ) {
+            let capacity = capacity_lines * CACHE_LINE_BYTES;
+            let mut tracker = MemoryTracker::new(capacity);
+            let mut oracle = OracleTracker {
+                l2: OracleL2::new(capacity.max(CACHE_LINE_BYTES), 16),
+                stats: KernelStats::default(),
+            };
+            for &word in &raw {
+                let addr = decode_addr(word, oracle.l2.n_sets as u64);
+                // Up to 13 lines: the span of one document row at K_d ≈ 190.
+                let bytes = (word >> 40) % 1600;
+                match (word >> 2) & 7 {
+                    0 => {
+                        tracker.global_write(addr, bytes);
+                        oracle.global_write(addr, bytes);
+                    }
+                    1 => {
+                        tracker.atomic_add(addr, 4);
+                        oracle.atomic_add(addr, 4);
+                    }
+                    2 if word & 0xf00 == 0 => {
+                        tracker.reset();
+                        oracle.l2.reset();
+                        oracle.stats = KernelStats::default();
+                    }
+                    _ => {
+                        tracker.global_read(addr, bytes);
+                        oracle.global_read(addr, bytes);
+                    }
+                }
+                prop_assert_eq!(tracker.stats(), &oracle.stats);
+            }
+        }
+    }
 
     #[test]
     fn cache_hits_on_repeated_access() {

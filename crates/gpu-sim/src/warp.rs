@@ -54,9 +54,10 @@ pub fn warp_inclusive_prefix_sum(vals: &mut [f32]) {
     );
     // Hillis–Steele scan, exactly the shfl_down pattern used on the GPU.
     let n = vals.len();
+    let mut snapshot = [0.0f32; WARP_SIZE];
     let mut offset = 1;
     while offset < n.max(1) {
-        let snapshot: Vec<f32> = vals.to_vec();
+        snapshot[..n].copy_from_slice(vals);
         for lane in offset..n {
             vals[lane] = snapshot[lane] + snapshot[lane - offset];
         }

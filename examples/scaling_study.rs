@@ -28,6 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut saber_tps = Vec::new();
     let mut dense_tps = Vec::new();
+    let mut summaries = Vec::new();
     for k in [250usize, 500, 1000, 2000, 4000] {
         let config = SaberLdaConfig::builder()
             .n_topics(k)
@@ -38,6 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut saber = SaberLda::new(config, &corpus)?;
         let report = saber.train();
         let saber_tp = report.mean_throughput_mtokens_per_s();
+        summaries.push(format!("K = {k}: {}", report.summary()));
 
         let mut dense =
             DenseGibbsLda::new(&corpus, k, 50.0 / k as f32, 0.01, 1, DeviceSpec::gtx_1080());
@@ -53,6 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         saber_tps.push(saber_tp);
         dense_tps.push(dense_tp);
         println!("{k:>8} {saber_tp:>22.1} {dense_tp:>22.1}");
+    }
+
+    println!("\nSaberLDA, modelled device time beside wall-clock on this CPU:");
+    for line in &summaries {
+        println!("  {line}");
     }
 
     let retained = |tps: &[f64]| 100.0 * tps.last().unwrap() / tps.first().unwrap();
