@@ -21,13 +21,12 @@ pub struct Diagnostic {
 }
 
 /// Rule identifiers, in catalogue order.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 8] = [
     NO_PANIC_SERVING,
     DETERMINISM,
     WIRE_GOLDEN_COVERAGE,
     NO_UNBOUNDED_ALLOC,
     LOCK_DISCIPLINE,
-    TRACE_PROPAGATION,
     BREAKER_INSTRUMENTATION,
     EPOCH_THREADING,
     BAD_SUPPRESSION,
@@ -45,9 +44,6 @@ pub const NO_UNBOUNDED_ALLOC: &str = "no-unbounded-alloc-from-wire";
 /// Lock guards must not span another acquisition unless the pair is in
 /// [`ALLOWED_LOCK_ORDER`].
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
-/// Every job-submission and transport seam must carry a `TraceContext`,
-/// so distributed traces survive every hop.
-pub const TRACE_PROPAGATION: &str = "trace-propagation";
 /// Circuit-breaker state transitions must be counter-instrumented, so an
 /// operator can see every trip and re-admission in `RouterStats`.
 pub const BREAKER_INSTRUMENTATION: &str = "breaker-instrumentation";
@@ -82,7 +78,6 @@ pub fn run(files: &[(String, String)]) -> Vec<Diagnostic> {
         determinism(file, &mut diagnostics);
         no_unbounded_alloc(file, &mut diagnostics);
         lock_discipline(file, &mut diagnostics);
-        trace_propagation(file, &mut diagnostics);
         breaker_instrumentation(file, &mut diagnostics);
         epoch_threading(file, &mut diagnostics);
     }
@@ -551,97 +546,6 @@ fn has_bound_evidence(file: &LexedFile, alloc_at: usize, ident: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: trace-propagation
-// ---------------------------------------------------------------------------
-
-/// The seams a request's trace must cross: job submission in `server.rs`
-/// and shard fan-out in `transport.rs`.
-fn trace_scope(path: &str) -> bool {
-    [
-        "crates/serve/src/server.rs",
-        "crates/serve/src/transport.rs",
-    ]
-    .contains(&path)
-}
-
-/// Function names that mint or forward jobs and must therefore accept a
-/// `TraceContext` parameter in `server.rs`.
-const SERVER_TRACE_SEAMS: [&str; 3] = ["make_job", "submit_partial", "try_submit_partial"];
-
-/// Checks that the job structure and every submission/transport seam carry
-/// a `TraceContext` — without it, a new job kind or transport method would
-/// silently drop the request's trace at that hop.
-fn trace_propagation(file: &LexedFile, out: &mut Vec<Diagnostic>) {
-    if !trace_scope(&file.rel_path) {
-        return;
-    }
-    let is_server = file.rel_path.ends_with("server.rs");
-    for i in 0..file.tokens.len() {
-        if file.in_test[i] {
-            continue;
-        }
-        // The worker-queue `Job` itself must hold the trace context, or no
-        // submission path can deliver it to the worker.
-        if is_server && file.is_ident(i, "struct") && file.is_ident(i + 1, "Job") {
-            let mut open = i + 2;
-            while open < file.tokens.len() && file.text(open) != "{" {
-                open += 1;
-            }
-            let carries = matching_delim(file, open, "{", "}")
-                .is_some_and(|close| (open..close).any(|k| file.is_ident(k, "TraceContext")));
-            if !carries {
-                out.push(Diagnostic {
-                    file: file.rel_path.clone(),
-                    line: file.tokens[i].line,
-                    rule: TRACE_PROPAGATION,
-                    message: "`struct Job` carries no `TraceContext` member — worker-side \
-                              spans (queue-wait, handler) cannot be attributed to a trace"
-                        .to_string(),
-                });
-            }
-            continue;
-        }
-        if !file.is_ident(i, "fn") {
-            continue;
-        }
-        let name = file.text(i + 1);
-        let watched = if is_server {
-            SERVER_TRACE_SEAMS.contains(&name)
-        } else {
-            name == "submit_partial"
-        };
-        if !watched {
-            continue;
-        }
-        // The signature runs to the body `{` (or a trait method's `;`).
-        let mut carries = false;
-        let mut j = i + 2;
-        while j < file.tokens.len() {
-            let t = file.text(j);
-            if t == "{" || t == ";" {
-                break;
-            }
-            if file.is_ident(j, "TraceContext") {
-                carries = true;
-            }
-            j += 1;
-        }
-        if !carries {
-            out.push(Diagnostic {
-                file: file.rel_path.clone(),
-                line: file.tokens[i].line,
-                rule: TRACE_PROPAGATION,
-                message: format!(
-                    "`{name}` takes no `TraceContext` parameter — this seam would drop \
-                     the request's distributed trace; thread the context through (pass \
-                     `TraceContext::disabled()` for untraced callers)"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Rule 5: lock-discipline
 // ---------------------------------------------------------------------------
 
@@ -813,7 +717,7 @@ fn new_guard(file: &LexedFile, dot_at: usize, lock: String, depth: i32, line: u3
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: breaker-instrumentation
+// Rule 6: breaker-instrumentation
 // ---------------------------------------------------------------------------
 
 /// Where replica circuit breakers live: the router (which consults them)
@@ -884,7 +788,7 @@ fn breaker_instrumentation(file: &LexedFile, out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 8: epoch-threading
+// Rule 7: epoch-threading
 // ---------------------------------------------------------------------------
 
 /// Where the continuous-training daemon publishes epochs to a live fleet.
@@ -1158,55 +1062,6 @@ mod tests {
         let src =
             "fn f(&self) {\n    let a = self.alpha.lock();\n    let b = self.beta.lock();\n}\n";
         assert!(lint_one("crates/serve/src/server.rs", src).is_empty());
-    }
-
-    // -- trace-propagation --------------------------------------------------
-
-    #[test]
-    fn flags_submission_seams_without_a_trace_context() {
-        let no_ctx = "fn submit_partial(&self, words: Vec<u32>) -> Result<(), E> {\n    \
-                      Ok(())\n}\n";
-        let diags = lint_one("crates/serve/src/transport.rs", no_ctx);
-        assert_eq!(rule_ids(&diags), [TRACE_PROPAGATION]);
-        assert!(diags[0].message.contains("submit_partial"));
-        let with_ctx = "fn submit_partial(&self, words: Vec<u32>, trace: TraceContext) \
-                        -> Result<(), E> {\n    Ok(())\n}\n";
-        assert!(lint_one("crates/serve/src/transport.rs", with_ctx).is_empty());
-        // Trait method form (no body) is checked too.
-        let trait_fn = "trait T {\n    fn submit_partial(&self, words: Vec<u32>) -> R;\n}\n";
-        assert_eq!(
-            rule_ids(&lint_one("crates/serve/src/transport.rs", trait_fn)),
-            [TRACE_PROPAGATION]
-        );
-    }
-
-    #[test]
-    fn flags_a_job_struct_without_a_trace_member() {
-        let bare = "struct Job {\n    words: Vec<u32>,\n}\n\
-                    fn make_job(trace: TraceContext) {}\n\
-                    fn submit_partial(trace: TraceContext) {}\n\
-                    fn try_submit_partial(trace: TraceContext) {}\n";
-        let diags = lint_one("crates/serve/src/server.rs", bare);
-        assert_eq!(rule_ids(&diags), [TRACE_PROPAGATION]);
-        assert!(
-            diags[0].message.contains("struct Job"),
-            "{}",
-            diags[0].message
-        );
-        let traced = "struct Job {\n    words: Vec<u32>,\n    trace: TraceContext,\n}\n\
-                      fn make_job(trace: TraceContext) {}\n\
-                      fn submit_partial(trace: TraceContext) {}\n\
-                      fn try_submit_partial(trace: TraceContext) {}\n";
-        assert!(lint_one("crates/serve/src/server.rs", traced).is_empty());
-    }
-
-    #[test]
-    fn trace_rule_is_scoped_to_the_submission_seams() {
-        // Other files and other functions are not seams.
-        let elsewhere = "fn submit_partial(&self, words: Vec<u32>) {}\n";
-        assert!(lint_one("crates/serve/src/router.rs", elsewhere).is_empty());
-        let other_fn = "fn submit_other(&self, words: Vec<u32>) {}\n";
-        assert!(lint_one("crates/serve/src/transport.rs", other_fn).is_empty());
     }
 
     // -- bad-suppression ----------------------------------------------------

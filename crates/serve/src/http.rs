@@ -38,8 +38,8 @@
 //!   format, with cumulative latency histogram buckets.
 //! * `GET /healthz` — liveness plus the served snapshot version.
 //! * `GET /trace/recent` — recently completed request traces (every
-//!   `/infer` is traced end to end, fan-out and shard spans included) plus
-//!   the slow-request capture; see `docs/OBSERVABILITY.md`.
+//!   `/infer` and `/similar` is traced end to end, fan-out and shard spans
+//!   included) plus the slow-request capture; see `docs/OBSERVABILITY.md`.
 //!
 //! When the backend is a single [`TopicServer`](crate::TopicServer) the
 //! listener additionally speaks the *shard protocol* that lets a
@@ -256,8 +256,10 @@ impl RequestRecorder {
 
 /// Point-in-time latency split of one endpoint: the end-to-end service
 /// time plus the queue-wait/handler decomposition recovered from request
-/// traces. Endpoints whose requests never queue on the worker pool report
-/// empty `queue_wait`/`handler` histograms.
+/// traces — one sample per answered request of `/infer` and `/similar`
+/// (whose two inferences are summed). The endpoints that never queue on
+/// the worker pool (`/top-words`, `/stats`, `/healthz`) report empty
+/// `queue_wait`/`handler` histograms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EndpointStats {
     /// Parse → response written.
@@ -625,75 +627,44 @@ fn route(
     request: &Request,
     state: &HttpState,
 ) -> (u16, String, Option<Endpoint>, &'static str, u64) {
-    let handled = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => (handle_healthz(state), Endpoint::Healthz),
-        ("GET", "/stats") => (handle_stats(state), Endpoint::Stats),
-        ("GET", "/top-words") => (handle_top_words(request, state), Endpoint::TopWords),
-        ("GET", "/similar") => (handle_similar(request, state), Endpoint::Similar),
-        ("POST", "/infer") => {
-            let (status, body, trace_id) = handle_infer(request, state);
-            return (
-                status,
-                body,
-                Some(Endpoint::Infer),
-                JSON_CONTENT_TYPE,
-                trace_id,
-            );
-        }
-        // Fleet-internal endpoints (shard fan-out, epoch publication,
-        // scrapes, trace retrieval): routed but not part of the
-        // per-endpoint latency histograms, which stay focused on
-        // client-facing traffic.
-        ("GET", "/metrics") => {
-            let (status, body) = handle_metrics(state);
-            return (status, body, None, METRICS_CONTENT_TYPE, 0);
-        }
-        ("GET", "/shard-info") => {
-            let (status, body) = handle_shard_info(state);
-            return (status, body, None, JSON_CONTENT_TYPE, 0);
-        }
-        ("GET", "/trace/recent") => {
-            let (status, body) = handle_trace_recent(state);
-            return (status, body, None, JSON_CONTENT_TYPE, 0);
-        }
-        ("POST", "/infer-partial") => {
-            let (status, body) = handle_infer_partial(request, state);
-            return (status, body, None, JSON_CONTENT_TYPE, 0);
-        }
-        ("POST", "/publish-shard") => {
-            let (status, body) = handle_publish_shard(request, state);
-            return (status, body, None, JSON_CONTENT_TYPE, 0);
-        }
-        ("POST", "/publish-delta") => {
-            let (status, body) = handle_publish_delta(request, state);
-            return (status, body, None, JSON_CONTENT_TYPE, 0);
-        }
-        ("POST", "/commit-epoch") => {
-            let (status, body) = handle_commit_epoch(request, state);
-            return (status, body, None, JSON_CONTENT_TYPE, 0);
-        }
-        (
-            _,
-            "/healthz" | "/stats" | "/top-words" | "/similar" | "/metrics" | "/shard-info"
-            | "/trace/recent",
-        ) => {
-            let body = wire::encode_error(405, "use GET for this endpoint").to_string();
-            return (405, body, None, JSON_CONTENT_TYPE, 0);
-        }
-        (
-            _,
-            "/infer" | "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch",
-        ) => {
-            let body = wire::encode_error(405, "use POST for this endpoint").to_string();
-            return (405, body, None, JSON_CONTENT_TYPE, 0);
-        }
-        _ => {
-            let body = wire::encode_error(404, "unknown path").to_string();
-            return (404, body, None, JSON_CONTENT_TYPE, 0);
-        }
-    };
-    let ((status, body), endpoint) = handled;
-    (status, body, Some(endpoint), JSON_CONTENT_TYPE, 0)
+    let mut content_type = JSON_CONTENT_TYPE;
+    let ((status, body), endpoint, trace_id) =
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => (handle_healthz(state), Some(Endpoint::Healthz), 0),
+            ("GET", "/stats") => (handle_stats(state), Some(Endpoint::Stats), 0),
+            ("GET", "/top-words") => (
+                handle_top_words(request, state),
+                Some(Endpoint::TopWords),
+                0,
+            ),
+            ("GET", "/similar") => trace_request(request, state, Endpoint::Similar, handle_similar),
+            ("POST", "/infer") => trace_request(request, state, Endpoint::Infer, handle_infer),
+            // Fleet-internal endpoints (shard fan-out, epoch publication,
+            // scrapes, trace retrieval): routed but not part of the
+            // per-endpoint latency histograms, which stay focused on
+            // client-facing traffic.
+            ("GET", "/metrics") => {
+                content_type = METRICS_CONTENT_TYPE;
+                (handle_metrics(state), None, 0)
+            }
+            ("GET", "/shard-info") => (handle_shard_info(state), None, 0),
+            ("GET", "/trace/recent") => (handle_trace_recent(state), None, 0),
+            ("POST", "/infer-partial") => (handle_infer_partial(request, state), None, 0),
+            ("POST", "/publish-shard") => (handle_publish_shard(request, state), None, 0),
+            ("POST", "/publish-delta") => (handle_publish_delta(request, state), None, 0),
+            ("POST", "/commit-epoch") => (handle_commit_epoch(request, state), None, 0),
+            (
+                _,
+                "/healthz" | "/stats" | "/top-words" | "/similar" | "/metrics" | "/shard-info"
+                | "/trace/recent",
+            ) => (error(405, "use GET for this endpoint"), None, 0),
+            (
+                _,
+                "/infer" | "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch",
+            ) => (error(405, "use POST for this endpoint"), None, 0),
+            _ => (error(404, "unknown path"), None, 0),
+        };
+    (status, body, endpoint, content_type, trace_id)
 }
 
 fn handle_healthz(state: &HttpState) -> (u16, String) {
@@ -1040,7 +1011,12 @@ fn handle_top_words(request: &Request, state: &HttpState) -> (u16, String) {
     (200, body.to_string())
 }
 
-fn handle_similar(request: &Request, state: &HttpState) -> (u16, String) {
+fn handle_similar(
+    request: &Request,
+    state: &HttpState,
+    trace: &mut TraceBuilder,
+    root: u64,
+) -> (u16, String) {
     let parse = |name: &str| -> Result<Vec<u32>, String> {
         match request.query_param(name) {
             None => Err(format!("missing '{name}' query parameter")),
@@ -1063,7 +1039,8 @@ fn handle_similar(request: &Request, state: &HttpState) -> (u16, String) {
     // Both documents share the seed so `a == b` implies distance 0; halve
     // the deadline since one HTTP request costs two inferences.
     let deadline = state.config.request_deadline / 2;
-    let infer = |words: Vec<u32>| state.backend.infer_with_deadline(words, seed, deadline);
+    let backend = &state.backend;
+    let mut infer = |words| backend.infer_with_trace(words, seed, deadline, trace, root);
     let (a, b) = match (infer(doc_a), infer(doc_b)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return serve_error(&e),
@@ -1102,12 +1079,21 @@ fn parse_infer(request: &Request, state: &HttpState) -> Result<(InferBody, u64),
     Ok((decoded.body, seed))
 }
 
-fn handle_infer(request: &Request, state: &HttpState) -> (u16, String, u64) {
-    // Every inference is traced end to end: a client-supplied
-    // X-Saber-Trace header joins an existing distributed trace (and makes
-    // this server's spans a child subtree of it); otherwise a fresh trace
-    // id is minted at ingress. The finished trace lands in the ring
-    // behind `GET /trace/recent` and is offered to the slow capture.
+/// Runs an inference endpoint's `handler` under a request trace. Every
+/// inference is traced end to end: a client-supplied X-Saber-Trace header
+/// joins an existing distributed trace (and makes this server's spans a
+/// child subtree of it); otherwise a fresh trace id is minted at ingress.
+/// An answered request records the queue-wait/handler decomposition for
+/// `/stats` from the spans the backend (or its shards) reported; the
+/// finished trace lands in the ring behind `GET /trace/recent` and is
+/// offered to the slow capture. Returns [`route`]'s `(response, endpoint,
+/// raw trace id)`.
+fn trace_request(
+    request: &Request,
+    state: &HttpState,
+    endpoint: Endpoint,
+    handler: fn(&Request, &HttpState, &mut TraceBuilder, u64) -> (u16, String),
+) -> ((u16, String), Option<Endpoint>, u64) {
     let inbound = request
         .header("x-saber-trace")
         .and_then(TraceContext::parse);
@@ -1116,15 +1102,24 @@ fn handle_infer(request: &Request, state: &HttpState) -> (u16, String, u64) {
         .unwrap_or_else(TraceId::mint);
     let mut trace = TraceBuilder::new(trace_id);
     let root = trace.begin(None, "ingress");
-    let (status, body) = handle_infer_traced(request, state, &mut trace, root);
+    let response = handler(request, state, &mut trace, root);
     trace.end(root);
+    if response.0 == 200 {
+        let timers = endpoint_timers(state, endpoint);
+        timers
+            .queue_wait
+            .record(Duration::from_micros(trace.named_total_us("queue-wait")));
+        timers
+            .handler
+            .record(Duration::from_micros(trace.named_total_us("handler")));
+    }
     let done = trace.finish();
     state.slow.offer(&done);
     state.ring.push(done);
-    (status, body, trace_id.raw())
+    (response, Some(endpoint), trace_id.raw())
 }
 
-fn handle_infer_traced(
+fn handle_infer(
     request: &Request,
     state: &HttpState,
     trace: &mut TraceBuilder,
@@ -1137,8 +1132,9 @@ fn handle_infer_traced(
         Ok(parsed) => parsed,
         Err(response) => return response,
     };
-    let deadline = state.config.request_deadline;
-    let result = match body {
+    // Raw tokens are encoded here — the one place that holds a vocabulary —
+    // and then take the same call as word ids.
+    let (words, n_oov) = match body {
         InferBody::Words(words) => {
             // The opt-in loadgen capture sees the request exactly as the
             // backend will: parsed words and the resolved seed, before
@@ -1146,28 +1142,25 @@ fn handle_infer_traced(
             if let Some(recorder) = state.config.recorder.as_ref() {
                 recorder.record(&words, seed);
             }
-            state
-                .backend
-                .infer_with_trace(words, seed, deadline, trace, root)
+            (words, 0)
         }
-        InferBody::Tokens { tokens, policy } => match state.vocab.as_ref() {
-            None => return error(400, "server has no vocabulary; send 'words' ids instead"),
-            Some(vocab) => state
-                .backend
-                .infer_raw_with_deadline(&tokens, vocab, policy, seed, deadline),
-        },
+        InferBody::Tokens { tokens, policy } => {
+            let Some(vocab) = state.vocab.as_ref() else {
+                return error(400, "server has no vocabulary; send 'words' ids instead");
+            };
+            match vocab.encode(tokens.iter().map(String::as_str), policy) {
+                Ok(encoded) => (encoded.ids, encoded.n_oov),
+                Err(e) => return serve_error(&e.into()),
+            }
+        }
     };
-    match result {
-        Ok(response) => {
-            // The queue-wait/handler decomposition for `/stats` comes from
-            // the spans the backend (or its shards) reported.
-            let timers = &state.endpoints.infer;
-            timers
-                .queue_wait
-                .record(Duration::from_micros(trace.named_total_us("queue-wait")));
-            timers
-                .handler
-                .record(Duration::from_micros(trace.named_total_us("handler")));
+    let deadline = state.config.request_deadline;
+    match state
+        .backend
+        .infer_with_trace(words, seed, deadline, trace, root)
+    {
+        Ok(mut response) => {
+            response.n_oov += n_oov;
             let encode_span = trace.begin(Some(root), "encode");
             let body = wire::encode_infer_response(&response, seed).to_string();
             trace.end(encode_span);

@@ -20,10 +20,15 @@
 //!   ESCA fold-in of [`saber_core::infer`] (`O(K_d)` per token, not
 //!   `O(K)`), and every request carries its own seed, so answers are
 //!   bit-reproducible regardless of batching, scheduling or concurrency.
-//! * Query API: [`TopicServer::infer_topics`], [`TopicServer::infer_raw`]
-//!   (raw tokens + [`OovPolicy`](saber_corpus::OovPolicy)),
-//!   [`TopicServer::top_words`], and document similarity in topic space
-//!   ([`similarity`]).
+//! * Query API: [`TopicServer::infer_topics`] and
+//!   [`TopicServer::infer_raw`] (raw tokens +
+//!   [`OovPolicy`](saber_corpus::OovPolicy)) block on a full queue;
+//!   [`TopicServer::infer_with_trace`] — and
+//!   [`TopicServer::infer_with_deadline`], the same call under a disabled
+//!   trace builder — fail fast and bound the wait. Every entry point is a
+//!   wrapper over one admission core (the request-path table in
+//!   `docs/SERVING.md`). Plus [`TopicServer::top_words`] and document
+//!   similarity in topic space ([`similarity`]).
 //! * [`ShardPlan`] + [`ShardRouter`] — vocabulary-sharded serving for
 //!   models whose snapshot exceeds one worker pool's memory budget: the
 //!   vocabulary is cut into byte-budgeted contiguous ranges ([`shard`]),
@@ -52,9 +57,13 @@
 //!   cross-shard merging ([`HistogramSnapshot::merge`],
 //!   [`ServeStats::merge`]), a queue-wait/compute split per request, and
 //!   per-bucket trace-id exemplars.
-//! * Distributed tracing (`saber-trace`) — every HTTP request carries a
-//!   [`TraceContext`](saber_trace::TraceContext) (minted at ingress or
-//!   parsed from `X-Saber-Trace`); the router's fan-out forwards it to
+//! * Distributed tracing (`saber-trace`) — every HTTP inference carries a
+//!   [`TraceBuilder`](saber_trace::TraceBuilder) (its id minted at ingress
+//!   or parsed from `X-Saber-Trace`) down the one request path, where
+//!   untraced in-process callers pass
+//!   [`TraceBuilder::disabled`](saber_trace::TraceBuilder::disabled); the
+//!   router's fan-out forwards its
+//!   [`TraceContext`](saber_trace::TraceContext) to
 //!   shard processes, whose span subtrees return inline in
 //!   `/infer-partial` responses and are stitched into one cross-machine
 //!   tree, browsable at `GET /trace/recent`. See `docs/OBSERVABILITY.md`.
@@ -123,35 +132,41 @@ pub use transport::{
 /// formats, same determinism guarantees. The only observable difference is
 /// the `shards` member of `/healthz` and `/stats`.
 pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
-    /// Fail-fast, deadline-bounded inference over word ids (the `POST
-    /// /infer` path).
+    /// Fail-fast, deadline-bounded inference over word ids, recording child
+    /// spans under `parent` in `trace` — the single inference path, and the
+    /// one `POST /infer` drives. [`TopicServer`] records
+    /// `queue-wait`/`handler` spans and [`ShardRouter`] a full fan-out
+    /// subtree; a [disabled](saber_trace::TraceBuilder::disabled) builder
+    /// records nothing. Implementations must never let tracing perturb the
+    /// answer.
     ///
     /// # Errors
     ///
     /// Backend-dependent; see [`TopicServer::infer_with_deadline`] and
     /// [`ShardRouter::infer_with_deadline`].
+    fn infer_with_trace(
+        &self,
+        words: Vec<u32>,
+        seed: u64,
+        deadline: std::time::Duration,
+        trace: &mut saber_trace::TraceBuilder,
+        parent: u64,
+    ) -> Result<InferResponse, ServeError>;
+
+    /// [`InferenceBackend::infer_with_trace`], untraced.
+    ///
+    /// # Errors
+    ///
+    /// As [`InferenceBackend::infer_with_trace`].
     fn infer_with_deadline(
         &self,
         words: Vec<u32>,
         seed: u64,
         deadline: std::time::Duration,
-    ) -> Result<InferResponse, ServeError>;
-
-    /// Raw-token inference against `vocab` with the same deadline
-    /// semantics.
-    ///
-    /// # Errors
-    ///
-    /// Encoding failures plus everything
-    /// [`InferenceBackend::infer_with_deadline`] can return.
-    fn infer_raw_with_deadline(
-        &self,
-        tokens: &[String],
-        vocab: &saber_corpus::Vocabulary,
-        policy: saber_corpus::OovPolicy,
-        seed: u64,
-        deadline: std::time::Duration,
-    ) -> Result<InferResponse, ServeError>;
+    ) -> Result<InferResponse, ServeError> {
+        let mut trace = saber_trace::TraceBuilder::disabled();
+        self.infer_with_trace(words, seed, deadline, &mut trace, 0)
+    }
 
     /// The `n` highest-probability words of topic `k` (global word ids).
     ///
@@ -205,37 +220,19 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// [`InferenceBackend::infer_with_deadline`] that records child spans
-    /// under `parent` in `trace` — the path the HTTP front-end's traced
-    /// `POST /infer` handler drives. The default ignores the trace and
-    /// answers identically to the untraced path; [`TopicServer`] records
-    /// `queue-wait`/`handler` spans and [`ShardRouter`] a full fan-out
-    /// subtree. Implementations must never let tracing perturb the answer.
+    /// Computes the partial sufficient statistics of one shard-side
+    /// request — the `POST /infer-partial` path — with fail-fast
+    /// admission, a reply deadline and the distributed
+    /// [`TraceContext`](saber_trace::TraceContext) parsed from the
+    /// `X-Saber-Trace` request header, so a shard process can answer with
+    /// its own span subtree inline in the response (see
+    /// [`PartialResponse::spans`]). Only meaningful on a backend that *is*
+    /// a shard (a [`TopicServer`]); the default refuses.
     ///
     /// # Errors
     ///
-    /// As [`InferenceBackend::infer_with_deadline`].
-    fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: std::time::Duration,
-        trace: &mut saber_trace::TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let _ = (&trace, parent);
-        self.infer_with_deadline(words, seed, deadline)
-    }
-
-    /// [`InferenceBackend::infer_partial_with_deadline`] carrying the
-    /// distributed [`TraceContext`](saber_trace::TraceContext) parsed from
-    /// the `X-Saber-Trace` request header, so a shard process can answer
-    /// with its own span subtree inline in the response (see
-    /// [`PartialResponse::spans`]). The default delegates untraced.
-    ///
-    /// # Errors
-    ///
-    /// As [`InferenceBackend::infer_partial_with_deadline`].
+    /// [`ServeError::BadRequest`] when the backend does not serve shard
+    /// partials; otherwise as [`TopicServer::infer_partial_traced`].
     fn infer_partial_traced(
         &self,
         words: Vec<u32>,
@@ -243,25 +240,7 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
         deadline: std::time::Duration,
         trace: saber_trace::TraceContext,
     ) -> Result<PartialResponse, ServeError> {
-        let _ = trace;
-        self.infer_partial_with_deadline(words, request, deadline)
-    }
-
-    /// Computes the partial sufficient statistics of one shard-side
-    /// request — the `POST /infer-partial` path. Only meaningful on a
-    /// backend that *is* a shard (a [`TopicServer`]); the default refuses.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] when the backend does not serve shard
-    /// partials; otherwise as [`TopicServer::infer_partial_with_deadline`].
-    fn infer_partial_with_deadline(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: std::time::Duration,
-    ) -> Result<PartialResponse, ServeError> {
-        let _ = (words, request, deadline);
+        let _ = (words, request, deadline, trace);
         Err(ServeError::BadRequest {
             detail: "this backend does not serve shard partials".into(),
         })
@@ -297,24 +276,15 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
 }
 
 impl InferenceBackend for TopicServer {
-    fn infer_with_deadline(
+    fn infer_with_trace(
         &self,
         words: Vec<u32>,
         seed: u64,
         deadline: std::time::Duration,
+        trace: &mut saber_trace::TraceBuilder,
+        parent: u64,
     ) -> Result<InferResponse, ServeError> {
-        TopicServer::infer_with_deadline(self, words, seed, deadline)
-    }
-
-    fn infer_raw_with_deadline(
-        &self,
-        tokens: &[String],
-        vocab: &saber_corpus::Vocabulary,
-        policy: saber_corpus::OovPolicy,
-        seed: u64,
-        deadline: std::time::Duration,
-    ) -> Result<InferResponse, ServeError> {
-        TopicServer::infer_raw_with_deadline(self, tokens, vocab, policy, seed, deadline)
+        TopicServer::infer_with_trace(self, words, seed, deadline, trace, parent)
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
@@ -357,26 +327,6 @@ impl InferenceBackend for TopicServer {
         self.config().fold_in
     }
 
-    fn infer_partial_with_deadline(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: std::time::Duration,
-    ) -> Result<PartialResponse, ServeError> {
-        TopicServer::infer_partial_with_deadline(self, words, request, deadline)
-    }
-
-    fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: std::time::Duration,
-        trace: &mut saber_trace::TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        TopicServer::infer_traced(self, words, seed, deadline, trace, parent)
-    }
-
     fn infer_partial_traced(
         &self,
         words: Vec<u32>,
@@ -401,24 +351,15 @@ impl InferenceBackend for TopicServer {
 }
 
 impl<T: ShardTransport> InferenceBackend for ShardRouter<T> {
-    fn infer_with_deadline(
+    fn infer_with_trace(
         &self,
         words: Vec<u32>,
         seed: u64,
         deadline: std::time::Duration,
+        trace: &mut saber_trace::TraceBuilder,
+        parent: u64,
     ) -> Result<InferResponse, ServeError> {
-        ShardRouter::infer_with_deadline(self, words, seed, deadline)
-    }
-
-    fn infer_raw_with_deadline(
-        &self,
-        tokens: &[String],
-        vocab: &saber_corpus::Vocabulary,
-        policy: saber_corpus::OovPolicy,
-        seed: u64,
-        deadline: std::time::Duration,
-    ) -> Result<InferResponse, ServeError> {
-        ShardRouter::infer_raw_with_deadline(self, tokens, vocab, policy, seed, deadline)
+        ShardRouter::infer_with_trace(self, words, seed, deadline, trace, parent)
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
@@ -461,17 +402,6 @@ impl<T: ShardTransport> InferenceBackend for ShardRouter<T> {
 
     fn fleet_health(&self) -> Option<FleetHealth> {
         Some(ShardRouter::fleet_health(self))
-    }
-
-    fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: std::time::Duration,
-        trace: &mut saber_trace::TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        ShardRouter::infer_with_trace(self, words, seed, deadline, trace, parent)
     }
 }
 

@@ -243,13 +243,13 @@ impl<T: ShardTransport> ReplicaSet<T> {
 }
 
 /// One in-flight fan-out leg: which shard and replica it was submitted
-/// to, the `(span id, span start µs)` of its `shard {s}` trace span when
-/// the request is traced, the trace context that hedge and retry
+/// to, the `(span id, span start µs)` of its `shard {s}` trace span (both
+/// 0 when the request is untraced), the trace context that hedge and retry
 /// resubmissions reuse, and the transport's pending reply handle.
 struct Leg<T: ShardTransport> {
     shard: usize,
     replica: usize,
-    span: Option<(u64, u64)>,
+    span: (u64, u64),
     ctx: TraceContext,
     pending: T::Pending,
 }
@@ -265,7 +265,7 @@ struct LegRequest<'a> {
     request: PartialRequest,
     seed: u64,
     deadline: Option<Instant>,
-    wave_span: Option<u64>,
+    wave_span: u64,
 }
 
 /// A fleet of vocabulary shards behind a single-server interface; see the
@@ -795,7 +795,7 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// for unreachable remote shards, and
     /// [`ServeError::ShardVersionSkew`] if every retry raced a publication.
     pub fn infer_topics(&self, words: Vec<u32>, seed: u64) -> Result<InferResponse, ServeError> {
-        self.route(&words, seed, None, None)
+        self.route(&words, seed, None, &mut TraceBuilder::disabled(), 0)
     }
 
     /// Fail-fast, deadline-bounded inference; the sharded counterpart of
@@ -814,7 +814,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         seed: u64,
         deadline: Duration,
     ) -> Result<InferResponse, ServeError> {
-        self.route(&words, seed, Some(Instant::now() + deadline), None)
+        self.infer_with_trace(words, seed, deadline, &mut TraceBuilder::disabled(), 0)
     }
 
     /// [`ShardRouter::infer_with_deadline`] that records the whole fan-out
@@ -824,8 +824,9 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// `infer-partial` subtree, stitched from the response by
     /// [`TraceBuilder::attach`] whether the shard is in-process or on
     /// another machine — and a `merge` span for the router-side finish.
-    /// Skew retries and the observed epoch land as events on `parent`.
-    /// Tracing never changes an answer: seeds and merge order ignore it.
+    /// Skew retries and the observed epoch land as events on `parent`. A
+    /// disabled builder records none of it. Tracing never changes an
+    /// answer: seeds and merge order ignore it.
     ///
     /// # Errors
     ///
@@ -838,12 +839,8 @@ impl<T: ShardTransport> ShardRouter<T> {
         trace: &mut TraceBuilder,
         parent: u64,
     ) -> Result<InferResponse, ServeError> {
-        self.route(
-            &words,
-            seed,
-            Some(Instant::now() + deadline),
-            Some((trace, parent)),
-        )
+        let deadline = Some(Instant::now() + deadline);
+        self.route(&words, seed, deadline, trace, parent)
     }
 
     /// Encodes a raw-token document against `vocab` (the *full* model
@@ -863,27 +860,6 @@ impl<T: ShardTransport> ShardRouter<T> {
     ) -> Result<InferResponse, ServeError> {
         let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
         let mut response = self.infer_topics(encoded.ids, seed)?;
-        response.n_oov += encoded.n_oov;
-        Ok(response)
-    }
-
-    /// [`ShardRouter::infer_raw`] with the deadline semantics of
-    /// [`ShardRouter::infer_with_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures plus everything
-    /// [`ShardRouter::infer_with_deadline`] can return.
-    pub fn infer_raw_with_deadline<S: AsRef<str>>(
-        &self,
-        tokens: &[S],
-        vocab: &Vocabulary,
-        policy: OovPolicy,
-        seed: u64,
-        deadline: Duration,
-    ) -> Result<InferResponse, ServeError> {
-        let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
-        let mut response = self.infer_with_deadline(encoded.ids, seed, deadline)?;
         response.n_oov += encoded.n_oov;
         Ok(response)
     }
@@ -1106,7 +1082,8 @@ impl<T: ShardTransport> ShardRouter<T> {
         words: &[u32],
         seed: u64,
         deadline: Option<Instant>,
-        mut trace: Option<(&mut TraceBuilder, u64)>,
+        trace: &mut TraceBuilder,
+        parent: u64,
     ) -> Result<InferResponse, ServeError> {
         let split = self.plan.split(words)?;
         self.requests.fetch_add(1, Ordering::Relaxed);
@@ -1119,10 +1096,9 @@ impl<T: ShardTransport> ShardRouter<T> {
         }
         let mut attempts = 0;
         loop {
-            let reborrowed = trace.as_mut().map(|(t, parent)| (&mut **t, *parent));
             let result = match self.config.fold_in.kind {
-                FoldInKind::Esca => self.attempt_esca(&split, seed, deadline, reborrowed),
-                FoldInKind::Em => self.attempt_em(&split, seed, deadline, reborrowed),
+                FoldInKind::Esca => self.attempt_esca(&split, seed, deadline, trace, parent),
+                FoldInKind::Em => self.attempt_em(&split, seed, deadline, trace, parent),
             };
             match result {
                 Err(ServeError::ShardVersionSkew) if attempts < MAX_SKEW_RETRIES => {
@@ -1134,9 +1110,7 @@ impl<T: ShardTransport> ShardRouter<T> {
                     }
                     attempts += 1;
                     self.skew_retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some((t, parent)) = trace.as_mut() {
-                        t.event(*parent, format!("skew retry {attempts}"));
-                    }
+                    trace.event(parent, format_args!("skew retry {attempts}"));
                 }
                 other => {
                     if let Ok(response) = &other {
@@ -1145,12 +1119,8 @@ impl<T: ShardTransport> ShardRouter<T> {
                         // (max, so a straggler cannot roll it back).
                         self.last_epoch
                             .fetch_max(response.snapshot_version, Ordering::Relaxed);
-                        if let Some((t, parent)) = trace.as_mut() {
-                            t.event(
-                                *parent,
-                                format!("epoch observed {}", response.snapshot_version),
-                            );
-                        }
+                        let epoch = response.snapshot_version;
+                        trace.event(parent, format_args!("epoch observed {epoch}"));
                     }
                     return other;
                 }
@@ -1167,21 +1137,14 @@ impl<T: ShardTransport> ShardRouter<T> {
         split: &[Vec<u32>],
         seed: u64,
         deadline: Option<Instant>,
-        mut trace: Option<(&mut TraceBuilder, u64)>,
+        trace: &mut TraceBuilder,
+        parent: u64,
     ) -> Result<InferResponse, ServeError> {
-        let fanout_span = trace
-            .as_mut()
-            .map(|(t, parent)| t.begin(Some(*parent), "fan-out"));
+        let fanout_span = trace.begin(Some(parent), "fan-out");
         let request_for = |s: usize| PartialRequest::FoldIn {
             seed: derive_shard_seed(seed, s),
         };
-        let pending = self.fan_out(
-            split,
-            seed,
-            deadline,
-            &request_for,
-            trace.as_mut().map(|(t, _)| &mut **t).zip(fanout_span),
-        )?;
+        let pending = self.fan_out(split, seed, deadline, &request_for, trace, fanout_span)?;
         let mut merged = PartialFoldIn::empty(self.n_topics);
         let (mut version, mut n_oov) = (None, 0usize);
         for leg in pending {
@@ -1195,27 +1158,21 @@ impl<T: ShardTransport> ShardRouter<T> {
                     deadline,
                     wave_span: fanout_span,
                 },
-                &mut trace,
+                trace,
             )?;
             check_version(&mut version, &response)?;
             merged.merge(&response.partial);
             n_oov += response.n_oov;
         }
-        if let (Some((t, _)), Some(span)) = (trace.as_mut(), fanout_span) {
-            t.end(span);
-        }
-        let merge_span = trace
-            .as_mut()
-            .map(|(t, parent)| t.begin(Some(*parent), "merge"));
+        trace.end(fanout_span);
+        let merge_span = trace.begin(Some(parent), "merge");
         let theta = esca_theta(
             merged.counts,
             merged.n_words,
             self.config.fold_in.samples,
             self.alpha,
         );
-        if let (Some((t, _)), Some(span)) = (trace.as_mut(), merge_span) {
-            t.end(span);
-        }
+        trace.end(merge_span);
         let snapshot_version = version.ok_or_else(|| ServeError::Internal {
             detail: "non-empty document produced no shard responses".to_string(),
         })?;
@@ -1236,7 +1193,8 @@ impl<T: ShardTransport> ShardRouter<T> {
         split: &[Vec<u32>],
         seed: u64,
         deadline: Option<Instant>,
-        mut trace: Option<(&mut TraceBuilder, u64)>,
+        trace: &mut TraceBuilder,
+        parent: u64,
     ) -> Result<InferResponse, ServeError> {
         let k = self.n_topics;
         // No .max(1): fold_in_em runs exactly total_sweeps() iterations
@@ -1253,20 +1211,12 @@ impl<T: ShardTransport> ShardRouter<T> {
         let mut theta = Arc::new(vec![1.0f64 / k as f64; k]);
         let (mut version, mut n_oov) = (None, 0usize);
         for round in 0..iterations {
-            let round_span = trace
-                .as_mut()
-                .map(|(t, parent)| t.begin(Some(*parent), format!("em-round {round}")));
+            let round_span = trace.begin(Some(parent), format_args!("em-round {round}"));
             let request_for = |_s: usize| PartialRequest::EmRound {
                 round,
                 theta: Arc::clone(&theta),
             };
-            let pending = self.fan_out(
-                split,
-                seed,
-                deadline,
-                &request_for,
-                trace.as_mut().map(|(t, _)| &mut **t).zip(round_span),
-            )?;
+            let pending = self.fan_out(split, seed, deadline, &request_for, trace, round_span)?;
             let mut merged = PartialFoldIn::empty(k);
             for leg in pending {
                 let s = leg.shard;
@@ -1279,7 +1229,7 @@ impl<T: ShardTransport> ShardRouter<T> {
                         deadline,
                         wave_span: round_span,
                     },
-                    &mut trace,
+                    trace,
                 )?;
                 check_version(&mut version, &response)?;
                 merged.merge(&response.partial);
@@ -1287,18 +1237,11 @@ impl<T: ShardTransport> ShardRouter<T> {
                     n_oov += response.n_oov;
                 }
             }
-            let merge_span = round_span
-                .and_then(|parent| trace.as_mut().map(|(t, _)| t.begin(Some(parent), "merge")));
+            let merge_span = trace.begin(Some(round_span), "merge");
             let mut next = vec![0.0f64; k];
             em_update(&mut next, &merged.counts, merged.n_words, self.alpha);
-            if let Some((t, _)) = trace.as_mut() {
-                if let Some(span) = merge_span {
-                    t.end(span);
-                }
-                if let Some(span) = round_span {
-                    t.end(span);
-                }
-            }
+            trace.end(merge_span);
+            trace.end(round_span);
             theta = Arc::new(next);
         }
         let snapshot_version = version.ok_or_else(|| ServeError::Internal {
@@ -1321,31 +1264,27 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// recorded on its breaker and the next preferred replica is tried,
     /// so the fan-out only fails when a whole set is unreachable.
     ///
-    /// With a trace, each submission opens a `shard {s}` span under the
-    /// given parent and forwards a [`TraceContext`] pointing at it, so the
-    /// shard's own spans re-attach under the right leg of the fan-out; the
-    /// returned leg carries `(span id, span start)` for the collector.
+    /// Each submission opens a `shard {s}` span under `wave_span` and
+    /// forwards a [`TraceContext`] pointing at it, so the shard's own spans
+    /// re-attach under the right leg of the fan-out; the returned leg
+    /// carries `(span id, span start)` for the collector.
     fn fan_out(
         &self,
         split: &[Vec<u32>],
         seed: u64,
         deadline: Option<Instant>,
         request_for: &impl Fn(usize) -> PartialRequest,
-        mut trace: Option<(&mut TraceBuilder, u64)>,
+        trace: &mut TraceBuilder,
+        wave_span: u64,
     ) -> Result<Vec<Leg<T>>, ServeError> {
         let mut pending = Vec::new();
         for (s, words) in split.iter().enumerate() {
             if words.is_empty() {
                 continue;
             }
-            let span = trace.as_mut().map(|(t, parent)| {
-                let begin_us = t.elapsed_us();
-                (t.begin(Some(*parent), ShardPlan::span_name(s)), begin_us)
-            });
-            let ctx = match (&trace, span) {
-                (Some((t, _)), Some((span_id, _))) => TraceContext::child(t.trace_id(), span_id),
-                _ => TraceContext::disabled(),
-            };
+            let begin_us = trace.elapsed_us();
+            let span_id = trace.begin(Some(wave_span), ShardPlan::span_name(s));
+            let ctx = trace.context(span_id);
             let set = &self.shards[s];
             let mut submitted = None;
             let mut last_err = None;
@@ -1375,7 +1314,7 @@ impl<T: ShardTransport> ShardRouter<T> {
                 Some((replica, handle)) => pending.push(Leg {
                     shard: s,
                     replica,
-                    span,
+                    span: (span_id, begin_us),
                     ctx,
                     pending: handle,
                 }),
@@ -1394,7 +1333,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         &self,
         leg: Leg<T>,
         req: &LegRequest<'_>,
-        trace: &mut Option<(&mut TraceBuilder, u64)>,
+        trace: &mut TraceBuilder,
     ) -> Result<PartialResponse, ServeError> {
         let Leg {
             shard,
@@ -1426,7 +1365,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         pending: T::Pending,
         req: &LegRequest<'_>,
         ctx: TraceContext,
-        trace: &mut Option<(&mut TraceBuilder, u64)>,
+        trace: &mut TraceBuilder,
     ) -> (Result<PartialResponse, ServeError>, usize) {
         let deadline = req.deadline;
         let set = &self.shards[shard];
@@ -1465,12 +1404,10 @@ impl<T: ShardTransport> ShardRouter<T> {
         };
         self.hedges.fetch_add(1, Ordering::Relaxed);
         self.shard_requests[shard].fetch_add(1, Ordering::Relaxed);
-        if let Some((t, parent)) = trace.as_mut() {
-            t.event(
-                req.wave_span.unwrap_or(*parent),
-                format!("hedge {} replica {other}", ShardPlan::span_name(shard)),
-            );
-        }
+        trace.event(
+            req.wave_span,
+            format_args!("hedge {} replica {other}", ShardPlan::span_name(shard)),
+        );
         let slice = Duration::from_millis(1);
         let mut primary = primary;
         let mut hedge = hedge;
@@ -1510,7 +1447,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         failed: usize,
         req: &LegRequest<'_>,
         ctx: TraceContext,
-        trace: &mut Option<(&mut TraceBuilder, u64)>,
+        trace: &mut TraceBuilder,
     ) -> Result<PartialResponse, ServeError> {
         let deadline = req.deadline;
         if deadline.is_some_and(|at| Instant::now() >= at) {
@@ -1523,12 +1460,10 @@ impl<T: ShardTransport> ShardRouter<T> {
             .find(|&r| r != failed)
             .unwrap_or(failed);
         self.transport_retries.fetch_add(1, Ordering::Relaxed);
-        if let Some((t, parent)) = trace.as_mut() {
-            t.event(
-                req.wave_span.unwrap_or(*parent),
-                format!("transport retry {}", ShardPlan::span_name(shard)),
-            );
-        }
+        trace.event(
+            req.wave_span,
+            format_args!("transport retry {}", ShardPlan::span_name(shard)),
+        );
         let outcome = set.replicas()[target]
             .submit_partial(req.words.to_vec(), req.request.clone(), deadline, ctx)
             .and_then(|handle| {
@@ -1697,28 +1632,22 @@ fn attribute_shard(err: ServeError, s: usize) -> ServeError {
 /// naming the culprit on the wave's parent span.
 fn collect_shard(
     s: usize,
-    span: Option<(u64, u64)>,
+    (span_id, begin_us): (u64, u64),
     outcome: Result<PartialResponse, ServeError>,
-    wave_span: Option<u64>,
-    trace: &mut Option<(&mut TraceBuilder, u64)>,
+    wave_span: u64,
+    trace: &mut TraceBuilder,
 ) -> Result<PartialResponse, ServeError> {
     match outcome {
         Ok(response) => {
-            if let (Some((t, _)), Some((span_id, begin_us))) = (trace.as_mut(), span) {
-                t.attach(span_id, &response.spans, begin_us);
-                t.end(span_id);
-            }
+            trace.attach(span_id, &response.spans, begin_us);
+            trace.end(span_id);
             Ok(response)
         }
         Err(e) => {
             let e = attribute_shard(e, s);
-            if let (Some((t, parent)), true) =
-                (trace.as_mut(), matches!(e, ServeError::Transport { .. }))
-            {
-                t.event(
-                    wave_span.unwrap_or(*parent),
-                    format!("{} failed: {e}", ShardPlan::span_name(s)),
-                );
+            if matches!(e, ServeError::Transport { .. }) {
+                let name = ShardPlan::span_name(s);
+                trace.event(wave_span, format_args!("{name} failed: {e}"));
             }
             Err(e)
         }

@@ -2,12 +2,15 @@
 //!
 //! [`TopicServer`] is the crate's execution engine: a bounded request queue
 //! drained by `n_workers` threads that coalesce waiting requests into
-//! micro-batches (one snapshot load per batch), with three admission paths
-//! — blocking ([`TopicServer::infer_topics`]), fail-fast
-//! ([`TopicServer::try_infer_topics`]) and deadline-bounded
-//! ([`TopicServer::infer_with_deadline`], the one the HTTP front-end maps
-//! to `429`/`503`). Workers time every request (queue wait + fold-in) into
-//! the lock-free histogram surfaced by [`ServeStats`].
+//! micro-batches (one snapshot load per batch). Every entry point is a thin
+//! wrapper over one `submit` (the only place a job is minted and enqueued)
+//! and one `await_reply`, in one of two admission modes — blocking
+//! ([`TopicServer::infer_topics`], [`TopicServer::infer_partial`],
+//! [`TopicServer::infer_batch`]) or fail-fast with a reply deadline
+//! ([`TopicServer::infer_with_deadline`] and its traced form
+//! [`TopicServer::infer_with_trace`], the ones the HTTP front-end maps to
+//! `429`/`503`). Workers time every request (queue wait + fold-in) into the
+//! lock-free histogram surfaced by [`ServeStats`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -34,8 +37,9 @@ pub struct ServeConfig {
     /// micro-batch (≥ 1). A batch loads the snapshot once and amortises
     /// queue synchronisation across its requests.
     pub max_batch: usize,
-    /// Capacity of the bounded request queue; submissions block (or fail,
-    /// for [`TopicServer::try_infer_topics`]) when it is full.
+    /// Capacity of the bounded request queue; submissions block (or fail
+    /// with [`ServeError::Overloaded`], for the deadline-bounded entry
+    /// points) when it is full.
     pub queue_depth: usize,
     /// Fold-in quality knobs applied to every request.
     pub fold_in: FoldInParams,
@@ -173,15 +177,12 @@ impl ServeStats {
 }
 
 /// The work a queued job asks of a worker.
-enum JobKind {
+pub(crate) enum JobKind {
     /// Full fold-in: answer with θ ([`JobReply::Infer`]).
     Infer { seed: u64 },
-    /// The chain half of an ESCA fold-in over this shard's words: answer
-    /// with raw measured counts ([`JobReply::Partial`]).
-    PartialFoldIn { seed: u64 },
-    /// One EM round under the router's current θ: answer with
-    /// responsibility counts ([`JobReply::Partial`]).
-    EmRound { theta: Arc<Vec<f64>> },
+    /// One shard's half of a sharded fold-in: answer with raw counts
+    /// ([`JobReply::Partial`]).
+    Partial(PartialRequest),
 }
 
 /// What a worker sends back; the variant always matches the [`JobKind`].
@@ -239,14 +240,20 @@ pub enum PartialRequest {
 #[derive(Debug, Default)]
 pub(crate) struct JobTimings {
     /// Admission-to-dequeue, microseconds.
-    pub(crate) queue_wait_us: AtomicU64,
+    queue_wait_us: AtomicU64,
     /// Dequeue-to-reply (the fold-in compute), microseconds.
-    pub(crate) handler_us: AtomicU64,
+    handler_us: AtomicU64,
 }
 
-/// A validated job paired with its reply channel and (for traced
-/// requests only) the shared timings cell the worker stamps.
-type PreparedJob = (Job, Receiver<JobReply>, Option<Arc<JobTimings>>);
+impl JobTimings {
+    /// `(queue_wait_us, handler_us)` as stamped by the worker.
+    fn load(&self) -> (u64, u64) {
+        (
+            self.queue_wait_us.load(Ordering::Relaxed),
+            self.handler_us.load(Ordering::Relaxed),
+        )
+    }
+}
 
 struct Job {
     words: Vec<u32>,
@@ -417,31 +424,9 @@ impl TopicServer {
     /// vocabulary and [`ServeError::Closed`] if the worker pool has shut
     /// down.
     pub fn infer_topics(&self, words: Vec<u32>, seed: u64) -> Result<InferResponse, ServeError> {
-        let (rx, _) = self.submit(words, JobKind::Infer { seed }, TraceContext::disabled())?;
-        rx.recv()
-            .map_err(|_| ServeError::Closed)
-            .and_then(expect_infer)
-    }
-
-    /// Like [`TopicServer::infer_topics`] but fails fast with
-    /// [`ServeError::Overloaded`] instead of blocking when the queue is full
-    /// — the admission-control path for latency-sensitive callers.
-    pub fn try_infer_topics(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let (job, reply_rx, _) =
-            self.make_job(words, JobKind::Infer { seed }, TraceContext::disabled())?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        match queue.try_send(job) {
-            Ok(()) => reply_rx
-                .recv()
-                .map_err(|_| ServeError::Closed)
-                .and_then(expect_infer),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        }
+        let trace = TraceContext::disabled();
+        let (rx, _) = self.submit(words, JobKind::Infer { seed }, false, trace)?;
+        Self::await_reply(&rx, None).and_then(expect_infer)
     }
 
     /// Blockingly computes the partial sufficient statistics of `request`
@@ -458,14 +443,19 @@ impl TopicServer {
         words: Vec<u32>,
         request: PartialRequest,
     ) -> Result<PartialResponse, ServeError> {
-        let (rx, _) = self.submit(words, request.into_kind(), TraceContext::disabled())?;
-        rx.recv()
-            .map_err(|_| ServeError::Closed)
-            .and_then(expect_partial)
+        let trace = TraceContext::disabled();
+        let (rx, _) = self.submit(words, JobKind::Partial(request), false, trace)?;
+        finish_partial(Self::await_reply(&rx, None)?, None)
     }
 
-    /// [`TopicServer::infer_partial`] with fail-fast admission and a reply
-    /// deadline — the variant a router's deadline-bounded path fans out.
+    /// [`TopicServer::infer_partial`] with fail-fast admission, a reply
+    /// deadline and a distributed-trace context — the variant a shard
+    /// process serves to a router's deadline-bounded fan-out. When `trace`
+    /// is enabled the response's [`spans`](PartialResponse::spans) carry a
+    /// self-contained subtree — an `infer-partial` root with `queue-wait`
+    /// and `handler` children, offsets relative to this request's
+    /// admission — that a remote router stitches into its own trace with
+    /// [`saber_trace::TraceBuilder::attach`].
     ///
     /// # Errors
     ///
@@ -473,26 +463,6 @@ impl TopicServer {
     /// [`ServeError::Overloaded`] when the queue is full,
     /// [`ServeError::DeadlineExceeded`] on timeout and
     /// [`ServeError::Closed`] after shutdown.
-    pub fn infer_partial_with_deadline(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: Duration,
-    ) -> Result<PartialResponse, ServeError> {
-        self.infer_partial_traced(words, request, deadline, TraceContext::disabled())
-    }
-
-    /// [`TopicServer::infer_partial_with_deadline`] with a distributed-trace
-    /// context. When `trace` is enabled the response's
-    /// [`spans`](PartialResponse::spans) carry a self-contained subtree —
-    /// an `infer-partial` root with `queue-wait` and `handler` children,
-    /// offsets relative to this request's admission — that a remote router
-    /// stitches into its own trace with
-    /// [`saber_trace::TraceBuilder::attach`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`TopicServer::infer_partial_with_deadline`].
     pub fn infer_partial_traced(
         &self,
         words: Vec<u32>,
@@ -500,23 +470,8 @@ impl TopicServer {
         deadline: Duration,
         trace: TraceContext,
     ) -> Result<PartialResponse, ServeError> {
-        let (job, reply_rx, timings) = self.make_job(words, request.into_kind(), trace)?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        match queue.try_send(job) {
-            Ok(()) => match reply_rx.recv_timeout(deadline) {
-                Ok(reply) => {
-                    let mut response = expect_partial(reply)?;
-                    if let Some(timings) = &timings {
-                        response.spans = partial_spans(timings);
-                    }
-                    Ok(response)
-                }
-                Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-                Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-            },
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        }
+        let (rx, timings) = self.submit(words, JobKind::Partial(request), true, trace)?;
+        finish_partial(Self::await_reply(&rx, Some(deadline))?, timings.as_deref())
     }
 
     /// Fail-fast inference with a response deadline: rejects immediately
@@ -541,30 +496,19 @@ impl TopicServer {
         seed: u64,
         deadline: Duration,
     ) -> Result<InferResponse, ServeError> {
-        let (job, reply_rx, _) =
-            self.make_job(words, JobKind::Infer { seed }, TraceContext::disabled())?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        match queue.try_send(job) {
-            Ok(()) => match reply_rx.recv_timeout(deadline) {
-                Ok(reply) => expect_infer(reply),
-                Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-                Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-            },
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        }
+        self.infer_with_trace(words, seed, deadline, &mut TraceBuilder::disabled(), 0)
     }
 
     /// [`TopicServer::infer_with_deadline`] that additionally records
-    /// `queue-wait` and `handler` child spans under `parent` in `trace` —
-    /// the request path the HTTP front-end's traced `/infer` handler uses.
-    /// Tracing never perturbs the answer: the seed, the words and the
-    /// fold-in all ignore it.
+    /// `queue-wait` and `handler` child spans under `parent` in `trace`
+    /// (nothing, for a disabled builder) — the request path the HTTP
+    /// front-end's `/infer` handler uses. Tracing never perturbs the
+    /// answer: the seed, the words and the fold-in all ignore it.
     ///
     /// # Errors
     ///
     /// Exactly as [`TopicServer::infer_with_deadline`].
-    pub fn infer_traced(
+    pub fn infer_with_trace(
         &self,
         words: Vec<u32>,
         seed: u64,
@@ -572,26 +516,16 @@ impl TopicServer {
         trace: &mut TraceBuilder,
         parent: u64,
     ) -> Result<InferResponse, ServeError> {
-        let ctx = TraceContext::child(trace.trace_id(), parent);
         let base_us = trace.elapsed_us();
-        let (job, reply_rx, timings) = self.make_job(words, JobKind::Infer { seed }, ctx)?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        let result = match queue.try_send(job) {
-            Ok(()) => match reply_rx.recv_timeout(deadline) {
-                Ok(reply) => expect_infer(reply),
-                Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-                Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-            },
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        };
-        if let (Ok(_), Some(timings)) = (&result, &timings) {
-            let queue_wait_us = timings.queue_wait_us.load(Ordering::Relaxed);
-            let handler_us = timings.handler_us.load(Ordering::Relaxed);
+        let ctx = trace.context(parent);
+        let (rx, timings) = self.submit(words, JobKind::Infer { seed }, true, ctx)?;
+        let response = Self::await_reply(&rx, Some(deadline)).and_then(expect_infer)?;
+        if let Some(timings) = timings {
+            let (queue_wait_us, handler_us) = timings.load();
             trace.push_span(Some(parent), "queue-wait", base_us, queue_wait_us);
             trace.push_span(Some(parent), "handler", base_us + queue_wait_us, handler_us);
         }
-        result
+        Ok(response)
     }
 
     /// Submits a whole batch and waits for every answer, preserving order.
@@ -603,23 +537,14 @@ impl TopicServer {
         &self,
         requests: Vec<InferRequest>,
     ) -> Result<Vec<InferResponse>, ServeError> {
+        let trace = TraceContext::disabled();
         let receivers: Vec<_> = requests
             .into_iter()
-            .map(|r| {
-                self.submit(
-                    r.words,
-                    JobKind::Infer { seed: r.seed },
-                    TraceContext::disabled(),
-                )
-            })
+            .map(|r| self.submit(r.words, JobKind::Infer { seed: r.seed }, false, trace))
             .collect::<Result<_, _>>()?;
         receivers
             .into_iter()
-            .map(|(rx, _)| {
-                rx.recv()
-                    .map_err(|_| ServeError::Closed)
-                    .and_then(expect_infer)
-            })
+            .map(|(rx, _)| Self::await_reply(&rx, None).and_then(expect_infer))
             .collect()
     }
 
@@ -639,28 +564,6 @@ impl TopicServer {
     ) -> Result<InferResponse, ServeError> {
         let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
         let mut response = self.infer_topics(encoded.ids, seed)?;
-        response.n_oov += encoded.n_oov;
-        Ok(response)
-    }
-
-    /// [`TopicServer::infer_raw`] with the fail-fast admission and deadline
-    /// semantics of [`TopicServer::infer_with_deadline`] — the raw-token
-    /// path the HTTP front-end serves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures ([`OovPolicy::Fail`]) plus everything
-    /// [`TopicServer::infer_with_deadline`] can return.
-    pub fn infer_raw_with_deadline<S: AsRef<str>>(
-        &self,
-        tokens: &[S],
-        vocab: &Vocabulary,
-        policy: OovPolicy,
-        seed: u64,
-        deadline: Duration,
-    ) -> Result<InferResponse, ServeError> {
-        let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
-        let mut response = self.infer_with_deadline(encoded.ids, seed, deadline)?;
         response.n_oov += encoded.n_oov;
         Ok(response)
     }
@@ -708,74 +611,58 @@ impl TopicServer {
         }
     }
 
-    /// Validates a request and pairs it with its capacity-1 reply channel.
-    /// A timings cell is allocated only for traced jobs (`trace` enabled),
-    /// so untraced requests pay nothing beyond copying the disabled context.
-    fn make_job(
+    /// The request half of every entry point, and the only place a [`Job`]
+    /// is minted: validates `words`, pairs the job with its capacity-1
+    /// reply channel and enqueues it — failing fast with
+    /// [`ServeError::Overloaded`] on a full queue when `fail_fast`, parking
+    /// until there is room otherwise. A timings cell is allocated only for
+    /// traced jobs (`trace` enabled), so untraced requests pay nothing
+    /// beyond copying the disabled context.
+    pub(crate) fn submit(
         &self,
         words: Vec<u32>,
         kind: JobKind,
+        fail_fast: bool,
         trace: TraceContext,
-    ) -> Result<PreparedJob, ServeError> {
+    ) -> Result<(Receiver<JobReply>, Option<Arc<JobTimings>>), ServeError> {
         self.validate_words(&words)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
+        let (reply, reply_rx) = sync_channel(1);
         let timings = trace.enabled().then(|| Arc::new(JobTimings::default()));
-        Ok((
-            Job {
-                words,
-                kind,
-                reply: reply_tx,
-                enqueued: Instant::now(),
-                trace,
-                timings: timings.clone(),
-            },
-            reply_rx,
-            timings,
-        ))
-    }
-
-    /// Enqueues a partial request without waiting for the reply — the
-    /// router's fan-out path (submit to every shard, then collect).
-    /// Blocking admission: waits when the queue is full.
-    pub(crate) fn submit_partial(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        trace: TraceContext,
-    ) -> Result<(Receiver<JobReply>, Option<Arc<JobTimings>>), ServeError> {
-        self.submit(words, request.into_kind(), trace)
-    }
-
-    /// Fail-fast variant of [`TopicServer::submit_partial`]:
-    /// [`ServeError::Overloaded`] instead of blocking on a full queue.
-    pub(crate) fn try_submit_partial(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        trace: TraceContext,
-    ) -> Result<(Receiver<JobReply>, Option<Arc<JobTimings>>), ServeError> {
-        let (job, reply_rx, timings) = self.make_job(words, request.into_kind(), trace)?;
+        let job = Job {
+            words,
+            kind,
+            reply,
+            enqueued: Instant::now(),
+            trace,
+            timings: timings.clone(),
+        };
         let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        match queue.try_send(job) {
-            Ok(()) => Ok((reply_rx, timings)),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
+        if fail_fast {
+            queue.try_send(job).map_err(|e| match e {
+                TrySendError::Full(_) => ServeError::Overloaded,
+                TrySendError::Disconnected(_) => ServeError::Closed,
+            })?;
+        } else {
+            queue.send(job).map_err(|_| ServeError::Closed)?;
         }
+        Ok((reply_rx, timings))
     }
 
-    fn submit(
-        &self,
-        words: Vec<u32>,
-        kind: JobKind,
-        trace: TraceContext,
-    ) -> Result<(Receiver<JobReply>, Option<Arc<JobTimings>>), ServeError> {
-        let (job, reply_rx, timings) = self.make_job(words, kind, trace)?;
-        self.queue
-            .as_ref()
-            .ok_or(ServeError::Closed)?
-            .send(job)
-            .map_err(|_| ServeError::Closed)?;
-        Ok((reply_rx, timings))
+    /// The reply half of every entry point: waits for the worker's answer
+    /// to a [`TopicServer::submit`]ted job — at most `deadline` when one
+    /// is given ([`ServeError::DeadlineExceeded`] past it), indefinitely
+    /// otherwise.
+    pub(crate) fn await_reply(
+        rx: &Receiver<JobReply>,
+        deadline: Option<Duration>,
+    ) -> Result<JobReply, ServeError> {
+        match deadline {
+            None => rx.recv().map_err(|_| ServeError::Closed),
+            Some(deadline) => rx.recv_timeout(deadline).map_err(|e| match e {
+                RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
+                RecvTimeoutError::Disconnected => ServeError::Closed,
+            }),
+        }
     }
 
     fn shutdown_in_place(&mut self) {
@@ -847,14 +734,15 @@ fn worker_loop(
                     snapshot_version: snapshot.version(),
                     n_oov,
                 }),
-                JobKind::PartialFoldIn { seed } => JobReply::Partial(PartialResponse {
-                    partial: snapshot.partial_fold_in(&job.words, *seed, fold_in),
-                    snapshot_version: snapshot.version(),
-                    n_oov,
-                    spans: Vec::new(),
-                }),
-                JobKind::EmRound { theta } => JobReply::Partial(PartialResponse {
-                    partial: snapshot.em_round(&job.words, theta),
+                JobKind::Partial(request) => JobReply::Partial(PartialResponse {
+                    partial: match request {
+                        PartialRequest::FoldIn { seed } => {
+                            snapshot.partial_fold_in(&job.words, *seed, fold_in)
+                        }
+                        PartialRequest::EmRound { theta, .. } => {
+                            snapshot.em_round(&job.words, theta)
+                        }
+                    },
                     snapshot_version: snapshot.version(),
                     n_oov,
                     spans: Vec::new(),
@@ -888,15 +776,6 @@ fn worker_loop(
     }
 }
 
-impl PartialRequest {
-    fn into_kind(self) -> JobKind {
-        match self {
-            PartialRequest::FoldIn { seed } => JobKind::PartialFoldIn { seed },
-            PartialRequest::EmRound { theta, .. } => JobKind::EmRound { theta },
-        }
-    }
-}
-
 /// Workers answer every [`JobKind`] with its matching [`JobReply`] variant,
 /// so a mismatch is a serving-crate bug, not a caller error — but a bug in
 /// one code path must degrade that request to [`ServeError::Internal`], not
@@ -910,50 +789,39 @@ fn expect_infer(reply: JobReply) -> Result<InferResponse, ServeError> {
     }
 }
 
-/// Builds the self-contained span subtree a shard reports for one traced
-/// partial request: an `infer-partial` root with `queue-wait` and `handler`
-/// children, ids dense from 1 and offsets relative to the request's
-/// admission. Both the in-process [`TopicServer::infer_partial_traced`] and
-/// the local transport's wait path use this, so local and remote shards
-/// produce identical subtrees for a router to attach.
-pub(crate) fn partial_spans(timings: &JobTimings) -> Vec<SpanRecord> {
-    let queue_wait_us = timings.queue_wait_us.load(Ordering::Relaxed);
-    let handler_us = timings.handler_us.load(Ordering::Relaxed);
-    vec![
-        SpanRecord {
-            id: 1,
-            parent: None,
-            name: "infer-partial".to_string(),
-            start_us: 0,
-            duration_us: queue_wait_us + handler_us,
-            events: Vec::new(),
-        },
-        SpanRecord {
-            id: 2,
-            parent: Some(1),
-            name: "queue-wait".to_string(),
-            start_us: 0,
-            duration_us: queue_wait_us,
-            events: Vec::new(),
-        },
-        SpanRecord {
-            id: 3,
-            parent: Some(1),
-            name: "handler".to_string(),
-            start_us: queue_wait_us,
-            duration_us: handler_us,
-            events: Vec::new(),
-        },
-    ]
-}
-
-pub(crate) fn expect_partial(reply: JobReply) -> Result<PartialResponse, ServeError> {
-    match reply {
-        JobReply::Partial(response) => Ok(response),
-        JobReply::Infer(_) => Err(ServeError::Internal {
+/// Unwraps a partial job's reply and, for a traced job, fills in the
+/// self-contained span subtree a shard reports: an `infer-partial` root
+/// with `queue-wait` and `handler` children, ids dense from 1 and offsets
+/// relative to the request's admission. Both
+/// [`TopicServer::infer_partial_traced`] and the local transport's wait
+/// path finish through here, so local and remote shards produce identical
+/// subtrees for a router to attach.
+pub(crate) fn finish_partial(
+    reply: JobReply,
+    timings: Option<&JobTimings>,
+) -> Result<PartialResponse, ServeError> {
+    let JobReply::Partial(mut response) = reply else {
+        return Err(ServeError::Internal {
             detail: "worker answered a partial job with a full response".to_string(),
-        }),
+        });
+    };
+    if let Some(timings) = timings {
+        let (queue_wait_us, handler_us) = timings.load();
+        let span = |id, parent, name: &str, start_us, duration_us| SpanRecord {
+            id,
+            parent,
+            name: name.to_string(),
+            start_us,
+            duration_us,
+            events: Vec::new(),
+        };
+        response.spans = vec![
+            span(1, None, "infer-partial", 0, queue_wait_us + handler_us),
+            span(2, Some(1), "queue-wait", 0, queue_wait_us),
+            span(3, Some(1), "handler", queue_wait_us, handler_us),
+        ];
     }
+    Ok(response)
 }
 
 #[cfg(test)]
@@ -1098,7 +966,7 @@ mod tests {
             other => panic!("expected BadRequest, got {other:?}"),
         }
         assert!(matches!(
-            server.try_infer_topics(vec![12], 1),
+            server.infer_with_deadline(vec![12], 1, Duration::from_secs(5)),
             Err(ServeError::BadRequest { .. })
         ));
         // …and the pool keeps serving afterwards.
@@ -1109,18 +977,26 @@ mod tests {
         server.shutdown();
     }
 
+    /// The admission table: every entry point, grouped by the admission
+    /// mode it must have, driven against a single worker wedged on a heavy
+    /// request. Fail-fast entry points must time out once admitted and be
+    /// refused at once when the queue is full; blocking ones must park on
+    /// the full queue and answer once the worker is released.
     #[test]
     fn deadline_and_overload_fail_fast_while_worker_is_busy() {
-        let server = Arc::new(
+        use crate::transport::{LocalTransport, PendingPartial, ShardTransport};
+        type Call<'a> = (&'a str, Box<dyn Fn() -> Result<(), ServeError> + Send + 'a>);
+
+        let shard = LocalTransport::new(
             TopicServer::from_model(
                 &planted_model(12, 3),
                 ServeConfig {
                     n_workers: 1,
                     max_batch: 1,
-                    queue_depth: 1,
+                    queue_depth: 4,
                     fold_in: FoldInParams {
-                        burn_in: 50,
-                        samples: 50,
+                        burn_in: 100,
+                        samples: 100,
                         ..FoldInParams::default()
                     },
                     ..ServeConfig::default()
@@ -1128,29 +1004,104 @@ mod tests {
             )
             .unwrap(),
         );
-        // Park the single worker on a heavy request (10k tokens × 100
-        // sweeps), leaving the queue empty but the pool busy.
-        let heavy = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || server.infer_topics(vec![0; 10_000], 1))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        // Admitted to the (empty) queue but unserved within the deadline.
-        assert!(matches!(
-            server.infer_with_deadline(vec![0; 10_000], 2, Duration::from_millis(1)),
-            Err(ServeError::DeadlineExceeded)
-        ));
-        // The abandoned job still occupies the depth-1 queue: fail fast.
-        assert!(matches!(
-            server.infer_with_deadline(vec![3], 3, Duration::from_millis(1)),
-            Err(ServeError::Overloaded)
-        ));
-        assert!(matches!(
-            server.try_infer_topics(vec![3], 3),
-            Err(ServeError::Overloaded)
-        ));
-        heavy.join().unwrap().unwrap();
-        Arc::try_unwrap(server).unwrap().shutdown();
+        let server = shard.server();
+        let brief = Duration::from_millis(1);
+        let off = TraceContext::disabled;
+        let fold_in = || PartialRequest::FoldIn { seed: 2 };
+        let fail_fast: Vec<Call> = vec![
+            (
+                "infer_with_deadline",
+                Box::new(|| server.infer_with_deadline(vec![3], 2, brief).map(drop)),
+            ),
+            (
+                "infer_with_trace",
+                Box::new(|| {
+                    let mut trace = TraceBuilder::new(saber_trace::TraceId::mint());
+                    server
+                        .infer_with_trace(vec![3], 2, brief, &mut trace, 0)
+                        .map(drop)
+                }),
+            ),
+            (
+                "infer_partial_traced",
+                Box::new(|| {
+                    server
+                        .infer_partial_traced(vec![3], fold_in(), brief, off())
+                        .map(drop)
+                }),
+            ),
+            (
+                "submit_partial(.., Some(deadline), ..)",
+                Box::new(|| {
+                    let at = Some(Instant::now() + brief);
+                    let pending = shard.submit_partial(vec![3], fold_in(), at, off())?;
+                    pending.wait(at).map(drop)
+                }),
+            ),
+        ];
+        let blocking: Vec<Call> = vec![
+            (
+                "infer_topics",
+                Box::new(|| server.infer_topics(vec![3], 2).map(drop)),
+            ),
+            (
+                "infer_partial",
+                Box::new(|| server.infer_partial(vec![3], fold_in()).map(drop)),
+            ),
+            (
+                "infer_batch",
+                Box::new(|| {
+                    let request = InferRequest {
+                        words: vec![3],
+                        seed: 2,
+                    };
+                    server.infer_batch(vec![request]).map(drop)
+                }),
+            ),
+            (
+                "submit_partial(.., None, ..)",
+                Box::new(|| {
+                    let pending = shard.submit_partial(vec![3], fold_in(), None, off())?;
+                    pending.wait(None).map(drop)
+                }),
+            ),
+        ];
+
+        std::thread::scope(|scope| {
+            // Wedge the single worker on a heavy request (40k tokens × 200
+            // sweeps) and wait until it has dequeued it: the queue is empty
+            // but the pool is busy.
+            let heavy = scope.spawn(|| server.infer_topics(vec![0; 40_000], 1));
+            while server.stats().batches == 0 {
+                std::thread::yield_now();
+            }
+            // Each fail-fast call takes one of the four free queue slots
+            // and goes unanswered within its deadline…
+            for (name, call) in &fail_fast {
+                assert!(
+                    matches!(call(), Err(ServeError::DeadlineExceeded)),
+                    "{name}: admitted but unanswered must be DeadlineExceeded"
+                );
+            }
+            // …and the four abandoned jobs now fill the queue: fail fast.
+            for (name, call) in &fail_fast {
+                assert!(
+                    matches!(call(), Err(ServeError::Overloaded)),
+                    "{name}: a full queue must be Overloaded"
+                );
+            }
+            // Blocking calls park on the full queue instead, and answer
+            // once the worker works through the heavy request.
+            let parked: Vec<_> = blocking
+                .into_iter()
+                .map(|(name, call)| (name, scope.spawn(call)))
+                .collect();
+            heavy.join().unwrap().unwrap();
+            for (name, handle) in parked {
+                let outcome = handle.join().unwrap();
+                assert!(outcome.is_ok(), "{name}: blocking admission: {outcome:?}");
+            }
+        });
     }
 
     #[test]
@@ -1248,7 +1199,7 @@ mod tests {
         let mut trace = TraceBuilder::new(id);
         let root = trace.begin(None, "test-root");
         let traced = server
-            .infer_traced(vec![0, 3, 6], 7, Duration::from_secs(5), &mut trace, root)
+            .infer_with_trace(vec![0, 3, 6], 7, Duration::from_secs(5), &mut trace, root)
             .unwrap();
         // Tracing is invisible to the answer itself.
         let untraced = server.infer_topics(vec![0, 3, 6], 7).unwrap();

@@ -173,8 +173,8 @@ impl ShardPlan {
     /// Defined next to the plan so the span taxonomy and the partition it
     /// describes stay in one place.
     #[must_use]
-    pub fn span_name(s: usize) -> String {
-        format!("shard {s}")
+    pub fn span_name(s: usize) -> impl std::fmt::Display {
+        std::fmt::from_fn(move |f| write!(f, "shard {s}"))
     }
 
     /// The shard owning `word`, or `None` when `word >= V`.

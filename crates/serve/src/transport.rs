@@ -42,7 +42,7 @@ use saber_core::model_io::{save_delta, DeltaPayload};
 use saber_trace::TraceContext;
 
 use crate::server::{
-    expect_partial, partial_spans, JobReply, JobTimings, PartialRequest, PartialResponse,
+    finish_partial, JobKind, JobReply, JobTimings, PartialRequest, PartialResponse,
 };
 use crate::snapshot::{FoldInParams, InferenceSnapshot};
 use crate::wire;
@@ -481,33 +481,17 @@ pub struct LocalPending {
     timings: Option<Arc<JobTimings>>,
 }
 
-impl LocalPending {
-    fn finish(&self, reply: JobReply) -> Result<PartialResponse, ServeError> {
-        let mut response = expect_partial(reply)?;
-        // The same span subtree a remote shard would ship inline, so the
-        // router's stitching is transport-agnostic.
-        if let Some(timings) = &self.timings {
-            response.spans = partial_spans(timings);
-        }
-        Ok(response)
-    }
-}
-
 impl PendingPartial for LocalPending {
     fn wait(self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
-        let reply = match deadline {
-            None => self.rx.recv().map_err(|_| ServeError::Closed)?,
-            Some(at) => {
-                let remaining = at
-                    .checked_duration_since(Instant::now())
-                    .ok_or(ServeError::DeadlineExceeded)?;
-                self.rx.recv_timeout(remaining).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
-                    RecvTimeoutError::Disconnected => ServeError::Closed,
-                })?
-            }
+        let remaining = match deadline {
+            None => None,
+            Some(at) => Some(
+                at.checked_duration_since(Instant::now())
+                    .ok_or(ServeError::DeadlineExceeded)?,
+            ),
         };
-        self.finish(reply)
+        let reply = TopicServer::await_reply(&self.rx, remaining)?;
+        finish_partial(reply, self.timings.as_deref())
     }
 
     fn wait_until(self, until: Instant) -> PollOutcome<LocalPending> {
@@ -515,7 +499,7 @@ impl PendingPartial for LocalPending {
         // reply, so a bound in the past degrades to a non-blocking poll.
         let bound = until.saturating_duration_since(Instant::now());
         match self.rx.recv_timeout(bound) {
-            Ok(reply) => PollOutcome::Ready(self.finish(reply)),
+            Ok(reply) => PollOutcome::Ready(finish_partial(reply, self.timings.as_deref())),
             Err(RecvTimeoutError::Timeout) => PollOutcome::Pending(self),
             Err(RecvTimeoutError::Disconnected) => PollOutcome::Ready(Err(ServeError::Closed)),
         }
@@ -532,11 +516,9 @@ impl ShardTransport for LocalTransport {
         deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<LocalPending, ServeError> {
-        let (rx, timings) = if deadline.is_some() {
-            self.server.try_submit_partial(words, request, trace)?
-        } else {
-            self.server.submit_partial(words, request, trace)?
-        };
+        let (rx, timings) =
+            self.server
+                .submit(words, JobKind::Partial(request), deadline.is_some(), trace)?;
         Ok(LocalPending { rx, timings })
     }
 

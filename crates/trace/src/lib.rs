@@ -50,6 +50,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -255,10 +256,14 @@ pub struct Trace {
 /// on its connection thread, and timing measured on *other* threads
 /// (worker queue-wait, shard processes) comes back as data — atomics or
 /// inline wire spans — and is recorded here by the owning thread.
+///
+/// [`TraceBuilder::disabled`] is the null object untraced callers pass
+/// down the same code path: it reads no clock, allocates nothing, records
+/// nothing and hands out disabled [`TraceContext`]s.
 #[derive(Debug)]
 pub struct TraceBuilder {
-    id: TraceId,
-    origin: Instant,
+    /// Trace id and clock origin; `None` for a disabled builder.
+    live: Option<(TraceId, Instant)>,
     spans: Vec<SpanRecord>,
 }
 
@@ -266,25 +271,39 @@ impl TraceBuilder {
     /// Starts a builder for trace `id`; the clock origin is now.
     pub fn new(id: TraceId) -> TraceBuilder {
         TraceBuilder {
-            id,
-            origin: Instant::now(),
+            live: Some((id, Instant::now())),
             spans: Vec::with_capacity(8),
         }
     }
 
-    /// The trace id being built.
-    pub fn trace_id(&self) -> TraceId {
-        self.id
+    /// The untraced null object: every recording method is a no-op that
+    /// returns span id 0, and span names and event messages are never
+    /// formatted.
+    pub fn disabled() -> TraceBuilder {
+        TraceBuilder {
+            live: None,
+            spans: Vec::new(),
+        }
     }
 
-    /// Microseconds elapsed since the trace origin.
+    /// The context for work parented under span `parent` of this trace;
+    /// [`TraceContext::disabled`] from a disabled builder.
+    pub fn context(&self, parent: u64) -> TraceContext {
+        match self.live {
+            Some((id, _)) => TraceContext::child(id, parent),
+            None => TraceContext::disabled(),
+        }
+    }
+
+    /// Microseconds elapsed since the trace origin (0 when disabled).
     pub fn elapsed_us(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
+        self.live
+            .map_or(0, |(_, origin)| origin.elapsed().as_micros() as u64)
     }
 
     /// Opens a span starting now; returns its id. Pass the returned id to
     /// [`TraceBuilder::end`] to close it.
-    pub fn begin(&mut self, parent: Option<u64>, name: impl Into<String>) -> u64 {
+    pub fn begin(&mut self, parent: Option<u64>, name: impl Display) -> u64 {
         self.push_span(parent, name, self.elapsed_us(), 0)
     }
 
@@ -302,15 +321,18 @@ impl TraceBuilder {
     pub fn push_span(
         &mut self,
         parent: Option<u64>,
-        name: impl Into<String>,
+        name: impl Display,
         start_us: u64,
         duration_us: u64,
     ) -> u64 {
+        if self.live.is_none() {
+            return 0;
+        }
         let id = self.spans.len() as u64 + 1;
         self.spans.push(SpanRecord {
             id,
             parent,
-            name: name.into(),
+            name: name.to_string(),
             start_us,
             duration_us,
             events: Vec::new(),
@@ -318,14 +340,14 @@ impl TraceBuilder {
         id
     }
 
-    /// Appends a timestamped event to span `span` (ignored for unknown
-    /// ids).
-    pub fn event(&mut self, span: u64, message: impl Into<String>) {
+    /// Appends a timestamped event to span `span` (ignored — and
+    /// `message` never formatted — for unknown ids).
+    pub fn event(&mut self, span: u64, message: impl Display) {
         let at_us = self.elapsed_us();
         if let Some(record) = self.span_mut(span) {
             record.events.push(SpanEvent {
                 at_us,
-                message: message.into(),
+                message: message.to_string(),
             });
         }
     }
@@ -343,7 +365,7 @@ impl TraceBuilder {
                 .map(|&(_, new)| new);
             let new_id = self.push_span(
                 Some(mapped_parent.unwrap_or(parent)),
-                span.name.clone(),
+                &span.name,
                 span.start_us.saturating_add(base_us),
                 span.duration_us,
             );
@@ -377,7 +399,8 @@ impl TraceBuilder {
     }
 
     /// Finalises the trace. Still-open spans keep duration 0; the total is
-    /// the latest span end observed.
+    /// the latest span end observed. A disabled builder recorded nothing to
+    /// correlate, so it finishes as an empty trace under a fresh id.
     pub fn finish(self) -> Trace {
         let total_us = self
             .spans
@@ -386,7 +409,7 @@ impl TraceBuilder {
             .max()
             .unwrap_or(0);
         Trace {
-            trace_id: self.id,
+            trace_id: self.live.map_or_else(TraceId::mint, |(id, _)| id),
             total_us,
             spans: self.spans,
         }
@@ -560,6 +583,52 @@ mod tests {
         assert_eq!(trace.spans[1].parent, Some(root));
         assert_eq!(trace.spans[1].events.len(), 1);
         assert!(trace.total_us >= trace.spans[1].start_us);
+    }
+
+    #[test]
+    fn a_disabled_builder_records_nothing_and_formats_nothing() {
+        /// Flips its flag whenever it is formatted.
+        struct Tripwire<'a>(&'a std::cell::Cell<bool>);
+        impl Display for Tripwire<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.set(true);
+                f.write_str("tripped")
+            }
+        }
+        let formatted = std::cell::Cell::new(false);
+        let remote = SpanRecord {
+            id: 1,
+            parent: None,
+            name: "infer-partial".to_string(),
+            start_us: 0,
+            duration_us: 40,
+            events: Vec::new(),
+        };
+
+        let mut off = TraceBuilder::disabled();
+        let root = off.begin(None, Tripwire(&formatted));
+        assert_eq!(root, 0);
+        assert_eq!(off.push_span(Some(root), Tripwire(&formatted), 5, 7), 0);
+        off.event(root, Tripwire(&formatted));
+        off.end(root);
+        off.attach(root, std::slice::from_ref(&remote), 10);
+        assert!(off.spans().is_empty());
+        assert!(!formatted.get(), "a disabled builder formatted a name");
+        assert_eq!(off.elapsed_us(), 0);
+        assert_eq!(off.named_total_us("infer-partial"), 0);
+        assert_eq!(off.context(3), TraceContext::disabled());
+        assert!(off.finish().spans.is_empty());
+
+        // The tripwire is live: an enabled builder does format it — except
+        // for an event aimed at a span that does not exist.
+        let id = TraceId::from_raw(7).unwrap();
+        let mut on = TraceBuilder::new(id);
+        on.event(99, Tripwire(&formatted));
+        assert!(!formatted.get());
+        let root = on.begin(None, Tripwire(&formatted));
+        assert!(formatted.get());
+        assert_eq!(on.spans()[0].name, "tripped");
+        assert_eq!(on.context(root), TraceContext::child(id, root));
     }
 
     #[test]

@@ -9,8 +9,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use saberlda::core::json;
+use saberlda::corpus::OovPolicy;
 use saberlda::serve::http::{HttpConfig, HttpServer};
-use saberlda::serve::{FoldInParams, ServeConfig, SnapshotSampler, TopicServer};
+use saberlda::serve::{wire, FoldInParams, ServeConfig, SnapshotSampler, TopicServer};
 use saberlda::{InferenceSnapshot, LdaModel, Vocabulary};
 
 const K: usize = 4;
@@ -360,7 +361,11 @@ fn snapshot_swap_is_visible_over_a_live_keep_alive_connection() {
 #[test]
 fn raw_tokens_and_query_endpoints_round_trip() {
     let vocab = Vocabulary::synthetic(VOCAB);
-    let (server, front) = start(ServeConfig::default(), HttpConfig::default(), Some(vocab));
+    let (server, front) = start(
+        ServeConfig::default(),
+        HttpConfig::default(),
+        Some(vocab.clone()),
+    );
     let addr = front.local_addr();
 
     // Raw tokens: w00000 and w00004 belong to topic 0; one OOV is skipped.
@@ -370,6 +375,31 @@ fn raw_tokens_and_query_endpoints_round_trip() {
     let reply = json::parse(&body).unwrap();
     assert_eq!(reply.get("n_oov").unwrap().as_u64(), Some(1));
     assert_eq!(reply.get("dominant_topic").unwrap().as_u64(), Some(0));
+    // The raw-token request takes the same path as word ids once encoded:
+    // its bytes are those of the in-process answer, it is traced end to
+    // end, and it feeds the endpoint's queue-wait/handler split a real
+    // sample (not the 0 µs one an untraced call used to leave).
+    let tokens = ["w00000", "w00004", "notaword"];
+    let reference = server
+        .infer_raw(&tokens, &vocab, OovPolicy::Skip, 3)
+        .unwrap();
+    assert_eq!(body, wire::encode_infer_response(&reference, 3).to_string());
+    let (_, traces) = get(addr, "/trace/recent");
+    let recent = wire::decode_trace_recent(&traces).unwrap();
+    let names: Vec<&str> = recent[0].spans.iter().map(|s| s.name.as_str()).collect();
+    for needed in ["ingress", "parse", "queue-wait", "handler", "encode"] {
+        assert!(
+            names.contains(&needed),
+            "raw-token trace is missing a {needed:?} span: {names:?}"
+        );
+    }
+    // (`total` is recorded after the response is written; wait for it.)
+    while front.stats().infer.total.count() == 0 {
+        std::thread::yield_now();
+    }
+    let split = front.stats().infer;
+    assert_eq!(split.queue_wait.count(), split.total.count());
+    assert_eq!(split.handler.count(), split.total.count());
     // Under "fail" the same document is a client error.
     let payload = r#"{"tokens":["notaword"],"oov":"fail"}"#;
     let (status, _) = post_infer(addr, payload, "");
@@ -402,6 +432,13 @@ fn raw_tokens_and_query_endpoints_round_trip() {
         far.get("hellinger").unwrap().as_f64().unwrap() > 0.5,
         "{body}"
     );
+    // `/similar` queues two inferences per request and reports their
+    // summed queue-wait/handler split, one sample per request.
+    while front.stats().similar.total.count() < 2 {
+        std::thread::yield_now();
+    }
+    assert_eq!(front.stats().similar.queue_wait.count(), 2);
+    assert_eq!(front.stats().similar.handler.count(), 2);
 
     front.shutdown();
     Arc::try_unwrap(server).unwrap().shutdown();

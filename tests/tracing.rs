@@ -20,13 +20,14 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use saberlda::corpus::OovPolicy;
 use saberlda::serve::wire;
 use saberlda::serve::{
-    FoldInKind, FoldInParams, HttpConfig, HttpServer, HttpTransport, InferenceSnapshot,
-    ServeConfig, ShardPlan, ShardRouter, TopicServer,
+    FoldInKind, FoldInParams, HttpConfig, HttpServer, HttpTransport, InferResponse,
+    InferenceBackend, InferenceSnapshot, ServeConfig, ShardPlan, ShardRouter, TopicServer,
 };
 use saberlda::trace::{Trace, TraceBuilder, TraceId};
-use saberlda::LdaModel;
+use saberlda::{LdaModel, Vocabulary};
 
 const VOCAB: usize = 60;
 const K: usize = 5;
@@ -122,42 +123,84 @@ fn spawn_shard_fleet(
     (shards, transports)
 }
 
+/// The three shapes of the one request path — `infer_with_deadline`,
+/// `infer_with_trace` under a disabled builder (which must stay empty) and
+/// under an enabled one — must agree bit for bit; returns the answer.
+fn call_shapes_agree(backend: &dyn InferenceBackend, doc: &[u32], seed: u64) -> InferResponse {
+    let deadline = Duration::from_secs(5);
+    let untraced = backend
+        .infer_with_deadline(doc.to_vec(), seed, deadline)
+        .unwrap();
+    let mut off = TraceBuilder::disabled();
+    let disabled = backend
+        .infer_with_trace(doc.to_vec(), seed, deadline, &mut off, 0)
+        .unwrap();
+    assert!(off.spans().is_empty(), "a disabled builder recorded spans");
+    let mut on = TraceBuilder::new(TraceId::mint());
+    let root = on.begin(None, "ingress");
+    let enabled = backend
+        .infer_with_trace(doc.to_vec(), seed, deadline, &mut on, root)
+        .unwrap();
+    assert!(on.spans().len() >= 3, "too few spans: {:?}", on.spans());
+    for other in [&disabled, &enabled] {
+        assert_eq!(bits(&untraced.theta), bits(&other.theta));
+        assert_eq!(untraced.snapshot_version, other.snapshot_version);
+        assert_eq!(untraced.n_oov, other.n_oov);
+    }
+    untraced
+}
+
 #[test]
 fn tracing_never_changes_theta_bit_for_bit() {
     // The differential zero-cost criterion, at the API layer: the same
     // document and seed through `infer_topics` (untraced) and
     // `infer_with_trace` must produce bit-identical θ — under both
-    // fold-in kinds, across a 2-shard fan-out.
+    // fold-in kinds, on a direct server and across 1-, 2- and 3-shard
+    // fan-outs, whichever shape of the request path carries it.
     for kind in [FoldInKind::Esca, FoldInKind::Em] {
         let model = random_model(3);
         let cfg = config(kind);
-        let router =
-            ShardRouter::from_model(&model, ShardPlan::uniform(VOCAB, 2).unwrap(), cfg).unwrap();
+        let server = TopicServer::from_model(&model, cfg).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
         for seed in 0..5u64 {
             let doc = random_doc(&mut rng, 6 + seed as usize * 3);
-            let plain = router.infer_topics(doc.clone(), seed).unwrap();
-            let mut trace = TraceBuilder::new(TraceId::mint());
-            let root = trace.begin(None, "ingress");
-            let traced = router
-                .infer_with_trace(doc, seed, Duration::from_secs(5), &mut trace, root)
-                .unwrap();
-            trace.end(root);
-            let done = trace.finish();
-            assert!(
-                done.spans.len() >= 4,
-                "{kind:?} seed {seed}: traced run recorded too few spans: {:?}",
-                done.spans
-            );
-            assert_eq!(
-                bits(&plain.theta),
-                bits(&traced.theta),
-                "{kind:?} seed {seed}: tracing perturbed θ"
-            );
-            assert_eq!(plain.snapshot_version, traced.snapshot_version);
-            assert_eq!(plain.n_oov, traced.n_oov);
+            let plain = server.infer_topics(doc.clone(), seed).unwrap();
+            let shaped = call_shapes_agree(&server, &doc, seed);
+            assert_eq!(bits(&plain.theta), bits(&shaped.theta), "{kind:?}/{seed}");
         }
-        router.shutdown();
+        server.shutdown();
+        for n_shards in 1..=3 {
+            let router =
+                ShardRouter::from_model(&model, ShardPlan::uniform(VOCAB, n_shards).unwrap(), cfg)
+                    .unwrap();
+            let mut rng = StdRng::seed_from_u64(17);
+            for seed in 0..5u64 {
+                let doc = random_doc(&mut rng, 6 + seed as usize * 3);
+                let plain = router.infer_topics(doc.clone(), seed).unwrap();
+                let shaped = call_shapes_agree(&router, &doc, seed);
+                assert_eq!(bits(&plain.theta), bits(&shaped.theta), "{kind:?}/{seed}");
+                let mut trace = TraceBuilder::new(TraceId::mint());
+                let root = trace.begin(None, "ingress");
+                let traced = router
+                    .infer_with_trace(doc, seed, Duration::from_secs(5), &mut trace, root)
+                    .unwrap();
+                trace.end(root);
+                let done = trace.finish();
+                assert!(
+                    done.spans.len() >= 4,
+                    "{kind:?} seed {seed}: traced run recorded too few spans: {:?}",
+                    done.spans
+                );
+                assert_eq!(
+                    bits(&plain.theta),
+                    bits(&traced.theta),
+                    "{kind:?} seed {seed}: tracing perturbed θ"
+                );
+                assert_eq!(plain.snapshot_version, traced.snapshot_version);
+                assert_eq!(plain.n_oov, traced.n_oov);
+            }
+            router.shutdown();
+        }
     }
 }
 
@@ -310,6 +353,76 @@ fn a_two_shard_tcp_request_assembles_one_cross_process_trace() {
     for shard in shards {
         shard.http.shutdown();
     }
+}
+
+#[test]
+fn a_raw_token_request_through_a_router_is_traced_like_word_ids() {
+    // Raw tokens are encoded at the HTTP layer and then take the same call
+    // as word ids, so a router-backed `{"tokens": …}` request must carry
+    // the whole fan-out subtree — and answer with the bytes of the
+    // in-process raw-token path.
+    let model = random_model(13);
+    let cfg = config(FoldInKind::Esca);
+    let router = Arc::new(
+        ShardRouter::from_model(&model, ShardPlan::uniform(VOCAB, 2).unwrap(), cfg).unwrap(),
+    );
+    let vocab = Vocabulary::synthetic(VOCAB);
+    let front = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&router),
+        Some(vocab.clone()),
+        HttpConfig::default(),
+    )
+    .unwrap();
+
+    // Words 0 and 2 live on shard 0, word 59 on shard 1; one token is OOV.
+    let body = r#"{"tokens":["w00000","w00059","nope","w00002"],"oov":"skip","seed":6}"#;
+    let response = http_body(
+        front.local_addr(),
+        &format!(
+            "POST /infer HTTP/1.1\r\nHost: x\r\nX-Saber-Trace: 00000000000000ef\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{}",
+            body.len(),
+            body
+        ),
+    );
+    let reference = router
+        .infer_raw(
+            &["w00000", "w00059", "nope", "w00002"],
+            &vocab,
+            OovPolicy::Skip,
+            6,
+        )
+        .unwrap();
+    assert_eq!(reference.n_oov, 1);
+    assert_eq!(
+        response,
+        wire::encode_infer_response(&reference, 6).to_string()
+    );
+
+    let recent = trace_recent(front.local_addr());
+    let trace = recent
+        .iter()
+        .find(|t| t.trace_id.raw() == 0xef)
+        .expect("the raw-token request must be in the router's ring");
+    let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+    for needed in [
+        "ingress",
+        "parse",
+        "fan-out",
+        "shard 0",
+        "shard 1",
+        "queue-wait",
+        "handler",
+        "merge",
+        "encode",
+    ] {
+        assert!(
+            names.contains(&needed),
+            "raw-token trace is missing a {needed:?} span: {names:?}"
+        );
+    }
+    front.shutdown();
 }
 
 #[test]
