@@ -1,15 +1,15 @@
-//! Shared helpers for the benchmark harness that regenerates every table and
-//! figure of the SaberLDA paper.
+//! Shared helpers for the binaries that regenerate every table and figure of
+//! the SaberLDA paper.
 //!
-//! Each table/figure has a dedicated binary under `src/bin/`; the Criterion
-//! micro-benchmarks under `benches/` cover the design-choice ablations
-//! (W-ary tree vs. alias vs. Fenwick, warp vs. thread kernel, SSC vs. naive
-//! count, PDOW vs. doc-major layout, sparse primitives).
+//! Each table/figure has a dedicated binary under `src/bin/`. The
+//! design-choice ablation (doc-major vs. PDOW layout, alias vs. W-ary tree,
+//! naive vs. SSC count) is `fig9_ablation`, which prints measured CPU
+//! wall-clock beside simulated GPU time per phase and level.
 //!
 //! All binaries accept `--scale <N>`: the synthetic corpora are the paper's
 //! datasets scaled down by `N` (default: a per-dataset value small enough to
-//! run in minutes on a laptop CPU). EXPERIMENTS.md records the scales used
-//! for the committed results.
+//! run in minutes on a laptop CPU). `docs/BENCHMARKING.md` records the scale
+//! and machine behind every number it quotes.
 
 #![deny(missing_docs)]
 
@@ -17,8 +17,8 @@ use saber_core::{SaberLda, SaberLdaConfig};
 use saber_corpus::presets::DatasetPreset;
 use saber_corpus::Corpus;
 
-/// Parses `--scale N` and `--iters N` style overrides from `std::env::args`.
-#[derive(Debug, Clone, Copy)]
+/// `--scale N`, `--iters N` and `--part C` overrides for a reproduction binary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Corpus scale-down factor override (`None` = per-dataset default).
     pub scale: Option<u64>,
@@ -29,14 +29,18 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the current process's arguments (ignoring unknown flags).
+    /// Parses the current process's arguments.
     pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
+        Self::parse(&std::env::args().collect::<Vec<_>>())
+    }
+
+    /// Parses `args`, ignoring unknown flags; a flag whose value is missing
+    /// or does not parse is left at `None`.
+    pub fn parse(args: &[String]) -> Self {
         let find = |flag: &str| {
             args.iter()
                 .position(|a| a == flag)
                 .and_then(|i| args.get(i + 1))
-                .cloned()
         };
         BenchArgs {
             scale: find("--scale").and_then(|s| s.parse().ok()),
@@ -105,8 +109,37 @@ mod tests {
 
     #[test]
     fn args_parse_overrides() {
-        // from_env reads the test harness's args; just check the defaults path.
-        let args = BenchArgs::from_env();
-        assert!(args.part.is_none() || args.part.is_some());
+        let parse =
+            |line: &str| BenchArgs::parse(&line.split(' ').map(String::from).collect::<Vec<_>>());
+        let none = BenchArgs {
+            scale: None,
+            iters: None,
+            part: None,
+        };
+        assert_eq!(
+            parse("fig10_tuning --scale 7 --iters 3 --part b"),
+            BenchArgs {
+                scale: Some(7),
+                iters: Some(3),
+                part: Some('b'),
+            }
+        );
+        // A flag with its value missing, and a value that is not a number.
+        assert_eq!(parse("fig9_ablation --scale"), none);
+        assert_eq!(
+            parse("fig9_ablation --scale many --iters 2"),
+            BenchArgs {
+                iters: Some(2),
+                ..none
+            }
+        );
+        // Unknown flags are ignored, not rejected.
+        assert_eq!(
+            parse("fig9_ablation --verbose --part a --colour no"),
+            BenchArgs {
+                part: Some('a'),
+                ..none
+            }
+        );
     }
 }

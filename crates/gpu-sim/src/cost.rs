@@ -10,8 +10,8 @@
 //! is most trustworthy.
 //!
 //! Absolute seconds from this model are *estimates*; the experiments in
-//! EXPERIMENTS.md only rely on ratios between configurations sharing the same
-//! model, which is how the paper's figures are interpreted in this
+//! `docs/BENCHMARKING.md` only rely on ratios between configurations sharing
+//! the same model, which is how the paper's figures are interpreted in this
 //! reproduction.
 
 use crate::counters::KernelStats;

@@ -29,8 +29,8 @@ use std::path::{Path, PathBuf};
 pub use rules::Diagnostic;
 
 /// Directories never worth linting: build output, VCS internals, and the
-/// vendored `rand`/`proptest`/`criterion` API stubs (external code held to
-/// external standards).
+/// vendored `rand`/`proptest` API stubs (external code held to external
+/// standards).
 const SKIP_DIRS: [&str; 3] = ["target", ".git", "compat"];
 
 /// Collects every workspace `.rs` file under `root` (skipping

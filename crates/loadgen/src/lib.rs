@@ -1,7 +1,11 @@
-//! # saber-loadgen — trace-driven load harness for SaberLDA serving
+//! # saber-loadgen — trace-driven load tool for SaberLDA serving
 //!
-//! Turns the serving stack's speed claims into regression tests. The
-//! harness is three stages, each usable on its own:
+//! Records, synthesises and replays request traffic against the serving
+//! stack, optionally while the fleet is being retrained or has replicas
+//! killed underneath it. It is a *tool* — the differential suites under
+//! `tests/` drive it to prove θ bit-identical across topologies — not a
+//! measuring harness: performance claims are made with the `benchmark/`
+//! crate (see `docs/BENCHMARKING.md`). Two stages plus one scenario:
 //!
 //! 1. **Traces** ([`mod@trace`]): the versioned `SABRTRACE` format — an
 //!    ordered list of `(offset, seed, words)` requests. Traces are either
@@ -15,14 +19,14 @@
 //!    of three topologies — a direct [`TopicServer`](saber_serve::TopicServer),
 //!    a [`ShardRouter`](saber_serve::ShardRouter) over in-process shards,
 //!    or a router over real-TCP HTTP shards. Per-request seeds make
-//!    replays bit-deterministic in θ.
-//! 3. **Report** ([`mod@report`]): per-topology throughput, latency quantiles
-//!    (loadgen-side plus the server's queue-wait/handler split), and error
-//!    counts as versioned JSON + markdown, with baseline diffing under a
-//!    tolerance — the `saber-loadgen` binary exits nonzero on regression.
+//!    replays bit-deterministic in θ; a [`ReplayOutcome`] prints as one
+//!    line of counts, achieved rate and loadgen-side p50/p99.
+//! 3. **Serving while training** ([`mod@scenario`]): the same replay
+//!    against a fleet a [`TrainingPipeline`](saber_pipeline::TrainingPipeline)
+//!    is republishing mid-stream — zero drops across every epoch swap.
 //!
-//! See `docs/BENCHMARKING.md` for the workflow and the `saber-loadgen`
-//! CLI (`synth` / `replay` / `smoke`).
+//! The `saber-loadgen` CLI exposes these as `synth` / `replay` /
+//! `serve-train`.
 //!
 //! # Example
 //!
@@ -50,7 +54,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod replay;
-pub mod report;
 pub mod scenario;
 pub mod synth;
 pub mod trace;
@@ -60,7 +63,6 @@ pub use replay::{
     TopologyHandle,
 };
 pub use replay::{replay_with_chaos, ChaosTrigger};
-pub use report::{BenchReport, LatencySummary, Regression, TopologyReport, TraceSummary};
 pub use scenario::{serve_while_training, ServeTrainReport};
 pub use synth::{preset_spec, request_seed, synthesize_trace};
 pub use trace::{RequestTrace, TraceError, TraceRequest};

@@ -6,60 +6,74 @@
 //! saber-loadgen replay --trace trace.sabrtrace [--topology direct|local:N|remote:N]...
 //!                      [--rate recorded|fixed:QPS|ramp:FROM:TO|burst:BASE:PEAK]
 //!                      [--topics K] [--threads N] [--deadline-ms MS]
-//!                      [--profile NAME] [--out-dir DIR]
-//!                      [--baseline FILE] [--tolerance F]
-//! saber-loadgen smoke [--out-dir DIR] [--baseline FILE] [--tolerance F]
 //! saber-loadgen serve-train [--requests N] [--stream-docs N] [--topics K]
 //!                           [--shards N] [--seed S] [--rate PROFILE]
 //! ```
 //!
-//! Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 baseline
-//! regression (or, for `serve-train`, dropped requests).
+//! `replay` prints one line per topology (counts, achieved rate,
+//! loadgen-side p50/p99); it judges nothing — performance claims are made
+//! with `benchmark/` (`docs/BENCHMARKING.md`).
+//!
+//! Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 requests
+//! dropped during `serve-train`.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use saber_corpus::synthetic::SyntheticSpec;
 use saber_loadgen::replay::{
-    record_over_http, replay, replay_model, RateProfile, ReplayConfig, Topology, TopologyHandle,
+    replay, replay_model, RateProfile, ReplayConfig, Topology, TopologyHandle,
 };
-use saber_loadgen::report::{BenchReport, TopologyReport, TraceSummary};
 use saber_loadgen::synth::{preset_spec, synthesize_trace};
 use saber_loadgen::trace::RequestTrace;
 use saber_serve::ServeConfig;
 
-const USAGE: &str = "usage: saber-loadgen <synth|replay|smoke> [options]
+const USAGE: &str = "usage: saber-loadgen <synth|replay|serve-train> [options]
   synth   --out FILE [--preset nytimes|pubmed|clueweb] [--requests N] [--seed S]
   replay  --trace FILE [--topology direct|local:N|remote:N]... [--rate PROFILE]
-          [--topics K] [--threads N] [--deadline-ms MS] [--profile NAME]
-          [--out-dir DIR] [--baseline FILE] [--tolerance F]
-  smoke   [--out-dir DIR] [--baseline FILE] [--tolerance F]
+          [--topics K] [--threads N] [--deadline-ms MS]
   serve-train [--requests N] [--stream-docs N] [--topics K] [--shards N]
           [--seed S] [--rate PROFILE]";
 
+/// Why a command did not run to completion; decides the exit code.
+#[derive(Debug)]
+enum Failure {
+    /// The command line is malformed: exit 1, message then the usage text.
+    Usage(String),
+    /// The command started and failed: exit 2.
+    Runtime(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Runtime(message)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(1);
-    };
-    let result = match command.as_str() {
-        "synth" => cmd_synth(rest),
-        "replay" => cmd_replay(rest),
-        "smoke" => cmd_smoke(rest),
-        "serve-train" => cmd_serve_train(rest),
-        _ => {
-            eprintln!("unknown command {command:?}\n{USAGE}");
-            return ExitCode::from(1);
-        }
-    };
-    match result {
+    match run(&args) {
         Ok(code) => code,
-        Err(message) => {
+        Err(Failure::Usage(message)) => {
+            eprintln!("saber-loadgen: {message}\n{USAGE}");
+            ExitCode::from(1)
+        }
+        Err(Failure::Runtime(message)) => {
             eprintln!("saber-loadgen: {message}");
             ExitCode::from(2)
         }
+    }
+}
+
+fn run(args: &[String]) -> Result<ExitCode, Failure> {
+    let Some((command, rest)) = args.split_first() else {
+        return Err(Failure::Usage("no command given".to_string()));
+    };
+    match command.as_str() {
+        "synth" => cmd_synth(rest),
+        "replay" => cmd_replay(rest),
+        "serve-train" => cmd_serve_train(rest),
+        _ => Err(Failure::Usage(format!("unknown command {command:?}"))),
     }
 }
 
@@ -69,16 +83,16 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
+    fn parse(args: &[String], known: &[&str]) -> Result<Flags, Failure> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             if !known.contains(&flag.as_str()) {
-                return Err(format!("unknown flag {flag:?}\n{USAGE}"));
+                return Err(Failure::Usage(format!("unknown flag {flag:?}")));
             }
             let value = it
                 .next()
-                .ok_or_else(|| format!("flag {flag} expects a value"))?;
+                .ok_or_else(|| Failure::Usage(format!("flag {flag} expects a value")))?;
             pairs.push((flag.clone(), value.clone()));
         }
         Ok(Flags { pairs })
@@ -100,21 +114,29 @@ impl Flags {
             .collect()
     }
 
-    fn parse_num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+    fn parse_num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, Failure> {
         match self.get(flag) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("flag {flag} has invalid value {v:?}")),
+                .map_err(|_| Failure::Usage(format!("flag {flag} has invalid value {v:?}"))),
         }
+    }
+
+    /// The value of a flag the command cannot run without.
+    fn require(&self, flag: &str) -> Result<&str, Failure> {
+        self.get(flag)
+            .ok_or_else(|| Failure::Usage(format!("missing required flag {flag}")))
     }
 }
 
-fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_synth(args: &[String]) -> Result<ExitCode, Failure> {
     let flags = Flags::parse(args, &["--out", "--preset", "--requests", "--seed"])?;
-    let out = flags.get("--out").ok_or("synth requires --out FILE")?;
+    let out = flags.require("--out")?;
     let spec = match flags.get("--preset") {
-        Some(name) => preset_spec(name).ok_or_else(|| format!("unknown preset {name:?}"))?,
+        Some(name) => {
+            preset_spec(name).ok_or_else(|| Failure::Usage(format!("unknown preset {name:?}")))?
+        }
         None => SyntheticSpec::small_test(),
     };
     let requests = flags.parse_num("--requests", 240usize)?;
@@ -131,14 +153,14 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn parse_rate(s: &str) -> Result<RateProfile, String> {
+fn parse_rate(s: &str) -> Result<RateProfile, Failure> {
     if s == "recorded" {
         return Ok(RateProfile::AsRecorded);
     }
     let parts: Vec<&str> = s.split(':').collect();
-    let num = |v: &str| -> Result<f64, String> {
+    let num = |v: &str| -> Result<f64, Failure> {
         v.parse()
-            .map_err(|_| format!("invalid rate component {v:?} in {s:?}"))
+            .map_err(|_| Failure::Usage(format!("invalid rate component {v:?} in {s:?}")))
     };
     match parts.as_slice() {
         ["fixed", qps] => Ok(RateProfile::Fixed { qps: num(qps)? }),
@@ -152,67 +174,13 @@ fn parse_rate(s: &str) -> Result<RateProfile, String> {
             period: 20,
             burst_len: 5,
         }),
-        _ => Err(format!(
+        _ => Err(Failure::Usage(format!(
             "invalid rate {s:?} (want recorded, fixed:QPS, ramp:FROM:TO or burst:BASE:PEAK)"
-        )),
+        ))),
     }
 }
 
-/// Replays `trace` on one topology and folds the result into a report row.
-fn run_topology(
-    topology: Topology,
-    label: &str,
-    trace: &RequestTrace,
-    profile: &RateProfile,
-    config: &ReplayConfig,
-    topics: usize,
-    model_seed: u64,
-) -> Result<TopologyReport, String> {
-    let model =
-        replay_model(trace.vocab_size() as usize, topics, model_seed).map_err(|e| e.to_string())?;
-    let handle = TopologyHandle::build(topology, &model, &ServeConfig::default())
-        .map_err(|e| format!("building topology {label}: {e}"))?;
-    let outcome = replay(&handle.backend(), trace, profile, config);
-    let server = handle.server_stats();
-    handle.shutdown();
-    Ok(TopologyReport::from_outcome(label, &outcome, &server))
-}
-
-/// Writes the report pair and applies the optional baseline diff.
-fn finish(
-    report: &BenchReport,
-    out_dir: &Path,
-    baseline: Option<&str>,
-    tolerance: f64,
-) -> Result<ExitCode, String> {
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    let json_path = out_dir.join(format!("BENCH_loadgen_{}.json", report.profile));
-    let md_path = out_dir.join(format!("BENCH_loadgen_{}.md", report.profile));
-    std::fs::write(&json_path, report.to_json().to_string() + "\n")
-        .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
-    std::fs::write(&md_path, report.to_markdown())
-        .map_err(|e| format!("writing {}: {e}", md_path.display()))?;
-    print!("{}", report.to_markdown());
-    println!("\nreport: {}", json_path.display());
-    if let Some(baseline_path) = baseline {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("reading baseline {baseline_path}: {e}"))?;
-        let baseline = BenchReport::from_json_str(&text)
-            .map_err(|e| format!("parsing baseline {baseline_path}: {e}"))?;
-        let regressions = report.diff(&baseline, tolerance);
-        if regressions.is_empty() {
-            println!("baseline: OK (tolerance {tolerance})");
-        } else {
-            for regression in &regressions {
-                eprintln!("REGRESSION {regression}");
-            }
-            return Ok(ExitCode::from(3));
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_replay(args: &[String]) -> Result<ExitCode, Failure> {
     let flags = Flags::parse(
         args,
         &[
@@ -222,21 +190,18 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
             "--topics",
             "--threads",
             "--deadline-ms",
-            "--profile",
-            "--out-dir",
-            "--baseline",
-            "--tolerance",
         ],
     )?;
-    let trace_path = flags.get("--trace").ok_or("replay requires --trace FILE")?;
-    let trace = RequestTrace::load(trace_path).map_err(|e| e.to_string())?;
+    let trace_path = flags.require("--trace")?;
     let topology_flags = flags.get_all("--topology");
     let topologies: Vec<Topology> = if topology_flags.is_empty() {
         vec![Topology::Direct]
     } else {
         topology_flags
             .iter()
-            .map(|s| Topology::parse(s).ok_or_else(|| format!("invalid topology {s:?}")))
+            .map(|s| {
+                Topology::parse(s).ok_or_else(|| Failure::Usage(format!("invalid topology {s:?}")))
+            })
             .collect::<Result<_, _>>()?
     };
     let rate = parse_rate(flags.get("--rate").unwrap_or("fixed:500"))?;
@@ -246,33 +211,22 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         deadline: Duration::from_millis(flags.parse_num("--deadline-ms", 5_000u64)?),
         collect_thetas: false,
     };
-    let profile = flags.get("--profile").unwrap_or("replay").to_string();
-    let out_dir = PathBuf::from(flags.get("--out-dir").unwrap_or("."));
-    let tolerance = flags.parse_num("--tolerance", 0.5f64)?;
 
-    let mut rows = Vec::new();
+    let trace = RequestTrace::load(trace_path).map_err(|e| e.to_string())?;
+    let model = replay_model(trace.vocab_size() as usize, topics, 7).map_err(|e| e.to_string())?;
     for topology in topologies {
         let label = topology.label();
         eprintln!("replaying {} requests on {label}…", trace.len());
-        rows.push(run_topology(
-            topology, &label, &trace, &rate, &config, topics, 7,
-        )?);
+        let handle = TopologyHandle::build(topology, &model, &ServeConfig::default())
+            .map_err(|e| format!("building topology {label}: {e}"))?;
+        let outcome = replay(&handle.backend(), &trace, &rate, &config);
+        handle.shutdown();
+        println!("{label}: {outcome}");
     }
-    let report = BenchReport {
-        profile,
-        rate: rate.label(),
-        trace: TraceSummary {
-            source: "file".to_string(),
-            requests: trace.len() as u64,
-            tokens: trace.total_tokens(),
-            vocab_size: trace.vocab_size(),
-        },
-        topologies: rows,
-    };
-    finish(&report, &out_dir, flags.get("--baseline"), tolerance)
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_serve_train(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_serve_train(args: &[String]) -> Result<ExitCode, Failure> {
     use saber_core::{SaberLda, SaberLdaConfig};
     use saber_loadgen::scenario::serve_while_training;
     use saber_pipeline::{DocumentFeed, PipelineConfig, TrainingPipeline};
@@ -340,14 +294,7 @@ fn cmd_serve_train(args: &[String]) -> Result<ExitCode, String> {
     )
     .map_err(|e| e.to_string())?;
     pipeline.shutdown();
-    println!(
-        "requests: {} ok / {} dispatched ({} overloaded, {} deadline, {} other)",
-        report.outcome.ok,
-        report.outcome.requests,
-        report.outcome.overloaded,
-        report.outcome.deadline_exceeded,
-        report.outcome.other_errors
-    );
+    println!("requests: {}", report.outcome);
     println!(
         "pipeline: {} epochs ({} pure delta), {}/{} rows shipped, {} fallbacks, final epoch {}",
         report.epochs_published,
@@ -365,67 +312,33 @@ fn cmd_serve_train(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_smoke(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["--out-dir", "--baseline", "--tolerance"])?;
-    let out_dir = PathBuf::from(flags.get("--out-dir").unwrap_or("."));
-    let tolerance = flags.parse_num("--tolerance", 0.5f64)?;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // The fixed smoke workload: small synthetic trace, deterministic model.
-    let trace = synthesize_trace(&SyntheticSpec::small_test(), 240, 0xC0FFEE);
-    let rate = RateProfile::Fixed { qps: 600.0 };
-    let config = ReplayConfig {
-        threads: 4,
-        deadline: Duration::from_secs(5),
-        collect_thetas: false,
-    };
-    let topics = 16;
-
-    let mut rows = Vec::new();
-    for topology in [
-        Topology::Direct,
-        Topology::LocalShards(2),
-        Topology::RemoteShards(2),
-    ] {
-        let label = topology.label();
-        eprintln!("smoke: replaying synthetic trace on {label}…");
-        rows.push(run_topology(
-            topology, &label, &trace, &rate, &config, topics, 7,
-        )?);
+    fn run_line(line: &str) -> Result<ExitCode, Failure> {
+        run(&line.split(' ').map(String::from).collect::<Vec<_>>())
     }
 
-    // Recorded path: capture the first 60 requests at a real HTTP ingress,
-    // then replay what the recorder saw against a direct server.
-    eprintln!("smoke: recording 60 requests over HTTP and replaying the capture…");
-    let model = replay_model(trace.vocab_size() as usize, topics, 7).map_err(|e| e.to_string())?;
-    let recorded = record_over_http(&trace, &model, &ServeConfig::default(), 60)
-        .map_err(|e| format!("recording over HTTP: {e}"))?;
-    if recorded.len() != 60 {
-        return Err(format!(
-            "recorder captured {} of 60 requests",
-            recorded.len()
+    /// The removed `smoke` subcommand and baseline flags are usage errors
+    /// (exit 1 with the usage text), not silently accepted.
+    #[test]
+    fn removed_surface_is_a_usage_error() {
+        for line in [
+            "smoke",
+            "replay --baseline x",
+            "replay --trace t --tolerance 1.0",
+            "replay --trace t --profile mine --out-dir d",
+        ] {
+            assert!(
+                matches!(run_line(line), Err(Failure::Usage(_))),
+                "{line:?} must be rejected as a usage error"
+            );
+        }
+        // A well-formed command line that fails later is a runtime failure.
+        assert!(matches!(
+            run_line("replay --trace /nonexistent/t.sabrtrace"),
+            Err(Failure::Runtime(_))
         ));
     }
-    let handle = TopologyHandle::build(Topology::Direct, &model, &ServeConfig::default())
-        .map_err(|e| e.to_string())?;
-    let outcome = replay(&handle.backend(), &recorded, &rate, &config);
-    let server = handle.server_stats();
-    handle.shutdown();
-    rows.push(TopologyReport::from_outcome(
-        "recorded-direct",
-        &outcome,
-        &server,
-    ));
-
-    let report = BenchReport {
-        profile: "smoke".to_string(),
-        rate: rate.label(),
-        trace: TraceSummary {
-            source: "synthetic".to_string(),
-            requests: trace.len() as u64,
-            tokens: trace.total_tokens(),
-            vocab_size: trace.vocab_size(),
-        },
-        topologies: rows,
-    };
-    finish(&report, &out_dir, flags.get("--baseline"), tolerance)
 }

@@ -14,6 +14,7 @@
 //! bit-identical θ. The differential suite in `tests/loadgen_replay.rs`
 //! pins this.
 
+use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,8 +26,8 @@ use rand::{Rng, SeedableRng};
 use saber_core::LdaModel;
 use saber_serve::{
     HistogramSnapshot, HttpConfig, HttpServer, HttpTransport, InferenceBackend, InferenceSnapshot,
-    LatencyHistogram, ReplicaConfig, RequestRecorder, ServeConfig, ServeError, ServeStats,
-    ShardPlan, ShardRouter, TopicServer,
+    LatencyHistogram, ReplicaConfig, RequestRecorder, ServeConfig, ServeError, ShardPlan,
+    ShardRouter, TopicServer,
 };
 
 use crate::trace::RequestTrace;
@@ -56,8 +57,8 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Stable label used in reports and baselines (`direct`, `local-2`,
-    /// `remote-2`, `replicated-2x2`, …).
+    /// Stable label for progress lines and test messages (`direct`,
+    /// `local-2`, `remote-2`, `replicated-2x2`, …).
     pub fn label(&self) -> String {
         match self {
             Topology::Direct => "direct".to_string(),
@@ -194,12 +195,6 @@ impl TopologyHandle {
         Arc::clone(&self.backend)
     }
 
-    /// Fleet-wide serving statistics (queue wait vs handler split, token
-    /// counts) accumulated since the topology was built.
-    pub fn server_stats(&self) -> ServeStats {
-        self.backend.serve_stats()
-    }
-
     /// The chaos knob: kills replica `r` of shard `s` by shutting its HTTP
     /// listener down mid-stream, exactly like a crashed shard process
     /// (in-flight exchanges fail with connection errors; the router's
@@ -295,20 +290,6 @@ pub enum RateProfile {
 }
 
 impl RateProfile {
-    /// Stable label used in reports (`recorded`, `fixed-500`, …).
-    pub fn label(&self) -> String {
-        match self {
-            RateProfile::AsRecorded => "recorded".to_string(),
-            RateProfile::Fixed { qps } => format!("fixed-{qps}"),
-            RateProfile::Ramp { from_qps, to_qps } => format!("ramp-{from_qps}-{to_qps}"),
-            RateProfile::Burst {
-                base_qps,
-                burst_qps,
-                ..
-            } => format!("burst-{base_qps}-{burst_qps}"),
-        }
-    }
-
     /// The dispatch offset (µs since replay start) of every request in
     /// `trace` under this profile. Offsets are non-decreasing.
     pub fn schedule(&self, trace: &RequestTrace) -> Vec<u64> {
@@ -424,6 +405,28 @@ impl ReplayOutcome {
         } else {
             0.0
         }
+    }
+}
+
+/// One line: counts, achieved rate and loadgen-side p50/p99 — what the
+/// `replay` and `serve-train` subcommands print per run.
+impl fmt::Display for ReplayOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} ok / {} dispatched ({} overloaded, {} deadline, {} other) in {:.3} s: \
+             {:.1} qps, {:.0} tokens/s, p50 {:.0} µs, p99 {:.0} µs",
+            self.ok,
+            self.requests,
+            self.overloaded,
+            self.deadline_exceeded,
+            self.other_errors,
+            self.wall.as_secs_f64(),
+            self.achieved_qps(),
+            self.tokens_per_second(),
+            self.latency.p50().unwrap_or(0.0),
+            self.latency.p99().unwrap_or(0.0),
+        )
     }
 }
 
@@ -733,6 +736,42 @@ mod tests {
         assert_eq!(Topology::parse("weird:2"), None);
         assert_eq!(Topology::parse("replicated:2x0"), None);
         assert_eq!(Topology::parse("replicated:2"), None);
+    }
+
+    #[test]
+    fn outcome_displays_counts_rates_and_quantiles_on_one_line() {
+        let latency = LatencyHistogram::new();
+        latency.record(Duration::from_micros(200));
+        let mut outcome = ReplayOutcome {
+            requests: 4,
+            ok: 2,
+            overloaded: 1,
+            deadline_exceeded: 1,
+            other_errors: 0,
+            tokens_ok: 100,
+            wall: Duration::from_millis(500),
+            latency: latency.snapshot(),
+            thetas: None,
+        };
+        let line = outcome.to_string();
+        assert!(
+            line.starts_with(
+                "2 ok / 4 dispatched (1 overloaded, 1 deadline, 0 other) in 0.500 s: \
+                 4.0 qps, 200 tokens/s, p50 "
+            ),
+            "{line}"
+        );
+        assert!(!line.contains('\n'), "{line}");
+
+        // A replay that took no measurable time (or answered nothing)
+        // prints zero rates and quantiles, never NaN or inf.
+        outcome.wall = Duration::ZERO;
+        outcome.latency = HistogramSnapshot::default();
+        let line = outcome.to_string();
+        assert!(
+            line.ends_with("in 0.000 s: 0.0 qps, 0 tokens/s, p50 0 µs, p99 0 µs"),
+            "{line}"
+        );
     }
 
     #[test]

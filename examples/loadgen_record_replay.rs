@@ -1,6 +1,6 @@
 //! Record-then-replay demo: capture real HTTP traffic into a `SABRTRACE`
 //! file, then replay it at a controlled rate against every topology and
-//! print the benchmark table.
+//! print one outcome line per topology.
 //!
 //! The full loadgen loop in one program:
 //!
@@ -11,7 +11,7 @@
 //! 3. freeze the capture to a `SABRTRACE` file and load it back;
 //! 4. replay the file open-loop against the direct server, a two-shard
 //!    local router and a two-shard real-TCP remote fleet;
-//! 5. render the report markdown.
+//! 5. print each replay's outcome: counts, achieved rate, p50/p99.
 //!
 //! Run with:
 //!
@@ -24,7 +24,6 @@ use std::time::Duration;
 use saber_loadgen::replay::{
     record_over_http, replay, replay_model, RateProfile, ReplayConfig, Topology, TopologyHandle,
 };
-use saber_loadgen::report::{BenchReport, TopologyReport, TraceSummary};
 use saber_loadgen::synth::synthesize_trace;
 use saber_loadgen::trace::RequestTrace;
 use saberlda::corpus::synthetic::SyntheticSpec;
@@ -55,33 +54,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         deadline: Duration::from_secs(5),
         collect_thetas: false,
     };
-    let mut rows = Vec::new();
     for topology in [
         Topology::Direct,
         Topology::LocalShards(2),
         Topology::RemoteShards(2),
     ] {
-        let label = topology.label();
-        println!("replaying on {label}…");
         let handle = TopologyHandle::build(topology, &model, &ServeConfig::default())?;
         let outcome = replay(&handle.backend(), &trace, &rate, &config);
-        let server = handle.server_stats();
         handle.shutdown();
-        rows.push(TopologyReport::from_outcome(&label, &outcome, &server));
+        // 5. One line per topology, as `saber-loadgen replay` prints it.
+        println!("{}: {outcome}", topology.label());
     }
-
-    // 5. The report, as the CLI would write it.
-    let report = BenchReport {
-        profile: "demo".to_string(),
-        rate: rate.label(),
-        trace: TraceSummary {
-            source: "recorded".to_string(),
-            requests: trace.len() as u64,
-            tokens: trace.total_tokens(),
-            vocab_size: trace.vocab_size(),
-        },
-        topologies: rows,
-    };
-    println!("\n{}", report.to_markdown());
     Ok(())
 }

@@ -11,6 +11,9 @@
 //! * direct serving vs a one-shard router replay bit-identically under
 //!   concurrent load ([`derive_shard_seed`] keeps shard 0's seed equal to
 //!   the raw request seed);
+//! * a two-shard router answers every request and is transport-agnostic:
+//!   in-process shards vs shards behind real-TCP HTTP listeners replay
+//!   bit-identically (same plan, same per-shard seeds);
 //! * a trace recorded at the HTTP ingress replays the same θ as the
 //!   requests that produced it.
 
@@ -80,6 +83,18 @@ fn direct_vs_one_shard_router_is_bit_identical_under_load() {
             a, b,
             "request {i} differed between direct and 1-shard router"
         );
+    }
+}
+
+#[test]
+fn two_shard_router_is_bit_identical_across_transports() {
+    let trace = test_trace(120, 0xC0FFEE);
+    // `replay_thetas` fails if either topology drops a request.
+    let local = replay_thetas(Topology::LocalShards(2), &trace);
+    let remote = replay_thetas(Topology::RemoteShards(2), &trace);
+    assert_eq!(local.len(), trace.len());
+    for (i, (a, b)) in local.iter().zip(remote.iter()).enumerate() {
+        assert_eq!(a, b, "request {i} differed between local:2 and remote:2");
     }
 }
 

@@ -119,7 +119,7 @@ fn spawn_shard_fleet(
 
 #[test]
 fn one_shard_esca_over_tcp_is_bit_identical_to_direct_serving() {
-    // The headline acceptance criterion: ESCA through a single remote
+    // The headline acceptance test: ESCA through a single remote
     // shard reproduces the direct server's bytes — seed, chain and counts
     // all survive the wire exactly.
     for model_seed in [1u64, 2, 3] {

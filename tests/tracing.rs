@@ -152,7 +152,7 @@ fn call_shapes_agree(backend: &dyn InferenceBackend, doc: &[u32], seed: u64) -> 
 
 #[test]
 fn tracing_never_changes_theta_bit_for_bit() {
-    // The differential zero-cost criterion, at the API layer: the same
+    // The differential zero-cost check, at the API layer: the same
     // document and seed through `infer_topics` (untraced) and
     // `infer_with_trace` must produce bit-identical θ — under both
     // fold-in kinds, on a direct server and across 1-, 2- and 3-shard
@@ -206,7 +206,7 @@ fn tracing_never_changes_theta_bit_for_bit() {
 
 #[test]
 fn traced_and_untraced_http_responses_are_byte_identical() {
-    // The same criterion at the wire: joining a distributed trace via
+    // The same check at the wire: joining a distributed trace via
     // X-Saber-Trace must not change a single response byte — tracing is
     // invisible to the client that opted in, and the trace itself is
     // retrievable from the ring afterwards.
@@ -247,7 +247,7 @@ fn traced_and_untraced_http_responses_are_byte_identical() {
 
 #[test]
 fn a_two_shard_tcp_request_assembles_one_cross_process_trace() {
-    // The headline acceptance criterion: one traced request through two
+    // The headline acceptance test: one traced request through two
     // real shard processes leaves ONE tree (≥ 6 spans) in the router's
     // ring, with both shards' `infer-partial` subtrees stitched in, and
     // each shard process holds its own subtree under the same trace id.
