@@ -199,6 +199,18 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// A string as a JSON string literal (quoted and escaped exactly as
+/// [`JsonValue::String`] prints it), for writers that print a body without
+/// building a [`JsonValue`] tree.
+#[derive(Debug, Clone, Copy)]
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_escaped(f, self.0)
+    }
+}
+
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
@@ -462,10 +474,16 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        // The value of the digits while it fits a `u64`: word ids, topic
+        // ids and integral counts are most of every body on the serving
+        // path, and this spares them a second pass over the text.
+        let mut uint = Some(0u64);
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            uint = uint.and_then(|u| u.checked_mul(10)?.checked_add(u64::from(digit - b'0')));
             self.pos += 1;
         }
         let mut integral = true;
@@ -486,12 +504,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if integral && !text.starts_with('-') {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(JsonValue::Uint(u));
-            }
+        if let (true, false, Some(u)) = (integral, negative, uint) {
+            return Ok(JsonValue::Uint(u));
         }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| JsonError::Unexpected {
@@ -513,6 +529,14 @@ mod tests {
             ("false", JsonValue::Bool(false)),
             ("0", JsonValue::Uint(0)),
             ("18446744073709551615", JsonValue::Uint(u64::MAX)),
+            // One past `u64::MAX` and twenty-one digits: too wide to stay exact.
+            (
+                "18446744073709551616",
+                JsonValue::Number(18446744073709551616.0),
+            ),
+            ("100000000000000000000", JsonValue::Number(1e20)),
+            ("007", JsonValue::Uint(7)),
+            ("12.0", JsonValue::Number(12.0)),
             ("-1", JsonValue::Number(-1.0)),
             ("0.5", JsonValue::Number(0.5)),
             ("1e3", JsonValue::Number(1000.0)),

@@ -81,7 +81,8 @@
 //! http.shutdown();
 //! ```
 
-use std::io::{BufReader, ErrorKind, Read, Write};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
@@ -737,8 +738,9 @@ fn handle_trace_recent(state: &HttpState) -> (u16, String) {
         &state.ring.recent(),
         &state.slow.worst(),
         state.slow.threshold_us(),
-    );
-    (200, body.to_string())
+    )
+    .to_string();
+    (200, body)
 }
 
 fn handle_stats(state: &HttpState) -> (u16, String) {
@@ -1162,7 +1164,10 @@ fn handle_infer(
         Ok(mut response) => {
             response.n_oov += n_oov;
             let encode_span = trace.begin(Some(root), "encode");
-            let body = wire::encode_infer_response(&response, seed).to_string();
+            // Sized once: a θ element prints as at most 24 bytes with its
+            // comma, the other members as fewer than 96.
+            let mut body = String::with_capacity(24 * response.theta.len() + 96);
+            let _ = write!(body, "{}", wire::encode_infer_response(&response, seed));
             trace.end(encode_span);
             (200, body)
         }
@@ -1341,8 +1346,10 @@ enum LineOutcome {
 /// failure modes the connection loop treats differently.
 ///
 /// `deadline` is the shared whole-request budget: armed (`budget` from now)
-/// at the first byte read, checked on every subsequent byte so a client
-/// cannot hold the connection by trickling within the per-read timeout.
+/// at the first byte read, checked before every socket read after that so a
+/// client cannot hold the connection by trickling within the per-read
+/// timeout. Bytes already buffered are scanned without touching the socket
+/// or the clock, so a request that arrived whole pays for neither.
 fn read_line_bounded(
     reader: &mut BufReader<TcpStream>,
     line: &mut String,
@@ -1351,38 +1358,34 @@ fn read_line_bounded(
 ) -> LineOutcome {
     let mut bytes = Vec::new();
     loop {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+        if reader.buffer().is_empty() && deadline.is_some_and(|d| Instant::now() >= d) {
             return LineOutcome::Expired;
         }
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                return if bytes.is_empty() {
-                    LineOutcome::Eof
-                } else {
-                    LineOutcome::Error
-                }
-            }
-            Ok(_) => {
-                if deadline.is_none() {
-                    *deadline = Some(Instant::now() + budget);
-                }
-                if byte[0] == b'\n' {
-                    match String::from_utf8(std::mem::take(&mut bytes)) {
-                        Ok(text) => {
-                            line.push_str(&text);
-                            return LineOutcome::Line;
-                        }
-                        Err(_) => return LineOutcome::Error,
-                    }
-                }
-                bytes.push(byte[0]);
-                if bytes.len() > MAX_HEADER_LINE {
-                    return LineOutcome::TooLong;
-                }
-            }
+        let buffered = match reader.fill_buf() {
+            Ok([]) if bytes.is_empty() => return LineOutcome::Eof,
+            Ok([]) => return LineOutcome::Error,
+            Ok(buffered) => buffered,
             Err(e) if is_timeout(&e) => return LineOutcome::Timeout,
             Err(_) => return LineOutcome::Error,
+        };
+        if deadline.is_none() {
+            *deadline = Some(Instant::now() + budget);
+        }
+        let newline = buffered.iter().position(|&b| b == b'\n');
+        let content = newline.unwrap_or(buffered.len());
+        bytes.extend_from_slice(&buffered[..content]);
+        reader.consume(content + usize::from(newline.is_some()));
+        if bytes.len() > MAX_HEADER_LINE {
+            return LineOutcome::TooLong;
+        }
+        if newline.is_some() {
+            return match String::from_utf8(bytes) {
+                Ok(text) => {
+                    line.push_str(&text);
+                    LineOutcome::Line
+                }
+                Err(_) => LineOutcome::Error,
+            };
         }
     }
 }
@@ -1496,8 +1499,22 @@ fn write_response_typed(
         response.push_str("\r\n");
     }
     response.push_str("\r\n");
-    response.push_str(body);
-    stream.write_all(response.as_bytes())?;
+    // One gathered write: head and body leave together (no second segment
+    // for the client to wake on) without the body being copied behind the
+    // head first.
+    let mut slices = [
+        IoSlice::new(response.as_bytes()),
+        IoSlice::new(body.as_bytes()),
+    ];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match stream.write_vectored(pending) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 

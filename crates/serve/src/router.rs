@@ -77,6 +77,14 @@ use crate::{InferResponse, ServeConfig, ServeError, ServeStats, TopicServer};
 /// the skew, so one is almost always enough).
 const MAX_SKEW_RETRIES: usize = 3;
 
+/// Pause before the first skew retry, doubled before each further one
+/// (200 → 400 → 800 µs): the four attempts then span at least 1.4 ms,
+/// several commit round trips over loopback, however fast one fan-out is.
+/// Back to back they can all land inside one commit window and answer 503
+/// from a healthy fleet (`benchmark/README.md`, "Found while building
+/// this").
+const SKEW_BACKOFF: Duration = Duration::from_micros(200);
+
 /// Router-level counters, complementing the per-shard [`ServeStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterStats {
@@ -1102,12 +1110,17 @@ impl<T: ShardTransport> ShardRouter<T> {
             };
             match result {
                 Err(ServeError::ShardVersionSkew) if attempts < MAX_SKEW_RETRIES => {
-                    // A retry that starts past the deadline can only
-                    // discover the timeout one full fan-out later; fail
-                    // now, and as a deadline rather than as skew.
-                    if deadline.is_some_and(|at| Instant::now() >= at) {
+                    // Back off before retrying, doubling each time, so the
+                    // retries span a commit window however fast one
+                    // fan-out is. A retry that would start past the
+                    // deadline can only discover the timeout one full
+                    // fan-out later; fail now, and as a deadline rather
+                    // than as skew.
+                    let pause = SKEW_BACKOFF * (1 << attempts);
+                    if deadline.is_some_and(|at| Instant::now() + pause >= at) {
                         return Err(ServeError::DeadlineExceeded);
                     }
+                    std::thread::sleep(pause);
                     attempts += 1;
                     self.skew_retries.fetch_add(1, Ordering::Relaxed);
                     trace.event(parent, format_args!("skew retry {attempts}"));
@@ -1347,7 +1360,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         if matches!(outcome, Err(ServeError::Transport { .. })) {
             outcome = self.retry_leg(shard, responder, req, ctx, trace);
         }
-        collect_shard(shard, span, outcome, req.wave_span, trace)
+        collect_shard(shard, span, outcome, self.n_topics, req.wave_span, trace)
     }
 
     /// Waits for `pending` from `replica`, hedging onto the next
@@ -1626,7 +1639,8 @@ fn attribute_shard(err: ServeError, s: usize) -> ServeError {
     }
 }
 
-/// Finishes one leg of a fan-out: on success, stitches the shard's
+/// Finishes one leg of a fan-out: a partial over another topic count than
+/// the fleet's becomes a transport error; on success, stitches the shard's
 /// reported span subtree under its `shard {s}` span and closes it; on
 /// failure, attributes the error to the shard and records a trace event
 /// naming the culprit on the wave's parent span.
@@ -1634,9 +1648,18 @@ fn collect_shard(
     s: usize,
     (span_id, begin_us): (u64, u64),
     outcome: Result<PartialResponse, ServeError>,
+    n_topics: usize,
     wave_span: u64,
     trace: &mut TraceBuilder,
 ) -> Result<PartialResponse, ServeError> {
+    // A shard republished with another K after validation (or running
+    // another build) must fail this request, not the merge's length assert.
+    let outcome = outcome.and_then(|response| match response.partial.counts.len() {
+        k if k == n_topics => Ok(response),
+        k => Err(ServeError::transport(format!(
+            "shard answered a partial over {k} topics, the fleet serves {n_topics}"
+        ))),
+    });
     match outcome {
         Ok(response) => {
             trace.attach(span_id, &response.spans, begin_us);

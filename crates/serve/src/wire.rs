@@ -5,7 +5,11 @@
 //! it free of I/O makes every message shape unit-testable and keeps
 //! `http.rs` focused on transport concerns (framing, timeouts,
 //! backpressure). The JSON values themselves come from the dependency-free
-//! [`saber_core::json`] codec.
+//! [`saber_core::json`] codec; the bodies on the per-request path (`/infer`
+//! responses, both `/infer-partial` messages, trace spans) are written
+//! straight into the output as `impl Display`, byte for byte what the value
+//! tree would print: no tree is built, and a number that repeats is
+//! formatted once.
 //!
 //! The full request/response reference, with `curl` examples, lives in
 //! `docs/SERVING.md`.
@@ -24,10 +28,11 @@
 //! assert!(matches!(raw.body, InferBody::Tokens { .. }));
 //! ```
 
+use std::fmt;
 use std::sync::Arc;
 
 use saber_core::infer::PartialFoldIn;
-use saber_core::json::{self, JsonValue};
+use saber_core::json::{self, Escaped, JsonValue};
 use saber_corpus::{OovPolicy, Vocabulary};
 use saber_trace::{SpanEvent, SpanRecord, Trace, TraceId};
 
@@ -183,19 +188,78 @@ pub fn parse_id_list(raw: &str) -> Result<Vec<u32>, WireError> {
         .collect()
 }
 
+/// A JSON array of numbers exactly as [`JsonValue`] prints one
+/// (shortest-round-trip `f64`, non-finite → `null`), written without a value
+/// tree. Each distinct bit pattern is formatted once and every repeat is a
+/// copy of those bytes: the θ of a short document is a handful of distinct
+/// values, most of it the one value `α / denom`, so the float formatting
+/// follows `K_d`, not `K`.
+struct Numbers<I>(I);
+
+impl<I: Iterator<Item = f64> + Clone> fmt::Display for Numbers<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write as _;
+        let values = self.0.clone();
+        // The elements, each as `,<value>`; a direct-mapped memo takes a
+        // value's bits to the `start..end` of its latest rendering in there
+        // (an empty range is a free slot; a collision formats again).
+        let mut out = String::new();
+        let mut memo = [(0u64, 0usize, 0usize); 64];
+        for x in values {
+            let bits = x.to_bits();
+            let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+            let Some(entry) = memo.get_mut(slot) else {
+                return Err(fmt::Error);
+            };
+            if entry.0 == bits && entry.1 < entry.2 {
+                out.extend_from_within(entry.1..entry.2);
+            } else {
+                let start = out.len();
+                if x.is_finite() {
+                    write!(out, ",{x}")?;
+                } else {
+                    out.push_str(",null");
+                }
+                *entry = (bits, start, out.len());
+            }
+        }
+        // The first element's comma is not part of the array.
+        write!(f, "[{}]", out.get(1..).unwrap_or_default())
+    }
+}
+
+/// A JSON array of `items`, each printed by `each` (the signature of
+/// `Display::fmt`), written without a value tree.
+fn write_array<T>(
+    f: &mut fmt::Formatter<'_>,
+    items: impl IntoIterator<Item = T>,
+    each: impl Fn(T, &mut fmt::Formatter<'_>) -> fmt::Result,
+) -> fmt::Result {
+    f.write_str("[")?;
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        each(item, f)?;
+    }
+    f.write_str("]")
+}
+
 /// Encodes an [`InferResponse`], echoing the seed that produced it so the
-/// client can replay the request bit-identically.
-pub fn encode_infer_response(response: &InferResponse, seed: u64) -> JsonValue {
-    JsonValue::object([
-        ("theta", JsonValue::f32_array(&response.theta)),
-        ("dominant_topic", JsonValue::from(response.dominant_topic())),
-        (
-            "snapshot_version",
-            JsonValue::from(response.snapshot_version),
-        ),
-        ("n_oov", JsonValue::from(response.n_oov)),
-        ("seed", JsonValue::from(seed)),
-    ])
+/// client can replay the request bit-identically. The body is written
+/// straight into the caller's buffer (`write!` or `to_string`), byte for
+/// byte what the [`JsonValue`] tree of the same members would print.
+pub fn encode_infer_response(response: &InferResponse, seed: u64) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        write!(
+            f,
+            "{{\"theta\":{},\"dominant_topic\":{},\"snapshot_version\":{},\"n_oov\":{},\"seed\":{seed}}}",
+            Numbers(response.theta.iter().map(|&p| f64::from(p))),
+            response.dominant_topic(),
+            response.snapshot_version,
+            response.n_oov,
+        )
+    })
 }
 
 /// Encodes a `GET /top-words` response; word ids are resolved to strings
@@ -644,10 +708,6 @@ pub fn decode_serve_error(status: u16, body: &str) -> ServeError {
     }
 }
 
-fn f64_array(values: &[f64]) -> JsonValue {
-    JsonValue::Array(values.iter().map(|&x| JsonValue::Number(x)).collect())
-}
-
 /// Decodes an array of finite `f64`s (θ or partial counts). Exactness
 /// note: the serialiser prints shortest-round-trip representations, so a
 /// value decoded here is bit-identical to the one encoded — which is what
@@ -667,32 +727,22 @@ fn decode_f64_array(value: &JsonValue, what: &str) -> Result<Vec<f64>, WireError
 
 /// Encodes a `POST /infer-partial` request body: the shard-local word ids
 /// plus either the derived ESCA chain seed or one EM round's index and θ.
-pub fn encode_partial_request(words: &[u32], request: &PartialRequest) -> JsonValue {
-    let words = JsonValue::Array(
-        words
-            .iter()
-            .map(|&w| JsonValue::from(u64::from(w)))
-            .collect(),
-    );
-    match request {
-        PartialRequest::FoldIn { seed } => JsonValue::object([
-            ("words", words),
-            (
-                "esca",
-                JsonValue::object([("seed", JsonValue::from(*seed))]),
+pub fn encode_partial_request<'a>(
+    words: &'a [u32],
+    request: &'a PartialRequest,
+) -> impl fmt::Display + 'a {
+    fmt::from_fn(move |f| {
+        f.write_str("{\"words\":")?;
+        write_array(f, words, fmt::Display::fmt)?;
+        match request {
+            PartialRequest::FoldIn { seed } => write!(f, ",\"esca\":{{\"seed\":{seed}}}}}"),
+            PartialRequest::EmRound { round, theta } => write!(
+                f,
+                ",\"em\":{{\"round\":{round},\"theta\":{}}}}}",
+                Numbers(theta.iter().copied())
             ),
-        ]),
-        PartialRequest::EmRound { round, theta } => JsonValue::object([
-            ("words", words),
-            (
-                "em",
-                JsonValue::object([
-                    ("round", JsonValue::from(*round)),
-                    ("theta", f64_array(theta)),
-                ]),
-            ),
-        ]),
-    }
+        }
+    })
 }
 
 /// Decodes a `POST /infer-partial` body into the word list and request the
@@ -750,105 +800,154 @@ pub fn decode_partial_request(body: &str) -> Result<(Vec<u32>, PartialRequest), 
     Ok((words, request))
 }
 
-/// Encodes a `POST /infer-partial` response: the raw per-topic counts plus
-/// the snapshot version the router's epoch-skew detection keys on and the
-/// word-id range this shard serves (informational; `[start, end)`).
+/// Largest topic count a partial response may declare. The decoder checks
+/// `k` against it before allocating the dense accumulator, so a hostile or
+/// corrupted shard cannot make a router allocate unbounded memory.
+pub const MAX_PARTIAL_TOPICS: usize = 1 << 20;
+
+/// Encodes a `POST /infer-partial` response: the topic count `k`, the
+/// strictly increasing `topics` whose count is non-zero and their `counts`
+/// (shortest-round-trip `f64`s, so a merge of decoded partials is exact to
+/// the bit), then the snapshot version the router's epoch-skew detection
+/// keys on and the word-id range this shard serves (informational;
+/// `[start, end)`). The body grows with the topics the shard's words
+/// touched, not with `K`.
 ///
 /// The `spans` member — the shard-local trace subtree — is appended only
-/// when the request was traced, so untraced responses keep their exact
-/// pre-tracing byte layout.
-pub fn encode_partial_response(response: &PartialResponse, shard: (u32, u32)) -> JsonValue {
-    let mut members = vec![
-        ("counts", f64_array(&response.partial.counts)),
-        ("n_words", JsonValue::from(response.partial.n_words)),
-        (
-            "snapshot_version",
-            JsonValue::from(response.snapshot_version),
-        ),
-        ("n_oov", JsonValue::from(response.n_oov)),
-        ("shard", shard_range_json(shard)),
-    ];
-    if !response.spans.is_empty() {
-        members.push((
-            "spans",
-            JsonValue::Array(response.spans.iter().map(encode_span).collect()),
-        ));
-    }
-    JsonValue::object(members)
+/// when the request was traced.
+pub fn encode_partial_response(
+    response: &PartialResponse,
+    shard: (u32, u32),
+) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        let counts = &response.partial.counts;
+        // Bit test, not `!= 0.0`: a `-0.0` is carried, so the round trip is
+        // exact to the bit for every input.
+        let touched = || counts.iter().enumerate().filter(|(_, c)| c.to_bits() != 0);
+        write!(f, "{{\"k\":{},\"topics\":", counts.len())?;
+        write_array(f, touched(), |(topic, _), f| fmt::Display::fmt(&topic, f))?;
+        write!(
+            f,
+            ",\"counts\":{},\"n_words\":{},\"snapshot_version\":{},\"n_oov\":{},\"shard\":[{},{}]",
+            Numbers(touched().map(|(_, &count)| count)),
+            response.partial.n_words,
+            response.snapshot_version,
+            response.n_oov,
+            shard.0,
+            shard.1,
+        )?;
+        if !response.spans.is_empty() {
+            f.write_str(",\"spans\":")?;
+            write_array(f, &response.spans, write_span)?;
+        }
+        f.write_str("}")
+    })
 }
 
-/// Decodes a `POST /infer-partial` response body.
+/// Decodes a `POST /infer-partial` response body into the dense in-memory
+/// partial the router merges.
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] when any member is missing or mistyped.
+/// Returns [`WireError`] when any member is missing or mistyped, when `k`
+/// exceeds [`MAX_PARTIAL_TOPICS`], when `topics` is not strictly increasing
+/// below `k` or differs in length from `counts`, and — naming the cause —
+/// for the dense `counts` body of the pre-sparse partial protocol.
 pub fn decode_partial_response(body: &str) -> Result<PartialResponse, WireError> {
     let value = json::parse(body)?;
-    let counts = decode_f64_array(
+    let uint = |name: &str| {
+        value
+            .get(name)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| WireError::new(format!("'{name}' must be an unsigned integer")))
+    };
+    let values = decode_f64_array(
         value
             .get("counts")
             .ok_or_else(|| WireError::new("response must carry a 'counts' array"))?,
         "counts",
     )?;
-    let n_words = value
-        .get("n_words")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| WireError::new("'n_words' must be an unsigned integer"))?
-        as usize;
-    let snapshot_version = value
-        .get("snapshot_version")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| WireError::new("'snapshot_version' must be an unsigned integer"))?;
-    let n_oov = value
-        .get("n_oov")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| WireError::new("'n_oov' must be an unsigned integer"))?
-        as usize;
+    if value.get("k").is_none() && value.get("topics").is_none() {
+        return Err(WireError::new(
+            "dense 'counts' without 'k' and 'topics' is the pre-sparse partial protocol: \
+             upgrade the router and its shards together",
+        ));
+    }
+    let topics = value
+        .get("topics")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| WireError::new("'topics' must be an array of topic ids"))?;
+    let k = uint("k")?;
+    if k > MAX_PARTIAL_TOPICS as u64 {
+        return Err(WireError::new(format!(
+            "'k' of {k} exceeds the {MAX_PARTIAL_TOPICS}-topic limit"
+        )));
+    }
+    if topics.len() != values.len() {
+        return Err(WireError::new(
+            "'topics' and 'counts' must have the same length",
+        ));
+    }
+    let mut counts = vec![0.0f64; k as usize];
+    let mut next = 0u64;
+    for (topic, count) in topics.iter().zip(values) {
+        let slot = topic
+            .as_u64()
+            .filter(|&t| t >= next)
+            .and_then(|t| Some((t, counts.get_mut(usize::try_from(t).ok()?)?)));
+        let Some((t, slot)) = slot else {
+            return Err(WireError::new(
+                "'topics' must be strictly increasing topic ids below 'k'",
+            ));
+        };
+        *slot = count;
+        next = t + 1;
+    }
     let spans = match value.get("spans") {
         None | Some(JsonValue::Null) => Vec::new(),
         Some(v) => decode_spans(v)?,
     };
     Ok(PartialResponse {
-        partial: PartialFoldIn { counts, n_words },
-        snapshot_version,
-        n_oov,
+        partial: PartialFoldIn {
+            counts,
+            n_words: uint("n_words")? as usize,
+        },
+        snapshot_version: uint("snapshot_version")?,
+        n_oov: uint("n_oov")? as usize,
         spans,
     })
 }
 
-/// Encodes one trace span as a JSON object. The `events` member is omitted
+/// Writes one trace span as a JSON object. The `events` member is omitted
 /// when empty to keep the common (event-free) span compact.
-fn encode_span(span: &SpanRecord) -> JsonValue {
-    let mut members = vec![
-        ("id", JsonValue::from(span.id)),
-        (
-            "parent",
-            span.parent.map(JsonValue::from).unwrap_or(JsonValue::Null),
-        ),
-        ("name", JsonValue::from(span.name.as_str())),
-        ("start_us", JsonValue::from(span.start_us)),
-        ("duration_us", JsonValue::from(span.duration_us)),
-    ];
-    if !span.events.is_empty() {
-        members.push((
-            "events",
-            JsonValue::Array(
-                span.events
-                    .iter()
-                    .map(|e| {
-                        JsonValue::object([
-                            ("at_us", JsonValue::from(e.at_us)),
-                            ("message", JsonValue::from(e.message.as_str())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+fn write_span(span: &SpanRecord, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "{{\"id\":{},\"parent\":", span.id)?;
+    match span.parent {
+        Some(parent) => write!(f, "{parent}")?,
+        None => f.write_str("null")?,
     }
-    JsonValue::object(members)
+    write!(
+        f,
+        ",\"name\":{},\"start_us\":{},\"duration_us\":{}",
+        Escaped(&span.name),
+        span.start_us,
+        span.duration_us
+    )?;
+    if !span.events.is_empty() {
+        f.write_str(",\"events\":")?;
+        write_array(f, &span.events, |event, f| {
+            write!(
+                f,
+                "{{\"at_us\":{},\"message\":{}}}",
+                event.at_us,
+                Escaped(&event.message)
+            )
+        })?;
+    }
+    f.write_str("}")
 }
 
-/// Decodes an array of trace spans ([`encode_span`]'s inverse).
+/// Decodes an array of trace spans ([`write_span`]'s inverse).
 fn decode_spans(value: &JsonValue) -> Result<Vec<SpanRecord>, WireError> {
     value
         .as_array()
@@ -906,34 +1005,29 @@ fn decode_spans(value: &JsonValue) -> Result<Vec<SpanRecord>, WireError> {
 /// Encodes the `GET /trace/recent` response: the ring buffer of recently
 /// completed traces plus the slow-request capture (the worst traces above
 /// the configured threshold), newest-first within each list.
-pub fn encode_trace_recent(recent: &[Trace], slow: &[Trace], threshold_us: u64) -> JsonValue {
-    JsonValue::object([
-        (
-            "recent",
-            JsonValue::Array(recent.iter().map(encode_trace).collect()),
-        ),
-        (
-            "slow",
-            JsonValue::object([
-                ("threshold_us", JsonValue::from(threshold_us)),
-                (
-                    "traces",
-                    JsonValue::Array(slow.iter().map(encode_trace).collect()),
-                ),
-            ]),
-        ),
-    ])
+pub fn encode_trace_recent<'a>(
+    recent: &'a [Trace],
+    slow: &'a [Trace],
+    threshold_us: u64,
+) -> impl fmt::Display + 'a {
+    fmt::from_fn(move |f| {
+        f.write_str("{\"recent\":")?;
+        write_array(f, recent, write_trace)?;
+        write!(f, ",\"slow\":{{\"threshold_us\":{threshold_us},\"traces\":")?;
+        write_array(f, slow, write_trace)?;
+        f.write_str("}}")
+    })
 }
 
-fn encode_trace(trace: &Trace) -> JsonValue {
-    JsonValue::object([
-        ("trace_id", JsonValue::from(trace.trace_id.to_hex())),
-        ("total_us", JsonValue::from(trace.total_us)),
-        (
-            "spans",
-            JsonValue::Array(trace.spans.iter().map(encode_span).collect()),
-        ),
-    ])
+fn write_trace(trace: &Trace, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(
+        f,
+        "{{\"trace_id\":{},\"total_us\":{},\"spans\":",
+        Escaped(&trace.trace_id.to_hex()),
+        trace.total_us
+    )?;
+    write_array(f, &trace.spans, write_span)?;
+    f.write_str("}")
 }
 
 /// Decodes the `recent` list of a `GET /trace/recent` body — the client
@@ -1306,7 +1400,7 @@ mod tests {
             snapshot_version: 3,
             n_oov: 1,
         };
-        let encoded = encode_infer_response(&response, 42);
+        let encoded = json::parse(&encode_infer_response(&response, 42).to_string()).unwrap();
         assert_eq!(encoded.get("dominant_topic").unwrap().as_u64(), Some(0));
         assert_eq!(encoded.get("snapshot_version").unwrap().as_u64(), Some(3));
         assert_eq!(encoded.get("n_oov").unwrap().as_u64(), Some(1));

@@ -1,9 +1,16 @@
-//! Round-trip and malformed-input fuzz for the two codecs load depends
-//! on: the `X-Saber-Trace` header (ISSUE 7) and the `SABRTRACE` trace
-//! format (ISSUE 8).
+//! Round-trip and malformed-input fuzz for the codecs load depends on: the
+//! `X-Saber-Trace` header (ISSUE 7), the `SABRTRACE` trace format
+//! (ISSUE 8), the `SABRDELTA` publication format (ISSUE 10) and the
+//! tree-free JSON writers and sparse partial protocol of ISSUE 19.
 //!
 //! The contracts pinned here:
 //!
+//! * the θ writer prints byte for byte what the `JsonValue` tree it
+//!   replaced prints, for any `f32` bit patterns;
+//! * `/infer-partial` requests and (sparse) responses round-trip exactly to
+//!   the `f64` bit, every truncation errors, byte soup never panics, and
+//!   each malformed topic list, an oversized `k` and the pre-sparse dense
+//!   body are rejected — the router must never panic on a shard's bytes;
 //! * every header a context prints parses back to the same context;
 //! * garbage header bytes **degrade to untraced** — `parse` returns
 //!   `None`, and a live HTTP server still answers `200` with the same θ
@@ -299,6 +306,310 @@ proptest! {
         framed.extend_from_slice(&bytes);
         let _ = load_delta(framed.as_slice());
     }
+}
+
+// ------------------------------------------------------------- θ writer
+
+use saberlda::core::infer::PartialFoldIn;
+use saberlda::core::json::JsonValue;
+use saberlda::serve::{wire, InferResponse, PartialRequest, PartialResponse};
+
+/// The `JsonValue` tree `encode_infer_response` built before ISSUE 19 —
+/// the oracle the tree-free writer must match byte for byte.
+fn infer_response_tree(response: &InferResponse, seed: u64) -> String {
+    JsonValue::object([
+        ("theta", JsonValue::f32_array(&response.theta)),
+        ("dominant_topic", JsonValue::from(response.dominant_topic())),
+        (
+            "snapshot_version",
+            JsonValue::from(response.snapshot_version),
+        ),
+        ("n_oov", JsonValue::from(response.n_oov)),
+        ("seed", JsonValue::from(seed)),
+    ])
+    .to_string()
+}
+
+fn assert_theta_bytes(theta: Vec<f32>) {
+    let response = InferResponse {
+        theta,
+        snapshot_version: 3,
+        n_oov: 1,
+    };
+    assert_eq!(
+        wire::encode_infer_response(&response, u64::MAX).to_string(),
+        infer_response_tree(&response, u64::MAX),
+        "θ = {:?}",
+        response.theta
+    );
+}
+
+#[test]
+fn theta_writer_matches_the_tree_on_edge_cases() {
+    let base = 0.05f32 / 74.0;
+    for theta in [
+        vec![],
+        vec![0.5],
+        vec![0.0, -0.0, 0.0, 0.0, -0.0, -0.0],
+        vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN, 1.0],
+        vec![
+            f32::MIN_POSITIVE,
+            1e-40,
+            -1e-45,
+            f32::MAX,
+            f32::MIN,
+            f32::EPSILON,
+        ],
+        // The shape of a short document: one value almost everywhere.
+        [
+            vec![base; 700],
+            vec![0.25, base, base, 0.125],
+            vec![base; 300],
+        ]
+        .concat(),
+        vec![base; 4096],
+        // More distinct values than any memo holds, each repeated later.
+        (0..600).map(|i| (i % 300) as f32 / 7.0).collect(),
+    ] {
+        assert_theta_bytes(theta);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary `f32` bit patterns (NaNs, infinities, subnormals and both
+    /// zeros included) in runs of arbitrary length, K from 0 upwards.
+    #[test]
+    fn theta_writer_matches_the_tree(
+        palette in vec(any::<u32>(), 1..6usize),
+        picks in vec(any::<u8>(), 0..40usize),
+        runs in vec(1usize..50, 0..40usize),
+    ) {
+        let theta: Vec<f32> = picks
+            .iter()
+            .zip(&runs)
+            .flat_map(|(&pick, &run)| {
+                // Half the picks come from the shared palette (repeats far
+                // apart), the rest are the IEEE corner cases.
+                let corner = [0.0, -0.0, f32::NAN, f32::INFINITY, 1e-40, 1.0];
+                let value = match pick % 12 {
+                    c @ 0..=5 => corner[c as usize],
+                    p => f32::from_bits(palette[p as usize % palette.len()]),
+                };
+                std::iter::repeat_n(value, run)
+            })
+            .collect();
+        let response = InferResponse { theta, snapshot_version: 9, n_oov: 0 };
+        prop_assert_eq!(
+            wire::encode_infer_response(&response, 7).to_string(),
+            infer_response_tree(&response, 7)
+        );
+    }
+}
+
+// ------------------------------------------------------- /infer-partial
+
+/// A finite `f64` from arbitrary bits: the wire carries finite numbers
+/// only, every other pattern (subnormals, `-0.0`) must survive exactly.
+fn finite(bits: u64) -> f64 {
+    let x = f64::from_bits(bits);
+    if x.is_finite() {
+        x
+    } else {
+        f64::from_bits(bits & !(1 << 62))
+    }
+}
+
+/// A partial over `k` topics whose non-zero entries are `flags`' set bits.
+fn sample_partial(k: usize, flags: &[bool], fill: u64) -> PartialResponse {
+    let counts = (0..k)
+        .map(|t| match flags.get(t) {
+            Some(true) => finite(fill.wrapping_mul(t as u64 + 1).rotate_left(t as u32)),
+            _ => 0.0,
+        })
+        .collect();
+    PartialResponse {
+        partial: PartialFoldIn {
+            counts,
+            n_words: (fill % 500) as usize,
+        },
+        snapshot_version: fill,
+        n_oov: (fill % 3) as usize,
+        spans: Vec::new(),
+    }
+}
+
+fn f64_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A sparse partial response decodes to the partial it encoded, exact
+    /// to the `f64` bit — what keeps remote merges bit-identical to local
+    /// ones — and every strict prefix of its body is an error.
+    #[test]
+    fn partial_response_roundtrips_to_the_bit(
+        k in 0usize..80,
+        flags in vec(any::<bool>(), 0..80usize),
+        fill in any::<u64>(),
+        cut_seed in any::<u64>(),
+    ) {
+        let response = sample_partial(k, &flags, fill);
+        let body = wire::encode_partial_response(&response, (5, 9)).to_string();
+        let back = wire::decode_partial_response(&body).expect("own encoding decodes");
+        prop_assert_eq!(f64_bits(&back.partial.counts), f64_bits(&response.partial.counts));
+        prop_assert_eq!(&back, &response);
+        let cut = (cut_seed % body.len() as u64) as usize;
+        prop_assert!(wire::decode_partial_response(&body[..cut]).is_err());
+    }
+
+    /// Both request kinds decode to what was encoded, θ exact to the bit,
+    /// and every strict prefix of either body is an error.
+    #[test]
+    fn partial_request_roundtrips_to_the_bit(
+        words in vec(any::<u32>(), 0..40usize),
+        theta_bits in vec(any::<u64>(), 0..40usize),
+        seed in any::<u64>(),
+        round in 0usize..1000,
+        cut_seed in any::<u64>(),
+    ) {
+        let theta: Vec<f64> = theta_bits.iter().map(|&bits| finite(bits)).collect();
+        let em = PartialRequest::EmRound { round, theta: Arc::new(theta.clone()) };
+        for request in [PartialRequest::FoldIn { seed }, em] {
+            let body = wire::encode_partial_request(&words, &request).to_string();
+            let (back_words, back) = wire::decode_partial_request(&body).expect("own encoding decodes");
+            prop_assert_eq!(&back_words, &words);
+            match (&request, &back) {
+                (PartialRequest::FoldIn { seed: a }, PartialRequest::FoldIn { seed: b }) => {
+                    prop_assert_eq!(a, b);
+                }
+                (
+                    PartialRequest::EmRound { round: a, theta: sent },
+                    PartialRequest::EmRound { round: b, theta: got },
+                ) => {
+                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(f64_bits(got), f64_bits(sent));
+                }
+                _ => prop_assert!(false, "decoded the other request kind: {:?}", back),
+            }
+            let cut = (cut_seed % body.len() as u64) as usize;
+            prop_assert!(wire::decode_partial_request(&body[..cut]).is_err());
+        }
+    }
+
+    /// Arbitrary bytes, and a valid body with one byte overwritten, never
+    /// panic either decoder; a mutated body that still decodes describes a
+    /// partial over the `k` it declares.
+    #[test]
+    fn partial_decoders_survive_byte_soup(
+        bytes in vec(any::<u8>(), 0..200usize),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let soup = String::from_utf8_lossy(&bytes).into_owned();
+        let _ = wire::decode_partial_response(&soup);
+        let _ = wire::decode_partial_request(&soup);
+        let flags = [true, false, true, true];
+        let mut body = wire::encode_partial_response(&sample_partial(6, &flags, 77), (0, 4))
+            .to_string()
+            .into_bytes();
+        let at = (at % body.len() as u64) as usize;
+        body[at] = byte;
+        if let Ok(decoded) = wire::decode_partial_response(&String::from_utf8_lossy(&body)) {
+            prop_assert!(decoded.partial.counts.len() <= wire::MAX_PARTIAL_TOPICS);
+        }
+    }
+}
+
+#[test]
+fn malformed_partial_responses_are_rejected() {
+    let tail = r#""n_words":6,"snapshot_version":3,"n_oov":0,"shard":[0,9]}"#;
+    let rejected = |head: &str| {
+        wire::decode_partial_response(&format!("{head},{tail}"))
+            .expect_err(head)
+            .detail
+    };
+    assert!(wire::decode_partial_response(&format!(
+        r#"{{"k":4,"topics":[1,3],"counts":[2,0.5],{tail}"#
+    ))
+    .is_ok());
+    for head in [
+        r#"{"k":4,"topics":[3,1],"counts":[2,0.5]"#,   // unsorted
+        r#"{"k":4,"topics":[1,1],"counts":[2,0.5]"#,   // duplicate
+        r#"{"k":4,"topics":[1,4],"counts":[2,0.5]"#,   // topic ≥ k
+        r#"{"k":4,"topics":[1,-3],"counts":[2,0.5]"#,  // not a topic id
+        r#"{"k":4,"topics":[1],"counts":[2,0.5]"#,     // fewer topics than counts
+        r#"{"k":4,"topics":[1,2,3],"counts":[2,0.5]"#, // more topics than counts
+        r#"{"k":4,"topics":[1,3],"counts":[2,null]"#,  // a non-finite count
+        r#"{"k":4,"counts":[2,0.5]"#,                  // no topics
+        r#"{"topics":[1,3],"counts":[2,0.5]"#,         // no k
+        r#"{"k":4,"topics":[1,3]"#,                    // no counts
+    ] {
+        rejected(head);
+    }
+    // A `k` no model has is refused by the cap, before the dense
+    // accumulator it would size is allocated (2^60 f64s would abort).
+    let huge = rejected(r#"{"k":1152921504606846976,"topics":[],"counts":[]"#);
+    assert!(huge.contains("limit"), "{huge}");
+    rejected(&format!(
+        r#"{{"k":{},"topics":[],"counts":[]"#,
+        wire::MAX_PARTIAL_TOPICS + 1
+    ));
+    // A shard still on the dense protocol is named as such, so a half
+    // upgraded fleet fails with its cause instead of "missing member".
+    let legacy = rejected(r#"{"counts":[4.5,1.5,0]"#);
+    assert!(legacy.contains("pre-sparse partial protocol"), "{legacy}");
+}
+
+#[test]
+fn partial_response_size_follows_the_touched_topics_not_k() {
+    // One 24-token document under the default 8 measured sweeps: 192
+    // assignments, here over 60 topics.
+    let partial = |k: usize| {
+        let mut counts = vec![0.0f64; k];
+        for draw in 0..192usize {
+            counts[(draw % 60) * 16 + 5] += 1.0;
+        }
+        PartialResponse {
+            partial: PartialFoldIn {
+                counts,
+                n_words: 24,
+            },
+            snapshot_version: 41,
+            n_oov: 0,
+            spans: Vec::new(),
+        }
+    };
+    let small = wire::encode_partial_response(&partial(1000), (0, 5100)).to_string();
+    let large = wire::encode_partial_response(&partial(4000), (0, 5100)).to_string();
+    assert!(small.len() < 1024, "{} bytes: {small}", small.len());
+    assert!(
+        large.len().abs_diff(small.len()) < 16,
+        "{} vs {}",
+        small.len(),
+        large.len()
+    );
+    assert_eq!(
+        wire::decode_partial_response(&large).unwrap(),
+        partial(4000)
+    );
+
+    // An EM round's responsibilities touch every topic: sparse in form
+    // only, and still the exact inverse.
+    let dense = PartialResponse {
+        partial: PartialFoldIn {
+            counts: (1..=500).map(|t| 1.0 / f64::from(t)).collect(),
+            n_words: 24,
+        },
+        snapshot_version: 41,
+        n_oov: 2,
+        spans: Vec::new(),
+    };
+    let body = wire::encode_partial_response(&dense, (0, 5100)).to_string();
+    assert_eq!(wire::decode_partial_response(&body).unwrap(), dense);
 }
 
 // ----------------------------------------------------- live HTTP ingress

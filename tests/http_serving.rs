@@ -478,6 +478,14 @@ fn protocol_errors_get_4xx_not_a_dead_socket() {
     assert_eq!(status, 411, "POST without content-length");
     let (status, _) = request(addr, "GARBAGE\r\n\r\n");
     assert_eq!(status, 400);
+    // A header line may hold 8 KiB before its line feed and not a byte
+    // more, however the bytes are spread over socket reads. (The rejected
+    // request ends with the offending byte, so nothing is left unread for
+    // the close to reset.)
+    let padded = |pad: usize| format!("GET /healthz HTTP/1.1\r\nX-Pad: {}", "a".repeat(pad));
+    let at_limit = padded(8192 - "X-Pad: \r".len()) + "\r\nConnection: close\r\n\r\n";
+    assert_eq!(request(addr, &at_limit).0, 200);
+    assert_eq!(request(addr, &padded(8193 - "X-Pad: ".len())).0, 431);
 
     // The server survives all of the above and still serves.
     let (status, _) = get(addr, "/healthz");

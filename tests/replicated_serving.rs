@@ -16,6 +16,11 @@
 //! * **regression (deadline-skew bug)**: a fan-out that keeps observing
 //!   version skew fails with `DeadlineExceeded`, not `ShardVersionSkew`,
 //!   once the caller's deadline has passed;
+//! * skew that clears within about a millisecond (one commit window) is
+//!   outlasted by the backed-off retries: answered, never a 503;
+//! * **regression (wrong-K bug)**: a partial over another topic count than
+//!   the fleet's is a transport error naming the shard, not a panic in the
+//!   merge;
 //! * **regression (transient-transport bug)**: one transient transport
 //!   failure costs one bounded retry (counted, traced), not the request;
 //! * the router-backed `GET /healthz` degrades to 503 when a plan range
@@ -24,7 +29,7 @@
 //!   nothing and replays θ bit-identically to the healthy fleet.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -540,29 +545,57 @@ fn hedged_requests_fire_and_never_mix_versions() {
 // Regression: skew retries must honour the deadline
 // ---------------------------------------------------------------------------
 
-/// Rewrites every response's snapshot version to a fresh counter value
-/// (and sleeps a little first), so a 2-shard fan-out observes version
-/// skew on every attempt — the pathological publish storm, on demand.
+/// What a [`SkewTransport`] does to each reply before the router sees it.
+#[derive(Debug, Clone, Copy)]
+struct Script {
+    /// Sleep this long before handing the reply over.
+    pause: Duration,
+    /// Rewrite the snapshot version to a fresh counter value for this long
+    /// after the fleet's first submission, so a 2-shard fan-out observes
+    /// version skew on every attempt — the publish storm (`Duration::MAX`)
+    /// or one commit window (≈ 1 ms), on demand.
+    skew_for: Duration,
+    /// Topics appended to the partial: a shard serving another `K`.
+    extra_topics: usize,
+}
+
+impl Script {
+    const PERSISTENT_SKEW: Script = Script {
+        pause: Duration::from_millis(5),
+        skew_for: Duration::MAX,
+        extra_topics: 0,
+    };
+}
+
+/// A `LocalTransport` whose replies are rewritten by a [`Script`].
 #[derive(Debug)]
 struct SkewTransport {
     inner: LocalTransport,
+    script: Script,
     version: Arc<AtomicU64>,
+    first_submission: Arc<OnceLock<Instant>>,
 }
 
 #[derive(Debug)]
 struct SkewPending {
     inner: <LocalTransport as ShardTransport>::Pending,
+    script: Script,
     version: Arc<AtomicU64>,
+    first_submission: Instant,
 }
 
 impl PendingPartial for SkewPending {
     fn wait(self, _deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(self.script.pause);
         // Ignore the caller's deadline on the inner wait: the reply is
         // already computed, and the point of this mock is to prove the
         // DEADLINE error comes from the router's retry check, not the leg.
         self.inner.wait(None).map(|mut response| {
-            response.snapshot_version = self.version.fetch_add(1, Ordering::SeqCst);
+            if self.first_submission.elapsed() < self.script.skew_for {
+                response.snapshot_version = self.version.fetch_add(1, Ordering::SeqCst);
+            }
+            let k = response.partial.counts.len() + self.script.extra_topics;
+            response.partial.counts.resize(k, 0.0);
             response
         })
     }
@@ -583,7 +616,9 @@ impl ShardTransport for SkewTransport {
         trace: TraceContext,
     ) -> Result<Self::Pending, ServeError> {
         Ok(SkewPending {
+            first_submission: *self.first_submission.get_or_init(Instant::now),
             inner: self.inner.submit_partial(words, request, deadline, trace)?,
+            script: self.script,
             version: Arc::clone(&self.version),
         })
     }
@@ -609,19 +644,24 @@ impl ShardTransport for SkewTransport {
     }
 }
 
-fn skew_router() -> ShardRouter<SkewTransport> {
+/// A 2-shard router whose shard `s` replies through `scripts[s]`.
+fn skew_router(scripts: [Script; 2]) -> ShardRouter<SkewTransport> {
     let model = random_model(31);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let snapshot = InferenceSnapshot::from_model(&model, cfg.sampler);
     let version = Arc::new(AtomicU64::new(100));
+    let first_submission = Arc::new(OnceLock::new());
     let transports = plan
         .ranges()
-        .map(|range| {
+        .zip(scripts)
+        .map(|(range, script)| {
             let server = TopicServer::start(snapshot.shard(range.clone()), cfg).unwrap();
             SkewTransport {
                 inner: LocalTransport::with_range(server, range),
+                script,
                 version: Arc::clone(&version),
+                first_submission: Arc::clone(&first_submission),
             }
         })
         .collect::<Vec<_>>();
@@ -636,7 +676,7 @@ fn skew_retry_honours_the_deadline() {
 
     // Without a deadline the router exhausts its retries and reports skew
     // — the mock really does manufacture persistent skew.
-    let router = skew_router();
+    let router = skew_router([Script::PERSISTENT_SKEW; 2]);
     match router.infer_topics(doc.clone(), 0) {
         Err(ServeError::ShardVersionSkew) => {}
         other => panic!("expected ShardVersionSkew without a deadline, got {other:?}"),
@@ -648,7 +688,7 @@ fn skew_retry_honours_the_deadline() {
     // fail with DeadlineExceeded — the bug reported exhausted-skew
     // instead, burning a full extra fan-out after the caller's budget was
     // already gone.
-    let router = skew_router();
+    let router = skew_router([Script::PERSISTENT_SKEW; 2]);
     match router.infer_with_deadline(doc, 0, Duration::from_millis(25)) {
         Err(ServeError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded past the deadline, got {other:?}"),
@@ -657,6 +697,69 @@ fn skew_retry_honours_the_deadline() {
         router.router_stats().skew_retries >= 1,
         "the deadline check must sit on the retry path, not before the first attempt"
     );
+    router.shutdown();
+}
+
+#[test]
+fn skew_retries_outlast_one_commit_window() {
+    // Skew that clears 1.3 ms after the first submission: one two-phase
+    // commit passing over the fleet. Four back-to-back fan-outs of this
+    // tiny model can all fit inside it — the 503 from a healthy fleet that
+    // benchmark/README.md documents — while the backed-off retries
+    // (200 + 400 + 800 µs of pauses alone) always outlast it.
+    let clearing = Script {
+        pause: Duration::ZERO,
+        skew_for: Duration::from_micros(1300),
+        extra_topics: 0,
+    };
+    let router = skew_router([clearing; 2]);
+    let answer = router
+        .infer_with_deadline(vec![1, 2, 31, 32], 0, Duration::from_secs(5))
+        .unwrap_or_else(|e| {
+            panic!("skew that cleared within the retries failed the request: {e:?}")
+        });
+    assert_eq!(answer.theta.len(), K);
+    let stats = router.router_stats();
+    assert!(
+        (1..=3).contains(&stats.skew_retries),
+        "the window must cost at least one retry and at most all three: {stats:?}"
+    );
+    router.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Regression: a partial over the wrong K is a 502 naming the shard, not a panic
+// ---------------------------------------------------------------------------
+
+#[test]
+fn wrong_k_partial_is_a_transport_error_naming_the_shard() {
+    // Shard 1 answers over K + 1 topics — republished with another K after
+    // `validate_replica`, or another build. The merge's length assert used
+    // to panic the caller's thread; it must be this request's 502 instead.
+    let honest = Script {
+        pause: Duration::ZERO,
+        skew_for: Duration::ZERO,
+        extra_topics: 0,
+    };
+    let wrong_k = Script {
+        extra_topics: 1,
+        ..honest
+    };
+    let router = skew_router([honest, wrong_k]);
+    match router.infer_topics(vec![1, 2, 31, 32], 0) {
+        Err(e @ ServeError::Transport { shard: Some(1), .. }) => {
+            let text = e.to_string();
+            assert!(text.contains("6 topics"), "{text}");
+            assert!(
+                text.contains("shard 1"),
+                "the 502 must name the shard: {text}"
+            );
+        }
+        other => panic!("expected a transport error naming shard 1, got {other:?}"),
+    }
+    // A document that stays on the honest shard is still answered.
+    let answer = router.infer_topics(vec![1, 2, 3], 0).unwrap();
+    assert_eq!(answer.theta.len(), K);
     router.shutdown();
 }
 

@@ -198,12 +198,14 @@ fn partial_response_bytes_are_stable() {
         n_oov: 1,
         spans: Vec::new(),
     };
-    // An untraced response carries no `spans` member: these are the exact
-    // PR 5 bytes, so tracing is invisible to clients that never opt in.
+    // The sparse partial protocol (ISSUE 19, a fleet-internal protocol
+    // bump: docs/SERVING.md §Exactness over the wire): `k`, the non-zero
+    // topics and their counts. An untraced response carries no `spans`
+    // member, so tracing is invisible to peers that never opt in.
     let encoded = wire::encode_partial_response(&response, (12, 24)).to_string();
     assert_eq!(
         encoded,
-        r#"{"counts":[4.5,1.5,0],"n_words":6,"snapshot_version":3,"n_oov":1,"shard":[12,24]}"#,
+        r#"{"k":3,"topics":[0,1],"counts":[4.5,1.5],"n_words":6,"snapshot_version":3,"n_oov":1,"shard":[12,24]}"#,
     );
     let decoded = wire::decode_partial_response(&encoded).unwrap();
     assert_eq!(decoded, response);
@@ -247,8 +249,8 @@ fn traced_partial_response_bytes_are_stable() {
     assert_eq!(
         encoded,
         concat!(
-            r#"{"counts":[4.5,1.5,0],"n_words":6,"snapshot_version":3,"n_oov":1,"shard":[12,24],"#,
-            r#""spans":[{"id":1,"parent":null,"name":"infer-partial","start_us":0,"#,
+            r#"{"k":3,"topics":[0,1],"counts":[4.5,1.5],"n_words":6,"snapshot_version":3,"n_oov":1,"#,
+            r#""shard":[12,24],"spans":[{"id":1,"parent":null,"name":"infer-partial","start_us":0,"#,
             r#""duration_us":180,"events":[{"at_us":90,"message":"queued"}]},"#,
             r#"{"id":2,"parent":1,"name":"handler","start_us":40,"duration_us":120}]}"#,
         ),
@@ -719,7 +721,7 @@ fn shard_endpoints_are_stable_end_to_end_over_tcp() {
     );
     assert_eq!(
         http_body(http.local_addr(), &request),
-        r#"{"counts":[48,0,0],"n_words":6,"snapshot_version":1,"n_oov":0,"shard":[24,36]}"#,
+        r#"{"k":3,"topics":[0],"counts":[48],"n_words":6,"snapshot_version":1,"n_oov":0,"shard":[24,36]}"#,
     );
     // An EM round over a uniform θ: responsibility counts sum to the
     // document length, deterministically.
@@ -732,7 +734,8 @@ fn shard_endpoints_are_stable_end_to_end_over_tcp() {
     assert_eq!(
         http_body(http.local_addr(), &request),
         concat!(
-            r#"{"counts":[2.9988007195544726,0.0005996402227639496,0.0005996402227639496],"#,
+            r#"{"k":3,"topics":[0,1,2],"#,
+            r#""counts":[2.9988007195544726,0.0005996402227639496,0.0005996402227639496],"#,
             r#""n_words":3,"snapshot_version":1,"n_oov":0,"shard":[24,36]}"#,
         ),
     );
