@@ -23,6 +23,8 @@
 //! memory and reused; with doc-major order every token gathers scattered
 //! elements of `B̂` from global memory.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use saber_gpu_sim::memory::AddressMap;
 use saber_gpu_sim::warp::{
@@ -30,12 +32,12 @@ use saber_gpu_sim::warp::{
     REDUCE_INSTRUCTIONS, VOTE_INSTRUCTIONS, WARP_SIZE,
 };
 use saber_gpu_sim::MemoryTracker;
-use saber_sparse::CsrMatrix;
+use saber_sparse::{CsrMatrix, SparseRowView};
 
 use crate::config::{KernelKind, SaberLdaConfig, TokenOrder};
 use crate::layout::Chunk;
 use crate::model::LdaModel;
-use crate::sampling::{sample_token, SampleScratch};
+use crate::sampling::{draw_topic, product_chains, SampleScratch, LANES};
 use crate::trees::{TopicSampler, WordSampler};
 
 /// Instructions charged per 32-lane element-wise-product iteration
@@ -56,7 +58,8 @@ const BRANCH_INSTRUCTIONS: u64 = 2;
 /// The accounting is a pass of its own (`account_*`) beside the sampling
 /// loop (`sample_tokens`): what the simulated kernel moves and executes depends
 /// on the chunk's layout and on the row lengths (for doc-major order, the
-/// row indices) of `doc_topic` only, never on the topics being drawn.
+/// row indices) of `doc_topic` only, never on the topics being drawn. Under
+/// [`MemoryTracker::disabled`] the pass is skipped.
 ///
 /// Returns the number of tokens processed.
 ///
@@ -81,21 +84,29 @@ pub fn sample_chunk(
     );
     let thread_based = config.kernel == KernelKind::ThreadBased;
     let k = model.n_topics();
-    match chunk.order {
-        TokenOrder::WordMajor => {
-            account_word_major(chunk, doc_topic, k, samplers, tracker, thread_based)
-        }
-        TokenOrder::DocMajor => {
-            account_doc_major(chunk, doc_topic, k, samplers, tracker, thread_based)
+    if tracker.is_enabled() {
+        match chunk.order {
+            TokenOrder::WordMajor => {
+                account_word_major(chunk, doc_topic, k, samplers, tracker, thread_based)
+            }
+            TokenOrder::DocMajor => {
+                account_doc_major(chunk, doc_topic, k, samplers, tracker, thread_based)
+            }
         }
     }
     sample_tokens(chunk, doc_topic, model, samplers, config.alpha, rng)
 }
 
-/// The sampling loop: every token, in storage order, draws its topic from
-/// its document's row of `A` and its word's row of `B̂`. Both thread mappings
-/// and both token orders draw from exactly this distribution; what they
-/// change is the order of the tokens and the execution accounting.
+/// The sampling loop: every token draws its topic from its document's row
+/// of `A` and its word's row of `B̂`. Both thread mappings and both token
+/// orders draw from exactly this distribution; what they change is the order
+/// of the tokens and the execution accounting.
+///
+/// `A` and `B̂` are frozen for the whole E-step, so a run of adjacent tokens
+/// with one `(document, word)` pair shares one product chain, and the chains
+/// of [`LANES`] runs — they use no random number — advance together. The
+/// draws follow run by run: the RNG is consumed in storage order, exactly as
+/// by one [`crate::sampling::sample_token`] per token.
 fn sample_tokens(
     chunk: &mut Chunk,
     doc_topic: &CsrMatrix<u32>,
@@ -105,20 +116,41 @@ fn sample_tokens(
     rng: &mut StdRng,
 ) -> u64 {
     let bhat = model.word_topic_prob();
+    let (docs, words) = (&chunk.local_doc_ids, &chunk.word_ids);
+    let absent = (SparseRowView::new(&[], &[]), &[][..]);
     let mut scratch = SampleScratch::new();
-    let mut processed = 0u64;
-    for seg in &chunk.segments {
-        let tokens = seg.start..seg.end;
-        let words = &chunk.word_ids[tokens.clone()];
-        let docs = &chunk.local_doc_ids[tokens.clone()];
-        for ((topic, &word), &d) in chunk.topics[tokens].iter_mut().zip(words).zip(docs) {
-            let (doc_row, word) = (doc_topic.row(d as usize), word as usize);
-            let sampler = &samplers[word];
-            *topic = sample_token(doc_row, bhat.row(word), alpha, sampler, &mut scratch, rng);
+    let mut runs = pair_runs(docs, words).peekable();
+    while runs.peek().is_some() {
+        let batch: [Option<Range<usize>>; LANES] = std::array::from_fn(|_| runs.next());
+        let rows = batch.each_ref().map(|run| {
+            let first = run.as_ref().map(|run| (docs[run.start], words[run.start]));
+            first.map_or(absent, |(d, v)| {
+                (doc_topic.row(d as usize), bhat.row(v as usize))
+            })
+        });
+        let sums = product_chains(&rows, &mut scratch);
+        for ((run, (row, _)), sums) in batch.into_iter().flatten().zip(&rows).zip(sums) {
+            let sampler = &samplers[words[run.start] as usize];
+            for topic in &mut chunk.topics[run] {
+                *topic = draw_topic(sums, row.indices(), alpha, sampler, rng);
+            }
         }
-        processed += seg.len() as u64;
     }
-    processed
+    chunk.n_tokens() as u64
+}
+
+/// Token ranges of the maximal runs of adjacent tokens sharing both document
+/// and word: whole same-document stretches of a word-major segment, repeats
+/// of a word in a row in doc-major order.
+fn pair_runs<'a>(docs: &'a [u32], words: &'a [u32]) -> impl Iterator<Item = Range<usize>> + 'a {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let pair = (*docs.get(start)?, words[start]);
+        let end = (start + 1..docs.len())
+            .find(|&i| (docs[i], words[i]) != pair)
+            .unwrap_or(docs.len());
+        Some(std::mem::replace(&mut start, end)..end)
+    })
 }
 
 /// Execution accounting of the word-major (PDOW) kernel: `B̂_v` staged in
@@ -152,16 +184,19 @@ fn account_word_major(
         tracker.shared_write(bhat_row_bytes);
 
         let (mut shared_read_bytes, mut instructions) = (0u64, 0u64);
-        for &d in docs {
-            let (start, end) = row_of(d);
-            let nnz = end - start;
+        // The simulated kernel shares nothing between tokens: those of one
+        // document each read its row, one read after the other.
+        for run in docs.chunk_by(|a, b| a == b) {
+            let (start, end) = row_of(run[0]);
+            let (nnz, tokens) = (end - start, run.len() as u64);
             // Read the document's sparse row from global memory (coalesced:
             // the row is contiguous and 128-byte aligned per §3.4).
-            tracker.global_read(map.doc_topic + (start * 8) as u64, (nnz * 8) as u64);
+            let row_addr = map.doc_topic + (start * 8) as u64;
+            tracker.global_read_repeated(row_addr, (nnz * 8) as u64, tokens);
             // The element-wise product reads B̂ from shared memory; so does
             // the query of the word's pre-processed structure.
-            shared_read_bytes += (nnz * 4) as u64 + query_shared_bytes;
-            instructions += token_instructions(nnz) + query_instructions;
+            shared_read_bytes += tokens * ((nnz * 4) as u64 + query_shared_bytes);
+            instructions += tokens * (token_instructions(nnz) + query_instructions);
         }
         tracker.shared_read(shared_read_bytes);
         tracker.instructions(instructions);
@@ -305,17 +340,35 @@ pub fn warp_find_prefix_position(probs: &[f32], x: f32) -> usize {
 mod tests {
     use super::*;
     use crate::config::{CountRebuild, PreprocessKind, SaberLdaConfig};
-    use crate::count::rebuild_reference;
+    use crate::count::{accumulate_word_topic, rebuild_doc_topic, rebuild_reference};
     use crate::layout::build_chunks;
     use rand::SeedableRng;
     use saber_corpus::synthetic::SyntheticSpec;
+    use saber_gpu_sim::KernelStats;
     use saber_sparse::prefix::{find_in_prefix_sum_linear, inclusive_prefix_sum};
 
     fn setup(
         order: TokenOrder,
         kernel: KernelKind,
     ) -> (Vec<Chunk>, LdaModel, Vec<WordSampler>, SaberLdaConfig) {
-        let corpus = SyntheticSpec::small_test().generate(11);
+        setup_on(&SyntheticSpec::small_test(), order, kernel)
+    }
+
+    /// Twelve words over documents of ≈ 30 tokens: every document repeats
+    /// words, so most `(document, word)` pairs cover several tokens.
+    fn repeated_words() -> SyntheticSpec {
+        SyntheticSpec {
+            vocab_size: 12,
+            ..SyntheticSpec::small_test()
+        }
+    }
+
+    fn setup_on(
+        spec: &SyntheticSpec,
+        order: TokenOrder,
+        kernel: KernelKind,
+    ) -> (Vec<Chunk>, LdaModel, Vec<WordSampler>, SaberLdaConfig) {
+        let corpus = spec.generate(11);
         let k = 8usize;
         let config = SaberLdaConfig::builder()
             .n_topics(k)
@@ -380,13 +433,22 @@ mod tests {
 
     #[test]
     fn accounting_does_not_depend_on_the_topics_being_drawn() {
-        for (order, kernel) in [
+        let mappings = [
             (TokenOrder::WordMajor, KernelKind::WarpBased),
             (TokenOrder::WordMajor, KernelKind::ThreadBased),
             (TokenOrder::DocMajor, KernelKind::WarpBased),
             (TokenOrder::DocMajor, KernelKind::ThreadBased),
-        ] {
-            let (mut chunks, model, samplers, config) = setup(order, kernel);
+        ];
+        let specs = [SyntheticSpec::small_test(), repeated_words()];
+        for (spec, (order, kernel)) in specs.iter().flat_map(|s| mappings.map(|m| (s, m))) {
+            let (mut chunks, model, samplers, config) = setup_on(spec, order, kernel);
+            if *spec == repeated_words() && order == TokenOrder::WordMajor {
+                let repeats: usize = chunks
+                    .iter()
+                    .map(|c| c.n_tokens() - pair_runs(&c.local_doc_ids, &c.word_ids).count())
+                    .sum();
+                assert!(repeats > 500, "only {repeats} tokens repeat their pair");
+            }
             let k = model.n_topics();
             let thread_based = kernel == KernelKind::ThreadBased;
             let mut rng = StdRng::seed_from_u64(5);
@@ -420,6 +482,55 @@ mod tests {
                 assert_ne!(chunk.topics, old_topics, "sampling moved no topic");
                 assert_eq!(account(chunk), before, "{order:?}/{kernel:?}");
                 assert_eq!(*tracker.stats(), before, "{order:?}/{kernel:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn disabled_tracker_stays_empty_and_changes_no_draw() {
+        for order in [TokenOrder::WordMajor, TokenOrder::DocMajor] {
+            let (chunks, mut model, samplers, config) =
+                setup_on(&repeated_words(), order, KernelKind::WarpBased);
+            let (mut enabled_rng, mut disabled_rng) =
+                (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+            for chunk in &chunks {
+                let a = rebuild_reference(chunk, model.n_topics());
+                let (mut under_enabled, mut under_disabled) = (chunk.clone(), chunk.clone());
+                let mut enabled = MemoryTracker::new(1 << 20);
+                sample_chunk(
+                    &mut under_enabled,
+                    &a,
+                    &model,
+                    &samplers,
+                    &config,
+                    &mut enabled,
+                    &mut enabled_rng,
+                );
+                let mut disabled = MemoryTracker::disabled();
+                sample_chunk(
+                    &mut under_disabled,
+                    &a,
+                    &model,
+                    &samplers,
+                    &config,
+                    &mut disabled,
+                    &mut disabled_rng,
+                );
+                assert_ne!(
+                    under_enabled.topics, chunk.topics,
+                    "sampling moved no topic"
+                );
+                assert_eq!(under_disabled.topics, under_enabled.topics, "{order:?}");
+                assert_eq!(disabled_rng, enabled_rng, "{order:?}");
+
+                // The M-step's two kernels under the same tracker.
+                for method in [CountRebuild::Ssc, CountRebuild::NaiveSort] {
+                    let rebuilt = rebuild_doc_topic(chunk, model.n_topics(), method, &mut disabled);
+                    assert_eq!(rebuilt, a);
+                }
+                accumulate_word_topic(chunk, model.word_topic_mut(), &mut disabled);
+                assert_eq!(disabled.stats(), &KernelStats::default());
+                assert_ne!(enabled.stats(), &KernelStats::default());
             }
         }
     }

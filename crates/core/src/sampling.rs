@@ -14,21 +14,29 @@
 //! probability `S / (S + Q)` (where `S = Σ_k A_dk·B̂_vk` and
 //! `Q = α · Σ_k B̂_vk`) decides which sub-problem produces the sample.
 //!
-//! This module is the *scalar* reference used by the CPU baseline and by the
-//! property tests; the warp-vectorised version lives in [`crate::kernel`].
+//! Alg. 2 is kept in two halves. The **chain** ([`product_chain`]) turns
+//! `A_d` and `B̂_v` into the running sums of `P`; it depends on the pair
+//! `(d, v)` only, so [`crate::kernel`] runs it once per pair, several pairs
+//! side by side. The **draw** ([`draw_topic`]) spends a token's random numbers
+//! on those sums. [`sample_token`] composes the two, one token at a time.
 
 use rand::Rng;
+use saber_sparse::prefix::find_in_prefix_sum;
 use saber_sparse::SparseRowView;
 
 use crate::trees::TopicSampler;
 
+/// Chains [`product_chains`] advances together: the adds of one chain wait
+/// for each other, those of its neighbours fill the wait.
+pub(crate) const LANES: usize = 4;
+
 /// Scratch state reused across calls to avoid per-token allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SampleScratch {
-    /// Inclusive prefix sums of the element-wise products
-    /// `P_k = A_dk · B̂_vk` over the non-zero topics. Only grows; a call uses
-    /// the first `K_d` slots.
-    prefix: Vec<f32>,
+    /// Per lane, the running sums of the element-wise products
+    /// `P_k = A_dk · B̂_vk` over the non-zero topics. Only grows; a chain uses
+    /// the first `K_d` slots, [`sample_token`] lane 0.
+    sums: [Vec<f32>; LANES],
 }
 
 impl SampleScratch {
@@ -38,14 +46,101 @@ impl SampleScratch {
     }
 }
 
-/// Draws a new topic for one token (Alg. 2).
+/// The first `len` slots of a scratch lane, grown on demand.
+fn lane(sums: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if sums.len() < len {
+        sums.resize(len, 0.0);
+    }
+    &mut sums[..len]
+}
+
+/// Problem 1's chain, continued from the running sum `s`:
+/// `sums[i] = sums[i-1] + counts[i] · bhat_row[indices[i]]`. This loop *is*
+/// the summation order: `f32`, left to right, every partial sum kept — the
+/// sequence a search of `P`'s prefix sums would recompute, non-decreasing
+/// because no term is negative.
 ///
-/// * `doc_row` — the document's row of the document–topic matrix `A` (sparse,
-///   topics as indices, counts as values);
-/// * `bhat_row` — the word's row of `B̂` (dense, length `K`);
-/// * `alpha` — the document–topic smoothing;
-/// * `word_sampler` — pre-processed structure for `p₂(k) ∝ B̂_vk`; its
-///   [`TopicSampler::total`] must equal `Σ_k B̂_vk`.
+/// # Panics
+///
+/// Panics if a topic index is out of range of `bhat_row`.
+pub fn product_chain(
+    indices: &[u32],
+    counts: &[u32],
+    bhat_row: &[f32],
+    mut s: f32,
+    sums: &mut [f32],
+) {
+    for ((slot, &k), &count) in sums.iter_mut().zip(indices).zip(counts) {
+        s += count as f32 * bhat_row[k as usize];
+        *slot = s;
+    }
+}
+
+/// [`product_chain`] for [`LANES`] independent `(row of A, row of B̂)` pairs
+/// (an absent lane is an empty row), returning each lane's sums: one loop
+/// advances every chain over the length of the shortest row, then each
+/// finishes alone, so a lane performs exactly [`product_chain`]'s additions.
+pub(crate) fn product_chains<'s>(
+    rows: &[(SparseRowView<'_, u32>, &[f32]); LANES],
+    scratch: &'s mut SampleScratch,
+) -> [&'s [f32]; LANES] {
+    let shortest = rows.iter().map(|(row, _)| row.nnz()).min().unwrap_or(0);
+    let mut lanes = rows.iter().zip(&mut scratch.sums);
+    let mut sums: [&mut [f32]; LANES] = std::array::from_fn(|_| {
+        let ((row, _), sums) = lanes.next().expect("a scratch lane per row");
+        lane(sums, row.nnz())
+    });
+    // Cut to one length up front, so that the loop indexes without checks.
+    let heads = sums.each_mut().map(|sums| &mut sums[..shortest]);
+    let indices = rows.each_ref().map(|(row, _)| &row.indices()[..shortest]);
+    let counts = rows.each_ref().map(|(row, _)| &row.values()[..shortest]);
+    let mut s = [0.0f32; LANES];
+    for i in 0..shortest {
+        for l in 0..LANES {
+            s[l] += counts[l][i] as f32 * rows[l].1[indices[l][i] as usize];
+            heads[l][i] = s[l];
+        }
+    }
+    for ((&s, (row, bhat_row)), sums) in s.iter().zip(rows).zip(&mut sums) {
+        let (indices, counts) = (&row.indices()[shortest..], &row.values()[shortest..]);
+        product_chain(indices, counts, bhat_row, s, &mut sums[shortest..]);
+    }
+    sums.map(|sums| &*sums)
+}
+
+/// Problem 1 or Problem 2: spends one token's random numbers — a coin, then
+/// a position in `sums` ([`product_chain`]'s output over the topics
+/// `indices`) or in the word's pre-processed structure for
+/// `p₂(k) ∝ B̂_vk`, whose [`TopicSampler::total`] must equal `Σ_k B̂_vk`.
+pub fn draw_topic<R: Rng + ?Sized, S: TopicSampler + ?Sized>(
+    sums: &[f32],
+    indices: &[u32],
+    alpha: f32,
+    word_sampler: &S,
+    rng: &mut R,
+) -> u32 {
+    let s = sums.last().copied().unwrap_or(0.0);
+    let q = alpha * word_sampler.total();
+
+    // Choose the sub-problem.
+    let coin: f32 = rng.gen_range(0.0..1.0);
+    if s > 0.0 && coin < s / (s + q) {
+        // Sample from the sparse product: the first running sum to reach a
+        // random number. Floating-point round-off can leave `x` above the
+        // last sum: the search then answers the last non-zero topic.
+        let x = rng.gen_range(0.0..s).max(f32::MIN_POSITIVE);
+        indices[find_in_prefix_sum(sums, x)]
+    } else {
+        // Sample from the pre-processed dense distribution.
+        let u: f32 = rng.gen_range(0.0..1.0);
+        word_sampler.sample_with(u) as u32
+    }
+}
+
+/// Draws a new topic for one token (Alg. 2): [`product_chain`] over
+/// `doc_row` — the document's row of the document–topic matrix `A` (sparse,
+/// topics as indices, counts as values) — and `bhat_row` — the word's row of
+/// `B̂` (dense, length `K`) — then [`draw_topic`].
 ///
 /// # Panics
 ///
@@ -62,39 +157,10 @@ where
     R: Rng + ?Sized,
     S: TopicSampler + ?Sized,
 {
-    // Problem 1: P = A_d ⊙ B̂_v over the non-zeros of A_d, summed left to
-    // right. The running sum is kept per element: it is the very sequence a
-    // search of P's prefix sums would recompute.
     let indices = doc_row.indices();
-    if scratch.prefix.len() < indices.len() {
-        scratch.prefix.resize(indices.len(), 0.0);
-    }
-    let prefix = &mut scratch.prefix[..indices.len()];
-    let mut s = 0.0f32;
-    for ((slot, &k), &count) in prefix.iter_mut().zip(indices).zip(doc_row.values()) {
-        s += count as f32 * bhat_row[k as usize];
-        *slot = s;
-    }
-    let q = alpha * word_sampler.total();
-
-    // Choose the sub-problem.
-    let coin: f32 = rng.gen_range(0.0..1.0);
-    if s > 0.0 && coin < s / (s + q) {
-        // Sample from the sparse product: position of a random number in the
-        // prefix-sum array of P.
-        let x = rng.gen_range(0.0..s).max(f32::MIN_POSITIVE);
-        // Floating-point round-off can leave `x` above the last sum: fall
-        // through to the last non-zero topic.
-        let i = prefix
-            .iter()
-            .position(|&acc| acc >= x)
-            .unwrap_or(indices.len() - 1);
-        indices[i]
-    } else {
-        // Sample from the pre-processed dense distribution.
-        let u: f32 = rng.gen_range(0.0..1.0);
-        word_sampler.sample_with(u) as u32
-    }
+    let sums = lane(&mut scratch.sums[0], indices.len());
+    product_chain(indices, doc_row.values(), bhat_row, 0.0, sums);
+    draw_topic(sums, indices, alpha, word_sampler, rng)
 }
 
 /// The vanilla `O(K)` sampler of §2.3, used by the dense GPU baseline

@@ -130,7 +130,7 @@ impl SaberLda {
             full_rebuilds: 0,
         };
         // Initial M-step (not timed as an iteration).
-        let mut tracker = MemoryTracker::new(trainer.config.device.l2_cache_bytes);
+        let mut tracker = MemoryTracker::disabled();
         trainer.m_step(&mut tracker);
         Ok(trainer)
     }
@@ -363,7 +363,7 @@ impl SaberLda {
         let mut chunk = chunks.remove(0);
         chunk.randomize_topics(self.config.n_topics, &mut self.rng);
         let tokens = chunk.n_tokens() as u64;
-        let mut tracker = MemoryTracker::new(self.config.device.l2_cache_bytes);
+        let mut tracker = MemoryTracker::disabled();
         accumulate_word_topic(&chunk, self.model.word_topic_mut(), &mut tracker);
         self.doc_topics.push(rebuild_doc_topic(
             &chunk,
@@ -387,7 +387,6 @@ impl SaberLda {
     /// (0 when nothing is dirty). The chunks stay dirty — call again for
     /// further passes, or [`SaberLda::iterate`] for a full sweep.
     pub fn iterate_incremental(&mut self) -> u64 {
-        let device_l2 = self.config.device.l2_cache_bytes;
         let mut tokens = 0u64;
         let mut changed: BTreeSet<u32> = BTreeSet::new();
         let dirty: Vec<usize> = self.dirty_chunks.iter().copied().collect();
@@ -398,7 +397,7 @@ impl SaberLda {
                     self.model.word_topic_mut()[(word as usize, topic as usize)] -= 1;
                 }
             }
-            let mut tracker = MemoryTracker::new(device_l2);
+            let mut tracker = MemoryTracker::disabled();
             tokens += sample_chunk(
                 &mut self.chunks[ci],
                 &self.doc_topics[ci],

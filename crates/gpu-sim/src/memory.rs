@@ -113,6 +113,7 @@ impl L2Cache {
 pub struct MemoryTracker {
     l2: L2Cache,
     stats: KernelStats,
+    enabled: bool,
 }
 
 impl MemoryTracker {
@@ -121,6 +122,27 @@ impl MemoryTracker {
         MemoryTracker {
             l2: L2Cache::new(l2_capacity_bytes.max(CACHE_LINE_BYTES), 16),
             stats: KernelStats::default(),
+            enabled: true,
+        }
+    }
+
+    /// The null object, for a caller that must pass a tracker and will not
+    /// read it: records nothing, and no access reaches the L2 model.
+    pub fn disabled() -> Self {
+        MemoryTracker {
+            enabled: false,
+            ..MemoryTracker::new(CACHE_LINE_BYTES)
+        }
+    }
+
+    /// `false` for [`MemoryTracker::disabled`]: skip a pass that only feeds it.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn count(&mut self, add: impl FnOnce(&mut KernelStats)) {
+        if self.enabled {
+            add(&mut self.stats);
         }
     }
 
@@ -128,7 +150,7 @@ impl MemoryTracker {
     /// The address space is logical — each data structure picks a distinct
     /// base offset so that cache behaviour between structures is realistic.
     pub fn global_read(&mut self, addr: u64, bytes: u64) {
-        if bytes == 0 {
+        if bytes == 0 || !self.enabled {
             return;
         }
         let first_line = addr / CACHE_LINE_BYTES;
@@ -143,10 +165,31 @@ impl MemoryTracker {
         self.stats.global_read_bytes += (lines - hits) * CACHE_LINE_BYTES;
     }
 
+    /// Records the same read `times` times in a row. The first goes through
+    /// the L2 model; if it spans no more lines than the cache has sets, each
+    /// of its lines is then the most recently used of a set of its own, so
+    /// every repeat hits on every line and reorders nothing: the repeats are
+    /// counted, not simulated.
+    pub fn global_read_repeated(&mut self, addr: u64, bytes: u64, times: u64) {
+        if bytes == 0 || times == 0 || !self.enabled {
+            return;
+        }
+        self.global_read(addr, bytes);
+        let lines = (addr + bytes - 1) / CACHE_LINE_BYTES - addr / CACHE_LINE_BYTES + 1;
+        if lines > self.l2.n_sets as u64 {
+            (1..times).for_each(|_| self.global_read(addr, bytes));
+        } else {
+            let hit_lines = (times - 1) * lines;
+            self.l2.hits += hit_lines;
+            self.stats.global_transactions += hit_lines;
+            self.stats.l2_hit_bytes += hit_lines * CACHE_LINE_BYTES;
+        }
+    }
+
     /// Records a global-memory write of `bytes` bytes starting at `addr`
     /// (write-through accounting: every written line reaches DRAM).
     pub fn global_write(&mut self, addr: u64, bytes: u64) {
-        if bytes == 0 {
+        if bytes == 0 || !self.enabled {
             return;
         }
         let first_line = addr / CACHE_LINE_BYTES;
@@ -161,17 +204,20 @@ impl MemoryTracker {
 
     /// Records a shared-memory read.
     pub fn shared_read(&mut self, bytes: u64) {
-        self.stats.shared_read_bytes += bytes;
+        self.count(|stats| stats.shared_read_bytes += bytes);
     }
 
     /// Records a shared-memory write.
     pub fn shared_write(&mut self, bytes: u64) {
-        self.stats.shared_write_bytes += bytes;
+        self.count(|stats| stats.shared_write_bytes += bytes);
     }
 
     /// Records an atomic add to global memory (`atomicAdd` on `B`), which
     /// costs one read-modify-write transaction.
     pub fn atomic_add(&mut self, addr: u64, bytes: u64) {
+        if !self.enabled {
+            return;
+        }
         self.stats.atomic_adds += 1;
         self.global_read(addr, bytes);
         self.stats.global_write_bytes += bytes;
@@ -179,17 +225,17 @@ impl MemoryTracker {
 
     /// Adds `count` warp instructions.
     pub fn instructions(&mut self, count: u64) {
-        self.stats.warp_instructions += count;
+        self.count(|stats| stats.warp_instructions += count);
     }
 
     /// Adds warp wait-iterations (lanes idling behind a longer lane).
     pub fn wait(&mut self, iterations: u64) {
-        self.stats.wait_iterations += iterations;
+        self.count(|stats| stats.wait_iterations += iterations);
     }
 
     /// Adds divergent branches.
     pub fn divergence(&mut self, branches: u64) {
-        self.stats.divergent_branches += branches;
+        self.count(|stats| stats.divergent_branches += branches);
     }
 
     /// Accumulated statistics.
@@ -255,6 +301,8 @@ mod tests {
         n_sets: usize,
         associativity: usize,
         sets: Vec<Vec<u64>>,
+        hits: u64,
+        misses: u64,
     }
 
     impl OracleL2 {
@@ -265,6 +313,8 @@ mod tests {
                 n_sets,
                 associativity,
                 sets: vec![Vec::new(); n_sets],
+                hits: 0,
+                misses: 0,
             }
         }
 
@@ -274,18 +324,21 @@ mod tests {
             if let Some(pos) = set.iter().position(|&t| t == line) {
                 set.remove(pos);
                 set.push(line);
+                self.hits += 1;
                 true
             } else {
                 if set.len() >= self.associativity {
                     set.remove(0);
                 }
                 set.push(line);
+                self.misses += 1;
                 false
             }
         }
 
         fn reset(&mut self) {
             self.sets.iter_mut().for_each(Vec::clear);
+            (self.hits, self.misses) = (0, 0);
         }
     }
 
@@ -372,18 +425,37 @@ mod tests {
         fn tracker_counters_match_the_line_by_line_oracle(
             raw in proptest::collection::vec(any::<u64>(), 1..300),
             capacity_lines in 1u64..200,
+            four_kib in any::<bool>(),
         ) {
-            let capacity = capacity_lines * CACHE_LINE_BYTES;
+            // 4 KiB is two 16-way sets: most rows span more lines than that.
+            let capacity = if four_kib { 4096 } else { capacity_lines * CACHE_LINE_BYTES };
             let mut tracker = MemoryTracker::new(capacity);
             let mut oracle = OracleTracker {
                 l2: OracleL2::new(capacity.max(CACHE_LINE_BYTES), 16),
                 stats: KernelStats::default(),
             };
+            let n_sets = oracle.l2.n_sets as u64;
             for &word in &raw {
-                let addr = decode_addr(word, oracle.l2.n_sets as u64);
+                let addr = decode_addr(word, n_sets);
                 // Up to 13 lines: the span of one document row at K_d ≈ 190.
                 let bytes = (word >> 40) % 1600;
                 match (word >> 2) & 7 {
+                    // A read repeated 0 to 11 times is that many reads. Every
+                    // other one is line-aligned and spans 1, exactly `n_sets`
+                    // or `n_sets + 1` lines (the edge of the counted path), or
+                    // as many as the cache holds and one more (where repeats
+                    // stop hitting, so counting them as hits would show).
+                    3 | 4 => {
+                        let sizes = [1, n_sets, n_sets + 1, 16 * n_sets, 16 * n_sets + 1];
+                        let lines = sizes[(word >> 12) as usize % sizes.len()];
+                        let (addr, bytes) = match word & (1 << 11) {
+                            0 => (addr, bytes),
+                            _ => (addr / CACHE_LINE_BYTES * CACHE_LINE_BYTES, lines * CACHE_LINE_BYTES),
+                        };
+                        let times = (word >> 56) % 12;
+                        tracker.global_read_repeated(addr, bytes, times);
+                        (0..times).for_each(|_| oracle.global_read(addr, bytes));
+                    }
                     0 => {
                         tracker.global_write(addr, bytes);
                         oracle.global_write(addr, bytes);
@@ -403,6 +475,10 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(tracker.stats(), &oracle.stats);
+                prop_assert_eq!(
+                    (tracker.l2().hits(), tracker.l2().misses()),
+                    (oracle.l2.hits, oracle.l2.misses)
+                );
             }
         }
     }
@@ -474,6 +550,24 @@ mod tests {
         t.reset();
         assert_eq!(t.stats().global_transactions, 0);
         assert_eq!(t.l2().hits() + t.l2().misses(), 0);
+    }
+
+    #[test]
+    fn disabled_tracker_records_nothing() {
+        let mut t = MemoryTracker::disabled();
+        assert!(!t.is_enabled() && MemoryTracker::new(1 << 20).is_enabled());
+        t.global_read(0, 256);
+        t.global_read_repeated(0, 256, 3);
+        t.global_write(512, 4);
+        t.atomic_add(4096, 4);
+        t.shared_read(64);
+        t.shared_write(32);
+        t.instructions(10);
+        t.wait(2);
+        t.divergence(1);
+        assert_eq!(t.stats(), &KernelStats::default());
+        assert_eq!(t.l2().hits() + t.l2().misses(), 0);
+        assert_eq!(t.take_stats(), KernelStats::default());
     }
 
     #[test]

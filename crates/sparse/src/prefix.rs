@@ -99,20 +99,13 @@ pub fn exclusive_prefix_sum_usize(values: &[usize]) -> Vec<usize> {
 /// assert_eq!(find_in_prefix_sum(&p, 0.5), 2);
 /// assert_eq!(find_in_prefix_sum(&p, 0.99), 3);
 /// ```
+#[inline]
 pub fn find_in_prefix_sum(prefix: &[f32], u: f32) -> usize {
     assert!(!prefix.is_empty(), "prefix-sum array must not be empty");
-    // Binary search for the first element >= u.
-    let mut lo = 0usize;
-    let mut hi = prefix.len();
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if prefix[mid] < u {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo.min(prefix.len() - 1)
+    // Binary search for the first element >= u; the standard library's
+    // bisection selects instead of branching on the unpredictable compare.
+    let first = prefix.partition_point(|&p| p < u);
+    first.min(prefix.len() - 1)
 }
 
 /// Linear-scan variant of [`find_in_prefix_sum`]; used as the oracle in

@@ -3,7 +3,12 @@
 //! The trainer's hot loops are free to get faster but not to change one
 //! output bit: every line of [`GOLDEN`] was captured at commit `c8e83a3`
 //! (the last one before the sampling loop and its execution accounting were
-//! split and the L2 model was flattened) by running this same file there.
+//! split and the L2 model was flattened) by running this same file there;
+//! the `k256/…` lines at `b4b58f1` (the last one before equal
+//! `(document, word)` tokens shared a product chain, four chains ran
+//! interleaved and the draw bisected) the same way. Those run K = 256 on
+//! documents of ≥ 150 tokens over 200 words, so rows of `A` are longer than
+//! a lane batch, unequal, and most pairs repeat.
 //! A line pins, for one configuration on `SyntheticSpec::small_test()`:
 //! the FNV-1a hash of the word–topic counts `B` and of every token's topic
 //! after three sweeps, and per sweep the sampling kernel's DRAM bytes, the
@@ -30,6 +35,7 @@ use saberlda::sparse::CsrMatrix;
 use saberlda::{Corpus, DeviceSpec, LdaModel, SaberLda, SaberLdaConfig};
 
 const N_TOPICS: usize = 16;
+const LONG_ROW_TOPICS: usize = 256;
 const SWEEPS: usize = 3;
 
 const GOLDEN: &[&str] = &[
@@ -48,6 +54,9 @@ const GOLDEN: &[&str] = &[
     "word/warp/wary/l2=4096 b=0x0f7814feb4994466 topics=0x2e89e8fdd9f81d1b sweeps=60800:0x3ed53c95db086c5a:0xf233b3c736711787,58240:0x3ed53c95db086c5a:0xe4f586926a94abba,57216:0x3ed53c95db086c5a:0x57c6e86e2c41771b",
     "doc/warp/wary/l2=4096 b=0x52d0e6c9b30882c0 topics=0xa79e0fea20c45f58 sweeps=135680:0x3ee2d6f5bc781f05:0x83f50a70d32752e9,134656:0x3ee278bf58ec6709:0x08aecf48f2a197b8,134400:0x3ee27e44643fbd84:0x83cd1d2a35e3b8ab",
     "incremental ingested=229 resampled=458 b=0x50acea3873086371 bhat=0xab15bb9d76e67738 touched=0x40d0f1d3d90d9325",
+    "k256/word/warp/wary b=0xdb9ed0d57fbe033a topics=0x8573269be8c28f84 sweeps=255360:0x3f0a4f027591b719:0x82a47054902020c2,248832:0x3f06f7a3788f3b89:0x6128ae44004f4fb9,245376:0x3f051877efca27a2:0x1d5b6cfc3b5e591f",
+    "k256/doc/warp/wary b=0x15d6ae4f5d56c756 topics=0x550dc6f13e7abef9 sweeps=256512:0x3f3515827e94e88c:0xa23ff81d138eafda,250240:0x3f31282cfb2abb46:0x510fa61b247f4c37,246400:0x3f2d789fa981cd1c:0x3e80e82cbe088230",
+    "k256/word/warp/wary/l2=4096 b=0xdb9ed0d57fbe033a topics=0x8573269be8c28f84 sweeps=1206144:0x3f0a4f027591b719:0x41175775f8555b7a,1006720:0x3f06f7a3788f3b89:0x09bf91b7d20466cb,906240:0x3f051877efca27a2:0x4a1770a05487d5bc",
 ];
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -84,6 +93,7 @@ fn fnv1a_counters(sets: &[KernelStats]) -> u64 {
 }
 
 fn config(
+    n_topics: usize,
     order: TokenOrder,
     kernel: KernelKind,
     preprocess: PreprocessKind,
@@ -94,7 +104,7 @@ fn config(
         device.l2_cache_bytes = bytes;
     }
     SaberLdaConfig::builder()
-        .n_topics(N_TOPICS)
+        .n_topics(n_topics)
         .n_iterations(SWEEPS)
         .n_chunks(2)
         .seed(7)
@@ -226,6 +236,7 @@ fn observe_sweeps(label: &str, config: SaberLdaConfig, corpus: &Corpus) -> Strin
 /// incremental path.
 fn observe_incremental(corpus: &Corpus) -> String {
     let config = config(
+        N_TOPICS,
         TokenOrder::WordMajor,
         KernelKind::WarpBased,
         PreprocessKind::WaryTree,
@@ -269,7 +280,7 @@ fn training_chain_matches_the_values_captured_before_the_split() {
                 (PreprocessKind::FenwickTree, "fenwick"),
             ] {
                 let label = format!("{order_name}/{kernel_name}/{preprocess_name}");
-                let config = config(order, kernel, preprocess, None);
+                let config = config(N_TOPICS, order, kernel, preprocess, None);
                 lines.push(observe_sweeps(&label, config, &corpus));
             }
         }
@@ -281,6 +292,7 @@ fn training_chain_matches_the_values_captured_before_the_split() {
         (TokenOrder::DocMajor, "doc/warp/wary/l2=4096"),
     ] {
         let config = config(
+            N_TOPICS,
             order,
             KernelKind::WarpBased,
             PreprocessKind::WaryTree,
@@ -289,6 +301,35 @@ fn training_chain_matches_the_values_captured_before_the_split() {
         lines.push(observe_sweeps(label, config, &corpus));
     }
     lines.push(observe_incremental(&corpus));
+
+    // Rows of ≈ 150 non-zeros; under the 4 KiB L2 a row spans more lines
+    // than the cache has sets.
+    let long_docs = SyntheticSpec {
+        n_docs: 24,
+        mean_doc_len: 320.0,
+        doc_len_dispersion: 1.25,
+        ..SyntheticSpec::small_test()
+    }
+    .generate(6);
+    assert!(long_docs.documents().iter().all(|d| d.len() >= 150));
+    for (order, l2_cache_bytes, label) in [
+        (TokenOrder::WordMajor, None, "k256/word/warp/wary"),
+        (TokenOrder::DocMajor, None, "k256/doc/warp/wary"),
+        (
+            TokenOrder::WordMajor,
+            Some(4096),
+            "k256/word/warp/wary/l2=4096",
+        ),
+    ] {
+        let config = config(
+            LONG_ROW_TOPICS,
+            order,
+            KernelKind::WarpBased,
+            PreprocessKind::WaryTree,
+            l2_cache_bytes,
+        );
+        lines.push(observe_sweeps(label, config, &long_docs));
+    }
 
     let observed = lines.join("\n");
     assert!(
