@@ -834,32 +834,26 @@ fn handle_publish_shard(request: &Request, state: &HttpState) -> (u16, String) {
         Some(Ok(epoch)) => epoch,
         _ => return error(400, "publication requires an X-Saber-Epoch header"),
     };
-    let current = state.backend.snapshot_version();
-    if epoch <= current {
-        return error(
-            409,
-            &format!("epoch {epoch} is not ahead of the served epoch {current}"),
-        );
-    }
     let snapshot = match InferenceSnapshot::load(&request.body[..]) {
         Ok(snapshot) => snapshot,
         Err(e) => return error(400, &format!("malformed snapshot body: {e}")),
     };
-    if snapshot.vocab_size() != state.backend.vocab_size()
-        || snapshot.n_topics() != state.backend.n_topics()
-    {
-        return error(
-            400,
-            &format!(
-                "published snapshot is {}x{} but this shard serves {}x{}",
-                snapshot.vocab_size(),
-                snapshot.n_topics(),
-                state.backend.vocab_size(),
-                state.backend.n_topics()
-            ),
-        );
+    stage(state, epoch, snapshot)
+}
+
+/// Stages `snapshot` for `epoch` under the one staging contract
+/// ([`StagedEpoch::stage`]): `409` for an epoch not ahead of the served
+/// one, `400` for a shape this shard does not serve.
+fn stage(state: &HttpState, epoch: u64, snapshot: InferenceSnapshot) -> (u16, String) {
+    let backend = &state.backend;
+    let served = (
+        backend.snapshot_version(),
+        backend.vocab_size(),
+        backend.n_topics(),
+    );
+    if let Err(refusal) = state.staged.stage(epoch, snapshot, served) {
+        return error(if refusal.conflict { 409 } else { 400 }, &refusal.detail);
     }
-    state.staged.stage(epoch, snapshot);
     let body = saber_core::json::JsonValue::object([(
         "staged_epoch",
         saber_core::json::JsonValue::from(epoch),
@@ -892,13 +886,6 @@ fn handle_publish_delta(request: &Request, state: &HttpState) -> (u16, String) {
             ),
         );
     }
-    let current = state.backend.snapshot_version();
-    if target <= current {
-        return error(
-            409,
-            &format!("epoch {target} is not ahead of the served epoch {current}"),
-        );
-    }
     let snapshot = match state.backend.current_snapshot() {
         Some(snapshot) => snapshot,
         None => {
@@ -918,28 +905,10 @@ fn handle_publish_delta(request: &Request, state: &HttpState) -> (u16, String) {
             ),
         );
     }
-    if delta.vocab_size != snapshot.vocab_size() || delta.n_topics != snapshot.n_topics() {
-        return error(
-            400,
-            &format!(
-                "delta is {}x{} but this shard serves {}x{}",
-                delta.vocab_size,
-                delta.n_topics,
-                snapshot.vocab_size(),
-                snapshot.n_topics()
-            ),
-        );
+    match snapshot.apply_delta(&delta) {
+        Ok(patched) => stage(state, target, patched),
+        Err(e) => error(400, &format!("delta does not apply: {e}")),
     }
-    let patched = match snapshot.apply_delta(&delta) {
-        Ok(patched) => patched,
-        Err(e) => return error(400, &format!("delta does not apply: {e}")),
-    };
-    state.staged.stage(target, patched);
-    let body = saber_core::json::JsonValue::object([(
-        "staged_epoch",
-        saber_core::json::JsonValue::from(target),
-    )]);
-    (200, body.to_string())
 }
 
 fn handle_commit_epoch(request: &Request, state: &HttpState) -> (u16, String) {

@@ -120,8 +120,8 @@ pub use snapshot::{FoldInKind, FoldInParams, InferenceSnapshot, SnapshotSampler}
 pub use stats::{HistogramSnapshot, LatencyHistogram};
 pub use swap::SnapshotCell;
 pub use transport::{
-    HttpTransport, HttpTransportConfig, LocalTransport, PendingPartial, PollOutcome,
-    ReplicaBreaker, ReplicaConfig, ShardInfo, ShardTransport,
+    HttpTransport, LocalTransport, PendingPartial, PollOutcome, ReplicaBreaker, ReplicaConfig,
+    ShardInfo, ShardTransport,
 };
 
 /// The inference surface the HTTP front-end ([`HttpServer`]) serves.

@@ -229,6 +229,56 @@ impl<T: ShardTransport> ReplicaSet<T> {
         self.breakers.get(r)
     }
 
+    /// Records one exchange with replica `r` on its breaker, `error` being
+    /// what it failed with, if it did: a success re-admits (and resets the
+    /// failure streak), a transport failure counts toward the trip
+    /// threshold, and request-level errors (bad request, deadline,
+    /// overload) say nothing about replica health.
+    fn note(&self, r: usize, error: Option<&ServeError>) {
+        match (self.breakers.get(r), error) {
+            (Some(breaker), None) => breaker.record_success(),
+            (Some(breaker), Some(ServeError::Transport { .. })) => breaker.record_failure(),
+            _ => {}
+        }
+    }
+
+    /// Calls `call` on the replicas in `order` until one returns `Ok`, and
+    /// hands that back with the replica's index: replicas hold identical
+    /// slices, so the first answer is authoritative. A transport error is
+    /// noted on the replica's breaker and rotates to the next one; any
+    /// other error is the request's own fault — failing over would just
+    /// repeat it — and returns at once. Only when every replica is
+    /// unreachable does the last transport error propagate. A success is
+    /// *not* noted here: a fan-out submission that was merely accepted has
+    /// proved nothing yet.
+    fn first_ok<V>(
+        &self,
+        order: impl IntoIterator<Item = usize>,
+        mut call: impl FnMut(&T) -> Result<V, ServeError>,
+    ) -> Result<(usize, V), ServeError> {
+        let mut last_err = ServeError::Closed;
+        for r in order {
+            match self.replicas.get(r).map(&mut call) {
+                Some(Ok(value)) => return Ok((r, value)),
+                Some(Err(e @ ServeError::Transport { .. })) => {
+                    self.note(r, Some(&e));
+                    last_err = e;
+                }
+                Some(Err(e)) => return Err(e),
+                None => {}
+            }
+        }
+        Err(last_err)
+    }
+
+    /// One whole exchange with the first replica, in replica order, that
+    /// answers — [`ReplicaSet::first_ok`] with the success noted too.
+    fn ask<V>(&self, call: impl FnMut(&T) -> Result<V, ServeError>) -> Result<V, ServeError> {
+        let (r, value) = self.first_ok(0..self.replicas.len(), call)?;
+        self.note(r, None);
+        Ok(value)
+    }
+
     /// This request's replica preference: rotate the set by the
     /// seed-derived `choice`, then move replicas whose breaker refuses
     /// admission to the back (not out — with every breaker open, traffic
@@ -752,34 +802,13 @@ impl<T: ShardTransport> ShardRouter<T> {
         Ok(committed)
     }
 
-    /// Live-probes the fleet's epoch through shard 0's replicas in
-    /// replica order, with breaker accounting: the first replica that
-    /// answers is authoritative (replicas serve identical slices), and
-    /// only when every replica is unreachable does the last transport
-    /// error propagate.
+    /// Live-probes the fleet's epoch through shard 0's replicas
+    /// ([`ReplicaSet::ask`]: the first that answers is authoritative).
     fn observe_fleet_epoch(&self) -> Result<u64, ServeError> {
-        let mut last_err = None;
-        if let Some(set) = self.shards.first() {
-            for (r, transport) in set.replicas().iter().enumerate() {
-                match transport.observe_epoch() {
-                    Ok(epoch) => {
-                        if let Some(breaker) = set.breaker(r) {
-                            breaker.record_success();
-                        }
-                        return Ok(epoch);
-                    }
-                    Err(e) => {
-                        if matches!(e, ServeError::Transport { .. }) {
-                            if let Some(breaker) = set.breaker(r) {
-                                breaker.record_failure();
-                            }
-                        }
-                        last_err = Some(e);
-                    }
-                }
-            }
+        match self.shards.first() {
+            Some(set) => set.ask(ShardTransport::observe_epoch),
+            None => Err(ServeError::Closed),
         }
-        Err(last_err.unwrap_or(ServeError::Closed))
     }
 
     /// Exports and publishes the current state of `model`; the sharded
@@ -890,7 +919,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         let mut merged: Vec<(u32, f32)> = Vec::with_capacity(n * self.shards.len());
         for (set, range) in self.shards.iter().zip(self.plan.ranges()) {
             merged.extend(
-                shard_top_words(set, k, n)?
+                set.ask(|transport| transport.top_words(k, n))?
                     .into_iter()
                     .map(|(local, prob)| (local + range.start, prob)),
             );
@@ -926,40 +955,17 @@ impl<T: ShardTransport> ShardRouter<T> {
             .collect()
     }
 
-    /// Fetches every shard's info concurrently, in shard order, trying
-    /// each shard's replicas in replica order until one answers (with
-    /// breaker accounting on transport failures). On a remote fleet these
-    /// are network round trips, and one down shard must not serialise the
-    /// others behind its connect timeout (a stats scrape would otherwise
-    /// stall for `n_shards × timeout`).
+    /// Fetches every shard's info concurrently, in shard order, from the
+    /// first replica of each that answers ([`ReplicaSet::ask`]). On a
+    /// remote fleet these are network round trips, and one down shard must
+    /// not serialise the others behind its connect timeout (a stats scrape
+    /// would otherwise stall for `n_shards × timeout`).
     fn all_shard_infos(&self) -> Vec<Option<ShardInfo>> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter()
-                .map(|set| {
-                    scope.spawn(move || {
-                        set.replicas()
-                            .iter()
-                            .enumerate()
-                            .find_map(|(r, transport)| match transport.shard_info() {
-                                Ok(info) => {
-                                    if let Some(breaker) = set.breaker(r) {
-                                        breaker.record_success();
-                                    }
-                                    Some(info)
-                                }
-                                Err(e) => {
-                                    if matches!(e, ServeError::Transport { .. }) {
-                                        if let Some(breaker) = set.breaker(r) {
-                                            breaker.record_failure();
-                                        }
-                                    }
-                                    None
-                                }
-                            })
-                    })
-                })
+                .map(|set| scope.spawn(move || set.ask(ShardTransport::shard_info).ok()))
                 .collect();
             handles
                 .into_iter()
@@ -1029,18 +1035,18 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// `/healthz` seam on a remote fleet), concurrently so one dead
     /// replica cannot stall the sweep behind its connect timeout, and
     /// records each outcome on the replica's breaker: a probe success
-    /// re-admits a recovered replica, a probe failure counts toward the
+    /// re-admits a recovered replica, an unreachable one counts toward the
     /// trip threshold. The router-backed `GET /healthz` serves this view
     /// and answers 503 when [`FleetHealth::degraded`].
     pub fn fleet_health(&self) -> FleetHealth {
-        let probes: Vec<Vec<bool>> = std::thread::scope(|scope| {
+        let probes: Vec<Vec<Result<u64, ServeError>>> = std::thread::scope(|scope| {
             let handles: Vec<Vec<_>> = self
                 .shards
                 .iter()
                 .map(|set| {
                     set.replicas()
                         .iter()
-                        .map(|transport| scope.spawn(move || transport.observe_epoch().is_ok()))
+                        .map(|transport| scope.spawn(move || transport.observe_epoch()))
                         .collect()
                 })
                 .collect();
@@ -1048,31 +1054,29 @@ impl<T: ShardTransport> ShardRouter<T> {
                 .into_iter()
                 .map(|set| {
                     set.into_iter()
-                        .map(|handle| handle.join().unwrap_or(false))
+                        .map(|handle| handle.join().unwrap_or(Err(ServeError::Closed)))
                         .collect()
                 })
                 .collect()
         });
-        let mut shards = Vec::with_capacity(self.shards.len());
-        let mut degraded = false;
-        for (set, probed) in self.shards.iter().zip(probes) {
-            let mut replicas = Vec::with_capacity(set.len());
-            for (r, reachable) in probed.into_iter().enumerate() {
-                if let Some(breaker) = set.breaker(r) {
-                    if reachable {
-                        breaker.record_success();
-                    } else {
-                        breaker.record_failure();
+        let shards: Vec<Vec<ReplicaHealth>> = self
+            .shards
+            .iter()
+            .zip(probes)
+            .map(|(set, probed)| {
+                let health = |(r, probe): (usize, &Result<u64, ServeError>)| {
+                    set.note(r, probe.as_ref().err());
+                    ReplicaHealth {
+                        reachable: probe.is_ok(),
+                        admitted: set.breaker(r).is_some_and(ReplicaBreaker::is_admitted),
                     }
-                    replicas.push(ReplicaHealth {
-                        reachable,
-                        admitted: breaker.is_admitted(),
-                    });
-                }
-            }
-            degraded |= !replicas.iter().any(|r| r.reachable && r.admitted);
-            shards.push(replicas);
-        }
+                };
+                probed.iter().enumerate().map(health).collect()
+            })
+            .collect();
+        let degraded = shards
+            .iter()
+            .any(|replicas| !replicas.iter().any(|r| r.reachable && r.admitted));
         FleetHealth { shards, degraded }
     }
 
@@ -1299,40 +1303,20 @@ impl<T: ShardTransport> ShardRouter<T> {
             let span_id = trace.begin(Some(wave_span), ShardPlan::span_name(s));
             let ctx = trace.context(span_id);
             let set = &self.shards[s];
-            let mut submitted = None;
-            let mut last_err = None;
-            for r in set.preference(derive_replica_choice(seed, s, set.len())) {
-                match set.replicas()[r].submit_partial(words.clone(), request_for(s), deadline, ctx)
-                {
-                    Ok(handle) => {
-                        self.shard_requests[s].fetch_add(1, Ordering::Relaxed);
-                        submitted = Some((r, handle));
-                        break;
-                    }
-                    Err(e @ ServeError::Transport { .. }) => {
-                        if let Some(breaker) = set.breaker(r) {
-                            breaker.record_failure();
-                        }
-                        last_err = Some(e);
-                    }
-                    // Overload, closure and bad requests are not replica
-                    // faults; failing over would just repeat them.
-                    Err(e) => {
-                        last_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            match submitted {
-                Some((replica, handle)) => pending.push(Leg {
-                    shard: s,
-                    replica,
-                    span: (span_id, begin_us),
-                    ctx,
-                    pending: handle,
-                }),
-                None => return Err(attribute_shard(last_err.unwrap_or(ServeError::Closed), s)),
-            }
+            let order = set.preference(derive_replica_choice(seed, s, set.len()));
+            let (replica, handle) = set
+                .first_ok(order, |transport| {
+                    transport.submit_partial(words.clone(), request_for(s), deadline, ctx)
+                })
+                .map_err(|e| attribute_shard(e, s))?;
+            self.shard_requests[s].fetch_add(1, Ordering::Relaxed);
+            pending.push(Leg {
+                shard: s,
+                replica,
+                span: (span_id, begin_us),
+                ctx,
+                pending: handle,
+            });
         }
         Ok(pending)
     }
@@ -1356,7 +1340,7 @@ impl<T: ShardTransport> ShardRouter<T> {
             pending,
         } = leg;
         let (mut outcome, responder) = self.race_hedge(shard, replica, pending, req, ctx, trace);
-        self.note_leg_outcome(shard, responder, &outcome);
+        self.shards[shard].note(responder, outcome.as_ref().err());
         if matches!(outcome, Err(ServeError::Transport { .. })) {
             outcome = self.retry_leg(shard, responder, req, ctx, trace);
         }
@@ -1428,7 +1412,7 @@ impl<T: ShardTransport> ShardRouter<T> {
             match primary.wait_until(Instant::now() + slice) {
                 PollOutcome::Ready(Ok(response)) => return (Ok(response), replica),
                 PollOutcome::Ready(Err(e)) => {
-                    self.note_leg_outcome(shard, replica, &Err(e));
+                    set.note(replica, Some(&e));
                     return (hedge.wait(deadline), other);
                 }
                 PollOutcome::Pending(p) => primary = p,
@@ -1436,7 +1420,7 @@ impl<T: ShardTransport> ShardRouter<T> {
             match hedge.wait_until(Instant::now() + slice) {
                 PollOutcome::Ready(Ok(response)) => return (Ok(response), other),
                 PollOutcome::Ready(Err(e)) => {
-                    self.note_leg_outcome(shard, other, &Err(e));
+                    set.note(other, Some(&e));
                     return (primary.wait(deadline), replica);
                 }
                 PollOutcome::Pending(h) => hedge = h,
@@ -1483,28 +1467,8 @@ impl<T: ShardTransport> ShardRouter<T> {
                 self.shard_requests[shard].fetch_add(1, Ordering::Relaxed);
                 handle.wait(deadline)
             });
-        self.note_leg_outcome(shard, target, &outcome);
+        set.note(target, outcome.as_ref().err());
         outcome
-    }
-
-    /// Records one leg's outcome on the replica that served it: a success
-    /// re-admits (and resets the failure streak), a transport failure
-    /// counts toward the trip threshold, and request-level errors (bad
-    /// request, deadline, overload) say nothing about replica health.
-    fn note_leg_outcome(
-        &self,
-        shard: usize,
-        replica: usize,
-        outcome: &Result<PartialResponse, ServeError>,
-    ) {
-        let Some(breaker) = self.shards.get(shard).and_then(|set| set.breaker(replica)) else {
-            return;
-        };
-        match outcome {
-            Ok(_) => breaker.record_success(),
-            Err(ServeError::Transport { .. }) => breaker.record_failure(),
-            Err(_) => {}
-        }
     }
 
     /// The uniform θ an empty document gets, cast through the same `f64 →
@@ -1576,37 +1540,6 @@ fn validate_replica(
         });
     }
     Ok(())
-}
-
-/// One shard's local top words with replica failover: replicas hold
-/// identical slices, so the first one that answers is authoritative.
-/// Transport errors rotate to the next replica (with breaker
-/// accounting); any other error is the request's own fault and returns
-/// immediately.
-fn shard_top_words<T: ShardTransport>(
-    set: &ReplicaSet<T>,
-    k: usize,
-    n: usize,
-) -> Result<Vec<(u32, f32)>, ServeError> {
-    let mut last_err = None;
-    for (r, transport) in set.replicas().iter().enumerate() {
-        match transport.top_words(k, n) {
-            Ok(rows) => {
-                if let Some(breaker) = set.breaker(r) {
-                    breaker.record_success();
-                }
-                return Ok(rows);
-            }
-            Err(e @ ServeError::Transport { .. }) => {
-                if let Some(breaker) = set.breaker(r) {
-                    breaker.record_failure();
-                }
-                last_err = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_err.unwrap_or(ServeError::Closed))
 }
 
 /// Records the first observed snapshot version and rejects any later

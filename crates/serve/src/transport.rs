@@ -16,7 +16,9 @@
 //! * [`HttpTransport`] speaks the crate's existing HTTP/1.1 wire format
 //!   (`POST /infer-partial`, `GET /shard-info`, `POST /publish-shard`,
 //!   `POST /commit-epoch`; see [`crate::wire`]) to a shard process on
-//!   another machine. Because the JSON codec round-trips `f64`s exactly,
+//!   another machine, with no machinery of its own: the calling thread
+//!   writes each request on a pooled keep-alive connection and reads the
+//!   reply when it waits. Because the JSON codec round-trips `f64`s exactly,
 //!   a remote EM fan-out reproduces the local one bit for bit, and the
 //!   router's epoch-skew detection works identically: every partial
 //!   response carries the snapshot version that produced it.
@@ -29,13 +31,12 @@
 //! [`ShardTransport::commit_publish`] loop that actually swaps — keeping
 //! the mixed-version window as tight as a single in-process Arc swap.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use saber_core::model_io::{save_delta, DeltaPayload};
@@ -94,10 +95,9 @@ pub enum PollOutcome<P> {
 /// is what lets the router land every shard's request before blocking on
 /// any reply, so shards execute concurrently.
 ///
-/// Dropping a pending handle cancels the wait: the shard's eventual reply
-/// is discarded at the channel (both transports tolerate a vanished
-/// receiver), which is how the router abandons the losing leg of a hedged
-/// request.
+/// Dropping a pending handle cancels the wait — a local shard's eventual
+/// reply is discarded at its channel, a remote one's connection is closed
+/// — which is how the router abandons the losing leg of a hedged request.
 pub trait PendingPartial {
     /// Awaits the shard's reply, honouring the request deadline the router
     /// passed at submission.
@@ -224,12 +224,14 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
 }
 
 /// The staged-epoch slot shared by [`LocalTransport`] and the HTTP shard
-/// endpoints, so the subtle commit rule lives in exactly one place:
-/// staging replaces any previous stage (the router serialises
-/// publications, so a leftover stage is an aborted one); a commit is
-/// idempotent for the epoch already served and consumes the stage only
-/// when it matches — in particular, a stale duplicate commit must never
-/// discard a snapshot staged for a newer epoch.
+/// endpoints, so the staging contract and the subtle commit rule each live
+/// in exactly one place: a slice is staged only for an epoch ahead of the
+/// served one and only in the served shape, and staging replaces any
+/// previous stage (the router serialises publications, so a leftover stage
+/// is an aborted one); a commit is idempotent for the epoch already served
+/// and consumes the stage only when it matches — in particular, a stale
+/// duplicate commit must never discard a snapshot staged for a newer
+/// epoch.
 #[derive(Debug, Default)]
 pub(crate) struct StagedEpoch(Mutex<Option<(u64, InferenceSnapshot)>>);
 
@@ -244,11 +246,47 @@ pub(crate) enum CommitAction {
     Missing,
 }
 
+/// Why [`StagedEpoch::stage`] refused a slice. `conflict` separates the
+/// epoch that is not ahead (HTTP `409`: the publisher's view of the fleet
+/// is stale) from the wrong shape (`400`: the slice can never be served
+/// here).
+pub(crate) struct StageRefusal {
+    pub(crate) conflict: bool,
+    pub(crate) detail: String,
+}
+
 impl StagedEpoch {
-    pub(crate) fn stage(&self, epoch: u64, snapshot: InferenceSnapshot) {
+    /// Stages `snapshot` for `epoch`, or refuses it: once committed, a
+    /// wrong-`K` slice fails every request at the router's merge, and a
+    /// slice for the epoch already served "commits" as a silent no-op.
+    /// `served` is the epoch and `(V, K)` the shard answers with now.
+    pub(crate) fn stage(
+        &self,
+        epoch: u64,
+        snapshot: InferenceSnapshot,
+        served: (u64, usize, usize),
+    ) -> Result<(), StageRefusal> {
+        let (served_epoch, vocab_size, n_topics) = served;
+        if epoch <= served_epoch {
+            return Err(StageRefusal {
+                conflict: true,
+                detail: format!("epoch {epoch} is not ahead of the served epoch {served_epoch}"),
+            });
+        }
+        if (snapshot.vocab_size(), snapshot.n_topics()) != (vocab_size, n_topics) {
+            return Err(StageRefusal {
+                conflict: false,
+                detail: format!(
+                    "published snapshot is {}x{} but this shard serves {vocab_size}x{n_topics}",
+                    snapshot.vocab_size(),
+                    snapshot.n_topics()
+                ),
+            });
+        }
         // Both critical sections replace or take the whole Option, so a
         // poisoned lock never exposes a torn value — recover from poison.
         *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some((epoch, snapshot));
+        Ok(())
     }
 
     pub(crate) fn take_for_commit(&self, epoch: u64, served_epoch: u64) -> CommitAction {
@@ -470,6 +508,16 @@ impl LocalTransport {
     pub fn server(&self) -> &TopicServer {
         &self.server
     }
+
+    fn stage(&self, epoch: u64, slice: InferenceSnapshot) -> Result<(), ServeError> {
+        let served = self.server.snapshot();
+        let served = (served.version(), served.vocab_size(), served.n_topics());
+        self.staged
+            .stage(epoch, slice, served)
+            .map_err(|refusal| ServeError::InvalidConfig {
+                detail: refusal.detail,
+            })
+    }
 }
 
 /// The pending handle of a [`LocalTransport`] submission: the reply channel
@@ -555,8 +603,7 @@ impl ShardTransport for LocalTransport {
     }
 
     fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.staged.stage(epoch, slice);
-        Ok(())
+        self.stage(epoch, slice)
     }
 
     fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
@@ -570,7 +617,7 @@ impl ShardTransport for LocalTransport {
                 .map_err(|e| ServeError::InvalidConfig {
                     detail: format!("delta does not apply to the served snapshot: {e}"),
                 })?;
-        self.staged.stage(delta.target_version, patched);
+        self.stage(delta.target_version, patched)?;
         Ok(true)
     }
 
@@ -592,108 +639,103 @@ impl ShardTransport for LocalTransport {
 // HTTP transport: a shard process on the other end of a TCP connection.
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs of an [`HttpTransport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HttpTransportConfig {
-    /// Persistent keep-alive connections to the shard (each owned by one
-    /// sender thread); bounds the transport's request concurrency.
-    pub connections: usize,
-    /// Budget for establishing a TCP connection.
-    pub connect_timeout: Duration,
-    /// Socket read/write timeout per I/O operation; a shard that stops
-    /// responding mid-exchange surfaces as a transport error after this
-    /// long instead of hanging a router thread.
-    pub io_timeout: Duration,
-    /// Capacity of the transport's job queue. Deadline-bounded submissions
-    /// fail fast with [`ServeError::Overloaded`] when it is full, exactly
-    /// like a local server's bounded queue.
-    pub queue_depth: usize,
-    /// How long control calls (`shard_info`, `top_words`, epoch probes,
-    /// commits) wait for their reply before giving up.
-    pub control_wait: Duration,
-    /// How long a staged-snapshot upload may take; snapshots are the
-    /// largest messages on this protocol.
-    pub publish_wait: Duration,
-}
-
-impl Default for HttpTransportConfig {
-    fn default() -> Self {
-        HttpTransportConfig {
-            connections: 4,
-            connect_timeout: Duration::from_secs(2),
-            io_timeout: Duration::from_secs(10),
-            queue_depth: 128,
-            control_wait: Duration::from_secs(5),
-            publish_wait: Duration::from_secs(30),
-        }
-    }
-}
-
 /// Largest HTTP response body the client accepts (a defensive bound; real
 /// responses are a few KB).
 const MAX_RESPONSE_BYTES: usize = 64 << 20;
+/// Largest response head (status line and headers) the client accepts.
+const MAX_HEAD_BYTES: usize = 16 << 10;
+/// Budget for establishing a TCP connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long an exchange may go without a byte moving in either direction;
+/// a shard that stops responding mid-exchange surfaces as a transport
+/// error after this long instead of hanging a router thread. (Shortened
+/// under test so the silent-peer case does not take ten seconds.)
+const IO_TIMEOUT: Duration = Duration::from_secs(if cfg!(test) { 1 } else { 10 });
+/// How long control calls (`shard_info`, `top_words`, epoch probes,
+/// commits) wait for their reply before giving up.
+const CONTROL_WAIT: Duration = Duration::from_secs(5);
+/// How long a staged-snapshot upload may take; snapshots are the largest
+/// messages on this protocol.
+const PUBLISH_WAIT: Duration = Duration::from_secs(30);
+/// Idle keep-alive connections one transport keeps: enough for a front's
+/// usual concurrency to find a warm one, a fraction of a shard's
+/// connection cap ([`crate::HttpConfig::max_connections`], 64 by default),
+/// so a quiet router does not sit on the slots other routers need.
+const MAX_IDLE_CONNECTIONS: usize = 16;
 
-/// The outcome of one raw HTTP exchange: status + body, or the transport
-/// error that prevented it.
-type HttpOutcome = Result<(u16, Vec<u8>), ServeError>;
+/// What an [`HttpTransport`] and its in-flight [`HttpPending`] handles
+/// share: the peer's address and the idle keep-alive connections to it.
+#[derive(Debug)]
+struct Peer {
+    addr: SocketAddr,
+    /// Most recently used last, and taken from that end: the warm
+    /// connection stays warm, cold ones age out on the shard's keep-alive
+    /// timeout. Locked for one `pop` or `push`, never across I/O.
+    idle: Mutex<Vec<TcpStream>>,
+}
 
-struct HttpJob {
-    request: Vec<u8>,
-    reply: SyncSender<HttpOutcome>,
+impl Peer {
+    /// Every I/O failure names the peer it happened against, so a router's
+    /// 502 can attribute the fan-out leg that broke.
+    fn transport_err(&self, what: &str, cause: impl std::fmt::Display) -> ServeError {
+        ServeError::Transport {
+            detail: format!("{what}: {cause}"),
+            shard: None,
+            addr: Some(self.addr.to_string()),
+        }
+    }
+
+    fn dial(&self) -> Result<TcpStream, ServeError> {
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)
+            .map_err(|e| self.transport_err("cannot connect to shard", e))?;
+        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+        let _ = stream.set_nodelay(true);
+        Ok(stream)
+    }
+
+    fn take_idle(&self) -> Option<TcpStream> {
+        // Both critical sections move whole streams, so a poisoned lock
+        // never exposes a torn value — recover from poison.
+        self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop()
+    }
+
+    fn put_idle(&self, stream: TcpStream) {
+        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        if idle.len() < MAX_IDLE_CONNECTIONS {
+            idle.push(stream);
+        }
+        // A surplus `stream` closes after the guard is released: parameters
+        // drop after locals.
+    }
 }
 
 /// [`ShardTransport`] over the crate's own HTTP/1.1 wire format — the
-/// remote half of cross-machine sharding. A small pool of sender threads
-/// holds persistent connections to the shard process; requests are
-/// serialised by [`crate::wire`] codecs whose `f64` round trip is exact,
-/// so remote merges match local ones bit for bit.
+/// remote half of cross-machine sharding. The thread that makes a call
+/// writes the request itself, on an idle keep-alive connection when one is
+/// pooled and a fresh one otherwise, and reads the reply when it waits;
+/// the transport starts no thread and holds no queue, so admission is the
+/// shard's own (its `429` and its connection-cap `503` both decode to
+/// [`ServeError::Overloaded`]). Requests are serialised by [`crate::wire`]
+/// codecs whose `f64` round trip is exact, so remote merges match local
+/// ones bit for bit.
 ///
 /// The shard on the other end is any [`crate::HttpServer`] fronting a
 /// [`TopicServer`] — typically one started by the `saber_shardd` example
 /// or your own process that loads an [`InferenceSnapshot`] from disk.
+#[derive(Debug)]
 pub struct HttpTransport {
-    addr: SocketAddr,
-    queue: Option<SyncSender<HttpJob>>,
-    senders: Vec<JoinHandle<()>>,
-    config: HttpTransportConfig,
-}
-
-impl std::fmt::Debug for HttpTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpTransport")
-            .field("addr", &self.addr)
-            .field("connections", &self.config.connections)
-            .finish()
-    }
+    peer: Arc<Peer>,
 }
 
 impl HttpTransport {
-    /// Creates a transport to the shard at `addr` with default tuning.
-    /// Connections are established lazily (and re-established after
-    /// errors), so this does not require the shard to be up yet.
+    /// Creates a transport to the shard at `addr`. Connections are
+    /// established lazily (and re-established after errors), so this does
+    /// not require the shard to be up yet.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when `addr` does not resolve.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
-        HttpTransport::connect_with(addr, HttpTransportConfig::default())
-    }
-
-    /// [`HttpTransport::connect`] with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] when `addr` does not resolve
-    /// or `config.connections`/`queue_depth` is zero.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        config: HttpTransportConfig,
-    ) -> Result<Self, ServeError> {
-        if config.connections == 0 || config.queue_depth == 0 {
-            return Err(ServeError::InvalidConfig {
-                detail: "transport connections and queue_depth must be at least 1".into(),
-            });
-        }
         let addr = addr
             .to_socket_addrs()
             .map_err(|e| ServeError::InvalidConfig {
@@ -703,30 +745,15 @@ impl HttpTransport {
             .ok_or_else(|| ServeError::InvalidConfig {
                 detail: "shard address resolves to nothing".into(),
             })?;
-        let (tx, rx) = sync_channel::<HttpJob>(config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let senders = (0..config.connections)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("saber-shard-tx-{i}"))
-                    .spawn(move || sender_loop(&rx, addr, config))
-                    .map_err(|e| ServeError::Internal {
-                        detail: format!("failed to spawn shard transport sender: {e}"),
-                    })
-            })
-            .collect::<Result<Vec<_>, ServeError>>()?;
+        let idle = Mutex::new(Vec::new());
         Ok(HttpTransport {
-            addr,
-            queue: Some(tx),
-            senders,
-            config,
+            peer: Arc::new(Peer { addr, idle }),
         })
     }
 
     /// The resolved shard address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.peer.addr
     }
 
     /// Builds one HTTP/1.1 request as bytes (keep-alive implied). An
@@ -760,81 +787,228 @@ impl HttpTransport {
         request
     }
 
-    /// Enqueues a request without waiting (the fan-out path).
-    fn enqueue(
-        &self,
-        request: Vec<u8>,
-        fail_fast: bool,
-    ) -> Result<Receiver<HttpOutcome>, ServeError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let job = HttpJob {
+    /// Writes `request` on the calling thread — on the warmest idle
+    /// connection, or a fresh one — and returns the handle that reads the
+    /// reply.
+    fn send(&self, request: Vec<u8>) -> Result<HttpPending, ServeError> {
+        let (stream, reused) = match self.peer.take_idle() {
+            Some(stream) => (stream, true),
+            None => (self.peer.dial()?, false),
+        };
+        let mut pending = HttpPending {
+            peer: Arc::clone(&self.peer),
+            stream,
+            reused,
             request,
-            reply: reply_tx,
+            response: Vec::new(),
+            last_io: Instant::now(),
         };
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        if fail_fast {
-            match queue.try_send(job) {
-                Ok(()) => Ok(reply_rx),
-                Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-                Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-            }
-        } else {
-            queue.send(job).map_err(|_| ServeError::Closed)?;
-            Ok(reply_rx)
+        match pending.write() {
+            Err(_) if pending.reused => pending.redial()?,
+            written => written?,
         }
+        Ok(pending)
     }
 
-    /// Round-trips one request synchronously with a bounded wait (the
-    /// control path: info, stats, publication).
+    /// Round-trips one request with a bounded wait (the control path:
+    /// info, stats, publication).
     fn call(&self, request: Vec<u8>, wait: Duration) -> Result<(u16, Vec<u8>), ServeError> {
-        let rx = self.enqueue(request, false)?;
-        match rx.recv_timeout(wait) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
+        let mut pending = self.send(request)?;
+        match pending.poll(Some(Instant::now() + wait)) {
+            Some(framed) => Ok(pending.finish(framed?)),
+            None => Err(ServeError::DeadlineExceeded),
         }
+    }
+
+    /// A body-less control `GET`, its 200 decoded by `decode`.
+    fn get<T>(
+        &self,
+        path: &str,
+        decode: impl FnOnce(&str) -> Result<T, wire::WireError>,
+    ) -> Result<T, ServeError> {
+        let request = Self::request_bytes("GET", path, "", &[], None, None);
+        let (status, body) = self.call(request, CONTROL_WAIT)?;
+        decode_body(status, &body, decode)
+    }
+
+    /// An epoch-tagged publication `POST`: status and body of the reply.
+    fn post(
+        &self,
+        path: &str,
+        content_type: &str,
+        body: &[u8],
+        epoch: u64,
+        wait: Duration,
+    ) -> Result<(u16, Vec<u8>), ServeError> {
+        let request = Self::request_bytes("POST", path, content_type, body, Some(epoch), None);
+        self.call(request, wait)
     }
 }
 
-impl Drop for HttpTransport {
-    fn drop(&mut self) {
-        self.queue = None;
-        for sender in self.senders.drain(..) {
-            let _ = sender.join();
-        }
-    }
-}
+/// Status and body range of a complete response within the bytes read.
+type Framed = (u16, Range<usize>);
 
-/// The pending handle of an [`HttpTransport`] submission.
+/// The pending handle of an [`HttpTransport`] submission: the connection
+/// the request went out on and whatever of the response has arrived.
+/// Dropping it unfinished closes the socket, which is what cancels the
+/// leg on the shard's side.
 #[derive(Debug)]
-pub struct HttpPending(Receiver<HttpOutcome>);
+pub struct HttpPending {
+    peer: Arc<Peer>,
+    stream: TcpStream,
+    /// The stream came from the idle pool: the shard may have closed it
+    /// between requests, which earns the request one replay on a fresh
+    /// connection (every message on this protocol is safe to replay —
+    /// partials are pure computation, staging and commits idempotent).
+    reused: bool,
+    request: Vec<u8>,
+    response: Vec<u8>,
+    /// When a byte last moved (the write, or the latest read): the I/O
+    /// timeout runs from here, not from each poll — a hedged race polls in
+    /// 1 ms slices and would otherwise never time out.
+    last_io: Instant,
+}
 
-impl PendingPartial for HttpPending {
-    fn wait(self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
-        let outcome = match deadline {
-            None => self.0.recv().map_err(|_| ServeError::Closed)?,
-            Some(at) => {
-                let remaining = at
-                    .checked_duration_since(Instant::now())
-                    .ok_or(ServeError::DeadlineExceeded)?;
-                self.0.recv_timeout(remaining).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
-                    RecvTimeoutError::Disconnected => ServeError::Closed,
-                })?
+impl HttpPending {
+    fn write(&mut self) -> Result<(), ServeError> {
+        self.stream
+            .write_all(&self.request)
+            .map_err(|e| self.peer.transport_err("write to shard failed", e))?;
+        self.last_io = Instant::now();
+        Ok(())
+    }
+
+    fn redial(&mut self) -> Result<(), ServeError> {
+        self.stream = self.peer.dial()?;
+        self.reused = false;
+        self.write()
+    }
+
+    /// Reads until the response is complete (`Some(Ok(..))`), the exchange
+    /// fails (`Some(Err(..))`) or `until` passes (`None`: what has arrived
+    /// stays buffered and a later poll resumes).
+    fn poll(&mut self, until: Option<Instant>) -> Option<Result<Framed, ServeError>> {
+        let read_err =
+            |peer: &Peer, cause: &str| peer.transport_err("read from shard failed", cause);
+        let mut chunk = [0u8; 16 << 10];
+        loop {
+            match parse_head(&self.response) {
+                Ok(Some((status, body))) if self.response.len() >= body.end => {
+                    return Some(Ok((status, body)))
+                }
+                Ok(_) => {}
+                Err(cause) => return Some(Err(read_err(&self.peer, cause))),
             }
-        };
-        let (status, body) = outcome?;
+            let io_deadline = self.last_io + IO_TIMEOUT;
+            let bound = until.map_or(io_deadline, |until| until.min(io_deadline));
+            // Never zero, which `set_read_timeout` rejects: a bound already
+            // in the past still reads what has arrived, within a timer tick.
+            let timeout = bound
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_micros(1));
+            let read = self
+                .stream
+                .set_read_timeout(Some(timeout))
+                .and_then(|()| self.stream.read(&mut chunk));
+            let cause = match read {
+                Ok(0) => "connection closed".to_string(),
+                Ok(n) => {
+                    let arrived = chunk.get(..n).unwrap_or_default();
+                    self.response.extend_from_slice(arrived);
+                    self.last_io = Instant::now();
+                    continue;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    let now = Instant::now();
+                    if now >= io_deadline {
+                        return Some(Err(read_err(&self.peer, "timed out")));
+                    }
+                    if until.is_some_and(|until| now >= until) {
+                        return None;
+                    }
+                    continue;
+                }
+                Err(e) => e.to_string(),
+            };
+            // EOF or a reset before the first response byte of a reused
+            // connection: the shard closed it between requests. Never
+            // replay once a response byte has been consumed.
+            if !(self.reused && self.response.is_empty()) {
+                return Some(Err(read_err(&self.peer, &cause)));
+            }
+            if let Err(e) = self.redial() {
+                return Some(Err(e));
+            }
+        }
+    }
+
+    /// Hands out status and body, and returns the connection to the pool —
+    /// only when the buffer holds exactly this response: trailing bytes
+    /// mean the peer is not speaking one-reply-per-request, and the next
+    /// request on that connection would read them as its answer.
+    fn finish(mut self, (status, body): Framed) -> (u16, Vec<u8>) {
+        let mut response = std::mem::take(&mut self.response);
+        if response.len() == body.end {
+            self.peer.put_idle(self.stream);
+        }
+        response.truncate(body.end);
+        response.drain(..body.start);
+        (status, response)
+    }
+
+    fn finish_partial(
+        self,
+        framed: Result<Framed, ServeError>,
+    ) -> Result<PartialResponse, ServeError> {
+        let (status, body) = self.finish(framed?);
         decode_body(status, &body, wire::decode_partial_response)
     }
+}
 
-    fn wait_until(self, until: Instant) -> PollOutcome<HttpPending> {
-        let bound = until.saturating_duration_since(Instant::now());
-        match self.0.recv_timeout(bound) {
-            Ok(outcome) => PollOutcome::Ready(outcome.and_then(|(status, body)| {
-                decode_body(status, &body, wire::decode_partial_response)
-            })),
-            Err(RecvTimeoutError::Timeout) => PollOutcome::Pending(self),
-            Err(RecvTimeoutError::Disconnected) => PollOutcome::Ready(Err(ServeError::Closed)),
+/// Parses a response head once all of it (through the blank line) is in
+/// `buf`: the status and where the `Content-Length`-framed body sits.
+fn parse_head(buf: &[u8]) -> Result<Option<Framed>, &'static str> {
+    let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+        if buf.len() > MAX_HEAD_BYTES {
+            return Err("response head too large");
+        }
+        return Ok(None);
+    };
+    let mut lines = buf
+        .get(..end)
+        .and_then(|head| std::str::from_utf8(head).ok())
+        .ok_or("malformed response head")?
+        .split("\r\n");
+    let status = lines
+        .next()
+        .and_then(|line| line.split_whitespace().nth(1))
+        .and_then(|status| status.parse::<u16>().ok())
+        .ok_or("malformed status line")?;
+    let mut content_length = 0usize;
+    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+        if name.trim().eq_ignore_ascii_case("content-length") {
+            content_length = value.trim().parse().map_err(|_| "bad content-length")?;
+        }
+    }
+    if content_length > MAX_RESPONSE_BYTES {
+        return Err("response too large");
+    }
+    Ok(Some((status, end + 4..end + 4 + content_length)))
+}
+
+impl PendingPartial for HttpPending {
+    fn wait(mut self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
+        match self.poll(deadline) {
+            Some(framed) => self.finish_partial(framed),
+            None => Err(ServeError::DeadlineExceeded),
+        }
+    }
+
+    fn wait_until(mut self, until: Instant) -> PollOutcome<HttpPending> {
+        match self.poll(Some(until)) {
+            Some(framed) => PollOutcome::Ready(self.finish_partial(framed)),
+            None => PollOutcome::Pending(self),
         }
     }
 }
@@ -862,7 +1036,7 @@ impl ShardTransport for HttpTransport {
         &self,
         words: Vec<u32>,
         request: PartialRequest,
-        deadline: Option<Instant>,
+        _deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<HttpPending, ServeError> {
         let body = wire::encode_partial_request(&words, &request).to_string();
@@ -874,33 +1048,20 @@ impl ShardTransport for HttpTransport {
             None,
             Some(&trace),
         );
-        Ok(HttpPending(self.enqueue(request, deadline.is_some())?))
+        self.send(request)
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        let request = Self::request_bytes(
-            "GET",
-            &format!("/top-words?topic={k}&n={n}"),
-            "application/json",
-            &[],
-            None,
-            None,
-        );
-        let (status, body) = self.call(request, self.config.control_wait)?;
-        decode_body(status, &body, wire::decode_top_words)
+        let path = format!("/top-words?topic={k}&n={n}");
+        self.get(&path, wire::decode_top_words)
     }
 
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
-        let request =
-            Self::request_bytes("GET", "/shard-info", "application/json", &[], None, None);
-        let (status, body) = self.call(request, self.config.control_wait)?;
-        decode_body(status, &body, wire::decode_shard_info)
+        self.get("/shard-info", wire::decode_shard_info)
     }
 
     fn observe_epoch(&self) -> Result<u64, ServeError> {
-        let request = Self::request_bytes("GET", "/healthz", "application/json", &[], None, None);
-        let (status, body) = self.call(request, self.config.control_wait)?;
-        decode_body(status, &body, wire::decode_healthz_version)
+        self.get("/healthz", wire::decode_healthz_version)
     }
 
     fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
@@ -908,15 +1069,13 @@ impl ShardTransport for HttpTransport {
         slice.save(&mut body).map_err(|e| {
             ServeError::transport(format!("failed to serialise snapshot slice: {e}"))
         })?;
-        let request = Self::request_bytes(
-            "POST",
+        let (status, body) = self.post(
             "/publish-shard",
             "application/octet-stream",
             &body,
-            Some(epoch),
-            None,
-        );
-        let (status, body) = self.call(request, self.config.publish_wait)?;
+            epoch,
+            PUBLISH_WAIT,
+        )?;
         decode_body(status, &body, |_| Ok(()))
     }
 
@@ -925,15 +1084,13 @@ impl ShardTransport for HttpTransport {
         save_delta(delta, &mut body).map_err(|e| {
             ServeError::transport(format!("failed to serialise snapshot delta: {e}"))
         })?;
-        let request = Self::request_bytes(
-            "POST",
+        let (status, body) = self.post(
             "/publish-delta",
             "application/octet-stream",
             &body,
-            Some(delta.target_version),
-            None,
-        );
-        let (status, body) = self.call(request, self.config.publish_wait)?;
+            delta.target_version,
+            PUBLISH_WAIT,
+        )?;
         if status == 409 {
             // The shard declined — its served version is not the delta's
             // base (or the target is behind). Not an error: the caller
@@ -948,123 +1105,16 @@ impl ShardTransport for HttpTransport {
         let body = format!("{{\"epoch\":{epoch}}}");
         // The epoch also rides the X-Saber-Epoch header so the shard can
         // verify the commit names the epoch it actually has staged.
-        let request = Self::request_bytes(
-            "POST",
+        let (status, body) = self.post(
             "/commit-epoch",
             "application/json",
             body.as_bytes(),
-            Some(epoch),
-            None,
-        );
-        let (status, body) = self.call(request, self.config.control_wait)?;
+            epoch,
+            CONTROL_WAIT,
+        )?;
         decode_body(status, &body, wire::decode_healthz_version)?;
         Ok(epoch)
     }
-}
-
-/// One sender thread: owns (at most) one keep-alive connection, drains the
-/// shared job queue, and reconnects on I/O failure — retrying the in-hand
-/// request once on a fresh connection, since every message on this
-/// protocol is safe to replay (partials are pure computation, staging and
-/// commits are idempotent).
-fn sender_loop(rx: &Mutex<Receiver<HttpJob>>, addr: SocketAddr, config: HttpTransportConfig) {
-    let mut connection: Option<BufReader<TcpStream>> = None;
-    loop {
-        let job = {
-            // Sender threads never panic holding this lock; recover from
-            // poison rather than wedging every remaining sender.
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            match guard.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            }
-        };
-        let mut result = exchange(&mut connection, addr, &config, &job.request);
-        if result.is_err() {
-            // The keep-alive connection may simply have been closed by the
-            // shard between requests; one fresh-connection retry
-            // distinguishes that from a shard that is actually down.
-            connection = None;
-            result = exchange(&mut connection, addr, &config, &job.request);
-            if result.is_err() {
-                connection = None;
-            }
-        }
-        // A send fails only when the requester stopped waiting; fine.
-        let _ = job.reply.send(result);
-    }
-}
-
-/// Writes one request and reads one response over the (re)used connection.
-fn exchange(
-    connection: &mut Option<BufReader<TcpStream>>,
-    addr: SocketAddr,
-    config: &HttpTransportConfig,
-    request: &[u8],
-) -> Result<(u16, Vec<u8>), ServeError> {
-    // Every I/O failure names the peer it happened against, so a router's
-    // 502 can attribute the fan-out leg that broke.
-    let transport_err = |detail: String| ServeError::Transport {
-        detail,
-        shard: None,
-        addr: Some(addr.to_string()),
-    };
-    let reader = match connection {
-        Some(reader) => reader,
-        None => {
-            let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)
-                .map_err(|e| transport_err(format!("cannot connect to shard: {e}")))?;
-            let _ = stream.set_read_timeout(Some(config.io_timeout));
-            let _ = stream.set_write_timeout(Some(config.io_timeout));
-            let _ = stream.set_nodelay(true);
-            connection.insert(BufReader::new(stream))
-        }
-    };
-    reader
-        .get_mut()
-        .write_all(request)
-        .and_then(|_| reader.get_mut().flush())
-        .map_err(|e| transport_err(format!("write to shard failed: {e}")))?;
-    read_response(reader).map_err(|e| transport_err(format!("read from shard failed: {e}")))
-}
-
-/// Reads one `Content-Length`-framed HTTP/1.1 response.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Vec<u8>)> {
-    use std::io::{Error, ErrorKind};
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(Error::new(ErrorKind::UnexpectedEof, "connection closed"));
-    }
-    let status = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "malformed status line"))?;
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(Error::new(ErrorKind::UnexpectedEof, "EOF in headers"));
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| Error::new(ErrorKind::InvalidData, "bad content-length"))?;
-            }
-        }
-    }
-    if content_length > MAX_RESPONSE_BYTES {
-        return Err(Error::new(ErrorKind::InvalidData, "response too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((status, body))
 }
 
 #[cfg(test)]
@@ -1324,35 +1374,346 @@ mod tests {
             HttpTransport::connect("definitely-not-a-host.invalid:80"),
             Err(ServeError::InvalidConfig { .. })
         ));
-        assert!(matches!(
-            HttpTransport::connect_with(
-                "127.0.0.1:1",
-                HttpTransportConfig {
-                    connections: 0,
-                    ..HttpTransportConfig::default()
-                }
-            ),
-            Err(ServeError::InvalidConfig { .. })
-        ));
     }
 
     #[test]
     fn http_transport_surfaces_unreachable_shards_as_transport_errors() {
-        // Port 1 on loopback is essentially never listening; the control
-        // call must fail with a transport error, not hang.
-        let transport = HttpTransport::connect_with(
-            "127.0.0.1:1",
-            HttpTransportConfig {
-                connections: 1,
-                connect_timeout: Duration::from_millis(200),
-                control_wait: Duration::from_secs(2),
-                ..HttpTransportConfig::default()
-            },
-        )
-        .unwrap();
+        // Port 1 on loopback is essentially never listening and refuses at
+        // once; the control call must fail with a transport error naming
+        // the peer, not hang.
+        let transport = HttpTransport::connect("127.0.0.1:1").unwrap();
+        match transport.observe_epoch() {
+            Err(ServeError::Transport { addr, .. }) => {
+                assert_eq!(addr.as_deref(), Some("127.0.0.1:1"))
+            }
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // HttpTransport over real loopback TCP: a real shard where one can
+    // produce the case, a scripted peer where it cannot.
+    // -----------------------------------------------------------------
+
+    use crate::{HttpConfig, HttpServer, ShardPlan, ShardRouter};
+    use std::net::TcpListener;
+    use std::sync::mpsc::{channel, Sender};
+
+    fn shard(config: HttpConfig) -> (HttpServer, HttpTransport) {
+        let server =
+            TopicServer::from_model(&planted_model(12, 3), ServeConfig::default()).unwrap();
+        let http = HttpServer::bind("127.0.0.1:0", Arc::new(server), None, config).unwrap();
+        let transport = HttpTransport::connect(http.local_addr()).unwrap();
+        (http, transport)
+    }
+
+    fn submit<T: ShardTransport>(transport: &T) -> T::Pending {
+        transport
+            .submit_partial(
+                vec![0, 3, 6],
+                PartialRequest::FoldIn { seed: 4 },
+                None,
+                TraceContext::disabled(),
+            )
+            .unwrap()
+    }
+
+    /// A valid `/infer-partial` reply, as a real shard would frame it.
+    fn canned_reply() -> Vec<u8> {
+        let response = submit(&transport()).wait(None).unwrap();
+        let body = wire::encode_partial_response(&response, (0, 12)).to_string();
+        let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
+        (head + &body).into_bytes()
+    }
+
+    /// Reads one request off a scripted peer's connection; `false` on EOF.
+    fn read_request(stream: &mut TcpStream) -> bool {
+        let mut seen = Vec::new();
+        let mut byte = [0u8; 1];
+        while !seen.ends_with(b"\r\n\r\n") {
+            match stream.read(&mut byte) {
+                Ok(1) => seen.push(byte[0]),
+                _ => return false,
+            }
+        }
+        let head = String::from_utf8(seen).unwrap();
+        let length = head
+            .lines()
+            .find_map(|line| line.strip_prefix("Content-Length: "))
+            .map_or(0, |v| v.trim().parse::<usize>().unwrap());
+        stream.read_exact(&mut vec![0u8; length]).is_ok()
+    }
+
+    /// A scripted peer on loopback: `script` gets every accepted
+    /// connection, in order, on the peer's one thread, and reports what it
+    /// saw through the returned channel.
+    fn scripted_peer(
+        script: impl Fn(usize, TcpStream, &Sender<&'static str>) + Send + 'static,
+    ) -> (HttpTransport, Receiver<&'static str>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let transport = HttpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            for (i, stream) in listener.incoming().enumerate() {
+                match stream {
+                    Ok(stream) => script(i, stream, &tx),
+                    Err(_) => return,
+                }
+            }
+        });
+        (transport, rx)
+    }
+
+    fn idle_connections(transport: &HttpTransport) -> usize {
+        transport.peer.idle.lock().unwrap().len()
+    }
+
+    const PATIENCE: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn a_keep_alive_connection_the_shard_closed_is_replayed_not_retried() {
+        let (http, transport) = shard(HttpConfig {
+            read_timeout: Duration::from_millis(50),
+            ..HttpConfig::default()
+        });
+        let plan = ShardPlan::single(12).unwrap();
+        let router =
+            ShardRouter::with_transports(plan, vec![transport], ServeConfig::default()).unwrap();
+        let first = router.infer_topics(vec![0, 3, 6], 4).unwrap();
+        // The shard hangs up on the idle pooled connection.
+        let give_up = Instant::now() + PATIENCE;
+        while http.stats().active_connections > 0 {
+            assert!(
+                Instant::now() < give_up,
+                "the shard never closed the idle connection"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let second = router.infer_topics(vec![0, 3, 6], 4).unwrap();
+        assert_eq!(first, second);
+        let stats = router.router_stats();
+        assert_eq!(stats.transport_retries, 0, "the replay is the transport's");
+        assert_eq!(stats.breaker_trips, 0);
+        router.shutdown();
+        http.shutdown();
+    }
+
+    #[test]
+    fn a_reply_in_two_writes_survives_a_bounded_poll_bit_for_bit() {
+        let in_process = submit(&transport()).wait(None).unwrap();
+        let reply = canned_reply();
+        let (go_tx, go_rx) = channel::<()>();
+        let (transport, _seen) = scripted_peer(move |i, mut stream, _| {
+            assert!(read_request(&mut stream));
+            if i == 0 {
+                let (first, second) = reply.split_at(reply.len() / 2);
+                stream.write_all(first).unwrap();
+                go_rx.recv().unwrap();
+                stream.write_all(second).unwrap();
+            } else {
+                stream.write_all(&reply).unwrap();
+            }
+            // Hold the connection until the client has read the reply.
+            read_request(&mut stream);
+        });
+        let mut pending = submit(&transport);
+        let give_up = Instant::now() + PATIENCE;
+        while pending.response.is_empty() {
+            assert!(Instant::now() < give_up, "the first half never arrived");
+            pending = match pending.wait_until(Instant::now() + Duration::from_millis(5)) {
+                PollOutcome::Pending(p) => p,
+                PollOutcome::Ready(r) => panic!("half a reply settled the leg: {r:?}"),
+            };
+        }
+        go_tx.send(()).unwrap();
+        let resumed = pending.wait(None).unwrap();
+        drop(transport.peer.take_idle());
+        let whole = submit(&transport).wait(None).unwrap();
+        assert_eq!(resumed, whole);
+        assert_eq!(resumed, in_process);
+    }
+
+    #[test]
+    fn a_bound_in_the_past_still_returns_an_arrived_reply() {
+        let reply = canned_reply();
+        let (transport, seen) = scripted_peer(move |_, mut stream, seen| {
+            assert!(read_request(&mut stream));
+            stream.write_all(&reply).unwrap();
+            seen.send("answered").unwrap();
+            read_request(&mut stream);
+        });
+        let past = Instant::now();
+        let mut pending = submit(&transport);
+        assert_eq!(seen.recv_timeout(PATIENCE), Ok("answered"));
+        let give_up = Instant::now() + PATIENCE;
+        let response = loop {
+            match pending.wait_until(past) {
+                PollOutcome::Ready(r) => break r.unwrap(),
+                PollOutcome::Pending(p) => pending = p,
+            }
+            assert!(
+                Instant::now() < give_up,
+                "an arrived reply was never handed out"
+            );
+        };
+        assert_eq!(response.partial.n_words, 3);
+    }
+
+    #[test]
+    fn dropping_a_pending_handle_closes_its_connection() {
+        let reply = canned_reply();
+        let (transport, seen) = scripted_peer(move |i, mut stream, seen| {
+            assert!(read_request(&mut stream));
+            if i == 0 {
+                // No answer; the next read sees the client hang up.
+                assert!(!read_request(&mut stream));
+                seen.send("eof").unwrap();
+            } else {
+                stream.write_all(&reply).unwrap();
+                seen.send("answered on a second connection").unwrap();
+                read_request(&mut stream);
+            }
+        });
+        drop(submit(&transport));
+        assert_eq!(seen.recv_timeout(PATIENCE), Ok("eof"));
+        assert_eq!(idle_connections(&transport), 0);
+        submit(&transport).wait(None).unwrap();
+        assert_eq!(
+            seen.recv_timeout(PATIENCE),
+            Ok("answered on a second connection")
+        );
+        assert_eq!(idle_connections(&transport), 1);
+    }
+
+    #[test]
+    fn trailing_bytes_keep_a_connection_out_of_the_pool() {
+        let reply = canned_reply();
+        let (transport, _seen) = scripted_peer(move |i, mut stream, _| {
+            assert!(read_request(&mut stream));
+            let mut bytes = reply.clone();
+            if i == 0 {
+                bytes.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
+            }
+            stream.write_all(&bytes).unwrap();
+            read_request(&mut stream);
+        });
+        submit(&transport).wait(None).unwrap();
+        assert_eq!(idle_connections(&transport), 0, "unframed bytes followed");
+        submit(&transport).wait(None).unwrap();
+        assert_eq!(idle_connections(&transport), 1, "exactly one response");
+    }
+
+    #[test]
+    fn unframeable_replies_are_transport_errors_naming_the_peer() {
+        let (transport, _seen) = scripted_peer(move |i, mut stream, _| {
+            assert!(read_request(&mut stream));
+            let reply: &[u8] = match i {
+                // Declares far more than `MAX_RESPONSE_BYTES` and sends none.
+                0 => b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n",
+                1 => b"HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\n",
+                _ => b"SABR what\r\n\r\n",
+            };
+            stream.write_all(reply).unwrap();
+            read_request(&mut stream);
+        });
+        for expected in [
+            "response too large",
+            "bad content-length",
+            "malformed status line",
+        ] {
+            match submit(&transport).wait(None) {
+                Err(ServeError::Transport { detail, addr, .. }) => {
+                    assert!(detail.contains(expected), "detail was: {detail}");
+                    assert_eq!(addr, Some(transport.addr().to_string()));
+                }
+                other => panic!("expected a transport error, got {other:?}"),
+            }
+            assert_eq!(idle_connections(&transport), 0);
+        }
+    }
+
+    #[test]
+    fn a_silent_peer_costs_the_deadline_or_the_io_timeout() {
+        let (transport, _seen) = scripted_peer(move |_, mut stream, _| {
+            // Accepts, reads, never answers; returns when the client
+            // gives up and closes.
+            while read_request(&mut stream) {}
+        });
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(50);
         assert!(matches!(
-            transport.observe_epoch(),
-            Err(ServeError::Transport { .. })
+            submit(&transport).wait(Some(deadline)),
+            Err(ServeError::DeadlineExceeded)
         ));
+        assert!(started.elapsed() < IO_TIMEOUT, "the deadline came first");
+        // Without a deadline the I/O timeout ends the wait — also when the
+        // caller polls in slices shorter than it, as a hedged race does.
+        let started = Instant::now();
+        let mut pending = submit(&transport);
+        let outcome = loop {
+            match pending.wait_until(Instant::now() + Duration::from_millis(1)) {
+                PollOutcome::Ready(outcome) => break outcome,
+                PollOutcome::Pending(p) => pending = p,
+            }
+            assert!(
+                started.elapsed() < 3 * IO_TIMEOUT,
+                "the I/O timeout never fired"
+            );
+        };
+        match outcome {
+            Err(ServeError::Transport { detail, .. }) => {
+                assert!(detail.contains("timed out"), "detail was: {detail}")
+            }
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+        assert!(started.elapsed() >= IO_TIMEOUT);
+    }
+
+    #[test]
+    fn a_shard_at_its_connection_cap_is_overloaded_not_gone() {
+        let (http, transport) = shard(HttpConfig {
+            max_connections: 1,
+            ..HttpConfig::default()
+        });
+        // The transport's own pooled connection takes the one slot…
+        assert_eq!(transport.observe_epoch().unwrap(), 1);
+        assert_eq!(http.stats().active_connections, 1);
+        // …so a second router's transport is turned away at the door.
+        let second = HttpTransport::connect(http.local_addr()).unwrap();
+        assert!(matches!(
+            second.observe_epoch(),
+            Err(ServeError::Overloaded)
+        ));
+        drop(transport);
+        http.shutdown();
+    }
+
+    #[test]
+    fn both_transports_refuse_the_same_slices_at_staging() {
+        fn check(t: &impl ShardTransport) {
+            let slice = |vocab, k| {
+                InferenceSnapshot::from_model(&planted_model(vocab, k), SnapshotSampler::WaryTree)
+            };
+            for (vocab, k, epoch, why) in [
+                (6, 3, 2, "a wrong-V slice"),
+                (12, 4, 2, "a wrong-K slice"),
+                (12, 3, 0, "a stale epoch"),
+                (12, 3, 1, "the epoch already served"),
+            ] {
+                let refused = t.prepare_publish(slice(vocab, k), epoch);
+                assert!(refused.is_err(), "{why} was staged");
+            }
+            assert!(t.commit_publish(2).is_err(), "a refused slice was staged");
+            assert_eq!(t.observe_epoch().unwrap(), 1);
+            // …and the contract refuses nothing it should not.
+            t.prepare_publish(slice(12, 3), 2).unwrap();
+            assert_eq!(t.commit_publish(2).unwrap(), 2);
+            assert_eq!(t.observe_epoch().unwrap(), 2);
+        }
+        check(&transport());
+        let (http, remote) = shard(HttpConfig::default());
+        check(&remote);
+        drop(remote);
+        http.shutdown();
     }
 }

@@ -1,5 +1,6 @@
-//! Every workload, gated metric and verdict `BENCH_trajectory.json` names is
-//! one `BENCHMARK.json` declares (schema: docs/BENCHMARKING.md).
+//! Every workload, gated metric, layer metric and verdict
+//! `BENCH_trajectory.json` names is one `BENCHMARK.json` declares (schema:
+//! docs/BENCHMARKING.md).
 
 use saber_core::json::{parse, JsonValue};
 
@@ -23,6 +24,7 @@ fn trajectory_names_only_what_the_benchmark_declares() {
     let spec = parse(include_str!("../BENCHMARK.json")).unwrap();
     let declared = |key| -> Vec<_> { list(&spec, key).iter().map(|i| text(i, "name")).collect() };
     let (workloads, metrics) = (declared("workloads"), declared("end_to_end"));
+    let layers = declared("per_layer");
     let trajectory = parse(include_str!("../BENCH_trajectory.json")).unwrap();
     assert_eq!(text(&trajectory, "schema"), "saber-bench-trajectory/1");
     for record in list(&trajectory, "records") {
@@ -34,6 +36,17 @@ fn trajectory_names_only_what_the_benchmark_declares() {
                 assert!(metrics.contains(&metric.as_str()), "PR {pr}: {metric}");
                 let known = ["better", "within", "unresolved", "worse"];
                 assert!(known.contains(&text(cell, "verdict")), "PR {pr}: {cell:?}");
+            }
+        }
+        // The traced layer table is optional (first carried by PR 17).
+        let Some(traced) = record.get("layers") else {
+            continue;
+        };
+        for (workload, _) in object(record, "layers") {
+            let declared = workloads.contains(&workload.as_str());
+            assert!(declared, "PR {pr}: layers of {workload}");
+            for (layer, _) in object(traced, workload) {
+                assert!(layers.contains(&layer.as_str()), "PR {pr}: {layer}");
             }
         }
     }

@@ -28,9 +28,8 @@ use saber_pipeline::{DocumentFeed, PipelineConfig, PipelineError, TrainingPipeli
 use saberlda::core::model_io::DeltaPayload;
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
-    FoldInKind, FoldInParams, HttpConfig, HttpServer, HttpTransport, InferenceBackend,
-    InferenceSnapshot, LocalTransport, PartialRequest, ServeConfig, ServeError, ShardInfo,
-    ShardPlan, ShardRouter, ShardTransport, TopicServer,
+    FoldInKind, FoldInParams, InferenceBackend, InferenceSnapshot, LocalTransport, PartialRequest,
+    ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport, TopicServer,
 };
 use saberlda::trace::TraceContext;
 use saberlda::{LdaModel, SaberLda, SaberLdaConfig};
@@ -79,16 +78,8 @@ fn stream_batch(n_docs: usize, seed: u64) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn bits(theta: &[f32]) -> Vec<u32> {
-    theta.iter().map(|x| x.to_bits()).collect()
-}
-
-fn linf(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
-}
+mod common;
+use common::{bits, linf, spawn_shard_fleet};
 
 fn local_fleet(model: &LdaModel, kind: FoldInKind) -> ShardRouter {
     ShardRouter::from_model(
@@ -543,44 +534,13 @@ fn failed_publication_retries_with_every_row_since_the_last_success() {
     Arc::try_unwrap(router).unwrap().shutdown();
 }
 
-/// One shard behind its own HTTP listener on localhost TCP.
-struct ShardProcess {
-    http: HttpServer,
-}
-
-fn spawn_tcp_fleet(
-    model: &LdaModel,
-    plan: &ShardPlan,
-    cfg: ServeConfig,
-) -> (Vec<ShardProcess>, Vec<HttpTransport>) {
-    let snapshot = InferenceSnapshot::from_model(model, cfg.sampler);
-    let mut shards = Vec::new();
-    let mut transports = Vec::new();
-    for range in plan.ranges() {
-        let server = Arc::new(TopicServer::start(snapshot.shard(range.clone()), cfg).unwrap());
-        let http = HttpServer::bind(
-            "127.0.0.1:0",
-            server,
-            None,
-            HttpConfig {
-                shard_range: Some((range.start, range.end)),
-                ..HttpConfig::default()
-            },
-        )
-        .unwrap();
-        transports.push(HttpTransport::connect(http.local_addr()).unwrap());
-        shards.push(ShardProcess { http });
-    }
-    (shards, transports)
-}
-
 #[test]
 fn delta_publication_over_real_tcp_matches_the_local_fleet() {
     let kind = FoldInKind::Esca;
     let cfg = serve_config(kind);
     let mut trainer = warm_trainer(19);
     let plan = ShardPlan::uniform(trainer.model().vocab_size(), N_SHARDS).unwrap();
-    let (shards, transports) = spawn_tcp_fleet(trainer.model(), &plan, cfg);
+    let (shards, transports) = spawn_shard_fleet(trainer.model(), &plan, cfg);
     let remote = ShardRouter::with_transports(plan, transports, cfg).unwrap();
     let local = Arc::new(local_fleet(trainer.model(), kind));
     let _ = trainer.take_touched_rows();

@@ -17,105 +17,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use saberlda::serve::{
-    FoldInKind, FoldInParams, HttpConfig, HttpServer, HttpTransport, HttpTransportConfig,
-    InferenceSnapshot, ServeConfig, ServeError, ShardPlan, ShardRouter, SnapshotSampler,
-    TopicServer,
+    FoldInKind, HttpConfig, HttpServer, HttpTransport, InferenceSnapshot, ServeError, ShardPlan,
+    ShardRouter, SnapshotSampler, TopicServer,
 };
-use saberlda::LdaModel;
 
-const VOCAB: usize = 60;
-const K: usize = 5;
-
-/// A model with dense random counts — every word genuinely mixes topics,
-/// so any cross-machine bookkeeping error shows up in θ.
-fn random_model(seed: u64) -> LdaModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = LdaModel::new(VOCAB, K, 0.08, 0.01).unwrap();
-    for v in 0..VOCAB {
-        for k in 0..K {
-            model.word_topic_mut()[(v, k)] = rng.gen_range(0u32..20);
-        }
-        let hot = rng.gen_range(0usize..K);
-        model.word_topic_mut()[(v, hot)] += 5;
-    }
-    model.refresh_probabilities();
-    model
-}
-
-/// A model whose topics own disjoint word sets, distinguishable per
-/// `shift` — for the epoch-swap test.
-fn planted_model(shift: usize) -> LdaModel {
-    let mut model = LdaModel::new(VOCAB, K, 0.05, 0.01).unwrap();
-    for v in 0..VOCAB {
-        model.word_topic_mut()[(v, (v + shift) % K)] = 50;
-    }
-    model.refresh_probabilities();
-    model
-}
-
-fn random_doc(rng: &mut StdRng, len: usize) -> Vec<u32> {
-    (0..len)
-        .map(|_| rng.gen_range(0u32..VOCAB as u32))
-        .collect()
-}
-
-fn config(kind: FoldInKind) -> ServeConfig {
-    ServeConfig {
-        n_workers: 2,
-        fold_in: FoldInParams {
-            kind,
-            ..FoldInParams::default()
-        },
-        ..ServeConfig::default()
-    }
-}
-
-fn bits(theta: &[f32]) -> Vec<u32> {
-    theta.iter().map(|x| x.to_bits()).collect()
-}
-
-fn linf(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
-}
-
-/// One shard process stand-in: a `TopicServer` over a snapshot slice
-/// behind its own HTTP listener on an OS-assigned localhost port. Real TCP
-/// end to end — exactly what a shard on another machine would expose.
-struct ShardProcess {
-    http: HttpServer,
-}
-
-fn spawn_shard_fleet(
-    model: &LdaModel,
-    plan: &ShardPlan,
-    serve_config: ServeConfig,
-) -> (Vec<ShardProcess>, Vec<HttpTransport>) {
-    let snapshot = InferenceSnapshot::from_model(model, serve_config.sampler);
-    let mut shards = Vec::new();
-    let mut transports = Vec::new();
-    for range in plan.ranges() {
-        let server =
-            Arc::new(TopicServer::start(snapshot.shard(range.clone()), serve_config).unwrap());
-        let http = HttpServer::bind(
-            "127.0.0.1:0",
-            server,
-            None,
-            HttpConfig {
-                shard_range: Some((range.start, range.end)),
-                ..HttpConfig::default()
-            },
-        )
-        .unwrap();
-        transports.push(HttpTransport::connect(http.local_addr()).unwrap());
-        shards.push(ShardProcess { http });
-    }
-    (shards, transports)
-}
+mod common;
+use common::{
+    bits, config, linf, planted_model, random_doc, random_model, spawn_shard_fleet, ShardProcess,
+    K, VOCAB,
+};
 
 #[test]
 fn one_shard_esca_over_tcp_is_bit_identical_to_direct_serving() {
@@ -410,18 +322,4 @@ fn a_shard_process_boots_from_a_saved_snapshot() {
     for shard in shards {
         shard.http.shutdown();
     }
-}
-
-#[test]
-fn transport_config_knobs_reject_degenerate_values() {
-    assert!(matches!(
-        HttpTransport::connect_with(
-            "127.0.0.1:1",
-            HttpTransportConfig {
-                queue_depth: 0,
-                ..HttpTransportConfig::default()
-            }
-        ),
-        Err(ServeError::InvalidConfig { .. })
-    ));
 }

@@ -33,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use saber_loadgen::replay::{
     replay, replay_model, replay_with_chaos, ChaosTrigger, RateProfile, ReplayConfig, Topology,
     TopologyHandle,
@@ -41,104 +41,18 @@ use saber_loadgen::replay::{
 use saber_loadgen::synth::synthesize_trace;
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
-    derive_replica_choice, derive_shard_seed, FoldInKind, FoldInParams, HttpConfig, HttpServer,
-    HttpTransport, InferenceSnapshot, LocalTransport, PartialRequest, PartialResponse,
-    PendingPartial, PollOutcome, ReplicaConfig, ServeConfig, ServeError, ShardInfo, ShardPlan,
-    ShardRouter, ShardTransport, TopicServer,
+    derive_replica_choice, derive_shard_seed, FoldInKind, HttpConfig, HttpServer,
+    InferenceSnapshot, LocalTransport, PartialRequest, PartialResponse, PendingPartial,
+    PollOutcome, ReplicaConfig, ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter,
+    ShardTransport, TopicServer,
 };
 use saberlda::trace::{TraceBuilder, TraceContext, TraceId};
 use saberlda::LdaModel;
 
-const VOCAB: usize = 60;
-const K: usize = 5;
-
-fn random_model(seed: u64) -> LdaModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = LdaModel::new(VOCAB, K, 0.08, 0.01).unwrap();
-    for v in 0..VOCAB {
-        for k in 0..K {
-            model.word_topic_mut()[(v, k)] = rng.gen_range(0u32..20);
-        }
-        let hot = rng.gen_range(0usize..K);
-        model.word_topic_mut()[(v, hot)] += 5;
-    }
-    model.refresh_probabilities();
-    model
-}
-
-fn planted_model(shift: usize) -> LdaModel {
-    let mut model = LdaModel::new(VOCAB, K, 0.05, 0.01).unwrap();
-    for v in 0..VOCAB {
-        model.word_topic_mut()[(v, (v + shift) % K)] = 50;
-    }
-    model.refresh_probabilities();
-    model
-}
-
-fn random_doc(rng: &mut StdRng, len: usize) -> Vec<u32> {
-    (0..len)
-        .map(|_| rng.gen_range(0u32..VOCAB as u32))
-        .collect()
-}
-
-fn config(kind: FoldInKind) -> ServeConfig {
-    ServeConfig {
-        n_workers: 2,
-        fold_in: FoldInParams {
-            kind,
-            ..FoldInParams::default()
-        },
-        ..ServeConfig::default()
-    }
-}
-
-fn bits(theta: &[f32]) -> Vec<u32> {
-    theta.iter().map(|x| x.to_bits()).collect()
-}
-
-fn linf(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
-}
-
-/// A replicated shard fleet over real localhost TCP: `replicas` HTTP
-/// listeners per plan range, each its own `TopicServer` over the same
-/// slice. Servers ride in `Option` so a test can kill one mid-stream.
-fn spawn_replicated_fleet(
-    model: &LdaModel,
-    plan: &ShardPlan,
-    replicas: usize,
-    serve_config: ServeConfig,
-) -> (Vec<Vec<Option<HttpServer>>>, Vec<Vec<HttpTransport>>) {
-    let snapshot = InferenceSnapshot::from_model(model, serve_config.sampler);
-    let mut fleet = Vec::new();
-    let mut sets = Vec::new();
-    for range in plan.ranges() {
-        let mut servers = Vec::new();
-        let mut transports = Vec::new();
-        for _ in 0..replicas {
-            let server =
-                Arc::new(TopicServer::start(snapshot.shard(range.clone()), serve_config).unwrap());
-            let http = HttpServer::bind(
-                "127.0.0.1:0",
-                server,
-                None,
-                HttpConfig {
-                    shard_range: Some((range.start, range.end)),
-                    ..HttpConfig::default()
-                },
-            )
-            .unwrap();
-            transports.push(HttpTransport::connect(http.local_addr()).unwrap());
-            servers.push(Some(http));
-        }
-        fleet.push(servers);
-        sets.push(transports);
-    }
-    (fleet, sets)
-}
+mod common;
+use common::{
+    bits, config, linf, planted_model, random_doc, random_model, spawn_replicated_fleet, K, VOCAB,
+};
 
 fn shutdown_fleet(fleet: Vec<Vec<Option<HttpServer>>>) {
     for server in fleet.into_iter().flatten().flatten() {

@@ -17,72 +17,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use saberlda::serve::{
     derive_shard_seed, FoldInKind, FoldInParams, ServeConfig, ShardPlan, ShardRouter,
     SnapshotSampler, TopicServer,
 };
-use saberlda::{InferenceSnapshot, LdaModel};
+use saberlda::InferenceSnapshot;
 
-const VOCAB: usize = 60;
-const K: usize = 5;
-
-/// A model with dense random counts — every word genuinely mixes topics,
-/// so any cross-shard bookkeeping error shows up in θ instead of being
-/// masked by a peaked posterior.
-fn random_model(seed: u64) -> LdaModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = LdaModel::new(VOCAB, K, 0.08, 0.01).unwrap();
-    for v in 0..VOCAB {
-        for k in 0..K {
-            model.word_topic_mut()[(v, k)] = rng.gen_range(0u32..20);
-        }
-        // Guarantee at least one count per word so B̂ rows are well formed.
-        let hot = rng.gen_range(0usize..K);
-        model.word_topic_mut()[(v, hot)] += 5;
-    }
-    model.refresh_probabilities();
-    model
-}
-
-/// A model whose topics own disjoint word sets: word `v` belongs to topic
-/// `(v + shift) % K`. Distinguishable per `shift`, for the swap test.
-fn planted_model(shift: usize) -> LdaModel {
-    let mut model = LdaModel::new(VOCAB, K, 0.05, 0.01).unwrap();
-    for v in 0..VOCAB {
-        model.word_topic_mut()[(v, (v + shift) % K)] = 50;
-    }
-    model.refresh_probabilities();
-    model
-}
-
-fn random_doc(rng: &mut StdRng, len: usize) -> Vec<u32> {
-    (0..len)
-        .map(|_| rng.gen_range(0u32..VOCAB as u32))
-        .collect()
-}
-
-fn config(kind: FoldInKind) -> ServeConfig {
-    ServeConfig {
-        n_workers: 2,
-        fold_in: FoldInParams {
-            kind,
-            ..FoldInParams::default()
-        },
-        ..ServeConfig::default()
-    }
-}
-
-fn bits(theta: &[f32]) -> Vec<u32> {
-    theta.iter().map(|x| x.to_bits()).collect()
-}
-
-fn linf(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
-}
+mod common;
+use common::{bits, config, linf, planted_model, random_doc, random_model, K, VOCAB};
 
 #[test]
 fn one_shard_router_is_bit_identical_to_direct_serving() {

@@ -19,55 +19,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use saberlda::corpus::OovPolicy;
 use saberlda::serve::wire;
 use saberlda::serve::{
-    FoldInKind, FoldInParams, HttpConfig, HttpServer, HttpTransport, InferResponse,
-    InferenceBackend, InferenceSnapshot, ServeConfig, ShardPlan, ShardRouter, TopicServer,
+    FoldInKind, HttpConfig, HttpServer, InferResponse, InferenceBackend, ShardPlan, ShardRouter,
+    TopicServer,
 };
 use saberlda::trace::{Trace, TraceBuilder, TraceId};
-use saberlda::{LdaModel, Vocabulary};
+use saberlda::Vocabulary;
 
-const VOCAB: usize = 60;
-const K: usize = 5;
-
-/// A model with dense random counts — every word genuinely mixes topics,
-/// so any tracing-induced perturbation would show up in θ's bits.
-fn random_model(seed: u64) -> LdaModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = LdaModel::new(VOCAB, K, 0.08, 0.01).unwrap();
-    for v in 0..VOCAB {
-        for k in 0..K {
-            model.word_topic_mut()[(v, k)] = rng.gen_range(0u32..20);
-        }
-        let hot = rng.gen_range(0usize..K);
-        model.word_topic_mut()[(v, hot)] += 5;
-    }
-    model.refresh_probabilities();
-    model
-}
-
-fn random_doc(rng: &mut StdRng, len: usize) -> Vec<u32> {
-    (0..len)
-        .map(|_| rng.gen_range(0u32..VOCAB as u32))
-        .collect()
-}
-
-fn config(kind: FoldInKind) -> ServeConfig {
-    ServeConfig {
-        n_workers: 2,
-        fold_in: FoldInParams {
-            kind,
-            ..FoldInParams::default()
-        },
-        ..ServeConfig::default()
-    }
-}
-
-fn bits(theta: &[f32]) -> Vec<u32> {
-    theta.iter().map(|x| x.to_bits()).collect()
-}
+mod common;
+use common::{bits, config, random_doc, random_model, spawn_shard_fleet, VOCAB};
 
 /// One request over a real socket; returns the response body.
 fn http_body(addr: std::net::SocketAddr, request: &str) -> String {
@@ -88,39 +51,6 @@ fn trace_recent(addr: std::net::SocketAddr) -> Vec<Trace> {
         "GET /trace/recent HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
     ))
     .unwrap()
-}
-
-/// A shard process stand-in: a `TopicServer` over a snapshot slice behind
-/// its own HTTP listener — real TCP end to end.
-struct ShardProcess {
-    http: HttpServer,
-}
-
-fn spawn_shard_fleet(
-    model: &LdaModel,
-    plan: &ShardPlan,
-    serve_config: ServeConfig,
-) -> (Vec<ShardProcess>, Vec<HttpTransport>) {
-    let snapshot = InferenceSnapshot::from_model(model, serve_config.sampler);
-    let mut shards = Vec::new();
-    let mut transports = Vec::new();
-    for range in plan.ranges() {
-        let server =
-            Arc::new(TopicServer::start(snapshot.shard(range.clone()), serve_config).unwrap());
-        let http = HttpServer::bind(
-            "127.0.0.1:0",
-            server,
-            None,
-            HttpConfig {
-                shard_range: Some((range.start, range.end)),
-                ..HttpConfig::default()
-            },
-        )
-        .unwrap();
-        transports.push(HttpTransport::connect(http.local_addr()).unwrap());
-        shards.push(ShardProcess { http });
-    }
-    (shards, transports)
 }
 
 /// The three shapes of the one request path — `infer_with_deadline`,
