@@ -26,8 +26,8 @@ use rand::{Rng, SeedableRng};
 use saber_core::LdaModel;
 use saber_serve::{
     HistogramSnapshot, HttpConfig, HttpServer, HttpTransport, InferenceBackend, InferenceSnapshot,
-    LatencyHistogram, ReplicaConfig, RequestRecorder, ServeConfig, ServeError, ShardPlan,
-    ShardRouter, TopicServer,
+    LatencyHistogram, RequestRecorder, ServeConfig, ServeError, ShardPlan, ShardRouter,
+    TopicServer,
 };
 
 use crate::trace::RequestTrace;
@@ -175,12 +175,7 @@ impl TopologyHandle {
                     sets.push(set);
                     replica_slots.push(slots);
                 }
-                let router = Arc::new(ShardRouter::with_replica_sets(
-                    plan,
-                    sets,
-                    *config,
-                    ReplicaConfig::default(),
-                )?);
+                let router = Arc::new(ShardRouter::with_replica_sets(plan, sets, *config)?);
                 Ok(TopologyHandle {
                     backend: router,
                     fleet: Mutex::new(fleet),

@@ -112,9 +112,6 @@ pub struct HttpConfig {
     /// cut off with `408` once the budget is spent, instead of resetting
     /// the clock on every byte).
     pub read_timeout: Duration,
-    /// Socket write timeout; a client that stops draining its receive
-    /// window has its connection dropped after this long.
-    pub write_timeout: Duration,
     /// End-to-end deadline for one `/infer` (or `/similar`) inference: the
     /// request is admitted fail-fast and its reply awaited at most this
     /// long before answering `503`.
@@ -122,25 +119,17 @@ pub struct HttpConfig {
     /// Maximum concurrently served connections; excess connections receive
     /// an immediate `503` and are closed.
     pub max_connections: usize,
-    /// Largest accepted request body (`413` above it).
+    /// Largest accepted request body (`413` above it), except on the two
+    /// publication endpoints, whose bodies are bounded by the served shape
+    /// instead: `POST /publish-shard` by the encoded size of a `V × K`
+    /// `SABRSNAP`, `POST /publish-delta` by that of a `SABRDELTA` touching
+    /// all `V` rows.
     pub max_body_bytes: usize,
-    /// Seed used when a request carries neither an `X-Saber-Seed` header
-    /// nor a `"seed"` body member. A fixed default keeps even seedless
-    /// traffic deterministic.
-    pub default_seed: u64,
     /// The global word-id range `[start, end)` this server serves when it
     /// is one shard of a cross-machine fleet (reported by `GET
     /// /shard-info`). `None` — the default — reports the local
     /// `[0, vocab_size)`, which is also correct for unsharded servers.
     pub shard_range: Option<(u32, u32)>,
-    /// Capacity of the per-process ring buffer of recently completed
-    /// request traces served by `GET /trace/recent`.
-    pub trace_ring: usize,
-    /// Latency threshold at or above which a finished trace qualifies for
-    /// the slow-request capture.
-    pub slow_trace_threshold: Duration,
-    /// How many worst-case traces the slow-request capture retains.
-    pub slow_trace_keep: usize,
     /// Opt-in ingress capture: when set, every well-formed word-id
     /// `POST /infer` request (words, resolved seed, arrival offset) is
     /// appended to this [`RequestRecorder`] before inference, so real
@@ -153,19 +142,30 @@ impl Default for HttpConfig {
     fn default() -> Self {
         HttpConfig {
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(2),
             max_connections: 64,
             max_body_bytes: 1 << 20,
-            default_seed: 0,
             shard_range: None,
-            trace_ring: 64,
-            slow_trace_threshold: Duration::from_millis(250),
-            slow_trace_keep: 8,
             recorder: None,
         }
     }
 }
+
+/// Socket write timeout: a client that stops draining its receive window
+/// has its connection dropped after this long.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Seed used when a request carries neither an `X-Saber-Seed` header nor
+/// a `"seed"` body member: a fixed default keeps even seedless traffic
+/// deterministic.
+const DEFAULT_SEED: u64 = 0;
+/// Capacity of the ring of recently completed request traces served by
+/// `GET /trace/recent`.
+const TRACE_RING: usize = 64;
+/// Latency at or above which a finished trace qualifies for the
+/// slow-request capture.
+const SLOW_TRACE_THRESHOLD: Duration = Duration::from_millis(250);
+/// How many worst-case traces the slow-request capture retains.
+const SLOW_TRACE_KEEP: usize = 8;
 
 /// One `POST /infer` request as captured at the HTTP ingress: everything
 /// a replay needs to reproduce the answer bit-for-bit (the words and the
@@ -175,8 +175,8 @@ impl Default for HttpConfig {
 pub struct RecordedRequest {
     /// Microseconds since the recorder was created.
     pub offset_micros: u64,
-    /// The request's resolved seed (header > body member > configured
-    /// default — the same resolution the handler applies).
+    /// The request's resolved seed (header > body member > the fixed
+    /// default 0 — the same resolution the handler applies).
     pub seed: u64,
     /// The document's word ids, exactly as received.
     pub words: Vec<u32>,
@@ -337,7 +337,7 @@ struct HttpState {
     staged: StagedEpoch,
     /// Recently completed request traces, served by `GET /trace/recent`.
     ring: TraceRing,
-    /// The worst traces above [`HttpConfig::slow_trace_threshold`].
+    /// The worst traces above [`SLOW_TRACE_THRESHOLD`].
     slow: SlowCapture,
 }
 
@@ -377,8 +377,8 @@ impl HttpServer {
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let ring = TraceRing::new(config.trace_ring);
-        let slow = SlowCapture::new(config.slow_trace_threshold, config.slow_trace_keep);
+        let ring = TraceRing::new(TRACE_RING);
+        let slow = SlowCapture::new(SLOW_TRACE_THRESHOLD, SLOW_TRACE_KEEP);
         let state = Arc::new(HttpState {
             backend,
             vocab,
@@ -471,7 +471,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<HttpState>) {
         // 503 inline (cheap) instead of spawning a thread.
         if state.active_connections.load(Ordering::Relaxed) >= state.config.max_connections {
             state.errors.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.set_write_timeout(Some(state.config.write_timeout));
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let body = wire::encode_error(503, "connection limit reached").to_string();
             let _ = write_response(&stream, 503, &body, false, &[]);
             let _ = stream.shutdown(Shutdown::Both);
@@ -549,7 +549,7 @@ enum ReadOutcome {
 
 fn serve_connection(stream: TcpStream, state: &Arc<HttpState>) {
     let _ = stream.set_read_timeout(Some(state.config.read_timeout));
-    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
@@ -559,7 +559,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<HttpState>) {
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let request = match read_request(&mut reader, &stream, &state.config) {
+        let request = match read_request(&mut reader, &stream, state) {
             ReadOutcome::Request(r) => r,
             ReadOutcome::Closed => return,
             ReadOutcome::Reject(status, detail) => {
@@ -1001,7 +1001,7 @@ fn handle_similar(
         (Err(e), _) | (_, Err(e)) => return error(400, &e),
     };
     let seed = match request.query_param("seed") {
-        None => state.config.default_seed,
+        None => DEFAULT_SEED,
         Some(raw) => match raw.parse::<u64>() {
             Ok(seed) => seed,
             Err(_) => return error(400, "invalid 'seed' query parameter"),
@@ -1024,7 +1024,7 @@ fn handle_similar(
 
 /// Parses an `/infer` body and resolves its seed. Split out of
 /// [`handle_infer`] so the whole parse sits under one trace span.
-fn parse_infer(request: &Request, state: &HttpState) -> Result<(InferBody, u64), (u16, String)> {
+fn parse_infer(request: &Request) -> Result<(InferBody, u64), (u16, String)> {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => return Err(error(400, "request body is not valid UTF-8")),
@@ -1045,7 +1045,7 @@ fn parse_infer(request: &Request, state: &HttpState) -> Result<(InferBody, u64),
                 ))
             }
         },
-        None => decoded.seed.unwrap_or(state.config.default_seed),
+        None => decoded.seed.unwrap_or(DEFAULT_SEED),
     };
     Ok((decoded.body, seed))
 }
@@ -1097,7 +1097,7 @@ fn handle_infer(
     root: u64,
 ) -> (u16, String) {
     let parse_span = trace.begin(Some(root), "parse");
-    let parsed = parse_infer(request, state);
+    let parsed = parse_infer(request);
     trace.end(parse_span);
     let (body, seed) = match parsed {
         Ok(parsed) => parsed,
@@ -1163,12 +1163,30 @@ fn serve_error(e: &ServeError) -> (u16, String) {
 const MAX_HEADER_LINE: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
 
+/// The largest body accepted for `method path`: a publication is bounded by
+/// the exact encoded size of the shape this server serves (staging refuses
+/// any other shape anyway, and a full slice dwarfs the default
+/// `max_body_bytes`); every other request by [`HttpConfig::max_body_bytes`].
+fn body_limit(state: &HttpState, method: &str, path: &str) -> usize {
+    use saber_core::model_io::{delta_encoded_bytes, snapshot_encoded_bytes};
+    let encoded: fn(u64, u64) -> Option<u64> = match (method, path) {
+        ("POST", "/publish-shard") => snapshot_encoded_bytes,
+        // A delta may touch every served row.
+        ("POST", "/publish-delta") => delta_encoded_bytes,
+        _ => return state.config.max_body_bytes,
+    };
+    let backend = &state.backend;
+    encoded(backend.vocab_size() as u64, backend.n_topics() as u64)
+        .and_then(|bytes| usize::try_from(bytes).ok())
+        .unwrap_or(state.config.max_body_bytes)
+}
+
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     stream: &TcpStream,
-    config: &HttpConfig,
+    state: &HttpState,
 ) -> ReadOutcome {
-    let max_body = config.max_body_bytes;
+    let config = &state.config;
     // The whole-request read budget starts at the request's first byte
     // (`None` until then, so an idle keep-alive connection is governed
     // only by the per-read socket timeout).
@@ -1247,6 +1265,8 @@ fn read_request(
     if method == "POST" && header("content-length").is_none() {
         return ReadOutcome::Reject(411, "POST requires content-length".into());
     }
+    let (path, query) = parse_target(&target);
+    let max_body = body_limit(state, &method, &path);
     if content_length > max_body {
         return ReadOutcome::Reject(
             413,
@@ -1290,7 +1310,6 @@ fn read_request(
         _ => http11,
     };
 
-    let (path, query) = parse_target(&target);
     ReadOutcome::Request(Request {
         method,
         path,
@@ -1390,8 +1409,11 @@ fn percent_decode(raw: &str) -> String {
         match bytes[i] {
             b'+' => out.push(b' '),
             b'%' => {
+                // Two ASCII hex digits exactly: `from_str_radix` alone would
+                // also take a sign, decoding `%+4` to U+0004.
                 match bytes
                     .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                     .and_then(|h| std::str::from_utf8(h).ok())
                     .and_then(|h| u8::from_str_radix(h, 16).ok())
                 {
@@ -1498,6 +1520,11 @@ mod tests {
         assert_eq!(percent_decode("plain"), "plain");
         assert_eq!(percent_decode("bad%zz"), "bad%zz");
         assert_eq!(percent_decode("trunc%2"), "trunc%2");
+        // A sign is not a hex digit: the `%` passes through, and the `+`
+        // after it is still a space.
+        assert_eq!(percent_decode("%+4"), "% 4");
+        assert_eq!(percent_decode("%+f"), "% f");
+        assert_eq!(percent_decode("%-1"), "%-1");
     }
 
     #[test]

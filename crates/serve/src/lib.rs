@@ -120,8 +120,8 @@ pub use snapshot::{FoldInKind, FoldInParams, InferenceSnapshot, SnapshotSampler}
 pub use stats::{HistogramSnapshot, LatencyHistogram};
 pub use swap::SnapshotCell;
 pub use transport::{
-    HttpTransport, LocalTransport, PendingPartial, PollOutcome, ReplicaBreaker, ReplicaConfig,
-    ShardInfo, ShardTransport,
+    HttpTransport, LocalTransport, PendingPartial, ReplicaBreaker, ShardInfo, ShardTransport,
+    FAILURE_THRESHOLD,
 };
 
 /// The inference surface the HTTP front-end ([`HttpServer`]) serves.

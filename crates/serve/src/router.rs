@@ -44,14 +44,12 @@
 //!   [`ReplicaBreaker`]: consecutive transport
 //!   failures eject it from routing, a cooldown later a single request (or
 //!   a [`ShardRouter::fleet_health`] probe over the `/healthz` seam)
-//!   half-opens the breaker, and any success re-admits. Fan-out legs get
-//!   one bounded transport retry against the next replica, and an optional
-//!   hedge ([`ReplicaConfig::hedge_delay`]) races a second replica for
-//!   tail-latency control. None of this can change an answer: replicas
-//!   serve the same slice with the same shard-derived seed, so their
-//!   responses are bit-identical, and the version check spans every leg —
-//!   hedged, retried or not — exactly as before. Replica *selection* is
-//!   seed-deterministic on a healthy fleet
+//!   half-opens the breaker, and any success re-admits. A fan-out leg
+//!   that fails with a transport error gets one bounded retry against the
+//!   next replica. Neither can change an answer: replicas serve the same
+//!   slice with the same shard-derived seed, so their responses are
+//!   bit-identical, and the version check spans every leg — retried or
+//!   not. Replica *selection* is seed-deterministic on a healthy fleet
 //!   ([`derive_replica_choice`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,10 +64,7 @@ use saber_trace::{TraceBuilder, TraceContext};
 use crate::server::{PartialRequest, PartialResponse};
 use crate::shard::{derive_replica_choice, derive_shard_seed, ShardPlan};
 use crate::snapshot::{FoldInKind, InferenceSnapshot};
-use crate::transport::{
-    LocalTransport, PendingPartial, PollOutcome, ReplicaBreaker, ReplicaConfig, ShardInfo,
-    ShardTransport,
-};
+use crate::transport::{LocalTransport, PendingPartial, ReplicaBreaker, ShardInfo, ShardTransport};
 use crate::{InferResponse, ServeConfig, ServeError, ServeStats, TopicServer};
 
 /// How many times a request is retried after observing shards on different
@@ -99,14 +94,14 @@ pub struct RouterStats {
     pub n_shards: usize,
     /// Shard requests submitted to each shard, in shard order — one routed
     /// document counts once per shard it touched (per round, under EM),
-    /// and hedged or retried legs count once per submission. Counted
-    /// router-side, so it is exact even when a shard is remote.
+    /// and a retried leg counts once per submission. Counted router-side,
+    /// so it is exact even when a shard is remote.
     pub shard_requests: Vec<u64>,
     /// Fan-out legs resubmitted after a transport error (one bounded retry
     /// per leg; the partial is idempotent pure computation).
     pub transport_retries: u64,
-    /// Hedge submissions: legs raced onto a second replica after
-    /// [`ReplicaConfig::hedge_delay`] without a reply.
+    /// Always 0 since ISSUE 25 deleted hedged requests; kept for the
+    /// frozen benchmark and the pinned `/stats` and `/metrics` bytes.
     pub hedges: u64,
     /// Circuit-breaker trips across all replicas (closed/half-open → open).
     pub breaker_trips: u64,
@@ -201,11 +196,8 @@ pub struct ReplicaSet<T> {
 }
 
 impl<T: ShardTransport> ReplicaSet<T> {
-    fn new(replicas: Vec<T>, config: &ReplicaConfig) -> Self {
-        let breakers = replicas
-            .iter()
-            .map(|_| ReplicaBreaker::new(config))
-            .collect();
+    fn new(replicas: Vec<T>) -> Self {
+        let breakers = replicas.iter().map(|_| ReplicaBreaker::new()).collect();
         ReplicaSet { replicas, breakers }
     }
 
@@ -302,8 +294,8 @@ impl<T: ShardTransport> ReplicaSet<T> {
 
 /// One in-flight fan-out leg: which shard and replica it was submitted
 /// to, the `(span id, span start µs)` of its `shard {s}` trace span (both
-/// 0 when the request is untraced), the trace context that hedge and retry
-/// resubmissions reuse, and the transport's pending reply handle.
+/// 0 when the request is untraced), the trace context a retry reuses, and
+/// the transport's pending reply handle.
 struct Leg<T: ShardTransport> {
     shard: usize,
     replica: usize,
@@ -312,9 +304,9 @@ struct Leg<T: ShardTransport> {
     pending: T::Pending,
 }
 
-/// Everything needed to resubmit one fan-out leg verbatim — hedge and
-/// retry replicas must receive exactly the bytes the primary got, or the
-/// merged θ would depend on which replica answered: the shard's word
+/// Everything needed to resubmit one fan-out leg verbatim — a retry
+/// replica must receive exactly the bytes the primary got, or the merged
+/// θ would depend on which replica answered: the shard's word
 /// slice, the request body, the request seed (drives replica
 /// preference), the caller's deadline, and the span leg events attach
 /// under (the fan-out or em-round wave).
@@ -335,13 +327,11 @@ pub struct ShardRouter<T: ShardTransport = LocalTransport> {
     plan: ShardPlan,
     shards: Vec<ReplicaSet<T>>,
     config: ServeConfig,
-    replica_config: ReplicaConfig,
     n_topics: usize,
     alpha: f32,
     requests: AtomicU64,
     skew_retries: AtomicU64,
     transport_retries: AtomicU64,
-    hedges: AtomicU64,
     shard_requests: Vec<AtomicU64>,
     /// The latest epoch the router has itself observed (validated at
     /// construction, advanced by publications and by the versions riding
@@ -384,32 +374,6 @@ impl ShardRouter<LocalTransport> {
         plan: ShardPlan,
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
-        ShardRouter::start_replicated(snapshot, plan, config, 1, ReplicaConfig::default())
-    }
-
-    /// [`ShardRouter::start`] with `n_replicas` in-process servers per plan
-    /// range, each serving an identical slice of `snapshot` — the local
-    /// form of a replicated fleet (useful for failover tests; production
-    /// replicas live on separate machines behind
-    /// [`ShardRouter::with_replica_sets`]). `replica_config` tunes the
-    /// per-replica circuit breakers and hedging.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardRouter::start`], plus [`ServeError::InvalidConfig`] when
-    /// `n_replicas` is zero.
-    pub fn start_replicated(
-        snapshot: InferenceSnapshot,
-        plan: ShardPlan,
-        config: ServeConfig,
-        n_replicas: usize,
-        replica_config: ReplicaConfig,
-    ) -> Result<Self, ServeError> {
-        if n_replicas == 0 {
-            return Err(ServeError::InvalidConfig {
-                detail: "a replica set needs at least one replica".into(),
-            });
-        }
         if plan.vocab_size() != snapshot.vocab_size() {
             return Err(ServeError::InvalidConfig {
                 detail: format!(
@@ -419,30 +383,14 @@ impl ShardRouter<LocalTransport> {
                 ),
             });
         }
-        let n_topics = snapshot.n_topics();
-        let alpha = snapshot.alpha();
-        let shards = plan
+        let sets = plan
             .ranges()
             .map(|range| {
-                (0..n_replicas)
-                    .map(|_| {
-                        TopicServer::start(snapshot.shard(range.clone()), config)
-                            .map(|server| LocalTransport::with_range(server, range.clone()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-                    .map(|replicas| ReplicaSet::new(replicas, &replica_config))
+                TopicServer::start(snapshot.shard(range.clone()), config)
+                    .map(|server| vec![LocalTransport::with_range(server, range)])
             })
             .collect::<Result<Vec<_>, _>>()?;
-        // Freshly started servers publish their snapshot as version 1.
-        Ok(ShardRouter::assemble(
-            plan,
-            shards,
-            config,
-            replica_config,
-            n_topics,
-            alpha,
-            1,
-        ))
+        ShardRouter::with_replica_sets(plan, sets, config)
     }
 
     /// Exports a snapshot from `model` (using `config.sampler`) and starts
@@ -484,16 +432,15 @@ impl<T: ShardTransport> ShardRouter<T> {
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
         let sets = transports.into_iter().map(|t| vec![t]).collect();
-        ShardRouter::with_replica_sets(plan, sets, config, ReplicaConfig::default())
+        ShardRouter::with_replica_sets(plan, sets, config)
     }
 
     /// [`ShardRouter::with_transports`] generalised to replica sets:
     /// `sets[s]` holds every transport serving `plan.range(s)` (each must
     /// hold an *identical* slice — same shape, same epoch — since replica
     /// answers must be interchangeable bit for bit). Every replica is
-    /// validated like a shard in [`ShardRouter::with_transports`].
-    /// `replica_config` tunes the per-replica circuit breakers and
-    /// hedging.
+    /// validated like a shard in [`ShardRouter::with_transports`] and gets
+    /// its own circuit breaker.
     ///
     /// # Errors
     ///
@@ -504,7 +451,6 @@ impl<T: ShardTransport> ShardRouter<T> {
         plan: ShardPlan,
         sets: Vec<Vec<T>>,
         config: ServeConfig,
-        replica_config: ReplicaConfig,
     ) -> Result<Self, ServeError> {
         if sets.len() != plan.n_shards() {
             return Err(ServeError::InvalidConfig {
@@ -536,47 +482,21 @@ impl<T: ShardTransport> ShardRouter<T> {
             }
         }
         let (n_topics, alpha, epoch) = (reference.n_topics, reference.alpha, reference.epoch);
-        let shards = sets
-            .into_iter()
-            .map(|replicas| ReplicaSet::new(replicas, &replica_config))
-            .collect();
-        Ok(ShardRouter::assemble(
+        let shard_requests = sets.iter().map(|_| AtomicU64::new(0)).collect();
+        Ok(ShardRouter {
             plan,
-            shards,
+            shards: sets.into_iter().map(ReplicaSet::new).collect(),
             config,
-            replica_config,
-            n_topics,
-            alpha,
-            epoch,
-        ))
-    }
-
-    fn assemble(
-        plan: ShardPlan,
-        shards: Vec<ReplicaSet<T>>,
-        config: ServeConfig,
-        replica_config: ReplicaConfig,
-        n_topics: usize,
-        alpha: f32,
-        epoch: u64,
-    ) -> Self {
-        let shard_requests = (0..plan.n_shards()).map(|_| AtomicU64::new(0)).collect();
-        ShardRouter {
-            plan,
-            shards,
-            config,
-            replica_config,
             n_topics,
             alpha,
             requests: AtomicU64::new(0),
             skew_retries: AtomicU64::new(0),
             transport_retries: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
             shard_requests,
             last_epoch: AtomicU64::new(epoch),
             publish_lock: Mutex::new(()),
             pipeline: PipelineCounters::default(),
-        }
+        })
     }
 
     /// The shard plan the router routes by.
@@ -975,8 +895,8 @@ impl<T: ShardTransport> ShardRouter<T> {
     }
 
     /// Router-level counters (documents routed, skew retries, transport
-    /// retries, hedges, breaker trips/re-admissions, epoch, per-shard
-    /// request counts, per-replica admission).
+    /// retries, breaker trips/re-admissions, epoch, per-shard request
+    /// counts, per-replica admission).
     pub fn router_stats(&self) -> RouterStats {
         let mut breaker_trips = 0;
         let mut breaker_readmits = 0;
@@ -1003,7 +923,7 @@ impl<T: ShardTransport> ShardRouter<T> {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             transport_retries: self.transport_retries.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
+            hedges: 0,
             breaker_trips,
             breaker_readmits,
             replica_health,
@@ -1321,114 +1241,29 @@ impl<T: ShardTransport> ShardRouter<T> {
         Ok(pending)
     }
 
-    /// Finishes one fan-out leg: waits for the reply (racing a hedge
-    /// replica when [`ReplicaConfig::hedge_delay`] is set), records the
-    /// outcome on the answering replica's breaker, gives a transport
-    /// failure one bounded retry against the next preferred replica, and
-    /// stitches trace spans via [`collect_shard`].
+    /// Finishes one fan-out leg: waits for the reply, records the outcome
+    /// on the replica's breaker, gives a transport failure one bounded
+    /// retry against the next preferred replica, and stitches trace spans
+    /// via [`collect_shard`].
     fn settle_leg(
         &self,
         leg: Leg<T>,
         req: &LegRequest<'_>,
         trace: &mut TraceBuilder,
     ) -> Result<PartialResponse, ServeError> {
-        let Leg {
-            shard,
-            replica,
-            span,
-            ctx,
-            pending,
-        } = leg;
-        let (mut outcome, responder) = self.race_hedge(shard, replica, pending, req, ctx, trace);
-        self.shards[shard].note(responder, outcome.as_ref().err());
+        let mut outcome = leg.pending.wait(req.deadline);
+        self.shards[leg.shard].note(leg.replica, outcome.as_ref().err());
         if matches!(outcome, Err(ServeError::Transport { .. })) {
-            outcome = self.retry_leg(shard, responder, req, ctx, trace);
+            outcome = self.retry_leg(leg.shard, leg.replica, req, leg.ctx, trace);
         }
-        collect_shard(shard, span, outcome, self.n_topics, req.wave_span, trace)
-    }
-
-    /// Waits for `pending` from `replica`, hedging onto the next
-    /// preferred replica if [`ReplicaConfig::hedge_delay`] elapses with no
-    /// reply: both legs are then polled and the first settled outcome
-    /// wins, with the loser's handle dropped (which cancels it
-    /// transport-side). Returns the outcome and the replica that produced
-    /// it. Hedging cannot mix versions — replicas serve identical slices
-    /// with identical shard-derived seeds, and every response still
-    /// passes the version check.
-    fn race_hedge(
-        &self,
-        shard: usize,
-        replica: usize,
-        pending: T::Pending,
-        req: &LegRequest<'_>,
-        ctx: TraceContext,
-        trace: &mut TraceBuilder,
-    ) -> (Result<PartialResponse, ServeError>, usize) {
-        let deadline = req.deadline;
-        let set = &self.shards[shard];
-        let Some(delay) = self.replica_config.hedge_delay else {
-            return (pending.wait(deadline), replica);
-        };
-        if set.len() <= 1 {
-            return (pending.wait(deadline), replica);
-        }
-        let hedge_at = Instant::now() + delay;
-        let first_bound = deadline.map_or(hedge_at, |at| at.min(hedge_at));
-        let primary = match pending.wait_until(first_bound) {
-            PollOutcome::Ready(outcome) => return (outcome, replica),
-            PollOutcome::Pending(primary) => primary,
-        };
-        if deadline.is_some_and(|at| Instant::now() >= at) {
-            return (Err(ServeError::DeadlineExceeded), replica);
-        }
-        let other = set
-            .preference(derive_replica_choice(req.seed, shard, set.len()))
-            .into_iter()
-            .find(|&r| r != replica);
-        let Some(other) = other else {
-            return (primary.wait(deadline), replica);
-        };
-        let hedge = match set.replicas()[other].submit_partial(
-            req.words.to_vec(),
-            req.request.clone(),
-            deadline,
-            ctx,
-        ) {
-            Ok(handle) => handle,
-            // A replica that cannot even accept the hedge is no better
-            // than the one we are already waiting on.
-            Err(_) => return (primary.wait(deadline), replica),
-        };
-        self.hedges.fetch_add(1, Ordering::Relaxed);
-        self.shard_requests[shard].fetch_add(1, Ordering::Relaxed);
-        trace.event(
+        collect_shard(
+            leg.shard,
+            leg.span,
+            outcome,
+            self.n_topics,
             req.wave_span,
-            format_args!("hedge {} replica {other}", ShardPlan::span_name(shard)),
-        );
-        let slice = Duration::from_millis(1);
-        let mut primary = primary;
-        let mut hedge = hedge;
-        loop {
-            match primary.wait_until(Instant::now() + slice) {
-                PollOutcome::Ready(Ok(response)) => return (Ok(response), replica),
-                PollOutcome::Ready(Err(e)) => {
-                    set.note(replica, Some(&e));
-                    return (hedge.wait(deadline), other);
-                }
-                PollOutcome::Pending(p) => primary = p,
-            }
-            match hedge.wait_until(Instant::now() + slice) {
-                PollOutcome::Ready(Ok(response)) => return (Ok(response), other),
-                PollOutcome::Ready(Err(e)) => {
-                    set.note(other, Some(&e));
-                    return (primary.wait(deadline), replica);
-                }
-                PollOutcome::Pending(h) => hedge = h,
-            }
-            if deadline.is_some_and(|at| Instant::now() >= at) {
-                return (Err(ServeError::DeadlineExceeded), replica);
-            }
-        }
+            trace,
+        )
     }
 
     /// The bounded transport retry (the partial is idempotent pure

@@ -35,7 +35,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -76,20 +76,6 @@ pub struct ShardInfo {
     pub stats: ServeStats,
 }
 
-/// The outcome of a bounded [`PendingPartial::wait_until`] poll: either a
-/// settled reply, or the still-pending handle so the caller can resume the
-/// wait later. Handing the handle back (instead of erroring at the bound)
-/// is what lets the router race two replicas of the same shard — the
-/// mechanism behind hedged requests — and interleave deadline checks
-/// without dedicating a thread per in-flight leg.
-#[derive(Debug)]
-pub enum PollOutcome<P> {
-    /// The shard answered (or failed terminally) within the bound.
-    Ready(Result<PartialResponse, ServeError>),
-    /// No reply yet; resume with another `wait_until` or a final `wait`.
-    Pending(P),
-}
-
 /// A submitted-but-not-yet-answered partial request; the other half of
 /// [`ShardTransport::submit_partial`]. Splitting submission from the wait
 /// is what lets the router land every shard's request before blocking on
@@ -97,7 +83,7 @@ pub enum PollOutcome<P> {
 ///
 /// Dropping a pending handle cancels the wait — a local shard's eventual
 /// reply is discarded at its channel, a remote one's connection is closed
-/// — which is how the router abandons the losing leg of a hedged request.
+/// — which is how a request that failed on another leg abandons the rest.
 pub trait PendingPartial {
     /// Awaits the shard's reply, honouring the request deadline the router
     /// passed at submission.
@@ -108,15 +94,6 @@ pub trait PendingPartial {
     /// [`ServeError::Closed`] when the shard (or its transport) has shut
     /// down, and transport- or shard-reported errors otherwise.
     fn wait(self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError>;
-
-    /// Waits until `until` at the latest. Unlike [`PendingPartial::wait`],
-    /// reaching the bound is not an error: the handle comes back as
-    /// [`PollOutcome::Pending`] so the caller can hedge, check its own
-    /// deadline, or resume waiting. A bound already in the past still
-    /// checks for an already-arrived reply before yielding the handle.
-    fn wait_until(self, until: Instant) -> PollOutcome<Self>
-    where
-        Self: Sized;
 }
 
 /// How a [`ShardRouter`](crate::ShardRouter) reaches one shard.
@@ -314,37 +291,16 @@ const STATE_OPEN: u8 = 1;
 /// re-opens the breaker.
 const STATE_HALF_OPEN: u8 = 2;
 
-/// Replica-set tuning for a [`ShardRouter`](crate::ShardRouter): how its
-/// per-replica circuit breakers trip and recover, and whether fan-out legs
-/// are hedged. The default — no hedging, trip after 3 consecutive
-/// transport failures, probe again after 1 s — leaves a single-replica
-/// fleet behaving exactly as before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaConfig {
-    /// Hedge a fan-out leg by submitting to a second replica after this
-    /// long without a reply (derive it from the leg's p99; see
-    /// `docs/SERVING.md`). `None` disables hedging. Hedging is inert on
-    /// single-replica sets.
-    pub hedge_delay: Option<Duration>,
-    /// Consecutive transport failures that trip a replica's breaker.
-    pub failure_threshold: u32,
-    /// How long a tripped replica sits out before a single request (or
-    /// health probe) may half-open the breaker.
-    pub cooldown: Duration,
-}
+/// Consecutive transport failures that trip a replica's breaker.
+pub const FAILURE_THRESHOLD: u32 = 3;
+/// How long a tripped replica sits out before a single request (or health
+/// probe) may half-open its breaker. (Shortened under test so the
+/// half-open probe does not cost a second.)
+const COOLDOWN: Duration = Duration::from_millis(if cfg!(test) { 250 } else { 1000 });
 
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig {
-            hedge_delay: None,
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(1),
-        }
-    }
-}
-
-/// One replica's circuit breaker: consecutive transport failures trip it
-/// `STATE_CLOSED` → `STATE_OPEN`; after the cooldown a single request
+/// One replica's circuit breaker: [`FAILURE_THRESHOLD`] consecutive
+/// transport failures trip it `STATE_CLOSED` → `STATE_OPEN`; after a
+/// one-second cooldown a single request
 /// half-opens it (`STATE_HALF_OPEN`) as the probe whose outcome closes
 /// or re-trips it. Success from *any* path (traffic, a health probe via
 /// the `/healthz` seam) re-admits immediately.
@@ -361,23 +317,19 @@ pub struct ReplicaBreaker {
     /// cannot live in an atomic).
     opened_at_us: AtomicU64,
     birth: Instant,
-    threshold: u32,
-    cooldown: Duration,
     trips: AtomicU64,
     readmits: AtomicU64,
     probes: AtomicU64,
 }
 
 impl ReplicaBreaker {
-    /// A closed breaker with the given trip threshold and cooldown.
-    pub fn new(config: &ReplicaConfig) -> Self {
+    /// A closed breaker.
+    pub(crate) fn new() -> Self {
         ReplicaBreaker {
             state: AtomicU8::new(STATE_CLOSED),
             consecutive_failures: AtomicU32::new(0),
             opened_at_us: AtomicU64::new(0),
             birth: Instant::now(),
-            threshold: config.failure_threshold.max(1),
-            cooldown: config.cooldown,
             trips: AtomicU64::new(0),
             readmits: AtomicU64::new(0),
             probes: AtomicU64::new(0),
@@ -392,7 +344,7 @@ impl ReplicaBreaker {
             return true;
         }
         let opened = Duration::from_micros(self.opened_at_us.load(Ordering::Acquire));
-        if self.birth.elapsed().saturating_sub(opened) < self.cooldown {
+        if self.birth.elapsed().saturating_sub(opened) < COOLDOWN {
             return false;
         }
         let probing = self
@@ -434,7 +386,7 @@ impl ReplicaBreaker {
     pub fn record_failure(&self) {
         let run = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         let was = self.state.load(Ordering::Acquire);
-        let trip = run >= self.threshold || was == STATE_HALF_OPEN;
+        let trip = run >= FAILURE_THRESHOLD || was == STATE_HALF_OPEN;
         if trip && was != STATE_OPEN {
             self.opened_at_us
                 .store(self.birth.elapsed().as_micros() as u64, Ordering::Release);
@@ -540,17 +492,6 @@ impl PendingPartial for LocalPending {
         };
         let reply = TopicServer::await_reply(&self.rx, remaining)?;
         finish_partial(reply, self.timings.as_deref())
-    }
-
-    fn wait_until(self, until: Instant) -> PollOutcome<LocalPending> {
-        // A zero-duration recv_timeout still drains an already-arrived
-        // reply, so a bound in the past degrades to a non-blocking poll.
-        let bound = until.saturating_duration_since(Instant::now());
-        match self.rx.recv_timeout(bound) {
-            Ok(reply) => PollOutcome::Ready(finish_partial(reply, self.timings.as_deref())),
-            Err(RecvTimeoutError::Timeout) => PollOutcome::Pending(self),
-            Err(RecvTimeoutError::Disconnected) => PollOutcome::Ready(Err(ServeError::Closed)),
-        }
     }
 }
 
@@ -800,8 +741,7 @@ impl HttpTransport {
             stream,
             reused,
             request,
-            response: Vec::new(),
-            last_io: Instant::now(),
+            written: Instant::now(),
         };
         match pending.write() {
             Err(_) if pending.reused => pending.redial()?,
@@ -813,11 +753,7 @@ impl HttpTransport {
     /// Round-trips one request with a bounded wait (the control path:
     /// info, stats, publication).
     fn call(&self, request: Vec<u8>, wait: Duration) -> Result<(u16, Vec<u8>), ServeError> {
-        let mut pending = self.send(request)?;
-        match pending.poll(Some(Instant::now() + wait)) {
-            Some(framed) => Ok(pending.finish(framed?)),
-            None => Err(ServeError::DeadlineExceeded),
-        }
+        self.send(request)?.read(Some(Instant::now() + wait))
     }
 
     /// A body-less control `GET`, its 200 decoded by `decode`.
@@ -849,9 +785,8 @@ impl HttpTransport {
 type Framed = (u16, Range<usize>);
 
 /// The pending handle of an [`HttpTransport`] submission: the connection
-/// the request went out on and whatever of the response has arrived.
-/// Dropping it unfinished closes the socket, which is what cancels the
-/// leg on the shard's side.
+/// the request went out on. Dropping it unread closes the socket, which is
+/// what cancels the leg on the shard's side.
 #[derive(Debug)]
 pub struct HttpPending {
     peer: Arc<Peer>,
@@ -862,11 +797,9 @@ pub struct HttpPending {
     /// partials are pure computation, staging and commits idempotent).
     reused: bool,
     request: Vec<u8>,
-    response: Vec<u8>,
-    /// When a byte last moved (the write, or the latest read): the I/O
-    /// timeout runs from here, not from each poll — a hedged race polls in
-    /// 1 ms slices and would otherwise never time out.
-    last_io: Instant,
+    /// When the request went out: the I/O timeout runs from here until
+    /// the first reply byte, then from the latest byte read.
+    written: Instant,
 }
 
 impl HttpPending {
@@ -874,7 +807,7 @@ impl HttpPending {
         self.stream
             .write_all(&self.request)
             .map_err(|e| self.peer.transport_err("write to shard failed", e))?;
-        self.last_io = Instant::now();
+        self.written = Instant::now();
         Ok(())
     }
 
@@ -884,25 +817,35 @@ impl HttpPending {
         self.write()
     }
 
-    /// Reads until the response is complete (`Some(Ok(..))`), the exchange
-    /// fails (`Some(Err(..))`) or `until` passes (`None`: what has arrived
-    /// stays buffered and a later poll resumes).
-    fn poll(&mut self, until: Option<Instant>) -> Option<Result<Framed, ServeError>> {
+    /// Reads the reply: its status and body, [`ServeError::DeadlineExceeded`]
+    /// once `deadline` passes, or a transport error naming the peer. The
+    /// connection goes back to the pool only when the bytes read are exactly
+    /// this response: trailing bytes mean the peer is not speaking
+    /// one-reply-per-request, and the next request on that connection would
+    /// read them as its answer.
+    fn read(mut self, deadline: Option<Instant>) -> Result<(u16, Vec<u8>), ServeError> {
         let read_err =
             |peer: &Peer, cause: &str| peer.transport_err("read from shard failed", cause);
+        let mut response = Vec::new();
+        let mut last_io = self.written;
         let mut chunk = [0u8; 16 << 10];
         loop {
-            match parse_head(&self.response) {
-                Ok(Some((status, body))) if self.response.len() >= body.end => {
-                    return Some(Ok((status, body)))
+            match parse_head(&response) {
+                Ok(Some((status, body))) if response.len() >= body.end => {
+                    if response.len() == body.end {
+                        self.peer.put_idle(self.stream);
+                    }
+                    response.truncate(body.end);
+                    response.drain(..body.start);
+                    return Ok((status, response));
                 }
                 Ok(_) => {}
-                Err(cause) => return Some(Err(read_err(&self.peer, cause))),
+                Err(cause) => return Err(read_err(&self.peer, cause)),
             }
-            let io_deadline = self.last_io + IO_TIMEOUT;
-            let bound = until.map_or(io_deadline, |until| until.min(io_deadline));
-            // Never zero, which `set_read_timeout` rejects: a bound already
-            // in the past still reads what has arrived, within a timer tick.
+            let io_deadline = last_io + IO_TIMEOUT;
+            let bound = deadline.map_or(io_deadline, |at| at.min(io_deadline));
+            // Never zero, which `set_read_timeout` rejects: a deadline
+            // already past still reads what has arrived, within a timer tick.
             let timeout = bound
                 .saturating_duration_since(Instant::now())
                 .max(Duration::from_micros(1));
@@ -913,19 +856,18 @@ impl HttpPending {
             let cause = match read {
                 Ok(0) => "connection closed".to_string(),
                 Ok(n) => {
-                    let arrived = chunk.get(..n).unwrap_or_default();
-                    self.response.extend_from_slice(arrived);
-                    self.last_io = Instant::now();
+                    response.extend_from_slice(chunk.get(..n).unwrap_or_default());
+                    last_io = Instant::now();
                     continue;
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     let now = Instant::now();
                     if now >= io_deadline {
-                        return Some(Err(read_err(&self.peer, "timed out")));
+                        return Err(read_err(&self.peer, "timed out"));
                     }
-                    if until.is_some_and(|until| now >= until) {
-                        return None;
+                    if deadline.is_some_and(|at| now >= at) {
+                        return Err(ServeError::DeadlineExceeded);
                     }
                     continue;
                 }
@@ -934,35 +876,12 @@ impl HttpPending {
             // EOF or a reset before the first response byte of a reused
             // connection: the shard closed it between requests. Never
             // replay once a response byte has been consumed.
-            if !(self.reused && self.response.is_empty()) {
-                return Some(Err(read_err(&self.peer, &cause)));
+            if !(self.reused && response.is_empty()) {
+                return Err(read_err(&self.peer, &cause));
             }
-            if let Err(e) = self.redial() {
-                return Some(Err(e));
-            }
+            self.redial()?;
+            last_io = self.written;
         }
-    }
-
-    /// Hands out status and body, and returns the connection to the pool —
-    /// only when the buffer holds exactly this response: trailing bytes
-    /// mean the peer is not speaking one-reply-per-request, and the next
-    /// request on that connection would read them as its answer.
-    fn finish(mut self, (status, body): Framed) -> (u16, Vec<u8>) {
-        let mut response = std::mem::take(&mut self.response);
-        if response.len() == body.end {
-            self.peer.put_idle(self.stream);
-        }
-        response.truncate(body.end);
-        response.drain(..body.start);
-        (status, response)
-    }
-
-    fn finish_partial(
-        self,
-        framed: Result<Framed, ServeError>,
-    ) -> Result<PartialResponse, ServeError> {
-        let (status, body) = self.finish(framed?);
-        decode_body(status, &body, wire::decode_partial_response)
     }
 }
 
@@ -998,18 +917,9 @@ fn parse_head(buf: &[u8]) -> Result<Option<Framed>, &'static str> {
 }
 
 impl PendingPartial for HttpPending {
-    fn wait(mut self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
-        match self.poll(deadline) {
-            Some(framed) => self.finish_partial(framed),
-            None => Err(ServeError::DeadlineExceeded),
-        }
-    }
-
-    fn wait_until(mut self, until: Instant) -> PollOutcome<HttpPending> {
-        match self.poll(Some(until)) {
-            Some(framed) => PollOutcome::Ready(self.finish_partial(framed)),
-            None => PollOutcome::Pending(self),
-        }
+    fn wait(self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
+        let (status, body) = self.read(deadline)?;
+        decode_body(status, &body, wire::decode_partial_response)
     }
 }
 
@@ -1302,20 +1212,17 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_readmits_on_success() {
-        let config = ReplicaConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(0),
-            ..ReplicaConfig::default()
-        };
-        let breaker = ReplicaBreaker::new(&config);
+        let breaker = ReplicaBreaker::new();
         assert!(breaker.admit() && breaker.is_admitted());
-        breaker.record_failure();
-        breaker.record_failure();
+        for _ in 1..FAILURE_THRESHOLD {
+            breaker.record_failure();
+        }
         assert!(breaker.is_admitted(), "below threshold");
         breaker.record_failure();
         assert!(!breaker.is_admitted());
         assert_eq!(breaker.trips(), 1);
-        // Zero cooldown: the next admission is the half-open probe.
+        // Past the cooldown, the next admission is the half-open probe.
+        std::thread::sleep(COOLDOWN);
         assert!(breaker.admit());
         assert_eq!(breaker.probes(), 1);
         // A failed probe re-trips immediately…
@@ -1323,6 +1230,7 @@ mod tests {
         assert!(!breaker.is_admitted());
         assert_eq!(breaker.trips(), 2);
         // …and a successful one re-admits.
+        std::thread::sleep(COOLDOWN);
         assert!(breaker.admit());
         breaker.record_success();
         assert!(breaker.is_admitted());
@@ -1331,41 +1239,13 @@ mod tests {
 
     #[test]
     fn open_breaker_rejects_until_cooldown() {
-        let config = ReplicaConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_secs(3600),
-            ..ReplicaConfig::default()
-        };
-        let breaker = ReplicaBreaker::new(&config);
-        breaker.record_failure();
+        let breaker = ReplicaBreaker::new();
+        for _ in 0..FAILURE_THRESHOLD {
+            breaker.record_failure();
+        }
         assert!(!breaker.is_admitted());
-        assert!(!breaker.admit(), "cooldown is far in the future");
+        assert!(!breaker.admit(), "the cooldown has not elapsed");
         assert_eq!(breaker.probes(), 0);
-    }
-
-    #[test]
-    fn wait_until_hands_the_pending_handle_back() {
-        let transport = transport();
-        let mut pending = transport
-            .submit_partial(
-                vec![0, 3, 6],
-                PartialRequest::FoldIn { seed: 4 },
-                None,
-                TraceContext::disabled(),
-            )
-            .unwrap();
-        let give_up = Instant::now() + Duration::from_secs(5);
-        let response = loop {
-            match pending.wait_until(Instant::now() + Duration::from_millis(1)) {
-                PollOutcome::Ready(r) => break r.unwrap(),
-                PollOutcome::Pending(p) => {
-                    assert!(Instant::now() < give_up, "shard never answered");
-                    pending = p;
-                }
-            }
-        };
-        assert_eq!(response.partial.n_words, 3);
-        assert_eq!(response.snapshot_version, 1);
     }
 
     #[test]
@@ -1502,13 +1382,12 @@ mod tests {
     fn a_reply_in_two_writes_survives_a_bounded_poll_bit_for_bit() {
         let in_process = submit(&transport()).wait(None).unwrap();
         let reply = canned_reply();
-        let (go_tx, go_rx) = channel::<()>();
         let (transport, _seen) = scripted_peer(move |i, mut stream, _| {
             assert!(read_request(&mut stream));
             if i == 0 {
                 let (first, second) = reply.split_at(reply.len() / 2);
                 stream.write_all(first).unwrap();
-                go_rx.recv().unwrap();
+                std::thread::sleep(Duration::from_millis(30));
                 stream.write_all(second).unwrap();
             } else {
                 stream.write_all(&reply).unwrap();
@@ -1516,17 +1395,9 @@ mod tests {
             // Hold the connection until the client has read the reply.
             read_request(&mut stream);
         });
-        let mut pending = submit(&transport);
-        let give_up = Instant::now() + PATIENCE;
-        while pending.response.is_empty() {
-            assert!(Instant::now() < give_up, "the first half never arrived");
-            pending = match pending.wait_until(Instant::now() + Duration::from_millis(5)) {
-                PollOutcome::Pending(p) => p,
-                PollOutcome::Ready(r) => panic!("half a reply settled the leg: {r:?}"),
-            };
-        }
-        go_tx.send(()).unwrap();
-        let resumed = pending.wait(None).unwrap();
+        let resumed = submit(&transport)
+            .wait(Some(Instant::now() + PATIENCE))
+            .unwrap();
         drop(transport.peer.take_idle());
         let whole = submit(&transport).wait(None).unwrap();
         assert_eq!(resumed, whole);
@@ -1543,19 +1414,9 @@ mod tests {
             read_request(&mut stream);
         });
         let past = Instant::now();
-        let mut pending = submit(&transport);
+        let pending = submit(&transport);
         assert_eq!(seen.recv_timeout(PATIENCE), Ok("answered"));
-        let give_up = Instant::now() + PATIENCE;
-        let response = loop {
-            match pending.wait_until(past) {
-                PollOutcome::Ready(r) => break r.unwrap(),
-                PollOutcome::Pending(p) => pending = p,
-            }
-            assert!(
-                Instant::now() < give_up,
-                "an arrived reply was never handed out"
-            );
-        };
+        let response = pending.wait(Some(past)).unwrap();
         assert_eq!(response.partial.n_words, 3);
     }
 
@@ -1646,21 +1507,9 @@ mod tests {
             Err(ServeError::DeadlineExceeded)
         ));
         assert!(started.elapsed() < IO_TIMEOUT, "the deadline came first");
-        // Without a deadline the I/O timeout ends the wait — also when the
-        // caller polls in slices shorter than it, as a hedged race does.
+        // Without a deadline the I/O timeout ends the wait.
         let started = Instant::now();
-        let mut pending = submit(&transport);
-        let outcome = loop {
-            match pending.wait_until(Instant::now() + Duration::from_millis(1)) {
-                PollOutcome::Ready(outcome) => break outcome,
-                PollOutcome::Pending(p) => pending = p,
-            }
-            assert!(
-                started.elapsed() < 3 * IO_TIMEOUT,
-                "the I/O timeout never fired"
-            );
-        };
-        match outcome {
+        match submit(&transport).wait(None) {
             Err(ServeError::Transport { detail, .. }) => {
                 assert!(detail.contains("timed out"), "detail was: {detail}")
             }
@@ -1713,6 +1562,57 @@ mod tests {
         check(&transport());
         let (http, remote) = shard(HttpConfig::default());
         check(&remote);
+        drop(remote);
+        http.shutdown();
+    }
+
+    /// The status a server answers to a `POST path` head that declares a
+    /// `length`-byte body, sent without the body.
+    fn status_for_declared_body(addr: SocketAddr, path: &str, length: u64) -> u16 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(PATIENCE)).unwrap();
+        let head = format!(
+            "POST {path} HTTP/1.1\r\nHost: t\r\nX-Saber-Epoch: 3\r\nContent-Length: {length}\r\n\r\n"
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn publication_bodies_are_bounded_by_the_served_shape() {
+        use saber_core::model_io::{delta_encoded_bytes, snapshot_encoded_bytes};
+        // 1 024 × 300 topics: a full slice is 1.2 MB, above the 1 MiB
+        // default `max_body_bytes`.
+        let model = planted_model(1024, 300);
+        let server = TopicServer::from_model(&model, ServeConfig::default()).unwrap();
+        let http =
+            HttpServer::bind("127.0.0.1:0", Arc::new(server), None, HttpConfig::default()).unwrap();
+        let remote = HttpTransport::connect(http.local_addr()).unwrap();
+        let slice = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
+        let mut body = Vec::new();
+        slice.save(&mut body).unwrap();
+        assert!(body.len() > HttpConfig::default().max_body_bytes);
+        remote.prepare_publish(slice, 2).unwrap();
+        assert_eq!(remote.commit_publish(2).unwrap(), 2);
+        assert_eq!(remote.observe_epoch().unwrap(), 2);
+        // Every other body keeps the 1 MiB bound, and a publication larger
+        // than the served shape allows is refused before it is read.
+        for (path, length) in [
+            ("/infer", (1 << 20) + 1),
+            (
+                "/publish-shard",
+                snapshot_encoded_bytes(1024, 300).unwrap() + 1,
+            ),
+            (
+                "/publish-delta",
+                delta_encoded_bytes(1024, 300).unwrap() + 1,
+            ),
+        ] {
+            let status = status_for_declared_body(http.local_addr(), path, length);
+            assert_eq!(status, 413, "{path} with a {length}-byte body");
+        }
         drop(remote);
         http.shutdown();
     }

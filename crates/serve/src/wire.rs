@@ -396,9 +396,9 @@ fn encode_endpoint_stats(endpoint: &EndpointStats) -> JsonValue {
 /// Encodes the router-level counters complementing the shard-aggregated
 /// `server` block of `GET /stats`: the fleet epoch, skew retries, documents
 /// routed, how many shard requests each shard received, plus the
-/// self-healing counters (transport retries, hedges, breaker
-/// trips/re-admissions) and per-replica admission. Absent from direct
-/// (unsharded) servers.
+/// self-healing counters (transport retries, breaker trips/re-admissions,
+/// and `hedges`, always 0 since ISSUE 25) and per-replica admission.
+/// Absent from direct (unsharded) servers.
 fn encode_router_stats(router: &RouterStats) -> JsonValue {
     let mut members = vec![
         ("requests", JsonValue::from(router.requests)),

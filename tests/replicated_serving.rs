@@ -9,10 +9,9 @@
 //! * killing a replica mid-stream over real TCP drops nothing and leaves
 //!   ESCA θ bit-identical (EM within 1e-5 L∞ of direct serving and
 //!   bit-identical to local routing), version-pure across the failure;
-//! * a replica's circuit breaker trips after repeated transport failures
-//!   and re-admits once a health probe sees the replica back;
-//! * hedged requests fire under a zero hedge delay and never produce an
-//!   answer mixing two snapshot versions, even mid-publication;
+//! * a replica's circuit breaker trips after `FAILURE_THRESHOLD`
+//!   consecutive transport failures and re-admits once a health probe sees
+//!   the replica back;
 //! * **regression (deadline-skew bug)**: a fan-out that keeps observing
 //!   version skew fails with `DeadlineExceeded`, not `ShardVersionSkew`,
 //!   once the caller's deadline has passed;
@@ -43,16 +42,14 @@ use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
     derive_replica_choice, derive_shard_seed, FoldInKind, HttpConfig, HttpServer,
     InferenceSnapshot, LocalTransport, PartialRequest, PartialResponse, PendingPartial,
-    PollOutcome, ReplicaConfig, ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter,
-    ShardTransport, TopicServer,
+    ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport, TopicServer,
+    FAILURE_THRESHOLD,
 };
 use saberlda::trace::{TraceBuilder, TraceContext, TraceId};
 use saberlda::LdaModel;
 
 mod common;
-use common::{
-    bits, config, linf, planted_model, random_doc, random_model, spawn_replicated_fleet, K, VOCAB,
-};
+use common::{bits, config, linf, random_doc, random_model, spawn_replicated_fleet, K, VOCAB};
 
 fn shutdown_fleet(fleet: Vec<Vec<Option<HttpServer>>>) {
     for server in fleet.into_iter().flatten().flatten() {
@@ -86,14 +83,18 @@ fn replicated_local_fleet_is_bit_identical_to_single_replica() {
         let single = ShardRouter::from_model(&model, plan.clone(), cfg).unwrap();
         for n_replicas in [2usize, 3] {
             let snapshot = InferenceSnapshot::from_model(&model, cfg.sampler);
-            let replicated = ShardRouter::start_replicated(
-                snapshot,
-                plan.clone(),
-                cfg,
-                n_replicas,
-                ReplicaConfig::default(),
-            )
-            .unwrap();
+            let sets = plan
+                .ranges()
+                .map(|range| {
+                    (0..n_replicas)
+                        .map(|_| {
+                            let server = TopicServer::start(snapshot.shard(range.clone()), cfg);
+                            LocalTransport::with_range(server.unwrap(), range.clone())
+                        })
+                        .collect()
+                })
+                .collect();
+            let replicated = ShardRouter::with_replica_sets(plan.clone(), sets, cfg).unwrap();
             let mut rng = StdRng::seed_from_u64(50);
             for seed in 0..8u64 {
                 let doc = random_doc(&mut rng, 4 + (seed as usize) * 3);
@@ -125,7 +126,7 @@ fn killed_replica_mid_stream_keeps_esca_answers_bit_identical() {
     let reference = ShardRouter::from_model(&model, plan.clone(), cfg).unwrap();
 
     let (mut fleet, sets) = spawn_replicated_fleet(&model, &plan, 2, cfg);
-    let router = ShardRouter::with_replica_sets(plan, sets, cfg, ReplicaConfig::default()).unwrap();
+    let router = ShardRouter::with_replica_sets(plan, sets, cfg).unwrap();
 
     let mut rng = StdRng::seed_from_u64(77);
     // Pre-kill phase: any seed. Post-kill phase: seeds whose shard-0
@@ -179,7 +180,7 @@ fn killed_replica_mid_stream_keeps_em_answers_within_tolerance() {
     let local = ShardRouter::from_model(&model, plan.clone(), cfg).unwrap();
 
     let (mut fleet, sets) = spawn_replicated_fleet(&model, &plan, 2, cfg);
-    let router = ShardRouter::with_replica_sets(plan, sets, cfg, ReplicaConfig::default()).unwrap();
+    let router = ShardRouter::with_replica_sets(plan, sets, cfg).unwrap();
 
     let mut rng = StdRng::seed_from_u64(13);
     let seeds = seeds_choosing(1, 0, 2, 8);
@@ -305,19 +306,11 @@ fn breaker_trips_on_repeated_failures_and_readmits_after_recovery() {
             dead: Arc::clone(&dead),
         },
     ]];
-    let router = ShardRouter::with_replica_sets(
-        plan,
-        replicas,
-        cfg,
-        ReplicaConfig {
-            failure_threshold: 1,
-            ..ReplicaConfig::default()
-        },
-    )
-    .unwrap();
+    let router = ShardRouter::with_replica_sets(plan, replicas, cfg).unwrap();
 
     let mut rng = StdRng::seed_from_u64(4);
-    let seeds = seeds_choosing(0, 1, 2, 4);
+    let threshold = FAILURE_THRESHOLD as usize;
+    let seeds = seeds_choosing(0, 1, 2, threshold + 2);
 
     // Healthy: requests aimed at replica 1 answer there, bit-identically
     // to direct serving.
@@ -329,15 +322,17 @@ fn breaker_trips_on_repeated_failures_and_readmits_after_recovery() {
     );
     assert_eq!(router.router_stats().breaker_trips, 0);
 
-    // Replica 1 dies. The next request aimed at it fails over at submit
-    // time, and with failure_threshold=1 the breaker trips immediately.
+    // Replica 1 dies. Each request aimed at it fails over at submit time,
+    // and the FAILURE_THRESHOLD-th consecutive failure trips the breaker.
     dead.store(true, Ordering::SeqCst);
-    let failed_over = router.infer_topics(doc.clone(), seeds[1]).unwrap();
-    assert_eq!(
-        bits(&reference.infer_topics(doc.clone(), seeds[1]).unwrap().theta),
-        bits(&failed_over.theta),
-        "failover changed the answer"
-    );
+    for &seed in &seeds[1..=threshold] {
+        let failed_over = router.infer_topics(doc.clone(), seed).unwrap();
+        assert_eq!(
+            bits(&reference.infer_topics(doc.clone(), seed).unwrap().theta),
+            bits(&failed_over.theta),
+            "failover changed the answer"
+        );
+    }
     let stats = router.router_stats();
     assert!(stats.breaker_trips >= 1, "breaker never tripped: {stats:?}");
     assert_eq!(
@@ -362,97 +357,21 @@ fn breaker_trips_on_repeated_failures_and_readmits_after_recovery() {
     assert_eq!(stats.replica_health, vec![vec![true, true]]);
 
     // And it serves again, still bit-identically.
-    let recovered = router.infer_topics(doc.clone(), seeds[2]).unwrap();
+    let recovered = router
+        .infer_topics(doc.clone(), seeds[threshold + 1])
+        .unwrap();
     assert_eq!(
-        bits(&reference.infer_topics(doc.clone(), seeds[2]).unwrap().theta),
+        bits(
+            &reference
+                .infer_topics(doc.clone(), seeds[threshold + 1])
+                .unwrap()
+                .theta
+        ),
         bits(&recovered.theta)
     );
 
     reference.shutdown();
     router.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Hedged requests
-// ---------------------------------------------------------------------------
-
-#[test]
-fn hedged_requests_fire_and_never_mix_versions() {
-    // A zero hedge delay hedges essentially every request while the main
-    // thread publishes alternating planted models through the router. ESCA
-    // is deterministic per (words, seed, snapshot), so every legal answer
-    // equals one of two precomputed θ vectors bit-for-bit — an answer
-    // stitched from two replicas on different versions would match
-    // neither.
-    let cfg = config(FoldInKind::Esca);
-    let plan = ShardPlan::single(VOCAB).unwrap();
-    let doc: Vec<u32> = (0..18).map(|i| (i * 7 % VOCAB) as u32).collect();
-    let seed = 9u64;
-
-    let expected: Vec<Vec<u32>> = [planted_model(0), planted_model(1)]
-        .iter()
-        .map(|model| {
-            let reference = TopicServer::from_model(model, cfg).unwrap();
-            let theta = bits(&reference.infer_topics(doc.clone(), seed).unwrap().theta);
-            reference.shutdown();
-            theta
-        })
-        .collect();
-    assert_ne!(expected[0], expected[1], "versions must be distinguishable");
-
-    let model = planted_model(0);
-    let replicas = vec![vec![
-        local_transport(&model, cfg),
-        local_transport(&model, cfg),
-    ]];
-    let router = Arc::new(
-        ShardRouter::with_replica_sets(
-            plan,
-            replicas,
-            cfg,
-            ReplicaConfig {
-                hedge_delay: Some(Duration::ZERO),
-                ..ReplicaConfig::default()
-            },
-        )
-        .unwrap(),
-    );
-
-    let publisher = {
-        let router = Arc::clone(&router);
-        std::thread::spawn(move || {
-            for round in 0..30usize {
-                router
-                    .publish_model(&planted_model((round + 1) % 2))
-                    .unwrap();
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        })
-    };
-
-    for i in 0..300u32 {
-        let response = router.infer_topics(doc.clone(), seed).unwrap();
-        // Version v serves planted_model((v - 1) % 2).
-        let shift = ((response.snapshot_version - 1) % 2) as usize;
-        assert_eq!(
-            bits(&response.theta),
-            expected[shift],
-            "request {i} (version {}) mixed replica versions",
-            response.snapshot_version
-        );
-    }
-    publisher.join().unwrap();
-
-    let stats = router.router_stats();
-    assert!(
-        stats.hedges >= 1,
-        "zero hedge delay over 300 requests never hedged: {stats:?}"
-    );
-
-    match Arc::try_unwrap(router) {
-        Ok(router) => router.shutdown(),
-        Err(_) => panic!("router still shared"),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -512,10 +431,6 @@ impl PendingPartial for SkewPending {
             response.partial.counts.resize(k, 0.0);
             response
         })
-    }
-
-    fn wait_until(self, _until: Instant) -> PollOutcome<Self> {
-        PollOutcome::Ready(self.wait(None))
     }
 }
 
@@ -703,18 +618,6 @@ impl PendingPartial for FailOncePending {
             FailOncePending::Real(pending) => pending.wait(deadline),
         }
     }
-
-    fn wait_until(self, until: Instant) -> PollOutcome<Self> {
-        match self {
-            FailOncePending::Fail => PollOutcome::Ready(Err(injected_transport_error())),
-            FailOncePending::Real(pending) => match pending.wait_until(until) {
-                PollOutcome::Ready(result) => PollOutcome::Ready(result),
-                PollOutcome::Pending(pending) => {
-                    PollOutcome::Pending(FailOncePending::Real(pending))
-                }
-            },
-        }
-    }
 }
 
 impl ShardTransport for FailOnceTransport {
@@ -841,9 +744,7 @@ fn router_healthz_degrades_to_503_when_a_range_loses_every_replica() {
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::single(VOCAB).unwrap();
     let (mut fleet, sets) = spawn_replicated_fleet(&model, &plan, 2, cfg);
-    let router = Arc::new(
-        ShardRouter::with_replica_sets(plan, sets, cfg, ReplicaConfig::default()).unwrap(),
-    );
+    let router = Arc::new(ShardRouter::with_replica_sets(plan, sets, cfg).unwrap());
     let front = HttpServer::bind(
         "127.0.0.1:0",
         Arc::clone(&router),
