@@ -468,8 +468,8 @@ impl<T: ShardTransport> TrainingPipeline<T> {
     /// publication. The touched-row drain is rolled back on failure
     /// ([`SaberLda::restore_touched_rows`]), so the next attempt's delta
     /// again covers every row changed since the last *successful*
-    /// publication; a shard that committed the failed epoch anyway
-    /// declines that delta's base and is re-staged with a full slice.
+    /// publication. If a shard committed the failed epoch anyway, the
+    /// fleet no longer serves this base and the whole retry goes full.
     pub fn push_epoch(&mut self) -> Result<EpochReport, PipelineError> {
         let full_refresh = self.config.full_refresh_every > 0
             && (self.epochs_pushed + 1).is_multiple_of(self.config.full_refresh_every as u64);

@@ -16,6 +16,7 @@
 //! | connection cap reached | `503 Service Unavailable` |
 //! | worker pool shut down | `503 Service Unavailable` |
 //! | malformed body / unknown word id / OOV under `fail` | `400 Bad Request` |
+//! | publication at a stale epoch ([`ServeError::Conflict`]) | `409 Conflict` |
 //! | socket idle past the read timeout | connection closed (`408` mid-request) |
 //!
 //! Under overload the listener therefore *degrades* — some requests are
@@ -41,19 +42,21 @@
 //!   `/infer` and `/similar` is traced end to end, fan-out and shard spans
 //!   included) plus the slow-request capture; see `docs/OBSERVABILITY.md`.
 //!
-//! When the backend is a single [`TopicServer`](crate::TopicServer) the
-//! listener additionally speaks the *shard protocol* that lets a
+//! When the backend is a single [`TopicServer`] the listener additionally
+//! speaks the *shard protocol* that lets a
 //! [`ShardRouter`](crate::ShardRouter) on another machine fan out to it
-//! (see [`crate::transport::HttpTransport`] and `docs/SERVING.md`):
+//! (see [`crate::transport::HttpTransport`] and `docs/SERVING.md`); a
+//! router-backed listener answers `400` to all but `GET /shard-info`:
 //!
 //! * `POST /infer-partial` — one shard's half of a fan-out (ESCA chain
 //!   seed or EM round + θ in, partial counts + snapshot version out).
 //! * `GET /shard-info` — shape, α, fold-in parameters, epoch and full
 //!   serving counters, for fleet validation and stats aggregation.
-//! * `POST /publish-shard` — stages an epoch-tagged snapshot (binary
-//!   `SABRSNAP` body, `X-Saber-Epoch` header) without serving it.
-//! * `POST /commit-epoch` — swaps to the staged epoch (idempotent for the
-//!   epoch already served; `409` when nothing matching is staged).
+//! * `POST /publish-shard` and `/publish-delta` — stage an epoch-tagged
+//!   `SABRSNAP` slice or `SABRDELTA` ([`TopicServer::stage`],
+//!   [`TopicServer::stage_delta`]) without serving it.
+//! * `POST /commit-epoch` — swaps to the staged epoch
+//!   ([`TopicServer::commit`]).
 //!
 //! # Example
 //!
@@ -98,9 +101,9 @@ use saber_trace::{SlowCapture, Trace, TraceBuilder, TraceContext, TraceId, Trace
 use crate::similarity::{cosine_similarity, hellinger_distance};
 use crate::snapshot::InferenceSnapshot;
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
-use crate::transport::{CommitAction, ShardInfo, StagedEpoch};
+use crate::transport::ShardInfo;
 use crate::wire::{self, InferBody};
-use crate::{InferenceBackend, ServeError};
+use crate::{InferenceBackend, ServeError, TopicServer};
 
 /// Transport configuration of an [`HttpServer`].
 #[derive(Debug, Clone)]
@@ -119,8 +122,8 @@ pub struct HttpConfig {
     /// Maximum concurrently served connections; excess connections receive
     /// an immediate `503` and are closed.
     pub max_connections: usize,
-    /// Largest accepted request body (`413` above it), except on the two
-    /// publication endpoints, whose bodies are bounded by the served shape
+    /// Largest accepted request body (`413` above it), except on a shard's
+    /// two publication endpoints, whose bodies are bounded by the served shape
     /// instead: `POST /publish-shard` by the encoded size of a `V × K`
     /// `SABRSNAP`, `POST /publish-delta` by that of a `SABRDELTA` touching
     /// all `V` rows.
@@ -330,11 +333,6 @@ struct HttpState {
     requests: AtomicU64,
     errors: AtomicU64,
     endpoints: EndpointHistograms,
-    /// The epoch-tagged snapshot staged by `POST /publish-shard`, waiting
-    /// for its `POST /commit-epoch` — the shard-side half of a fleet's
-    /// all-or-nothing publication (commit rule shared with
-    /// `LocalTransport` via [`StagedEpoch`]).
-    staged: StagedEpoch,
     /// Recently completed request traces, served by `GET /trace/recent`.
     ring: TraceRing,
     /// The worst traces above [`SLOW_TRACE_THRESHOLD`].
@@ -344,7 +342,7 @@ struct HttpState {
 /// The HTTP front-end: an accept loop plus one thread per live connection.
 ///
 /// Binding takes an `Arc` of any [`InferenceBackend`] — a single
-/// [`TopicServer`](crate::TopicServer) or a sharded
+/// [`TopicServer`] or a sharded
 /// [`ShardRouter`](crate::ShardRouter) — rather than owning it, so the
 /// same worker pool can simultaneously serve in-process callers (and a
 /// training loop can keep publishing snapshots through its own handle).
@@ -361,7 +359,7 @@ pub struct HttpServer {
 impl HttpServer {
     /// Binds `addr` (use port 0 for an OS-assigned port) and starts
     /// accepting connections for `backend` — a
-    /// [`TopicServer`](crate::TopicServer) or a
+    /// [`TopicServer`] or a
     /// [`ShardRouter`](crate::ShardRouter); the listener (and therefore
     /// every client) is agnostic to which. A `vocab` enables the raw-token
     /// `/infer` path and token names in `/top-words`.
@@ -388,7 +386,6 @@ impl HttpServer {
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             endpoints: EndpointHistograms::default(),
-            staged: StagedEpoch::default(),
             ring,
             slow,
         });
@@ -473,7 +470,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<HttpState>) {
             state.errors.fetch_add(1, Ordering::Relaxed);
             let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let body = wire::encode_error(503, "connection limit reached").to_string();
-            let _ = write_response(&stream, 503, &body, false, &[]);
+            let _ = write_response(&stream, 503, &body, false, &[], JSON_CONTENT_TYPE);
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
@@ -566,7 +563,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<HttpState>) {
                 state.requests.fetch_add(1, Ordering::Relaxed);
                 state.errors.fetch_add(1, Ordering::Relaxed);
                 let body = wire::encode_error(status, &detail).to_string();
-                let _ = write_response(&stream, status, &body, false, &[]);
+                let _ = write_response(&stream, status, &body, false, &[], JSON_CONTENT_TYPE);
                 return;
             }
         };
@@ -583,7 +580,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<HttpState>) {
             &[]
         };
         let write_ok =
-            write_response_typed(&stream, status, &body, keep_alive, extra, content_type).is_ok();
+            write_response(&stream, status, &body, keep_alive, extra, content_type).is_ok();
         if let Some(endpoint) = endpoint {
             endpoint_timers(state, endpoint)
                 .total
@@ -650,10 +647,9 @@ fn route(
             }
             ("GET", "/shard-info") => (handle_shard_info(state), None, 0),
             ("GET", "/trace/recent") => (handle_trace_recent(state), None, 0),
-            ("POST", "/infer-partial") => (handle_infer_partial(request, state), None, 0),
-            ("POST", "/publish-shard") => (handle_publish_shard(request, state), None, 0),
-            ("POST", "/publish-delta") => (handle_publish_delta(request, state), None, 0),
-            ("POST", "/commit-epoch") => (handle_commit_epoch(request, state), None, 0),
+            ("POST", "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch") => {
+                (handle_shard_protocol(request, state), None, 0)
+            }
             (
                 _,
                 "/healthz" | "/stats" | "/top-words" | "/similar" | "/metrics" | "/shard-info"
@@ -790,7 +786,33 @@ fn handle_shard_info(state: &HttpState) -> (u16, String) {
     (200, wire::encode_shard_info(&info).to_string())
 }
 
-fn handle_infer_partial(request: &Request, state: &HttpState) -> (u16, String) {
+/// The shard protocol, answered by the server behind this listener. A
+/// router-backed front has none (it holds no one snapshot to stage over,
+/// and could never commit one), so every shard endpoint refuses it with
+/// `400` before its body is even parsed.
+fn handle_shard_protocol(request: &Request, state: &HttpState) -> (u16, String) {
+    let Some(server) = state.backend.shard() else {
+        let detail = match request.path.as_str() {
+            "/infer-partial" => "this backend does not serve shard partials",
+            _ => "this backend does not accept epoch publications",
+        };
+        return serve_error(&ServeError::BadRequest {
+            detail: detail.into(),
+        });
+    };
+    match request.path.as_str() {
+        "/infer-partial" => handle_infer_partial(request, state, server),
+        "/publish-shard" => handle_publish_shard(request, server),
+        "/publish-delta" => handle_publish_delta(request, server),
+        _ => handle_commit_epoch(request, server),
+    }
+}
+
+fn handle_infer_partial(
+    request: &Request,
+    state: &HttpState,
+    server: &TopicServer,
+) -> (u16, String) {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => return error(400, "request body is not valid UTF-8"),
@@ -806,10 +828,7 @@ fn handle_infer_partial(request: &Request, state: &HttpState) -> (u16, String) {
         .header("x-saber-trace")
         .and_then(TraceContext::parse)
         .unwrap_or_else(TraceContext::disabled);
-    match state
-        .backend
-        .infer_partial_traced(words, partial, state.config.request_deadline, ctx)
-    {
+    match server.infer_partial_traced(words, partial, state.config.request_deadline, ctx) {
         Ok(response) => {
             if let (Some(id), Some(root)) = (ctx.trace_id(), response.spans.first()) {
                 // Also record the shard-local subtree in this process's
@@ -829,7 +848,9 @@ fn handle_infer_partial(request: &Request, state: &HttpState) -> (u16, String) {
     }
 }
 
-fn handle_publish_shard(request: &Request, state: &HttpState) -> (u16, String) {
+/// Stages an uploaded `SABRSNAP` slice for the `X-Saber-Epoch` it names
+/// ([`TopicServer::stage`]).
+fn handle_publish_shard(request: &Request, server: &TopicServer) -> (u16, String) {
     let epoch = match request.header("x-saber-epoch").map(str::parse::<u64>) {
         Some(Ok(epoch)) => epoch,
         _ => return error(400, "publication requires an X-Saber-Epoch header"),
@@ -838,37 +859,13 @@ fn handle_publish_shard(request: &Request, state: &HttpState) -> (u16, String) {
         Ok(snapshot) => snapshot,
         Err(e) => return error(400, &format!("malformed snapshot body: {e}")),
     };
-    stage(state, epoch, snapshot)
+    staged(epoch, server.stage(epoch, snapshot))
 }
 
-/// Stages `snapshot` for `epoch` under the one staging contract
-/// ([`StagedEpoch::stage`]): `409` for an epoch not ahead of the served
-/// one, `400` for a shape this shard does not serve.
-fn stage(state: &HttpState, epoch: u64, snapshot: InferenceSnapshot) -> (u16, String) {
-    let backend = &state.backend;
-    let served = (
-        backend.snapshot_version(),
-        backend.vocab_size(),
-        backend.n_topics(),
-    );
-    if let Err(refusal) = state.staged.stage(epoch, snapshot, served) {
-        return error(if refusal.conflict { 409 } else { 400 }, &refusal.detail);
-    }
-    let body = saber_core::json::JsonValue::object([(
-        "staged_epoch",
-        saber_core::json::JsonValue::from(epoch),
-    )]);
-    (200, body.to_string())
-}
-
-/// Stages a `SABRDELTA` publication: the delta is applied over the shard's
-/// *currently served* snapshot and the patched result staged for the
-/// delta's target epoch, exactly as if a full `SABRSNAP` of that epoch had
-/// been uploaded. A 409 means the shard declined cleanly — its served
-/// version is not the delta's base, the target is not ahead, or the
-/// backend cannot expose its snapshot — and the publisher falls back to a
-/// full `/publish-shard`.
-fn handle_publish_delta(request: &Request, state: &HttpState) -> (u16, String) {
+/// Stages a `SABRDELTA` publication ([`TopicServer::stage_delta`]). A
+/// decline is a `409`, on which the publisher falls back to a full
+/// `/publish-shard`.
+fn handle_publish_delta(request: &Request, server: &TopicServer) -> (u16, String) {
     let target = match request.header("x-saber-epoch").map(str::parse::<u64>) {
         Some(Ok(epoch)) => epoch,
         _ => return error(400, "delta publication requires an X-Saber-Epoch header"),
@@ -886,32 +883,27 @@ fn handle_publish_delta(request: &Request, state: &HttpState) -> (u16, String) {
             ),
         );
     }
-    let snapshot = match state.backend.current_snapshot() {
-        Some(snapshot) => snapshot,
-        None => {
-            return error(
-                409,
-                "this backend cannot apply deltas; publish a full snapshot",
-            )
-        }
-    };
-    if delta.base_version != snapshot.version() {
-        return error(
-            409,
-            &format!(
-                "delta base epoch {} does not match the served epoch {}",
+    let outcome = match server.stage_delta(&delta) {
+        Ok(true) => Ok(()),
+        Ok(false) => Err(ServeError::Conflict {
+            detail: format!(
+                "declined a delta from epoch {} to {target}: this shard serves epoch {}",
                 delta.base_version,
-                snapshot.version()
+                server.snapshot_version()
             ),
-        );
-    }
-    match snapshot.apply_delta(&delta) {
-        Ok(patched) => stage(state, target, patched),
-        Err(e) => error(400, &format!("delta does not apply: {e}")),
-    }
+        }),
+        Err(e) => Err(e),
+    };
+    staged(target, outcome)
 }
 
-fn handle_commit_epoch(request: &Request, state: &HttpState) -> (u16, String) {
+/// The reply to a stage: `{"staged_epoch": N}`, or the refusal's status.
+fn staged(epoch: u64, outcome: Result<(), ServeError>) -> (u16, String) {
+    let body = JsonValue::object([("staged_epoch", JsonValue::from(epoch))]);
+    outcome.map_or_else(|e| serve_error(&e), |()| (200, body.to_string()))
+}
+
+fn handle_commit_epoch(request: &Request, server: &TopicServer) -> (u16, String) {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => return error(400, "request body is not valid UTF-8"),
@@ -931,37 +923,23 @@ fn handle_commit_epoch(request: &Request, state: &HttpState) -> (u16, String) {
         match header.parse::<u64>() {
             Ok(h) if h == epoch => {}
             Ok(h) => {
-                return error(
-                    409,
-                    &format!("X-Saber-Epoch {h} does not match the commit body epoch {epoch}"),
-                )
+                return serve_error(&ServeError::Conflict {
+                    detail: format!(
+                        "X-Saber-Epoch {h} does not match the commit body epoch {epoch}"
+                    ),
+                })
             }
             Err(_) => return error(400, "unparsable X-Saber-Epoch header"),
         }
     }
-    match state
-        .staged
-        .take_for_commit(epoch, state.backend.snapshot_version())
-    {
-        CommitAction::AlreadyServed => (200, encode_epoch_body(epoch)),
-        CommitAction::Publish(snapshot) => {
-            match state.backend.publish_snapshot_at(snapshot, epoch) {
-                Ok(committed) => (200, encode_epoch_body(committed)),
-                Err(e) => serve_error(&e),
-            }
+    match server.commit(epoch) {
+        // `{"snapshot_version": N}`, as `decode_healthz_version` reads it.
+        Ok(epoch) => {
+            let body = JsonValue::object([("snapshot_version", JsonValue::from(epoch))]);
+            (200, body.to_string())
         }
-        CommitAction::Missing => error(409, &format!("no staged snapshot for epoch {epoch}")),
+        Err(e) => serve_error(&e),
     }
-}
-
-/// The `{"snapshot_version": N}` body shared by commit responses (decoded
-/// by the transport's `decode_healthz_version`).
-fn encode_epoch_body(epoch: u64) -> String {
-    saber_core::json::JsonValue::object([(
-        "snapshot_version",
-        saber_core::json::JsonValue::from(epoch),
-    )])
-    .to_string()
 }
 
 fn handle_top_words(request: &Request, state: &HttpState) -> (u16, String) {
@@ -1154,6 +1132,7 @@ fn serve_error(e: &ServeError) -> (u16, String) {
         ServeError::Overloaded => 429,
         ServeError::DeadlineExceeded | ServeError::Closed | ServeError::ShardVersionSkew => 503,
         ServeError::BadRequest { .. } | ServeError::Corpus(_) => 400,
+        ServeError::Conflict { .. } => 409,
         ServeError::Transport { .. } => 502,
         ServeError::InvalidConfig { .. } | ServeError::Internal { .. } => 500,
     };
@@ -1163,10 +1142,11 @@ fn serve_error(e: &ServeError) -> (u16, String) {
 const MAX_HEADER_LINE: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
 
-/// The largest body accepted for `method path`: a publication is bounded by
-/// the exact encoded size of the shape this server serves (staging refuses
-/// any other shape anyway, and a full slice dwarfs the default
-/// `max_body_bytes`); every other request by [`HttpConfig::max_body_bytes`].
+/// The largest body accepted for `method path`: a publication to a shard is
+/// bounded by the exact encoded size of the shape it serves (staging
+/// refuses any other shape anyway, and a full slice dwarfs the default
+/// `max_body_bytes`); every other request, and any publication to a
+/// router-backed front, by [`HttpConfig::max_body_bytes`].
 fn body_limit(state: &HttpState, method: &str, path: &str) -> usize {
     use saber_core::model_io::{delta_encoded_bytes, snapshot_encoded_bytes};
     let encoded: fn(u64, u64) -> Option<u64> = match (method, path) {
@@ -1175,8 +1155,11 @@ fn body_limit(state: &HttpState, method: &str, path: &str) -> usize {
         ("POST", "/publish-delta") => delta_encoded_bytes,
         _ => return state.config.max_body_bytes,
     };
-    let backend = &state.backend;
-    encoded(backend.vocab_size() as u64, backend.n_topics() as u64)
+    let Some(server) = state.backend.shard() else {
+        return state.config.max_body_bytes;
+    };
+    let served = server.snapshot();
+    encoded(served.vocab_size() as u64, served.n_topics() as u64)
         .and_then(|bytes| usize::try_from(bytes).ok())
         .unwrap_or(state.config.max_body_bytes)
 }
@@ -1453,23 +1436,6 @@ fn status_text(status: u16) -> &'static str {
 }
 
 fn write_response(
-    stream: &TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<()> {
-    write_response_typed(
-        stream,
-        status,
-        body,
-        keep_alive,
-        extra_headers,
-        JSON_CONTENT_TYPE,
-    )
-}
-
-fn write_response_typed(
     mut stream: &TcpStream,
     status: u16,
     body: &str,
@@ -1580,6 +1546,7 @@ mod tests {
             ServeError::Overloaded,
             ServeError::DeadlineExceeded,
             ServeError::BadRequest { detail: "x".into() },
+            ServeError::Conflict { detail: "x".into() },
             ServeError::ShardVersionSkew,
             ServeError::transport("x"),
             ServeError::Corpus(corpus_error),
@@ -1593,6 +1560,7 @@ mod tests {
                 ServeError::ShardVersionSkew => 503,
                 ServeError::BadRequest { .. } => 400,
                 ServeError::Corpus(_) => 400,
+                ServeError::Conflict { .. } => 409,
                 ServeError::Transport { .. } => 502,
                 ServeError::InvalidConfig { .. } => 500,
                 ServeError::Internal { .. } => 500,
@@ -1603,6 +1571,14 @@ mod tests {
             // status and the variant's Display text.
             assert!(body.contains(&format!("\"status\":{status}")), "{body}");
             assert!(status_text(status) != "Unknown", "{status}");
+            if let ServeError::Conflict { .. } = e {
+                // A refused publication reads the same on both transports.
+                let decoded = wire::decode_serve_error(status, &body);
+                assert!(
+                    matches!(decoded, ServeError::Conflict { .. }),
+                    "{decoded:?}"
+                );
+            }
         }
     }
 }

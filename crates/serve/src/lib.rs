@@ -220,57 +220,11 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// Computes the partial sufficient statistics of one shard-side
-    /// request — the `POST /infer-partial` path — with fail-fast
-    /// admission, a reply deadline and the distributed
-    /// [`TraceContext`](saber_trace::TraceContext) parsed from the
-    /// `X-Saber-Trace` request header, so a shard process can answer with
-    /// its own span subtree inline in the response (see
-    /// [`PartialResponse::spans`]). Only meaningful on a backend that *is*
-    /// a shard (a [`TopicServer`]); the default refuses.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] when the backend does not serve shard
-    /// partials; otherwise as [`TopicServer::infer_partial_traced`].
-    fn infer_partial_traced(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: std::time::Duration,
-        trace: saber_trace::TraceContext,
-    ) -> Result<PartialResponse, ServeError> {
-        let _ = (words, request, deadline, trace);
-        Err(ServeError::BadRequest {
-            detail: "this backend does not serve shard partials".into(),
-        })
-    }
-
-    /// Publishes a snapshot pinned to a fleet-chosen epoch — the
-    /// `POST /commit-epoch` path of a shard process. Only meaningful on a
-    /// [`TopicServer`]; the default refuses.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] when the backend does not accept epoch
-    /// publications; otherwise as [`TopicServer::publish_at`].
-    fn publish_snapshot_at(
-        &self,
-        snapshot: InferenceSnapshot,
-        epoch: u64,
-    ) -> Result<u64, ServeError> {
-        let _ = (snapshot, epoch);
-        Err(ServeError::BadRequest {
-            detail: "this backend does not accept epoch publications".into(),
-        })
-    }
-
-    /// The snapshot this backend currently serves, when it holds exactly
-    /// one — the base a `POST /publish-delta` applies its changed rows to.
-    /// `None` (the default, and a router's answer — a router holds shard
-    /// slices, not one whole snapshot) makes the endpoint decline deltas
-    /// with a 409 so the publisher falls back to full snapshots.
-    fn current_snapshot(&self) -> Option<std::sync::Arc<InferenceSnapshot>> {
+    /// The server behind the shard endpoints (`POST /infer-partial`,
+    /// `/publish-shard`, `/publish-delta` and `/commit-epoch`), when this
+    /// backend *is* a shard: a [`TopicServer`] returns itself. The default
+    /// `None`, a router's answer, makes those endpoints refuse with `400`.
+    fn shard(&self) -> Option<&TopicServer> {
         None
     }
 }
@@ -327,26 +281,8 @@ impl InferenceBackend for TopicServer {
         self.config().fold_in
     }
 
-    fn infer_partial_traced(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: std::time::Duration,
-        trace: saber_trace::TraceContext,
-    ) -> Result<PartialResponse, ServeError> {
-        TopicServer::infer_partial_traced(self, words, request, deadline, trace)
-    }
-
-    fn publish_snapshot_at(
-        &self,
-        snapshot: InferenceSnapshot,
-        epoch: u64,
-    ) -> Result<u64, ServeError> {
-        self.publish_at(snapshot, epoch)
-    }
-
-    fn current_snapshot(&self) -> Option<std::sync::Arc<InferenceSnapshot>> {
-        Some(self.snapshot())
+    fn shard(&self) -> Option<&TopicServer> {
+        Some(self)
     }
 }
 
@@ -420,8 +356,17 @@ pub enum ServeError {
     /// The request was admitted but no answer arrived within the caller's
     /// deadline (see [`TopicServer::infer_with_deadline`]).
     DeadlineExceeded,
-    /// A request carried a word id outside the served vocabulary.
+    /// A request carried a word id outside the served vocabulary, or a
+    /// shape this server can never serve.
     BadRequest {
+        /// Human readable description.
+        detail: String,
+    },
+    /// A publication step disagrees with the epoch the shard serves or has
+    /// staged: a stage for an epoch not ahead of the served one, a commit
+    /// with nothing matching staged, or an `X-Saber-Epoch` that contradicts
+    /// the body. The publisher's view of the fleet is stale (HTTP `409`).
+    Conflict {
         /// Human readable description.
         detail: String,
     },
@@ -466,6 +411,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Overloaded => write!(f, "request queue is full"),
             ServeError::DeadlineExceeded => write!(f, "request deadline exceeded"),
             ServeError::BadRequest { detail } => write!(f, "bad request: {detail}"),
+            ServeError::Conflict { detail } => write!(f, "publication conflict: {detail}"),
             ServeError::ShardVersionSkew => {
                 write!(f, "shard snapshot versions diverged during the request")
             }

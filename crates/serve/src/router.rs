@@ -23,15 +23,15 @@
 //!   independent Gibbs chain seeded by [`derive_shard_seed`] — one round
 //!   trip instead of one per iteration, at the cost of approximating
 //!   cross-shard coupling.
-//! * **Epoch publication** — [`ShardRouter::publish`] slices a new full
-//!   snapshot and moves the fleet from epoch `e` to `e + 1` in lockstep,
-//!   all or nothing: every shard first *stages* its epoch-tagged slice
-//!   ([`ShardTransport::prepare_publish`] — an Arc stash locally, an
-//!   upload remotely), and only when every stage succeeded does the cheap
-//!   commit loop swap them. A request that straddles the swap can observe
-//!   shards on different versions; the router detects the skew in the
-//!   per-shard responses and retries, so no *answer* ever mixes snapshot
-//!   versions — the sharded generalisation of
+//! * **Epoch publication** (`router/publish.rs`) — [`ShardRouter::publish`]
+//!   moves the fleet from epoch `e` to `e + 1` all or nothing: every shard
+//!   first *stages* its slice ([`TopicServer::stage`], in process or across
+//!   the network), and only when every stage succeeded does the cheap
+//!   commit loop swap them. A failed publication is not resumed; the next
+//!   one restarts every shard past the highest epoch served. A request that
+//!   straddles the swap can observe shards on different versions; the
+//!   router detects the skew in the per-shard responses and retries, so no
+//!   *answer* ever mixes snapshot versions — the sharded generalisation of
 //!   [`SnapshotCell`](crate::SnapshotCell)'s torn-read guarantee, and it
 //!   holds identically across machines because every partial response
 //!   carries its snapshot version on the wire.
@@ -66,6 +66,9 @@ use crate::shard::{derive_replica_choice, derive_shard_seed, ShardPlan};
 use crate::snapshot::{FoldInKind, InferenceSnapshot};
 use crate::transport::{LocalTransport, PendingPartial, ReplicaBreaker, ShardInfo, ShardTransport};
 use crate::{InferResponse, ServeConfig, ServeError, ServeStats, TopicServer};
+
+mod publish;
+pub use publish::PipelineStats;
 
 /// How many times a request is retried after observing shards on different
 /// snapshot versions (each retry lands after the publication that caused
@@ -115,46 +118,6 @@ pub struct RouterStats {
     /// at least one epoch (`None` before — a fleet that never publishes
     /// reports exactly the pre-pipeline stats block).
     pub pipeline: Option<PipelineStats>,
-}
-
-/// Counters of the continuous-publication path, surfaced under
-/// `"pipeline"` in `GET /stats` and as `saber_pipeline_*` in `/metrics`.
-/// Row counts are per *staging operation* (one per replica of each shard
-/// range), so they measure what actually crossed the publish seam:
-/// `rows_shipped / rows_total` is the fraction of `B̂` rows a delta-first
-/// publisher avoided re-sending.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Epochs successfully published through this router (full or delta).
-    pub epochs_published: u64,
-    /// Publications that staged **every** replica via a `SABRDELTA` (no
-    /// full-snapshot fallback anywhere in the fleet).
-    pub delta_epochs: u64,
-    /// `B̂` rows actually shipped across all staging operations.
-    pub rows_shipped: u64,
-    /// `B̂` rows a full publication would have shipped for the same
-    /// staging operations.
-    pub rows_total: u64,
-    /// Fallbacks to a full `SABRSNAP`: one per stale-base publication,
-    /// plus one per replica that declined (or priced out) its delta.
-    pub fallbacks: u64,
-    /// Wall-clock µs of the most recent publication (observe + stage +
-    /// commit).
-    pub last_publish_micros: u64,
-    /// Cumulative publication wall-clock µs.
-    pub publish_micros_total: u64,
-}
-
-/// The atomics behind [`PipelineStats`].
-#[derive(Debug, Default)]
-struct PipelineCounters {
-    epochs_published: AtomicU64,
-    delta_epochs: AtomicU64,
-    rows_shipped: AtomicU64,
-    rows_total: AtomicU64,
-    fallbacks: AtomicU64,
-    last_publish_micros: AtomicU64,
-    publish_micros_total: AtomicU64,
 }
 
 /// One replica's health as seen by a live [`ShardRouter::fleet_health`]
@@ -343,9 +306,10 @@ pub struct ShardRouter<T: ShardTransport = LocalTransport> {
     /// interleave shard swaps (which could strand shards on permanently
     /// different versions).
     publish_lock: Mutex<()>,
-    /// Publication-path counters ([`PipelineStats`]); all zero until the
-    /// first publish.
-    pipeline: PipelineCounters,
+    /// Publication-path counters, `None` until the first successful
+    /// publish. A lock of its own, so a `/stats` scrape never waits for a
+    /// publication to finish.
+    pipeline: Mutex<Option<PipelineStats>>,
 }
 
 impl<T: ShardTransport> std::fmt::Debug for ShardRouter<T> {
@@ -495,7 +459,7 @@ impl<T: ShardTransport> ShardRouter<T> {
             shard_requests,
             last_epoch: AtomicU64::new(epoch),
             publish_lock: Mutex::new(()),
-            pipeline: PipelineCounters::default(),
+            pipeline: Mutex::new(None),
         })
     }
 
@@ -547,198 +511,6 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// [`ShardTransport::observe_epoch`] on a transport for a live probe.
     pub fn epoch(&self) -> u64 {
         self.last_epoch.load(Ordering::Relaxed)
-    }
-
-    /// Publishes a new full snapshot to the whole fleet, all-or-nothing:
-    /// every shard *stages* its epoch-tagged slice first, and only when
-    /// every stage succeeded does the commit loop swap them — so a
-    /// mid-publication failure leaves the fleet serving the old epoch
-    /// (stage failure) or retryable per the idempotent commit (commit
-    /// failure), and no *answer* computed by the router ever mixes two
-    /// epochs (requests that straddle the swap are retried against the new
-    /// one). Returns the new epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] when the snapshot's shape
-    /// (vocabulary or topic count) does not match the fleet's; propagates
-    /// staging and commit failures (a commit failure can leave remote
-    /// shards on mixed epochs — answers stay version-pure via skew
-    /// retries, and re-publishing resolves the fleet).
-    pub fn publish(&self, snapshot: InferenceSnapshot) -> Result<u64, ServeError> {
-        self.publish_impl(&snapshot, None)
-    }
-
-    /// [`ShardRouter::publish`] with the incremental fast path: the caller
-    /// names the `B̂` rows that changed (global word ids; sorted and
-    /// deduplicated here, so callers need not pre-canonicalise) and the
-    /// epoch the fleet should currently serve (`base_epoch`). Each replica
-    /// is first offered a `SABRDELTA` of its range's changed rows
-    /// ([`ShardTransport::prepare_publish_delta`]); a replica that
-    /// declines, a range whose delta would not be smaller than its full
-    /// slice, or an observed fleet epoch different from `base_epoch` falls
-    /// back to the full-slice staging — both paths stage bit-identical
-    /// snapshots, so answers never depend on which was taken. The same
-    /// all-or-nothing two-phase commit applies. Returns the new epoch.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardRouter::publish`].
-    pub fn publish_incremental(
-        &self,
-        snapshot: InferenceSnapshot,
-        changed_rows: &[u32],
-        base_epoch: u64,
-    ) -> Result<u64, ServeError> {
-        // The SABRDELTA codec requires strictly increasing row ids;
-        // enforce the canonical encoding once at this seam so every
-        // transport sees the same bytes regardless of caller discipline
-        // (an unsorted list would hard-fail remote staging while local
-        // staging shrugged it off).
-        if changed_rows
-            .iter()
-            .zip(changed_rows.iter().skip(1))
-            .all(|(a, b)| a < b)
-        {
-            self.publish_impl(&snapshot, Some((changed_rows, base_epoch)))
-        } else {
-            let mut rows = changed_rows.to_vec();
-            rows.sort_unstable();
-            rows.dedup();
-            self.publish_impl(&snapshot, Some((&rows, base_epoch)))
-        }
-    }
-
-    /// The shared two-phase publication, with the optional delta fast
-    /// path and [`PipelineStats`] accounting.
-    fn publish_impl(
-        &self,
-        snapshot: &InferenceSnapshot,
-        delta: Option<(&[u32], u64)>,
-    ) -> Result<u64, ServeError> {
-        if snapshot.vocab_size() != self.plan.vocab_size() || snapshot.n_topics() != self.n_topics {
-            return Err(ServeError::InvalidConfig {
-                detail: format!(
-                    "published snapshot is {}x{} but the fleet serves {}x{}",
-                    snapshot.vocab_size(),
-                    snapshot.n_topics(),
-                    self.plan.vocab_size(),
-                    self.n_topics
-                ),
-            });
-        }
-        let started = Instant::now();
-        let _guard = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let observed = self.observe_fleet_epoch()?;
-        let epoch = observed + 1;
-        let k = self.n_topics as u64;
-        let mut rows_shipped = 0u64;
-        let mut rows_total = 0u64;
-        let mut fallbacks = 0u64;
-        // An epoch counts as delta-published only when *every* staging
-        // operation went through the delta path.
-        let mut all_delta = delta.is_some();
-        let changed = match delta {
-            Some((rows, base)) if base == observed => Some(rows),
-            Some(_) => {
-                // The caller's idea of the served epoch is stale; a delta
-                // against the wrong base would be rejected by every shard,
-                // so publish full slices in one pass instead.
-                fallbacks += 1;
-                all_delta = false;
-                None
-            }
-            None => {
-                all_delta = false;
-                None
-            }
-        };
-        // Stage every replica of every shard before committing any:
-        // slicing and (for remote fleets) uploading happen outside the
-        // swap window, so the commit loop is as tight as possible.
-        for (set, range) in self.shards.iter().zip(self.plan.ranges()) {
-            let range_len = u64::from(range.end - range.start);
-            let payload = changed.and_then(|rows| {
-                let n = rows.iter().filter(|&&v| range.contains(&v)).count() as u64;
-                let delta_bytes = saber_core::model_io::delta_encoded_bytes(n, k)?;
-                let full_bytes = saber_core::model_io::snapshot_encoded_bytes(range_len, k)?;
-                // A delta touching most of the range costs more than the
-                // slice it replaces (row ids ride along); ship full then.
-                (delta_bytes < full_bytes)
-                    .then(|| snapshot.shard_delta(range.clone(), rows, observed, epoch))
-            });
-            for transport in set.replicas() {
-                let staged_via_delta = match &payload {
-                    Some(p) => transport.prepare_publish_delta(p)?,
-                    None => false,
-                };
-                rows_total += range_len;
-                if staged_via_delta {
-                    rows_shipped += payload.as_ref().map_or(0, |p| p.rows.len() as u64);
-                } else {
-                    transport.prepare_publish(snapshot.shard(range.clone()), epoch)?;
-                    rows_shipped += range_len;
-                    if changed.is_some() {
-                        fallbacks += 1;
-                        all_delta = false;
-                    }
-                }
-            }
-        }
-        let mut committed = 0;
-        for transport in self.shards.iter().flat_map(ReplicaSet::replicas) {
-            committed = transport.commit_publish(epoch)?;
-        }
-        debug_assert!(
-            self.shards
-                .iter()
-                .flat_map(ReplicaSet::replicas)
-                .all(|t| t.observe_epoch().map(|e| e == epoch).unwrap_or(true)),
-            "shard publications diverged under the publish lock"
-        );
-        self.last_epoch.fetch_max(committed, Ordering::Relaxed);
-        self.pipeline
-            .epochs_published
-            .fetch_add(1, Ordering::Relaxed);
-        if all_delta {
-            self.pipeline.delta_epochs.fetch_add(1, Ordering::Relaxed);
-        }
-        self.pipeline
-            .rows_shipped
-            .fetch_add(rows_shipped, Ordering::Relaxed);
-        self.pipeline
-            .rows_total
-            .fetch_add(rows_total, Ordering::Relaxed);
-        self.pipeline
-            .fallbacks
-            .fetch_add(fallbacks, Ordering::Relaxed);
-        let micros = started.elapsed().as_micros() as u64;
-        self.pipeline
-            .last_publish_micros
-            .store(micros, Ordering::Relaxed);
-        self.pipeline
-            .publish_micros_total
-            .fetch_add(micros, Ordering::Relaxed);
-        Ok(committed)
-    }
-
-    /// Live-probes the fleet's epoch through shard 0's replicas
-    /// ([`ReplicaSet::ask`]: the first that answers is authoritative).
-    fn observe_fleet_epoch(&self) -> Result<u64, ServeError> {
-        match self.shards.first() {
-            Some(set) => set.ask(ShardTransport::observe_epoch),
-            None => Err(ServeError::Closed),
-        }
-    }
-
-    /// Exports and publishes the current state of `model`; the sharded
-    /// counterpart of [`TopicServer::publish_model`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardRouter::publish`].
-    pub fn publish_model(&self, model: &LdaModel) -> Result<u64, ServeError> {
-        self.publish(InferenceSnapshot::from_model(model, self.config.sampler))
     }
 
     /// Blockingly infers the topic distribution of one document across the
@@ -927,27 +699,12 @@ impl<T: ShardTransport> ShardRouter<T> {
             breaker_trips,
             breaker_readmits,
             replica_health,
-            pipeline: self.pipeline_stats(),
+            pipeline: self
+                .pipeline
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .clone(),
         }
-    }
-
-    /// A consistent-enough copy of the publication counters, or `None`
-    /// when this router has never published (so pre-pipeline stats
-    /// consumers see an unchanged block).
-    fn pipeline_stats(&self) -> Option<PipelineStats> {
-        let epochs_published = self.pipeline.epochs_published.load(Ordering::Relaxed);
-        if epochs_published == 0 {
-            return None;
-        }
-        Some(PipelineStats {
-            epochs_published,
-            delta_epochs: self.pipeline.delta_epochs.load(Ordering::Relaxed),
-            rows_shipped: self.pipeline.rows_shipped.load(Ordering::Relaxed),
-            rows_total: self.pipeline.rows_total.load(Ordering::Relaxed),
-            fallbacks: self.pipeline.fallbacks.load(Ordering::Relaxed),
-            last_publish_micros: self.pipeline.last_publish_micros.load(Ordering::Relaxed),
-            publish_micros_total: self.pipeline.publish_micros_total.load(Ordering::Relaxed),
-        })
     }
 
     /// Live-probes every replica's reachability (one

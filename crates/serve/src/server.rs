@@ -14,12 +14,13 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use saber_core::infer::PartialFoldIn;
 use saber_core::model::LdaModel;
+use saber_core::model_io::DeltaPayload;
 use saber_corpus::{OovPolicy, Vocabulary};
 use saber_trace::{SpanRecord, TraceBuilder, TraceContext};
 
@@ -296,11 +297,10 @@ pub struct TopicServer {
     /// one server come from the same model family, so the bound is stable;
     /// the worker tolerates a stale bound by dropping unservable ids.
     vocab_bound: AtomicUsize,
-    /// Serialises [`TopicServer::publish`] so `vocab_bound` and the cell
-    /// swap cannot interleave across concurrent publishers (which could
-    /// otherwise leave the bound permanently out of step with the served
-    /// snapshot).
-    publish_lock: Mutex<()>,
+    /// The epoch-tagged snapshot staged for its [`TopicServer::commit`].
+    /// The mutex also serialises every publication, so `vocab_bound` and
+    /// the cell swap cannot interleave across concurrent publishers.
+    publish_lock: Mutex<Option<(u64, InferenceSnapshot)>>,
 }
 
 impl std::fmt::Debug for TopicServer {
@@ -349,7 +349,7 @@ impl TopicServer {
             counters,
             config,
             vocab_bound,
-            publish_lock: Mutex::new(()),
+            publish_lock: Mutex::new(None),
         })
     }
 
@@ -367,36 +367,110 @@ impl TopicServer {
     /// Publishes a new snapshot; returns its version. In-flight batches
     /// finish on the snapshot they started with.
     pub fn publish(&self, snapshot: InferenceSnapshot) -> u64 {
-        // A poisoned publish lock only means another publisher panicked
-        // mid-publish; the cell itself swaps atomically, so recover.
-        let _guard = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let _staged = self.publish_guard();
         self.vocab_bound
             .store(snapshot.vocab_size(), Ordering::Relaxed);
         self.cell.publish(snapshot)
     }
 
-    /// Publishes a new snapshot at a caller-chosen version, the primitive
-    /// behind a fleet's epoch-tagged remote commit: the shard lands on
-    /// exactly the epoch the router picked, even if its own publication
-    /// counter is behind (a restarted process starts back at 1).
+    /// Stages `slice` to be served as `epoch` from its
+    /// [`TopicServer::commit`], the shard half of a fleet's all-or-nothing
+    /// publication on either transport. Serving is untouched until the
+    /// commit; a stage replaces any earlier, aborted one.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] when `epoch` is not greater
-    /// than the currently served version — an epoch can never move
-    /// backwards, and replaying the *current* epoch is a caller-level
-    /// idempotence concern (see the HTTP commit handler).
-    pub fn publish_at(&self, snapshot: InferenceSnapshot, epoch: u64) -> Result<u64, ServeError> {
-        let _guard = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
+    /// [`ServeError::Conflict`] when `epoch` is not ahead of the served one
+    /// (its commit would be a silent no-op), [`ServeError::BadRequest`]
+    /// when the slice is not the served `V × K` (it would fail every
+    /// request at the router's merge).
+    pub fn stage(&self, epoch: u64, slice: InferenceSnapshot) -> Result<(), ServeError> {
+        let mut staged = self.publish_guard();
+        let served = self.snapshot();
+        let version = served.version();
+        if epoch <= version {
+            return Err(ServeError::Conflict {
+                detail: format!("epoch {epoch} is not ahead of the served epoch {version}"),
+            });
+        }
+        let (vocab_size, n_topics) = (served.vocab_size(), served.n_topics());
+        if (slice.vocab_size(), slice.n_topics()) != (vocab_size, n_topics) {
+            return Err(ServeError::BadRequest {
+                detail: format!(
+                    "published snapshot is {}x{} but this shard serves {vocab_size}x{n_topics}",
+                    slice.vocab_size(),
+                    slice.n_topics()
+                ),
+            });
+        }
+        *staged = Some((epoch, slice));
+        Ok(())
+    }
+
+    /// [`TopicServer::stage`]s `delta`'s rows applied over the served
+    /// snapshot for the delta's target epoch. Returns `false` (declines, so
+    /// the publisher falls back to a full slice) when the served epoch is
+    /// not the delta's base or the target is not ahead of it.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] when the delta does not apply to the
+    /// served snapshot (another shape, sampler or α).
+    pub fn stage_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
+        let mut staged = self.publish_guard();
+        let served = self.snapshot();
+        if served.version() != delta.base_version || delta.target_version <= served.version() {
+            return Ok(false);
+        }
+        let patched = served
+            .apply_delta(delta)
+            .map_err(|e| ServeError::BadRequest {
+                detail: format!("delta does not apply to the served snapshot: {e}"),
+            })?;
+        *staged = Some((delta.target_version, patched));
+        Ok(true)
+    }
+
+    /// Swaps in the snapshot staged for `epoch` and returns `epoch`.
+    /// Idempotent for the epoch already served, and then leaves the stage
+    /// alone: a stale duplicate commit must never discard a newer stage.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Conflict`] when nothing is staged for `epoch`.
+    pub fn commit(&self, epoch: u64) -> Result<u64, ServeError> {
+        let mut staged = self.publish_guard();
+        if self.cell.version() == epoch {
+            return Ok(epoch);
+        }
+        match staged.take_if(|(staged_epoch, _)| *staged_epoch == epoch) {
+            Some((_, slice)) => self.publish_at(slice, epoch),
+            None => Err(ServeError::Conflict {
+                detail: format!("no staged snapshot for epoch {epoch}"),
+            }),
+        }
+    }
+
+    /// Publishes `snapshot` at the router's epoch, whatever the server's own
+    /// counter says (a restarted process starts back at 1). Only
+    /// [`TopicServer::commit`] calls this, under the publish lock.
+    fn publish_at(&self, snapshot: InferenceSnapshot, epoch: u64) -> Result<u64, ServeError> {
         let current = self.cell.version();
         if epoch <= current {
-            return Err(ServeError::InvalidConfig {
+            return Err(ServeError::Conflict {
                 detail: format!("cannot publish epoch {epoch} over current epoch {current}"),
             });
         }
         self.vocab_bound
             .store(snapshot.vocab_size(), Ordering::Relaxed);
         Ok(self.cell.publish_with_version(snapshot, epoch))
+    }
+
+    /// The publish lock over the staged snapshot. Every critical section
+    /// replaces or takes the whole `Option` and the cell swaps atomically,
+    /// so a poisoned lock never exposes a torn value: recover.
+    fn publish_guard(&self) -> MutexGuard<'_, Option<(u64, InferenceSnapshot)>> {
+        self.publish_lock.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Exports and publishes the current state of `model` using the
@@ -943,11 +1017,11 @@ mod tests {
         // Equal or backwards epochs are refused, leaving the server as-is.
         assert!(matches!(
             server.publish_at(snap(), 5),
-            Err(ServeError::InvalidConfig { .. })
+            Err(ServeError::Conflict { .. })
         ));
         assert!(matches!(
             server.publish_at(snap(), 2),
-            Err(ServeError::InvalidConfig { .. })
+            Err(ServeError::Conflict { .. })
         ));
         assert_eq!(server.snapshot_version(), 5);
         // A regular publish continues from the pinned epoch.

@@ -23,13 +23,15 @@
 //!   router's epoch-skew detection works identically: every partial
 //!   response carries the snapshot version that produced it.
 //!
-//! Publication is where the two transports genuinely differ, so the trait
-//! splits it into the two phases a fleet-wide all-or-nothing swap needs:
-//! [`ShardTransport::prepare_publish`] stages an epoch-tagged snapshot
-//! slice on every shard (local: a stash behind a mutex; remote: an upload),
-//! and only when *every* stage succeeded does the router run the cheap
-//! [`ShardTransport::commit_publish`] loop that actually swaps — keeping
-//! the mixed-version window as tight as a single in-process Arc swap.
+//! Publication is split into the two phases a fleet-wide all-or-nothing
+//! swap needs: [`ShardTransport::prepare_publish`] stages an epoch-tagged
+//! snapshot slice on every shard, and only when *every* stage succeeded
+//! does the router run the cheap [`ShardTransport::commit_publish`] loop
+//! that actually swaps — keeping the mixed-version window as tight as a
+//! single in-process Arc swap. The shard's half of that contract lives in
+//! [`TopicServer::stage`], [`TopicServer::stage_delta`] and
+//! [`TopicServer::commit`]: a local transport calls them, a remote one
+//! uploads to the HTTP endpoints that call them.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -161,8 +163,10 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Transport errors, or shard-side rejection (shape mismatch, epoch
-    /// not ahead of the current one).
+    /// Transport errors, or the shard's refusal as
+    /// [`TopicServer::stage`] words it: [`ServeError::Conflict`] for an
+    /// epoch not ahead of the served one, [`ServeError::BadRequest`] for
+    /// another shape.
     fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError>;
 
     /// Stages an incremental publication: a `SABRDELTA` of the rows that
@@ -195,87 +199,9 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Transport errors, or [`ServeError::InvalidConfig`] when nothing is
-    /// staged for `epoch`.
+    /// Transport errors, or [`ServeError::Conflict`] when nothing is staged
+    /// for `epoch` ([`TopicServer::commit`]).
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError>;
-}
-
-/// The staged-epoch slot shared by [`LocalTransport`] and the HTTP shard
-/// endpoints, so the staging contract and the subtle commit rule each live
-/// in exactly one place: a slice is staged only for an epoch ahead of the
-/// served one and only in the served shape, and staging replaces any
-/// previous stage (the router serialises publications, so a leftover stage
-/// is an aborted one); a commit is idempotent for the epoch already served
-/// and consumes the stage only when it matches — in particular, a stale
-/// duplicate commit must never discard a snapshot staged for a newer
-/// epoch.
-#[derive(Debug, Default)]
-pub(crate) struct StagedEpoch(Mutex<Option<(u64, InferenceSnapshot)>>);
-
-/// What a commit request should do, per the rule in [`StagedEpoch`].
-pub(crate) enum CommitAction {
-    /// The shard already serves this epoch; acknowledge without touching
-    /// anything (including any newer staged snapshot).
-    AlreadyServed,
-    /// Publish this snapshot at the committed epoch.
-    Publish(InferenceSnapshot),
-    /// Nothing is staged for this epoch.
-    Missing,
-}
-
-/// Why [`StagedEpoch::stage`] refused a slice. `conflict` separates the
-/// epoch that is not ahead (HTTP `409`: the publisher's view of the fleet
-/// is stale) from the wrong shape (`400`: the slice can never be served
-/// here).
-pub(crate) struct StageRefusal {
-    pub(crate) conflict: bool,
-    pub(crate) detail: String,
-}
-
-impl StagedEpoch {
-    /// Stages `snapshot` for `epoch`, or refuses it: once committed, a
-    /// wrong-`K` slice fails every request at the router's merge, and a
-    /// slice for the epoch already served "commits" as a silent no-op.
-    /// `served` is the epoch and `(V, K)` the shard answers with now.
-    pub(crate) fn stage(
-        &self,
-        epoch: u64,
-        snapshot: InferenceSnapshot,
-        served: (u64, usize, usize),
-    ) -> Result<(), StageRefusal> {
-        let (served_epoch, vocab_size, n_topics) = served;
-        if epoch <= served_epoch {
-            return Err(StageRefusal {
-                conflict: true,
-                detail: format!("epoch {epoch} is not ahead of the served epoch {served_epoch}"),
-            });
-        }
-        if (snapshot.vocab_size(), snapshot.n_topics()) != (vocab_size, n_topics) {
-            return Err(StageRefusal {
-                conflict: false,
-                detail: format!(
-                    "published snapshot is {}x{} but this shard serves {vocab_size}x{n_topics}",
-                    snapshot.vocab_size(),
-                    snapshot.n_topics()
-                ),
-            });
-        }
-        // Both critical sections replace or take the whole Option, so a
-        // poisoned lock never exposes a torn value — recover from poison.
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some((epoch, snapshot));
-        Ok(())
-    }
-
-    pub(crate) fn take_for_commit(&self, epoch: u64, served_epoch: u64) -> CommitAction {
-        if served_epoch == epoch {
-            return CommitAction::AlreadyServed;
-        }
-        let mut staged = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        match staged.take_if(|(staged_epoch, _)| *staged_epoch == epoch) {
-            Some((_, snapshot)) => CommitAction::Publish(snapshot),
-            None => CommitAction::Missing,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -431,9 +357,6 @@ pub struct LocalTransport {
     /// The global word-id range this shard serves, when the builder knows
     /// it (the router's own fleets always do).
     range: Option<Range<u32>>,
-    /// The epoch-tagged snapshot staged by [`ShardTransport::prepare_publish`],
-    /// waiting for its commit.
-    staged: StagedEpoch,
 }
 
 impl LocalTransport {
@@ -442,7 +365,6 @@ impl LocalTransport {
         LocalTransport {
             server,
             range: None,
-            staged: StagedEpoch::default(),
         }
     }
 
@@ -452,23 +374,12 @@ impl LocalTransport {
         LocalTransport {
             server,
             range: Some(range),
-            staged: StagedEpoch::default(),
         }
     }
 
     /// The wrapped server.
     pub fn server(&self) -> &TopicServer {
         &self.server
-    }
-
-    fn stage(&self, epoch: u64, slice: InferenceSnapshot) -> Result<(), ServeError> {
-        let served = self.server.snapshot();
-        let served = (served.version(), served.vocab_size(), served.n_topics());
-        self.staged
-            .stage(epoch, slice, served)
-            .map_err(|refusal| ServeError::InvalidConfig {
-                detail: refusal.detail,
-            })
     }
 }
 
@@ -544,35 +455,15 @@ impl ShardTransport for LocalTransport {
     }
 
     fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.stage(epoch, slice)
+        self.server.stage(epoch, slice)
     }
 
     fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        if self.server.snapshot_version() != delta.base_version {
-            return Ok(false);
-        }
-        let patched =
-            self.server
-                .snapshot()
-                .apply_delta(delta)
-                .map_err(|e| ServeError::InvalidConfig {
-                    detail: format!("delta does not apply to the served snapshot: {e}"),
-                })?;
-        self.stage(delta.target_version, patched)?;
-        Ok(true)
+        self.server.stage_delta(delta)
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
-        match self
-            .staged
-            .take_for_commit(epoch, self.server.snapshot_version())
-        {
-            CommitAction::AlreadyServed => Ok(epoch),
-            CommitAction::Publish(slice) => self.server.publish_at(slice, epoch),
-            CommitAction::Missing => Err(ServeError::InvalidConfig {
-                detail: format!("no staged snapshot for epoch {epoch}"),
-            }),
-        }
+        self.server.commit(epoch)
     }
 }
 
@@ -1001,14 +892,14 @@ impl ShardTransport for HttpTransport {
             delta.target_version,
             PUBLISH_WAIT,
         )?;
-        if status == 409 {
-            // The shard declined — its served version is not the delta's
+        match decode_body(status, &body, |_| Ok(())) {
+            Ok(()) => Ok(true),
+            // The shard declined: its served version is not the delta's
             // base (or the target is behind). Not an error: the caller
             // falls back to a full publication of the same epoch.
-            return Ok(false);
+            Err(ServeError::Conflict { .. }) => Ok(false),
+            Err(e) => Err(e),
         }
-        decode_body(status, &body, |_| Ok(()))?;
-        Ok(true)
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
@@ -1150,7 +1041,7 @@ mod tests {
         // …but committing an epoch that was never staged fails.
         assert!(matches!(
             transport.commit_publish(5),
-            Err(ServeError::InvalidConfig { .. })
+            Err(ServeError::Conflict { .. })
         ));
         // A delayed duplicate commit of the served epoch must NOT consume
         // a snapshot already staged for the next one.
@@ -1543,17 +1434,24 @@ mod tests {
             let slice = |vocab, k| {
                 InferenceSnapshot::from_model(&planted_model(vocab, k), SnapshotSampler::WaryTree)
             };
-            for (vocab, k, epoch, why) in [
-                (6, 3, 2, "a wrong-V slice"),
-                (12, 4, 2, "a wrong-K slice"),
-                (12, 3, 0, "a stale epoch"),
-                (12, 3, 1, "the epoch already served"),
+            let bad_request = ServeError::BadRequest { detail: "".into() };
+            let conflict = ServeError::Conflict { detail: "".into() };
+            let variant = std::mem::discriminant::<ServeError>;
+            for (vocab, k, epoch, refusal, why) in [
+                (6, 3, 2, &bad_request, "a wrong-V slice"),
+                (12, 4, 2, &bad_request, "a wrong-K slice"),
+                (12, 3, 0, &conflict, "a stale epoch"),
+                (12, 3, 1, &conflict, "the epoch already served"),
             ] {
-                let refused = t.prepare_publish(slice(vocab, k), epoch);
-                assert!(refused.is_err(), "{why} was staged");
+                match t.prepare_publish(slice(vocab, k), epoch) {
+                    Err(e) => assert_eq!(variant(&e), variant(refusal), "{why}: {e:?}"),
+                    Ok(()) => panic!("{why} was staged"),
+                }
             }
-            assert!(t.commit_publish(2).is_err(), "a refused slice was staged");
-            assert_eq!(t.observe_epoch().unwrap(), 1);
+            match t.commit_publish(2) {
+                Err(e) => assert_eq!(variant(&e), variant(&conflict), "{e:?}"),
+                Ok(_) => panic!("a refused slice was staged"),
+            }
             // …and the contract refuses nothing it should not.
             t.prepare_publish(slice(12, 3), 2).unwrap();
             assert_eq!(t.commit_publish(2).unwrap(), 2);
@@ -1615,5 +1513,57 @@ mod tests {
         }
         drop(remote);
         http.shutdown();
+    }
+
+    #[test]
+    fn a_router_front_refuses_the_shard_protocol_and_bounds_its_bodies() {
+        use saber_core::model_io::snapshot_encoded_bytes;
+        let model = planted_model(12, 3);
+        let plan = ShardPlan::uniform(12, 2).unwrap();
+        let router = ShardRouter::from_model(&model, plan, ServeConfig::default()).unwrap();
+        let router = Arc::new(router);
+        let front = HttpServer::bind(
+            "127.0.0.1:0",
+            Arc::clone(&router),
+            None,
+            HttpConfig::default(),
+        )
+        .unwrap();
+        let remote = HttpTransport::connect(front.local_addr()).unwrap();
+        // Well-formed in the fleet's own shape, yet no shard stands behind
+        // the front to stage over or commit: every endpoint answers 400.
+        let slice = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
+        let delta = slice.shard_delta(0..12, &[1, 2], 1, 2);
+        let refusals = [
+            submit(&remote).wait(None).map(drop),
+            remote.prepare_publish(slice, 2),
+            remote.prepare_publish_delta(&delta).map(drop),
+            remote.commit_publish(2).map(drop),
+        ];
+        for refused in refusals {
+            match refused {
+                Err(ServeError::BadRequest { detail }) => {
+                    assert!(detail.contains("this backend does not"), "{detail}")
+                }
+                other => panic!("expected a 400, got {other:?}"),
+            }
+        }
+        assert_eq!(router.epoch(), 1);
+        // Its bodies are bounded by `max_body_bytes`, not by the shape of
+        // a snapshot it could never stage.
+        let max_body_bytes = 100;
+        assert!(snapshot_encoded_bytes(12, 3).unwrap() > max_body_bytes as u64 + 1);
+        let config = HttpConfig {
+            max_body_bytes,
+            ..HttpConfig::default()
+        };
+        let bounded = HttpServer::bind("127.0.0.1:0", router, None, config).unwrap();
+        for path in ["/publish-shard", "/publish-delta"] {
+            let status = status_for_declared_body(bounded.local_addr(), path, 101);
+            assert_eq!(status, 413, "{path}");
+        }
+        drop(remote);
+        front.shutdown();
+        bounded.shutdown();
     }
 }

@@ -698,7 +698,9 @@ pub fn decode_serve_error(status: u16, body: &str) -> ServeError {
         .unwrap_or_else(|| format!("shard answered HTTP {status}"));
     match status {
         429 => ServeError::Overloaded,
-        400 => ServeError::BadRequest { detail },
+        // A body over the shard's bound (413) is as wrong as a misshapen one.
+        400 | 413 => ServeError::BadRequest { detail },
+        409 => ServeError::Conflict { detail },
         503 if detail.contains("deadline") => ServeError::DeadlineExceeded,
         503 if detail.contains("diverged") => ServeError::ShardVersionSkew,
         // A shard at its connection cap is busy, not gone: retryable.

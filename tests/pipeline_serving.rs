@@ -17,21 +17,18 @@
 //! * the trainer's incremental sampler rebuild touches only the rows it
 //!   reports (counter asserted) — the `O(changed·K)` publish cost claim.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use saber_loadgen::replay::{replay, replay_with_chaos, ChaosTrigger, RateProfile, ReplayConfig};
 use saber_loadgen::synth::synthesize_trace;
 use saber_loadgen::trace::RequestTrace;
-use saber_pipeline::{DocumentFeed, PipelineConfig, PipelineError, TrainingPipeline};
-use saberlda::core::model_io::DeltaPayload;
+use saber_pipeline::{DocumentFeed, PipelineConfig, TrainingPipeline};
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
-    FoldInKind, FoldInParams, InferenceBackend, InferenceSnapshot, LocalTransport, PartialRequest,
-    ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport, TopicServer,
+    FoldInKind, FoldInParams, InferenceBackend, InferenceSnapshot, ServeConfig, ShardPlan,
+    ShardRouter, TopicServer,
 };
-use saberlda::trace::TraceContext;
 use saberlda::{LdaModel, SaberLda, SaberLdaConfig};
 
 const K: usize = 8;
@@ -359,179 +356,6 @@ fn serve_while_training_pipeline_drops_nothing_and_lands_on_the_trained_model() 
     }
     cold.shutdown();
     pipeline.shutdown();
-}
-
-/// A `LocalTransport` whose next `fail_stages` staging calls (delta or
-/// full) error like a connection dropped mid-upload, before anything is
-/// staged on this shard. Everything else is genuine.
-#[derive(Debug)]
-struct FailingStageTransport {
-    inner: LocalTransport,
-    fail_stages: AtomicU32,
-}
-
-impl FailingStageTransport {
-    fn take_fault(&self) -> Result<(), ServeError> {
-        let armed = self
-            .fail_stages
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok();
-        if armed {
-            return Err(ServeError::Transport {
-                detail: "injected staging fault".into(),
-                shard: None,
-                addr: None,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl ShardTransport for FailingStageTransport {
-    type Pending = <LocalTransport as ShardTransport>::Pending;
-
-    fn submit_partial(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: Option<Instant>,
-        trace: TraceContext,
-    ) -> Result<Self::Pending, ServeError> {
-        self.inner.submit_partial(words, request, deadline, trace)
-    }
-
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        self.inner.top_words(k, n)
-    }
-
-    fn shard_info(&self) -> Result<ShardInfo, ServeError> {
-        self.inner.shard_info()
-    }
-
-    fn observe_epoch(&self) -> Result<u64, ServeError> {
-        self.inner.observe_epoch()
-    }
-
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.take_fault()?;
-        self.inner.prepare_publish(slice, epoch)
-    }
-
-    fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        self.take_fault()?;
-        self.inner.prepare_publish_delta(delta)
-    }
-
-    fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
-        self.inner.commit_publish(epoch)
-    }
-}
-
-#[test]
-fn failed_publication_retries_with_every_row_since_the_last_success() {
-    // Regression (REVIEW): a publication that dies during staging must not
-    // lose the drained touched rows. If they vanish, a retry with no
-    // training in between drains an *empty* set, and the fleet accepts the
-    // empty delta (the base epoch still matches) — silently serving bits
-    // diverging from the trainer, forever with full_refresh_every = 0.
-    let kind = FoldInKind::Esca;
-    let cfg = serve_config(kind);
-    let mut trainer = warm_trainer(23);
-    let _ = trainer.take_touched_rows(); // the fleet boots on the warm model
-    let boot = InferenceSnapshot::from_model(trainer.model(), cfg.sampler);
-    let plan = ShardPlan::uniform(trainer.model().vocab_size(), N_SHARDS).unwrap();
-    let ranges: Vec<_> = plan.ranges().collect();
-    let transports: Vec<FailingStageTransport> = ranges
-        .iter()
-        .enumerate()
-        .map(|(i, range)| FailingStageTransport {
-            inner: LocalTransport::with_range(
-                TopicServer::start(boot.shard(range.clone()), cfg).unwrap(),
-                range.clone(),
-            ),
-            // The *last* shard fails its first staging call — the nastier
-            // abort, with earlier shards already staged but uncommitted.
-            fail_stages: AtomicU32::new(u32::from(i == ranges.len() - 1)),
-        })
-        .collect();
-    let router = Arc::new(ShardRouter::with_transports(plan, transports, cfg).unwrap());
-    let mut pipeline = TrainingPipeline::new(
-        trainer,
-        Arc::clone(&router),
-        PipelineConfig {
-            batch_docs: 3,
-            iterations_per_batch: 1,
-            publish_every: 1,
-            full_refresh_every: 0,
-        },
-    )
-    .unwrap();
-
-    // Tick 1 ingests batch A; its publication hits the injected fault.
-    let err = pipeline.tick(stream_batch(3, 301)).unwrap_err();
-    assert!(matches!(err, PipelineError::Serve(_)), "{err}");
-    assert_eq!(
-        pipeline.served_epoch(),
-        1,
-        "failed publication moved the base"
-    );
-    assert_eq!(router.epoch(), 1, "failed publication committed anyway");
-
-    // The immediate retry a daemon would issue — no training in between,
-    // so the only source of rows is the rolled-back drain. It must ship
-    // batch A's rows as a delta against the still-served epoch 1.
-    let published = pipeline.push_epoch().expect("the retry publication");
-    assert_eq!(published.epoch, 2);
-    assert!(
-        published.changed_rows > 0,
-        "the retry drained nothing — the failed drain was lost"
-    );
-    let stats = router.router_stats().pipeline.unwrap();
-    assert_eq!(stats.epochs_published, 1);
-    assert_eq!(
-        stats.delta_epochs, 1,
-        "the retry must take the delta path for the lost-rows bug to bite"
-    );
-    assert_eq!(stats.rows_shipped, published.changed_rows);
-
-    // The crux: the delta-refreshed fleet answers bit-identically to a
-    // cold boot of the trainer's current model. Had the drained rows been
-    // lost, the empty delta would be accepted and diverge here.
-    let trace = synthesize_trace(&spec(), 40, 89);
-    let cold = local_fleet(pipeline.trainer().model(), kind);
-    for request in trace.requests() {
-        let a = router
-            .infer_topics(request.words.clone(), request.seed)
-            .unwrap();
-        let b = cold
-            .infer_topics(request.words.clone(), request.seed)
-            .unwrap();
-        assert_eq!(a.snapshot_version, 2);
-        assert_eq!(
-            bits(&a.theta),
-            bits(&b.theta),
-            "retried delta publication diverged from the trainer's model"
-        );
-    }
-    cold.shutdown();
-
-    // And the pipeline keeps flowing: the next tick publishes epoch 3,
-    // still bit-identical to a cold boot of the final model.
-    let report = pipeline.tick(stream_batch(3, 302)).unwrap();
-    assert_eq!(report.published.expect("tick publishes").epoch, 3);
-    let cold = local_fleet(pipeline.trainer().model(), kind);
-    for request in trace.requests().iter().take(10) {
-        let a = router
-            .infer_topics(request.words.clone(), request.seed)
-            .unwrap();
-        let b = cold
-            .infer_topics(request.words.clone(), request.seed)
-            .unwrap();
-        assert_eq!(bits(&a.theta), bits(&b.theta));
-    }
-    cold.shutdown();
-    drop(pipeline);
-    Arc::try_unwrap(router).unwrap().shutdown();
 }
 
 #[test]
