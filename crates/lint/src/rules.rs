@@ -58,11 +58,13 @@ pub const BAD_SUPPRESSION: &str = "bad-suppression";
 /// pairs that are allowed to nest, in this order only. Extend it (with a
 /// review) rather than suppressing the rule inline.
 ///
-/// * `publish_lock → staged` — the router serialises fleet publications
-///   under its `publish_lock` while each transport stages the epoch under
-///   its own `staged` mutex; the reverse order never occurs because
-///   staging code has no path back into the router.
-pub const ALLOWED_LOCK_ORDER: [(&str, &str); 1] = [("publish_lock", "staged")];
+/// * `publish_lock → reads`, `publish_lock → pipeline` — a publication,
+///   serialised under the router's `publish_lock`, drains the reads in
+///   flight and records its stats. Reads and `/stats` scrapes take `reads`
+///   and `pipeline` alone, never `publish_lock`, so the reverse order
+///   cannot occur.
+pub const ALLOWED_LOCK_ORDER: [(&str, &str); 2] =
+    [("publish_lock", "reads"), ("publish_lock", "pipeline")];
 
 /// Runs every rule over `files` (workspace-relative path + content),
 /// applies suppressions, and returns the surviving diagnostics sorted by
@@ -77,7 +79,7 @@ pub fn run(files: &[(String, String)]) -> Vec<Diagnostic> {
         no_panic_serving(file, &mut diagnostics);
         determinism(file, &mut diagnostics);
         no_unbounded_alloc(file, &mut diagnostics);
-        lock_discipline(file, &mut diagnostics);
+        lock_discipline(file, &ALLOWED_LOCK_ORDER, &mut diagnostics);
         breaker_instrumentation(file, &mut diagnostics);
         epoch_threading(file, &mut diagnostics);
     }
@@ -553,6 +555,7 @@ fn has_bound_evidence(file: &LexedFile, alloc_at: usize, ident: &str) -> bool {
 fn lock_scope(path: &str) -> bool {
     [
         "crates/serve/src/router.rs",
+        "crates/serve/src/router/publish.rs",
         "crates/serve/src/transport.rs",
     ]
     .contains(&path)
@@ -571,7 +574,8 @@ struct Guard {
     line: u32,
 }
 
-fn lock_discipline(file: &LexedFile, out: &mut Vec<Diagnostic>) {
+/// [`LOCK_DISCIPLINE`] against the lock-order table `allowed`.
+fn lock_discipline(file: &LexedFile, allowed: &[(&str, &str)], out: &mut Vec<Diagnostic>) {
     if !lock_scope(&file.rel_path) {
         return;
     }
@@ -608,7 +612,7 @@ fn lock_discipline(file: &LexedFile, out: &mut Vec<Diagnostic>) {
         let lock = lock_name(file, i);
         let line = file.tokens[i].line;
         for held in &guards {
-            let declared = ALLOWED_LOCK_ORDER
+            let declared = allowed
                 .iter()
                 .any(|(outer, inner)| *outer == held.lock && *inner == lock);
             if held.lock == lock {
@@ -1033,17 +1037,17 @@ mod tests {
         let diags = lint_one("crates/serve/src/transport.rs", undeclared);
         assert_eq!(rule_ids(&diags), [LOCK_DISCIPLINE]);
         assert!(diags[0].message.contains("lock-order table"));
-        // `publish_lock → staged` is in ALLOWED_LOCK_ORDER.
-        let declared = "fn f(&self) {\n    let a = self.publish_lock.lock();\n    \
-                        let b = self.staged.lock();\n}\n";
-        assert!(lint_one("crates/serve/src/router.rs", declared).is_empty());
-        // ... but only in that order.
-        let reversed = "fn f(&self) {\n    let a = self.staged.lock();\n    \
-                        let b = self.publish_lock.lock();\n}\n";
-        assert_eq!(
-            rule_ids(&lint_one("crates/serve/src/router.rs", reversed)),
-            [LOCK_DISCIPLINE]
-        );
+        // A table declaring `alpha → beta` allows that order only.
+        let with_table = |src: &str| {
+            let mut diags = Vec::new();
+            let file = LexedFile::lex("crates/serve/src/router.rs", src);
+            lock_discipline(&file, &[("alpha", "beta")], &mut diags);
+            rule_ids(&diags)
+        };
+        assert!(with_table(undeclared).is_empty());
+        let reversed =
+            "fn f(&self) {\n    let a = self.beta.lock();\n    let b = self.alpha.lock();\n}\n";
+        assert_eq!(with_table(reversed), [LOCK_DISCIPLINE]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! two-phase publish protocol while the dispatcher threads keep querying
 //! the same fleet. The invariants under test are the serving stack's
 //! strongest — **zero requests dropped** across every epoch swap, and
-//! every fan-out answered by a single epoch (the router's skew retry) —
+//! every fan-out answered by a single epoch (the router pins every leg to
+//! it) —
 //! plus the pipeline's own accounting of how much each publication
 //! actually shipped.
 

@@ -33,7 +33,7 @@
 //! * `GET /top-words?topic=K&n=N` — highest-probability words of a topic.
 //! * `GET /similar?a=1,2&b=3,4` — Hellinger/cosine similarity of two docs.
 //! * `GET /stats` — counters plus latency percentiles (including
-//!   router-level epoch/skew/per-shard counters when the backend is a
+//!   router-level epoch/retry/per-shard counters when the backend is a
 //!   [`ShardRouter`](crate::ShardRouter)).
 //! * `GET /metrics` — the same counters in Prometheus text exposition
 //!   format, with cumulative latency histogram buckets.
@@ -49,7 +49,8 @@
 //! router-backed listener answers `400` to all but `GET /shard-info`:
 //!
 //! * `POST /infer-partial` — one shard's half of a fan-out (ESCA chain
-//!   seed or EM round + θ in, partial counts + snapshot version out).
+//!   seed or EM round + θ in, partial counts + snapshot version out),
+//!   from the snapshot of its `X-Saber-Epoch` pin (`503` if not held).
 //! * `GET /shard-info` — shape, α, fold-in parameters, epoch and full
 //!   serving counters, for fleet validation and stats aggregation.
 //! * `POST /publish-shard` and `/publish-delta` — stage an epoch-tagged
@@ -821,6 +822,11 @@ fn handle_infer_partial(
         Ok(decoded) => decoded,
         Err(e) => return error(400, &e.detail),
     };
+    // The epoch a router pins its read to; none means the live snapshot.
+    let epoch = match request.header("x-saber-epoch").map(str::parse).transpose() {
+        Ok(epoch) => epoch,
+        Err(_) => return error(400, "unparsable X-Saber-Epoch header"),
+    };
     // A router that traces its fan-out forwards the trace id and the
     // shard's parent span in X-Saber-Trace; the shard then measures its
     // local subtree and ships the spans back inline in the response.
@@ -828,7 +834,8 @@ fn handle_infer_partial(
         .header("x-saber-trace")
         .and_then(TraceContext::parse)
         .unwrap_or_else(TraceContext::disabled);
-    match server.infer_partial_traced(words, partial, state.config.request_deadline, ctx) {
+    let deadline = Some(state.config.request_deadline);
+    match server.partial(words, partial, epoch, deadline, ctx) {
         Ok(response) => {
             if let (Some(id), Some(root)) = (ctx.trace_id(), response.spans.first()) {
                 // Also record the shard-local subtree in this process's

@@ -370,10 +370,9 @@ pub enum ServeError {
         /// Human readable description.
         detail: String,
     },
-    /// A sharded router kept observing shards serving different snapshot
-    /// versions, even after retrying — only possible when publications are
-    /// so frequent that every retry races a new swap (see
-    /// [`ShardRouter`]'s epoch protocol).
+    /// A shard holds no snapshot of the epoch a read was pinned to: it
+    /// staged past it, or another router published past it (see
+    /// [`ShardRouter`]'s epoch protocol). HTTP `503`.
     ShardVersionSkew,
     /// A remote shard could not be reached, or answered something that is
     /// not the wire protocol (see [`HttpTransport`]). Distinct from

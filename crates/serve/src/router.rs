@@ -28,13 +28,18 @@
 //!   first *stages* its slice ([`TopicServer::stage`], in process or across
 //!   the network), and only when every stage succeeded does the cheap
 //!   commit loop swap them. A failed publication is not resumed; the next
-//!   one restarts every shard past the highest epoch served. A request that
-//!   straddles the swap can observe shards on different versions; the
-//!   router detects the skew in the per-shard responses and retries, so no
-//!   *answer* ever mixes snapshot versions — the sharded generalisation of
-//!   [`SnapshotCell`](crate::SnapshotCell)'s torn-read guarantee, and it
-//!   holds identically across machines because every partial response
-//!   carries its snapshot version on the wire.
+//!   one restarts every shard past the highest epoch served.
+//! * **Epoch-pinned reads** — a request reads the router's epoch once and
+//!   names it on every leg of every round (`X-Saber-Epoch` on the wire).
+//!   Each shard answers from the live snapshot or the one its last commit
+//!   replaced ([`SnapshotCell::load_at`](crate::SnapshotCell::load_at)),
+//!   kept until its next stage, and a publication stages only once the
+//!   router's reads in flight have finished. So no *answer* mixes epochs,
+//!   a read that straddles a commit needs no retry, and a fleet
+//!   half-committed by a failed publication keeps serving the old epoch. A
+//!   replica holding neither refuses with [`ServeError::ShardVersionSkew`];
+//!   the leg fails over to a sibling replica once, and a request still
+//!   refused fails and re-pins the router to the fleet's epoch.
 //! * **Determinism** — per-shard seeds derive from the request seed, so
 //!   equal requests against an equal epoch replay bit-identically, exactly
 //!   as on a single [`TopicServer`] — whichever transport carries them.
@@ -48,12 +53,12 @@
 //!   that fails with a transport error gets one bounded retry against the
 //!   next replica. Neither can change an answer: replicas serve the same
 //!   slice with the same shard-derived seed, so their responses are
-//!   bit-identical, and the version check spans every leg — retried or
+//!   bit-identical, and every leg is pinned to the same epoch — retried or
 //!   not. Replica *selection* is seed-deterministic on a healthy fleet
 //!   ([`derive_replica_choice`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use saber_core::infer::{em_update, esca_theta, PartialFoldIn};
@@ -70,25 +75,14 @@ use crate::{InferResponse, ServeConfig, ServeError, ServeStats, TopicServer};
 mod publish;
 pub use publish::PipelineStats;
 
-/// How many times a request is retried after observing shards on different
-/// snapshot versions (each retry lands after the publication that caused
-/// the skew, so one is almost always enough).
-const MAX_SKEW_RETRIES: usize = 3;
-
-/// Pause before the first skew retry, doubled before each further one
-/// (200 → 400 → 800 µs): the four attempts then span at least 1.4 ms,
-/// several commit round trips over loopback, however fast one fan-out is.
-/// Back to back they can all land inside one commit window and answer 503
-/// from a healthy fleet (`benchmark/README.md`, "Found while building
-/// this").
-const SKEW_BACKOFF: Duration = Duration::from_micros(200);
-
 /// Router-level counters, complementing the per-shard [`ServeStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterStats {
     /// Documents routed (each may fan out to many shard requests).
     pub requests: u64,
-    /// Requests re-fanned-out after observing a mixed-version shard set.
+    /// Always 0: reads are pinned to one epoch, so no request is re-run for
+    /// mixed versions. Kept for the frozen benchmark and the pinned
+    /// `/stats` and `/metrics` bytes.
     pub skew_retries: u64,
     /// Current publication epoch (every shard serves this snapshot
     /// version).
@@ -100,8 +94,9 @@ pub struct RouterStats {
     /// and a retried leg counts once per submission. Counted router-side,
     /// so it is exact even when a shard is remote.
     pub shard_requests: Vec<u64>,
-    /// Fan-out legs resubmitted after a transport error (one bounded retry
-    /// per leg; the partial is idempotent pure computation).
+    /// Fan-out legs resubmitted after a transport error, or to a sibling
+    /// replica after one refused the pinned epoch (one bounded retry per
+    /// leg; the partial is idempotent pure computation).
     pub transport_retries: u64,
     /// Always 0 since ISSUE 25 deleted hedged requests; kept for the
     /// frozen benchmark and the pinned `/stats` and `/metrics` bytes.
@@ -267,18 +262,39 @@ struct Leg<T: ShardTransport> {
     pending: T::Pending,
 }
 
-/// Everything needed to resubmit one fan-out leg verbatim — a retry
-/// replica must receive exactly the bytes the primary got, or the merged
-/// θ would depend on which replica answered: the shard's word
-/// slice, the request body, the request seed (drives replica
-/// preference), the caller's deadline, and the span leg events attach
-/// under (the fan-out or em-round wave).
-struct LegRequest<'a> {
-    words: &'a [u32],
-    request: PartialRequest,
+/// What every leg of one routed request shares: the request seed (drives
+/// shard seeds and replica preference), the epoch every leg is pinned to,
+/// and the caller's deadline.
+#[derive(Clone, Copy)]
+struct Read {
     seed: u64,
+    epoch: u64,
     deadline: Option<Instant>,
-    wave_span: u64,
+}
+
+impl Read {
+    /// Submits one leg, pinned to the read's epoch, to `transport`.
+    fn submit<T: ShardTransport>(
+        self,
+        transport: &T,
+        words: &[u32],
+        request: PartialRequest,
+        ctx: TraceContext,
+    ) -> Result<T::Pending, ServeError> {
+        let (epoch, deadline) = (Some(self.epoch), self.deadline);
+        transport.submit_partial_pinned(words.to_vec(), request, epoch, deadline, ctx)
+    }
+
+    /// Waits for a leg, refusing a partial answered from another epoch
+    /// than the pinned one: the guard against a shard that ignored it.
+    fn wait<P: PendingPartial>(self, pending: P) -> Result<PartialResponse, ServeError> {
+        let response = pending.wait(self.deadline)?;
+        if response.snapshot_version == self.epoch {
+            Ok(response)
+        } else {
+            Err(ServeError::ShardVersionSkew)
+        }
+    }
 }
 
 /// A fleet of vocabulary shards behind a single-server interface; see the
@@ -293,15 +309,17 @@ pub struct ShardRouter<T: ShardTransport = LocalTransport> {
     n_topics: usize,
     alpha: f32,
     requests: AtomicU64,
-    skew_retries: AtomicU64,
     transport_retries: AtomicU64,
     shard_requests: Vec<AtomicU64>,
-    /// The latest epoch the router has itself observed (validated at
-    /// construction, advanced by publications and by the versions riding
-    /// partial responses). Served where an *approximate* answer must not
-    /// cost a network round trip — empty-document responses, stats,
-    /// `Debug` — while `publish` still live-probes the fleet.
+    /// The epoch reads are pinned to: validated at construction, moved by
+    /// this router's publications after their last commit and re-probed
+    /// after a shard refused it (`publish` live-probes the fleet itself).
     last_epoch: AtomicU64,
+    /// Held shared by every read for its whole fan-out, and taken
+    /// exclusively by a publication before it stages (which releases the
+    /// epoch before the served one on every shard): no read can still be
+    /// pinned to that epoch once the exclusive guard is granted.
+    reads: RwLock<()>,
     /// Serialises whole-fleet publications so two publishers cannot
     /// interleave shard swaps (which could strand shards on permanently
     /// different versions).
@@ -454,10 +472,10 @@ impl<T: ShardTransport> ShardRouter<T> {
             n_topics,
             alpha,
             requests: AtomicU64::new(0),
-            skew_retries: AtomicU64::new(0),
             transport_retries: AtomicU64::new(0),
             shard_requests,
             last_epoch: AtomicU64::new(epoch),
+            reads: RwLock::new(()),
             publish_lock: Mutex::new(()),
             pipeline: Mutex::new(None),
         })
@@ -500,17 +518,16 @@ impl<T: ShardTransport> ShardRouter<T> {
         &self.shards
     }
 
-    /// The current publication epoch: the snapshot version every shard
-    /// serves. Between [`ShardRouter::publish`]es this is stable; requests
-    /// that race a publish are retried until they see one epoch end to end.
+    /// The current publication epoch, the one every request is pinned to:
+    /// the snapshot version every shard serves, or still holds while a
+    /// publication commits. It moves only once a [`ShardRouter::publish`]
+    /// committed on every shard, or after a shard refused it.
     ///
-    /// This reads the router's own record (validated at construction,
-    /// advanced by publications and the versions riding every partial
-    /// response) rather than probing a shard, so it costs no network
-    /// round trip on a remote fleet. Use
+    /// This reads the router's own record rather than probing a shard, so
+    /// it costs no network round trip on a remote fleet. Use
     /// [`ShardTransport::observe_epoch`] on a transport for a live probe.
     pub fn epoch(&self) -> u64 {
-        self.last_epoch.load(Ordering::Relaxed)
+        self.last_epoch.load(Ordering::Acquire)
     }
 
     /// Blockingly infers the topic distribution of one document across the
@@ -522,7 +539,8 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// [`ServeError::BadRequest`] for out-of-vocabulary word ids,
     /// [`ServeError::Closed`] after shutdown, [`ServeError::Transport`]
     /// for unreachable remote shards, and
-    /// [`ServeError::ShardVersionSkew`] if every retry raced a publication.
+    /// [`ServeError::ShardVersionSkew`] when some shard range holds no
+    /// snapshot of the router's epoch.
     pub fn infer_topics(&self, words: Vec<u32>, seed: u64) -> Result<InferResponse, ServeError> {
         self.route(&words, seed, None, &mut TraceBuilder::disabled(), 0)
     }
@@ -553,7 +571,7 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// `infer-partial` subtree, stitched from the response by
     /// [`TraceBuilder::attach`] whether the shard is in-process or on
     /// another machine — and a `merge` span for the router-side finish.
-    /// Skew retries and the observed epoch land as events on `parent`. A
+    /// The pinned epoch lands as an event on `parent`. A
     /// disabled builder records none of it. Tracing never changes an
     /// answer: seeds and merge order ignore it.
     ///
@@ -666,9 +684,9 @@ impl<T: ShardTransport> ShardRouter<T> {
         })
     }
 
-    /// Router-level counters (documents routed, skew retries, transport
-    /// retries, breaker trips/re-admissions, epoch, per-shard request
-    /// counts, per-replica admission).
+    /// Router-level counters (documents routed, transport retries, breaker
+    /// trips/re-admissions, epoch, per-shard request counts, per-replica
+    /// admission).
     pub fn router_stats(&self) -> RouterStats {
         let mut breaker_trips = 0;
         let mut breaker_readmits = 0;
@@ -686,7 +704,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         }
         RouterStats {
             requests: self.requests.load(Ordering::Relaxed),
-            skew_retries: self.skew_retries.load(Ordering::Relaxed),
+            skew_retries: 0,
             epoch: self.epoch(),
             n_shards: self.n_shards(),
             shard_requests: self
@@ -764,8 +782,9 @@ impl<T: ShardTransport> ShardRouter<T> {
         drop(self);
     }
 
-    /// Routes one document: split by shard, fan out, merge; retried when a
-    /// concurrent publication leaves the responses on mixed versions.
+    /// Routes one document: split by shard, fan out pinned to the router's
+    /// epoch, merge. A request some range could not answer at that epoch
+    /// fails, and re-pins the router to the fleet's epoch for the next one.
     fn route(
         &self,
         words: &[u32],
@@ -776,88 +795,49 @@ impl<T: ShardTransport> ShardRouter<T> {
     ) -> Result<InferResponse, ServeError> {
         let split = self.plan.split(words)?;
         self.requests.fetch_add(1, Ordering::Relaxed);
+        // Poisoning guards nothing here: the lock protects no data.
+        let _reading = self.reads.read().unwrap_or_else(|e| e.into_inner());
+        let read = Read {
+            seed,
+            epoch: self.epoch(),
+            deadline,
+        };
         if words.is_empty() {
-            return Ok(InferResponse {
-                theta: self.uniform_theta(),
-                snapshot_version: self.epoch(),
-                n_oov: 0,
-            });
+            return Ok(self.uniform_response(read.epoch));
         }
-        let mut attempts = 0;
-        loop {
-            let result = match self.config.fold_in.kind {
-                FoldInKind::Esca => self.attempt_esca(&split, seed, deadline, trace, parent),
-                FoldInKind::Em => self.attempt_em(&split, seed, deadline, trace, parent),
-            };
-            match result {
-                Err(ServeError::ShardVersionSkew) if attempts < MAX_SKEW_RETRIES => {
-                    // Back off before retrying, doubling each time, so the
-                    // retries span a commit window however fast one
-                    // fan-out is. A retry that would start past the
-                    // deadline can only discover the timeout one full
-                    // fan-out later; fail now, and as a deadline rather
-                    // than as skew.
-                    let pause = SKEW_BACKOFF * (1 << attempts);
-                    if deadline.is_some_and(|at| Instant::now() + pause >= at) {
-                        return Err(ServeError::DeadlineExceeded);
-                    }
-                    std::thread::sleep(pause);
-                    attempts += 1;
-                    self.skew_retries.fetch_add(1, Ordering::Relaxed);
-                    trace.event(parent, format_args!("skew retry {attempts}"));
-                }
-                other => {
-                    if let Ok(response) = &other {
-                        // Keep the router's epoch record fresh from the
-                        // versions the shards actually answered with
-                        // (max, so a straggler cannot roll it back).
-                        self.last_epoch
-                            .fetch_max(response.snapshot_version, Ordering::Relaxed);
-                        let epoch = response.snapshot_version;
-                        trace.event(parent, format_args!("epoch observed {epoch}"));
-                    }
-                    return other;
+        let result = match self.config.fold_in.kind {
+            FoldInKind::Esca => self.route_esca(&split, read, trace, parent),
+            FoldInKind::Em => self.route_em(&split, read, trace, parent),
+        };
+        match &result {
+            Ok(_) => trace.event(parent, format_args!("epoch observed {}", read.epoch)),
+            // Another router published past the pin: follow the fleet.
+            Err(ServeError::ShardVersionSkew) => {
+                if let Ok(epoch) = self.observe_fleet_epoch() {
+                    self.last_epoch.fetch_max(epoch, Ordering::AcqRel);
                 }
             }
+            Err(_) => {}
         }
+        result
     }
 
     /// Single-round Gibbs fan-out: every touched shard runs its chain with
     /// a seed derived from the request seed, the raw measured counts merge,
     /// and [`esca_theta`] finishes — identical to
     /// [`InferenceSnapshot::infer_topics`] when one shard holds every word.
-    fn attempt_esca(
+    fn route_esca(
         &self,
         split: &[Vec<u32>],
-        seed: u64,
-        deadline: Option<Instant>,
+        read: Read,
         trace: &mut TraceBuilder,
         parent: u64,
     ) -> Result<InferResponse, ServeError> {
         let fanout_span = trace.begin(Some(parent), "fan-out");
         let request_for = |s: usize| PartialRequest::FoldIn {
-            seed: derive_shard_seed(seed, s),
+            seed: derive_shard_seed(read.seed, s),
         };
-        let pending = self.fan_out(split, seed, deadline, &request_for, trace, fanout_span)?;
-        let mut merged = PartialFoldIn::empty(self.n_topics);
-        let (mut version, mut n_oov) = (None, 0usize);
-        for leg in pending {
-            let s = leg.shard;
-            let response = self.settle_leg(
-                leg,
-                &LegRequest {
-                    words: &split[s],
-                    request: request_for(s),
-                    seed,
-                    deadline,
-                    wave_span: fanout_span,
-                },
-                trace,
-            )?;
-            check_version(&mut version, &response)?;
-            merged.merge(&response.partial);
-            n_oov += response.n_oov;
-        }
+        let (merged, n_oov) = self.wave(split, read, &request_for, trace, fanout_span)?;
         trace.end(fanout_span);
         let merge_span = trace.begin(Some(parent), "merge");
         let theta = esca_theta(
@@ -867,26 +847,22 @@ impl<T: ShardTransport> ShardRouter<T> {
             self.alpha,
         );
         trace.end(merge_span);
-        let snapshot_version = version.ok_or_else(|| ServeError::Internal {
-            detail: "non-empty document produced no shard responses".to_string(),
-        })?;
         Ok(InferResponse {
             theta: theta.into_iter().map(|p| p as f32).collect(),
-            snapshot_version,
+            snapshot_version: read.epoch,
             n_oov,
         })
     }
 
     /// Multi-round EM fan-out: the router owns θ and synchronises it once
     /// per iteration; shards only ever compute per-word responsibility
-    /// counts, which sum exactly. The version check spans *all* rounds, so
-    /// the θ trajectory is guaranteed to come from a single epoch — on any
-    /// transport, since every response carries its snapshot version.
-    fn attempt_em(
+    /// counts, which sum exactly. Every leg of every round is pinned to the
+    /// same epoch, so the θ trajectory comes from a single one — on any
+    /// transport.
+    fn route_em(
         &self,
         split: &[Vec<u32>],
-        seed: u64,
-        deadline: Option<Instant>,
+        read: Read,
         trace: &mut TraceBuilder,
         parent: u64,
     ) -> Result<InferResponse, ServeError> {
@@ -896,40 +872,19 @@ impl<T: ShardTransport> ShardRouter<T> {
         // it decision for decision.
         let iterations = self.config.fold_in.total_sweeps();
         if iterations == 0 {
-            return Ok(InferResponse {
-                theta: self.uniform_theta(),
-                snapshot_version: self.epoch(),
-                n_oov: 0,
-            });
+            return Ok(self.uniform_response(read.epoch));
         }
         let mut theta = Arc::new(vec![1.0f64 / k as f64; k]);
-        let (mut version, mut n_oov) = (None, 0usize);
+        let mut n_oov = 0usize;
         for round in 0..iterations {
             let round_span = trace.begin(Some(parent), format_args!("em-round {round}"));
             let request_for = |_s: usize| PartialRequest::EmRound {
                 round,
                 theta: Arc::clone(&theta),
             };
-            let pending = self.fan_out(split, seed, deadline, &request_for, trace, round_span)?;
-            let mut merged = PartialFoldIn::empty(k);
-            for leg in pending {
-                let s = leg.shard;
-                let response = self.settle_leg(
-                    leg,
-                    &LegRequest {
-                        words: &split[s],
-                        request: request_for(s),
-                        seed,
-                        deadline,
-                        wave_span: round_span,
-                    },
-                    trace,
-                )?;
-                check_version(&mut version, &response)?;
-                merged.merge(&response.partial);
-                if round == 0 {
-                    n_oov += response.n_oov;
-                }
+            let (merged, round_oov) = self.wave(split, read, &request_for, trace, round_span)?;
+            if round == 0 {
+                n_oov = round_oov;
             }
             let merge_span = trace.begin(Some(round_span), "merge");
             let mut next = vec![0.0f64; k];
@@ -938,40 +893,36 @@ impl<T: ShardTransport> ShardRouter<T> {
             trace.end(round_span);
             theta = Arc::new(next);
         }
-        let snapshot_version = version.ok_or_else(|| ServeError::Internal {
-            detail: "non-empty document produced no shard responses".to_string(),
-        })?;
         Ok(InferResponse {
             theta: theta.iter().map(|&p| p as f32).collect(),
-            snapshot_version,
+            snapshot_version: read.epoch,
             n_oov,
         })
     }
 
-    /// Submits `request_for(shard)` to every shard with words in `split`,
-    /// returning one in-flight [`Leg`] per touched shard for
-    /// [`ShardRouter::settle_leg`]. All submissions land before any reply
-    /// is awaited, so shards execute concurrently — in-process or across
-    /// the network. Within each shard the replica is chosen by
-    /// [`derive_replica_choice`] (seed-deterministic on a healthy fleet);
-    /// a replica whose *submission* fails with a transport error is
-    /// recorded on its breaker and the next preferred replica is tried,
-    /// so the fan-out only fails when a whole set is unreachable.
+    /// One fan-out wave: submits `request_for(shard)`, pinned to
+    /// `read.epoch`, to every shard with words in `split`, then settles
+    /// every leg ([`ShardRouter::settle_leg`]) and merges the partials.
+    /// Returns the merged counts and the shards' out-of-vocabulary total.
     ///
-    /// Each submission opens a `shard {s}` span under `wave_span` and
-    /// forwards a [`TraceContext`] pointing at it, so the shard's own spans
-    /// re-attach under the right leg of the fan-out; the returned leg
-    /// carries `(span id, span start)` for the collector.
-    fn fan_out(
+    /// All submissions land before any reply is awaited, so shards execute
+    /// concurrently — in-process or across the network. Within each shard
+    /// the replica is chosen by [`derive_replica_choice`]
+    /// (seed-deterministic on a healthy fleet); a replica whose
+    /// *submission* fails with a transport error is recorded on its breaker
+    /// and the next preferred replica is tried, so the wave only fails when
+    /// a whole set is unreachable. Each submission opens a `shard {s}` span
+    /// under `wave_span` and forwards a [`TraceContext`] pointing at it, so
+    /// the shard's own spans re-attach under the right leg.
+    fn wave(
         &self,
         split: &[Vec<u32>],
-        seed: u64,
-        deadline: Option<Instant>,
+        read: Read,
         request_for: &impl Fn(usize) -> PartialRequest,
         trace: &mut TraceBuilder,
         wave_span: u64,
-    ) -> Result<Vec<Leg<T>>, ServeError> {
-        let mut pending = Vec::new();
+    ) -> Result<(PartialFoldIn, usize), ServeError> {
+        let mut legs = Vec::new();
         for (s, words) in split.iter().enumerate() {
             if words.is_empty() {
                 continue;
@@ -980,14 +931,13 @@ impl<T: ShardTransport> ShardRouter<T> {
             let span_id = trace.begin(Some(wave_span), ShardPlan::span_name(s));
             let ctx = trace.context(span_id);
             let set = &self.shards[s];
-            let order = set.preference(derive_replica_choice(seed, s, set.len()));
+            let order = set.preference(derive_replica_choice(read.seed, s, set.len()));
+            let submit = |transport: &T| read.submit(transport, words, request_for(s), ctx);
             let (replica, handle) = set
-                .first_ok(order, |transport| {
-                    transport.submit_partial(words.clone(), request_for(s), deadline, ctx)
-                })
+                .first_ok(order, submit)
                 .map_err(|e| attribute_shard(e, s))?;
             self.shard_requests[s].fetch_add(1, Ordering::Relaxed);
-            pending.push(Leg {
+            legs.push(Leg {
                 shard: s,
                 replica,
                 span: (span_id, begin_us),
@@ -995,79 +945,75 @@ impl<T: ShardTransport> ShardRouter<T> {
                 pending: handle,
             });
         }
-        Ok(pending)
+        let mut merged = PartialFoldIn::empty(self.n_topics);
+        let mut n_oov = 0;
+        for leg in legs {
+            let (words, request) = (&split[leg.shard], request_for(leg.shard));
+            let response = self.settle_leg(leg, words, request, read, wave_span, trace)?;
+            merged.merge(&response.partial);
+            n_oov += response.n_oov;
+        }
+        Ok((merged, n_oov))
     }
 
-    /// Finishes one fan-out leg: waits for the reply, records the outcome
-    /// on the replica's breaker, gives a transport failure one bounded
-    /// retry against the next preferred replica, and stitches trace spans
-    /// via [`collect_shard`].
+    /// Finishes one fan-out leg: waits for the reply, notes the outcome on
+    /// the replica's breaker and stitches spans via [`collect_shard`]. A
+    /// transport failure, or a refused pin a sibling may still hold, gets
+    /// one retry (the partial is idempotent) on the next preferred replica
+    /// — the same one in a single-replica set, where a fresh connection
+    /// heals a dropped keep-alive — resending exactly the primary's
+    /// `words`, `request` and pin, or θ would depend on the replica.
+    /// Counted in [`RouterStats::transport_retries`]; traced as a `{cause}
+    /// retry shard {s}` event on `wave_span`.
     fn settle_leg(
         &self,
         leg: Leg<T>,
-        req: &LegRequest<'_>,
+        words: &[u32],
+        request: PartialRequest,
+        read: Read,
+        wave_span: u64,
         trace: &mut TraceBuilder,
     ) -> Result<PartialResponse, ServeError> {
-        let mut outcome = leg.pending.wait(req.deadline);
-        self.shards[leg.shard].note(leg.replica, outcome.as_ref().err());
-        if matches!(outcome, Err(ServeError::Transport { .. })) {
-            outcome = self.retry_leg(leg.shard, leg.replica, req, leg.ctx, trace);
+        let (s, set) = (leg.shard, &self.shards[leg.shard]);
+        let mut outcome = read.wait(leg.pending);
+        set.note(leg.replica, outcome.as_ref().err());
+        let cause = match &outcome {
+            Err(ServeError::Transport { .. }) => Some("transport"),
+            Err(ServeError::ShardVersionSkew) if set.len() > 1 => Some("epoch"),
+            _ => None,
+        };
+        if let Some(cause) = cause {
+            if read.deadline.is_some_and(|at| Instant::now() >= at) {
+                return Err(ServeError::DeadlineExceeded);
+            }
+            let target = set
+                .preference(derive_replica_choice(read.seed, s, set.len()))
+                .into_iter()
+                .find(|&r| r != leg.replica)
+                .unwrap_or(leg.replica);
+            self.transport_retries.fetch_add(1, Ordering::Relaxed);
+            let name = ShardPlan::span_name(s);
+            trace.event(wave_span, format_args!("{cause} retry {name}"));
+            outcome = read
+                .submit(&set.replicas()[target], words, request, leg.ctx)
+                .and_then(|handle| {
+                    self.shard_requests[s].fetch_add(1, Ordering::Relaxed);
+                    read.wait(handle)
+                });
+            set.note(target, outcome.as_ref().err());
         }
-        collect_shard(
-            leg.shard,
-            leg.span,
-            outcome,
-            self.n_topics,
-            req.wave_span,
-            trace,
-        )
-    }
-
-    /// The bounded transport retry (the partial is idempotent pure
-    /// computation, so a resend cannot double-count anything): one fresh
-    /// submission after `failed` produced a transport error, preferring a
-    /// different replica — a single-replica set retries the same one,
-    /// where a fresh connection heals a dropped keep-alive. Counted in
-    /// [`RouterStats::transport_retries`] and recorded as a trace event
-    /// alongside the `skew retry {n}` events.
-    fn retry_leg(
-        &self,
-        shard: usize,
-        failed: usize,
-        req: &LegRequest<'_>,
-        ctx: TraceContext,
-        trace: &mut TraceBuilder,
-    ) -> Result<PartialResponse, ServeError> {
-        let deadline = req.deadline;
-        if deadline.is_some_and(|at| Instant::now() >= at) {
-            return Err(ServeError::DeadlineExceeded);
-        }
-        let set = &self.shards[shard];
-        let target = set
-            .preference(derive_replica_choice(req.seed, shard, set.len()))
-            .into_iter()
-            .find(|&r| r != failed)
-            .unwrap_or(failed);
-        self.transport_retries.fetch_add(1, Ordering::Relaxed);
-        trace.event(
-            req.wave_span,
-            format_args!("transport retry {}", ShardPlan::span_name(shard)),
-        );
-        let outcome = set.replicas()[target]
-            .submit_partial(req.words.to_vec(), req.request.clone(), deadline, ctx)
-            .and_then(|handle| {
-                self.shard_requests[shard].fetch_add(1, Ordering::Relaxed);
-                handle.wait(deadline)
-            });
-        set.note(target, outcome.as_ref().err());
-        outcome
+        collect_shard(s, leg.span, outcome, self.n_topics, wave_span, trace)
     }
 
     /// The uniform θ an empty document gets, cast through the same `f64 →
     /// f32` path as the single-server code so the answers stay
     /// bit-identical.
-    fn uniform_theta(&self) -> Vec<f32> {
-        vec![(1.0f64 / self.n_topics as f64) as f32; self.n_topics]
+    fn uniform_response(&self, epoch: u64) -> InferResponse {
+        InferResponse {
+            theta: vec![(1.0f64 / self.n_topics as f64) as f32; self.n_topics],
+            snapshot_version: epoch,
+            n_oov: 0,
+        }
     }
 }
 
@@ -1132,19 +1078,6 @@ fn validate_replica(
         });
     }
     Ok(())
-}
-
-/// Records the first observed snapshot version and rejects any later
-/// response from a different one — the mixed-epoch detector.
-fn check_version(version: &mut Option<u64>, response: &PartialResponse) -> Result<(), ServeError> {
-    match *version {
-        None => {
-            *version = Some(response.snapshot_version);
-            Ok(())
-        }
-        Some(v) if v == response.snapshot_version => Ok(()),
-        Some(_) => Err(ServeError::ShardVersionSkew),
-    }
 }
 
 /// Fills in the shard index on an unattributed transport error, so a

@@ -49,17 +49,16 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// every stage succeeded does the commit loop swap them — so a
     /// mid-publication failure leaves the fleet serving the old epoch
     /// (stage failure) or retryable per the idempotent commit (commit
-    /// failure), and no *answer* computed by the router ever mixes two
-    /// epochs (requests that straddle the swap are retried against the new
-    /// one). Returns the new epoch.
+    /// failure). Reads stay pinned to the old epoch until the last commit
+    /// landed, so no *answer* ever mixes two. Returns the new epoch.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when the snapshot's shape
     /// (vocabulary or topic count) does not match the fleet's; propagates
     /// staging and commit failures (a commit failure can leave shards on
-    /// mixed epochs — answers stay version-pure via skew retries, and the
-    /// next publication restarts every shard at a fresh epoch).
+    /// mixed epochs — reads keep the old one, which every shard still
+    /// holds — and the next publication restarts them all at a fresh one).
     pub fn publish(&self, snapshot: InferenceSnapshot) -> Result<u64, ServeError> {
         self.publish_impl(&snapshot, None)
     }
@@ -134,6 +133,8 @@ impl<T: ShardTransport> ShardRouter<T> {
         }
         let started = Instant::now();
         let _guard = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
+        // Staging releases the epoch before the served one: drain reads.
+        drop(self.reads.write().unwrap_or_else(|e| e.into_inner()));
         let observed = self.observe_fleet_epoch()?;
         let epoch = observed + 1;
         let k = self.n_topics as u64;
@@ -187,7 +188,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         for transport in self.shards.iter().flat_map(ReplicaSet::replicas) {
             committed = transport.commit_publish(epoch)?;
         }
-        self.last_epoch.fetch_max(committed, Ordering::Relaxed);
+        self.last_epoch.fetch_max(committed, Ordering::AcqRel);
         let micros = started.elapsed().as_micros() as u64;
         let mut stats = self.pipeline.lock().unwrap_or_else(|e| e.into_inner());
         let stats = stats.get_or_insert_with(PipelineStats::default);
@@ -202,10 +203,11 @@ impl<T: ShardTransport> ShardRouter<T> {
     }
 
     /// Live-probes the fleet's epoch through shard 0's replicas
-    /// ([`ReplicaSet::ask`]: the first that answers is authoritative).
+    /// ([`ReplicaSet::ask`]: the first that answers is authoritative), for
+    /// a publication's base and to re-pin reads after a refusal.
     /// Commits run in replica order, so shard 0's replica 0 commits first
     /// and, when it answers, holds the highest epoch in the fleet.
-    fn observe_fleet_epoch(&self) -> Result<u64, ServeError> {
+    pub(super) fn observe_fleet_epoch(&self) -> Result<u64, ServeError> {
         match self.shards.first() {
             Some(set) => set.ask(ShardTransport::observe_epoch),
             None => Err(ServeError::Closed),

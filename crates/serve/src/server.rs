@@ -182,14 +182,20 @@ pub(crate) enum JobKind {
     /// Full fold-in: answer with θ ([`JobReply::Infer`]).
     Infer { seed: u64 },
     /// One shard's half of a sharded fold-in: answer with raw counts
-    /// ([`JobReply::Partial`]).
-    Partial(PartialRequest),
+    /// ([`JobReply::Partial`]) from the snapshot of `epoch`, or from the
+    /// live one when `None`.
+    Partial {
+        request: PartialRequest,
+        epoch: Option<u64>,
+    },
 }
 
 /// What a worker sends back; the variant always matches the [`JobKind`].
+/// A partial is refused with [`ServeError::ShardVersionSkew`] when the
+/// server holds no snapshot of its epoch.
 pub(crate) enum JobReply {
     Infer(InferResponse),
-    Partial(PartialResponse),
+    Partial(Result<PartialResponse, ServeError>),
 }
 
 /// The answer to a partial fold-in request ([`TopicServer::infer_partial`]):
@@ -368,6 +374,7 @@ impl TopicServer {
     /// finish on the snapshot they started with.
     pub fn publish(&self, snapshot: InferenceSnapshot) -> u64 {
         let _staged = self.publish_guard();
+        self.cell.release_previous();
         self.vocab_bound
             .store(snapshot.vocab_size(), Ordering::Relaxed);
         self.cell.publish(snapshot)
@@ -377,6 +384,10 @@ impl TopicServer {
     /// [`TopicServer::commit`], the shard half of a fleet's all-or-nothing
     /// publication on either transport. Serving is untouched until the
     /// commit; a stage replaces any earlier, aborted one.
+    ///
+    /// Accepting a stage releases the snapshot the last commit replaced (a
+    /// router stages only once its reads in flight finished), so peak
+    /// memory stays at live + staged.
     ///
     /// # Errors
     ///
@@ -403,14 +414,16 @@ impl TopicServer {
                 ),
             });
         }
+        self.cell.release_previous();
         *staged = Some((epoch, slice));
         Ok(())
     }
 
     /// [`TopicServer::stage`]s `delta`'s rows applied over the served
-    /// snapshot for the delta's target epoch. Returns `false` (declines, so
-    /// the publisher falls back to a full slice) when the served epoch is
-    /// not the delta's base or the target is not ahead of it.
+    /// snapshot for the delta's target epoch, releasing the previous one
+    /// first. Returns `false` (declines, so the publisher falls back to a
+    /// full slice) when the served epoch is not the delta's base or the
+    /// target is not ahead of it.
     ///
     /// # Errors
     ///
@@ -422,6 +435,7 @@ impl TopicServer {
         if served.version() != delta.base_version || delta.target_version <= served.version() {
             return Ok(false);
         }
+        self.cell.release_previous();
         let patched = served
             .apply_delta(delta)
             .map_err(|e| ServeError::BadRequest {
@@ -517,35 +531,23 @@ impl TopicServer {
         words: Vec<u32>,
         request: PartialRequest,
     ) -> Result<PartialResponse, ServeError> {
-        let trace = TraceContext::disabled();
-        let (rx, _) = self.submit(words, JobKind::Partial(request), false, trace)?;
-        finish_partial(Self::await_reply(&rx, None)?, None)
+        self.partial(words, request, None, None, TraceContext::disabled())
     }
 
-    /// [`TopicServer::infer_partial`] with fail-fast admission, a reply
-    /// deadline and a distributed-trace context — the variant a shard
-    /// process serves to a router's deadline-bounded fan-out. When `trace`
-    /// is enabled the response's [`spans`](PartialResponse::spans) carry a
-    /// self-contained subtree — an `infer-partial` root with `queue-wait`
-    /// and `handler` children, offsets relative to this request's
-    /// admission — that a remote router stitches into its own trace with
-    /// [`saber_trace::TraceBuilder::attach`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] for out-of-range word ids,
-    /// [`ServeError::Overloaded`] when the queue is full,
-    /// [`ServeError::DeadlineExceeded`] on timeout and
-    /// [`ServeError::Closed`] after shutdown.
-    pub fn infer_partial_traced(
+    /// One partial job answered from the snapshot of `epoch` (the live one
+    /// when `None`): fail-fast and bounded by `deadline` when one is given,
+    /// blocking otherwise. The `/infer-partial` handler's path.
+    pub(crate) fn partial(
         &self,
         words: Vec<u32>,
         request: PartialRequest,
-        deadline: Duration,
+        epoch: Option<u64>,
+        deadline: Option<Duration>,
         trace: TraceContext,
     ) -> Result<PartialResponse, ServeError> {
-        let (rx, timings) = self.submit(words, JobKind::Partial(request), true, trace)?;
-        finish_partial(Self::await_reply(&rx, Some(deadline))?, timings.as_deref())
+        let kind = JobKind::Partial { request, epoch };
+        let (rx, timings) = self.submit(words, kind, deadline.is_some(), trace)?;
+        finish_partial(Self::await_reply(&rx, deadline)?, timings.as_deref())
     }
 
     /// Fail-fast inference with a response deadline: rejects immediately
@@ -794,33 +796,46 @@ fn worker_loop(
         for mut job in batch.drain(..) {
             let dequeued = Instant::now();
             let queue_wait = dequeued.duration_since(job.enqueued);
+            // A commit may have landed between a pinned partial's admission
+            // and this batch: serve it from the snapshot of its epoch.
+            let served = match job.kind {
+                JobKind::Partial { epoch: Some(e), .. } if e != snapshot.version() => {
+                    cell.load_at(e)
+                }
+                _ => Some(Arc::clone(&snapshot)),
+            };
             // Submission validated against the then-current snapshot; if a
             // swap shrank the vocabulary since, drop the now-unservable ids
             // (reported as OOV) rather than panicking the worker.
-            let vocab_size = snapshot.vocab_size() as u32;
+            let vocab_size = served.as_ref().map_or(0, |s| s.vocab_size()) as u32;
             let submitted = job.words.len();
             job.words.retain(|&w| w < vocab_size);
             let n_oov = submitted - job.words.len();
 
-            let reply = match &job.kind {
-                JobKind::Infer { seed } => JobReply::Infer(InferResponse {
+            let reply = match (&job.kind, served) {
+                (JobKind::Infer { seed }, _) => JobReply::Infer(InferResponse {
                     theta: snapshot.infer_topics(&job.words, *seed, fold_in),
                     snapshot_version: snapshot.version(),
                     n_oov,
                 }),
-                JobKind::Partial(request) => JobReply::Partial(PartialResponse {
-                    partial: match request {
-                        PartialRequest::FoldIn { seed } => {
-                            snapshot.partial_fold_in(&job.words, *seed, fold_in)
-                        }
-                        PartialRequest::EmRound { theta, .. } => {
-                            snapshot.em_round(&job.words, theta)
-                        }
-                    },
-                    snapshot_version: snapshot.version(),
-                    n_oov,
-                    spans: Vec::new(),
-                }),
+                (JobKind::Partial { .. }, None) => {
+                    JobReply::Partial(Err(ServeError::ShardVersionSkew))
+                }
+                (JobKind::Partial { request, .. }, Some(served)) => {
+                    JobReply::Partial(Ok(PartialResponse {
+                        partial: match request {
+                            PartialRequest::FoldIn { seed } => {
+                                served.partial_fold_in(&job.words, *seed, fold_in)
+                            }
+                            PartialRequest::EmRound { theta, .. } => {
+                                served.em_round(&job.words, theta)
+                            }
+                        },
+                        snapshot_version: served.version(),
+                        n_oov,
+                        spans: Vec::new(),
+                    }))
+                }
             };
             let handler = dequeued.elapsed();
             counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -866,19 +881,19 @@ fn expect_infer(reply: JobReply) -> Result<InferResponse, ServeError> {
 /// Unwraps a partial job's reply and, for a traced job, fills in the
 /// self-contained span subtree a shard reports: an `infer-partial` root
 /// with `queue-wait` and `handler` children, ids dense from 1 and offsets
-/// relative to the request's admission. Both
-/// [`TopicServer::infer_partial_traced`] and the local transport's wait
-/// path finish through here, so local and remote shards produce identical
-/// subtrees for a router to attach.
+/// relative to the request's admission. The `/infer-partial` handler and
+/// the local transport's wait path both finish through here, so local and
+/// remote shards produce identical subtrees for a router to attach.
 pub(crate) fn finish_partial(
     reply: JobReply,
     timings: Option<&JobTimings>,
 ) -> Result<PartialResponse, ServeError> {
-    let JobReply::Partial(mut response) = reply else {
+    let JobReply::Partial(response) = reply else {
         return Err(ServeError::Internal {
             detail: "worker answered a partial job with a full response".to_string(),
         });
     };
+    let mut response = response?;
     if let Some(timings) = timings {
         let (queue_wait_us, handler_us) = timings.load();
         let span = |id, parent, name: &str, start_us, duration_us| SpanRecord {
@@ -1029,6 +1044,97 @@ mod tests {
         server.shutdown();
     }
 
+    /// The planted model with every word moved one topic over: a next epoch
+    /// whose answers differ from the first one's.
+    fn shifted_snapshot() -> InferenceSnapshot {
+        let mut model = LdaModel::new(12, 3, 0.05, 0.01).unwrap();
+        for v in 0..12 {
+            model.word_topic_mut()[(v, (v + 1) % 3)] = 50;
+        }
+        model.refresh_probabilities();
+        InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree)
+    }
+
+    fn count_bits(response: &PartialResponse) -> Vec<u64> {
+        response
+            .partial
+            .counts
+            .iter()
+            .map(|c| c.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn a_commit_keeps_the_replaced_epoch_readable_until_the_next_stage() {
+        use crate::transport::{LocalTransport, PendingPartial, ShardTransport};
+        let shard = LocalTransport::new(small_server(1));
+        let server = shard.server();
+        let pinned = |epoch| {
+            let request = PartialRequest::FoldIn { seed: 5 };
+            let (words, off) = (vec![0, 3, 6, 1], TraceContext::disabled());
+            let pending = shard.submit_partial_pinned(words, request, Some(epoch), None, off)?;
+            pending.wait(None)
+        };
+        let first = pinned(1).unwrap();
+        server.stage(2, shifted_snapshot()).unwrap();
+        assert_eq!(server.commit(2).unwrap(), 2);
+        assert!(server.cell.load_at(1).is_some());
+        let replaced = pinned(1).unwrap();
+        assert_eq!(replaced.snapshot_version, 1);
+        assert_eq!(count_bits(&replaced), count_bits(&first));
+        let live = pinned(2).unwrap();
+        assert_ne!(count_bits(&live), count_bits(&first));
+        // An accepted stage releases epoch 1; epoch 2 still answers.
+        server.stage(3, shifted_snapshot()).unwrap();
+        assert!(server.cell.load_at(1).is_none());
+        assert!(matches!(pinned(1), Err(ServeError::ShardVersionSkew)));
+        assert_eq!(count_bits(&pinned(2).unwrap()), count_bits(&live));
+    }
+
+    #[test]
+    fn a_job_pinned_to_e_is_answered_from_e_when_its_batch_loads_e_plus_1() {
+        let first = InferenceSnapshot::from_model(&planted_model(12, 3), SnapshotSampler::WaryTree);
+        let (words, seed, fold_in) = (vec![0u32, 3, 6, 1], 5, FoldInParams::default());
+        let expected = first.partial_fold_in(&words, seed, fold_in);
+        let cell = SnapshotCell::new(first);
+        cell.publish_with_version(shifted_snapshot(), 2);
+        // One batch, loaded after the commit, holding jobs pinned to the
+        // replaced epoch, the live one and one the cell never held.
+        let (queue, rx) = sync_channel(3);
+        let replies: Vec<_> = [1, 2, 7]
+            .into_iter()
+            .map(|epoch| {
+                let (reply, reply_rx) = sync_channel(1);
+                let request = PartialRequest::FoldIn { seed };
+                let job = Job {
+                    words: words.clone(),
+                    kind: JobKind::Partial {
+                        request,
+                        epoch: Some(epoch),
+                    },
+                    reply,
+                    enqueued: Instant::now(),
+                    trace: TraceContext::disabled(),
+                    timings: None,
+                };
+                queue.send(job).unwrap();
+                reply_rx
+            })
+            .collect();
+        drop(queue);
+        worker_loop(&Mutex::new(rx), &cell, &Counters::default(), fold_in, 3);
+        let answer = |rx: &Receiver<JobReply>| finish_partial(rx.recv().unwrap(), None);
+        let pinned = answer(&replies[0]).unwrap();
+        assert_eq!(pinned.snapshot_version, 1);
+        let bits = |counts: &[f64]| counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pinned.partial.counts), bits(&expected.counts));
+        assert_eq!(answer(&replies[1]).unwrap().snapshot_version, 2);
+        assert!(matches!(
+            answer(&replies[2]),
+            Err(ServeError::ShardVersionSkew)
+        ));
+    }
+
     #[test]
     fn out_of_range_word_ids_are_rejected_not_fatal() {
         let server = small_server(2);
@@ -1048,6 +1154,30 @@ mod tests {
             let response = server.infer_topics(vec![0, 3, 6, 9], seed).unwrap();
             assert_eq!(response.dominant_topic(), 0);
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_pinned_partial_drops_words_its_epoch_never_held() {
+        // Word 15 is valid once a 20-word model replaced the 12-word one,
+        // but a read pinned to the replaced epoch must count it as OOV
+        // rather than index past that snapshot.
+        let server = small_server(1);
+        let grown = InferenceSnapshot::from_model(&planted_model(20, 3), SnapshotSampler::WaryTree);
+        assert_eq!(server.publish(grown), 2);
+        let off = TraceContext::disabled();
+        let fold_in = PartialRequest::FoldIn { seed: 5 };
+        let pinned = server.partial(vec![0, 15, 3], fold_in, Some(1), None, off);
+        let pinned = pinned.unwrap();
+        assert_eq!((pinned.snapshot_version, pinned.n_oov), (1, 1));
+        let live = server.partial(
+            vec![0, 15, 3],
+            PartialRequest::FoldIn { seed: 5 },
+            None,
+            None,
+            off,
+        );
+        assert_eq!(live.unwrap().n_oov, 0);
         server.shutdown();
     }
 
@@ -1097,11 +1227,12 @@ mod tests {
                 }),
             ),
             (
-                "infer_partial_traced",
+                "submit_partial_pinned(.., Some(1), Some(deadline), ..)",
                 Box::new(|| {
-                    server
-                        .infer_partial_traced(vec![3], fold_in(), brief, off())
-                        .map(drop)
+                    let at = Some(Instant::now() + brief);
+                    let pending =
+                        shard.submit_partial_pinned(vec![3], fold_in(), Some(1), at, off())?;
+                    pending.wait(at).map(drop)
                 }),
             ),
             (
@@ -1291,11 +1422,13 @@ mod tests {
 
         // The partial path reports a self-contained subtree in the response
         // (what a remote shard ships inline for the router to attach)…
+        let (fold_in, deadline) = (PartialRequest::FoldIn { seed: 1 }, Duration::from_secs(5));
         let partial = server
-            .infer_partial_traced(
+            .partial(
                 vec![0, 3],
-                PartialRequest::FoldIn { seed: 1 },
-                Duration::from_secs(5),
+                fold_in,
+                None,
+                Some(deadline),
                 TraceContext::root(id),
             )
             .unwrap();

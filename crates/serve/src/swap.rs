@@ -8,10 +8,11 @@
 //! entirely when nothing changed.
 //!
 //! The version stamp is also what makes *sharded* hot swap safe: a
-//! [`ShardRouter`](crate::ShardRouter) publishes one cell per shard in
-//! lockstep and compares the versions reported back by every partial
-//! response, so a request that straddles the fleet-wide swap is detected
-//! (mixed versions) and retried instead of merged across model versions.
+//! [`ShardRouter`](crate::ShardRouter) names the epoch it reads on every
+//! partial request, and each cell keeps the snapshot its last swap replaced
+//! ([`SnapshotCell::load_at`]), so a request that straddles the fleet-wide
+//! swap is answered from one epoch on every shard instead of merged across
+//! model versions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,31 +34,30 @@ use crate::snapshot::InferenceSnapshot;
 /// path takes a `Mutex` only long enough to clone an `Arc`.
 #[derive(Debug)]
 pub struct SnapshotCell {
-    current: Mutex<Arc<InferenceSnapshot>>,
+    /// `(current, previous)`: the served snapshot, and the one its last swap
+    /// replaced until [`SnapshotCell::release_previous`].
+    slots: Mutex<Slots>,
     /// Monotonic publication counter; starts at 1 for the initial snapshot.
     version: AtomicU64,
 }
+
+type Slots = (Arc<InferenceSnapshot>, Option<Arc<InferenceSnapshot>>);
 
 impl SnapshotCell {
     /// Creates a cell serving `initial` as version 1.
     pub fn new(mut initial: InferenceSnapshot) -> Self {
         initial.set_version(1);
         SnapshotCell {
-            current: Mutex::new(Arc::new(initial)),
+            slots: Mutex::new((Arc::new(initial), None)),
             version: AtomicU64::new(1),
         }
     }
 
     /// Atomically replaces the served snapshot, assigning and returning the
     /// next version number. Readers observe the swap on their next load; the
-    /// previous snapshot stays alive for requests already using it.
+    /// replaced snapshot is kept for [`SnapshotCell::load_at`].
     pub fn publish(&self, snapshot: InferenceSnapshot) -> u64 {
-        // The critical sections below only ever swap an Arc, so a poisoned
-        // lock cannot hold a half-written snapshot — recover and continue.
-        let mut slot = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        let version = self.version.load(Ordering::Acquire) + 1;
-        Self::store(&mut slot, &self.version, snapshot, version);
-        version
+        self.store(snapshot, None)
     }
 
     /// Like [`SnapshotCell::publish`] but with a caller-chosen version —
@@ -66,31 +66,52 @@ impl SnapshotCell {
     /// `version` must be greater than the current one; the caller
     /// serialises publications (see `TopicServer`'s publish lock).
     pub fn publish_with_version(&self, snapshot: InferenceSnapshot, version: u64) -> u64 {
-        let mut slot = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(
-            version > self.version.load(Ordering::Acquire),
-            "epoch-pinned publication must move the version forward"
-        );
-        Self::store(&mut slot, &self.version, snapshot, version);
-        version
+        self.store(snapshot, Some(version))
     }
 
-    fn store(
-        slot: &mut Arc<InferenceSnapshot>,
-        cell_version: &AtomicU64,
-        mut snapshot: InferenceSnapshot,
-        version: u64,
-    ) {
+    /// Swaps in `snapshot` as `version`, or as the next one when `None`.
+    fn store(&self, mut snapshot: InferenceSnapshot, version: Option<u64>) -> u64 {
+        let (current, previous) = &mut *self.slots();
+        let latest = self.version.load(Ordering::Acquire);
+        let version = version.unwrap_or(latest + 1);
+        debug_assert!(
+            version > latest,
+            "a publication must move the version forward"
+        );
         snapshot.set_version(version);
-        *slot = Arc::new(snapshot);
+        *previous = Some(std::mem::replace(current, Arc::new(snapshot)));
         // Publish the version only after the slot holds the new snapshot, so
         // `load_if_newer` can never see the new version with the old data.
-        cell_version.store(version, Ordering::Release);
+        self.version.store(version, Ordering::Release);
+        version
     }
 
     /// The currently served snapshot.
     pub fn load(&self) -> Arc<InferenceSnapshot> {
-        Arc::clone(&self.current.lock().unwrap_or_else(|e| e.into_inner()))
+        Arc::clone(&self.slots().0)
+    }
+
+    /// The current or the previous snapshot, whichever carries `epoch`;
+    /// `None` when the cell holds neither.
+    pub fn load_at(&self, epoch: u64) -> Option<Arc<InferenceSnapshot>> {
+        let (current, previous) = &*self.slots();
+        std::iter::once(current)
+            .chain(previous)
+            .find(|s| s.version() == epoch)
+            .cloned()
+    }
+
+    /// Drops the snapshot the last swap replaced, so the next swap's
+    /// replacement is the only other one alive.
+    pub fn release_previous(&self) {
+        // Taken under the lock, freed after it.
+        let _previous = self.slots().1.take();
+    }
+
+    /// The critical sections only ever swap `Arc`s, so a poisoned lock
+    /// cannot hold a half-written snapshot: recover and continue.
+    fn slots(&self) -> std::sync::MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Refreshes `cached` only if a newer snapshot has been published:
@@ -150,6 +171,27 @@ mod tests {
         assert_eq!(cell.load().version(), 7);
         // A regular publish continues from there.
         assert_eq!(cell.publish(tiny_snapshot()), 8);
+    }
+
+    #[test]
+    fn load_at_finds_the_current_or_the_replaced_snapshot_until_released() {
+        let cell = SnapshotCell::new(tiny_snapshot());
+        assert_eq!(cell.load_at(1).map(|s| s.version()), Some(1));
+        assert!(cell.load_at(2).is_none());
+        cell.publish_with_version(tiny_snapshot(), 4);
+        assert_eq!(cell.load_at(4).map(|s| s.version()), Some(4));
+        assert_eq!(
+            cell.load_at(1).map(|s| s.version()),
+            Some(1),
+            "the replaced one"
+        );
+        cell.release_previous();
+        assert!(cell.load_at(1).is_none());
+        assert_eq!(cell.load_at(4).map(|s| s.version()), Some(4));
+        // A swap keeps only the snapshot it replaced.
+        cell.publish(tiny_snapshot());
+        assert_eq!(cell.load_at(4).map(|s| s.version()), Some(4));
+        assert!(cell.load_at(1).is_none());
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   another machine, with no machinery of its own: the calling thread
 //!   writes each request on a pooled keep-alive connection and reads the
 //!   reply when it waits. Because the JSON codec round-trips `f64`s exactly,
-//!   a remote EM fan-out reproduces the local one bit for bit, and the
-//!   router's epoch-skew detection works identically: every partial
-//!   response carries the snapshot version that produced it.
+//!   a remote EM fan-out reproduces the local one bit for bit, and epoch
+//!   pinning works identically: the router names its epoch in the
+//!   `X-Saber-Epoch` header, and every partial response carries the
+//!   snapshot version that produced it.
 //!
 //! Publication is split into the two phases a fleet-wide all-or-nothing
 //! swap needs: [`ShardTransport::prepare_publish`] stages an epoch-tagged
@@ -102,16 +103,18 @@ pub trait PendingPartial {
 ///
 /// Implementations must be usable from many router threads at once (the
 /// router fans out concurrently), and every operation must report the
-/// shard's snapshot version faithfully — the router's mixed-epoch
-/// detection depends on it.
+/// shard's snapshot version faithfully — the router's guard against a
+/// shard that ignored the pinned epoch depends on it.
 pub trait ShardTransport: Send + Sync + std::fmt::Debug {
-    /// The in-flight handle [`ShardTransport::submit_partial`] returns.
+    /// The in-flight handle [`ShardTransport::submit_partial_pinned`]
+    /// returns.
     type Pending: PendingPartial;
 
     /// Submits one partial fold-in (ESCA chain or EM round) over
-    /// shard-local word ids. With a deadline the submission must be
-    /// fail-fast ([`ServeError::Overloaded`] instead of blocking on a full
-    /// queue); without one it may block.
+    /// shard-local word ids, to be answered from the shard's snapshot of
+    /// `epoch` (its live one when `None`). With a deadline the submission
+    /// must be fail-fast ([`ServeError::Overloaded`] instead of blocking on
+    /// a full queue); without one it may block.
     ///
     /// `trace` is the router's distributed-tracing context for this
     /// fan-out; when enabled the shard answers with its span subtree in
@@ -123,14 +126,32 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
     /// # Errors
     ///
     /// [`ServeError::Overloaded`] on fail-fast admission, transport errors
-    /// for unreachable shards, [`ServeError::Closed`] after shutdown.
+    /// for unreachable shards, [`ServeError::Closed`] after shutdown. The
+    /// pending reply is [`ServeError::ShardVersionSkew`] when the shard holds
+    /// no snapshot of `epoch`.
+    fn submit_partial_pinned(
+        &self,
+        words: Vec<u32>,
+        request: PartialRequest,
+        epoch: Option<u64>,
+        deadline: Option<Instant>,
+        trace: TraceContext,
+    ) -> Result<Self::Pending, ServeError>;
+
+    /// [`ShardTransport::submit_partial_pinned`] against the live snapshot.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardTransport::submit_partial_pinned`].
     fn submit_partial(
         &self,
         words: Vec<u32>,
         request: PartialRequest,
         deadline: Option<Instant>,
         trace: TraceContext,
-    ) -> Result<Self::Pending, ServeError>;
+    ) -> Result<Self::Pending, ServeError> {
+        self.submit_partial_pinned(words, request, None, deadline, trace)
+    }
 
     /// The `n` highest-probability words of topic `k`, in *shard-local* ids
     /// (the router re-bases them to global ids).
@@ -409,16 +430,16 @@ impl PendingPartial for LocalPending {
 impl ShardTransport for LocalTransport {
     type Pending = LocalPending;
 
-    fn submit_partial(
+    fn submit_partial_pinned(
         &self,
         words: Vec<u32>,
         request: PartialRequest,
+        epoch: Option<u64>,
         deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<LocalPending, ServeError> {
-        let (rx, timings) =
-            self.server
-                .submit(words, JobKind::Partial(request), deadline.is_some(), trace)?;
+        let kind = JobKind::Partial { request, epoch };
+        let (rx, timings) = self.server.submit(words, kind, deadline.is_some(), trace)?;
         Ok(LocalPending { rx, timings })
     }
 
@@ -833,10 +854,11 @@ fn decode_body<T>(
 impl ShardTransport for HttpTransport {
     type Pending = HttpPending;
 
-    fn submit_partial(
+    fn submit_partial_pinned(
         &self,
         words: Vec<u32>,
         request: PartialRequest,
+        epoch: Option<u64>,
         _deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<HttpPending, ServeError> {
@@ -846,7 +868,7 @@ impl ShardTransport for HttpTransport {
             "/infer-partial",
             "application/json",
             body.as_bytes(),
-            None,
+            epoch,
             Some(&trace),
         );
         self.send(request)

@@ -394,10 +394,11 @@ fn encode_endpoint_stats(endpoint: &EndpointStats) -> JsonValue {
 }
 
 /// Encodes the router-level counters complementing the shard-aggregated
-/// `server` block of `GET /stats`: the fleet epoch, skew retries, documents
-/// routed, how many shard requests each shard received, plus the
-/// self-healing counters (transport retries, breaker trips/re-admissions,
-/// and `hedges`, always 0 since ISSUE 25) and per-replica admission.
+/// `server` block of `GET /stats`: the fleet epoch, documents routed, how
+/// many shard requests each shard received, plus the self-healing counters
+/// (transport retries, breaker trips/re-admissions) and per-replica
+/// admission. `skew_retries` and `hedges` always read 0: reads are pinned
+/// to one epoch and hedging is gone, but the members stay in the bytes.
 /// Absent from direct (unsharded) servers.
 fn encode_router_stats(router: &RouterStats) -> JsonValue {
     let mut members = vec![
@@ -521,8 +522,8 @@ fn prometheus_histogram(
 /// histograms with cumulative buckets over fixed decade bounds (100 µs to
 /// 10 s; internal log₂ buckets fold conservatively into the first bound
 /// at or above their upper edge).
-/// Router-backed servers additionally expose the fleet epoch, skew retries
-/// and per-shard request counters.
+/// Router-backed servers additionally expose the fleet epoch, the router's
+/// retry counters and per-shard request counters.
 pub fn encode_prometheus(
     server: &ServeStats,
     snapshot_version: u64,
@@ -686,8 +687,8 @@ pub fn encode_prometheus(
 }
 
 /// Maps a non-2xx shard response back onto the [`ServeError`] the shard's
-/// HTTP layer encoded, so the router's error handling (and its skew-retry
-/// loop) behaves identically whether the shard is a function call or a
+/// HTTP layer encoded, so the router's error handling (and its refusal of
+/// an unheld pinned epoch) behaves identically whether the shard is a function call or a
 /// socket away. The mapping inverts `http::serve_error`: the status picks
 /// the family and, where one status covers several errors (503), the
 /// canonical `Display` text disambiguates.
@@ -810,8 +811,8 @@ pub const MAX_PARTIAL_TOPICS: usize = 1 << 20;
 /// Encodes a `POST /infer-partial` response: the topic count `k`, the
 /// strictly increasing `topics` whose count is non-zero and their `counts`
 /// (shortest-round-trip `f64`s, so a merge of decoded partials is exact to
-/// the bit), then the snapshot version the router's epoch-skew detection
-/// keys on and the word-id range this shard serves (informational;
+/// the bit), then the snapshot version the router checks against the
+/// epoch it pinned and the word-id range this shard serves (informational;
 /// `[start, end)`). The body grows with the topics the shard's words
 /// touched, not with `K`.
 ///

@@ -205,7 +205,7 @@ impl TraceContext {
     }
 }
 
-/// A timestamped annotation inside a span (`"skew retry 1"`,
+/// A timestamped annotation inside a span (`"transport retry shard 1"`,
 /// `"epoch observed 3"`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {

@@ -201,8 +201,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let merged = remote.stats();
     let routed = remote.router_stats();
     println!(
-        "routed {} documents as {:?} shard requests ({} total, {} skew retries)",
-        routed.requests, routed.shard_requests, merged.requests, routed.skew_retries
+        "routed {} documents as {:?} shard requests ({} total, {} transport retries)",
+        routed.requests, routed.shard_requests, merged.requests, routed.transport_retries
     );
 
     // 7. Clean shutdown: close the transports, then stop the shard

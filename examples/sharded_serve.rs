@@ -134,12 +134,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let merged = router.stats();
     let routed = router.router_stats();
     println!(
-        "routed {} documents as {} shard requests (p50 {:.0} µs, p99 {:.0} µs, {} skew retries)",
+        "routed {} documents as {} shard requests (p50 {:.0} µs, p99 {:.0} µs, {} transport retries)",
         routed.requests,
         merged.requests,
         merged.latency.p50().unwrap_or(0.0),
         merged.latency.p99().unwrap_or(0.0),
-        routed.skew_retries
+        routed.transport_retries
     );
     for (s, stats) in router.shard_stats().into_iter().enumerate() {
         println!(

@@ -1,5 +1,5 @@
 //! Every fault schedule of a small replicated fleet, run against the real
-//! publication code (ISSUE 26).
+//! publication and read code.
 //!
 //! The fleet is 2 ranges × 2 replicas of real `TopicServer` shards behind
 //! the real `ShardRouter`, fed by the real `TrainingPipeline::push_epoch`.
@@ -34,7 +34,12 @@
 //! 5. *honest stats*: `epochs_published` counts the successes, and a
 //!    failed publication moves no `PipelineStats` field;
 //! 6. *no fault, no failure*: a publication whose own calls met no fault
-//!    succeeds (the recovery publication among them).
+//!    succeeds (the recovery publication among them);
+//! 7. *pinned reads*: one ESCA and one EM document, each read at the
+//!    publishing router's `epoch()`, are answered bit-identically to a fleet
+//!    cold-booted from that epoch's slices, or refused with
+//!    `ShardVersionSkew` — only after two faults, and only when some range
+//!    has no replica holding that epoch.
 //!
 //! A violation panics with the schedule as a replayable literal.
 
@@ -47,8 +52,8 @@ use saber_pipeline::{PipelineConfig, PipelineError, TrainingPipeline};
 use saberlda::core::model_io::DeltaPayload;
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
-    InferenceSnapshot, LocalTransport, PartialRequest, ServeConfig, ServeError, ShardInfo,
-    ShardPlan, ShardRouter, ShardTransport, TopicServer,
+    FoldInKind, FoldInParams, InferenceSnapshot, LocalTransport, PartialRequest, PendingPartial,
+    ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport, TopicServer,
 };
 use saberlda::trace::TraceContext;
 use saberlda::{SaberLda, SaberLdaConfig};
@@ -102,8 +107,9 @@ struct Script {
     faults: Vec<(usize, Fault)>,
     /// Every scripted call so far, in order; schedule indices count here.
     calls: Vec<Call>,
-    /// Set for the recovery publication: nothing is injected or counted.
-    recovering: bool,
+    /// Set for the recovery publication and the reads: nothing is injected
+    /// or counted.
+    unscripted: bool,
     /// Faults injected since the current publication started.
     injected: usize,
     /// Invariant 4's violations, as the replicas saw them.
@@ -117,7 +123,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A real `LocalTransport` whose publication calls follow the script.
 #[derive(Debug)]
 struct ScriptedReplica {
-    inner: LocalTransport,
+    inner: Arc<LocalTransport>,
     range: usize,
     replica: usize,
     script: Arc<Mutex<Script>>,
@@ -129,7 +135,7 @@ impl ScriptedReplica {
     /// Records this call and returns the fault the schedule injects here.
     fn next(&self, op: Op) -> Option<Fault> {
         let mut script = lock(&self.script);
-        if script.recovering {
+        if script.unscripted {
             return None;
         }
         let index = script.calls.len();
@@ -182,14 +188,16 @@ impl ScriptedReplica {
 impl ShardTransport for ScriptedReplica {
     type Pending = <LocalTransport as ShardTransport>::Pending;
 
-    fn submit_partial(
+    fn submit_partial_pinned(
         &self,
         words: Vec<u32>,
         request: PartialRequest,
+        epoch: Option<u64>,
         deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<Self::Pending, ServeError> {
-        self.inner.submit_partial(words, request, deadline, trace)
+        self.inner
+            .submit_partial_pinned(words, request, epoch, deadline, trace)
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
@@ -230,6 +238,55 @@ impl ShardTransport for ScriptedReplica {
     }
 }
 
+/// A replica as the EM reader sees it. A router validates its fold-in kind
+/// against every shard's and moves its pin only with its own publications,
+/// so the EM reader is a second router over the same shards, built for each
+/// read at the publishing router's epoch.
+#[derive(Debug)]
+struct EmView {
+    inner: Arc<LocalTransport>,
+    pin: u64,
+}
+
+impl ShardTransport for EmView {
+    type Pending = <LocalTransport as ShardTransport>::Pending;
+
+    fn submit_partial_pinned(
+        &self,
+        words: Vec<u32>,
+        request: PartialRequest,
+        epoch: Option<u64>,
+        deadline: Option<Instant>,
+        trace: TraceContext,
+    ) -> Result<Self::Pending, ServeError> {
+        self.inner
+            .submit_partial_pinned(words, request, epoch, deadline, trace)
+    }
+
+    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
+        self.inner.top_words(k, n)
+    }
+
+    fn shard_info(&self) -> Result<ShardInfo, ServeError> {
+        let mut info = self.inner.shard_info()?;
+        info.fold_in.kind = FoldInKind::Em;
+        info.epoch = self.pin;
+        Ok(info)
+    }
+
+    fn observe_epoch(&self) -> Result<u64, ServeError> {
+        self.inner.observe_epoch()
+    }
+
+    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
+        self.inner.prepare_publish(slice, epoch)
+    }
+
+    fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
+        self.inner.commit_publish(epoch)
+    }
+}
+
 fn spec() -> SyntheticSpec {
     SyntheticSpec {
         n_docs: 16,
@@ -240,12 +297,28 @@ fn spec() -> SyntheticSpec {
     }
 }
 
+/// One worker per shard, and few sweeps: an EM read is one fan-out per
+/// sweep.
 fn serve_config() -> ServeConfig {
     ServeConfig {
         n_workers: 1,
+        fold_in: FoldInParams {
+            burn_in: 1,
+            samples: 1,
+            kind: FoldInKind::Esca,
+        },
         ..ServeConfig::default()
     }
 }
+
+fn reader_config(kind: FoldInKind) -> ServeConfig {
+    let mut config = serve_config();
+    config.fold_in.kind = kind;
+    config
+}
+
+/// The document invariant 7 reads: words on both ranges.
+const READ: [u32; 7] = [2, 7, 7, 13, 21, 28, 35];
 
 /// The one-document batch ingested before publication `step`: small
 /// enough that each range's delta beats its full slice.
@@ -269,6 +342,7 @@ struct Fleet {
     pipeline: TrainingPipeline<ScriptedReplica>,
     router: Arc<ShardRouter<ScriptedReplica>>,
     script: Arc<Mutex<Script>>,
+    plan: ShardPlan,
     ranges: Vec<Range<u32>>,
 }
 
@@ -298,10 +372,10 @@ impl Fleet {
             .map(|(range, span)| {
                 (0..REPLICAS)
                     .map(|replica| ScriptedReplica {
-                        inner: LocalTransport::with_range(
+                        inner: Arc::new(LocalTransport::with_range(
                             TopicServer::start(boot.shard(span.clone()), cfg).unwrap(),
                             span.clone(),
-                        ),
+                        )),
                         range,
                         replica,
                         script: Arc::clone(&script),
@@ -310,7 +384,7 @@ impl Fleet {
                     .collect()
             })
             .collect();
-        let router = Arc::new(ShardRouter::with_replica_sets(plan, sets, cfg).unwrap());
+        let router = Arc::new(ShardRouter::with_replica_sets(plan.clone(), sets, cfg).unwrap());
         let pipeline = TrainingPipeline::new(
             trainer,
             Arc::clone(&router),
@@ -326,8 +400,52 @@ impl Fleet {
             pipeline,
             router,
             script,
+            plan,
             ranges,
         }
+    }
+
+    /// Reads [`READ`] with `seed` at the publishing router's epoch, through
+    /// that router (ESCA) or an EM router over the same replicas. Returns
+    /// the epoch read and the answer.
+    fn read(&self, kind: FoldInKind, seed: u64) -> (u64, Result<Vec<u32>, ServeError>) {
+        let pin = self.router.epoch();
+        let answer = match kind {
+            FoldInKind::Esca => self.router.infer_topics(READ.to_vec(), seed),
+            FoldInKind::Em => {
+                let sets = self.router.replica_sets().iter().map(|set| {
+                    let view = |r: &ScriptedReplica| EmView {
+                        inner: Arc::clone(&r.inner),
+                        pin,
+                    };
+                    set.replicas().iter().map(view).collect()
+                });
+                let config = reader_config(kind);
+                let reader =
+                    ShardRouter::with_replica_sets(self.plan.clone(), sets.collect(), config);
+                reader.unwrap().infer_topics(READ.to_vec(), seed)
+            }
+        };
+        let answer = answer.and_then(|a| match a.snapshot_version {
+            v if v == pin => Ok(bits(&a.theta)),
+            v => Err(ServeError::Internal {
+                detail: format!("answered from epoch {v}"),
+            }),
+        });
+        (pin, answer)
+    }
+
+    /// Whether some replica of `range` can answer a read pinned to `epoch`.
+    fn held(&self, range: usize, epoch: u64) -> bool {
+        let set = &self.router.replica_sets()[range];
+        set.replicas().iter().any(|r| {
+            let request = PartialRequest::FoldIn { seed: 0 };
+            let off = TraceContext::disabled();
+            r.inner
+                .submit_partial_pinned(vec![0], request, Some(epoch), None, off)
+                .and_then(|pending| pending.wait(None))
+                .is_ok()
+        })
     }
 
     /// `(range, epoch served, slice bytes)` for every replica.
@@ -355,6 +473,34 @@ fn bytes(snapshot: &InferenceSnapshot) -> Vec<u8> {
     out
 }
 
+fn bits(theta: &[f32]) -> Vec<u32> {
+    theta.iter().map(|x| x.to_bits()).collect()
+}
+
+/// θ bits of [`READ`] with `seed` from a `kind` fleet cold-booted from
+/// `slices`, one per range. Memoised: schedules share few models.
+fn cold_boot(plan: &ShardPlan, kind: FoldInKind, seed: u64, slices: &[&Vec<u8>]) -> Vec<u32> {
+    type Key = (bool, u64, Vec<Vec<u8>>);
+    static ANSWERS: Mutex<BTreeMap<Key, Vec<u32>>> = Mutex::new(BTreeMap::new());
+    let key = (
+        kind == FoldInKind::Em,
+        seed,
+        slices.iter().map(|s| s.to_vec()).collect(),
+    );
+    if let Some(answer) = lock(&ANSWERS).get(&key) {
+        return answer.clone();
+    }
+    let config = reader_config(kind);
+    let shards = plan.ranges().zip(slices).map(|(range, slice)| {
+        let snapshot = InferenceSnapshot::load(&slice[..]).unwrap();
+        LocalTransport::with_range(TopicServer::start(snapshot, config).unwrap(), range)
+    });
+    let cold = ShardRouter::with_transports(plan.clone(), shards.collect(), config).unwrap();
+    let answer = bits(&cold.infer_topics(READ.to_vec(), seed).unwrap().theta);
+    lock(&ANSWERS).insert(key, answer.clone());
+    answer
+}
+
 /// Runs `schedule` and the recovery publication after it, asserting every
 /// invariant of the module docs after every publication. Returns the calls
 /// the scripted publications made, which the enumeration extends.
@@ -374,7 +520,7 @@ fn check(schedule: &[(usize, Fault)]) -> Vec<Call> {
         let stats_before = fleet.router.router_stats().pipeline;
         lock(&fleet.script).injected = 0;
         let outcome = if step == PUBLICATIONS {
-            lock(&fleet.script).recovering = true;
+            lock(&fleet.script).unscripted = true;
             fleet.pipeline.push_epoch()
         } else {
             let tick = fleet.pipeline.tick(batch(step));
@@ -442,6 +588,38 @@ fn check(schedule: &[(usize, Fault)]) -> Vec<Call> {
                 }
             }
         }
+        let faults = {
+            let mut script = lock(&fleet.script);
+            script.unscripted = true;
+            let calls = script.calls.len();
+            schedule.iter().filter(|(i, _)| *i < calls).count()
+        };
+        for kind in [FoldInKind::Esca, FoldInKind::Em] {
+            let (pin, answer) = fleet.read(kind, step as u64);
+            let why = match answer {
+                Ok(theta) => {
+                    let slices: Option<Vec<_>> =
+                        (0..RANGES).map(|r| slices.get(&(r, pin))).collect();
+                    match slices {
+                        Some(s) if cold_boot(&fleet.plan, kind, step as u64, &s) == theta => {
+                            continue
+                        }
+                        Some(_) => "differs from a cold boot of that epoch".to_string(),
+                        None => "was answered, but some range never served it".to_string(),
+                    }
+                }
+                Err(ServeError::ShardVersionSkew)
+                    if faults >= 2 && (0..RANGES).any(|r| !fleet.held(r, pin)) =>
+                {
+                    continue
+                }
+                Err(e) => format!("failed after {faults} faults: {e}"),
+            };
+            fail(format!(
+                "7 (pinned reads), publication {step}: the {kind:?} read at epoch {pin} {why}"
+            ));
+        }
+        lock(&fleet.script).unscripted = false;
     }
     let calls = lock(&fleet.script).calls.clone();
     calls

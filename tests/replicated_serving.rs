@@ -12,11 +12,6 @@
 //! * a replica's circuit breaker trips after `FAILURE_THRESHOLD`
 //!   consecutive transport failures and re-admits once a health probe sees
 //!   the replica back;
-//! * **regression (deadline-skew bug)**: a fan-out that keeps observing
-//!   version skew fails with `DeadlineExceeded`, not `ShardVersionSkew`,
-//!   once the caller's deadline has passed;
-//! * skew that clears within about a millisecond (one commit window) is
-//!   outlasted by the backed-off retries: answered, never a 503;
 //! * **regression (wrong-K bug)**: a partial over another topic count than
 //!   the fleet's is a transport error naming the shard, not a panic in the
 //!   merge;
@@ -27,8 +22,8 @@
 //! * a loadgen chaos replay (kill a replica after N requests) drops
 //!   nothing and replays θ bit-identically to the healthy fleet.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -245,17 +240,19 @@ struct FlakyTransport {
 impl ShardTransport for FlakyTransport {
     type Pending = <LocalTransport as ShardTransport>::Pending;
 
-    fn submit_partial(
+    fn submit_partial_pinned(
         &self,
         words: Vec<u32>,
         request: PartialRequest,
+        epoch: Option<u64>,
         deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<Self::Pending, ServeError> {
         if self.dead.load(Ordering::SeqCst) {
             return Err(injected_transport_error());
         }
-        self.inner.submit_partial(words, request, deadline, trace)
+        self.inner
+            .submit_partial_pinned(words, request, epoch, deadline, trace)
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
@@ -375,81 +372,45 @@ fn breaker_trips_on_repeated_failures_and_readmits_after_recovery() {
 }
 
 // ---------------------------------------------------------------------------
-// Regression: skew retries must honour the deadline
+// Regression: a partial over the wrong K is a 502 naming the shard, not a panic
 // ---------------------------------------------------------------------------
 
-/// What a [`SkewTransport`] does to each reply before the router sees it.
-#[derive(Debug, Clone, Copy)]
-struct Script {
-    /// Sleep this long before handing the reply over.
-    pause: Duration,
-    /// Rewrite the snapshot version to a fresh counter value for this long
-    /// after the fleet's first submission, so a 2-shard fan-out observes
-    /// version skew on every attempt — the publish storm (`Duration::MAX`)
-    /// or one commit window (≈ 1 ms), on demand.
-    skew_for: Duration,
-    /// Topics appended to the partial: a shard serving another `K`.
+/// A `LocalTransport` whose partials come back over `extra_topics` more
+/// topics than the shard serves.
+#[derive(Debug)]
+struct ExtraTopicsTransport {
+    inner: LocalTransport,
     extra_topics: usize,
 }
 
-impl Script {
-    const PERSISTENT_SKEW: Script = Script {
-        pause: Duration::from_millis(5),
-        skew_for: Duration::MAX,
-        extra_topics: 0,
-    };
-}
-
-/// A `LocalTransport` whose replies are rewritten by a [`Script`].
 #[derive(Debug)]
-struct SkewTransport {
-    inner: LocalTransport,
-    script: Script,
-    version: Arc<AtomicU64>,
-    first_submission: Arc<OnceLock<Instant>>,
-}
+struct ExtraTopicsPending(<LocalTransport as ShardTransport>::Pending, usize);
 
-#[derive(Debug)]
-struct SkewPending {
-    inner: <LocalTransport as ShardTransport>::Pending,
-    script: Script,
-    version: Arc<AtomicU64>,
-    first_submission: Instant,
-}
-
-impl PendingPartial for SkewPending {
-    fn wait(self, _deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
-        std::thread::sleep(self.script.pause);
-        // Ignore the caller's deadline on the inner wait: the reply is
-        // already computed, and the point of this mock is to prove the
-        // DEADLINE error comes from the router's retry check, not the leg.
-        self.inner.wait(None).map(|mut response| {
-            if self.first_submission.elapsed() < self.script.skew_for {
-                response.snapshot_version = self.version.fetch_add(1, Ordering::SeqCst);
-            }
-            let k = response.partial.counts.len() + self.script.extra_topics;
+impl PendingPartial for ExtraTopicsPending {
+    fn wait(self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
+        self.0.wait(deadline).map(|mut response| {
+            let k = response.partial.counts.len() + self.1;
             response.partial.counts.resize(k, 0.0);
             response
         })
     }
 }
 
-impl ShardTransport for SkewTransport {
-    type Pending = SkewPending;
+impl ShardTransport for ExtraTopicsTransport {
+    type Pending = ExtraTopicsPending;
 
-    fn submit_partial(
+    fn submit_partial_pinned(
         &self,
         words: Vec<u32>,
         request: PartialRequest,
+        epoch: Option<u64>,
         deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<Self::Pending, ServeError> {
-        Ok(SkewPending {
-            first_submission: *self.first_submission.get_or_init(Instant::now),
-            inner: self.inner.submit_partial(words, request, deadline, trace)?,
-            script: self.script,
-            version: Arc::clone(&self.version),
-        })
+        let pending = self
+            .inner
+            .submit_partial_pinned(words, request, epoch, deadline, trace)?;
+        Ok(ExtraTopicsPending(pending, self.extra_topics))
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
@@ -473,108 +434,27 @@ impl ShardTransport for SkewTransport {
     }
 }
 
-/// A 2-shard router whose shard `s` replies through `scripts[s]`.
-fn skew_router(scripts: [Script; 2]) -> ShardRouter<SkewTransport> {
-    let model = random_model(31);
-    let cfg = config(FoldInKind::Esca);
-    let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
-    let snapshot = InferenceSnapshot::from_model(&model, cfg.sampler);
-    let version = Arc::new(AtomicU64::new(100));
-    let first_submission = Arc::new(OnceLock::new());
-    let transports = plan
-        .ranges()
-        .zip(scripts)
-        .map(|(range, script)| {
-            let server = TopicServer::start(snapshot.shard(range.clone()), cfg).unwrap();
-            SkewTransport {
-                inner: LocalTransport::with_range(server, range),
-                script,
-                version: Arc::clone(&version),
-                first_submission: Arc::clone(&first_submission),
-            }
-        })
-        .collect::<Vec<_>>();
-    ShardRouter::with_transports(plan, transports, cfg).unwrap()
-}
-
-#[test]
-fn skew_retry_honours_the_deadline() {
-    // Doc touching both shards, so every attempt sees two (always
-    // different) versions.
-    let doc: Vec<u32> = vec![1, 2, 31, 32];
-
-    // Without a deadline the router exhausts its retries and reports skew
-    // — the mock really does manufacture persistent skew.
-    let router = skew_router([Script::PERSISTENT_SKEW; 2]);
-    match router.infer_topics(doc.clone(), 0) {
-        Err(ServeError::ShardVersionSkew) => {}
-        other => panic!("expected ShardVersionSkew without a deadline, got {other:?}"),
-    }
-    assert_eq!(router.router_stats().skew_retries, 3);
-    router.shutdown();
-
-    // With a deadline that expires during the retries, the router must
-    // fail with DeadlineExceeded — the bug reported exhausted-skew
-    // instead, burning a full extra fan-out after the caller's budget was
-    // already gone.
-    let router = skew_router([Script::PERSISTENT_SKEW; 2]);
-    match router.infer_with_deadline(doc, 0, Duration::from_millis(25)) {
-        Err(ServeError::DeadlineExceeded) => {}
-        other => panic!("expected DeadlineExceeded past the deadline, got {other:?}"),
-    }
-    assert!(
-        router.router_stats().skew_retries >= 1,
-        "the deadline check must sit on the retry path, not before the first attempt"
-    );
-    router.shutdown();
-}
-
-#[test]
-fn skew_retries_outlast_one_commit_window() {
-    // Skew that clears 1.3 ms after the first submission: one two-phase
-    // commit passing over the fleet. Four back-to-back fan-outs of this
-    // tiny model can all fit inside it — the 503 from a healthy fleet that
-    // benchmark/README.md documents — while the backed-off retries
-    // (200 + 400 + 800 µs of pauses alone) always outlast it.
-    let clearing = Script {
-        pause: Duration::ZERO,
-        skew_for: Duration::from_micros(1300),
-        extra_topics: 0,
-    };
-    let router = skew_router([clearing; 2]);
-    let answer = router
-        .infer_with_deadline(vec![1, 2, 31, 32], 0, Duration::from_secs(5))
-        .unwrap_or_else(|e| {
-            panic!("skew that cleared within the retries failed the request: {e:?}")
-        });
-    assert_eq!(answer.theta.len(), K);
-    let stats = router.router_stats();
-    assert!(
-        (1..=3).contains(&stats.skew_retries),
-        "the window must cost at least one retry and at most all three: {stats:?}"
-    );
-    router.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Regression: a partial over the wrong K is a 502 naming the shard, not a panic
-// ---------------------------------------------------------------------------
-
 #[test]
 fn wrong_k_partial_is_a_transport_error_naming_the_shard() {
     // Shard 1 answers over K + 1 topics — republished with another K after
     // `validate_replica`, or another build. The merge's length assert used
     // to panic the caller's thread; it must be this request's 502 instead.
-    let honest = Script {
-        pause: Duration::ZERO,
-        skew_for: Duration::ZERO,
-        extra_topics: 0,
-    };
-    let wrong_k = Script {
-        extra_topics: 1,
-        ..honest
-    };
-    let router = skew_router([honest, wrong_k]);
+    let model = random_model(31);
+    let cfg = config(FoldInKind::Esca);
+    let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
+    let snapshot = InferenceSnapshot::from_model(&model, cfg.sampler);
+    let transports = plan
+        .ranges()
+        .zip([0, 1])
+        .map(|(range, extra_topics)| {
+            let server = TopicServer::start(snapshot.shard(range.clone()), cfg).unwrap();
+            ExtraTopicsTransport {
+                inner: LocalTransport::with_range(server, range),
+                extra_topics,
+            }
+        })
+        .collect();
+    let router = ShardRouter::with_transports(plan, transports, cfg).unwrap();
     match router.infer_topics(vec![1, 2, 31, 32], 0) {
         Err(e @ ServeError::Transport { shard: Some(1), .. }) => {
             let text = e.to_string();
@@ -623,19 +503,21 @@ impl PendingPartial for FailOncePending {
 impl ShardTransport for FailOnceTransport {
     type Pending = FailOncePending;
 
-    fn submit_partial(
+    fn submit_partial_pinned(
         &self,
         words: Vec<u32>,
         request: PartialRequest,
+        epoch: Option<u64>,
         deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<Self::Pending, ServeError> {
         if self.submissions.fetch_add(1, Ordering::SeqCst) == 0 {
             return Ok(FailOncePending::Fail);
         }
-        Ok(FailOncePending::Real(
-            self.inner.submit_partial(words, request, deadline, trace)?,
-        ))
+        let pending = self
+            .inner
+            .submit_partial_pinned(words, request, epoch, deadline, trace)?;
+        Ok(FailOncePending::Real(pending))
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {

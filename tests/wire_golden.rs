@@ -743,6 +743,56 @@ fn shard_endpoints_are_stable_end_to_end_over_tcp() {
 }
 
 #[test]
+fn pinned_partial_endpoint_is_stable_end_to_end_over_tcp() {
+    // A router pins its read to an epoch in X-Saber-Epoch. The epoch the
+    // shard serves answers exactly the headerless bytes; one it holds no
+    // snapshot of is refused with 503, and a malformed header with 400.
+    let server = Arc::new(TopicServer::from_model(&model(), ServeConfig::default()).unwrap());
+    let config = HttpConfig {
+        shard_range: Some((24, 36)),
+        ..HttpConfig::default()
+    };
+    let http = HttpServer::bind("127.0.0.1:0", server, None, config).unwrap();
+    let body = r#"{"words":[0,3,6,9,0,3],"esca":{"seed":7}}"#;
+    let pinned = |epoch: &str| {
+        let request = format!(
+            "POST /infer-partial HTTP/1.1\r\nHost: x\r\nX-Saber-Epoch: {epoch}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len(),
+        );
+        http_reply(http.local_addr(), &request)
+    };
+    for (epoch, status, expected) in [
+        (
+            "1",
+            "200",
+            r#"{"k":3,"topics":[0],"counts":[48],"n_words":6,"snapshot_version":1,"n_oov":0,"shard":[24,36]}"#,
+        ),
+        (
+            "2",
+            "503",
+            r#"{"error":"shard snapshot versions diverged during the request","status":503}"#,
+        ),
+        (
+            "one",
+            "400",
+            r#"{"error":"unparsable X-Saber-Epoch header","status":400}"#,
+        ),
+    ] {
+        let reply = pinned(epoch);
+        assert!(
+            reply.starts_with(&format!("HTTP/1.1 {status} ")),
+            "epoch {epoch}: {reply}"
+        );
+        assert_eq!(
+            reply.split("\r\n\r\n").nth(1),
+            Some(expected),
+            "epoch {epoch}"
+        );
+    }
+    http.shutdown();
+}
+
+#[test]
 fn metrics_exposition_is_stable_end_to_end_over_tcp() {
     // The very first request a fresh server handles is a /metrics scrape:
     // every counter is deterministic (requests=1 — the scrape itself —
