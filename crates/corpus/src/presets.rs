@@ -161,6 +161,29 @@ mod tests {
     }
 
     #[test]
+    fn standins_keep_tokens_per_doc_and_the_zipf_skew() {
+        // Each preset's benchmark-scale stand-in (seed 7). Measured: T/D
+        // 335.8 / 88.0 / 360.6 against the paper's 332 / 90 / 365 (within
+        // 2.3 %; within 3.6 % over seeds 1, 2, 3, 11 and 42), and the 1 % most
+        // frequent words carry 0.54 / 0.48 / 0.38 of all tokens (0.35–0.56
+        // over those seeds), where a flat vocabulary would give 0.01.
+        for p in DatasetPreset::ALL {
+            let s = crate::stats::CorpusStats::of(&p.bench_spec().generate(7));
+            let paper = p.paper_stats().tokens_per_doc;
+            assert!(
+                (s.tokens_per_doc / paper - 1.0).abs() < 0.05,
+                "{p}: T/D {:.1} vs the paper's {paper}",
+                s.tokens_per_doc
+            );
+            assert!(
+                s.top1pct_token_share > 0.3,
+                "{p}: top-1 % token share {:.3}",
+                s.top1pct_token_share
+            );
+        }
+    }
+
+    #[test]
     fn display_names() {
         assert_eq!(DatasetPreset::NyTimes.to_string(), "NYTimes");
         assert_eq!(DatasetPreset::ClueWeb.to_string(), "ClueWeb12 subset");

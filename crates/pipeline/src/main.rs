@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! saber-traind [--preset nytimes|pubmed|clueweb] [--feed FILE]
-//!              [--topics K] [--shards N] [--seed S]
+//!              [--stream-docs N] [--topics K] [--shards N] [--seed S]
 //!              [--warmup-docs N] [--warmup-iters N]
 //!              [--batch-docs N] [--iters-per-batch N]
 //!              [--publish-every N] [--full-refresh-every N]
@@ -42,12 +42,27 @@ const USAGE: &str = "usage: saber-traind [options]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(code) => code,
-        Err(message) => {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Usage(message)) => {
+            eprintln!("saber-traind: {message}\n{USAGE}");
+            ExitCode::from(1)
+        }
+        Err(Failure::Runtime(message)) => {
             eprintln!("saber-traind: {message}");
             ExitCode::from(2)
         }
     }
+}
+
+/// Why the daemon stopped: a bad command line (exit 1) or a failure while
+/// running (exit 2).
+enum Failure {
+    Usage(String),
+    Runtime(String),
+}
+
+fn runtime(error: impl std::fmt::Display) -> Failure {
+    Failure::Runtime(error.to_string())
 }
 
 /// Pulls `--flag value` pairs out of `args`; rejects unknown flags.
@@ -56,16 +71,16 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
+    fn parse(args: &[String], known: &[&str]) -> Result<Flags, Failure> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             if !known.contains(&flag.as_str()) {
-                return Err(format!("unknown flag {flag:?}\n{USAGE}"));
+                return Err(Failure::Usage(format!("unknown flag {flag:?}")));
             }
             let value = it
                 .next()
-                .ok_or_else(|| format!("flag {flag} expects a value"))?;
+                .ok_or_else(|| Failure::Usage(format!("flag {flag} expects a value")))?;
             pairs.push((flag.clone(), value.clone()));
         }
         Ok(Flags { pairs })
@@ -79,12 +94,12 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn parse_num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+    fn parse_num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, Failure> {
         match self.get(flag) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("flag {flag} has invalid value {v:?}")),
+                .map_err(|_| Failure::Usage(format!("flag {flag} has invalid value {v:?}"))),
         }
     }
 }
@@ -98,7 +113,7 @@ fn parse_preset(name: &str) -> Option<DatasetPreset> {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     let flags = Flags::parse(
         args,
         &[
@@ -133,8 +148,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     // and (absent --feed) the stream itself.
     let spec = match flags.get("--preset") {
         Some(name) => {
-            let preset =
-                parse_preset(name).ok_or_else(|| format!("unknown preset {name:?}\n{USAGE}"))?;
+            let preset = parse_preset(name)
+                .ok_or_else(|| Failure::Usage(format!("unknown preset {name:?}")))?;
             // Scale the preset down to its bench spec — a daemon demo, not
             // a full paper run.
             preset.bench_spec()
@@ -142,7 +157,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         None => SyntheticSpec::small_test(),
     };
     let mut feed = match flags.get("--feed") {
-        Some(path) => DocumentFeed::open(Path::new(path)).map_err(|e| e.to_string())?,
+        Some(path) => DocumentFeed::open(Path::new(path)).map_err(runtime)?,
         None => DocumentFeed::synthetic(
             &SyntheticSpec {
                 n_docs: stream_docs,
@@ -168,13 +183,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         .n_iterations(warmup_iters)
         .seed(seed)
         .build()
-        .map_err(|e| e.to_string())?;
-    let mut trainer = SaberLda::new(trainer_config, &warmup).map_err(|e| e.to_string())?;
+        .map_err(runtime)?;
+    let mut trainer = SaberLda::new(trainer_config, &warmup).map_err(runtime)?;
     trainer.train();
 
     let mut pipeline =
         TrainingPipeline::bootstrap_local(trainer, shards, ServeConfig::default(), config)
-            .map_err(|e| e.to_string())?;
+            .map_err(runtime)?;
     eprintln!(
         "fleet up: {shards} shard(s) at epoch {}",
         pipeline.served_epoch()
@@ -183,9 +198,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     // The daemon loop: tick until the feed runs dry, narrating each epoch.
     while let Some(batch) = feed
         .next_batch(pipeline.config().batch_docs)
-        .map_err(|e| e.to_string())?
+        .map_err(runtime)?
     {
-        let tick = pipeline.tick(batch).map_err(|e| e.to_string())?;
+        let tick = pipeline.tick(batch).map_err(runtime)?;
         if let Some(epoch) = &tick.published {
             println!(
                 "epoch {}: {} docs, {} tokens in, {} rows offered as delta{}",
@@ -201,7 +216,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             );
         }
     }
-    let final_epoch = pipeline.push_epoch().map_err(|e| e.to_string())?;
+    let final_epoch = pipeline.push_epoch().map_err(runtime)?;
     println!("final epoch {}: flushed", final_epoch.epoch);
 
     if let Some(stats) = pipeline.router().router_stats().pipeline {
@@ -216,5 +231,5 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     pipeline.shutdown();
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }

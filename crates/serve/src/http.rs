@@ -91,7 +91,7 @@ use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -134,12 +134,6 @@ pub struct HttpConfig {
     /// /shard-info`). `None` — the default — reports the local
     /// `[0, vocab_size)`, which is also correct for unsharded servers.
     pub shard_range: Option<(u32, u32)>,
-    /// Opt-in ingress capture: when set, every well-formed word-id
-    /// `POST /infer` request (words, resolved seed, arrival offset) is
-    /// appended to this [`RequestRecorder`] before inference, so real
-    /// traffic can be exported as a replayable `saber-loadgen` trace.
-    /// `None` — the default — records nothing and costs nothing.
-    pub recorder: Option<Arc<RequestRecorder>>,
 }
 
 impl Default for HttpConfig {
@@ -150,7 +144,6 @@ impl Default for HttpConfig {
             max_connections: 64,
             max_body_bytes: 1 << 20,
             shard_range: None,
-            recorder: None,
         }
     }
 }
@@ -170,94 +163,6 @@ const TRACE_RING: usize = 64;
 const SLOW_TRACE_THRESHOLD: Duration = Duration::from_millis(250);
 /// How many worst-case traces the slow-request capture retains.
 const SLOW_TRACE_KEEP: usize = 8;
-
-/// One `POST /infer` request as captured at the HTTP ingress: everything
-/// a replay needs to reproduce the answer bit-for-bit (the words and the
-/// resolved seed) plus the arrival offset that reproduces the workload's
-/// timing shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedRequest {
-    /// Microseconds since the recorder was created.
-    pub offset_micros: u64,
-    /// The request's resolved seed (header > body member > the fixed
-    /// default 0 — the same resolution the handler applies).
-    pub seed: u64,
-    /// The document's word ids, exactly as received.
-    pub words: Vec<u32>,
-}
-
-/// A bounded, thread-safe capture buffer for [`HttpConfig::recorder`].
-///
-/// Recording sits on the serving path, so it must never block it for
-/// long or grow without bound: entries above `capacity` are dropped and
-/// counted instead of queued, and a poisoned buffer degrades to dropping
-/// samples rather than propagating a panic into a connection thread.
-#[derive(Debug)]
-pub struct RequestRecorder {
-    started: Instant,
-    capacity: usize,
-    entries: Mutex<Vec<RecordedRequest>>,
-    dropped: AtomicU64,
-}
-
-impl RequestRecorder {
-    /// A recorder that retains at most `capacity` requests (further
-    /// requests are dropped and counted in [`RequestRecorder::dropped`]).
-    pub fn new(capacity: usize) -> RequestRecorder {
-        RequestRecorder {
-            started: Instant::now(),
-            capacity,
-            entries: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends one request, stamping its arrival offset. Called by the
-    /// `/infer` handler after parsing, before inference — failed
-    /// inferences are still recorded, because a replay must reproduce the
-    /// offered load, not just the completed one.
-    pub fn record(&self, words: &[u32], seed: u64) {
-        let offset_micros = self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        let Ok(mut entries) = self.entries.lock() else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        if entries.len() >= self.capacity {
-            drop(entries);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        entries.push(RecordedRequest {
-            offset_micros,
-            seed,
-            words: words.to_vec(),
-        });
-    }
-
-    /// Number of requests captured so far.
-    pub fn len(&self) -> usize {
-        self.entries.lock().map(|e| e.len()).unwrap_or(0)
-    }
-
-    /// Whether nothing has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Requests dropped because the buffer was full (or unavailable).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Takes every captured request out of the buffer, in arrival order,
-    /// leaving it empty (and recording again from the same time base).
-    pub fn drain(&self) -> Vec<RecordedRequest> {
-        match self.entries.lock() {
-            Ok(mut entries) => std::mem::take(&mut *entries),
-            Err(_) => Vec::new(),
-        }
-    }
-}
 
 /// Point-in-time latency split of one endpoint: the end-to-end service
 /// time plus the queue-wait/handler decomposition recovered from request
@@ -1091,15 +996,7 @@ fn handle_infer(
     // Raw tokens are encoded here — the one place that holds a vocabulary —
     // and then take the same call as word ids.
     let (words, n_oov) = match body {
-        InferBody::Words(words) => {
-            // The opt-in loadgen capture sees the request exactly as the
-            // backend will: parsed words and the resolved seed, before
-            // admission — so a recorded trace reproduces offered load.
-            if let Some(recorder) = state.config.recorder.as_ref() {
-                recorder.record(&words, seed);
-            }
-            (words, 0)
-        }
+        InferBody::Words(words) => (words, 0),
         InferBody::Tokens { tokens, policy } => {
             let Some(vocab) = state.vocab.as_ref() else {
                 return error(400, "server has no vocabulary; send 'words' ids instead");

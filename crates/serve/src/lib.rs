@@ -107,9 +107,7 @@ pub mod swap;
 pub mod transport;
 pub mod wire;
 
-pub use http::{
-    EndpointStats, HttpConfig, HttpServer, HttpStats, RecordedRequest, RequestRecorder,
-};
+pub use http::{EndpointStats, HttpConfig, HttpServer, HttpStats};
 pub use router::{FleetHealth, PipelineStats, ReplicaHealth, ReplicaSet, RouterStats, ShardRouter};
 pub use server::{
     InferRequest, InferResponse, PartialRequest, PartialResponse, ServeConfig, ServeStats,

@@ -1,6 +1,6 @@
 //! Every workload, gated metric, layer metric and verdict
-//! `BENCH_trajectory.json` names is one `BENCHMARK.json` declares (schema:
-//! docs/BENCHMARKING.md).
+//! `BENCH_trajectory.json` names is one `BENCHMARK.json` declares, and every
+//! record but the newest names its commit (schema: docs/BENCHMARKING.md).
 
 use saber_core::json::{parse, JsonValue};
 
@@ -27,8 +27,19 @@ fn trajectory_names_only_what_the_benchmark_declares() {
     let layers = declared("per_layer");
     let trajectory = parse(include_str!("../BENCH_trajectory.json")).unwrap();
     assert_eq!(text(&trajectory, "schema"), "saber-bench-trajectory/1");
-    for record in list(&trajectory, "records") {
+    let records = list(&trajectory, "records");
+    for (i, record) in records.iter().enumerate() {
         let pr = record.get("pr").and_then(JsonValue::as_u64).unwrap();
+        // Only the newest record may wait for its commit id.
+        if i + 1 < records.len() {
+            let commit = record.get("commit").and_then(JsonValue::as_str);
+            let short_hash = commit.is_some_and(|c| {
+                c.len() == 7
+                    && c.bytes()
+                        .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+            });
+            assert!(short_hash, "PR {pr}: commit {commit:?}");
+        }
         for (workload, entry) in object(record, "workloads") {
             let declared = workloads.contains(&workload.as_str());
             assert!(declared, "PR {pr}: workload {workload}");

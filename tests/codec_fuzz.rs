@@ -1,7 +1,7 @@
 //! Round-trip and malformed-input fuzz for the codecs load depends on: the
-//! `X-Saber-Trace` header (ISSUE 7), the `SABRTRACE` trace format
-//! (ISSUE 8), the `SABRDELTA` publication format (ISSUE 10) and the
-//! tree-free JSON writers and sparse partial protocol of ISSUE 19.
+//! `X-Saber-Trace` header (ISSUE 7), the `SABRDELTA` publication format
+//! (ISSUE 10) and the tree-free JSON writers and sparse partial protocol
+//! of ISSUE 19.
 //!
 //! The contracts pinned here:
 //!
@@ -15,9 +15,6 @@
 //! * garbage header bytes **degrade to untraced** — `parse` returns
 //!   `None`, and a live HTTP server still answers `200` with the same θ
 //!   it would have produced without the header (never a 4xx/500);
-//! * every `SABRTRACE` encode/decode round-trip is byte-exact;
-//! * truncated or corrupted trace bytes produce an error, never a panic
-//!   and never a silently shortened trace;
 //! * every `SABRDELTA` encode/decode round-trip is byte-exact, and the
 //!   strict decoder rejects truncation, trailing bytes, out-of-range or
 //!   non-increasing row ids and non-advancing epochs (ISSUE 10) — the
@@ -29,7 +26,6 @@ use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use saber_loadgen::trace::{RequestTrace, TraceRequest};
 use saberlda::serve::{HttpConfig, HttpServer, ServeConfig, TopicServer};
 use saberlda::trace::{TraceContext, TraceId};
 use saberlda::LdaModel;
@@ -79,69 +75,6 @@ proptest! {
         if !hex_or_dash && !byte.is_ascii_whitespace() {
             prop_assert_eq!(parsed, None);
         }
-    }
-}
-
-// ------------------------------------------------------------- SABRTRACE
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Encode/decode round-trips are byte-exact for arbitrary traces.
-    #[test]
-    fn sabrtrace_roundtrips_byte_exact(
-        vocab in 1u32..400,
-        offsets in vec(any::<u64>(), 0..12usize),
-        seeds in vec(any::<u64>(), 0..12usize),
-        lens in vec(0usize..30, 0..12usize),
-        fill in any::<u64>(),
-    ) {
-        let n = offsets.len().min(seeds.len()).min(lens.len());
-        let requests: Vec<TraceRequest> = (0..n)
-            .map(|i| TraceRequest {
-                offset_micros: offsets[i],
-                seed: seeds[i],
-                words: (0..lens[i])
-                    .map(|j| (fill.wrapping_mul(i as u64 + 1).wrapping_add(j as u64) % u64::from(vocab)) as u32)
-                    .collect(),
-            })
-            .collect();
-        let trace = RequestTrace::new(vocab, requests).expect("words are in range");
-        let bytes = trace.encode();
-        let back = RequestTrace::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(&back, &trace);
-        prop_assert_eq!(back.encode(), bytes);
-    }
-
-    /// Every strict prefix of a valid trace file errors — never panics,
-    /// never yields a shortened trace.
-    #[test]
-    fn sabrtrace_truncations_always_error(
-        vocab in 1u32..100,
-        lens in vec(0usize..10, 1..6usize),
-        cut_seed in any::<u64>(),
-    ) {
-        let requests: Vec<TraceRequest> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| TraceRequest {
-                offset_micros: i as u64,
-                seed: i as u64,
-                words: (0..len as u32).map(|w| w % vocab).collect(),
-            })
-            .collect();
-        let bytes = RequestTrace::new(vocab, requests).expect("valid").encode();
-        let cut = (cut_seed % bytes.len() as u64) as usize;
-        prop_assert!(RequestTrace::decode(&bytes[..cut]).is_err());
-    }
-
-    /// Arbitrary byte soup never panics the decoder.
-    #[test]
-    fn sabrtrace_decoder_survives_byte_soup(bytes in vec(any::<u8>(), 0..200usize)) {
-        let _ = RequestTrace::decode(&bytes);
-        let mut framed = saber_loadgen::trace::MAGIC.to_vec();
-        framed.extend_from_slice(&bytes);
-        let _ = RequestTrace::decode(&framed);
     }
 }
 

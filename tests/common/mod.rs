@@ -1,33 +1,38 @@
 //! What the serving integration suites share: the 60-word, 5-topic toy
-//! models, the θ comparisons, and shard fleets over real localhost TCP.
-//! Each suite uses a subset, hence the `dead_code` allowance.
+//! models, the θ comparisons, shard fleets over real localhost TCP, and a
+//! concurrent sender for synthetic request traces. Each suite uses a
+//! subset, hence the `dead_code` allowance.
 #![allow(dead_code)]
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use saber_loadgen::TraceRequest;
 use saberlda::serve::{
-    FoldInKind, FoldInParams, HttpConfig, HttpServer, HttpTransport, InferenceSnapshot,
-    ServeConfig, ShardPlan, TopicServer,
+    FoldInKind, FoldInParams, HttpConfig, HttpServer, HttpTransport, InferenceBackend,
+    InferenceSnapshot, ServeConfig, ServeError, ShardPlan, TopicServer,
 };
 use saberlda::LdaModel;
 
 pub const VOCAB: usize = 60;
 pub const K: usize = 5;
 
-/// A model with dense random counts — every word genuinely mixes topics,
-/// so any bookkeeping error (cross-shard, cross-machine, tracing-induced)
-/// shows up in θ instead of being masked by a peaked posterior.
-pub fn random_model(seed: u64) -> LdaModel {
+/// A `vocab × k` model with dense random counts — every word genuinely
+/// mixes topics, so any bookkeeping error (cross-shard, cross-machine,
+/// tracing-induced) shows up in θ instead of being masked by a peaked
+/// posterior.
+pub fn random_model(vocab: usize, k: usize, seed: u64) -> LdaModel {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = LdaModel::new(VOCAB, K, 0.08, 0.01).unwrap();
-    for v in 0..VOCAB {
-        for k in 0..K {
-            model.word_topic_mut()[(v, k)] = rng.gen_range(0u32..20);
+    let mut model = LdaModel::new(vocab, k, 0.08, 0.01).unwrap();
+    for v in 0..vocab {
+        for t in 0..k {
+            model.word_topic_mut()[(v, t)] = rng.gen_range(0u32..20);
         }
         // Guarantee at least one count per word so B̂ rows are well formed.
-        let hot = rng.gen_range(0usize..K);
+        let hot = rng.gen_range(0usize..k);
         model.word_topic_mut()[(v, hot)] += 5;
     }
     model.refresh_probabilities();
@@ -129,4 +134,61 @@ pub fn spawn_replicated_fleet(
         sets.push(transports);
     }
     (fleet, sets)
+}
+
+/// Threads [`send_requests`] sends from.
+pub const SEND_THREADS: usize = 4;
+/// The deadline of every request [`send_requests`] sends.
+pub const SEND_DEADLINE: Duration = Duration::from_secs(10);
+
+/// An action to run once in the middle of [`send_requests`], after the
+/// given number of answers.
+pub type MidStream<'a> = (usize, Box<dyn FnOnce() + Send + 'a>);
+
+/// Sends every request to `backend` from [`SEND_THREADS`] threads, request
+/// `i` on thread `i % SEND_THREADS` and each thread in request order, and
+/// returns each answer's θ bits, or its error, in request order.
+///
+/// `mid_stream = Some((n, action))` runs `action` once, on the thread that
+/// received the `n`-th answer, before that thread sends its next request.
+pub fn send_requests<B: InferenceBackend + ?Sized>(
+    backend: &B,
+    requests: &[TraceRequest],
+    mid_stream: Option<MidStream<'_>>,
+) -> Vec<Result<Vec<u32>, ServeError>> {
+    let (after, action) = match mid_stream {
+        Some((n, action)) => (n, Some(action)),
+        None => (0, None),
+    };
+    let action = Mutex::new(action);
+    let answered = AtomicUsize::new(0);
+    let mut outcomes: Vec<Option<Result<Vec<u32>, ServeError>>> =
+        requests.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let senders: Vec<_> = (0..SEND_THREADS)
+            .map(|t| {
+                let (action, answered) = (&action, &answered);
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    for (i, request) in requests.iter().enumerate().skip(t).step_by(SEND_THREADS) {
+                        let outcome = backend
+                            .infer_with_deadline(request.words.clone(), request.seed, SEND_DEADLINE)
+                            .map(|response| bits(&response.theta));
+                        mine.push((i, outcome));
+                        if answered.fetch_add(1, Ordering::SeqCst) + 1 == after {
+                            let action = action.lock().unwrap().take();
+                            action.expect("the mid-stream action runs once")();
+                        }
+                    }
+                    mine
+                })
+            })
+            .collect();
+        for sender in senders {
+            for (i, outcome) in sender.join().unwrap() {
+                outcomes[i] = Some(outcome);
+            }
+        }
+    });
+    outcomes.into_iter().map(Option::unwrap).collect()
 }

@@ -9,25 +9,24 @@
 //! * at every pinned epoch, the delta-published fleet, the full-snapshot
 //!   fleet and a cold-booted baseline answer bit-identically under ESCA
 //!   (and within 1e-5 L∞ of the direct server under EM);
-//! * a loadgen replay against a fleet refreshed **mid-stream** drops zero
+//! * a synthetic trace sent to a fleet refreshed **mid-stream** drops zero
 //!   requests and every θ matches exactly the before- or after-refresh
 //!   reference — no answer ever mixes epochs;
+//! * a `TrainingPipeline` run publishes every epoch under read load and
+//!   drops no read;
 //! * the same holds over real localhost TCP, where `POST /publish-delta`
 //!   carries the rows and a stale base falls back to full slices;
 //! * the trainer's incremental sampler rebuild touches only the rows it
 //!   reports (counter asserted) — the `O(changed·K)` publish cost claim.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use saber_loadgen::replay::{replay, replay_with_chaos, ChaosTrigger, RateProfile, ReplayConfig};
-use saber_loadgen::synth::synthesize_trace;
-use saber_loadgen::trace::RequestTrace;
+use saber_loadgen::{synthesize_trace, RequestTrace};
 use saber_pipeline::{DocumentFeed, PipelineConfig, TrainingPipeline};
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
-    FoldInKind, FoldInParams, InferenceBackend, InferenceSnapshot, ServeConfig, ShardPlan,
-    ShardRouter, TopicServer,
+    FoldInKind, FoldInParams, InferenceSnapshot, ServeConfig, ShardPlan, ShardRouter, TopicServer,
 };
 use saberlda::{LdaModel, SaberLda, SaberLdaConfig};
 
@@ -76,7 +75,7 @@ fn stream_batch(n_docs: usize, seed: u64) -> Vec<Vec<u32>> {
 }
 
 mod common;
-use common::{bits, linf, spawn_shard_fleet};
+use common::{bits, linf, send_requests, spawn_shard_fleet};
 
 fn local_fleet(model: &LdaModel, kind: FoldInKind) -> ShardRouter {
     ShardRouter::from_model(
@@ -87,24 +86,14 @@ fn local_fleet(model: &LdaModel, kind: FoldInKind) -> ShardRouter {
     .unwrap()
 }
 
-/// Replays `trace` and returns every request's θ bit pattern.
-fn replay_thetas(router: &Arc<ShardRouter>, trace: &RequestTrace) -> Vec<Option<Vec<u32>>> {
-    let backend: Arc<dyn InferenceBackend> = Arc::clone(router) as _;
-    let outcome = replay(
-        &backend,
-        trace,
-        &RateProfile::Fixed { qps: 5_000.0 },
-        &ReplayConfig {
-            threads: 4,
-            deadline: Duration::from_secs(10),
-            collect_thetas: true,
-        },
-    );
-    assert_eq!(
-        outcome.ok, outcome.requests,
+/// Sends `trace` and returns every request's θ bit pattern.
+fn replay_thetas(router: &ShardRouter, trace: &RequestTrace) -> Vec<Option<Vec<u32>>> {
+    let outcomes = send_requests(router, trace.requests(), None);
+    assert!(
+        outcomes.iter().all(Result::is_ok),
         "reference replay dropped requests"
     );
-    outcome.thetas.unwrap()
+    outcomes.into_iter().map(Result::ok).collect()
 }
 
 #[test]
@@ -112,8 +101,8 @@ fn every_pinned_epoch_answers_identically_across_delta_full_and_cold_boot() {
     for kind in [FoldInKind::Esca, FoldInKind::Em] {
         let mut trainer = warm_trainer(11);
         let sampler = serve_config(kind).sampler;
-        let delta_fleet = Arc::new(local_fleet(trainer.model(), kind));
-        let full_fleet = Arc::new(local_fleet(trainer.model(), kind));
+        let delta_fleet = local_fleet(trainer.model(), kind);
+        let full_fleet = local_fleet(trainer.model(), kind);
         // The warmup's M-steps touched every row; both fleets already
         // serve that state, so drain the set before the stream starts.
         let initial = trainer.take_touched_rows();
@@ -144,7 +133,7 @@ fn every_pinned_epoch_answers_identically_across_delta_full_and_cold_boot() {
 
             // Pinned-epoch differential: delta fleet ≡ full fleet ≡ a
             // fleet cold-booted from this epoch's model.
-            let cold = Arc::new(local_fleet(trainer.model(), kind));
+            let cold = local_fleet(trainer.model(), kind);
             let from_delta = replay_thetas(&delta_fleet, &trace);
             let from_full = replay_thetas(&full_fleet, &trace);
             let from_cold = replay_thetas(&cold, &trace);
@@ -174,7 +163,7 @@ fn every_pinned_epoch_answers_identically_across_delta_full_and_cold_boot() {
                 }
                 direct.shutdown();
             }
-            Arc::try_unwrap(cold).unwrap().shutdown();
+            cold.shutdown();
         }
 
         // The publish-cost claim: the incremental path rebuilt only the
@@ -206,8 +195,8 @@ fn every_pinned_epoch_answers_identically_across_delta_full_and_cold_boot() {
             "rows shipped must equal rows the trainer touched"
         );
 
-        Arc::try_unwrap(delta_fleet).unwrap().shutdown();
-        Arc::try_unwrap(full_fleet).unwrap().shutdown();
+        delta_fleet.shutdown();
+        full_fleet.shutdown();
     }
 }
 
@@ -219,7 +208,7 @@ fn mid_replay_delta_refresh_drops_nothing_and_never_mixes_epochs() {
     let mut trainer = warm_trainer(13);
     let kind = FoldInKind::Esca;
     let sampler = serve_config(kind).sampler;
-    let live = Arc::new(local_fleet(trainer.model(), kind));
+    let live = local_fleet(trainer.model(), kind);
     let before_model = trainer.model().clone();
     let _ = trainer.take_touched_rows();
 
@@ -231,8 +220,8 @@ fn mid_replay_delta_refresh_drops_nothing_and_never_mixes_epochs() {
     // References: the unrefreshed baseline, and a fleet refreshed with the
     // FULL snapshot (so matching it also proves delta ≡ full mid-stream).
     let trace = synthesize_trace(&spec(), 160, 53);
-    let unrefreshed = Arc::new(local_fleet(&before_model, kind));
-    let refreshed = Arc::new(local_fleet(&before_model, kind));
+    let unrefreshed = local_fleet(&before_model, kind);
+    let refreshed = local_fleet(&before_model, kind);
     refreshed.publish(next_snapshot.clone()).unwrap();
     let theta_before = replay_thetas(&unrefreshed, &trace);
     let theta_after = replay_thetas(&refreshed, &trace);
@@ -243,28 +232,18 @@ fn mid_replay_delta_refresh_drops_nothing_and_never_mixes_epochs() {
 
     // The live replay, with the delta publication injected after 60
     // completions.
-    let publisher = Arc::clone(&live);
-    let trigger = ChaosTrigger::new(60, move || {
-        let epoch = publisher
+    let fired = AtomicBool::new(false);
+    let publish = || {
+        let epoch = live
             .publish_incremental(next_snapshot, &touched, 1)
             .unwrap();
         assert_eq!(epoch, 2);
-    });
-    let backend: Arc<dyn InferenceBackend> = Arc::clone(&live) as _;
-    let outcome = replay_with_chaos(
-        &backend,
-        &trace,
-        &RateProfile::Fixed { qps: 3_000.0 },
-        &ReplayConfig {
-            threads: 4,
-            deadline: Duration::from_secs(10),
-            collect_thetas: true,
-        },
-        Some(&trigger),
-    );
-    assert!(trigger.fired(), "the publication never fired");
-    assert_eq!(
-        outcome.ok, outcome.requests,
+        fired.store(true, Ordering::SeqCst);
+    };
+    let outcome = send_requests(&live, trace.requests(), Some((60, Box::new(publish))));
+    assert!(fired.load(Ordering::SeqCst), "the publication never fired");
+    assert!(
+        outcome.iter().all(Result::is_ok),
         "requests dropped during the epoch swap"
     );
     assert_eq!(live.epoch(), 2);
@@ -277,9 +256,8 @@ fn mid_replay_delta_refresh_drops_nothing_and_never_mixes_epochs() {
 
     // Every answer is exactly the before- or after-refresh reference —
     // an answer matching neither would mean a fan-out mixed epochs.
-    let thetas = outcome.thetas.unwrap();
     let (mut saw_before, mut saw_after) = (0u64, 0u64);
-    for (i, theta) in thetas.iter().enumerate() {
+    for (i, theta) in outcome.iter().enumerate() {
         let theta = theta.as_ref().expect("request was answered");
         let matches_before = Some(theta) == theta_before[i].as_ref();
         let matches_after = Some(theta) == theta_after[i].as_ref();
@@ -297,18 +275,18 @@ fn mid_replay_delta_refresh_drops_nothing_and_never_mixes_epochs() {
     assert!(saw_before > 0, "no request saw the pre-refresh epoch");
     assert!(saw_after > 0, "no request saw the post-refresh epoch");
 
-    Arc::try_unwrap(unrefreshed).unwrap().shutdown();
-    Arc::try_unwrap(refreshed).unwrap().shutdown();
-    drop(backend);
-    Arc::try_unwrap(live).unwrap().shutdown();
+    unrefreshed.shutdown();
+    refreshed.shutdown();
+    live.shutdown();
 }
 
 #[test]
 fn serve_while_training_pipeline_drops_nothing_and_lands_on_the_trained_model() {
     // The full composite: a TrainingPipeline drains a feed (publishing
-    // every tick) while loadgen replays a trace against its fleet.
+    // every tick) while a trace is sent to its fleet again and again until
+    // the run returns, so every publication happens under read load.
     let trainer = warm_trainer(17);
-    let pipeline = TrainingPipeline::bootstrap_local(
+    let mut pipeline = TrainingPipeline::bootstrap_local(
         trainer,
         N_SHARDS,
         serve_config(FoldInKind::Esca),
@@ -320,7 +298,7 @@ fn serve_while_training_pipeline_drops_nothing_and_lands_on_the_trained_model() 
         },
     )
     .unwrap();
-    let feed = DocumentFeed::synthetic(
+    let mut feed = DocumentFeed::synthetic(
         &SyntheticSpec {
             n_docs: 48,
             ..spec()
@@ -328,22 +306,25 @@ fn serve_while_training_pipeline_drops_nothing_and_lands_on_the_trained_model() 
         29,
     );
     let trace = synthesize_trace(&spec(), 200, 59);
-    let (report, pipeline) = saber_loadgen::scenario::serve_while_training(
-        pipeline,
-        feed,
-        &trace,
-        &RateProfile::Fixed { qps: 3_000.0 },
-        &ReplayConfig {
-            threads: 4,
-            deadline: Duration::from_secs(10),
-            collect_thetas: false,
-        },
-    )
-    .unwrap();
-    assert!(report.zero_drops(), "{:?}", report.outcome);
-    assert_eq!(report.epochs_published, 4);
-    assert_eq!(report.final_epoch, 5);
-    assert!(report.rows_shipped < report.rows_total);
+    let router = Arc::clone(pipeline.router());
+    let mut dropped = Vec::new();
+    std::thread::scope(|scope| {
+        let training = scope.spawn(|| pipeline.run(&mut feed));
+        loop {
+            let outcomes = send_requests(&*router, trace.requests(), None);
+            dropped.extend(outcomes.into_iter().filter_map(Result::err));
+            if training.is_finished() {
+                break;
+            }
+        }
+        training.join().unwrap().unwrap();
+    });
+    drop(router);
+    assert!(dropped.is_empty(), "{dropped:?}");
+    let stats = pipeline.router().router_stats().pipeline.unwrap();
+    assert_eq!(stats.epochs_published, 4);
+    assert_eq!(pipeline.served_epoch(), 5);
+    assert!(stats.rows_shipped < stats.rows_total);
 
     // After the stream, the fleet serves exactly the trainer's final
     // model: a cold boot from it answers bit-identically.

@@ -35,7 +35,7 @@ fn one_shard_esca_over_tcp_is_bit_identical_to_direct_serving() {
     // shard reproduces the direct server's bytes — seed, chain and counts
     // all survive the wire exactly.
     for model_seed in [1u64, 2, 3] {
-        let model = random_model(model_seed);
+        let model = random_model(VOCAB, K, model_seed);
         let cfg = config(FoldInKind::Esca);
         let plan = ShardPlan::single(VOCAB).unwrap();
         let direct = TopicServer::from_model(&model, cfg).unwrap();
@@ -68,7 +68,7 @@ fn n_shard_em_over_tcp_matches_local_routing_bit_for_bit() {
     // (the acceptance bound), and — stronger — bit-identical to the local
     // router, since θ and the partial counts round-trip the JSON codec
     // exactly and merge in the same shard order.
-    let model = random_model(7);
+    let model = random_model(VOCAB, K, 7);
     let cfg = config(FoldInKind::Em);
     let direct = TopicServer::from_model(&model, cfg).unwrap();
     let mut rng = StdRng::seed_from_u64(99);
@@ -187,7 +187,7 @@ fn remote_epoch_swap_never_serves_a_mixed_version_answer() {
 
 #[test]
 fn remote_fleet_stats_and_top_words_merge_like_local_ones() {
-    let model = random_model(11);
+    let model = random_model(VOCAB, K, 11);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::uniform(VOCAB, 3).unwrap();
     let local = ShardRouter::from_model(&model, plan.clone(), cfg).unwrap();
@@ -228,7 +228,7 @@ fn remote_fleet_stats_and_top_words_merge_like_local_ones() {
 fn fleet_validation_rejects_a_mismatched_remote_shard() {
     // A plan wider than the shard actually serving is caught at
     // construction, not at first divergent answer.
-    let model = random_model(2);
+    let model = random_model(VOCAB, K, 2);
     let cfg = config(FoldInKind::Esca);
     let narrow_plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let (shards, transports) = spawn_shard_fleet(&model, &narrow_plan, cfg);
@@ -276,7 +276,7 @@ fn a_shard_process_boots_from_a_saved_snapshot() {
     // The persistence satellite end to end: slice a snapshot, save it to
     // disk, boot a "shard process" from the file, and get bit-identical
     // fan-out answers.
-    let model = random_model(21);
+    let model = random_model(VOCAB, K, 21);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let snapshot = InferenceSnapshot::from_model(&model, cfg.sampler);

@@ -19,23 +19,20 @@
 //!   failure costs one bounded retry (counted, traced), not the request;
 //! * the router-backed `GET /healthz` degrades to 503 when a plan range
 //!   has lost every replica;
-//! * a loadgen chaos replay (kill a replica after N requests) drops
-//!   nothing and replays θ bit-identically to the healthy fleet.
+//! * a synthetic trace sent from four threads while a replica is killed
+//!   after 20 answers drops nothing and answers θ bit-identically to the
+//!   healthy fleet.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saber_loadgen::replay::{
-    replay, replay_model, replay_with_chaos, ChaosTrigger, RateProfile, ReplayConfig, Topology,
-    TopologyHandle,
-};
-use saber_loadgen::synth::synthesize_trace;
+use saber_loadgen::synthesize_trace;
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
-    derive_replica_choice, derive_shard_seed, FoldInKind, HttpConfig, HttpServer,
+    derive_replica_choice, derive_shard_seed, FoldInKind, HttpConfig, HttpServer, HttpTransport,
     InferenceSnapshot, LocalTransport, PartialRequest, PartialResponse, PendingPartial,
     ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport, TopicServer,
     FAILURE_THRESHOLD,
@@ -44,7 +41,9 @@ use saberlda::trace::{TraceBuilder, TraceContext, TraceId};
 use saberlda::LdaModel;
 
 mod common;
-use common::{bits, config, linf, random_doc, random_model, spawn_replicated_fleet, K, VOCAB};
+use common::{
+    bits, config, linf, random_doc, random_model, send_requests, spawn_replicated_fleet, K, VOCAB,
+};
 
 fn shutdown_fleet(fleet: Vec<Vec<Option<HttpServer>>>) {
     for server in fleet.into_iter().flatten().flatten() {
@@ -72,7 +71,7 @@ fn replicated_local_fleet_is_bit_identical_to_single_replica() {
     // slices with identical shard-derived seeds, so WHICH replica answers
     // can never show up in θ.
     for kind in [FoldInKind::Esca, FoldInKind::Em] {
-        let model = random_model(11);
+        let model = random_model(VOCAB, K, 11);
         let cfg = config(kind);
         let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
         let single = ShardRouter::from_model(&model, plan.clone(), cfg).unwrap();
@@ -115,7 +114,7 @@ fn replicated_local_fleet_is_bit_identical_to_single_replica() {
 
 #[test]
 fn killed_replica_mid_stream_keeps_esca_answers_bit_identical() {
-    let model = random_model(3);
+    let model = random_model(VOCAB, K, 3);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let reference = ShardRouter::from_model(&model, plan.clone(), cfg).unwrap();
@@ -168,7 +167,7 @@ fn killed_replica_mid_stream_keeps_esca_answers_bit_identical() {
 
 #[test]
 fn killed_replica_mid_stream_keeps_em_answers_within_tolerance() {
-    let model = random_model(7);
+    let model = random_model(VOCAB, K, 7);
     let cfg = config(FoldInKind::Em);
     let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let direct = TopicServer::from_model(&model, cfg).unwrap();
@@ -287,7 +286,7 @@ fn local_transport(model: &LdaModel, cfg: ServeConfig) -> LocalTransport {
 
 #[test]
 fn breaker_trips_on_repeated_failures_and_readmits_after_recovery() {
-    let model = random_model(21);
+    let model = random_model(VOCAB, K, 21);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::single(VOCAB).unwrap();
     let reference = TopicServer::from_model(&model, cfg).unwrap();
@@ -439,7 +438,7 @@ fn wrong_k_partial_is_a_transport_error_naming_the_shard() {
     // Shard 1 answers over K + 1 topics — republished with another K after
     // `validate_replica`, or another build. The merge's length assert used
     // to panic the caller's thread; it must be this request's 502 instead.
-    let model = random_model(31);
+    let model = random_model(VOCAB, K, 31);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let snapshot = InferenceSnapshot::from_model(&model, cfg.sampler);
@@ -543,7 +542,7 @@ impl ShardTransport for FailOnceTransport {
 
 #[test]
 fn transient_transport_failure_costs_one_bounded_retry() {
-    let model = random_model(41);
+    let model = random_model(VOCAB, K, 41);
     let cfg = config(FoldInKind::Esca);
     let reference = TopicServer::from_model(&model, cfg).unwrap();
     let router = ShardRouter::with_transports(
@@ -622,7 +621,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
 
 #[test]
 fn router_healthz_degrades_to_503_when_a_range_loses_every_replica() {
-    let model = random_model(51);
+    let model = random_model(VOCAB, K, 51);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::single(VOCAB).unwrap();
     let (mut fleet, sets) = spawn_replicated_fleet(&model, &plan, 2, cfg);
@@ -668,63 +667,57 @@ fn router_healthz_degrades_to_503_when_a_range_loses_every_replica() {
 }
 
 // ---------------------------------------------------------------------------
-// Loadgen chaos replay: kill a replica under load, drop nothing
+// Chaos replay: kill a replica under load, drop nothing
 // ---------------------------------------------------------------------------
+
+/// A 2-range × 2-replica fleet over real TCP serving `model`, and its
+/// router.
+fn replicated_2x2(model: &LdaModel) -> (Vec<Vec<Option<HttpServer>>>, ShardRouter<HttpTransport>) {
+    let cfg = ServeConfig::default();
+    let plan = ShardPlan::uniform(model.vocab_size(), 2).unwrap();
+    let (fleet, sets) = spawn_replicated_fleet(model, &plan, 2, cfg);
+    (
+        fleet,
+        ShardRouter::with_replica_sets(plan, sets, cfg).unwrap(),
+    )
+}
 
 #[test]
 fn chaos_replay_kills_a_replica_and_drops_nothing() {
     let trace = synthesize_trace(&SyntheticSpec::small_test(), 60, 0xC0FFEE);
-    let model = replay_model(trace.vocab_size() as usize, 8, 7).unwrap();
-    let topology = Topology::ReplicatedShards {
-        shards: 2,
-        replicas: 2,
-    };
-    let replay_config = ReplayConfig {
-        threads: 4,
-        deadline: Duration::from_secs(10),
-        collect_thetas: true,
-    };
-    let profile = RateProfile::Fixed { qps: 20_000.0 };
+    let model = random_model(trace.vocab_size() as usize, 8, 7);
 
-    let healthy = TopologyHandle::build(topology, &model, &ServeConfig::default()).unwrap();
-    let baseline = replay(&healthy.backend(), &trace, &profile, &replay_config);
+    let (healthy_fleet, healthy) = replicated_2x2(&model);
+    let baseline = send_requests(&healthy, trace.requests(), None);
     healthy.shutdown();
-    assert_eq!(baseline.ok, baseline.requests, "healthy replay dropped");
+    shutdown_fleet(healthy_fleet);
+    assert!(baseline.iter().all(Result::is_ok), "healthy replay dropped");
 
-    let handle =
-        Arc::new(TopologyHandle::build(topology, &model, &ServeConfig::default()).unwrap());
-    let chaos = {
-        let handle = Arc::clone(&handle);
-        ChaosTrigger::new(20, move || {
-            assert!(handle.kill_replica(0, 1), "kill target missing");
-        })
+    let (fleet, router) = replicated_2x2(&model);
+    let fleet = Mutex::new(fleet);
+    let fired = AtomicBool::new(false);
+    let kill = || {
+        let replica = fleet.lock().unwrap()[0][1].take();
+        replica.expect("kill target missing").shutdown();
+        fired.store(true, Ordering::SeqCst);
     };
-    let outcome = replay_with_chaos(
-        &handle.backend(),
-        &trace,
-        &profile,
-        &replay_config,
-        Some(&chaos),
-    );
-    assert!(chaos.fired(), "chaos trigger never fired");
-    drop(chaos);
-    assert_eq!(
-        outcome.ok, outcome.requests,
-        "killing a replica mid-replay dropped requests: {outcome:?}"
+    let outcome = send_requests(&router, trace.requests(), Some((20, Box::new(kill))));
+    assert!(fired.load(Ordering::SeqCst), "chaos trigger never fired");
+    let dropped: Vec<_> = outcome.iter().filter(|o| o.is_err()).collect();
+    assert!(
+        dropped.is_empty(),
+        "killing a replica mid-replay dropped requests: {dropped:?}"
     );
 
-    let healthy_thetas = baseline.thetas.expect("collect_thetas");
-    let chaos_thetas = outcome.thetas.expect("collect_thetas");
-    for (i, (a, b)) in healthy_thetas.iter().zip(chaos_thetas.iter()).enumerate() {
-        assert!(a.is_some(), "healthy request {i} has no θ");
+    for (i, (a, b)) in baseline.iter().zip(outcome.iter()).enumerate() {
+        assert!(a.is_ok(), "healthy request {i} has no θ");
         assert_eq!(
-            a, b,
+            a.as_ref().ok(),
+            b.as_ref().ok(),
             "request {i}: θ changed when a replica died mid-replay"
         );
     }
 
-    match Arc::try_unwrap(handle) {
-        Ok(handle) => handle.shutdown(),
-        Err(_) => panic!("topology handle still shared"),
-    }
+    router.shutdown();
+    shutdown_fleet(fleet.into_inner().unwrap());
 }

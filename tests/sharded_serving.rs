@@ -12,20 +12,31 @@
 //!   per-shard Gibbs chains approximate the cross-shard coupling);
 //! * and across a **whole-shard-set hot swap**, without any answer ever
 //!   mixing two snapshot versions.
+//!
+//! A synthetic request trace sent from four threads at once is answered
+//! bit-identically by two fresh direct servers, by direct serving and a
+//! one-shard router ([`derive_shard_seed`] keeps shard 0's seed equal to
+//! the request seed), and by a two-shard router over in-process shards and
+//! over shards behind real-TCP HTTP listeners.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use saber_loadgen::{synthesize_trace, RequestTrace};
+use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
-    derive_shard_seed, FoldInKind, FoldInParams, ServeConfig, ShardPlan, ShardRouter,
-    SnapshotSampler, TopicServer,
+    derive_shard_seed, FoldInKind, FoldInParams, InferenceBackend, ServeConfig, ShardPlan,
+    ShardRouter, SnapshotSampler, TopicServer,
 };
-use saberlda::InferenceSnapshot;
+use saberlda::{InferenceSnapshot, LdaModel};
 
 mod common;
-use common::{bits, config, linf, planted_model, random_doc, random_model, K, VOCAB};
+use common::{
+    bits, config, linf, planted_model, random_doc, random_model, send_requests, spawn_shard_fleet,
+    K, VOCAB,
+};
 
 #[test]
 fn one_shard_router_is_bit_identical_to_direct_serving() {
@@ -34,7 +45,7 @@ fn one_shard_router_is_bit_identical_to_direct_serving() {
     // must reproduce the direct server's bytes under BOTH fold-in kinds.
     for kind in [FoldInKind::Esca, FoldInKind::Em] {
         for model_seed in [1u64, 2, 3] {
-            let model = random_model(model_seed);
+            let model = random_model(VOCAB, K, model_seed);
             let direct = TopicServer::from_model(&model, config(kind)).unwrap();
             let routed =
                 ShardRouter::from_model(&model, ShardPlan::single(VOCAB).unwrap(), config(kind))
@@ -65,7 +76,7 @@ fn n_shard_em_matches_unsharded_within_1e5_linf() {
     // 2, 3, 5 and 7 shards agrees with the unsharded server to 1e-5 L∞
     // for the same request seed (EM is seed-independent, but the request
     // path still carries the seed end to end).
-    let model = random_model(7);
+    let model = random_model(VOCAB, K, 7);
     let direct = TopicServer::from_model(&model, config(FoldInKind::Em)).unwrap();
     let mut rng = StdRng::seed_from_u64(99);
     let docs: Vec<Vec<u32>> = (0..6).map(|i| random_doc(&mut rng, 4 + i * 5)).collect();
@@ -146,7 +157,7 @@ fn esca_shard_seeds_derive_from_the_request_seed() {
     // Replaying a request against a multi-shard ESCA router is
     // bit-identical (per-shard seeds are pure functions of the request
     // seed), and changing the request seed changes the per-shard seeds.
-    let model = random_model(4);
+    let model = random_model(VOCAB, K, 4);
     let routed = ShardRouter::from_model(
         &model,
         ShardPlan::uniform(VOCAB, 3).unwrap(),
@@ -246,7 +257,7 @@ fn mid_stream_shard_set_swap_never_serves_a_mixed_version_answer() {
 fn budgeted_plan_serves_within_its_per_shard_budget() {
     // End to end: cut the model by a byte budget, serve through the
     // resulting fleet, and verify both the answers and the budget.
-    let model = random_model(11);
+    let model = random_model(VOCAB, K, 11);
     let sampler = SnapshotSampler::WaryTree;
     let full = InferenceSnapshot::from_model(&model, sampler);
     let budget = full.memory_bytes() / 4 + 1;
@@ -274,7 +285,7 @@ fn budgeted_plan_serves_within_its_per_shard_budget() {
 fn raw_token_documents_route_identically() {
     // The raw-token path encodes against the FULL vocabulary before
     // splitting, so OOV accounting and θ match the direct server.
-    let model = random_model(13);
+    let model = random_model(VOCAB, K, 13);
     let vocab = saberlda::corpus::Vocabulary::synthetic(VOCAB);
     let direct = TopicServer::from_model(&model, config(FoldInKind::Em)).unwrap();
     let routed = ShardRouter::from_model(
@@ -295,4 +306,96 @@ fn raw_token_documents_route_identically() {
     assert!(linf(&a.theta, &b.theta) <= 1e-5);
     direct.shutdown();
     routed.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Synthetic traces under concurrent load, across topologies
+// ---------------------------------------------------------------------------
+
+fn test_trace(n: usize, seed: u64) -> RequestTrace {
+    synthesize_trace(&SyntheticSpec::small_test(), n, seed)
+}
+
+/// The 8-topic random model every topology of a trace differential serves.
+fn trace_model(trace: &RequestTrace) -> LdaModel {
+    random_model(trace.vocab_size() as usize, 8, 7)
+}
+
+/// Every request's θ bits from `backend`, which must answer them all.
+fn answered_thetas<B: InferenceBackend + ?Sized>(
+    backend: &B,
+    trace: &RequestTrace,
+    topology: &str,
+) -> Vec<Option<Vec<u32>>> {
+    let outcomes = send_requests(backend, trace.requests(), None);
+    let dropped = outcomes.iter().filter(|outcome| outcome.is_err()).count();
+    assert_eq!(dropped, 0, "{topology} dropped requests: {outcomes:?}");
+    outcomes.into_iter().map(Result::ok).collect()
+}
+
+fn direct_thetas(trace: &RequestTrace) -> Vec<Option<Vec<u32>>> {
+    let server = TopicServer::from_model(&trace_model(trace), ServeConfig::default()).unwrap();
+    let thetas = answered_thetas(&server, trace, "direct");
+    server.shutdown();
+    thetas
+}
+
+fn local_thetas(trace: &RequestTrace, n_shards: usize) -> Vec<Option<Vec<u32>>> {
+    let model = trace_model(trace);
+    let plan = ShardPlan::uniform(model.vocab_size(), n_shards).unwrap();
+    let router = ShardRouter::from_model(&model, plan, ServeConfig::default()).unwrap();
+    let thetas = answered_thetas(&router, trace, &format!("local:{n_shards}"));
+    router.shutdown();
+    thetas
+}
+
+fn remote_thetas(trace: &RequestTrace, n_shards: usize) -> Vec<Option<Vec<u32>>> {
+    let model = trace_model(trace);
+    let cfg = ServeConfig::default();
+    let plan = ShardPlan::uniform(model.vocab_size(), n_shards).unwrap();
+    let (shards, transports) = spawn_shard_fleet(&model, &plan, cfg);
+    let router = ShardRouter::with_transports(plan, transports, cfg).unwrap();
+    let thetas = answered_thetas(&router, trace, &format!("remote:{n_shards}"));
+    router.shutdown();
+    for shard in shards {
+        shard.http.shutdown();
+    }
+    thetas
+}
+
+#[test]
+fn same_trace_twice_direct_is_bit_identical() {
+    let trace = test_trace(120, 0xDECAF);
+    let first = direct_thetas(&trace);
+    let second = direct_thetas(&trace);
+    assert_eq!(first.len(), second.len());
+    for (i, (a, b)) in first.iter().zip(second.iter()).enumerate() {
+        assert_eq!(a, b, "request {i} differed between identical replays");
+        assert!(a.is_some(), "request {i} has no θ");
+    }
+}
+
+#[test]
+fn direct_vs_one_shard_router_is_bit_identical_under_load() {
+    let trace = test_trace(120, 0xBEEF);
+    let direct = direct_thetas(&trace);
+    let routed = local_thetas(&trace, 1);
+    for (i, (a, b)) in direct.iter().zip(routed.iter()).enumerate() {
+        assert_eq!(
+            a, b,
+            "request {i} differed between direct and 1-shard router"
+        );
+    }
+}
+
+#[test]
+fn two_shard_router_is_bit_identical_across_transports() {
+    let trace = test_trace(120, 0xC0FFEE);
+    // `answered_thetas` fails if either topology drops a request.
+    let local = local_thetas(&trace, 2);
+    let remote = remote_thetas(&trace, 2);
+    assert_eq!(local.len(), trace.len());
+    for (i, (a, b)) in local.iter().zip(remote.iter()).enumerate() {
+        assert_eq!(a, b, "request {i} differed between local:2 and remote:2");
+    }
 }

@@ -30,7 +30,7 @@ use saberlda::trace::{Trace, TraceBuilder, TraceId};
 use saberlda::Vocabulary;
 
 mod common;
-use common::{bits, config, random_doc, random_model, spawn_shard_fleet, VOCAB};
+use common::{bits, config, random_doc, random_model, spawn_shard_fleet, K, VOCAB};
 
 /// One request over a real socket; returns the response body.
 fn http_body(addr: std::net::SocketAddr, request: &str) -> String {
@@ -88,7 +88,7 @@ fn tracing_never_changes_theta_bit_for_bit() {
     // fold-in kinds, on a direct server and across 1-, 2- and 3-shard
     // fan-outs, whichever shape of the request path carries it.
     for kind in [FoldInKind::Esca, FoldInKind::Em] {
-        let model = random_model(3);
+        let model = random_model(VOCAB, K, 3);
         let cfg = config(kind);
         let server = TopicServer::from_model(&model, cfg).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
@@ -140,7 +140,7 @@ fn traced_and_untraced_http_responses_are_byte_identical() {
     // X-Saber-Trace must not change a single response byte — tracing is
     // invisible to the client that opted in, and the trace itself is
     // retrievable from the ring afterwards.
-    let model = random_model(5);
+    let model = random_model(VOCAB, K, 5);
     let server = Arc::new(TopicServer::from_model(&model, config(FoldInKind::Esca)).unwrap());
     let http = HttpServer::bind("127.0.0.1:0", server, None, HttpConfig::default()).unwrap();
     let body = r#"{"words":[0,15,31,45,59,2],"seed":9}"#;
@@ -181,7 +181,7 @@ fn a_two_shard_tcp_request_assembles_one_cross_process_trace() {
     // real shard processes leaves ONE tree (≥ 6 spans) in the router's
     // ring, with both shards' `infer-partial` subtrees stitched in, and
     // each shard process holds its own subtree under the same trace id.
-    let model = random_model(7);
+    let model = random_model(VOCAB, K, 7);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let (shards, transports) = spawn_shard_fleet(&model, &plan, cfg);
@@ -291,7 +291,7 @@ fn a_raw_token_request_through_a_router_is_traced_like_word_ids() {
     // as word ids, so a router-backed `{"tokens": …}` request must carry
     // the whole fan-out subtree — and answer with the bytes of the
     // in-process raw-token path.
-    let model = random_model(13);
+    let model = random_model(VOCAB, K, 13);
     let cfg = config(FoldInKind::Esca);
     let router = Arc::new(
         ShardRouter::from_model(&model, ShardPlan::uniform(VOCAB, 2).unwrap(), cfg).unwrap(),
@@ -360,7 +360,7 @@ fn em_fan_out_traces_carry_per_round_spans() {
     // Under EM fold-in every synchronisation round is its own span, so a
     // slow round is attributable; the per-shard subtrees hang off the
     // round, not the request root.
-    let model = random_model(11);
+    let model = random_model(VOCAB, K, 11);
     let cfg = config(FoldInKind::Em);
     let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let (shards, transports) = spawn_shard_fleet(&model, &plan, cfg);

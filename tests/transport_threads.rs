@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use saberlda::serve::{FoldInKind, HttpTransport, ShardPlan, ShardRouter};
 
 mod common;
-use common::{config, random_doc, random_model, spawn_shard_fleet, VOCAB};
+use common::{config, random_doc, random_model, spawn_shard_fleet, K, VOCAB};
 
 fn task_ids() -> BTreeSet<String> {
     std::fs::read_dir("/proc/self/task")
@@ -27,7 +27,7 @@ fn task_ids() -> BTreeSet<String> {
 
 #[test]
 fn routing_over_http_transports_starts_no_thread_in_the_router() {
-    let model = random_model(3);
+    let model = random_model(VOCAB, K, 3);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
     let (shards, _) = spawn_shard_fleet(&model, &plan, cfg);
