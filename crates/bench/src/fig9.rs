@@ -1,0 +1,193 @@
+//! Fig. 9: impact of the optimisations G0 → G4.
+//!
+//! Trains the NYTimes-like corpus at K = 1000 for a fixed number of
+//! iterations under each cumulative optimisation level. [`ablation`] returns
+//! one [`AblationRow`] per level: the per-phase modelled device time
+//! (sampling, A update, preprocessing, transfer), i.e. the stacked bars of
+//! Fig. 9, and beside it the wall-clock this CPU measured in each phase of
+//! the same run. [`Ablation`]'s `Display` prints both tables, then the two
+//! rankings side by side: per step G0→G1 … G3→G4, whether the simulator and
+//! the CPU agree on which level is faster.
+
+use std::fmt;
+
+use saber_core::{OptLevel, PhaseTimes, PhaseWall, SaberLda, SaberLdaConfig};
+use saber_corpus::presets::DatasetPreset;
+
+use crate::{bench_corpus, table_header, BenchArgs};
+
+/// Topics of every level's run.
+const TOPICS: usize = 1000;
+
+/// One optimisation level's training run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AblationRow {
+    /// The cumulative optimisation level.
+    pub level: OptLevel,
+    /// Modelled device time per phase, summed over the iterations.
+    pub simulated: PhaseTimes,
+    /// Measured CPU wall-clock per phase, summed over the iterations.
+    pub measured: PhaseWall,
+    /// Measured CPU wall-clock of the whole `iterate()` calls.
+    pub wall_s: f64,
+}
+
+/// The Fig. 9 table: one row per level, G0 first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ablation {
+    /// Topics of every run.
+    pub k: usize,
+    /// Iterations of every run.
+    pub iters: usize,
+    /// One row per level of [`OptLevel::ALL`], in that order.
+    pub rows: Vec<AblationRow>,
+}
+
+/// Runs every optimisation level on the NYTimes-like corpus (`--scale`
+/// honoured, 10 iterations unless `--iters` says otherwise).
+pub fn ablation(args: &BenchArgs) -> Ablation {
+    let corpus = bench_corpus(DatasetPreset::NyTimes, args, 5);
+    let iters = args.iters.unwrap_or(10);
+    let rows = OptLevel::ALL
+        .into_iter()
+        .map(|level| {
+            let config = SaberLdaConfig::builder()
+                .n_topics(TOPICS)
+                .n_iterations(iters)
+                .n_chunks(3)
+                .seed(7)
+                .opt_level(level)
+                .build()
+                .expect("valid config");
+            let mut lda = SaberLda::new(config, &corpus).expect("non-empty corpus");
+            let report = lda.train();
+            AblationRow {
+                level,
+                simulated: report.phase_totals(),
+                measured: report.measured_totals(),
+                wall_s: report.wall_seconds(),
+            }
+        })
+        .collect();
+    Ablation {
+        k: TOPICS,
+        iters,
+        rows,
+    }
+}
+
+impl fmt::Display for Ablation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (k, iters) = (self.k, self.iters);
+        writeln!(
+            f,
+            "# Fig. 9 — impact of optimisations (NYTimes-like, K = {k}, {iters} iterations)\n"
+        )?;
+        writeln!(f, "G0: doc-sorted + alias table + naive count, synchronous")?;
+        writeln!(
+            f,
+            "G1: + PDOW   G2: + W-ary tree   G3: + SSC   G4: + async workers\n"
+        )?;
+        f.write_str(&table_header(&[
+            "level",
+            "sampling (s)",
+            "A update (s)",
+            "preprocessing (s)",
+            "transfer (s)",
+            "total (s)",
+            "speedup vs G0",
+        ]))?;
+        let g0 = self.rows.first().map_or(0.0, |row| row.simulated.total());
+        for AblationRow {
+            level, simulated, ..
+        } in &self.rows
+        {
+            let total = simulated.total();
+            writeln!(
+                f,
+                "| {level} | {:.4} | {:.4} | {:.4} | {:.4} | {:.4} | {:.2}x |",
+                simulated.sampling,
+                simulated.a_update,
+                simulated.preprocessing,
+                simulated.transfer,
+                total,
+                g0 / total
+            )?;
+        }
+
+        writeln!(
+            f,
+            "\nMeasured on this CPU (wall-clock seconds, same runs):\n"
+        )?;
+        f.write_str(&table_header(&[
+            "level",
+            "sampling",
+            "rebuild A",
+            "accumulate B",
+            "refresh B̂",
+            "trees",
+            "iterate() total",
+        ]))?;
+        for AblationRow {
+            level,
+            measured: m,
+            wall_s,
+            ..
+        } in &self.rows
+        {
+            writeln!(
+                f,
+                "| {level} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |",
+                m.sampling_s,
+                m.rebuild_doc_topic_s,
+                m.accumulate_word_topic_s,
+                m.refresh_s,
+                m.trees_s,
+                wall_s
+            )?;
+        }
+
+        writeln!(
+            f,
+            "\nSimulated against measured, step by step (speed-up of a whole iteration):\n"
+        )?;
+        f.write_str(&table_header(&[
+            "step",
+            "simulated",
+            "measured iterate()",
+            "agreement",
+        ]))?;
+        for (from, to) in self.rows.iter().zip(self.rows.iter().skip(1)) {
+            let simulated = from.simulated.total() / to.simulated.total();
+            let on_cpu = from.wall_s / to.wall_s;
+            // Within 5 % of 1 is this CPU's run-to-run noise, not a direction.
+            let direction = |ratio: f64| i32::from(ratio > 1.05) - i32::from(ratio < 0.95);
+            let verdict = match direction(simulated) * direction(on_cpu) {
+                -1 => "inversion",
+                _ => "",
+            };
+            writeln!(
+                f,
+                "| {} -> {} | {simulated:.2}x | {on_cpu:.2}x | {verdict} |",
+                from.level, to.level
+            )?;
+        }
+        writeln!(
+            f,
+            "\nThe modelled totals must not rise from G0 to G4 (saber-bench's paper_claims test);\n\
+             no measured number is judged. The measured sampling column overlaps the simulator's\n\
+             accounting, which runs on a second thread beside the sampling loop; the simulated\n\
+             columns are unchanged by that. The CPU loop computes one product chain per run of\n\
+             adjacent tokens sharing (document, word), and such tokens are adjacent only in\n\
+             word-major order: the measured G0 -> G1 gap is wider than the layouts alone would\n\
+             make it, in the simulated direction. The simulated kernel shares nothing between\n\
+             tokens at any level."
+        )?;
+        writeln!(
+            f,
+            "\nPaper's observations to compare against: PDOW cuts sampling ~40%; the W-ary tree removes\n\
+             ~98% of preprocessing; SSC removes ~89% of the A-update; async removes ~12% of total;\n\
+             G0 -> G4 overall speedup ~2.9x."
+        )
+    }
+}

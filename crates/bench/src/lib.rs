@@ -4,7 +4,9 @@
 //! Each table/figure has a dedicated binary under `src/bin/`. The
 //! design-choice ablation (doc-major vs. PDOW layout, alias vs. W-ary tree,
 //! naive vs. SSC count) is `fig9_ablation`, which prints measured CPU
-//! wall-clock beside simulated GPU time per phase and level.
+//! wall-clock beside simulated GPU time per phase and level; its table is
+//! computed by [`fig9::ablation`], whose rows `tests/paper_claims.rs` checks
+//! against the paper's claim.
 //!
 //! All binaries accept `--scale <N>`: the synthetic corpora are the paper's
 //! datasets scaled down by `N` (default: a per-dataset value small enough to
@@ -12,6 +14,8 @@
 //! and machine behind every number it quotes.
 
 #![deny(missing_docs)]
+
+pub mod fig9;
 
 use saber_core::{SaberLda, SaberLdaConfig};
 use saber_corpus::presets::DatasetPreset;
@@ -82,11 +86,17 @@ pub fn print_row(cells: &[String]) {
 
 /// Prints a Markdown-style table header with a separator line.
 pub fn print_header(cells: &[&str]) {
-    println!("| {} |", cells.join(" | "));
-    println!(
-        "|{}|",
+    print!("{}", table_header(cells));
+}
+
+/// A Markdown-style table header and its separator line, each ending in a
+/// newline.
+pub fn table_header(cells: &[&str]) -> String {
+    format!(
+        "| {} |\n|{}|\n",
+        cells.join(" | "),
         cells.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
+    )
 }
 
 #[cfg(test)]

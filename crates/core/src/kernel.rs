@@ -58,15 +58,21 @@ const BRANCH_INSTRUCTIONS: u64 = 2;
 /// The accounting is a pass of its own (`account_*`) beside the sampling
 /// loop (`sample_tokens`): what the simulated kernel moves and executes depends
 /// on the chunk's layout and on the row lengths (for doc-major order, the
-/// row indices) of `doc_topic` only, never on the topics being drawn. Under
-/// [`MemoryTracker::disabled`] the pass is skipped.
+/// row indices) of `doc_topic` only, never on the topics being drawn. So the
+/// two share nothing mutable: the sampler alone writes the topics and
+/// consumes `rng`, the accounting alone fills `tracker`. Under an enabled
+/// tracker the accounting runs on a scoped thread named `saber-gpu-sim`
+/// while this thread samples; topics, RNG stream and every counter are
+/// exactly those of the two passes run one after the other. Under
+/// [`MemoryTracker::disabled`] the pass is skipped and no thread is spawned.
 ///
 /// Returns the number of tokens processed.
 ///
 /// # Panics
 ///
 /// Panics if `doc_topic` has fewer rows than the chunk has documents, or if a
-/// word id has no sampler.
+/// word id has no sampler (a panic of the accounting thread is re-raised
+/// here).
 pub fn sample_chunk(
     chunk: &mut Chunk,
     doc_topic: &CsrMatrix<u32>,
@@ -82,19 +88,52 @@ pub fn sample_chunk(
         doc_topic.rows(),
         chunk.n_docs
     );
+    let sample = |docs: &[u32], words: &[u32], topics: &mut [u32], rng: &mut StdRng| {
+        sample_tokens(
+            docs,
+            words,
+            topics,
+            doc_topic,
+            model,
+            samplers,
+            config.alpha,
+            rng,
+        )
+    };
+    if !tracker.is_enabled() {
+        return sample(
+            &chunk.local_doc_ids,
+            &chunk.word_ids,
+            &mut chunk.topics,
+            rng,
+        );
+    }
     let thread_based = config.kernel == KernelKind::ThreadBased;
     let k = model.n_topics();
-    if tracker.is_enabled() {
-        match chunk.order {
-            TokenOrder::WordMajor => {
-                account_word_major(chunk, doc_topic, k, samplers, tracker, thread_based)
-            }
-            TokenOrder::DocMajor => {
-                account_doc_major(chunk, doc_topic, k, samplers, tracker, thread_based)
-            }
+    // The accounting reads the layout only: the topics leave the chunk for
+    // the sampler while the rest of it is shared with the accounting thread.
+    let mut topics = std::mem::take(&mut chunk.topics);
+    let layout = &*chunk;
+    let tokens = std::thread::scope(|scope| {
+        let accounting = std::thread::Builder::new()
+            .name("saber-gpu-sim".into())
+            .spawn_scoped(scope, || match layout.order {
+                TokenOrder::WordMajor => {
+                    account_word_major(layout, doc_topic, k, samplers, tracker, thread_based)
+                }
+                TokenOrder::DocMajor => {
+                    account_doc_major(layout, doc_topic, k, samplers, tracker, thread_based)
+                }
+            })
+            .expect("failed to spawn the gpu-sim accounting thread");
+        let tokens = sample(&layout.local_doc_ids, &layout.word_ids, &mut topics, rng);
+        if let Err(panic) = accounting.join() {
+            std::panic::resume_unwind(panic);
         }
-    }
-    sample_tokens(chunk, doc_topic, model, samplers, config.alpha, rng)
+        tokens
+    });
+    chunk.topics = topics;
+    tokens
 }
 
 /// The sampling loop: every token draws its topic from its document's row
@@ -107,8 +146,11 @@ pub fn sample_chunk(
 /// of [`LANES`] runs — they use no random number — advance together. The
 /// draws follow run by run: the RNG is consumed in storage order, exactly as
 /// by one [`crate::sampling::sample_token`] per token.
+#[allow(clippy::too_many_arguments)]
 fn sample_tokens(
-    chunk: &mut Chunk,
+    docs: &[u32],
+    words: &[u32],
+    topics: &mut [u32],
     doc_topic: &CsrMatrix<u32>,
     model: &LdaModel,
     samplers: &[WordSampler],
@@ -116,7 +158,6 @@ fn sample_tokens(
     rng: &mut StdRng,
 ) -> u64 {
     let bhat = model.word_topic_prob();
-    let (docs, words) = (&chunk.local_doc_ids, &chunk.word_ids);
     let absent = (SparseRowView::new(&[], &[]), &[][..]);
     let mut scratch = SampleScratch::new();
     let mut runs = pair_runs(docs, words).peekable();
@@ -131,12 +172,12 @@ fn sample_tokens(
         let sums = product_chains(&rows, &mut scratch);
         for ((run, (row, _)), sums) in batch.into_iter().flatten().zip(&rows).zip(sums) {
             let sampler = &samplers[words[run.start] as usize];
-            for topic in &mut chunk.topics[run] {
+            for topic in &mut topics[run] {
                 *topic = draw_topic(sums, row.indices(), alpha, sampler, rng);
             }
         }
     }
-    chunk.n_tokens() as u64
+    topics.len() as u64
 }
 
 /// Token ranges of the maximal runs of adjacent tokens sharing both document
@@ -533,6 +574,112 @@ mod tests {
                 assert_ne!(enabled.stats(), &KernelStats::default());
             }
         }
+    }
+
+    #[test]
+    fn threaded_accounting_equals_the_two_passes_in_turn() {
+        for (order, kernel) in [
+            (TokenOrder::WordMajor, KernelKind::WarpBased),
+            (TokenOrder::WordMajor, KernelKind::ThreadBased),
+            (TokenOrder::DocMajor, KernelKind::WarpBased),
+            (TokenOrder::DocMajor, KernelKind::ThreadBased),
+        ] {
+            let (chunks, model, samplers, config) = setup_on(&repeated_words(), order, kernel);
+            let k = model.n_topics();
+            let thread_based = kernel == KernelKind::ThreadBased;
+            let (mut threaded_rng, mut serial_rng) =
+                (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+            for chunk in &chunks {
+                let a = rebuild_reference(chunk, k);
+                // Two 16-way sets: the pass has to evict, not only count.
+                let mut threaded = chunk.clone();
+                let mut threaded_tracker = MemoryTracker::new(4096);
+                let threaded_tokens = sample_chunk(
+                    &mut threaded,
+                    &a,
+                    &model,
+                    &samplers,
+                    &config,
+                    &mut threaded_tracker,
+                    &mut threaded_rng,
+                );
+
+                let mut serial = chunk.clone();
+                let mut serial_tracker = MemoryTracker::new(4096);
+                match order {
+                    TokenOrder::WordMajor => account_word_major(
+                        &serial,
+                        &a,
+                        k,
+                        &samplers,
+                        &mut serial_tracker,
+                        thread_based,
+                    ),
+                    TokenOrder::DocMajor => account_doc_major(
+                        &serial,
+                        &a,
+                        k,
+                        &samplers,
+                        &mut serial_tracker,
+                        thread_based,
+                    ),
+                }
+                let serial_tokens = sample_tokens(
+                    &serial.local_doc_ids,
+                    &serial.word_ids,
+                    &mut serial.topics,
+                    &a,
+                    &model,
+                    &samplers,
+                    config.alpha,
+                    &mut serial_rng,
+                );
+
+                assert_ne!(threaded.topics, chunk.topics, "sampling moved no topic");
+                assert_eq!(threaded.topics, serial.topics, "{order:?}/{kernel:?}");
+                assert_eq!(threaded_tokens, serial_tokens, "{order:?}/{kernel:?}");
+                assert_eq!(threaded_rng, serial_rng, "{order:?}/{kernel:?}");
+                assert_eq!(
+                    threaded_tracker.stats(),
+                    serial_tracker.stats(),
+                    "{order:?}/{kernel:?}"
+                );
+            }
+        }
+    }
+
+    /// Samples the first chunk of `repeated_words` with the last word's
+    /// sampler missing.
+    fn sample_without_the_last_sampler(mut tracker: MemoryTracker) {
+        let (mut chunks, model, samplers, config) = setup_on(
+            &repeated_words(),
+            TokenOrder::WordMajor,
+            KernelKind::WarpBased,
+        );
+        let chunk = &mut chunks[0];
+        let last = *chunk.word_ids.iter().max().unwrap() as usize;
+        let a = rebuild_reference(chunk, model.n_topics());
+        sample_chunk(
+            chunk,
+            &a,
+            &model,
+            &samplers[..last],
+            &config,
+            &mut tracker,
+            &mut StdRng::seed_from_u64(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn missing_sampler_panics_in_the_caller_under_an_enabled_tracker() {
+        sample_without_the_last_sampler(MemoryTracker::new(4096));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn missing_sampler_panics_in_the_caller_under_a_disabled_tracker() {
+        sample_without_the_last_sampler(MemoryTracker::disabled());
     }
 
     #[test]

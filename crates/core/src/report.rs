@@ -54,8 +54,8 @@ impl std::iter::Sum for PhaseTimes {
 /// same work. The fields carry the names of the benchmark's `core.*` layers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseWall {
-    /// The E-step: `kernel::sample_chunk` over every chunk, execution
-    /// accounting included.
+    /// The E-step: `kernel::sample_chunk` over every chunk, with the
+    /// execution accounting running beside the sampling loop.
     pub sampling_s: f64,
     /// `count::rebuild_doc_topic` over every chunk.
     pub rebuild_doc_topic_s: f64,
