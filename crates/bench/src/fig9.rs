@@ -176,8 +176,10 @@ impl fmt::Display for Ablation {
             f,
             "\nThe modelled totals must not rise from G0 to G4 (saber-bench's paper_claims test);\n\
              no measured number is judged. The measured sampling column overlaps the simulator's\n\
-             accounting, which runs on a second thread beside the sampling loop; the simulated\n\
-             columns are unchanged by that. The CPU loop computes one product chain per run of\n\
+             accounting, which runs on a second thread beside the sampling loop, and the counting\n\
+             of every chunk but the last, which runs beside the next chunk's sampling: the\n\
+             measured rebuild-A and accumulate-B columns show the last chunk only. The simulated\n\
+             columns are unchanged by either. The CPU loop computes one product chain per run of\n\
              adjacent tokens sharing (document, word), and such tokens are adjacent only in\n\
              word-major order: the measured G0 -> G1 gap is wider than the layouts alone would\n\
              make it, in the simulated direction. The simulated kernel shares nothing between\n\

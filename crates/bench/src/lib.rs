@@ -5,8 +5,9 @@
 //! design-choice ablation (doc-major vs. PDOW layout, alias vs. W-ary tree,
 //! naive vs. SSC count) is `fig9_ablation`, which prints measured CPU
 //! wall-clock beside simulated GPU time per phase and level; its table is
-//! computed by [`fig9::ablation`], whose rows `tests/paper_claims.rs` checks
-//! against the paper's claim.
+//! computed by [`fig9::ablation`]. Table 4's bandwidth utilisation is
+//! computed by [`table4::bandwidth`]. `tests/paper_claims.rs` checks the rows
+//! of both against the paper's claims.
 //!
 //! All binaries accept `--scale <N>`: the synthetic corpora are the paper's
 //! datasets scaled down by `N` (default: a per-dataset value small enough to
@@ -16,6 +17,7 @@
 #![deny(missing_docs)]
 
 pub mod fig9;
+pub mod table4;
 
 use saber_core::{SaberLda, SaberLdaConfig};
 use saber_corpus::presets::DatasetPreset;

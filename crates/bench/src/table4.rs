@@ -1,0 +1,140 @@
+//! Table 4: memory bandwidth utilisation of the sampling kernel
+//! (NYTimes, K = 1000, first 10 iterations).
+//!
+//! [`bandwidth`] trains the NYTimes-like corpus and sums the sampling
+//! kernel's counters over the run ([`saber_core::IterationStats`] carries
+//! them per iteration). Each memory level's throughput is its bytes over the
+//! modelled sampling time; its peak is the one the cost model charges that
+//! traffic against, for the trainer's own device: the rated DRAM bandwidth
+//! for global memory, and the on-chip bandwidth
+//! ([`CostModel::on_chip_peak_gb_s`]) for L2 hits and shared memory.
+
+use std::fmt;
+
+use saber_corpus::presets::DatasetPreset;
+use saber_gpu_sim::cost::CostModel;
+use saber_gpu_sim::KernelStats;
+
+use crate::{bench_corpus, saber_trainer, table_header, BenchArgs};
+
+/// Topics of the run.
+const TOPICS: usize = 1000;
+
+/// One memory level's traffic over the run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BandwidthRow {
+    /// The memory level, as the table prints it.
+    pub level: &'static str,
+    /// Bytes the sampling kernel moved through the level, summed over the run.
+    pub bytes: u64,
+    /// Those bytes over the modelled sampling seconds, in GB/s.
+    pub gb_s: f64,
+    /// The modelled peak of the level, in GB/s.
+    pub peak_gb_s: f64,
+}
+
+impl BandwidthRow {
+    /// Throughput as a fraction of the modelled peak.
+    pub fn utilisation(&self) -> f64 {
+        self.gb_s / self.peak_gb_s
+    }
+}
+
+/// The Table 4 reproduction: one row per memory level, DRAM first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bandwidth {
+    /// Topics of the run.
+    pub k: usize,
+    /// Iterations of the run.
+    pub iters: usize,
+    /// The device the trainer models.
+    pub device: String,
+    /// Modelled seconds of the sampling kernel, summed over the run.
+    pub sampling_s: f64,
+    /// Measured CPU wall-clock of the E-step, summed over the run.
+    pub measured_sampling_s: f64,
+    /// Global memory (DRAM), L2 cache and shared memory, in that order.
+    pub rows: Vec<BandwidthRow>,
+}
+
+/// Trains the NYTimes-like corpus (`--scale` honoured, 10 iterations unless
+/// `--iters` says otherwise) and measures each level's throughput against
+/// its modelled peak.
+pub fn bandwidth(args: &BenchArgs) -> Bandwidth {
+    let corpus = bench_corpus(DatasetPreset::NyTimes, args, 3);
+    let iters = args.iters.unwrap_or(10);
+    let mut lda = saber_trainer(&corpus, TOPICS, iters, 2);
+    let mut sampling = KernelStats::default();
+    let (mut sampling_s, mut measured_sampling_s) = (0.0f64, 0.0f64);
+    for _ in 0..iters {
+        let it = lda.iterate();
+        sampling.merge(&it.sampling_stats);
+        sampling_s += it.phases.sampling;
+        measured_sampling_s += it.measured.sampling_s;
+    }
+    let cost = CostModel::new(lda.config().device.clone());
+    let row = |level, bytes: u64, peak_gb_s| BandwidthRow {
+        level,
+        bytes,
+        gb_s: bytes as f64 / sampling_s.max(1e-12) / 1e9,
+        peak_gb_s,
+    };
+    let on_chip = cost.on_chip_peak_gb_s();
+    Bandwidth {
+        k: TOPICS,
+        iters,
+        device: cost.device().name.clone(),
+        sampling_s,
+        measured_sampling_s,
+        rows: vec![
+            row(
+                "global memory (DRAM)",
+                sampling.dram_bytes(),
+                cost.device().mem_bandwidth_gb_s,
+            ),
+            row("L2 cache", sampling.l2_hit_bytes, on_chip),
+            row("shared memory", sampling.shared_bytes(), on_chip),
+        ],
+    }
+}
+
+impl fmt::Display for Bandwidth {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (k, iters) = (self.k, self.iters);
+        writeln!(
+            f,
+            "# Table 4 — memory bandwidth utilisation (NYTimes-like, K = {k}, {iters} iterations)\n"
+        )?;
+        writeln!(f, "Paper's values: global 144 GB/s (50%), L2 203 GB/s (30%), L1 894 GB/s (20%), shared 458 GB/s (20%)\n")?;
+        f.write_str(&table_header(&[
+            "memory level",
+            "throughput (GB/s)",
+            "utilisation of peak",
+        ]))?;
+        for row in &self.rows {
+            writeln!(
+                f,
+                "| {} | {:.0} | {:.0}% |",
+                row.level,
+                row.gb_s,
+                100.0 * row.utilisation()
+            )?;
+        }
+        writeln!(
+            f,
+            "\nModelled sampling time on the {}: {:.4} s; measured on this CPU: {:.3} s.",
+            self.device, self.sampling_s, self.measured_sampling_s
+        )?;
+        writeln!(
+            f,
+            "\nReading: every byte comes from the sampling kernel's own counters, and every peak is the\n\
+             one the cost model charges it against: the rated DRAM bandwidth (a kernel reaches 55% of\n\
+             it at best), and for L2 hits and shared memory together the model's on-chip bandwidth, 4x\n\
+             the DRAM peak. No utilisation may exceed 100% (saber-bench's paper_claims test). On the\n\
+             full-size corpora the paper measures ~50% DRAM utilisation with the on-chip levels well\n\
+             below their limits. On a scaled synthetic corpus the document-topic matrix largely fits\n\
+             in the simulated L2, so more of the traffic is L2 hits. Increase --scale to push the\n\
+             working set out of the cache."
+        )
+    }
+}

@@ -114,24 +114,18 @@ pub fn sample_chunk(
     // the sampler while the rest of it is shared with the accounting thread.
     let mut topics = std::mem::take(&mut chunk.topics);
     let layout = &*chunk;
-    let tokens = std::thread::scope(|scope| {
-        let accounting = std::thread::Builder::new()
-            .name("saber-gpu-sim".into())
-            .spawn_scoped(scope, || match layout.order {
-                TokenOrder::WordMajor => {
-                    account_word_major(layout, doc_topic, k, samplers, tracker, thread_based)
-                }
-                TokenOrder::DocMajor => {
-                    account_doc_major(layout, doc_topic, k, samplers, tracker, thread_based)
-                }
-            })
-            .expect("failed to spawn the gpu-sim accounting thread");
-        let tokens = sample(&layout.local_doc_ids, &layout.word_ids, &mut topics, rng);
-        if let Err(panic) = accounting.join() {
-            std::panic::resume_unwind(panic);
-        }
-        tokens
-    });
+    let ((), tokens) = crate::beside(
+        "saber-gpu-sim",
+        || match layout.order {
+            TokenOrder::WordMajor => {
+                account_word_major(layout, doc_topic, k, samplers, tracker, thread_based)
+            }
+            TokenOrder::DocMajor => {
+                account_doc_major(layout, doc_topic, k, samplers, tracker, thread_based)
+            }
+        },
+        || sample(&layout.local_doc_ids, &layout.word_ids, &mut topics, rng),
+    );
     chunk.topics = topics;
     tokens
 }

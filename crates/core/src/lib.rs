@@ -130,6 +130,27 @@ impl From<std::io::Error> for SaberError {
     }
 }
 
+/// Runs `side` on a scoped thread named `name` while `main` runs on the
+/// caller's thread, and returns both results. A panic on the side thread is
+/// re-raised on the caller's.
+pub(crate) fn beside<S: Send, M>(
+    name: &str,
+    side: impl FnOnce() -> S + Send,
+    main: impl FnOnce() -> M,
+) -> (S, M) {
+    std::thread::scope(|scope| {
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn_scoped(scope, side)
+            .unwrap_or_else(|e| panic!("failed to spawn the {name} thread: {e}"));
+        let main = main();
+        let side = handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (side, main)
+    })
+}
+
 /// Result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, SaberError>;
 

@@ -6,6 +6,8 @@
 //! trainer fills a [`PhaseTimes`] per iteration; the ablation and tuning
 //! harnesses read them back.
 
+use saber_gpu_sim::KernelStats;
+
 /// Estimated time of each phase of one iteration, in seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
@@ -52,18 +54,24 @@ impl std::iter::Sum for PhaseTimes {
 /// Wall-clock seconds the host CPU spent in each phase of one iteration —
 /// measured, where [`PhaseTimes`] is the GPU cost model's estimate of the
 /// same work. The fields carry the names of the benchmark's `core.*` layers.
+///
+/// The phases are disjoint stretches of the caller's wall clock. Work done
+/// on another thread is counted in the stretch it overlaps: every chunk but
+/// the last is counted beside the next chunk's sampling, inside
+/// `sampling_s`, so the two count fields cover the last chunk only.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseWall {
     /// The E-step: `kernel::sample_chunk` over every chunk, with the
-    /// execution accounting running beside the sampling loop.
+    /// execution accounting beside the sampling loop, and the counting of
+    /// every chunk but the last beside the next chunk's sampling.
     pub sampling_s: f64,
-    /// `count::rebuild_doc_topic` over every chunk.
+    /// `count::rebuild_doc_topic` of the last chunk.
     pub rebuild_doc_topic_s: f64,
-    /// `count::accumulate_word_topic` over every chunk.
+    /// `count::accumulate_word_topic` of the last chunk.
     pub accumulate_word_topic_s: f64,
     /// `LdaModel::refresh_probabilities`.
     pub refresh_s: f64,
-    /// Rebuilding the per-word sampling structures.
+    /// Rebuilding the per-word sampling structures, on two threads.
     pub trees_s: f64,
 }
 
@@ -101,8 +109,11 @@ pub struct IterationStats {
     pub wall_seconds: f64,
     /// Where those seconds went, phase by phase.
     pub measured: PhaseWall,
-    /// DRAM bytes moved by the sampling kernel.
+    /// DRAM bytes moved by the sampling kernel
+    /// (`sampling_stats.dram_bytes()`).
     pub sampling_dram_bytes: u64,
+    /// The sampling kernel's counters, summed over every chunk.
+    pub sampling_stats: KernelStats,
     /// Training-set log-likelihood per token, if it was evaluated this
     /// iteration (`None` otherwise).
     pub log_likelihood: Option<f64>,
@@ -239,6 +250,7 @@ mod tests {
                 ..PhaseWall::default()
             },
             sampling_dram_bytes: 0,
+            sampling_stats: KernelStats::default(),
             log_likelihood: ll,
         }
     }

@@ -14,6 +14,9 @@
 //!    streaming pipeline model decides how much transfer time is hidden by
 //!    multi-worker overlap.
 //!
+//! Steps 1 and 2 overlap on the host: each chunk is counted on a second
+//! thread while the next one is sampled (see [`SaberLda::iterate`]).
+//!
 //! The resulting per-phase times are what the Fig. 9/10 harnesses report;
 //! convergence experiments additionally evaluate held-out likelihood between
 //! iterations.
@@ -29,7 +32,7 @@ use saber_gpu_sim::scheduler::dynamic_schedule;
 use saber_gpu_sim::shared::sampling_kernel_working_set;
 use saber_gpu_sim::stream::{simulate_pipeline, ChunkCost};
 use saber_gpu_sim::{KernelStats, MemoryTracker};
-use saber_sparse::CsrMatrix;
+use saber_sparse::{CsrMatrix, DenseMatrix};
 
 use crate::config::SaberLdaConfig;
 use crate::count::{accumulate_word_topic, rebuild_doc_topic};
@@ -83,6 +86,37 @@ fn timed<T>(seconds: &mut f64, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// The per-chunk M-step: rebuilds `chunk`'s document–topic matrix `A` and
+/// adds its tokens to `word_topic` (`B`), charging both to `tracker` and
+/// timing them into `wall`.
+fn count_chunk(
+    chunk: &Chunk,
+    config: &SaberLdaConfig,
+    word_topic: &mut DenseMatrix<u32>,
+    tracker: &mut MemoryTracker,
+    wall: &mut PhaseWall,
+) -> CsrMatrix<u32> {
+    let a = timed(&mut wall.rebuild_doc_topic_s, || {
+        rebuild_doc_topic(chunk, config.n_topics, config.count_rebuild, tracker)
+    });
+    timed(&mut wall.accumulate_word_topic_s, || {
+        accumulate_word_topic(chunk, word_topic, tracker)
+    });
+    a
+}
+
+/// What the E-step and M-step of one [`SaberLda::iterate`] produced, before
+/// the cost model.
+#[derive(Debug)]
+struct Sweep {
+    tokens: u64,
+    /// The sampling kernel's counters, one entry per chunk.
+    sampling: Vec<KernelStats>,
+    /// The M-step's counters (`A` rebuilds and `B` accumulation).
+    update: KernelStats,
+    measured: PhaseWall,
+}
+
 impl SaberLda {
     /// Prepares a trainer: partitions the corpus into chunks (PDOW layout),
     /// initialises topic assignments uniformly at random and runs the initial
@@ -130,8 +164,16 @@ impl SaberLda {
             full_rebuilds: 0,
         };
         // Initial M-step (not timed as an iteration).
-        let mut tracker = MemoryTracker::disabled();
-        trainer.m_step(&mut tracker);
+        let (mut tracker, mut wall) = (MemoryTracker::disabled(), PhaseWall::default());
+        trainer.doc_topics = trainer
+            .chunks
+            .iter()
+            .map(|chunk| {
+                let word_topic = trainer.model.word_topic_mut();
+                count_chunk(chunk, &trainer.config, word_topic, &mut tracker, &mut wall)
+            })
+            .collect();
+        trainer.finish_m_step(&mut wall);
         Ok(trainer)
     }
 
@@ -156,47 +198,128 @@ impl SaberLda {
     }
 
     /// Runs one full iteration and returns its statistics.
+    ///
+    /// The sweep samples the chunks in order and counts each one (rebuilds
+    /// its `A`, adds its tokens to `B`) on a scoped thread named
+    /// `saber-count` while the next chunk is sampled; the caller counts the
+    /// last chunk. Then `B̂` is refreshed and the per-word samplers are
+    /// rebuilt, the two halves of the vocabulary on two threads. Topics, RNG
+    /// stream, `A`, `B`, `B̂` and every counter are those of the E-step and
+    /// the M-step run one after the other: the E-step reads neither `B` nor
+    /// a new `A`, and the M-step's tracker sees the chunks in chunk order.
     pub fn iterate(&mut self) -> IterationStats {
         let wall_start = now();
-        let device_l2 = self.config.device.l2_cache_bytes;
+        let sweep = self.sweep();
+        self.account(&sweep, wall_start)
+    }
 
-        // ---- E-step: sample every chunk. ----
-        let mut sampling_stats_per_chunk: Vec<KernelStats> = Vec::with_capacity(self.chunks.len());
-        let mut tokens = 0u64;
-        for (ci, chunk) in self.chunks.iter_mut().enumerate() {
-            let mut tracker = MemoryTracker::new(device_l2);
-            tokens += sample_chunk(
-                chunk,
-                &self.doc_topics[ci],
-                &self.model,
-                &self.samplers,
-                &self.config,
-                &mut tracker,
-                &mut self.rng,
-            );
-            sampling_stats_per_chunk.push(tracker.take_stats());
+    /// The statistics of the iteration that began at `wall_start` and ran
+    /// `sweep`; advances the iteration count.
+    fn account(&mut self, sweep: &Sweep, wall_start: Instant) -> IterationStats {
+        let phases = self.modelled_phases(sweep);
+        let mut sampling_stats = KernelStats::default();
+        for chunk in &sweep.sampling {
+            sampling_stats.merge(chunk);
         }
-        let sampling_s = wall_start.elapsed().as_secs_f64();
-
-        // ---- M-step: rebuild A per chunk, accumulate B, refresh B̂ + trees. ----
-        let mut update_stats = KernelStats::default();
-        let measured = {
-            let mut tracker = MemoryTracker::new(device_l2);
-            let m_step = self.m_step(&mut tracker);
-            update_stats.merge(tracker.stats());
-            PhaseWall {
-                sampling_s,
-                ..m_step
-            }
+        let stats = IterationStats {
+            iteration: self.iteration,
+            phases,
+            tokens: sweep.tokens,
+            wall_seconds: wall_start.elapsed().as_secs_f64(),
+            measured: sweep.measured,
+            sampling_dram_bytes: sampling_stats.dram_bytes(),
+            sampling_stats,
+            log_likelihood: None,
         };
+        self.iteration += 1;
+        stats
+    }
 
-        // ---- Convert counters to estimated device time. ----
+    /// The E-step and M-step of [`SaberLda::iterate`]: every kernel's
+    /// counters and the measured wall-clock of each phase.
+    fn sweep(&mut self) -> Sweep {
+        let start = now();
+        let device_l2 = self.config.device.l2_cache_bytes;
+        let mut update = MemoryTracker::new(device_l2);
+        // `B` leaves the model for the sweep: the E-step reads only `B̂`.
+        let mut word_topic = std::mem::take(self.model.word_topic_mut());
+        let mut sampling = Vec::with_capacity(self.chunks.len());
+        let mut doc_topics = Vec::with_capacity(self.chunks.len());
+        let mut tokens = 0u64;
+        let sampled_against = std::mem::take(&mut self.doc_topics);
+        let SaberLda {
+            chunks,
+            model,
+            samplers,
+            config,
+            rng,
+            ..
+        } = self;
+        // Chunk `c`'s old `A` is read by its own sampling only and dropped
+        // right after it.
+        for (c, doc_topic) in sampled_against.into_iter().enumerate() {
+            let (counted, rest) = chunks.split_at_mut(c);
+            let mut tracker = MemoryTracker::new(device_l2);
+            let (a, n) = crate::beside(
+                "saber-count",
+                || match counted.last() {
+                    // Beside the first chunk: `B` is counted from zero.
+                    None => {
+                        word_topic.clear();
+                        None
+                    }
+                    Some(previous) => Some(count_chunk(
+                        previous,
+                        config,
+                        &mut word_topic,
+                        &mut update,
+                        &mut PhaseWall::default(),
+                    )),
+                },
+                || {
+                    sample_chunk(
+                        &mut rest[0],
+                        &doc_topic,
+                        model,
+                        samplers,
+                        config,
+                        &mut tracker,
+                        rng,
+                    )
+                },
+            );
+            doc_topics.extend(a);
+            tokens += n;
+            sampling.push(tracker.take_stats());
+        }
+        let mut measured = PhaseWall {
+            sampling_s: start.elapsed().as_secs_f64(),
+            ..PhaseWall::default()
+        };
+        let last = chunks.last().expect("a trainer has at least one chunk");
+        doc_topics.push(count_chunk(
+            last,
+            config,
+            &mut word_topic,
+            &mut update,
+            &mut measured,
+        ));
+        *self.model.word_topic_mut() = word_topic;
+        self.doc_topics = doc_topics;
+        self.finish_m_step(&mut measured);
+        Sweep {
+            tokens,
+            sampling,
+            update: update.take_stats(),
+            measured,
+        }
+    }
+
+    /// Converts a sweep's counters to estimated device time per phase.
+    fn modelled_phases(&self, sweep: &Sweep) -> PhaseTimes {
         let balance = self.block_balance_factor();
-        let sampling_dram: u64 = sampling_stats_per_chunk
-            .iter()
-            .map(|s| s.dram_bytes())
-            .sum();
-        let per_chunk_sampling: Vec<f64> = sampling_stats_per_chunk
+        let per_chunk_sampling: Vec<f64> = sweep
+            .sampling
             .iter()
             .map(|s| self.cost.kernel_time(s).total_seconds * balance)
             .collect();
@@ -204,7 +327,7 @@ impl SaberLda {
 
         let a_update_time = self
             .cost
-            .kernel_time(&self.a_update_stats(&update_stats))
+            .kernel_time(&self.a_update_stats(&sweep.update))
             .total_seconds;
         let preprocessing_time = self
             .cost
@@ -233,24 +356,12 @@ impl SaberLda {
         let pipeline = simulate_pipeline(&chunk_costs, workers.max(1));
         let exposed_transfer = (pipeline.elapsed_seconds - pipeline.compute_seconds).max(0.0);
 
-        let phases = PhaseTimes {
+        PhaseTimes {
             sampling: sampling_time,
             a_update: a_update_time,
             preprocessing: preprocessing_time,
             transfer: exposed_transfer,
-        };
-
-        let stats = IterationStats {
-            iteration: self.iteration,
-            phases,
-            tokens,
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-            measured,
-            sampling_dram_bytes: sampling_dram,
-            log_likelihood: None,
-        };
-        self.iteration += 1;
-        stats
+        }
     }
 
     /// Trains for the configured number of iterations.
@@ -282,27 +393,9 @@ impl SaberLda {
         report
     }
 
-    /// The M-step: rebuild per-chunk `A`, rebuild `B`, refresh `B̂`, rebuild
-    /// the per-word sampling structures. Returns the wall-clock seconds of
-    /// each of the four.
-    fn m_step(&mut self, tracker: &mut MemoryTracker) -> PhaseWall {
-        let mut wall = PhaseWall::default();
-        self.doc_topics.clear();
-        self.model.word_topic_mut().clear();
-        for chunk in &self.chunks {
-            let a = timed(&mut wall.rebuild_doc_topic_s, || {
-                rebuild_doc_topic(
-                    chunk,
-                    self.config.n_topics,
-                    self.config.count_rebuild,
-                    tracker,
-                )
-            });
-            timed(&mut wall.accumulate_word_topic_s, || {
-                accumulate_word_topic(chunk, self.model.word_topic_mut(), tracker)
-            });
-            self.doc_topics.push(a);
-        }
+    /// The M-step once every chunk is counted: refreshes `B̂` and rebuilds
+    /// the per-word sampling structures, timing both into `wall`.
+    fn finish_m_step(&mut self, wall: &mut PhaseWall) {
         timed(&mut wall.refresh_s, || self.model.refresh_probabilities());
         timed(&mut wall.trees_s, || self.rebuild_samplers());
         // A full refresh rewrites every B̂ row (the per-topic denominators
@@ -311,21 +404,31 @@ impl SaberLda {
         self.touched.extend(0..self.model.vocab_size() as u32);
         self.dirty_chunks.clear();
         self.full_rebuilds += 1;
-        wall
     }
 
-    /// Rebuilds every word's sampling structure from its `B̂` row, in place:
-    /// each new structure takes over the allocation its predecessor just
-    /// released instead of a second set of `V` growing beside the first.
+    /// Rebuilds every word's sampling structure from its `B̂` row, each in
+    /// its own allocation ([`WordSampler::rebuild`]) instead of a second set
+    /// of `V` growing beside the first, the two halves of the vocabulary on
+    /// two threads.
     fn rebuild_samplers(&mut self) {
         let kind = self.config.preprocess;
-        let mut rows = self.model.word_topic_prob().iter_rows();
-        for (sampler, row) in self.samplers.iter_mut().zip(&mut rows) {
-            *sampler = WordSampler::build(kind, row);
+        let bhat = self.model.word_topic_prob();
+        if self.samplers.is_empty() {
+            // The first M-step starts from no samplers at all.
+            self.samplers = bhat
+                .iter_rows()
+                .map(|row| WordSampler::build(kind, row))
+                .collect();
+            return;
         }
-        // The first M-step starts from no samplers at all.
-        self.samplers
-            .extend(rows.map(|row| WordSampler::build(kind, row)));
+        let half = self.samplers.len() / 2;
+        let (front, back) = self.samplers.split_at_mut(half);
+        let rebuild = |samplers: &mut [WordSampler], first: usize| {
+            for (sampler, v) in samplers.iter_mut().zip(first..) {
+                sampler.rebuild(kind, bhat.row(v));
+            }
+        };
+        crate::beside("saber-trees", || rebuild(back, half), || rebuild(front, 0));
     }
 
     /// Ingests `docs` (word-id documents) as one new streamed chunk:
@@ -637,6 +740,108 @@ mod tests {
             phases >= 0.9 * wall,
             "phases cover only {phases} s of {wall} s"
         );
+    }
+
+    /// One sweep of `lda` from the public parts, one after the other: every
+    /// chunk sampled, then every chunk counted on one tracker, then `B̂`
+    /// refreshed and every sampler built afresh.
+    fn serial_sweep(lda: &mut SaberLda) -> Sweep {
+        let l2 = lda.config.device.l2_cache_bytes;
+        let (mut tokens, mut sampling) = (0, Vec::new());
+        for (chunk, a) in lda.chunks.iter_mut().zip(&lda.doc_topics) {
+            let mut tracker = MemoryTracker::new(l2);
+            tokens += sample_chunk(
+                chunk,
+                a,
+                &lda.model,
+                &lda.samplers,
+                &lda.config,
+                &mut tracker,
+                &mut lda.rng,
+            );
+            sampling.push(tracker.take_stats());
+        }
+        let mut update = MemoryTracker::new(l2);
+        lda.model.word_topic_mut().clear();
+        lda.doc_topics = lda
+            .chunks
+            .iter()
+            .map(|chunk| {
+                let (k, method) = (lda.config.n_topics, lda.config.count_rebuild);
+                let a = rebuild_doc_topic(chunk, k, method, &mut update);
+                accumulate_word_topic(chunk, lda.model.word_topic_mut(), &mut update);
+                a
+            })
+            .collect();
+        lda.model.refresh_probabilities();
+        let kind = lda.config.preprocess;
+        lda.samplers = (0..lda.model.vocab_size())
+            .map(|v| WordSampler::build(kind, lda.model.word_topic_prob().row(v)))
+            .collect();
+        Sweep {
+            tokens,
+            sampling,
+            update: update.take_stats(),
+            measured: PhaseWall::default(),
+        }
+    }
+
+    #[test]
+    fn iterate_equals_its_e_step_and_m_step_run_one_after_the_other() {
+        use crate::config::{CountRebuild, KernelKind, TokenOrder};
+        let corpus = SyntheticSpec {
+            n_docs: 60,
+            vocab_size: 150,
+            mean_doc_len: 30.0,
+            ..SyntheticSpec::small_test()
+        }
+        .generate(21);
+        // One chunk overlaps nothing; with three, the middle one is counted
+        // beside the sampling of the last.
+        for n_chunks in [1, 3] {
+            for order in [TokenOrder::DocMajor, TokenOrder::WordMajor] {
+                for kernel in [KernelKind::WarpBased, KernelKind::ThreadBased] {
+                    for count in [CountRebuild::Ssc, CountRebuild::NaiveSort] {
+                        let config = SaberLdaConfig::builder()
+                            .n_topics(12)
+                            .n_chunks(n_chunks)
+                            .token_order(order)
+                            .kernel(kernel)
+                            .count_rebuild(count)
+                            .seed(5)
+                            .build()
+                            .unwrap();
+                        let mut lda = SaberLda::new(config.clone(), &corpus).unwrap();
+                        let mut replay = SaberLda::new(config, &corpus).unwrap();
+                        for i in 0..3 {
+                            let case = format!(
+                                "{n_chunks} chunks, {order:?}, {kernel:?}, {count:?}, sweep {i}"
+                            );
+                            // `iterate()` is `sweep()` then `account()`.
+                            let (overlapped, start) = (lda.sweep(), now());
+                            let stats = lda.account(&overlapped, start);
+                            let serial = serial_sweep(&mut replay);
+                            let expected = replay.account(&serial, start);
+
+                            assert_eq!(lda.model.word_topic(), replay.model.word_topic(), "{case}");
+                            for (a, b) in lda.chunks.iter().zip(&replay.chunks) {
+                                assert_eq!(a.topics, b.topics, "{case}");
+                            }
+                            assert_eq!(lda.doc_topics, replay.doc_topics, "{case}");
+                            assert_eq!(lda.rng, replay.rng, "{case}");
+                            assert_eq!(stats.tokens, expected.tokens, "{case}");
+                            assert_eq!(stats.sampling_stats, expected.sampling_stats, "{case}");
+                            assert_eq!(overlapped.update, serial.update, "{case}");
+                            assert_eq!(
+                                stats.phases.total().to_bits(),
+                                expected.phases.total().to_bits(),
+                                "{case}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

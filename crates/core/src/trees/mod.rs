@@ -85,6 +85,16 @@ impl WordSampler {
         }
     }
 
+    /// Rebuilds this structure from `weights` as `kind`, equal to
+    /// [`WordSampler::build`] on the same arguments. A W-ary tree refills its
+    /// own allocation ([`WaryTree::refill`]); the other kinds are rebuilt.
+    pub fn rebuild(&mut self, kind: PreprocessKind, weights: &[f32]) {
+        match (self, kind) {
+            (WordSampler::Wary(tree), PreprocessKind::WaryTree) => tree.refill(weights),
+            (sampler, kind) => *sampler = WordSampler::build(kind, weights),
+        }
+    }
+
     fn inner(&self) -> &dyn TopicSampler {
         match self {
             WordSampler::Wary(t) => t,

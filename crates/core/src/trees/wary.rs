@@ -53,13 +53,33 @@ impl WaryTree {
     /// Panics if `weights` is empty or contains a negative or non-finite
     /// value, or if it has more than `2³¹` entries.
     pub fn new(weights: &[f32]) -> Self {
+        let mut tree = WaryTree {
+            arena: Vec::new(),
+            level_starts: [0; MAX_DEPTH + 1],
+            depth: 0,
+            total: 0.0,
+        };
+        tree.refill(weights);
+        tree
+    }
+
+    /// Rebuilds the tree from `weights` in its own allocation: the result
+    /// equals [`WaryTree::new`] on the same weights, and the arena is
+    /// reallocated only when `weights` needs more room than it has.
+    ///
+    /// # Panics
+    ///
+    /// As [`WaryTree::new`]; a tree that panicked while refilling must not
+    /// be sampled.
+    pub fn refill(&mut self, weights: &[f32]) {
         assert!(!weights.is_empty(), "W-ary tree needs at least one weight");
         assert!(
             weights.len() <= 1 << 31,
             "W-ary tree supports at most 2^31 weights"
         );
         // Level lengths depend on K alone, so the arena is sized up front.
-        let mut level_starts = [0u32; MAX_DEPTH + 1];
+        let level_starts = &mut self.level_starts;
+        *level_starts = [0; MAX_DEPTH + 1];
         let mut depth = 0;
         let mut level_len = weights.len();
         loop {
@@ -70,7 +90,9 @@ impl WaryTree {
             }
             level_len = level_len.div_ceil(WARP_SIZE);
         }
-        let mut arena = Vec::with_capacity(level_starts[depth] as usize);
+        let arena = &mut self.arena;
+        arena.clear();
+        arena.reserve_exact(level_starts[depth] as usize);
 
         // Bottom level: inclusive prefix sums, computed warp-chunk by
         // warp-chunk exactly as `array_prefix_sum` would on the device, and
@@ -93,13 +115,8 @@ impl WaryTree {
                 arena.push(arena[last]);
             }
         }
-
-        WaryTree {
-            arena,
-            level_starts,
-            depth,
-            total: acc,
-        }
+        self.depth = depth;
+        self.total = acc;
     }
 
     /// Number of levels in the tree (1 for `K ≤ 1`, 4 for `K ≤ 32³` as in the
@@ -282,6 +299,23 @@ mod tests {
             assert_eq!(tree.build_instructions(), build, "K = {k}");
             assert_eq!(tree.query_instructions(), query, "K = {k}");
             assert_eq!(tree.query_shared_bytes(), shared, "K = {k}");
+        }
+    }
+
+    #[test]
+    fn refill_equals_a_new_tree_across_depth_changes() {
+        // One, two, three and four levels, growing and then shrinking.
+        let lengths = [1usize, 32, 33, 1_000, 1_025];
+        let weights = |k: usize| -> Vec<f32> { (0..k).map(|i| (i % 7) as f32 * 0.25).collect() };
+        let mut tree = WaryTree::new(&[1.0]);
+        for &k in lengths.iter().chain(lengths.iter().rev()) {
+            let weights = weights(k);
+            tree.refill(&weights);
+            assert_eq!(tree, WaryTree::new(&weights), "K = {k}");
+            assert_eq!(
+                tree.build_instructions(),
+                WaryTree::new(&weights).build_instructions()
+            );
         }
     }
 

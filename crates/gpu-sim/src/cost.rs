@@ -63,10 +63,16 @@ impl CostModel {
         &self.device
     }
 
+    /// The bandwidth, in GB/s, at which the model serves shared-memory
+    /// traffic and L2 hits together: four times the DRAM peak.
+    pub fn on_chip_peak_gb_s(&self) -> f64 {
+        self.device.mem_bandwidth_gb_s * SHARED_BANDWIDTH_FACTOR
+    }
+
     /// Estimated execution time of a kernel with the given counters.
     pub fn kernel_time(&self, stats: &KernelStats) -> TimeBreakdown {
         let dram_bw = self.device.mem_bandwidth_gb_s * 1e9 * DRAM_EFFICIENCY;
-        let shared_bw = self.device.mem_bandwidth_gb_s * 1e9 * SHARED_BANDWIDTH_FACTOR;
+        let shared_bw = self.on_chip_peak_gb_s() * 1e9;
         // Each warp instruction occupies one warp slot; the device retires
         // cuda_cores / warp_size warp-instructions per clock at best.
         let warp_throughput = self.device.cuda_cores as f64 / self.device.warp_size as f64
