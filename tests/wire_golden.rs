@@ -87,6 +87,150 @@ const EMPTY_ENDPOINT: &str = concat!(
     r#""handler":{"count":0,"mean_us":null,"p50_us":null,"p95_us":null,"p99_us":null}}"#,
 );
 
+/// The `/stats` bytes of a histogram with no sample.
+const EMPTY_HISTOGRAM: &str =
+    r#"{"count":0,"mean_us":null,"p50_us":null,"p95_us":null,"p99_us":null}"#;
+
+/// The `http` member of `/stats` for one request over one connection
+/// and no timed endpoint request yet, closing the whole body.
+fn idle_http_block() -> String {
+    [
+        r#""http":{"requests":1,"errors":0,"active_connections":1,"endpoints":{"#,
+        r#""infer":"#,
+        EMPTY_ENDPOINT,
+        r#","top_words":"#,
+        EMPTY_ENDPOINT,
+        r#","similar":"#,
+        EMPTY_ENDPOINT,
+        r#","stats":"#,
+        EMPTY_ENDPOINT,
+        r#","healthz":"#,
+        EMPTY_ENDPOINT,
+        "}}}",
+    ]
+    .concat()
+}
+
+/// The serve queue-wait and handler histograms of `/metrics` before their
+/// first sample.
+const EMPTY_SERVE_SPLIT: &str = r#"# TYPE saber_serve_queue_wait_seconds histogram
+saber_serve_queue_wait_seconds_bucket{le="0.0001"} 0
+saber_serve_queue_wait_seconds_bucket{le="0.001"} 0
+saber_serve_queue_wait_seconds_bucket{le="0.01"} 0
+saber_serve_queue_wait_seconds_bucket{le="0.1"} 0
+saber_serve_queue_wait_seconds_bucket{le="1"} 0
+saber_serve_queue_wait_seconds_bucket{le="10"} 0
+saber_serve_queue_wait_seconds_bucket{le="+Inf"} 0
+saber_serve_queue_wait_seconds_sum 0
+saber_serve_queue_wait_seconds_count 0
+# TYPE saber_serve_handler_seconds histogram
+saber_serve_handler_seconds_bucket{le="0.0001"} 0
+saber_serve_handler_seconds_bucket{le="0.001"} 0
+saber_serve_handler_seconds_bucket{le="0.01"} 0
+saber_serve_handler_seconds_bucket{le="0.1"} 0
+saber_serve_handler_seconds_bucket{le="1"} 0
+saber_serve_handler_seconds_bucket{le="10"} 0
+saber_serve_handler_seconds_bucket{le="+Inf"} 0
+saber_serve_handler_seconds_sum 0
+saber_serve_handler_seconds_count 0
+"#;
+
+/// The per-endpoint queue-wait and handler histogram families of `/metrics`
+/// before any endpoint queued a request.
+const EMPTY_HTTP_SPLIT: &str = r#"# TYPE saber_http_queue_wait_seconds histogram
+saber_http_queue_wait_seconds_bucket{endpoint="infer",le="0.0001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="infer",le="0.001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="infer",le="0.01"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="infer",le="0.1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="infer",le="1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="infer",le="10"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="infer",le="+Inf"} 0
+saber_http_queue_wait_seconds_sum{endpoint="infer"} 0
+saber_http_queue_wait_seconds_count{endpoint="infer"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="0.0001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="0.001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="0.01"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="0.1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="10"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="+Inf"} 0
+saber_http_queue_wait_seconds_sum{endpoint="top_words"} 0
+saber_http_queue_wait_seconds_count{endpoint="top_words"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="similar",le="0.0001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="similar",le="0.001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="similar",le="0.01"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="similar",le="0.1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="similar",le="1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="similar",le="10"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="similar",le="+Inf"} 0
+saber_http_queue_wait_seconds_sum{endpoint="similar"} 0
+saber_http_queue_wait_seconds_count{endpoint="similar"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="stats",le="0.0001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="stats",le="0.001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="stats",le="0.01"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="stats",le="0.1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="stats",le="1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="stats",le="10"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="stats",le="+Inf"} 0
+saber_http_queue_wait_seconds_sum{endpoint="stats"} 0
+saber_http_queue_wait_seconds_count{endpoint="stats"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="healthz",le="0.0001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="healthz",le="0.001"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="healthz",le="0.01"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="healthz",le="0.1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="healthz",le="1"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="healthz",le="10"} 0
+saber_http_queue_wait_seconds_bucket{endpoint="healthz",le="+Inf"} 0
+saber_http_queue_wait_seconds_sum{endpoint="healthz"} 0
+saber_http_queue_wait_seconds_count{endpoint="healthz"} 0
+# TYPE saber_http_handler_seconds histogram
+saber_http_handler_seconds_bucket{endpoint="infer",le="0.0001"} 0
+saber_http_handler_seconds_bucket{endpoint="infer",le="0.001"} 0
+saber_http_handler_seconds_bucket{endpoint="infer",le="0.01"} 0
+saber_http_handler_seconds_bucket{endpoint="infer",le="0.1"} 0
+saber_http_handler_seconds_bucket{endpoint="infer",le="1"} 0
+saber_http_handler_seconds_bucket{endpoint="infer",le="10"} 0
+saber_http_handler_seconds_bucket{endpoint="infer",le="+Inf"} 0
+saber_http_handler_seconds_sum{endpoint="infer"} 0
+saber_http_handler_seconds_count{endpoint="infer"} 0
+saber_http_handler_seconds_bucket{endpoint="top_words",le="0.0001"} 0
+saber_http_handler_seconds_bucket{endpoint="top_words",le="0.001"} 0
+saber_http_handler_seconds_bucket{endpoint="top_words",le="0.01"} 0
+saber_http_handler_seconds_bucket{endpoint="top_words",le="0.1"} 0
+saber_http_handler_seconds_bucket{endpoint="top_words",le="1"} 0
+saber_http_handler_seconds_bucket{endpoint="top_words",le="10"} 0
+saber_http_handler_seconds_bucket{endpoint="top_words",le="+Inf"} 0
+saber_http_handler_seconds_sum{endpoint="top_words"} 0
+saber_http_handler_seconds_count{endpoint="top_words"} 0
+saber_http_handler_seconds_bucket{endpoint="similar",le="0.0001"} 0
+saber_http_handler_seconds_bucket{endpoint="similar",le="0.001"} 0
+saber_http_handler_seconds_bucket{endpoint="similar",le="0.01"} 0
+saber_http_handler_seconds_bucket{endpoint="similar",le="0.1"} 0
+saber_http_handler_seconds_bucket{endpoint="similar",le="1"} 0
+saber_http_handler_seconds_bucket{endpoint="similar",le="10"} 0
+saber_http_handler_seconds_bucket{endpoint="similar",le="+Inf"} 0
+saber_http_handler_seconds_sum{endpoint="similar"} 0
+saber_http_handler_seconds_count{endpoint="similar"} 0
+saber_http_handler_seconds_bucket{endpoint="stats",le="0.0001"} 0
+saber_http_handler_seconds_bucket{endpoint="stats",le="0.001"} 0
+saber_http_handler_seconds_bucket{endpoint="stats",le="0.01"} 0
+saber_http_handler_seconds_bucket{endpoint="stats",le="0.1"} 0
+saber_http_handler_seconds_bucket{endpoint="stats",le="1"} 0
+saber_http_handler_seconds_bucket{endpoint="stats",le="10"} 0
+saber_http_handler_seconds_bucket{endpoint="stats",le="+Inf"} 0
+saber_http_handler_seconds_sum{endpoint="stats"} 0
+saber_http_handler_seconds_count{endpoint="stats"} 0
+saber_http_handler_seconds_bucket{endpoint="healthz",le="0.0001"} 0
+saber_http_handler_seconds_bucket{endpoint="healthz",le="0.001"} 0
+saber_http_handler_seconds_bucket{endpoint="healthz",le="0.01"} 0
+saber_http_handler_seconds_bucket{endpoint="healthz",le="0.1"} 0
+saber_http_handler_seconds_bucket{endpoint="healthz",le="1"} 0
+saber_http_handler_seconds_bucket{endpoint="healthz",le="10"} 0
+saber_http_handler_seconds_bucket{endpoint="healthz",le="+Inf"} 0
+saber_http_handler_seconds_sum{endpoint="healthz"} 0
+saber_http_handler_seconds_count{endpoint="healthz"} 0
+"#;
+
 #[test]
 fn stats_body_bytes_are_stable() {
     // Histograms built from fixed durations are fully deterministic:
@@ -346,95 +490,116 @@ fn prometheus_bytes_are_stable() {
         pipeline: None,
     };
     let text = wire::encode_prometheus(&serve, 2, 2, &http, Some(&router));
-    // Spot-pin the counters and the serve histogram; the endpoint
-    // histograms follow the same shape.
-    let expected_prefix = "\
-# TYPE saber_http_requests_total counter\n\
-saber_http_requests_total 5\n\
-# TYPE saber_http_errors_total counter\n\
-saber_http_errors_total 1\n\
-# TYPE saber_serve_requests_total counter\n\
-saber_serve_requests_total 2\n\
-# TYPE saber_serve_tokens_total counter\n\
-saber_serve_tokens_total 10\n\
-# TYPE saber_serve_batches_total counter\n\
-saber_serve_batches_total 1\n\
-# TYPE saber_serve_swaps_observed_total counter\n\
-saber_serve_swaps_observed_total 0\n\
-# TYPE saber_serve_latency_overflow_total counter\n\
-saber_serve_latency_overflow_total 0\n\
-# TYPE saber_serve_queue_wait_overflow_total counter\n\
-saber_serve_queue_wait_overflow_total 0\n\
-# TYPE saber_serve_handler_overflow_total counter\n\
-saber_serve_handler_overflow_total 0\n\
-# TYPE saber_http_active_connections gauge\n\
-saber_http_active_connections 2\n\
-# TYPE saber_snapshot_epoch gauge\n\
-saber_snapshot_epoch 2\n\
-# TYPE saber_shards gauge\n\
-saber_shards 2\n\
-# TYPE saber_router_requests_total counter\n\
-saber_router_requests_total 4\n\
-# TYPE saber_router_skew_retries_total counter\n\
-saber_router_skew_retries_total 1\n\
-# TYPE saber_router_transport_retries_total counter\n\
-saber_router_transport_retries_total 2\n\
-# TYPE saber_router_hedges_total counter\n\
-saber_router_hedges_total 5\n\
-# TYPE saber_router_breaker_trips_total counter\n\
-saber_router_breaker_trips_total 1\n\
-# TYPE saber_router_breaker_readmits_total counter\n\
-saber_router_breaker_readmits_total 1\n\
-# TYPE saber_router_shard_requests_total counter\n\
-saber_router_shard_requests_total{shard=\"0\"} 3\n\
-saber_router_shard_requests_total{shard=\"1\"} 1\n\
-# TYPE saber_router_replica_admitted gauge\n\
-saber_router_replica_admitted{shard=\"0\",replica=\"0\"} 1\n\
-saber_router_replica_admitted{shard=\"0\",replica=\"1\"} 0\n\
-saber_router_replica_admitted{shard=\"1\",replica=\"0\"} 1\n\
-# TYPE saber_serve_latency_seconds histogram\n\
-saber_serve_latency_seconds_bucket{le=\"0.0001\"} 0\n\
-saber_serve_latency_seconds_bucket{le=\"0.001\"} 0\n\
-saber_serve_latency_seconds_bucket{le=\"0.01\"} 1\n\
-saber_serve_latency_seconds_bucket{le=\"0.1\"} 1\n\
-saber_serve_latency_seconds_bucket{le=\"1\"} 2\n\
-saber_serve_latency_seconds_bucket{le=\"10\"} 2\n\
-saber_serve_latency_seconds_bucket{le=\"+Inf\"} 2\n\
-saber_serve_latency_seconds_sum 0.0908\n\
-saber_serve_latency_seconds_count 2\n\
-# TYPE saber_serve_queue_wait_seconds histogram\n\
-saber_serve_queue_wait_seconds_bucket{le=\"0.0001\"} 0\n\
-saber_serve_queue_wait_seconds_bucket{le=\"0.001\"} 0\n\
-saber_serve_queue_wait_seconds_bucket{le=\"0.01\"} 0\n\
-saber_serve_queue_wait_seconds_bucket{le=\"0.1\"} 0\n\
-saber_serve_queue_wait_seconds_bucket{le=\"1\"} 0\n\
-saber_serve_queue_wait_seconds_bucket{le=\"10\"} 0\n\
-saber_serve_queue_wait_seconds_bucket{le=\"+Inf\"} 0\n\
-saber_serve_queue_wait_seconds_sum 0\n\
-saber_serve_queue_wait_seconds_count 0\n\
-# TYPE saber_serve_handler_seconds histogram\n\
-saber_serve_handler_seconds_bucket{le=\"0.0001\"} 0\n\
-saber_serve_handler_seconds_bucket{le=\"0.001\"} 0\n\
-saber_serve_handler_seconds_bucket{le=\"0.01\"} 0\n\
-saber_serve_handler_seconds_bucket{le=\"0.1\"} 0\n\
-saber_serve_handler_seconds_bucket{le=\"1\"} 0\n\
-saber_serve_handler_seconds_bucket{le=\"10\"} 0\n\
-saber_serve_handler_seconds_bucket{le=\"+Inf\"} 0\n\
-saber_serve_handler_seconds_sum 0\n\
-saber_serve_handler_seconds_count 0\n";
-    assert!(
-        text.starts_with(expected_prefix),
-        "prometheus exposition diverged:\n{text}"
-    );
-    // The 900 µs sample's log₂ bucket spans [512 µs, 1024 µs); its upper
-    // edge exceeds the 1 ms bound, so it folds conservatively upward.
-    assert!(text.contains(
-        "saber_http_request_duration_seconds_bucket{endpoint=\"infer\",le=\"0.001\"} 0\n"
-    ));
-    assert!(text.contains(
-        "saber_http_request_duration_seconds_bucket{endpoint=\"infer\",le=\"0.01\"} 1\n"
-    ));
-    assert!(text.contains("saber_http_request_duration_seconds_count{endpoint=\"healthz\"} 0\n"));
+    // The whole exposition, every endpoint of every family included. The
+    // 900 µs sample's log₂ bucket spans [512 µs, 1024 µs); its upper edge
+    // exceeds the 1 ms bound, so it folds conservatively upward.
+    let expected = [
+        r#"# TYPE saber_http_requests_total counter
+saber_http_requests_total 5
+# TYPE saber_http_errors_total counter
+saber_http_errors_total 1
+# TYPE saber_serve_requests_total counter
+saber_serve_requests_total 2
+# TYPE saber_serve_tokens_total counter
+saber_serve_tokens_total 10
+# TYPE saber_serve_batches_total counter
+saber_serve_batches_total 1
+# TYPE saber_serve_swaps_observed_total counter
+saber_serve_swaps_observed_total 0
+# TYPE saber_serve_latency_overflow_total counter
+saber_serve_latency_overflow_total 0
+# TYPE saber_serve_queue_wait_overflow_total counter
+saber_serve_queue_wait_overflow_total 0
+# TYPE saber_serve_handler_overflow_total counter
+saber_serve_handler_overflow_total 0
+# TYPE saber_http_active_connections gauge
+saber_http_active_connections 2
+# TYPE saber_snapshot_epoch gauge
+saber_snapshot_epoch 2
+# TYPE saber_shards gauge
+saber_shards 2
+# TYPE saber_router_requests_total counter
+saber_router_requests_total 4
+# TYPE saber_router_skew_retries_total counter
+saber_router_skew_retries_total 1
+# TYPE saber_router_transport_retries_total counter
+saber_router_transport_retries_total 2
+# TYPE saber_router_hedges_total counter
+saber_router_hedges_total 5
+# TYPE saber_router_breaker_trips_total counter
+saber_router_breaker_trips_total 1
+# TYPE saber_router_breaker_readmits_total counter
+saber_router_breaker_readmits_total 1
+# TYPE saber_router_shard_requests_total counter
+saber_router_shard_requests_total{shard="0"} 3
+saber_router_shard_requests_total{shard="1"} 1
+# TYPE saber_router_replica_admitted gauge
+saber_router_replica_admitted{shard="0",replica="0"} 1
+saber_router_replica_admitted{shard="0",replica="1"} 0
+saber_router_replica_admitted{shard="1",replica="0"} 1
+# TYPE saber_serve_latency_seconds histogram
+saber_serve_latency_seconds_bucket{le="0.0001"} 0
+saber_serve_latency_seconds_bucket{le="0.001"} 0
+saber_serve_latency_seconds_bucket{le="0.01"} 1
+saber_serve_latency_seconds_bucket{le="0.1"} 1
+saber_serve_latency_seconds_bucket{le="1"} 2
+saber_serve_latency_seconds_bucket{le="10"} 2
+saber_serve_latency_seconds_bucket{le="+Inf"} 2
+saber_serve_latency_seconds_sum 0.0908
+saber_serve_latency_seconds_count 2
+"#,
+        EMPTY_SERVE_SPLIT,
+        r#"# TYPE saber_http_request_duration_seconds histogram
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="0.01"} 1
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="0.1"} 1
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="1"} 1
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="10"} 1
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="+Inf"} 1
+saber_http_request_duration_seconds_sum{endpoint="infer"} 0.0009
+saber_http_request_duration_seconds_count{endpoint="infer"} 1
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="top_words"} 0
+saber_http_request_duration_seconds_count{endpoint="top_words"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="similar"} 0
+saber_http_request_duration_seconds_count{endpoint="similar"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="stats"} 0
+saber_http_request_duration_seconds_count{endpoint="stats"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="healthz"} 0
+saber_http_request_duration_seconds_count{endpoint="healthz"} 0
+"#,
+        EMPTY_HTTP_SPLIT,
+    ]
+    .concat();
+    assert_eq!(text, expected, "prometheus exposition diverged:\n{text}");
     // Every line is a comment or `name{labels} value` — no stray output.
     for line in text.lines() {
         assert!(
@@ -503,11 +668,26 @@ fn stats_body_with_router_member_is_stable() {
         pipeline: None,
     };
     let body = wire::encode_stats_body(&serve, 2, 3, &http, Some(&router)).to_string();
-    assert!(
-        body.contains(
-            r#""router":{"requests":6,"skew_retries":1,"epoch":2,"shards":3,"shard_requests":[6,5,4],"transport_retries":2,"hedges":0,"breaker_trips":1,"breaker_readmits":1,"replica_health":[[true],[false],[true]]}"#
-        ),
-        "stats body missing the router block: {body}"
+    assert_eq!(
+        body,
+        [
+            r#"{"server":{"requests":0,"tokens":0,"batches":0,"swaps_observed":0,"#,
+            r#""mean_batch_size":0,"snapshot_version":2,"shards":3,"#,
+            r#""latency":"#,
+            EMPTY_HISTOGRAM,
+            r#","queue_wait":"#,
+            EMPTY_HISTOGRAM,
+            r#","handler":"#,
+            EMPTY_HISTOGRAM,
+            r#"},"#,
+            r#""router":{"requests":6,"skew_retries":1,"epoch":2,"shards":3,"#,
+            r#""shard_requests":[6,5,4],"transport_retries":2,"hedges":0,"#,
+            r#""breaker_trips":1,"breaker_readmits":1,"#,
+            r#""replica_health":[[true],[false],[true]]},"#,
+            &idle_http_block(),
+        ]
+        .concat(),
+        "stats body with the router block diverged",
     );
     // Direct servers (router = None) keep the PR 4 bytes exactly — pinned
     // by `stats_body_bytes_are_stable` above.
@@ -554,41 +734,152 @@ fn pipeline_stats_bytes_are_stable() {
         }),
     };
     let body = wire::encode_stats_body(&serve, 4, 2, &http, Some(&router)).to_string();
-    assert!(
-        body.contains(concat!(
+    assert_eq!(
+        body,
+        [
+            r#"{"server":{"requests":0,"tokens":0,"batches":0,"swaps_observed":0,"#,
+            r#""mean_batch_size":0,"snapshot_version":4,"shards":2,"#,
+            r#""latency":"#,
+            EMPTY_HISTOGRAM,
+            r#","queue_wait":"#,
+            EMPTY_HISTOGRAM,
+            r#","handler":"#,
+            EMPTY_HISTOGRAM,
+            r#"},"#,
+            r#""router":{"requests":0,"skew_retries":0,"epoch":4,"shards":2,"#,
+            r#""shard_requests":[0,0],"transport_retries":0,"hedges":0,"#,
+            r#""breaker_trips":0,"breaker_readmits":0,"replica_health":[[true],[true]],"#,
             r#""pipeline":{"epochs_published":3,"delta_epochs":2,"#,
             r#""rows_shipped":40,"rows_total":96,"fallbacks":1,"#,
-            r#""last_publish_micros":1500,"publish_micros_total":5200}"#
-        )),
-        "stats body missing the pipeline block: {body}"
+            r#""last_publish_micros":1500,"publish_micros_total":5200}},"#,
+            &idle_http_block(),
+        ]
+        .concat(),
+        "stats body with the pipeline block diverged",
     );
+    // The publication block slots in directly after the replica-admitted
+    // gauges, before the serve histograms.
     let text = wire::encode_prometheus(&serve, 4, 2, &http, Some(&router));
-    let expected_block = "\
-# TYPE saber_pipeline_epochs_published_total counter\n\
-saber_pipeline_epochs_published_total 3\n\
-# TYPE saber_pipeline_delta_epochs_total counter\n\
-saber_pipeline_delta_epochs_total 2\n\
-# TYPE saber_pipeline_rows_shipped_total counter\n\
-saber_pipeline_rows_shipped_total 40\n\
-# TYPE saber_pipeline_rows_total counter\n\
-saber_pipeline_rows_total 96\n\
-# TYPE saber_pipeline_fallbacks_total counter\n\
-saber_pipeline_fallbacks_total 1\n\
-# TYPE saber_pipeline_publish_micros_total counter\n\
-saber_pipeline_publish_micros_total 5200\n\
-# TYPE saber_pipeline_last_publish_micros gauge\n\
-saber_pipeline_last_publish_micros 1500\n";
-    assert!(
-        text.contains(expected_block),
-        "prometheus exposition missing the pipeline block:\n{text}"
-    );
-    // The block slots in directly after the replica-admitted gauges, before
-    // the serve histograms.
-    let after_replicas = text
-        .split("saber_router_replica_admitted{shard=\"1\",replica=\"0\"} 1\n")
-        .nth(1)
-        .expect("replica gauges present");
-    assert!(after_replicas.starts_with("# TYPE saber_pipeline_epochs_published_total"));
+    let expected = [
+        r#"# TYPE saber_http_requests_total counter
+saber_http_requests_total 1
+# TYPE saber_http_errors_total counter
+saber_http_errors_total 0
+# TYPE saber_serve_requests_total counter
+saber_serve_requests_total 0
+# TYPE saber_serve_tokens_total counter
+saber_serve_tokens_total 0
+# TYPE saber_serve_batches_total counter
+saber_serve_batches_total 0
+# TYPE saber_serve_swaps_observed_total counter
+saber_serve_swaps_observed_total 0
+# TYPE saber_serve_latency_overflow_total counter
+saber_serve_latency_overflow_total 0
+# TYPE saber_serve_queue_wait_overflow_total counter
+saber_serve_queue_wait_overflow_total 0
+# TYPE saber_serve_handler_overflow_total counter
+saber_serve_handler_overflow_total 0
+# TYPE saber_http_active_connections gauge
+saber_http_active_connections 1
+# TYPE saber_snapshot_epoch gauge
+saber_snapshot_epoch 4
+# TYPE saber_shards gauge
+saber_shards 2
+# TYPE saber_router_requests_total counter
+saber_router_requests_total 0
+# TYPE saber_router_skew_retries_total counter
+saber_router_skew_retries_total 0
+# TYPE saber_router_transport_retries_total counter
+saber_router_transport_retries_total 0
+# TYPE saber_router_hedges_total counter
+saber_router_hedges_total 0
+# TYPE saber_router_breaker_trips_total counter
+saber_router_breaker_trips_total 0
+# TYPE saber_router_breaker_readmits_total counter
+saber_router_breaker_readmits_total 0
+# TYPE saber_router_shard_requests_total counter
+saber_router_shard_requests_total{shard="0"} 0
+saber_router_shard_requests_total{shard="1"} 0
+# TYPE saber_router_replica_admitted gauge
+saber_router_replica_admitted{shard="0",replica="0"} 1
+saber_router_replica_admitted{shard="1",replica="0"} 1
+# TYPE saber_pipeline_epochs_published_total counter
+saber_pipeline_epochs_published_total 3
+# TYPE saber_pipeline_delta_epochs_total counter
+saber_pipeline_delta_epochs_total 2
+# TYPE saber_pipeline_rows_shipped_total counter
+saber_pipeline_rows_shipped_total 40
+# TYPE saber_pipeline_rows_total counter
+saber_pipeline_rows_total 96
+# TYPE saber_pipeline_fallbacks_total counter
+saber_pipeline_fallbacks_total 1
+# TYPE saber_pipeline_publish_micros_total counter
+saber_pipeline_publish_micros_total 5200
+# TYPE saber_pipeline_last_publish_micros gauge
+saber_pipeline_last_publish_micros 1500
+# TYPE saber_serve_latency_seconds histogram
+saber_serve_latency_seconds_bucket{le="0.0001"} 0
+saber_serve_latency_seconds_bucket{le="0.001"} 0
+saber_serve_latency_seconds_bucket{le="0.01"} 0
+saber_serve_latency_seconds_bucket{le="0.1"} 0
+saber_serve_latency_seconds_bucket{le="1"} 0
+saber_serve_latency_seconds_bucket{le="10"} 0
+saber_serve_latency_seconds_bucket{le="+Inf"} 0
+saber_serve_latency_seconds_sum 0
+saber_serve_latency_seconds_count 0
+"#,
+        EMPTY_SERVE_SPLIT,
+        r#"# TYPE saber_http_request_duration_seconds histogram
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="infer",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="infer"} 0
+saber_http_request_duration_seconds_count{endpoint="infer"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="top_words",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="top_words"} 0
+saber_http_request_duration_seconds_count{endpoint="top_words"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="similar",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="similar"} 0
+saber_http_request_duration_seconds_count{endpoint="similar"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="stats",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="stats"} 0
+saber_http_request_duration_seconds_count{endpoint="stats"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="0.0001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="0.001"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="0.01"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="0.1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="1"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="10"} 0
+saber_http_request_duration_seconds_bucket{endpoint="healthz",le="+Inf"} 0
+saber_http_request_duration_seconds_sum{endpoint="healthz"} 0
+saber_http_request_duration_seconds_count{endpoint="healthz"} 0
+"#,
+        EMPTY_HTTP_SPLIT,
+    ]
+    .concat();
+    assert_eq!(text, expected, "prometheus exposition diverged:\n{text}");
 }
 
 /// The deterministic planted model behind the full-stack fixtures.
