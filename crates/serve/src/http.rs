@@ -104,7 +104,7 @@ use crate::snapshot::InferenceSnapshot;
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
 use crate::transport::ShardInfo;
 use crate::wire::{self, InferBody};
-use crate::{InferenceBackend, ServeError, TopicServer};
+use crate::{InferenceBackend, RouterStats, ServeError, ServeStats, TopicServer};
 
 /// Transport configuration of an [`HttpServer`].
 #[derive(Debug, Clone)]
@@ -535,7 +535,11 @@ fn route(
     let ((status, body), endpoint, trace_id) =
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => (handle_healthz(state), Some(Endpoint::Healthz), 0),
-            ("GET", "/stats") => (handle_stats(state), Some(Endpoint::Stats), 0),
+            ("GET", "/stats") => (
+                handle_stats(state, wire::encode_stats_body),
+                Some(Endpoint::Stats),
+                0,
+            ),
             ("GET", "/top-words") => (
                 handle_top_words(request, state),
                 Some(Endpoint::TopWords),
@@ -549,7 +553,7 @@ fn route(
             // client-facing traffic.
             ("GET", "/metrics") => {
                 content_type = METRICS_CONTENT_TYPE;
-                (handle_metrics(state), None, 0)
+                (handle_stats(state, wire::encode_prometheus), None, 0)
             }
             ("GET", "/shard-info") => (handle_shard_info(state), None, 0),
             ("GET", "/trace/recent") => (handle_trace_recent(state), None, 0),
@@ -645,9 +649,15 @@ fn handle_trace_recent(state: &HttpState) -> (u16, String) {
     (200, body)
 }
 
-fn handle_stats(state: &HttpState) -> (u16, String) {
+/// `GET /stats` and `GET /metrics`: one point-in-time view of the serving,
+/// router and HTTP counters, rendered by `encode`
+/// ([`wire::encode_stats_body`] or [`wire::encode_prometheus`]).
+fn handle_stats<B: ToString>(
+    state: &HttpState,
+    encode: fn(&ServeStats, u64, usize, &HttpStats, Option<&RouterStats>) -> B,
+) -> (u16, String) {
     let router = state.backend.router_stats();
-    let body = wire::encode_stats_body(
+    let body = encode(
         &state.backend.serve_stats(),
         state.backend.snapshot_version(),
         state.backend.n_shards(),
@@ -655,18 +665,6 @@ fn handle_stats(state: &HttpState) -> (u16, String) {
         router.as_ref(),
     );
     (200, body.to_string())
-}
-
-fn handle_metrics(state: &HttpState) -> (u16, String) {
-    let router = state.backend.router_stats();
-    let body = wire::encode_prometheus(
-        &state.backend.serve_stats(),
-        state.backend.snapshot_version(),
-        state.backend.n_shards(),
-        &http_stats(state),
-        router.as_ref(),
-    );
-    (200, body)
 }
 
 /// The effective shard range reported to routers: the configured global

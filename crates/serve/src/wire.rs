@@ -37,7 +37,7 @@ use saber_corpus::{OovPolicy, Vocabulary};
 use saber_trace::{SpanEvent, SpanRecord, Trace, TraceId};
 
 use crate::http::{EndpointStats, HttpStats};
-use crate::router::RouterStats;
+use crate::router::{PipelineStats, RouterStats};
 use crate::server::{InferResponse, PartialRequest, PartialResponse, ServeStats};
 use crate::snapshot::{FoldInKind, FoldInParams};
 use crate::stats::{HistogramSnapshot, N_BUCKETS};
@@ -325,8 +325,250 @@ pub fn encode_histogram(h: &HistogramSnapshot) -> JsonValue {
     JsonValue::object(members)
 }
 
+// ------------------------------------------------------------ metric table
+//
+// Each serving stat is one row: its `/stats` key, its `/metrics` series
+// and its getter. `/stats`, `/metrics` and the lossless `ServeStats` copy
+// of `/shard-info` are rendered from the rows; `encode_stats_body` and
+// `write_exposition` only say how the groups nest and in what order each
+// document visits them.
+
+/// What `/metrics` shows of one stats member.
+#[derive(Debug, Clone, Copy)]
+enum Series {
+    /// One counter sample.
+    Counter(&'static str),
+    /// One gauge sample.
+    Gauge(&'static str),
+    /// A counter with one sample per shard (`{shard="S"}`).
+    LabelledCounter(&'static str),
+    /// A gauge with one sample per replica (`{shard="S",replica="R"}`).
+    LabelledGauge(&'static str),
+    /// A histogram over [`PROMETHEUS_BOUNDS_US`], then the counter of the
+    /// samples its top log₂ bucket clamped: nonzero means the tail
+    /// quantiles understate reality.
+    Histogram(&'static str, &'static str),
+    /// A histogram family with one series per endpoint
+    /// (`{endpoint="E"}`) under one `TYPE` line.
+    EndpointFamily(&'static str),
+}
+
+impl Series {
+    /// The counter or gauge the member shows among its group's, if any:
+    /// its place there (plain counters, then the histograms' clamp
+    /// counters, gauges, and labelled series last), name and `TYPE`.
+    fn scalar(self) -> Option<(u8, &'static str, &'static str)> {
+        match self {
+            Series::Counter(name) => Some((0, name, "counter")),
+            Series::Histogram(_, overflow) => Some((1, overflow, "counter")),
+            Series::Gauge(name) => Some((2, name, "gauge")),
+            Series::LabelledCounter(name) => Some((3, name, "counter")),
+            Series::LabelledGauge(name) => Some((3, name, "gauge")),
+            Series::EndpointFamily(_) => None,
+        }
+    }
+}
+
+/// One stats member as its row reads it.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Uint(u64),
+    Float(f64),
+    Latency(&'a HistogramSnapshot),
+    /// One count per shard, in shard order.
+    PerShard(&'a [u64]),
+    /// One admitted flag per replica of each shard.
+    PerReplica(&'a [Vec<bool>]),
+}
+
+impl Value<'_> {
+    /// The member's `/stats` form; a histogram shows its quantiles.
+    fn json(self) -> JsonValue {
+        let flags =
+            |set: &Vec<bool>| JsonValue::Array(set.iter().map(|&ok| JsonValue::Bool(ok)).collect());
+        match self {
+            Value::Uint(n) => JsonValue::from(n),
+            Value::Float(x) => JsonValue::Number(x),
+            Value::Latency(h) => encode_histogram(h),
+            Value::PerShard(counts) => JsonValue::Array(counts.iter().map(|&n| n.into()).collect()),
+            Value::PerReplica(sets) => JsonValue::Array(sets.iter().map(flags).collect()),
+        }
+    }
+
+    /// The member's `/metrics` samples as `(labels, value)`; a histogram's
+    /// one counter sample is its clamp count.
+    fn samples(self) -> Vec<(String, u64)> {
+        match self {
+            Value::Uint(n) => vec![(String::new(), n)],
+            Value::Latency(h) => vec![(String::new(), h.overflow())],
+            Value::Float(_) => Vec::new(),
+            Value::PerShard(counts) => (counts.iter().enumerate())
+                .map(|(s, &n)| (format!("{{shard=\"{s}\"}}"), n))
+                .collect(),
+            Value::PerReplica(sets) => (sets.iter().enumerate())
+                .flat_map(|(s, set)| set.iter().enumerate().map(move |(r, &ok)| (s, r, ok)))
+                .map(|(s, r, ok)| (format!("{{shard=\"{s}\",replica=\"{r}\"}}"), u64::from(ok)))
+                .collect(),
+        }
+    }
+}
+
+/// A [`ServeStats`] field, as the shard-info decoder fills it.
+enum Field<'a> {
+    Uint(&'a mut u64),
+    Latency(&'a mut HistogramSnapshot),
+}
+
+/// One stats member: its `/stats` key, its `/metrics` series (`None` for
+/// the members only `/stats` shows) and its getter. The server rows that
+/// read a [`ServeStats`] field also name it in `field`: those rows make up
+/// the lossless shard-info copy a router merges.
+struct Row<T> {
+    key: &'static str,
+    series: Option<Series>,
+    get: fn(&T) -> Value<'_>,
+    field: Option<fn(&mut ServeStats) -> Field<'_>>,
+}
+
+impl<T> Row<T> {
+    const fn new(key: &'static str, series: Option<Series>, get: fn(&T) -> Value<'_>) -> Self {
+        Row {
+            key,
+            series,
+            get,
+            field: None,
+        }
+    }
+
+    const fn lossless(mut self, field: fn(&mut ServeStats) -> Field<'_>) -> Self {
+        self.field = Some(field);
+        self
+    }
+}
+
+/// What the `server` block describes: the serving counters (merged over
+/// the shards behind a router), then the snapshot version and the shard
+/// count read with them.
+type ServerView<'a> = (&'a ServeStats, u64, usize);
+
+/// The `server` rows; a function rather than a constant because the view
+/// they read borrows its counters.
+#[rustfmt::skip]
+fn server_rows<'a>() -> [Row<ServerView<'a>>; 10] {
+    use {Series::*, Value::*};
+    type Server<'a> = Row<ServerView<'a>>;
+    [
+        Server::new("requests", Some(Counter("saber_serve_requests_total")), |v| Uint(v.0.requests))
+            .lossless(|s| Field::Uint(&mut s.requests)),
+        Server::new("tokens", Some(Counter("saber_serve_tokens_total")), |v| Uint(v.0.tokens))
+            .lossless(|s| Field::Uint(&mut s.tokens)),
+        Server::new("batches", Some(Counter("saber_serve_batches_total")), |v| Uint(v.0.batches))
+            .lossless(|s| Field::Uint(&mut s.batches)),
+        Server::new("swaps_observed", Some(Counter("saber_serve_swaps_observed_total")), |v| Uint(v.0.swaps_observed))
+            .lossless(|s| Field::Uint(&mut s.swaps_observed)),
+        Server::new("mean_batch_size", None, |v| Float(v.0.mean_batch_size())),
+        Server::new("snapshot_version", Some(Gauge("saber_snapshot_epoch")), |v| Uint(v.1)),
+        Server::new("shards", Some(Gauge("saber_shards")), |v| Uint(v.2 as u64)),
+        Server::new("latency", Some(Histogram("saber_serve_latency_seconds", "saber_serve_latency_overflow_total")), |v| Latency(&v.0.latency))
+            .lossless(|s| Field::Latency(&mut s.latency)),
+        Server::new("queue_wait", Some(Histogram("saber_serve_queue_wait_seconds", "saber_serve_queue_wait_overflow_total")), |v| Latency(&v.0.queue_wait))
+            .lossless(|s| Field::Latency(&mut s.queue_wait)),
+        Server::new("handler", Some(Histogram("saber_serve_handler_seconds", "saber_serve_handler_overflow_total")), |v| Latency(&v.0.handler))
+            .lossless(|s| Field::Latency(&mut s.handler)),
+    ]
+}
+
+/// The router's own counters, beside the shard-merged `server` block;
+/// absent from direct (unsharded) servers. `skew_retries` and `hedges`
+/// always read 0: reads are pinned to one epoch and hedging is gone, but
+/// the members stay in the bytes.
+#[rustfmt::skip]
+const ROUTER: [Row<RouterStats>; 10] = {
+    use {Series::*, Value::*};
+    [
+        Row::new("requests", Some(Counter("saber_router_requests_total")), |r| Uint(r.requests)),
+        Row::new("skew_retries", Some(Counter("saber_router_skew_retries_total")), |r| Uint(r.skew_retries)),
+        Row::new("epoch", None, |r| Uint(r.epoch)),
+        Row::new("shards", None, |r| Uint(r.n_shards as u64)),
+        Row::new("shard_requests", Some(LabelledCounter("saber_router_shard_requests_total")), |r| PerShard(&r.shard_requests)),
+        Row::new("transport_retries", Some(Counter("saber_router_transport_retries_total")), |r| Uint(r.transport_retries)),
+        Row::new("hedges", Some(Counter("saber_router_hedges_total")), |r| Uint(r.hedges)),
+        Row::new("breaker_trips", Some(Counter("saber_router_breaker_trips_total")), |r| Uint(r.breaker_trips)),
+        Row::new("breaker_readmits", Some(Counter("saber_router_breaker_readmits_total")), |r| Uint(r.breaker_readmits)),
+        Row::new("replica_health", Some(LabelledGauge("saber_router_replica_admitted")), |r| PerReplica(&r.replica_health)),
+    ]
+};
+
+/// The publication counters, present only once a router has published an
+/// epoch, so a fleet that never publishes keeps its pre-pipeline bytes.
+#[rustfmt::skip]
+const PIPELINE: [Row<PipelineStats>; 7] = {
+    use {Series::*, Value::*};
+    [
+        Row::new("epochs_published", Some(Counter("saber_pipeline_epochs_published_total")), |p| Uint(p.epochs_published)),
+        Row::new("delta_epochs", Some(Counter("saber_pipeline_delta_epochs_total")), |p| Uint(p.delta_epochs)),
+        Row::new("rows_shipped", Some(Counter("saber_pipeline_rows_shipped_total")), |p| Uint(p.rows_shipped)),
+        Row::new("rows_total", Some(Counter("saber_pipeline_rows_total")), |p| Uint(p.rows_total)),
+        Row::new("fallbacks", Some(Counter("saber_pipeline_fallbacks_total")), |p| Uint(p.fallbacks)),
+        Row::new("last_publish_micros", Some(Gauge("saber_pipeline_last_publish_micros")), |p| Uint(p.last_publish_micros)),
+        Row::new("publish_micros_total", Some(Counter("saber_pipeline_publish_micros_total")), |p| Uint(p.publish_micros_total)),
+    ]
+};
+
+/// The HTTP layer's counters; its per-endpoint latencies are
+/// [`ENDPOINTS`] × [`ENDPOINT`].
+#[rustfmt::skip]
+const HTTP: [Row<HttpStats>; 3] = {
+    use {Series::*, Value::*};
+    [
+        Row::new("requests", Some(Counter("saber_http_requests_total")), |h| Uint(h.requests)),
+        Row::new("errors", Some(Counter("saber_http_errors_total")), |h| Uint(h.errors)),
+        Row::new("active_connections", Some(Gauge("saber_http_active_connections")), |h| Uint(h.active_connections as u64)),
+    ]
+};
+
+/// Picks one endpoint's latencies out of [`HttpStats`].
+type EndpointOf = fn(&HttpStats) -> &EndpointStats;
+
+/// The timed endpoints, in the order both documents list them.
+const ENDPOINTS: [(&str, EndpointOf); 5] = [
+    ("infer", |h| &h.infer),
+    ("top_words", |h| &h.top_words),
+    ("similar", |h| &h.similar),
+    ("stats", |h| &h.stats),
+    ("healthz", |h| &h.healthz),
+];
+
+/// One endpoint's latency split: the end-to-end histogram plus the
+/// queue-wait/handler decomposition recovered from request traces.
+#[rustfmt::skip]
+const ENDPOINT: [Row<EndpointStats>; 3] = {
+    use {Series::*, Value::*};
+    [
+        Row::new("total", Some(EndpointFamily("saber_http_request_duration_seconds")), |e| Latency(&e.total)),
+        Row::new("queue_wait", Some(EndpointFamily("saber_http_queue_wait_seconds")), |e| Latency(&e.queue_wait)),
+        Row::new("handler", Some(EndpointFamily("saber_http_handler_seconds")), |e| Latency(&e.handler)),
+    ]
+};
+
+/// `rows` read off `stats` as `/stats` members, in row order.
+fn json_members<T>(rows: &[Row<T>], stats: &T) -> Vec<(&'static str, JsonValue)> {
+    rows.iter()
+        .map(|row| (row.key, (row.get)(stats).json()))
+        .collect()
+}
+
+/// `rows` read off `stats` as `/metrics` series, in row order.
+fn series_values<'a, T>(rows: &[Row<T>], stats: &'a T) -> Vec<(Series, Value<'a>)> {
+    rows.iter()
+        .filter_map(|row| Some((row.series?, (row.get)(stats))))
+        .collect()
+}
+
 /// Encodes the full `GET /stats` response body: the (shard-aggregated)
-/// serving counters plus the HTTP layer's per-endpoint histograms.
+/// serving counters, on router-backed servers the router's (with the
+/// publication counters once it has published), and the HTTP layer's
+/// per-endpoint histograms.
 ///
 /// Pure — all inputs are point-in-time copies — so the exact bytes are
 /// pinned by the golden wire-format tests: reordering or renaming members
@@ -338,129 +580,26 @@ pub fn encode_stats_body(
     http: &HttpStats,
     router: Option<&RouterStats>,
 ) -> JsonValue {
+    let view = (server, snapshot_version, n_shards);
     let mut members = vec![(
         "server",
-        JsonValue::object([
-            ("requests", JsonValue::from(server.requests)),
-            ("tokens", JsonValue::from(server.tokens)),
-            ("batches", JsonValue::from(server.batches)),
-            ("swaps_observed", JsonValue::from(server.swaps_observed)),
-            (
-                "mean_batch_size",
-                JsonValue::Number(server.mean_batch_size()),
-            ),
-            ("snapshot_version", JsonValue::from(snapshot_version)),
-            ("shards", JsonValue::from(n_shards)),
-            ("latency", encode_histogram(&server.latency)),
-            ("queue_wait", encode_histogram(&server.queue_wait)),
-            ("handler", encode_histogram(&server.handler)),
-        ]),
+        JsonValue::object(json_members(&server_rows(), &view)),
     )];
     if let Some(router) = router {
-        members.push(("router", encode_router_stats(router)));
+        let mut block = json_members(&ROUTER, router);
+        if let Some(pipeline) = &router.pipeline {
+            block.push((
+                "pipeline",
+                JsonValue::object(json_members(&PIPELINE, pipeline)),
+            ));
+        }
+        members.push(("router", JsonValue::object(block)));
     }
-    members.push((
-        "http",
-        JsonValue::object([
-            ("requests", JsonValue::from(http.requests)),
-            ("errors", JsonValue::from(http.errors)),
-            (
-                "active_connections",
-                JsonValue::from(http.active_connections),
-            ),
-            (
-                "endpoints",
-                JsonValue::object([
-                    ("infer", encode_endpoint_stats(&http.infer)),
-                    ("top_words", encode_endpoint_stats(&http.top_words)),
-                    ("similar", encode_endpoint_stats(&http.similar)),
-                    ("stats", encode_endpoint_stats(&http.stats)),
-                    ("healthz", encode_endpoint_stats(&http.healthz)),
-                ]),
-            ),
-        ]),
-    ));
-    JsonValue::object(members)
-}
-
-/// Encodes one endpoint's latency split: the end-to-end quantiles plus
-/// the queue-wait/handler decomposition recovered from request traces.
-fn encode_endpoint_stats(endpoint: &EndpointStats) -> JsonValue {
-    JsonValue::object([
-        ("total", encode_histogram(&endpoint.total)),
-        ("queue_wait", encode_histogram(&endpoint.queue_wait)),
-        ("handler", encode_histogram(&endpoint.handler)),
-    ])
-}
-
-/// Encodes the router-level counters complementing the shard-aggregated
-/// `server` block of `GET /stats`: the fleet epoch, documents routed, how
-/// many shard requests each shard received, plus the self-healing counters
-/// (transport retries, breaker trips/re-admissions) and per-replica
-/// admission. `skew_retries` and `hedges` always read 0: reads are pinned
-/// to one epoch and hedging is gone, but the members stay in the bytes.
-/// Absent from direct (unsharded) servers.
-fn encode_router_stats(router: &RouterStats) -> JsonValue {
-    let mut members = vec![
-        ("requests", JsonValue::from(router.requests)),
-        ("skew_retries", JsonValue::from(router.skew_retries)),
-        ("epoch", JsonValue::from(router.epoch)),
-        ("shards", JsonValue::from(router.n_shards)),
-        (
-            "shard_requests",
-            JsonValue::Array(
-                router
-                    .shard_requests
-                    .iter()
-                    .map(|&n| JsonValue::from(n))
-                    .collect(),
-            ),
-        ),
-        (
-            "transport_retries",
-            JsonValue::from(router.transport_retries),
-        ),
-        ("hedges", JsonValue::from(router.hedges)),
-        ("breaker_trips", JsonValue::from(router.breaker_trips)),
-        ("breaker_readmits", JsonValue::from(router.breaker_readmits)),
-        (
-            "replica_health",
-            JsonValue::Array(
-                router
-                    .replica_health
-                    .iter()
-                    .map(|set| {
-                        JsonValue::Array(set.iter().map(|&ok| JsonValue::Bool(ok)).collect())
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    // Present only after a first publication, so the stats bytes of a
-    // fleet that never publishes stay pinned to the pre-pipeline golden.
-    if let Some(pipeline) = &router.pipeline {
-        members.push((
-            "pipeline",
-            JsonValue::object([
-                (
-                    "epochs_published",
-                    JsonValue::from(pipeline.epochs_published),
-                ),
-                ("delta_epochs", JsonValue::from(pipeline.delta_epochs)),
-                ("rows_shipped", JsonValue::from(pipeline.rows_shipped)),
-                ("rows_total", JsonValue::from(pipeline.rows_total)),
-                ("fallbacks", JsonValue::from(pipeline.fallbacks)),
-                (
-                    "last_publish_micros",
-                    JsonValue::from(pipeline.last_publish_micros),
-                ),
-                (
-                    "publish_micros_total",
-                    JsonValue::from(pipeline.publish_micros_total),
-                ),
-            ]),
-        ));
-    }
+    let mut block = json_members(&HTTP, http);
+    let endpoints =
+        ENDPOINTS.map(|(name, of)| (name, JsonValue::object(json_members(&ENDPOINT, of(http)))));
+    block.push(("endpoints", JsonValue::object(endpoints)));
+    members.push(("http", JsonValue::object(block)));
     JsonValue::object(members)
 }
 
@@ -484,7 +623,7 @@ fn prometheus_histogram(
     name: &str,
     label: Option<(&str, &str)>,
     h: &HistogramSnapshot,
-) {
+) -> fmt::Result {
     use std::fmt::Write as _;
     let mut cumulative = [0u64; PROMETHEUS_BOUNDS_US.len()];
     for i in 0..N_BUCKETS {
@@ -509,21 +648,78 @@ fn prometheus_histogram(
     };
     for (&bound, &cum) in PROMETHEUS_BOUNDS_US.iter().zip(cumulative.iter()) {
         let le = format!("{}", bound as f64 / 1e6);
-        let _ = writeln!(out, "{name}_bucket{} {}", with_le(&le), cum);
+        writeln!(out, "{name}_bucket{} {}", with_le(&le), cum)?;
     }
-    let _ = writeln!(out, "{name}_bucket{} {}", with_le("+Inf"), h.count());
-    let _ = writeln!(out, "{name}_sum{plain} {}", h.sum_micros() as f64 / 1e6);
-    let _ = writeln!(out, "{name}_count{plain} {}", h.count());
+    writeln!(out, "{name}_bucket{} {}", with_le("+Inf"), h.count())?;
+    writeln!(out, "{name}_sum{plain} {}", h.sum_micros() as f64 / 1e6)?;
+    writeln!(out, "{name}_count{plain} {}", h.count())
+}
+
+/// The `/metrics` layout. Each group in turn — `[http, server]`, then
+/// `[router]` and `[pipeline]` when present — writes its counters and
+/// gauges in [`Series::scalar`] order (a stable sort keeps row order among
+/// equals). Every group's histograms follow, and last the per-endpoint
+/// families, each under one `TYPE` line (spec-conforming parsers reject a
+/// repeated `TYPE` line for the same name).
+fn write_exposition(
+    out: &mut String,
+    server: &ServerView<'_>,
+    http: &HttpStats,
+    router: Option<&RouterStats>,
+) -> fmt::Result {
+    use std::fmt::Write as _;
+    let mut groups = vec![[
+        series_values(&HTTP, http),
+        series_values(&server_rows(), server),
+    ]
+    .concat()];
+    if let Some(router) = router {
+        groups.push(series_values(&ROUTER, router));
+        if let Some(pipeline) = &router.pipeline {
+            groups.push(series_values(&PIPELINE, pipeline));
+        }
+    }
+    for group in &groups {
+        let mut scalars: Vec<_> = (group.iter())
+            .filter_map(|&(series, value)| Some((series.scalar()?, value)))
+            .collect();
+        scalars.sort_by_key(|&((place, ..), _)| place);
+        for ((_, name, kind), value) in scalars {
+            writeln!(out, "# TYPE {name} {kind}")?;
+            for (labels, n) in value.samples() {
+                writeln!(out, "{name}{labels} {n}")?;
+            }
+        }
+    }
+    for &(series, value) in groups.iter().flatten() {
+        if let (Series::Histogram(name, _), Value::Latency(h)) = (series, value) {
+            writeln!(out, "# TYPE {name} histogram")?;
+            prometheus_histogram(out, name, None, h)?;
+        }
+    }
+    for row in &ENDPOINT {
+        let Some(Series::EndpointFamily(name)) = row.series else {
+            continue;
+        };
+        writeln!(out, "# TYPE {name} histogram")?;
+        for (endpoint, of) in ENDPOINTS {
+            if let Value::Latency(h) = (row.get)(of(http)) {
+                prometheus_histogram(out, name, Some(("endpoint", endpoint)), h)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Encodes the `GET /metrics` body in Prometheus text exposition format:
-/// the serving and HTTP counters of [`encode_stats_body`] as
-/// `saber_*`-prefixed counters and gauges, plus per-endpoint latency
-/// histograms with cumulative buckets over fixed decade bounds (100 µs to
-/// 10 s; internal log₂ buckets fold conservatively into the first bound
-/// at or above their upper edge).
-/// Router-backed servers additionally expose the fleet epoch, the router's
-/// retry counters and per-shard request counters.
+/// the members of [`encode_stats_body`] as `saber_*` counters, gauges and
+/// histograms (all but the JSON-only `mean_batch_size`, `router.epoch`
+/// and `router.shards`), with cumulative buckets over fixed decade bounds
+/// (100 µs to 10 s; internal log₂ buckets fold conservatively into the
+/// first bound at or above their upper edge). Router-backed servers
+/// additionally expose the router's counters, per-shard requests and
+/// per-replica admission and, once they have published, the publication
+/// counters.
 pub fn encode_prometheus(
     server: &ServeStats,
     snapshot_version: u64,
@@ -531,158 +727,14 @@ pub fn encode_prometheus(
     http: &HttpStats,
     router: Option<&RouterStats>,
 ) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
-    let mut counter = |name: &str, value: u64| {
-        let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-    };
-    counter("saber_http_requests_total", http.requests);
-    counter("saber_http_errors_total", http.errors);
-    counter("saber_serve_requests_total", server.requests);
-    counter("saber_serve_tokens_total", server.tokens);
-    counter("saber_serve_batches_total", server.batches);
-    counter("saber_serve_swaps_observed_total", server.swaps_observed);
-    // Explicit top-bucket clamp counters: nonzero means the matching
-    // histogram's tail quantiles understate reality (samples ≥ 2^40 µs
-    // were folded into the last bucket).
-    counter(
-        "saber_serve_latency_overflow_total",
-        server.latency.overflow(),
-    );
-    counter(
-        "saber_serve_queue_wait_overflow_total",
-        server.queue_wait.overflow(),
-    );
-    counter(
-        "saber_serve_handler_overflow_total",
-        server.handler.overflow(),
-    );
-    let mut gauge = |name: &str, value: u64| {
-        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-    };
-    gauge(
-        "saber_http_active_connections",
-        http.active_connections as u64,
-    );
-    gauge("saber_snapshot_epoch", snapshot_version);
-    gauge("saber_shards", n_shards as u64);
-    if let Some(router) = router {
-        let mut counter = |name: &str, value: u64| {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-        };
-        counter("saber_router_requests_total", router.requests);
-        counter("saber_router_skew_retries_total", router.skew_retries);
-        counter(
-            "saber_router_transport_retries_total",
-            router.transport_retries,
-        );
-        counter("saber_router_hedges_total", router.hedges);
-        counter("saber_router_breaker_trips_total", router.breaker_trips);
-        counter(
-            "saber_router_breaker_readmits_total",
-            router.breaker_readmits,
-        );
-        let _ = writeln!(out, "# TYPE saber_router_shard_requests_total counter");
-        for (s, &n) in router.shard_requests.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "saber_router_shard_requests_total{{shard=\"{s}\"}} {n}"
-            );
-        }
-        let _ = writeln!(out, "# TYPE saber_router_replica_admitted gauge");
-        for (s, set) in router.replica_health.iter().enumerate() {
-            for (r, &admitted) in set.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "saber_router_replica_admitted{{shard=\"{s}\",replica=\"{r}\"}} {}",
-                    u64::from(admitted)
-                );
-            }
-        }
-        // Publication-path metrics appear only once an epoch has been
-        // published, so a never-publishing fleet's exposition matches the
-        // pre-pipeline golden byte for byte.
-        if let Some(pipeline) = &router.pipeline {
-            let mut counter = |name: &str, value: u64| {
-                let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-            };
-            counter(
-                "saber_pipeline_epochs_published_total",
-                pipeline.epochs_published,
-            );
-            counter("saber_pipeline_delta_epochs_total", pipeline.delta_epochs);
-            counter("saber_pipeline_rows_shipped_total", pipeline.rows_shipped);
-            counter("saber_pipeline_rows_total", pipeline.rows_total);
-            counter("saber_pipeline_fallbacks_total", pipeline.fallbacks);
-            counter(
-                "saber_pipeline_publish_micros_total",
-                pipeline.publish_micros_total,
-            );
-            let _ = writeln!(
-                out,
-                "# TYPE saber_pipeline_last_publish_micros gauge\nsaber_pipeline_last_publish_micros {}",
-                pipeline.last_publish_micros
-            );
-        }
-    }
-    // Exactly one TYPE line per metric name: the five endpoint series
-    // share one histogram declaration (spec-conforming parsers reject a
-    // repeated TYPE line for the same name).
-    let _ = writeln!(out, "# TYPE saber_serve_latency_seconds histogram");
-    prometheus_histogram(
+    // Writing into a `String` cannot fail.
+    let _ = write_exposition(
         &mut out,
-        "saber_serve_latency_seconds",
-        None,
-        &server.latency,
+        &(server, snapshot_version, n_shards),
+        http,
+        router,
     );
-    let _ = writeln!(out, "# TYPE saber_serve_queue_wait_seconds histogram");
-    prometheus_histogram(
-        &mut out,
-        "saber_serve_queue_wait_seconds",
-        None,
-        &server.queue_wait,
-    );
-    let _ = writeln!(out, "# TYPE saber_serve_handler_seconds histogram");
-    prometheus_histogram(
-        &mut out,
-        "saber_serve_handler_seconds",
-        None,
-        &server.handler,
-    );
-    let endpoints = [
-        ("infer", &http.infer),
-        ("top_words", &http.top_words),
-        ("similar", &http.similar),
-        ("stats", &http.stats),
-        ("healthz", &http.healthz),
-    ];
-    let _ = writeln!(out, "# TYPE saber_http_request_duration_seconds histogram");
-    for (endpoint, stats) in endpoints {
-        prometheus_histogram(
-            &mut out,
-            "saber_http_request_duration_seconds",
-            Some(("endpoint", endpoint)),
-            &stats.total,
-        );
-    }
-    let _ = writeln!(out, "# TYPE saber_http_queue_wait_seconds histogram");
-    for (endpoint, stats) in endpoints {
-        prometheus_histogram(
-            &mut out,
-            "saber_http_queue_wait_seconds",
-            Some(("endpoint", endpoint)),
-            &stats.queue_wait,
-        );
-    }
-    let _ = writeln!(out, "# TYPE saber_http_handler_seconds histogram");
-    for (endpoint, stats) in endpoints {
-        prometheus_histogram(
-            &mut out,
-            "saber_http_handler_seconds",
-            Some(("endpoint", endpoint)),
-            &stats.handler,
-        );
-    }
     out
 }
 
@@ -1181,50 +1233,46 @@ fn decode_sparse_histogram(value: &JsonValue, what: &str) -> Result<HistogramSna
             }
         })
         .collect::<Result<Vec<_>, WireError>>()?;
+    // The snapshot keeps its total count in a `u64`; a body whose counts
+    // sum past it is refused before any bucket is added up.
+    let total = pairs
+        .iter()
+        .try_fold(0u64, |total, &(_, c)| total.checked_add(c));
+    total.ok_or_else(|| WireError::new(format!("'{what}.buckets' counts overflow a u64")))?;
     HistogramSnapshot::from_sparse_buckets(pairs, sum_us, overflow)
         .ok_or_else(|| WireError::new(format!("'{what}.buckets' index out of range")))
 }
 
-/// Encodes a full [`ServeStats`], histogram buckets included — unlike the
-/// human-facing `/stats` body (which only derives quantiles), this is
-/// lossless, so a router can merge remote shard histograms (end-to-end
-/// latency plus its queue-wait/handler split) exactly.
+/// Encodes a full [`ServeStats`] — the server rows that name a field,
+/// histogram buckets included. Unlike the human-facing `/stats` body
+/// (which only derives quantiles), this is lossless, so a router can merge
+/// remote shard histograms (end-to-end latency plus its queue-wait/handler
+/// split) exactly.
 fn encode_serve_stats(stats: &ServeStats) -> JsonValue {
-    JsonValue::object([
-        ("requests", JsonValue::from(stats.requests)),
-        ("tokens", JsonValue::from(stats.tokens)),
-        ("batches", JsonValue::from(stats.batches)),
-        ("swaps_observed", JsonValue::from(stats.swaps_observed)),
-        ("latency", encode_sparse_histogram(&stats.latency)),
-        ("queue_wait", encode_sparse_histogram(&stats.queue_wait)),
-        ("handler", encode_sparse_histogram(&stats.handler)),
-    ])
+    // The snapshot version and shard count of the view are not copied.
+    let lossless = server_rows().into_iter().filter(|row| row.field.is_some());
+    JsonValue::object(lossless.map(|row| match (row.get)(&(stats, 0, 0)) {
+        Value::Latency(h) => (row.key, encode_sparse_histogram(h)),
+        value => (row.key, value.json()),
+    }))
 }
 
+/// Decodes [`encode_serve_stats`]' copy, field by field in row order.
 fn decode_serve_stats(value: &JsonValue) -> Result<ServeStats, WireError> {
-    let counter = |name: &str| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| WireError::new(format!("'stats.{name}' must be an unsigned integer")))
-    };
-    let histogram = |name: &str| {
-        decode_sparse_histogram(
-            value
-                .get(name)
-                .ok_or_else(|| WireError::new(format!("'stats' must carry a '{name}' member")))?,
-            name,
-        )
-    };
-    Ok(ServeStats {
-        requests: counter("requests")?,
-        tokens: counter("tokens")?,
-        batches: counter("batches")?,
-        swaps_observed: counter("swaps_observed")?,
-        latency: histogram("latency")?,
-        queue_wait: histogram("queue_wait")?,
-        handler: histogram("handler")?,
-    })
+    let mut stats = ServeStats::default();
+    for (name, field) in server_rows()
+        .into_iter()
+        .filter_map(|row| Some((row.key, row.field?)))
+    {
+        let member = value.get(name);
+        let missing = || WireError::new(format!("'stats' must carry a '{name}' member"));
+        let not_uint = || WireError::new(format!("'stats.{name}' must be an unsigned integer"));
+        match field(&mut stats) {
+            Field::Uint(n) => *n = member.and_then(JsonValue::as_u64).ok_or_else(not_uint)?,
+            Field::Latency(h) => *h = decode_sparse_histogram(member.ok_or_else(missing)?, name)?,
+        }
+    }
+    Ok(stats)
 }
 
 /// Encodes a `GET /shard-info` response: everything a router needs to
@@ -1430,5 +1478,63 @@ mod tests {
         let empty = encode_histogram(&HistogramSnapshot::default());
         assert_eq!(empty.get("count").unwrap().as_u64(), Some(0));
         assert_eq!(empty.get("p99_us"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn shard_info_bucket_counts_past_u64_are_refused() {
+        let body = concat!(
+            r#"{"epoch":2,"vocab_size":12,"n_topics":3,"alpha":0.05000000074505806,"#,
+            r#""shard":[0,12],"fold_in":{"kind":"esca","burn_in":5,"samples":8},"#,
+            r#""stats":{"requests":3,"tokens":9,"batches":2,"swaps_observed":1,"#,
+            r#""latency":{"sum_us":91700,"buckets":[[9,18446744073709551615],[16,1]]},"#,
+            r#""queue_wait":{"sum_us":0,"buckets":[]},"handler":{"sum_us":0,"buckets":[]}}}"#,
+        );
+        let err = decode_shard_info(body).expect_err("the counts sum past u64::MAX");
+        assert!(err.detail.contains("'latency.buckets'"), "{err}");
+    }
+
+    /// Every `/metrics` series name of a row.
+    fn series_names(series: Option<Series>) -> Vec<&'static str> {
+        match series {
+            None => Vec::new(),
+            Some(Series::Histogram(seconds, overflow)) => vec![seconds, overflow],
+            Some(
+                Series::Counter(name)
+                | Series::Gauge(name)
+                | Series::LabelledCounter(name)
+                | Series::LabelledGauge(name)
+                | Series::EndpointFamily(name),
+            ) => vec![name],
+        }
+    }
+
+    #[test]
+    fn the_observability_doc_lists_every_series_of_the_table() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let table = doc
+            .split("\n## Metric table\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("docs/OBSERVABILITY.md has a '## Metric table' section");
+        // Code spans of the table rows that name a series; labels dropped.
+        let documented: std::collections::BTreeSet<&str> = table
+            .lines()
+            .filter(|line| line.starts_with('|'))
+            .flat_map(|line| line.split('`').skip(1).step_by(2))
+            .filter(|span| span.starts_with("saber_"))
+            .map(|span| span.split('{').next().unwrap_or(span))
+            .collect();
+        let mut declared = std::collections::BTreeSet::new();
+        let all_series = (server_rows().into_iter().map(|row| row.series))
+            .chain(ROUTER.iter().map(|row| row.series))
+            .chain(PIPELINE.iter().map(|row| row.series))
+            .chain(HTTP.iter().map(|row| row.series))
+            .chain(ENDPOINT.iter().map(|row| row.series));
+        for series in all_series {
+            for name in series_names(series) {
+                assert!(declared.insert(name), "{name} is declared twice");
+            }
+        }
+        assert_eq!(documented, declared);
     }
 }

@@ -18,7 +18,10 @@
 //! * every `SABRDELTA` encode/decode round-trip is byte-exact, and the
 //!   strict decoder rejects truncation, trailing bytes, out-of-range or
 //!   non-increasing row ids and non-advancing epochs (ISSUE 10) — the
-//!   live `/publish-delta` seam must never panic on hostile input.
+//!   live `/publish-delta` seam must never panic on hostile input;
+//! * `/shard-info` carries any `ServeStats` to the router unchanged, and
+//!   its decoder never panics, refusing bucket counts whose total passes a
+//!   `u64` instead of wrapping or aborting.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -543,6 +546,106 @@ fn partial_response_size_follows_the_touched_topics_not_k() {
     };
     let body = wire::encode_partial_response(&dense, (0, 5100)).to_string();
     assert_eq!(wire::decode_partial_response(&body).unwrap(), dense);
+}
+
+// ------------------------------------------------------------ /shard-info
+
+use saberlda::serve::stats::N_BUCKETS;
+use saberlda::serve::{FoldInKind, FoldInParams, HistogramSnapshot, ServeStats, ShardInfo};
+
+/// A histogram from raw words: each pair is `(bucket index, count)`, every
+/// count divided by the pair count, so any count (`u64::MAX` for a lone
+/// pair) can appear and the counts still sum within a `u64`.
+fn sample_histogram(raw: &[u64], sum_us: u64, overflow: u64) -> HistogramSnapshot {
+    let pairs = raw.len() as u64 / 2;
+    let buckets = raw
+        .chunks_exact(2)
+        .map(|pair| ((pair[0] % N_BUCKETS as u64) as usize, pair[1] / pairs));
+    HistogramSnapshot::from_sparse_buckets(buckets, sum_us, overflow).expect("indices are in range")
+}
+
+/// A shard-info body whose `latency` member carries `buckets` verbatim.
+fn shard_info_with_latency_buckets(buckets: &str) -> String {
+    format!(
+        concat!(
+            r#"{{"epoch":2,"vocab_size":12,"n_topics":3,"alpha":0.05,"shard":[0,12],"#,
+            r#""fold_in":{{"kind":"esca","burn_in":5,"samples":8}},"#,
+            r#""stats":{{"requests":3,"tokens":9,"batches":2,"swaps_observed":1,"#,
+            r#""latency":{{"sum_us":91700,"buckets":[{}]}},"#,
+            r#""queue_wait":{{"sum_us":0,"buckets":[]}},"handler":{{"sum_us":0,"buckets":[]}}}}}}"#,
+        ),
+        buckets
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any `ServeStats` — counters, sums and overflow counts anywhere in
+    /// `u64`, sparse buckets whose counts sum within one — and the shard's
+    /// other members come back from `/shard-info` equal to what was sent.
+    #[test]
+    fn shard_info_roundtrips_any_serve_stats(
+        counters in vec(any::<u64>(), 4..5),
+        totals in vec(any::<u64>(), 6..7),
+        latency in vec(any::<u64>(), 0..24),
+        queue_wait in vec(any::<u64>(), 0..24),
+        handler in vec(any::<u64>(), 0..24),
+        shape in vec(any::<u32>(), 6..7),
+        em in any::<bool>(),
+    ) {
+        let info = ShardInfo {
+            epoch: counters[0] ^ counters[1],
+            vocab_size: shape[0] as usize,
+            n_topics: shape[1] as usize,
+            alpha: f32::from_bits(shape[2] & 0x3fff_ffff),
+            shard_range: (shape[3], shape[4]),
+            fold_in: FoldInParams {
+                burn_in: shape[5] as usize % 64,
+                samples: shape[5] as usize / 64,
+                kind: if em { FoldInKind::Em } else { FoldInKind::Esca },
+            },
+            stats: ServeStats {
+                requests: counters[0],
+                tokens: counters[1],
+                batches: counters[2],
+                swaps_observed: counters[3],
+                latency: sample_histogram(&latency, totals[0], totals[1]),
+                queue_wait: sample_histogram(&queue_wait, totals[2], totals[3]),
+                handler: sample_histogram(&handler, totals[4], totals[5]),
+            },
+        };
+        let body = wire::encode_shard_info(&info).to_string();
+        prop_assert_eq!(wire::decode_shard_info(&body).expect("own encoding decodes"), info);
+    }
+
+    /// Arbitrary bytes, a valid body with one byte overwritten and bucket
+    /// counts anywhere in `u64` never panic the decoder; bucket counts
+    /// decode to their exact total, or are refused when it passes `u64`.
+    #[test]
+    fn shard_info_decoder_survives_byte_soup(
+        bytes in vec(any::<u8>(), 0..300usize),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+        counts in vec(any::<u64>(), 0..4),
+    ) {
+        let _ = wire::decode_shard_info(&String::from_utf8_lossy(&bytes));
+        let valid = shard_info_with_latency_buckets("[9,2],[16,1]");
+        prop_assert!(wire::decode_shard_info(&valid).is_ok());
+        let mut mutated = valid.into_bytes();
+        let at = (at % mutated.len() as u64) as usize;
+        mutated[at] = byte;
+        let _ = wire::decode_shard_info(&String::from_utf8_lossy(&mutated));
+        let buckets: Vec<String> = counts.iter().enumerate().map(|(i, c)| format!("[{i},{c}]")).collect();
+        let total = counts.iter().try_fold(0u64, |total, &c| total.checked_add(c));
+        match wire::decode_shard_info(&shard_info_with_latency_buckets(&buckets.join(","))) {
+            Ok(info) => prop_assert_eq!(Some(info.stats.latency.count()), total),
+            Err(e) => {
+                prop_assert_eq!(total, None);
+                prop_assert!(e.detail.contains("'latency.buckets'"), "{}", e);
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------- live HTTP ingress
