@@ -334,7 +334,7 @@ pub fn encode_histogram(h: &HistogramSnapshot) -> JsonValue {
 // document visits them.
 
 /// What `/metrics` shows of one stats member.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 enum Series {
     /// One counter sample.
     Counter(&'static str),
@@ -469,12 +469,12 @@ fn server_rows<'a>() -> [Row<ServerView<'a>>; 10] {
         Server::new("mean_batch_size", None, |v| Float(v.0.mean_batch_size())),
         Server::new("snapshot_version", Some(Gauge("saber_snapshot_epoch")), |v| Uint(v.1)),
         Server::new("shards", Some(Gauge("saber_shards")), |v| Uint(v.2 as u64)),
-        Server::new("latency", Some(Histogram("saber_serve_latency_seconds", "saber_serve_latency_overflow_total")), |v| Latency(&v.0.latency))
-            .lossless(|s| Field::Latency(&mut s.latency)),
-        Server::new("queue_wait", Some(Histogram("saber_serve_queue_wait_seconds", "saber_serve_queue_wait_overflow_total")), |v| Latency(&v.0.queue_wait))
-            .lossless(|s| Field::Latency(&mut s.queue_wait)),
-        Server::new("handler", Some(Histogram("saber_serve_handler_seconds", "saber_serve_handler_overflow_total")), |v| Latency(&v.0.handler))
-            .lossless(|s| Field::Latency(&mut s.handler)),
+        Server::new("latency", Some(Histogram("saber_serve_latency_seconds", "saber_serve_latency_overflow_total")),
+            |v| Latency(&v.0.latency)).lossless(|s| Field::Latency(&mut s.latency)),
+        Server::new("queue_wait", Some(Histogram("saber_serve_queue_wait_seconds", "saber_serve_queue_wait_overflow_total")),
+            |v| Latency(&v.0.queue_wait)).lossless(|s| Field::Latency(&mut s.queue_wait)),
+        Server::new("handler", Some(Histogram("saber_serve_handler_seconds", "saber_serve_handler_overflow_total")),
+            |v| Latency(&v.0.handler)).lossless(|s| Field::Latency(&mut s.handler)),
     ]
 }
 
