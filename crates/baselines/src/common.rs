@@ -11,7 +11,7 @@ use saber_sparse::DenseMatrix;
 /// ~68 GB/s of aggregate memory bandwidth). Expressed as a [`DeviceSpec`] so
 /// the same roofline cost model prices CPU baselines; the "warp" width is the
 /// 8-lane AVX2 vector unit.
-pub fn cpu_host_spec() -> DeviceSpec {
+pub(crate) fn cpu_host_spec() -> DeviceSpec {
     DeviceSpec {
         name: "2x Xeon E5-2670 v3".to_string(),
         sm_count: 24,
@@ -30,7 +30,7 @@ pub fn cpu_host_spec() -> DeviceSpec {
 /// Token-level training state shared by every baseline: the flattened token
 /// list, per-document topic counts and the word–topic model.
 #[derive(Debug)]
-pub struct BaselineState {
+pub(crate) struct BaselineState {
     /// Document id per token.
     pub doc_ids: Vec<u32>,
     /// Word id per token.

@@ -45,21 +45,6 @@ impl DenseGibbsLda {
         }
     }
 
-    /// Device memory a dense resident system needs: dense `A`, `B`, `B̂` and
-    /// the token list. Prior systems fail (BIDMach reports out-of-memory at
-    /// 5 000 topics in §4.4) when this exceeds the card's memory.
-    pub fn required_device_bytes(&self) -> u64 {
-        let d = self.state.doc_topic.rows() as u64;
-        let v = self.state.model.vocab_size() as u64;
-        let k = self.state.n_topics() as u64;
-        d * k * 4 + 2 * v * k * 4 + self.state.n_tokens() * 8
-    }
-
-    /// Whether the dense working set fits on the configured device.
-    pub fn fits_in_memory(&self) -> bool {
-        self.required_device_bytes() <= self.device.global_mem_bytes
-    }
-
     /// Analytic per-iteration counters: every token reads its document's full
     /// dense row and the word's full `B̂` row, and the dense matrices are
     /// rebuilt.
@@ -156,25 +141,6 @@ mod tests {
             t_large > 8.0 * t_small,
             "dense sampler not O(K): {t_small} vs {t_large}"
         );
-    }
-
-    #[test]
-    fn memory_requirement_grows_with_topics_and_can_exceed_the_card() {
-        let corpus = SyntheticSpec::small_test().generate(2);
-        let small = DenseGibbsLda::new(&corpus, 64, 0.1, 0.01, 1, DeviceSpec::gtx_1080());
-        assert!(small.fits_in_memory());
-        // A PubMed-scale dense A at K=5000 cannot fit in 8 GB (the paper's
-        // BIDMach out-of-memory failure). Emulate by shrinking the device.
-        let big = DenseGibbsLda::new(
-            &corpus,
-            4096,
-            0.1,
-            0.01,
-            1,
-            DeviceSpec::toy(4 * 1024 * 1024),
-        );
-        assert!(!big.fits_in_memory());
-        assert!(big.required_device_bytes() > small.required_device_bytes());
     }
 
     #[test]

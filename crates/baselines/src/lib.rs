@@ -30,7 +30,6 @@ mod esca_cpu;
 mod ftree;
 mod warplda;
 
-pub use common::{cpu_host_spec, BaselineState};
 pub use dense_gibbs::DenseGibbsLda;
 pub use esca_cpu::EscaCpuLda;
 pub use ftree::FTreeLda;

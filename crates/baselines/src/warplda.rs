@@ -29,8 +29,6 @@ use crate::common::{cpu_host_spec, BaselineState};
 pub struct WarpLdaMh {
     state: BaselineState,
     cost: CostModel,
-    /// Number of MH proposal pairs applied to each token per iteration.
-    mh_steps: usize,
 }
 
 impl WarpLdaMh {
@@ -43,26 +41,19 @@ impl WarpLdaMh {
         WarpLdaMh {
             state: BaselineState::new(corpus, n_topics, alpha, beta, seed),
             cost: CostModel::new(cpu_host_spec()),
-            mh_steps: 1,
         }
-    }
-
-    /// Sets the number of MH proposal pairs per token per iteration.
-    pub fn with_mh_steps(mut self, steps: usize) -> Self {
-        self.mh_steps = steps.max(1);
-        self
     }
 
     fn iteration_stats(&self) -> KernelStats {
         let t = self.state.n_tokens();
         let v = self.state.model.vocab_size() as u64;
         let k = self.state.n_topics() as u64;
-        // O(1) work per token per MH step: a handful of reads and an
-        // acceptance test; plus the per-iteration count rebuild.
+        // O(1) work per token: a handful of reads and an acceptance test;
+        // plus the per-iteration count rebuild.
         KernelStats {
-            global_read_bytes: t * 32 * self.mh_steps as u64 + t * 8,
+            global_read_bytes: t * 32 + t * 8,
             global_write_bytes: t * 4 + v * k * 4,
-            warp_instructions: t * 12 * self.mh_steps as u64 + v * k / 4,
+            warp_instructions: t * 12 + v * k / 4,
             ..KernelStats::default()
         }
     }
@@ -112,36 +103,34 @@ impl LdaTrainer for WarpLdaMh {
             let d = self.state.doc_ids[i] as usize;
             let v = self.state.word_ids[i] as usize;
             let mut current = self.state.topics[i] as usize;
-            for _ in 0..self.mh_steps {
-                // Word proposal: q(k) ∝ B̂_vk; acceptance uses the document
-                // factor only (the word factors cancel).
-                let u: f32 = self.state.rng.gen_range(0.0..1.0);
-                let proposal = word_proposals[v].sample_with(u);
-                let accept = (self.state.doc_topic[(d, proposal)] as f32 + self.state.alpha)
-                    / (self.state.doc_topic[(d, current)] as f32 + self.state.alpha);
-                if self.state.rng.gen_range(0.0f32..1.0) < accept.min(1.0) {
-                    current = proposal;
-                }
+            // Word proposal: q(k) ∝ B̂_vk; acceptance uses the document
+            // factor only (the word factors cancel).
+            let u: f32 = self.state.rng.gen_range(0.0..1.0);
+            let proposal = word_proposals[v].sample_with(u);
+            let accept = (self.state.doc_topic[(d, proposal)] as f32 + self.state.alpha)
+                / (self.state.doc_topic[(d, current)] as f32 + self.state.alpha);
+            if self.state.rng.gen_range(0.0f32..1.0) < accept.min(1.0) {
+                current = proposal;
+            }
 
-                // Doc proposal: pick the topic of a random token of the same
-                // document (∝ A_dk plus an α-smoothing escape to uniform);
-                // acceptance uses the word factor only.
-                let doc_len = doc_offsets[d + 1] - doc_offsets[d];
-                let proposal = if doc_len == 0
-                    || self.state.rng.gen_range(0.0f32..1.0)
-                        < self.state.alpha * n_topics as f32
-                            / (doc_len as f32 + self.state.alpha * n_topics as f32)
-                {
-                    self.state.rng.gen_range(0..n_topics)
-                } else {
-                    let j = self.state.rng.gen_range(doc_offsets[d]..doc_offsets[d + 1]);
-                    prev_topics[j] as usize
-                };
-                let accept = self.state.model.word_topic_prob()[(v, proposal)]
-                    / self.state.model.word_topic_prob()[(v, current)].max(f32::MIN_POSITIVE);
-                if self.state.rng.gen_range(0.0f32..1.0) < accept.min(1.0) {
-                    current = proposal;
-                }
+            // Doc proposal: pick the topic of a random token of the same
+            // document (∝ A_dk plus an α-smoothing escape to uniform);
+            // acceptance uses the word factor only.
+            let doc_len = doc_offsets[d + 1] - doc_offsets[d];
+            let proposal = if doc_len == 0
+                || self.state.rng.gen_range(0.0f32..1.0)
+                    < self.state.alpha * n_topics as f32
+                        / (doc_len as f32 + self.state.alpha * n_topics as f32)
+            {
+                self.state.rng.gen_range(0..n_topics)
+            } else {
+                let j = self.state.rng.gen_range(doc_offsets[d]..doc_offsets[d + 1]);
+                prev_topics[j] as usize
+            };
+            let accept = self.state.model.word_topic_prob()[(v, proposal)]
+                / self.state.model.word_topic_prob()[(v, current)].max(f32::MIN_POSITIVE);
+            if self.state.rng.gen_range(0.0f32..1.0) < accept.min(1.0) {
+                current = proposal;
             }
             self.state.topics[i] = current as u32;
         }
@@ -200,7 +189,7 @@ mod tests {
         }
         .generate(10);
         let evaluator = HeldOutEvaluator::new(&corpus, 4).unwrap();
-        let mut mh = WarpLdaMh::new(&corpus, 5, 0.1, 0.01, 7).with_mh_steps(2);
+        let mut mh = WarpLdaMh::new(&corpus, 5, 0.1, 0.01, 7);
         let before = evaluator.log_likelihood(mh.word_topic_prob(), mh.alpha());
         for _ in 0..10 {
             mh.step();

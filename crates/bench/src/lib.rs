@@ -70,7 +70,12 @@ pub fn bench_corpus(preset: DatasetPreset, args: &BenchArgs, seed: u64) -> Corpu
 ///
 /// Panics if the configuration is invalid (only possible for out-of-range
 /// `k`).
-pub fn saber_trainer(corpus: &Corpus, k: usize, iterations: usize, chunks: usize) -> SaberLda {
+pub(crate) fn saber_trainer(
+    corpus: &Corpus,
+    k: usize,
+    iterations: usize,
+    chunks: usize,
+) -> SaberLda {
     let config = SaberLdaConfig::builder()
         .n_topics(k)
         .n_iterations(iterations)
@@ -81,11 +86,6 @@ pub fn saber_trainer(corpus: &Corpus, k: usize, iterations: usize, chunks: usize
     SaberLda::new(config, corpus).expect("benchmark corpus is non-empty")
 }
 
-/// Prints a Markdown-style table row.
-pub fn print_row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
-}
-
 /// Prints a Markdown-style table header with a separator line.
 pub fn print_header(cells: &[&str]) {
     print!("{}", table_header(cells));
@@ -93,7 +93,7 @@ pub fn print_header(cells: &[&str]) {
 
 /// A Markdown-style table header and its separator line, each ending in a
 /// newline.
-pub fn table_header(cells: &[&str]) -> String {
+pub(crate) fn table_header(cells: &[&str]) -> String {
     format!(
         "| {} |\n|{}|\n",
         cells.join(" | "),

@@ -149,7 +149,7 @@ impl SaberLdaConfig {
     /// The configuration corresponding to one of the ablation levels of
     /// Fig. 9, on top of this configuration's corpus-independent settings
     /// (topics, iterations, device, seed).
-    pub fn with_opt_level(mut self, level: OptLevel) -> Self {
+    pub(crate) fn with_opt_level(mut self, level: OptLevel) -> Self {
         self.token_order = if level >= OptLevel::G1 {
             TokenOrder::WordMajor
         } else {
@@ -172,7 +172,7 @@ impl SaberLdaConfig {
     }
 
     /// α as the paper sets it for a given `K` (`50 / K`).
-    pub fn paper_alpha(n_topics: usize) -> f32 {
+    pub(crate) fn paper_alpha(n_topics: usize) -> f32 {
         50.0 / n_topics as f32
     }
 

@@ -20,11 +20,13 @@ use saber_sparse::DenseMatrix;
 
 use crate::Result;
 
+/// Fold-in EM iterations per held-out document.
+const FOLD_IN_ITERATIONS: usize = 10;
+
 /// Evaluates held-out log-likelihood for any trainer exposing `B̂`.
 #[derive(Debug, Clone)]
 pub struct HeldOutEvaluator {
     split: HeldOutSplit,
-    fold_in_iterations: usize,
 }
 
 impl HeldOutEvaluator {
@@ -37,28 +39,7 @@ impl HeldOutEvaluator {
     pub fn new(held_out: &Corpus, seed: u64) -> Result<Self> {
         Ok(HeldOutEvaluator {
             split: held_out_split(held_out, 0.5, seed)?,
-            fold_in_iterations: 10,
         })
-    }
-
-    /// Uses an existing split (e.g. to share one split across systems so the
-    /// comparison of Fig. 11 is apples-to-apples).
-    pub fn from_split(split: HeldOutSplit) -> Self {
-        HeldOutEvaluator {
-            split,
-            fold_in_iterations: 10,
-        }
-    }
-
-    /// Overrides the number of fold-in EM iterations (default 10).
-    pub fn with_fold_in_iterations(mut self, iterations: usize) -> Self {
-        self.fold_in_iterations = iterations.max(1);
-        self
-    }
-
-    /// Number of evaluation tokens the likelihood is averaged over.
-    pub fn n_evaluation_tokens(&self) -> u64 {
-        self.split.evaluation.n_tokens()
     }
 
     /// Computes the held-out log-likelihood per token under the topic–word
@@ -81,7 +62,7 @@ impl HeldOutEvaluator {
             if evaluation.is_empty() {
                 continue;
             }
-            let theta = fold_in_document(observed.words(), bhat, alpha, self.fold_in_iterations);
+            let theta = fold_in_document(observed.words(), bhat, alpha, FOLD_IN_ITERATIONS);
             for &v in evaluation.words() {
                 let row = bhat.row(v as usize);
                 let mut p = 0.0f64;
@@ -112,34 +93,6 @@ fn fold_in_document(
     iterations: usize,
 ) -> Vec<f64> {
     crate::infer::fold_in_em(words, bhat, alpha, iterations)
-}
-
-/// Log-likelihood of a corpus under a *known* document–topic/topic–word
-/// factorisation — used by tests with planted models and by the examples.
-pub fn corpus_log_likelihood(
-    corpus: &Corpus,
-    doc_topic: &[Vec<f64>],
-    bhat: &DenseMatrix<f32>,
-) -> f64 {
-    let mut total = 0.0f64;
-    let mut tokens = 0u64;
-    for (d, doc) in corpus.documents().iter().enumerate() {
-        for &v in doc.words() {
-            let row = bhat.row(v as usize);
-            let p: f64 = doc_topic[d]
-                .iter()
-                .zip(row.iter())
-                .map(|(&t, &b)| t * b as f64)
-                .sum();
-            total += p.max(1e-300).ln();
-            tokens += 1;
-        }
-    }
-    if tokens == 0 {
-        0.0
-    } else {
-        total / tokens as f64
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +144,6 @@ mod tests {
     fn likelihood_is_per_token_and_negative() {
         let corpus = SyntheticSpec::small_test().generate(0);
         let eval = HeldOutEvaluator::new(&corpus, 2).unwrap();
-        assert!(eval.n_evaluation_tokens() > 0);
         let mut bhat = DenseMatrix::<f32>::zeros(corpus.vocab_size(), 4);
         let uniform = 1.0 / corpus.vocab_size() as f32;
         for v in 0..corpus.vocab_size() {
@@ -219,20 +171,5 @@ mod tests {
         let bhat = planted_bhat(10, 2);
         let theta = fold_in_document(&[], &bhat, 0.1, 5);
         assert!((theta[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn corpus_likelihood_with_planted_model() {
-        let (corpus, model) = SyntheticSpec::small_test().generate_with_model(5);
-        let mut bhat = DenseMatrix::<f32>::zeros(corpus.vocab_size(), model.topic_word.len());
-        for (k, phi) in model.topic_word.iter().enumerate() {
-            for (v, &p) in phi.iter().enumerate() {
-                bhat[(v, k)] = p as f32;
-            }
-        }
-        let ll = corpus_log_likelihood(&corpus, &model.doc_topic, &bhat);
-        assert!(ll < 0.0);
-        // Should beat the uniform bound log(1/V).
-        assert!(ll > (1.0 / corpus.vocab_size() as f64).ln());
     }
 }

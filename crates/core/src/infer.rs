@@ -133,7 +133,7 @@ pub fn em_update(theta: &mut [f64], counts: &[f64], n_words: usize, alpha: f32) 
 /// (its `get` binary-searches). Increments and decrements are `O(K_d)`,
 /// which beats any tree for the short documents inference sees.
 #[derive(Debug, Clone, Default)]
-pub struct SparseDocTopics {
+pub(crate) struct SparseDocTopics {
     indices: Vec<u32>,
     values: Vec<u32>,
 }
@@ -142,11 +142,6 @@ impl SparseDocTopics {
     /// Creates an empty counter.
     pub fn new() -> Self {
         SparseDocTopics::default()
-    }
-
-    /// Number of distinct topics currently present (`K_d`).
-    pub fn n_distinct(&self) -> usize {
-        self.indices.len()
     }
 
     /// View compatible with the sparsity-aware sampler.
@@ -182,7 +177,7 @@ impl SparseDocTopics {
     }
 
     /// Accumulates the counts into a dense vector.
-    pub fn accumulate_into(&self, dense: &mut [f64]) {
+    pub(crate) fn accumulate_into(&self, dense: &mut [f64]) {
         for (&t, &c) in self.indices.iter().zip(self.values.iter()) {
             dense[t as usize] += c as f64;
         }
@@ -568,11 +563,11 @@ mod tests {
         c.add(3);
         c.add(3);
         c.add(7);
-        assert_eq!(c.n_distinct(), 2);
+        assert_eq!(c.as_view().nnz(), 2);
         assert_eq!(c.as_view().get(3), Some(2));
         c.remove(3);
         c.remove(3);
-        assert_eq!(c.n_distinct(), 1);
+        assert_eq!(c.as_view().nnz(), 1);
         assert_eq!(c.as_view().get(3), None);
         let mut dense = vec![0.0f64; 8];
         c.accumulate_into(&mut dense);

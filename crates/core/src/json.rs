@@ -31,7 +31,7 @@ use std::fmt;
 
 /// Maximum nesting depth [`parse`] accepts before reporting
 /// [`JsonError::TooDeep`]; prevents stack exhaustion on adversarial input.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// One JSON value.
 ///
@@ -239,7 +239,7 @@ pub enum JsonError {
         /// What was found / expected.
         detail: String,
     },
-    /// Nesting exceeded [`MAX_DEPTH`].
+    /// Nesting exceeded `MAX_DEPTH` (64).
     TooDeep,
     /// Valid JSON followed by trailing non-whitespace.
     TrailingData {
@@ -269,7 +269,7 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] on malformed input, nesting beyond [`MAX_DEPTH`],
+/// Returns [`JsonError`] on malformed input, nesting beyond `MAX_DEPTH`,
 /// or trailing bytes after the value.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {

@@ -28,8 +28,7 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 use saber_gpu_sim::memory::AddressMap;
 use saber_gpu_sim::warp::{
-    warp_inclusive_prefix_sum, warp_iterations, warp_vote_first_active, PREFIX_SUM_INSTRUCTIONS,
-    REDUCE_INSTRUCTIONS, VOTE_INSTRUCTIONS, WARP_SIZE,
+    PREFIX_SUM_INSTRUCTIONS, REDUCE_INSTRUCTIONS, VOTE_INSTRUCTIONS, WARP_SIZE,
 };
 use saber_gpu_sim::MemoryTracker;
 use saber_sparse::{CsrMatrix, SparseRowView};
@@ -346,31 +345,6 @@ fn waiting_penalty(group_nnz: impl Iterator<Item = usize>) -> u64 {
     (max * lanes - sum) as u64
 }
 
-/// Warp-vectorised search for the position of `x` in the prefix sums of
-/// `probs` (the inner loop of Fig. 5): processes 32 values at a time with a
-/// warp prefix sum, a ballot vote and a broadcast of the running total.
-///
-/// Returns the index of the first position whose inclusive prefix sum is
-/// `>= x`, or `probs.len() - 1` if `x` exceeds the total (round-off).
-///
-/// # Panics
-///
-/// Panics if `probs` is empty.
-pub fn warp_find_prefix_position(probs: &[f32], x: f32) -> usize {
-    assert!(!probs.is_empty(), "probability vector must not be empty");
-    let mut running = 0.0f32;
-    for (start, lanes) in warp_iterations(probs.len()) {
-        let mut lane_vals = [0.0f32; WARP_SIZE];
-        lane_vals[..lanes].copy_from_slice(&probs[start..start + lanes]);
-        warp_inclusive_prefix_sum(&mut lane_vals[..lanes]);
-        if let Some(lane) = warp_vote_first_active(lanes, |l| running + lane_vals[l] >= x) {
-            return start + lane;
-        }
-        running += lane_vals[lanes - 1];
-    }
-    probs.len() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,7 +354,6 @@ mod tests {
     use rand::SeedableRng;
     use saber_corpus::synthetic::SyntheticSpec;
     use saber_gpu_sim::KernelStats;
-    use saber_sparse::prefix::{find_in_prefix_sum_linear, inclusive_prefix_sum};
 
     fn setup(
         order: TokenOrder,
@@ -824,37 +797,5 @@ mod tests {
             after > before + 0.05,
             "document topic purity did not improve: before {before:.3}, after {after:.3}"
         );
-    }
-
-    #[test]
-    fn warp_prefix_search_matches_scalar_search() {
-        let probs = vec![
-            0.3f32, 0.0, 1.2, 0.7, 2.0, 0.1, 0.9, 0.4, 1.5, 0.6, 0.05, 3.0,
-        ];
-        let prefix = inclusive_prefix_sum(&probs);
-        let total: f32 = probs.iter().sum();
-        for i in 0..200 {
-            let x = total * (i as f32 + 0.5) / 200.0;
-            assert_eq!(
-                warp_find_prefix_position(&probs, x),
-                find_in_prefix_sum_linear(&prefix, x),
-                "x = {x}"
-            );
-        }
-        // Long vector spanning several warp iterations.
-        let probs: Vec<f32> = (0..100).map(|i| ((i * 7) % 13) as f32 + 0.1).collect();
-        let prefix = inclusive_prefix_sum(&probs);
-        let total: f32 = probs.iter().sum();
-        for i in 0..50 {
-            let x = total * (i as f32 + 0.5) / 50.0;
-            let got = warp_find_prefix_position(&probs, x);
-            let expected = find_in_prefix_sum_linear(&prefix, x);
-            // Floating-point summation order differs between the two; accept
-            // an off-by-one at exact boundaries.
-            assert!(
-                got == expected || got + 1 == expected || expected + 1 == got,
-                "x = {x}: warp {got} vs scalar {expected}"
-            );
-        }
     }
 }

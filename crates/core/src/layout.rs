@@ -76,7 +76,7 @@ impl Chunk {
 
     /// Host↔device bytes for the token payload (word id + topic per token, as
     /// in Table 2's 8-bytes-per-token accounting).
-    pub fn token_bytes(&self) -> u64 {
+    pub(crate) fn token_bytes(&self) -> u64 {
         self.n_tokens() as u64 * 8
     }
 
@@ -104,12 +104,6 @@ impl Chunk {
             out.push(acc);
         }
         out
-    }
-
-    /// The number of distinct words appearing in the chunk (only meaningful
-    /// for word-major order, where it equals the number of segments).
-    pub fn distinct_keys(&self) -> usize {
-        self.segments.len()
     }
 }
 
@@ -140,7 +134,7 @@ pub fn build_chunks(
 /// Splits documents into at most `n_chunks` contiguous ranges with roughly
 /// equal token counts. Returns `(start, end)` document-id pairs; empty ranges
 /// are dropped, so fewer chunks may be returned for tiny corpora.
-pub fn partition_documents(corpus: &Corpus, n_chunks: usize) -> Vec<(usize, usize)> {
+pub(crate) fn partition_documents(corpus: &Corpus, n_chunks: usize) -> Vec<(usize, usize)> {
     assert!(n_chunks > 0, "n_chunks must be positive");
     let total = corpus.n_tokens();
     if corpus.n_docs() == 0 || total == 0 {
@@ -350,7 +344,7 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
-        assert_eq!(c.distinct_keys(), 5);
+        assert_eq!(c.segments.len(), 5);
     }
 
     #[test]

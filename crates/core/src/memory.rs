@@ -77,7 +77,12 @@ impl MemoryEstimator {
     /// matrices plus one chunk's share of the token list and sparse
     /// document–topic matrix — fits on `device` when streaming in `n_chunks`
     /// chunks.
-    pub fn fits_on_device(&self, n_topics: usize, n_chunks: usize, device: &DeviceSpec) -> bool {
+    pub(crate) fn fits_on_device(
+        &self,
+        n_topics: usize,
+        n_chunks: usize,
+        device: &DeviceSpec,
+    ) -> bool {
         let e = self.estimate(n_topics);
         let chunked = (e.token_list_bytes + e.doc_topic_sparse_bytes) / n_chunks.max(1) as u64;
         e.word_topic_dense_bytes + chunked <= device.global_mem_bytes

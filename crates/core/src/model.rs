@@ -189,21 +189,6 @@ impl LdaModel {
         top_words_of_column(&self.word_topic_prob, k, n)
     }
 
-    /// The probability of word `v` under topic `k` (`B̂_vk`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` or `k` is out of range.
-    pub fn word_prob(&self, v: usize, k: usize) -> f32 {
-        self.word_topic_prob[(v, k)]
-    }
-
-    /// Device-memory footprint of the dense matrices `B` + `B̂` in bytes
-    /// (Table 2's "Word-Topic Matrix B, B̂" column).
-    pub fn dense_matrices_bytes(&self) -> u64 {
-        (self.word_topic.memory_bytes() + self.word_topic_prob.memory_bytes()) as u64
-    }
-
     /// An owned copy of `B̂` as of the last [`LdaModel::refresh_probabilities`]
     /// call — the immutable export a serving snapshot is built from, detached
     /// from the (still-training) model.
@@ -259,10 +244,10 @@ mod tests {
         m.word_topic_mut()[(1, 0)] = 1;
         m.refresh_probabilities();
         let vbeta = 3.0 * 0.5;
-        assert!((m.word_prob(0, 0) - (2.0 + 0.5) / (3.0 + vbeta)).abs() < 1e-6);
-        assert!((m.word_prob(2, 0) - 0.5 / (3.0 + vbeta)).abs() < 1e-6);
+        assert!((m.word_topic_prob()[(0, 0)] - (2.0 + 0.5) / (3.0 + vbeta)).abs() < 1e-6);
+        assert!((m.word_topic_prob()[(2, 0)] - 0.5 / (3.0 + vbeta)).abs() < 1e-6);
         // Empty topic: uniform 1/V.
-        assert!((m.word_prob(0, 1) - 0.5 / vbeta).abs() < 1e-6);
+        assert!((m.word_topic_prob()[(0, 1)] - 0.5 / vbeta).abs() < 1e-6);
         assert_eq!(m.topic_totals(), &[3, 0]);
     }
 
@@ -274,7 +259,7 @@ mod tests {
         m.word_topic_mut()[(0, 3)] = 1;
         m.refresh_probabilities();
         for k in 0..4 {
-            let col_sum: f32 = (0..10).map(|v| m.word_prob(v, k)).sum();
+            let col_sum: f32 = (0..10).map(|v| m.word_topic_prob()[(v, k)]).sum();
             assert!((col_sum - 1.0).abs() < 1e-5, "column {k} sums to {col_sum}");
         }
     }
@@ -332,14 +317,8 @@ mod tests {
         // full refresh), not recomputed column sums.
         let vbeta = 6.0 * 0.05;
         let expected = (9.0 + 0.05) / (m.topic_totals()[1] as f32 + vbeta);
-        assert_eq!(m.word_prob(1, 1).to_bits(), expected.to_bits());
+        assert_eq!(m.word_topic_prob()[(1, 1)].to_bits(), expected.to_bits());
         assert_eq!(m.topic_totals(), &[2, 1, 1], "totals must stay cached");
-    }
-
-    #[test]
-    fn memory_footprint_matches_dimensions() {
-        let m = LdaModel::new(1000, 64, 0.1, 0.01).unwrap();
-        assert_eq!(m.dense_matrices_bytes(), 2 * 1000 * 64 * 4);
     }
 
     #[test]

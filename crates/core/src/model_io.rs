@@ -30,11 +30,11 @@ const DELTA_VERSION: u32 = 1;
 
 /// Size in bytes of a `SABRSNAP` header (magic + version + dims + α +
 /// sampler code), ahead of the raw `B̂` bits.
-pub const SNAPSHOT_HEADER_BYTES: u64 = 8 + 4 + 8 + 8 + 4 + 1;
+pub(crate) const SNAPSHOT_HEADER_BYTES: u64 = 8 + 4 + 8 + 8 + 4 + 1;
 
 /// Size in bytes of a `SABRDELTA` header (magic + version + base/target
 /// epochs + dims + α + sampler code + row count), ahead of the rows.
-pub const DELTA_HEADER_BYTES: u64 = 8 + 4 + 8 + 8 + 8 + 8 + 4 + 1 + 8;
+pub(crate) const DELTA_HEADER_BYTES: u64 = 8 + 4 + 8 + 8 + 8 + 8 + 4 + 1 + 8;
 
 /// Exact encoded size of a `SABRSNAP` snapshot with the given dimensions,
 /// or `None` on overflow — what [`load_snapshot`] will consume, and the
@@ -158,33 +158,18 @@ pub struct SnapshotPayload {
     pub bhat: Vec<f32>,
 }
 
-/// Writes a snapshot payload to `writer` in the versioned `SABRSNAP`
-/// format: magic, format version, dimensions, α, sampler code, then the
-/// raw little-endian `B̂` bits (so a round trip is bit-exact).
+/// Writes a snapshot to `writer` in the versioned `SABRSNAP` format: magic,
+/// format version, dimensions, α, sampler code, then the raw little-endian
+/// `B̂` bits (so a round trip through [`load_snapshot`] is bit-exact). It
+/// takes borrowed parts, so a caller that holds `B̂` as a contiguous slice
+/// (a serving snapshot) streams it out without first copying the matrix
+/// into a [`SnapshotPayload`].
 ///
 /// # Errors
 ///
 /// Returns [`SaberError::Io`] on write failures and
 /// [`SaberError::InvalidConfig`] when `bhat` does not have
 /// `vocab_size * n_topics` entries.
-pub fn save_snapshot<W: Write>(payload: &SnapshotPayload, writer: W) -> Result<()> {
-    save_snapshot_parts(
-        payload.vocab_size,
-        payload.n_topics,
-        payload.alpha,
-        payload.sampler_code,
-        &payload.bhat,
-        writer,
-    )
-}
-
-/// [`save_snapshot`] from borrowed parts — lets a caller that already
-/// holds `B̂` as a contiguous slice (a serving snapshot) stream it out
-/// without first copying the matrix into a [`SnapshotPayload`].
-///
-/// # Errors
-///
-/// As [`save_snapshot`].
 pub fn save_snapshot_parts<W: Write>(
     vocab_size: usize,
     n_topics: usize,
@@ -282,7 +267,7 @@ pub fn read_snapshot_header<R: Read>(reader: &mut R) -> Result<SnapshotHeader> {
     })
 }
 
-/// Reads a snapshot payload previously written by [`save_snapshot`].
+/// Reads a snapshot payload previously written by [`save_snapshot_parts`].
 ///
 /// # Errors
 ///
@@ -551,7 +536,10 @@ mod tests {
         for v in 0..model.vocab_size() {
             assert_eq!(loaded.word_topic().row(v), model.word_topic().row(v));
             for k in 0..model.n_topics() {
-                assert!((loaded.word_prob(v, k) - model.word_prob(v, k)).abs() < 1e-7);
+                assert!(
+                    (loaded.word_topic_prob()[(v, k)] - model.word_topic_prob()[(v, k)]).abs()
+                        < 1e-7
+                );
             }
         }
     }
@@ -585,7 +573,7 @@ mod tests {
             bhat: vec![0.1, 0.9, 0.5, 0.5, 1.0 / 3.0, 2.0 / 3.0],
         };
         let mut buf = Vec::new();
-        save_snapshot(&payload, &mut buf).unwrap();
+        save_snapshot_parts(3, 2, payload.alpha, 1, &payload.bhat, &mut buf).unwrap();
         let loaded = load_snapshot(buf.as_slice()).unwrap();
         assert_eq!(loaded.vocab_size, 3);
         assert_eq!(loaded.n_topics, 2);
@@ -599,12 +587,8 @@ mod tests {
         let mut wrong_version = buf.clone();
         wrong_version[8] = 9;
         assert!(load_snapshot(wrong_version.as_slice()).is_err());
-        // A payload whose matrix disagrees with its dimensions won't save.
-        let bad = SnapshotPayload {
-            bhat: vec![0.5; 5],
-            ..payload
-        };
-        assert!(save_snapshot(&bad, &mut Vec::new()).is_err());
+        // A matrix that disagrees with its dimensions won't save.
+        assert!(save_snapshot_parts(3, 2, 0.05, 1, &[0.5; 5], &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -716,15 +700,8 @@ mod tests {
 
     #[test]
     fn snapshot_header_reports_its_encoded_size() {
-        let payload = SnapshotPayload {
-            vocab_size: 3,
-            n_topics: 2,
-            alpha: 0.05,
-            sampler_code: 1,
-            bhat: vec![0.5; 6],
-        };
         let mut buf = Vec::new();
-        save_snapshot(&payload, &mut buf).unwrap();
+        save_snapshot_parts(3, 2, 0.05, 1, &[0.5; 6], &mut buf).unwrap();
         let header = read_snapshot_header(&mut buf.as_slice()).unwrap();
         assert_eq!(header.vocab_size, 3);
         assert_eq!(header.n_topics, 2);

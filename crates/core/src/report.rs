@@ -119,18 +119,7 @@ pub struct IterationStats {
     pub log_likelihood: Option<f64>,
 }
 
-impl IterationStats {
-    /// Throughput in millions of tokens per estimated device second
-    /// (the paper's Mtoken/s metric).
-    pub fn throughput_mtokens_per_s(&self) -> f64 {
-        let t = self.phases.total();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.tokens as f64 / t / 1e6
-        }
-    }
-}
+impl IterationStats {}
 
 /// The full record of a training run.
 #[derive(Debug, Clone, Default)]
@@ -218,15 +207,6 @@ impl TrainingReport {
         }
         out
     }
-
-    /// The first cumulative time at which the log-likelihood reached
-    /// `threshold`, if it ever did (the paper's time-to-converge metric).
-    pub fn time_to_reach(&self, threshold: f64) -> Option<f64> {
-        self.convergence_curve()
-            .into_iter()
-            .find(|&(_, ll)| ll >= threshold)
-            .map(|(t, _)| t)
-    }
 }
 
 #[cfg(test)]
@@ -270,15 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_is_tokens_over_time() {
-        let it = iteration(0, 0.83, None);
-        let expected = 1.0 / it.phases.total();
-        assert!((it.throughput_mtokens_per_s() - expected).abs() < 1e-9);
-        let zero = IterationStats::default();
-        assert_eq!(zero.throughput_mtokens_per_s(), 0.0);
-    }
-
-    #[test]
     fn report_aggregates_and_converges() {
         let report = TrainingReport {
             iterations: vec![
@@ -292,8 +263,6 @@ mod tests {
         let curve = report.convergence_curve();
         assert_eq!(curve.len(), 3);
         assert!(curve[0].0 < curve[1].0);
-        assert!(report.time_to_reach(-8.0).unwrap() <= report.time_to_reach(-7.5).unwrap());
-        assert!(report.time_to_reach(-7.0).is_none());
         assert!(report.mean_throughput_mtokens_per_s() > 0.0);
         assert_eq!(report.phase_totals().a_update, 0.4);
         assert_eq!(report.wall_seconds(), 2.0);

@@ -17,7 +17,7 @@
 //! Alg. 2 is kept in two halves. The **chain** ([`product_chain`]) turns
 //! `A_d` and `B̂_v` into the running sums of `P`; it depends on the pair
 //! `(d, v)` only, so [`crate::kernel`] runs it once per pair, several pairs
-//! side by side. The **draw** ([`draw_topic`]) spends a token's random numbers
+//! side by side. The **draw** (`draw_topic`) spends a token's random numbers
 //! on those sums. [`sample_token`] composes the two, one token at a time.
 
 use rand::Rng;
@@ -112,7 +112,7 @@ pub(crate) fn product_chains<'s>(
 /// a position in `sums` ([`product_chain`]'s output over the topics
 /// `indices`) or in the word's pre-processed structure for
 /// `p₂(k) ∝ B̂_vk`, whose [`TopicSampler::total`] must equal `Σ_k B̂_vk`.
-pub fn draw_topic<R: Rng + ?Sized, S: TopicSampler + ?Sized>(
+pub(crate) fn draw_topic<R: Rng + ?Sized, S: TopicSampler + ?Sized>(
     sums: &[f32],
     indices: &[u32],
     alpha: f32,
@@ -140,7 +140,7 @@ pub fn draw_topic<R: Rng + ?Sized, S: TopicSampler + ?Sized>(
 /// Draws a new topic for one token (Alg. 2): [`product_chain`] over
 /// `doc_row` — the document's row of the document–topic matrix `A` (sparse,
 /// topics as indices, counts as values) — and `bhat_row` — the word's row of
-/// `B̂` (dense, length `K`) — then [`draw_topic`].
+/// `B̂` (dense, length `K`) — then `draw_topic`.
 ///
 /// # Panics
 ///
@@ -190,8 +190,9 @@ pub fn sample_token_dense<R: Rng + ?Sized>(
 }
 
 /// Computes the exact conditional distribution `p(k) ∝ (A_dk + α)·B̂_vk`
-/// (normalised). Used by tests to compare the samplers against ground truth.
-pub fn exact_conditional(
+/// (normalised): the ground truth the tests hold the samplers to.
+#[cfg(test)]
+pub(crate) fn exact_conditional(
     doc_row: SparseRowView<'_, u32>,
     bhat_row: &[f32],
     alpha: f32,

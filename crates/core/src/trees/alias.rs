@@ -79,16 +79,6 @@ impl AliasTable {
         }
         AliasTable { prob, alias, total }
     }
-
-    /// The kept-probability column (exposed for tests and inspection).
-    pub fn probabilities(&self) -> &[f32] {
-        &self.prob
-    }
-
-    /// The alias column (exposed for tests and inspection).
-    pub fn aliases(&self) -> &[u32] {
-        &self.alias
-    }
 }
 
 impl TopicSampler for AliasTable {
@@ -143,11 +133,8 @@ mod tests {
     fn table_is_well_formed() {
         let t = AliasTable::new(&[0.1, 0.2, 0.3, 0.4]);
         assert_eq!(t.len(), 4);
-        assert!(t
-            .probabilities()
-            .iter()
-            .all(|&p| (0.0..=1.0 + 1e-5).contains(&p)));
-        assert!(t.aliases().iter().all(|&a| (a as usize) < 4));
+        assert!(t.prob.iter().all(|&p| (0.0..=1.0 + 1e-5).contains(&p)));
+        assert!(t.alias.iter().all(|&a| (a as usize) < 4));
     }
 
     #[test]

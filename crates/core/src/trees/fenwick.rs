@@ -60,17 +60,6 @@ impl FenwickTree {
         FenwickTree { tree, n, total }
     }
 
-    /// Prefix sum of weights `0..=idx` (inclusive), mainly for tests.
-    pub fn prefix_sum(&self, idx: usize) -> f32 {
-        let mut i = idx + 1;
-        let mut acc = 0.0f64;
-        while i > 0 {
-            acc += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        acc as f32
-    }
-
     /// Finds the smallest index whose inclusive prefix sum is `>= x` by
     /// binary lifting over the Fenwick structure.
     fn descend(&self, x: f64) -> usize {
@@ -132,6 +121,17 @@ mod tests {
     use crate::trees::test_util::assert_matches_distribution;
     use proptest::prelude::*;
 
+    /// Prefix sum of weights `0..=idx` (inclusive), read off the tree.
+    fn prefix_sum(t: &FenwickTree, idx: usize) -> f32 {
+        let mut i = idx + 1;
+        let mut acc = 0.0f64;
+        while i > 0 {
+            acc += t.tree[i];
+            i -= i & i.wrapping_neg();
+        }
+        acc as f32
+    }
+
     #[test]
     fn prefix_sums_match_scalar() {
         let weights = [1.0f32, 0.0, 2.0, 3.0, 0.0, 2.0, 0.0, 0.0, 1.0];
@@ -139,7 +139,7 @@ mod tests {
         let mut acc = 0.0f32;
         for (i, &w) in weights.iter().enumerate() {
             acc += w;
-            assert!((t.prefix_sum(i) - acc).abs() < 1e-6, "prefix {i}");
+            assert!((prefix_sum(&t, i) - acc).abs() < 1e-6, "prefix {i}");
         }
         assert_eq!(t.total(), 9.0);
     }

@@ -87,7 +87,7 @@ impl WordSampler {
 
     /// Rebuilds this structure from `weights` as `kind`, equal to
     /// [`WordSampler::build`] on the same arguments. A W-ary tree refills its
-    /// own allocation ([`WaryTree::refill`]); the other kinds are rebuilt.
+    /// own allocation (`WaryTree::refill`); the other kinds are rebuilt.
     pub fn rebuild(&mut self, kind: PreprocessKind, weights: &[f32]) {
         match (self, kind) {
             (WordSampler::Wary(tree), PreprocessKind::WaryTree) => tree.refill(weights),
@@ -136,7 +136,7 @@ pub(crate) mod test_util {
 
     /// Checks that drawing many samples from `sampler` reproduces the
     /// normalised `weights` within `tolerance` (absolute, per topic).
-    pub fn assert_matches_distribution<S: TopicSampler>(
+    pub(crate) fn assert_matches_distribution<S: TopicSampler>(
         sampler: &S,
         weights: &[f32],
         draws: usize,

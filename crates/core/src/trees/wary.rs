@@ -71,7 +71,7 @@ impl WaryTree {
     ///
     /// As [`WaryTree::new`]; a tree that panicked while refilling must not
     /// be sampled.
-    pub fn refill(&mut self, weights: &[f32]) {
+    pub(crate) fn refill(&mut self, weights: &[f32]) {
         assert!(!weights.is_empty(), "W-ary tree needs at least one weight");
         assert!(
             weights.len() <= 1 << 31,

@@ -118,7 +118,7 @@ impl Corpus {
     ///
     /// Returns [`CorpusError::InvalidConfig`] if the vocabulary is smaller than
     /// the corpus's declared vocabulary size.
-    pub fn with_vocabulary(mut self, vocab: Vocabulary) -> Result<Self> {
+    pub(crate) fn with_vocabulary(mut self, vocab: Vocabulary) -> Result<Self> {
         if vocab.len() < self.vocab_size {
             return Err(CorpusError::InvalidConfig {
                 detail: format!(

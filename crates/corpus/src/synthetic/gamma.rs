@@ -17,7 +17,7 @@ use rand::Rng;
 /// # Panics
 ///
 /// Panics if `shape` is not finite and positive.
-pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
+pub(crate) fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
     assert!(
         shape.is_finite() && shape > 0.0,
         "gamma shape must be positive and finite, got {shape}"
@@ -49,7 +49,7 @@ pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
 }
 
 /// Draws a standard normal variate using the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -60,7 +60,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// # Panics
 ///
 /// Panics if `dim == 0` or `alpha <= 0`.
-pub fn sample_symmetric_dirichlet<R: Rng + ?Sized>(
+pub(crate) fn sample_symmetric_dirichlet<R: Rng + ?Sized>(
     rng: &mut R,
     dim: usize,
     alpha: f64,
@@ -74,7 +74,7 @@ pub fn sample_symmetric_dirichlet<R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if `alphas` is empty or contains a non-positive entry.
-pub fn sample_dirichlet<R: Rng + ?Sized>(rng: &mut R, alphas: &[f64]) -> Vec<f64> {
+pub(crate) fn sample_dirichlet<R: Rng + ?Sized>(rng: &mut R, alphas: &[f64]) -> Vec<f64> {
     assert!(
         !alphas.is_empty(),
         "dirichlet needs at least one concentration"

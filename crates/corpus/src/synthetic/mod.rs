@@ -12,8 +12,8 @@
 mod gamma;
 mod zipf;
 
-pub use gamma::{sample_dirichlet, sample_gamma, sample_symmetric_dirichlet, standard_normal};
-pub use zipf::ZipfSampler;
+use gamma::{sample_dirichlet, sample_symmetric_dirichlet, standard_normal};
+use zipf::ZipfLaw;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,11 +107,6 @@ impl SyntheticSpec {
         }
     }
 
-    /// Expected total number of tokens `D · mean_doc_len`.
-    pub fn expected_tokens(&self) -> u64 {
-        (self.n_docs as f64 * self.mean_doc_len) as u64
-    }
-
     /// Generates a corpus with the given random seed.
     pub fn generate(&self, seed: u64) -> Corpus {
         self.generate_with_model(seed).0
@@ -129,7 +124,7 @@ impl SyntheticSpec {
         assert!(self.mean_doc_len > 0.0, "mean_doc_len must be positive");
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let zipf = ZipfSampler::new(self.vocab_size, self.zipf_exponent);
+        let zipf = ZipfLaw::new(self.vocab_size, self.zipf_exponent);
         let base = zipf.probabilities();
 
         // Topic–word distributions: Dirichlet with a Zipf-proportional base

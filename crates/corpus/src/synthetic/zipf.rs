@@ -1,4 +1,4 @@
-//! Zipf-distributed word sampling.
+//! Zipf-distributed word frequencies.
 //!
 //! §3.4 of the paper notes that "the term frequency of a natural corpus often
 //! follows the power law \[Zipf 1932\]" and uses this to motivate sorting words
@@ -6,28 +6,14 @@
 //! therefore biases word probabilities by a Zipf law so that the generated
 //! corpora exhibit the same skew (a few very frequent words, a long tail).
 
-use rand::Rng;
-
-/// Samples ranks `0..n` with probability proportional to `1 / (rank + 1)^s`.
-///
-/// # Examples
-///
-/// ```
-/// use saber_corpus::synthetic::ZipfSampler;
-/// use rand::SeedableRng;
-///
-/// let zipf = ZipfSampler::new(1000, 1.07);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let r = zipf.sample(&mut rng);
-/// assert!(r < 1000);
-/// ```
+/// The Zipf law over ranks `0..n`: rank `r` has probability proportional to
+/// `1 / (r + 1)^s`.
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfLaw {
     cumulative: Vec<f64>,
-    exponent: f64,
 }
 
-impl ZipfSampler {
+impl ZipfLaw {
     /// Creates a sampler over `n` ranks with exponent `s`.
     ///
     /// # Panics
@@ -42,25 +28,12 @@ impl ZipfSampler {
             acc += 1.0 / ((rank + 1) as f64).powf(s);
             cumulative.push(acc);
         }
-        ZipfSampler {
-            cumulative,
-            exponent: s,
-        }
+        ZipfLaw { cumulative }
     }
 
     /// Number of ranks in the support.
     pub fn len(&self) -> usize {
         self.cumulative.len()
-    }
-
-    /// Returns `true` if the support is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// The configured exponent.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Probability of rank `r`.
@@ -74,15 +47,6 @@ impl ZipfSampler {
         (self.cumulative[r] - lo) / total
     }
 
-    /// Draws one rank.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total = *self.cumulative.last().expect("non-empty");
-        let u = rng.gen_range(0.0..total);
-        self.cumulative
-            .partition_point(|&c| c < u)
-            .min(self.len() - 1)
-    }
-
     /// The normalised probability of every rank, useful as a base measure for
     /// Dirichlet draws.
     pub fn probabilities(&self) -> Vec<f64> {
@@ -93,62 +57,32 @@ impl ZipfSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn probabilities_sum_to_one() {
-        let z = ZipfSampler::new(50, 1.1);
+        let z = ZipfLaw::new(50, 1.1);
         let sum: f64 = z.probabilities().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn rank_zero_is_most_probable() {
-        let z = ZipfSampler::new(100, 1.0);
+        let z = ZipfLaw::new(100, 1.0);
         assert!(z.probability(0) > z.probability(1));
         assert!(z.probability(1) > z.probability(50));
     }
 
     #[test]
     fn exponent_zero_is_uniform() {
-        let z = ZipfSampler::new(10, 0.0);
+        let z = ZipfLaw::new(10, 0.0);
         for r in 0..10 {
             assert!((z.probability(r) - 0.1).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn empirical_frequencies_match() {
-        let z = ZipfSampler::new(20, 1.0);
-        let mut rng = StdRng::seed_from_u64(13);
-        let n = 100_000;
-        let mut counts = [0usize; 20];
-        for _ in 0..n {
-            counts[z.sample(&mut rng)] += 1;
-        }
-        for (r, &count) in counts.iter().enumerate() {
-            let emp = count as f64 / n as f64;
-            let exp = z.probability(r);
-            assert!(
-                (emp - exp).abs() < 0.01,
-                "rank {r}: empirical {emp}, expected {exp}"
-            );
-        }
-    }
-
-    #[test]
-    fn samples_in_range() {
-        let z = ZipfSampler::new(3, 2.0);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..1000 {
-            assert!(z.sample(&mut rng) < 3);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "support must be non-empty")]
     fn zero_support_panics() {
-        ZipfSampler::new(0, 1.0);
+        ZipfLaw::new(0, 1.0);
     }
 }

@@ -122,11 +122,6 @@ impl TokenList {
         &self.topics
     }
 
-    /// Mutable topic assignments (the E-step writes these).
-    pub fn topics_mut(&mut self) -> &mut [u32] {
-        &mut self.topics
-    }
-
     /// The `i`-th token as a [`Token`] triple.
     ///
     /// # Panics
@@ -164,15 +159,6 @@ impl TokenList {
     /// the host).
     pub fn memory_bytes(&self) -> usize {
         self.word_ids.len() * 4 + self.topics.len() * 4
-    }
-
-    /// Per-document token count histogram (length `n_docs`).
-    pub fn doc_lengths(&self) -> Vec<u32> {
-        let mut lens = vec![0u32; self.n_docs];
-        for &d in &self.doc_ids {
-            lens[d as usize] += 1;
-        }
-        lens
     }
 
     /// Per-word token count histogram (length `vocab_size`).
@@ -244,7 +230,6 @@ mod tests {
     #[test]
     fn histograms() {
         let tl = sample_list();
-        assert_eq!(tl.doc_lengths(), vec![2, 3, 1]);
         assert_eq!(tl.word_frequencies(), vec![1, 1, 2, 1, 1]);
     }
 

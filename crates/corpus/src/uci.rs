@@ -18,10 +18,10 @@
 //!
 //! The reproduction's default experiments run on synthetic corpora with the
 //! same shape statistics (see [`crate::presets`]); these parsers exist so the
-//! real datasets can be dropped in when available.
+//! real datasets can be dropped in when available. They take any reader, so a
+//! file is read with `read_bag_of_words(File::open(path)?)`.
 
 use std::io::{BufRead, BufReader, Read};
-use std::path::Path;
 
 use crate::{Corpus, CorpusError, Document, Result, Vocabulary};
 
@@ -69,16 +69,6 @@ pub fn read_bag_of_words<R: Read>(reader: R) -> Result<Corpus> {
     Corpus::from_documents(vocab_size, docs.into_iter().map(Document::new).collect())
 }
 
-/// Reads a UCI bag-of-words corpus from a file path.
-///
-/// # Errors
-///
-/// Propagates I/O and parse errors; see [`read_bag_of_words`].
-pub fn read_bag_of_words_file<P: AsRef<Path>>(path: P) -> Result<Corpus> {
-    let file = std::fs::File::open(path).map_err(CorpusError::Io)?;
-    read_bag_of_words(file)
-}
-
 /// Reads a vocabulary file (one word per line, line number = 1-based word id).
 ///
 /// # Errors
@@ -92,35 +82,6 @@ pub fn read_vocab<R: Read>(reader: R) -> Result<Vocabulary> {
         vocab.intern(line.trim());
     }
     Ok(vocab)
-}
-
-/// Serialises a corpus back to the UCI bag-of-words format (used by tests and
-/// by the dataset-exporter example).
-pub fn write_bag_of_words<W: std::io::Write>(
-    corpus: &Corpus,
-    mut writer: W,
-) -> std::io::Result<()> {
-    // Count (doc, word) multiplicities.
-    let mut nnz = 0usize;
-    let mut per_doc: Vec<std::collections::BTreeMap<u32, u32>> =
-        Vec::with_capacity(corpus.n_docs());
-    for doc in corpus.documents() {
-        let mut counts = std::collections::BTreeMap::new();
-        for &w in doc.words() {
-            *counts.entry(w).or_insert(0u32) += 1;
-        }
-        nnz += counts.len();
-        per_doc.push(counts);
-    }
-    writeln!(writer, "{}", corpus.n_docs())?;
-    writeln!(writer, "{}", corpus.vocab_size())?;
-    writeln!(writer, "{nnz}")?;
-    for (d, counts) in per_doc.iter().enumerate() {
-        for (&w, &c) in counts {
-            writeln!(writer, "{} {} {}", d + 1, w + 1, c)?;
-        }
-    }
-    Ok(())
 }
 
 fn parse_header_line<I>(lines: &mut I, what: &str) -> Result<usize>
@@ -198,18 +159,6 @@ mod tests {
         let vocab = read_vocab("apple\norange\niPhone\n".as_bytes()).unwrap();
         assert_eq!(vocab.len(), 3);
         assert_eq!(vocab.id("orange"), Some(1));
-    }
-
-    #[test]
-    fn write_then_read_roundtrip() {
-        let corpus = read_bag_of_words(SAMPLE.as_bytes()).unwrap();
-        let mut buf = Vec::new();
-        write_bag_of_words(&corpus, &mut buf).unwrap();
-        let back = read_bag_of_words(buf.as_slice()).unwrap();
-        assert_eq!(back.n_docs(), corpus.n_docs());
-        assert_eq!(back.n_tokens(), corpus.n_tokens());
-        assert_eq!(back.vocab_size(), corpus.vocab_size());
-        assert_eq!(back.word_frequencies(), corpus.word_frequencies());
     }
 
     #[test]

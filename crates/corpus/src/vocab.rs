@@ -27,17 +27,7 @@ pub struct EncodedDocument {
     pub n_oov: usize,
 }
 
-impl EncodedDocument {
-    /// Fraction of input tokens that were out-of-vocabulary.
-    pub fn oov_rate(&self) -> f64 {
-        let total = self.ids.len() + self.n_oov;
-        if total == 0 {
-            0.0
-        } else {
-            self.n_oov as f64 / total as f64
-        }
-    }
-}
+impl EncodedDocument {}
 
 /// A bidirectional mapping between word strings and dense word ids.
 ///
@@ -230,7 +220,6 @@ mod tests {
         let doc = v.encode(["c", "x", "a", "y"], OovPolicy::Skip).unwrap();
         assert_eq!(doc.ids, vec![2, 0]);
         assert_eq!(doc.n_oov, 2);
-        assert!((doc.oov_rate() - 0.5).abs() < 1e-12);
 
         let err = v.encode(["a", "zebra"], OovPolicy::Fail).unwrap_err();
         assert!(err.to_string().contains("zebra"), "error was: {err}");
@@ -244,7 +233,7 @@ mod tests {
             .encode(std::iter::empty::<&str>(), OovPolicy::Skip)
             .unwrap();
         assert!(doc.ids.is_empty());
-        assert_eq!(doc.oov_rate(), 0.0);
+        assert_eq!(doc.n_oov, 0);
     }
 
     #[test]

@@ -99,20 +99,6 @@ impl CostModel {
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         bytes as f64 / (self.device.pcie_bandwidth_gb_s * 1e9)
     }
-
-    /// Achieved DRAM bandwidth (GB/s) for a kernel that ran for
-    /// `elapsed_seconds`, as reported in Table 4.
-    pub fn achieved_dram_bandwidth_gb_s(&self, stats: &KernelStats, elapsed_seconds: f64) -> f64 {
-        if elapsed_seconds <= 0.0 {
-            return 0.0;
-        }
-        stats.dram_bytes() as f64 / elapsed_seconds / 1e9
-    }
-
-    /// DRAM bandwidth utilisation in `[0, 1]` relative to the device peak.
-    pub fn dram_utilization(&self, stats: &KernelStats, elapsed_seconds: f64) -> f64 {
-        self.achieved_dram_bandwidth_gb_s(stats, elapsed_seconds) / self.device.mem_bandwidth_gb_s
-    }
 }
 
 impl Default for CostModel {
@@ -174,15 +160,6 @@ mod tests {
         let t1 = model.transfer_time(1 << 20);
         let t2 = model.transfer_time(1 << 21);
         assert!((t2 - 2.0 * t1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bandwidth_utilization_reporting() {
-        let model = CostModel::new(DeviceSpec::gtx_1080());
-        let stats = stats_with(320 * 1_000_000_000 / 2, 0); // half the peak per second
-        let util = model.dram_utilization(&stats, 1.0);
-        assert!((util - 0.5).abs() < 0.01);
-        assert_eq!(model.dram_utilization(&stats, 0.0), 0.0);
     }
 
     #[test]

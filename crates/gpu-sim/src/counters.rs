@@ -33,11 +33,6 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        KernelStats::default()
-    }
-
     /// Adds every counter of `other` into `self`.
     pub fn merge(&mut self, other: &KernelStats) {
         self.global_read_bytes += other.global_read_bytes;
@@ -60,21 +55,6 @@ impl KernelStats {
     /// Total shared-memory traffic.
     pub fn shared_bytes(&self) -> u64 {
         self.shared_read_bytes + self.shared_write_bytes
-    }
-
-    /// Total bytes requested from the L2 (DRAM traffic plus L2 hits).
-    pub fn l2_request_bytes(&self) -> u64 {
-        self.dram_bytes() + self.l2_hit_bytes
-    }
-
-    /// Fraction of global read traffic served by the L2, in `[0, 1]`.
-    pub fn l2_hit_rate(&self) -> f64 {
-        let requests = self.global_read_bytes + self.l2_hit_bytes;
-        if requests == 0 {
-            0.0
-        } else {
-            self.l2_hit_bytes as f64 / requests as f64
-        }
     }
 }
 
@@ -118,17 +98,6 @@ mod tests {
         assert_eq!(b.divergent_branches, 16);
         assert_eq!(b.dram_bytes(), 22);
         assert_eq!(b.shared_bytes(), 10);
-    }
-
-    #[test]
-    fn hit_rate_bounds() {
-        let mut s = KernelStats::default();
-        assert_eq!(s.l2_hit_rate(), 0.0);
-        s.global_read_bytes = 50;
-        s.l2_hit_bytes = 50;
-        assert!((s.l2_hit_rate() - 0.5).abs() < 1e-12);
-        s.global_read_bytes = 0;
-        assert!((s.l2_hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

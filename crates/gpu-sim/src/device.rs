@@ -86,24 +86,6 @@ impl DeviceSpec {
             pcie_bandwidth_gb_s: 2.0,
         }
     }
-
-    /// Peak single-precision throughput in GFLOP/s (2 FLOPs per core per clock).
-    pub fn peak_gflops(&self) -> f64 {
-        2.0 * self.cuda_cores as f64 * self.core_clock_ghz
-    }
-
-    /// Total number of warps that can be resident simultaneously at
-    /// `threads_per_block` threads per block, one block per SM.
-    pub fn warps_per_block(&self, threads_per_block: u32) -> u32 {
-        threads_per_block.min(self.max_threads_per_block) / self.warp_size
-    }
-
-    /// The concurrent block count the scheduler simulates: one block per SM
-    /// (the paper's kernels are memory bound, so higher occupancy mainly
-    /// serves to hide latency, which the analytic cost model already assumes).
-    pub fn concurrent_blocks(&self) -> u32 {
-        self.sm_count
-    }
 }
 
 impl Default for DeviceSpec {
@@ -135,7 +117,6 @@ mod tests {
         assert_eq!(d.global_mem_bytes, 8 * 1024 * 1024 * 1024);
         assert_eq!(d.warp_size, 32);
         assert!((d.mem_bandwidth_gb_s - 320.0).abs() < 1.0);
-        assert!(d.peak_gflops() > 8000.0);
     }
 
     #[test]
@@ -144,14 +125,6 @@ mod tests {
         let g = DeviceSpec::gtx_1080();
         assert!(t.global_mem_bytes > g.global_mem_bytes);
         assert!(t.core_clock_ghz < g.core_clock_ghz);
-    }
-
-    #[test]
-    fn warps_per_block_is_threads_over_32() {
-        let d = DeviceSpec::gtx_1080();
-        assert_eq!(d.warps_per_block(256), 8);
-        assert_eq!(d.warps_per_block(32), 1);
-        assert_eq!(d.warps_per_block(4096), 32); // clamped to max threads
     }
 
     #[test]
@@ -165,6 +138,6 @@ mod tests {
     fn toy_device_is_small() {
         let d = DeviceSpec::toy(1 << 20);
         assert_eq!(d.global_mem_bytes, 1 << 20);
-        assert!(d.concurrent_blocks() <= 4);
+        assert!(d.sm_count <= 4);
     }
 }

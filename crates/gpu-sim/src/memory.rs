@@ -11,7 +11,7 @@
 use crate::counters::KernelStats;
 
 /// Global-memory cache-line size in bytes (NVIDIA L2 line).
-pub const CACHE_LINE_BYTES: u64 = 128;
+pub(crate) const CACHE_LINE_BYTES: u64 = 128;
 
 /// A set-associative LRU cache model over 128-byte lines.
 ///
@@ -19,12 +19,10 @@ pub const CACHE_LINE_BYTES: u64 = 128;
 /// `tags[s * associativity..][..associativity]`, least recently used first,
 /// ways nothing has filled yet holding a sentinel at the front.
 #[derive(Debug, Clone)]
-pub struct L2Cache {
+pub(crate) struct L2Cache {
     n_sets: usize,
     associativity: usize,
     tags: Vec<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 /// Tag of a way that holds no line; line numbers are addresses ÷ 128.
@@ -49,8 +47,6 @@ impl L2Cache {
             n_sets,
             associativity,
             tags: vec![EMPTY_WAY; n_sets * associativity],
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -70,37 +66,12 @@ impl L2Cache {
         let vacated = found.unwrap_or(0);
         ways.copy_within(vacated + 1.., vacated);
         ways[self.associativity - 1] = line;
-        let hit = found.is_some();
-        self.hits += u64::from(hit);
-        self.misses += u64::from(!hit);
-        hit
+        found.is_some()
     }
 
-    /// Number of hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of misses recorded so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Forgets all cached lines and statistics.
+    /// Forgets all cached lines.
     pub fn reset(&mut self) {
         self.tags.fill(EMPTY_WAY);
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -180,7 +151,6 @@ impl MemoryTracker {
             (1..times).for_each(|_| self.global_read(addr, bytes));
         } else {
             let hit_lines = (times - 1) * lines;
-            self.l2.hits += hit_lines;
             self.stats.global_transactions += hit_lines;
             self.stats.l2_hit_bytes += hit_lines * CACHE_LINE_BYTES;
         }
@@ -243,11 +213,6 @@ impl MemoryTracker {
         &self.stats
     }
 
-    /// The L2 cache model, for inspecting hit rates.
-    pub fn l2(&self) -> &L2Cache {
-        &self.l2
-    }
-
     /// Resets counters and cache contents (e.g. between iterations).
     pub fn reset(&mut self) {
         self.l2.reset();
@@ -301,8 +266,6 @@ mod tests {
         n_sets: usize,
         associativity: usize,
         sets: Vec<Vec<u64>>,
-        hits: u64,
-        misses: u64,
     }
 
     impl OracleL2 {
@@ -313,8 +276,6 @@ mod tests {
                 n_sets,
                 associativity,
                 sets: vec![Vec::new(); n_sets],
-                hits: 0,
-                misses: 0,
             }
         }
 
@@ -324,21 +285,18 @@ mod tests {
             if let Some(pos) = set.iter().position(|&t| t == line) {
                 set.remove(pos);
                 set.push(line);
-                self.hits += 1;
                 true
             } else {
                 if set.len() >= self.associativity {
                     set.remove(0);
                 }
                 set.push(line);
-                self.misses += 1;
                 false
             }
         }
 
         fn reset(&mut self) {
             self.sets.iter_mut().for_each(Vec::clear);
-            (self.hits, self.misses) = (0, 0);
         }
     }
 
@@ -404,21 +362,16 @@ mod tests {
             let capacity = capacity_lines * CACHE_LINE_BYTES;
             let mut flat = L2Cache::new(capacity, associativity);
             let mut oracle = OracleL2::new(capacity, associativity);
-            let (mut hits, mut misses) = (0u64, 0u64);
             for (i, &word) in raw.iter().enumerate() {
                 if word & 0xff == 0xff {
                     flat.reset();
                     oracle.reset();
-                    (hits, misses) = (0, 0);
                     continue;
                 }
                 let addr = decode_addr(word, oracle.n_sets as u64);
                 let expected = oracle.access(addr);
                 prop_assert_eq!((i, addr, flat.access(addr)), (i, addr, expected));
-                hits += u64::from(expected);
-                misses += u64::from(!expected);
             }
-            prop_assert_eq!((flat.hits(), flat.misses()), (hits, misses));
         }
 
         #[test]
@@ -475,10 +428,6 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(tracker.stats(), &oracle.stats);
-                prop_assert_eq!(
-                    (tracker.l2().hits(), tracker.l2().misses()),
-                    (oracle.l2.hits, oracle.l2.misses)
-                );
             }
         }
     }
@@ -490,9 +439,6 @@ mod tests {
         assert!(c.access(64)); // same 128-byte line
         assert!(!c.access(128));
         assert!(c.access(0));
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -523,7 +469,6 @@ mod tests {
         t.global_read(0, 128);
         assert_eq!(t.stats().global_read_bytes, 128);
         assert_eq!(t.stats().l2_hit_bytes, 128);
-        assert!((t.stats().l2_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -549,7 +494,9 @@ mod tests {
         t.global_read(0, 1);
         t.reset();
         assert_eq!(t.stats().global_transactions, 0);
-        assert_eq!(t.l2().hits() + t.l2().misses(), 0);
+        // The cache was emptied too: the same line misses again.
+        t.global_read(0, 1);
+        assert_eq!(t.stats().l2_hit_bytes, 0);
     }
 
     #[test]
@@ -566,7 +513,7 @@ mod tests {
         t.wait(2);
         t.divergence(1);
         assert_eq!(t.stats(), &KernelStats::default());
-        assert_eq!(t.l2().hits() + t.l2().misses(), 0);
+        assert!(t.l2.tags.iter().all(|&tag| tag == EMPTY_WAY));
         assert_eq!(t.take_stats(), KernelStats::default());
     }
 

@@ -76,40 +76,18 @@ pub fn dynamic_schedule(work_items: &[u64], n_executors: usize) -> ScheduleOutco
     }
 }
 
-/// Sorts work items by descending size before scheduling — the paper's
-/// "words with most tokens are executed first" heuristic (§3.4). Returns the
-/// permutation applied and the schedule outcome.
-pub fn dynamic_schedule_sorted(
-    work_items: &[u64],
-    n_executors: usize,
-) -> (Vec<usize>, ScheduleOutcome) {
-    let mut order: Vec<usize> = (0..work_items.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(work_items[i]));
-    let sorted: Vec<u64> = order.iter().map(|&i| work_items[i]).collect();
-    let outcome = dynamic_schedule(&sorted, n_executors);
-    (order, outcome)
-}
-
-/// Static round-robin scheduling (what a naive kernel launch without dynamic
-/// fetching would do); used to quantify the benefit of dynamic scheduling.
-pub fn static_schedule(work_items: &[u64], n_executors: usize) -> ScheduleOutcome {
-    assert!(n_executors > 0, "need at least one executor");
-    let mut per_executor = vec![0u64; n_executors];
-    for (i, &w) in work_items.iter().enumerate() {
-        per_executor[i % n_executors] += w;
-    }
-    let makespan = per_executor.iter().copied().max().unwrap_or(0);
-    ScheduleOutcome {
-        per_executor,
-        makespan,
-        total_work: work_items.iter().sum(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `work_items` by descending size: the order the chunk layout gives the
+    /// words when it sorts them by frequency (§3.4).
+    fn sorted_desc(work_items: &[u64]) -> Vec<u64> {
+        let mut sorted = work_items.to_vec();
+        sorted.sort_by_key(|&w| std::cmp::Reverse(w));
+        sorted
+    }
 
     #[test]
     fn balanced_items_are_balanced() {
@@ -126,7 +104,7 @@ mod tests {
         let mut items = vec![1u64; 100];
         items.push(100);
         let unsorted = dynamic_schedule(&items, 4);
-        let (_, sorted) = dynamic_schedule_sorted(&items, 4);
+        let sorted = dynamic_schedule(&sorted_desc(&items), 4);
         assert!(sorted.makespan <= unsorted.makespan);
         assert_eq!(sorted.total_work, 200);
         // The huge item is a lower bound on the makespan.
@@ -138,8 +116,11 @@ mod tests {
         // Adversarial for round robin: all the big items land on executor 0.
         let items: Vec<u64> = (0..32).map(|i| if i % 4 == 0 { 100 } else { 1 }).collect();
         let dynamic = dynamic_schedule(&items, 4);
-        let stat = static_schedule(&items, 4);
-        assert!(dynamic.makespan < stat.makespan);
+        let round_robin = (0..4)
+            .map(|e| items.iter().skip(e).step_by(4).sum::<u64>())
+            .max()
+            .unwrap();
+        assert!(dynamic.makespan < round_robin);
     }
 
     #[test]
@@ -171,7 +152,7 @@ mod tests {
         #[test]
         fn sorted_never_worse_than_unsorted_by_much(items in proptest::collection::vec(0u64..1000, 1..100), n in 1usize..8) {
             let unsorted = dynamic_schedule(&items, n);
-            let (_, sorted) = dynamic_schedule_sorted(&items, n);
+            let sorted = dynamic_schedule(&sorted_desc(&items), n);
             // LPT (sorted) is a 4/3-approximation; it can never be worse than
             // the plain greedy bound of 2x optimal, so compare against that.
             prop_assert!(sorted.makespan <= unsorted.makespan.max(1) * 2);

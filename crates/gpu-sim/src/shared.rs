@@ -3,94 +3,10 @@
 //! Each CUDA block owns a small software-managed scratchpad ("shared memory",
 //! 48 KB per block on the paper's GPUs). SaberLDA stages the current word's
 //! rows `B̂_v` and `B_v`, the probability vector `P`, and the lower levels of
-//! the W-ary sampling tree there (§3.1.3, §3.2). This module models the
-//! *capacity* constraint — whether a block's working set fits — and counts the
-//! traffic, which the cost model charges at shared-memory bandwidth.
-
-/// A per-block shared-memory allocator with capacity accounting.
-///
-/// # Examples
-///
-/// ```
-/// use saber_gpu_sim::SharedMemory;
-///
-/// let mut sm = SharedMemory::new(48 * 1024);
-/// let row = sm.alloc::<f32>(1000).unwrap();      // B̂_v for K = 1000
-/// assert_eq!(row, 4000);
-/// assert!(sm.alloc::<f32>(20_000).is_none());    // would exceed 48 KB
-/// assert!(sm.bytes_used() >= 4000);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SharedMemory {
-    capacity: u64,
-    used: u64,
-    high_water: u64,
-}
-
-impl SharedMemory {
-    /// Creates a scratchpad with `capacity` bytes (e.g. 48 KB).
-    pub fn new(capacity: u64) -> Self {
-        SharedMemory {
-            capacity,
-            used: 0,
-            high_water: 0,
-        }
-    }
-
-    /// Attempts to reserve space for `count` elements of type `T`.
-    /// Returns the number of bytes reserved, or `None` if the allocation does
-    /// not fit (the caller must then spill to global memory or shrink its
-    /// working set, as the real kernel would).
-    pub fn alloc<T>(&mut self, count: usize) -> Option<u64> {
-        let bytes = (count * std::mem::size_of::<T>()) as u64;
-        if self.used + bytes > self.capacity {
-            return None;
-        }
-        self.used += bytes;
-        self.high_water = self.high_water.max(self.used);
-        Some(bytes)
-    }
-
-    /// Releases `bytes` previously reserved with [`SharedMemory::alloc`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if more bytes are freed than are currently allocated (a
-    /// book-keeping bug in the caller).
-    pub fn free(&mut self, bytes: u64) {
-        assert!(
-            bytes <= self.used,
-            "freeing more shared memory than allocated"
-        );
-        self.used -= bytes;
-    }
-
-    /// Releases everything (end of a block's lifetime).
-    pub fn reset(&mut self) {
-        self.used = 0;
-    }
-
-    /// Bytes currently allocated.
-    pub fn bytes_used(&self) -> u64 {
-        self.used
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// The largest simultaneous allocation seen (useful for reporting a
-    /// kernel's shared-memory footprint).
-    pub fn high_water_mark(&self) -> u64 {
-        self.high_water
-    }
-
-    /// Whether a working set of `bytes` would fit in an empty scratchpad.
-    pub fn fits(&self, bytes: u64) -> bool {
-        bytes <= self.capacity
-    }
-}
+//! the W-ary sampling tree there (§3.1.3, §3.2). This module sizes that
+//! working set; the trainer divides a multiprocessor's shared memory by it to
+//! bound how many blocks can be resident at once (Fig. 10c). The traffic is
+//! counted by [`crate::MemoryTracker`] and charged by the cost model.
 
 /// Computes the shared-memory working set of SaberLDA's sampling kernel for a
 /// given number of topics: one `f32` row of `B̂_v`, one `u32` row of `B_v`,
@@ -110,45 +26,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_and_free_track_usage() {
-        let mut sm = SharedMemory::new(1024);
-        let a = sm.alloc::<f32>(100).unwrap();
-        assert_eq!(a, 400);
-        assert_eq!(sm.bytes_used(), 400);
-        let b = sm.alloc::<u32>(100).unwrap();
-        assert_eq!(sm.bytes_used(), 800);
-        assert!(sm.alloc::<f32>(100).is_none());
-        sm.free(b);
-        assert_eq!(sm.bytes_used(), 400);
-        assert_eq!(sm.high_water_mark(), 800);
-        sm.reset();
-        assert_eq!(sm.bytes_used(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "freeing more")]
-    fn over_free_panics() {
-        let mut sm = SharedMemory::new(1024);
-        sm.free(1);
-    }
-
-    #[test]
     fn working_set_scales_with_topics() {
         let k1000 = sampling_kernel_working_set(1000);
         let k10000 = sampling_kernel_working_set(10_000);
         assert!(k10000 > 9 * k1000);
         // K = 1000 must fit in a 48 KB block: ≈ 12.1 KB.
-        assert!(SharedMemory::new(48 * 1024).fits(k1000));
+        assert!(k1000 <= 48 * 1024);
         // K = 10000 does not fit entirely; the kernel then keeps the tree in
         // global memory (checked by the trainer, not here).
-        assert!(!SharedMemory::new(48 * 1024).fits(k10000));
-    }
-
-    #[test]
-    fn fits_is_capacity_check_only() {
-        let mut sm = SharedMemory::new(100);
-        sm.alloc::<u8>(90).unwrap();
-        assert!(sm.fits(100));
-        assert!(!sm.fits(101));
+        assert!(k10000 > 48 * 1024);
     }
 }

@@ -11,7 +11,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod synth;
+pub(crate) mod synth;
 
 pub use synth::{request_seed, synthesize_trace};
 

@@ -416,11 +416,6 @@ impl<T: ShardTransport> TrainingPipeline<T> {
         self.ticks
     }
 
-    /// Epochs pushed so far.
-    pub fn epochs_pushed(&self) -> u64 {
-        self.epochs_pushed
-    }
-
     /// One pipeline step: ingest `docs`, run the configured incremental
     /// passes, and publish if the cadence fires. An empty `docs` still
     /// runs the passes (dirty chunks keep resampling) and still counts

@@ -165,11 +165,12 @@ impl ServeStats {
     ///
     /// `swaps_observed` merges by **max**, not sum: one fleet-wide
     /// publication is observed once per shard, and summing would multiply
-    /// every swap by the shard count.
+    /// every swap by the shard count. The sums saturate at `u64::MAX`: the
+    /// counters may come decoded from a remote shard's `/shard-info`.
     pub fn merge(&mut self, other: &ServeStats) {
-        self.requests += other.requests;
-        self.tokens += other.tokens;
-        self.batches += other.batches;
+        self.requests = self.requests.saturating_add(other.requests);
+        self.tokens = self.tokens.saturating_add(other.tokens);
+        self.batches = self.batches.saturating_add(other.batches);
         self.swaps_observed = self.swaps_observed.max(other.swaps_observed);
         self.latency.merge(&other.latency);
         self.queue_wait.merge(&other.queue_wait);
@@ -928,6 +929,38 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn merge_saturates_instead_of_overflowing() {
+        let near_max = u64::MAX - 1;
+        let histogram =
+            |count| HistogramSnapshot::from_sparse_buckets([(3, count)], count, count).unwrap();
+        let stats = |n| ServeStats {
+            requests: n,
+            tokens: n,
+            batches: n,
+            swaps_observed: 0,
+            latency: histogram(n),
+            queue_wait: histogram(n),
+            handler: histogram(n),
+        };
+        let mut merged = stats(near_max);
+        merged.merge(&stats(2));
+        assert_eq!(
+            [merged.requests, merged.tokens, merged.batches],
+            [u64::MAX; 3]
+        );
+        for h in [&merged.latency, &merged.queue_wait, &merged.handler] {
+            assert_eq!(h.count(), u64::MAX);
+            assert_eq!(h.bucket_count(3), u64::MAX);
+            assert_eq!(h.sum_micros(), u64::MAX);
+            assert_eq!(h.overflow(), u64::MAX);
+            assert!(h.p99().is_some());
+        }
+        // Decoding a shard's repeated buckets saturates the same way.
+        let decoded = HistogramSnapshot::from_sparse_buckets([(3, near_max), (3, 2)], 0, 0);
+        assert_eq!(decoded.unwrap().count(), u64::MAX);
     }
 
     #[test]

@@ -216,7 +216,8 @@ impl HistogramSnapshot {
     /// Rebuilds a snapshot from sparse `(bucket index, count)` pairs, a
     /// microsecond sum and an overflow count — the inverse of iterating
     /// [`HistogramSnapshot::bucket_count`] over the non-empty buckets.
-    /// Repeated indices accumulate. Returns `None` when an index is outside
+    /// Repeated indices accumulate, saturating at `u64::MAX` like
+    /// [`HistogramSnapshot::merge`]. Returns `None` when an index is outside
     /// [`N_BUCKETS`].
     pub fn from_sparse_buckets(
         pairs: impl IntoIterator<Item = (usize, u64)>,
@@ -225,10 +226,13 @@ impl HistogramSnapshot {
     ) -> Option<HistogramSnapshot> {
         let mut counts = [0u64; N_BUCKETS];
         for (i, c) in pairs {
-            *counts.get_mut(i)? += c;
+            let slot = counts.get_mut(i)?;
+            *slot = slot.saturating_add(c);
         }
         Some(HistogramSnapshot {
-            count: counts.iter().sum(),
+            count: counts
+                .iter()
+                .fold(0, |total: u64, &c| total.saturating_add(c)),
             counts,
             sum_micros,
             overflow,
@@ -258,7 +262,7 @@ impl HistogramSnapshot {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 let (low, high) = LatencyHistogram::bucket_bounds(i);
                 return Some(((low as f64) * (high as f64)).sqrt());
@@ -287,14 +291,15 @@ impl HistogramSnapshot {
 
     /// Merges another snapshot into this one (bucket-wise sum, overflow
     /// counts included) — used to aggregate per-endpoint histograms into a
-    /// service-wide view.
+    /// service-wide view. Every sum saturates at `u64::MAX`, since a
+    /// snapshot may come decoded from a remote shard.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
-        self.sum_micros += other.sum_micros;
-        self.overflow += other.overflow;
+        self.count = self.count.saturating_add(other.count);
+        self.sum_micros = self.sum_micros.saturating_add(other.sum_micros);
+        self.overflow = self.overflow.saturating_add(other.overflow);
     }
 }
 

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{DenseMatrix, Result, SparseError, SparseRowView};
+use crate::{DenseMatrix, SparseRowView};
 
 /// A compressed-sparse-rows (CSR) matrix.
 ///
@@ -18,9 +18,13 @@ use crate::{DenseMatrix, Result, SparseError, SparseRowView};
 /// # Examples
 ///
 /// ```
-/// use saber_sparse::CsrMatrix;
+/// use saber_sparse::CsrBuilder;
 ///
-/// let m = CsrMatrix::<u32>::from_rows(4, &[vec![(0, 1), (3, 2)], vec![], vec![(2, 5)]]).unwrap();
+/// let mut b = CsrBuilder::<u32>::new(4);
+/// b.push_row_unchecked([(0, 1), (3, 2)]);
+/// b.push_row_unchecked([]);
+/// b.push_row_unchecked([(2, 5)]);
+/// let m = b.build();
 /// assert_eq!(m.shape(), (3, 4));
 /// assert_eq!(m.nnz(), 3);
 /// assert_eq!(m.row(0).get(3), Some(2));
@@ -46,23 +50,6 @@ impl<T: fmt::Debug> fmt::Debug for CsrMatrix<T> {
 }
 
 impl<T: Copy> CsrMatrix<T> {
-    /// Builds a matrix from per-row `(column, value)` lists.
-    ///
-    /// Each row list must have strictly increasing column indices.
-    ///
-    /// # Errors
-    ///
-    /// * [`SparseError::ColumnOutOfBounds`] if a column index `>= n_cols`;
-    /// * [`SparseError::UnsortedRow`] if a row's columns are not strictly
-    ///   increasing.
-    pub fn from_rows(n_cols: usize, rows: &[Vec<(u32, T)>]) -> Result<Self> {
-        let mut b = CsrBuilder::new(n_cols);
-        for row in rows {
-            b.push_row(row.iter().copied())?;
-        }
-        Ok(b.build())
-    }
-
     /// Builds a CSR matrix from a dense matrix, dropping zero entries.
     pub fn from_dense(dense: &DenseMatrix<T>) -> Self
     where
@@ -80,88 +67,9 @@ impl<T: Copy> CsrMatrix<T> {
         }
         b.build()
     }
-
-    /// Expands to a dense matrix.
-    pub fn to_dense(&self) -> DenseMatrix<T>
-    where
-        T: Default,
-    {
-        let mut out = DenseMatrix::zeros(self.n_rows, self.n_cols);
-        for r in 0..self.n_rows {
-            for (c, &v) in self.row(r).iter() {
-                out[(r, c as usize)] = v;
-            }
-        }
-        out
-    }
 }
 
 impl<T> CsrMatrix<T> {
-    /// Builds a matrix directly from raw CSR arrays.
-    ///
-    /// # Errors
-    ///
-    /// Validates all CSR invariants listed in the type-level documentation and
-    /// returns the corresponding [`SparseError`] on violation.
-    pub fn from_raw_parts(
-        n_rows: usize,
-        n_cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-        values: Vec<T>,
-    ) -> Result<Self> {
-        if row_ptr.len() != n_rows + 1 {
-            return Err(SparseError::MalformedRowPtr {
-                detail: format!("expected length {}, got {}", n_rows + 1, row_ptr.len()),
-            });
-        }
-        if row_ptr.first() != Some(&0) {
-            return Err(SparseError::MalformedRowPtr {
-                detail: "row_ptr[0] must be 0".to_string(),
-            });
-        }
-        if col_idx.len() != values.len() {
-            return Err(SparseError::LengthMismatch {
-                indices: col_idx.len(),
-                values: values.len(),
-            });
-        }
-        if *row_ptr.last().expect("non-empty row_ptr") != col_idx.len() {
-            return Err(SparseError::MalformedRowPtr {
-                detail: format!(
-                    "row_ptr[n_rows]={} but nnz={}",
-                    row_ptr.last().unwrap(),
-                    col_idx.len()
-                ),
-            });
-        }
-        for r in 0..n_rows {
-            if row_ptr[r] > row_ptr[r + 1] {
-                return Err(SparseError::MalformedRowPtr {
-                    detail: format!("row_ptr decreases at row {r}"),
-                });
-            }
-            let cols = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            for w in cols.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(SparseError::UnsortedRow { row: r });
-                }
-            }
-            if let Some(&last) = cols.last() {
-                if last as usize >= n_cols {
-                    return Err(SparseError::ColumnOutOfBounds { col: last, n_cols });
-                }
-            }
-        }
-        Ok(CsrMatrix {
-            n_rows,
-            n_cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.n_rows
@@ -180,16 +88,6 @@ impl<T> CsrMatrix<T> {
     /// Number of stored (non-zero) entries.
     pub fn nnz(&self) -> usize {
         self.col_idx.len()
-    }
-
-    /// Average number of stored entries per row (the paper's `K_d` when the
-    /// matrix is the document–topic matrix).
-    pub fn mean_nnz_per_row(&self) -> f64 {
-        if self.n_rows == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / self.n_rows as f64
-        }
     }
 
     /// Borrow row `r` as a [`SparseRowView`].
@@ -299,8 +197,8 @@ impl<'a, T> ExactSizeIterator for RowIter<'a, T> {}
 /// use saber_sparse::CsrBuilder;
 ///
 /// let mut b = CsrBuilder::<u32>::new(8);
-/// b.push_row([(1, 3), (5, 1)]).unwrap();
-/// b.push_row([]).unwrap();
+/// b.push_row_unchecked([(1, 3), (5, 1)]);
+/// b.push_row_unchecked([]);
 /// let m = b.build();
 /// assert_eq!(m.shape(), (2, 8));
 /// assert_eq!(m.nnz(), 2);
@@ -338,42 +236,8 @@ impl<T: Copy> CsrBuilder<T> {
     }
 
     /// Appends a row given `(column, value)` pairs with strictly increasing
-    /// columns.
-    ///
-    /// # Errors
-    ///
-    /// * [`SparseError::ColumnOutOfBounds`] for a column `>= n_cols`;
-    /// * [`SparseError::UnsortedRow`] if columns are not strictly increasing.
-    pub fn push_row<I: IntoIterator<Item = (u32, T)>>(&mut self, entries: I) -> Result<()> {
-        let start = self.col_idx.len();
-        let row = self.row_ptr.len() - 1;
-        let mut prev: Option<u32> = None;
-        for (c, v) in entries {
-            if c as usize >= self.n_cols {
-                self.col_idx.truncate(start);
-                self.values.truncate(start);
-                return Err(SparseError::ColumnOutOfBounds {
-                    col: c,
-                    n_cols: self.n_cols,
-                });
-            }
-            if let Some(p) = prev {
-                if c <= p {
-                    self.col_idx.truncate(start);
-                    self.values.truncate(start);
-                    return Err(SparseError::UnsortedRow { row });
-                }
-            }
-            prev = Some(c);
-            self.col_idx.push(c);
-            self.values.push(v);
-        }
-        self.row_ptr.push(self.col_idx.len());
-        Ok(())
-    }
-
-    /// Appends a row without validating entries (used on hot paths where the
-    /// caller constructs entries that are sorted by construction).
+    /// columns `< n_cols`. The entries are not validated (debug builds check
+    /// the bound): the count kernels produce them sorted by construction.
     pub fn push_row_unchecked<I: IntoIterator<Item = (u32, T)>>(&mut self, entries: I) {
         for (c, v) in entries {
             debug_assert!((c as usize) < self.n_cols);
@@ -406,7 +270,11 @@ mod tests {
 
     fn example() -> CsrMatrix<u32> {
         // Fig. 1 of the paper: 3 documents, 3 topics.
-        CsrMatrix::from_rows(3, &[vec![(2, 2)], vec![(0, 3), (2, 1)], vec![(1, 2)]]).unwrap()
+        let mut b = CsrBuilder::new(3);
+        b.push_row_unchecked([(2, 2)]);
+        b.push_row_unchecked([(0, 3), (2, 1)]);
+        b.push_row_unchecked([(1, 2)]);
+        b.build()
     }
 
     #[test]
@@ -418,46 +286,22 @@ mod tests {
         assert_eq!(m.row(1).get(0), Some(3));
         assert_eq!(m.row(1).get(1), None);
         assert_eq!(m.row_nnz(1), 2);
-        assert!((m.mean_nnz_per_row() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn dense_roundtrip() {
-        let m = example();
-        let dense = m.to_dense();
-        assert_eq!(dense[(1, 0)], 3);
-        assert_eq!(dense[(0, 0)], 0);
-        let back = CsrMatrix::from_dense(&dense);
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn builder_rejects_bad_rows() {
-        let mut b = CsrBuilder::<u32>::new(4);
-        assert!(b.push_row([(5, 1)]).is_err());
-        assert!(b.push_row([(2, 1), (1, 1)]).is_err());
-        assert!(b.push_row([(2, 1), (2, 1)]).is_err());
-        // Failed pushes must not leave partial data behind.
-        b.push_row([(0, 9)]).unwrap();
-        let m = b.build();
-        assert_eq!(m.rows(), 1);
-        assert_eq!(m.nnz(), 1);
-    }
-
-    #[test]
-    fn from_raw_parts_validation() {
-        // Valid.
-        assert!(CsrMatrix::from_raw_parts(2, 3, vec![0, 1, 2], vec![0, 2], vec![1u32, 1]).is_ok());
-        // Bad row_ptr length.
-        assert!(CsrMatrix::from_raw_parts(2, 3, vec![0, 1], vec![0], vec![1u32]).is_err());
-        // Non-monotone row_ptr.
-        assert!(CsrMatrix::from_raw_parts(2, 3, vec![0, 2, 1], vec![0, 1], vec![1u32, 1]).is_err());
-        // Column out of range.
-        assert!(CsrMatrix::from_raw_parts(1, 2, vec![0, 1], vec![5], vec![1u32]).is_err());
-        // Unsorted row.
-        assert!(CsrMatrix::from_raw_parts(1, 5, vec![0, 2], vec![3, 1], vec![1u32, 1]).is_err());
-        // nnz mismatch.
-        assert!(CsrMatrix::from_raw_parts(1, 5, vec![0, 2], vec![1], vec![1u32]).is_err());
+        let mut dense = DenseMatrix::zeros(3, 3);
+        dense[(0, 2)] = 2;
+        dense[(1, 0)] = 3;
+        dense[(1, 2)] = 1;
+        dense[(2, 1)] = 2;
+        let m = CsrMatrix::from_dense(&dense);
+        assert_eq!(m, example());
+        for r in 0..3 {
+            for c in 0..3 {
+                assert_eq!(m.row(r).get(c as u32).unwrap_or(0), dense[(r, c)]);
+            }
+        }
     }
 
     #[test]
@@ -473,9 +317,8 @@ mod tests {
         let m: CsrMatrix<u32> = CsrMatrix::default();
         assert_eq!(m.shape(), (0, 0));
         assert_eq!(m.nnz(), 0);
-        assert_eq!(m.mean_nnz_per_row(), 0.0);
-        let m = CsrMatrix::<f32>::from_rows(4, &[]).unwrap();
-        assert_eq!(m.rows(), 0);
+        let m = CsrBuilder::<f32>::new(4).build();
+        assert_eq!(m.shape(), (0, 4));
     }
 
     #[test]

@@ -124,11 +124,6 @@ impl<T> DenseMatrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the flat buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Iterator over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[T]> {
         self.data.chunks(self.cols.max(1)).take(self.rows)
@@ -149,21 +144,9 @@ impl DenseMatrix<u32> {
             .sum()
     }
 
-    /// Sum of a row.
-    pub fn row_sum(&self, r: usize) -> u64 {
-        self.row(r).iter().map(|&x| u64::from(x)).sum()
-    }
-
     /// Total of all elements.
     pub fn total(&self) -> u64 {
         self.data.iter().map(|&x| u64::from(x)).sum()
-    }
-}
-
-impl DenseMatrix<f32> {
-    /// Sum of a row.
-    pub fn row_sum_f32(&self, r: usize) -> f64 {
-        self.row(r).iter().map(|&x| f64::from(x)).sum()
     }
 }
 
@@ -237,7 +220,6 @@ mod tests {
         let m = DenseMatrix::from_vec(2, 3, vec![1u32, 2, 3, 4, 5, 6]).unwrap();
         assert_eq!(m.col_sum(0), 5);
         assert_eq!(m.col_sum(2), 9);
-        assert_eq!(m.row_sum(1), 15);
         assert_eq!(m.total(), 21);
     }
 

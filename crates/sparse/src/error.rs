@@ -2,30 +2,11 @@ use std::fmt;
 
 /// Errors produced by the sparse-matrix substrate.
 ///
-/// All constructors of [`crate::CsrMatrix`] and [`crate::DenseMatrix`] validate
-/// their arguments and report structural problems through this type instead of
-/// panicking, so callers can surface corpus/configuration errors gracefully.
+/// The fallible constructors [`crate::DenseMatrix::from_vec`] and
+/// [`crate::SparseVec::from_parts`] report mismatched lengths through this
+/// type instead of panicking, so callers can surface them gracefully.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SparseError {
-    /// A column index was outside the declared number of columns.
-    ColumnOutOfBounds {
-        /// Offending column index.
-        col: u32,
-        /// Number of columns the matrix was declared with.
-        n_cols: usize,
-    },
-    /// A row index was outside the declared number of rows.
-    RowOutOfBounds {
-        /// Offending row index.
-        row: usize,
-        /// Number of rows the matrix was declared with.
-        n_rows: usize,
-    },
-    /// The CSR `row_ptr` array is malformed (not monotone or wrong length).
-    MalformedRowPtr {
-        /// Human readable detail.
-        detail: String,
-    },
     /// Parallel arrays (indices/values) had different lengths.
     LengthMismatch {
         /// Length of the index array.
@@ -40,34 +21,17 @@ pub enum SparseError {
         /// Actual dimension.
         actual: usize,
     },
-    /// Column indices within a CSR row are not strictly increasing.
-    UnsortedRow {
-        /// Row in which the problem was found.
-        row: usize,
-    },
 }
 
 impl fmt::Display for SparseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SparseError::ColumnOutOfBounds { col, n_cols } => {
-                write!(f, "column index {col} out of bounds for {n_cols} columns")
-            }
-            SparseError::RowOutOfBounds { row, n_rows } => {
-                write!(f, "row index {row} out of bounds for {n_rows} rows")
-            }
-            SparseError::MalformedRowPtr { detail } => {
-                write!(f, "malformed CSR row pointer array: {detail}")
-            }
             SparseError::LengthMismatch { indices, values } => write!(
                 f,
                 "index array has length {indices} but value array has length {values}"
             ),
             SparseError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
-            SparseError::UnsortedRow { row } => {
-                write!(f, "column indices in row {row} are not strictly increasing")
             }
         }
     }
@@ -81,7 +45,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = SparseError::ColumnOutOfBounds { col: 7, n_cols: 3 };
+        let e = SparseError::DimensionMismatch {
+            expected: 7,
+            actual: 3,
+        };
         assert!(e.to_string().contains('7'));
         assert!(e.to_string().contains('3'));
         let e = SparseError::LengthMismatch {

@@ -13,26 +13,22 @@
 //!   sparsity-aware sampler.
 //!
 //! The crate also hosts the low-level array routines the GPU kernels in
-//! `saber-core` are modelled on: prefix sums ([`prefix`]), least-significant
-//! digit radix sort ([`radix`]) and the reference *segmented count*
-//! ([`segcount`]) that the shuffle-and-segmented-count (SSC) rebuild is
-//! validated against.
+//! `saber-core` are modelled on: the prefix-sum search of the multinomial
+//! sampler ([`prefix`]), least-significant digit radix sort ([`radix`]) and
+//! the reference *segmented count* ([`segcount`]) that the
+//! shuffle-and-segmented-count (SSC) rebuild is validated against.
 //!
 //! # Examples
 //!
 //! ```
-//! use saber_sparse::{CsrMatrix, DenseMatrix};
+//! use saber_sparse::{CsrBuilder, DenseMatrix};
 //!
 //! // Build the document-topic matrix of the toy corpus in Fig. 1 of the paper.
-//! let a = CsrMatrix::<u32>::from_rows(
-//!     3,
-//!     &[
-//!         vec![(2, 2)],          // doc 1: two tokens of topic 3 (0-based 2)
-//!         vec![(0, 3), (2, 1)],  // doc 2
-//!         vec![(1, 2)],          // doc 3
-//!     ],
-//! )
-//! .unwrap();
+//! let mut rows = CsrBuilder::<u32>::new(3);
+//! rows.push_row_unchecked([(2, 2)]); // doc 1: two tokens of topic 3 (0-based 2)
+//! rows.push_row_unchecked([(0, 3), (2, 1)]); // doc 2
+//! rows.push_row_unchecked([(1, 2)]); // doc 3
+//! let a = rows.build();
 //! assert_eq!(a.nnz(), 4);
 //! assert_eq!(a.row(1).get(0), Some(3));
 //!

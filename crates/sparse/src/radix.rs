@@ -1,25 +1,17 @@
 //! Least-significant-digit radix sort.
 //!
 //! The SSC count rebuild (Fig. 8 of the paper) starts with a radix sort of the
-//! topic assignments of one document segment inside shared memory. These are
-//! the host-side reference routines; `saber-core` re-uses them inside the
-//! simulated kernels and the property tests compare them against
-//! `slice::sort`.
+//! topic assignments of one document segment inside shared memory; the
+//! reference [`crate::segcount::count_segment`] sorts with `radix_sort_u32`.
+//! `saber-core`'s chunk layout takes [`stable_sort_permutation`]. The property
+//! tests compare both against `slice::sort`.
 
 /// Sorts `keys` in place using an 8-bit LSD radix sort.
 ///
 /// Runs in `O(4·n)` passes independent of the key distribution, which is why
 /// the paper's in-shared-memory count uses radix rather than comparison
 /// sorting.
-///
-/// # Examples
-///
-/// ```
-/// let mut v = vec![1u32, 8, 5, 1, 3, 5, 5, 3];
-/// saber_sparse::radix::radix_sort_u32(&mut v);
-/// assert_eq!(v, vec![1, 1, 3, 3, 5, 5, 5, 8]);
-/// ```
-pub fn radix_sort_u32(keys: &mut Vec<u32>) {
+pub(crate) fn radix_sort_u32(keys: &mut Vec<u32>) {
     if keys.len() <= 1 {
         return;
     }
@@ -32,44 +24,6 @@ pub fn radix_sort_u32(keys: &mut Vec<u32>) {
         shift += 8;
     }
     // `keys` already holds the sorted data because we swapped after each pass.
-}
-
-/// Sorts parallel `(keys, payload)` arrays by key using an 8-bit LSD radix
-/// sort. The sort is stable, which the SSC shuffle relies on to keep tokens of
-/// equal topic adjacent in their original order.
-///
-/// # Panics
-///
-/// Panics if `keys.len() != payload.len()`.
-pub fn radix_sort_pairs_u32(keys: &mut Vec<u32>, payload: &mut Vec<u32>) {
-    assert_eq!(keys.len(), payload.len(), "keys/payload length mismatch");
-    if keys.len() <= 1 {
-        return;
-    }
-    let max = *keys.iter().max().expect("non-empty");
-    let n = keys.len();
-    let mut key_scratch = vec![0u32; n];
-    let mut pay_scratch = vec![0u32; n];
-    let mut shift = 0u32;
-    while shift < 32 && (shift == 0 || (max >> shift) > 0) {
-        let mut hist = [0usize; 257];
-        for &k in keys.iter() {
-            hist[((k >> shift) & 0xff) as usize + 1] += 1;
-        }
-        for i in 1..257 {
-            hist[i] += hist[i - 1];
-        }
-        for i in 0..n {
-            let bucket = ((keys[i] >> shift) & 0xff) as usize;
-            let dst = hist[bucket];
-            hist[bucket] += 1;
-            key_scratch[dst] = keys[i];
-            pay_scratch[dst] = payload[i];
-        }
-        std::mem::swap(keys, &mut key_scratch);
-        std::mem::swap(payload, &mut pay_scratch);
-        shift += 8;
-    }
 }
 
 fn sort_pass<F: Fn(u32) -> u32>(src: &[u32], dst: &mut [u32], shift: u32, key_of: F) {
@@ -132,15 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_sort_is_stable() {
-        let mut keys = vec![2u32, 1, 2, 1];
-        let mut payload = vec![10u32, 20, 30, 40];
-        radix_sort_pairs_u32(&mut keys, &mut payload);
-        assert_eq!(keys, vec![1, 1, 2, 2]);
-        assert_eq!(payload, vec![20, 40, 10, 30]);
-    }
-
-    #[test]
     fn permutation_is_stable_sort() {
         let keys = vec![3u32, 1, 3, 0];
         let dest = stable_sort_permutation(&keys);
@@ -160,18 +105,6 @@ mod tests {
             expected.sort_unstable();
             radix_sort_u32(&mut v);
             prop_assert_eq!(v, expected);
-        }
-
-        #[test]
-        fn pair_sort_matches_std(keys in proptest::collection::vec(0u32..1000, 0..300)) {
-            let payload: Vec<u32> = (0..keys.len() as u32).collect();
-            let mut expected: Vec<(u32, u32)> = keys.iter().copied().zip(payload.iter().copied()).collect();
-            expected.sort_by_key(|&(k, i)| (k, i));
-            let mut k = keys.clone();
-            let mut p = payload.clone();
-            radix_sort_pairs_u32(&mut k, &mut p);
-            let got: Vec<(u32, u32)> = k.into_iter().zip(p).collect();
-            prop_assert_eq!(got, expected);
         }
 
         #[test]

@@ -83,34 +83,10 @@ pub fn count_segment(values: &[u32]) -> SegmentCounts {
     SegmentCounts { keys, counts }
 }
 
-/// Counts values per segment, where `segment_offsets` delimits segments in
-/// `values` (`segment i` spans `segment_offsets[i]..segment_offsets[i+1]`).
-///
-/// # Panics
-///
-/// Panics if `segment_offsets` is not a valid monotone offset array ending at
-/// `values.len()`.
-pub fn segmented_count(values: &[u32], segment_offsets: &[usize]) -> Vec<SegmentCounts> {
-    assert!(
-        !segment_offsets.is_empty(),
-        "segment offsets must contain at least the terminating offset"
-    );
-    assert_eq!(
-        *segment_offsets.last().unwrap(),
-        values.len(),
-        "last segment offset must equal values.len()"
-    );
-    let mut out = Vec::with_capacity(segment_offsets.len() - 1);
-    for w in segment_offsets.windows(2) {
-        assert!(w[0] <= w[1], "segment offsets must be monotone");
-        out.push(count_segment(&values[w[0]..w[1]]));
-    }
-    out
-}
-
 /// Naive hash-free oracle for [`count_segment`]: dense histogram over the key
-/// range. Used in tests.
-pub fn count_segment_dense_oracle(values: &[u32], key_range: usize) -> SegmentCounts {
+/// range.
+#[cfg(test)]
+fn count_segment_dense_oracle(values: &[u32], key_range: usize) -> SegmentCounts {
     let mut hist = vec![0u32; key_range];
     for &v in values {
         hist[v as usize] += 1;
@@ -155,36 +131,6 @@ mod tests {
         assert_eq!(c.counts, vec![3]);
     }
 
-    #[test]
-    fn segmented_over_documents() {
-        // Two documents: [1,1,2] and [0,2].
-        let values = [1u32, 1, 2, 0, 2];
-        let offsets = [0usize, 3, 5];
-        let counts = segmented_count(&values, &offsets);
-        assert_eq!(counts.len(), 2);
-        assert_eq!(counts[0].keys, vec![1, 2]);
-        assert_eq!(counts[0].counts, vec![2, 1]);
-        assert_eq!(counts[1].keys, vec![0, 2]);
-        assert_eq!(counts[1].counts, vec![1, 1]);
-    }
-
-    #[test]
-    fn segmented_with_empty_segments() {
-        let values = [5u32, 5];
-        let offsets = [0usize, 0, 2, 2];
-        let counts = segmented_count(&values, &offsets);
-        assert_eq!(counts.len(), 3);
-        assert!(counts[0].is_empty());
-        assert_eq!(counts[1].counts, vec![2]);
-        assert!(counts[2].is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "last segment offset")]
-    fn bad_offsets_panic() {
-        segmented_count(&[1, 2, 3], &[0, 2]);
-    }
-
     proptest! {
         #[test]
         fn matches_dense_oracle(values in proptest::collection::vec(0u32..64, 0..300)) {
@@ -194,12 +140,8 @@ mod tests {
         }
 
         #[test]
-        fn totals_preserved(values in proptest::collection::vec(0u32..1000, 0..300), cut in 0usize..300) {
-            let cut = cut.min(values.len());
-            let offsets = [0, cut, values.len()];
-            let segs = segmented_count(&values, &offsets);
-            let total: u64 = segs.iter().map(|s| s.total()).sum();
-            prop_assert_eq!(total, values.len() as u64);
+        fn totals_preserved(values in proptest::collection::vec(0u32..1000, 0..300)) {
+            prop_assert_eq!(count_segment(&values).total(), values.len() as u64);
         }
     }
 }

@@ -87,7 +87,7 @@ impl<'a> SparseRowView<'a, u32> {
 /// v.push(3, 2.0f32);
 /// v.push(8, 0.5f32);
 /// assert_eq!(v.nnz(), 2);
-/// assert_eq!(v.to_dense(10)[8], 0.5);
+/// assert_eq!(v.as_view().get(8), Some(0.5));
 /// ```
 ///
 /// Entries must be pushed with strictly increasing indices.
@@ -189,19 +189,6 @@ impl<T: Copy + Default + PartialEq> SparseVec<T> {
         }
         v
     }
-
-    /// Expands to a dense vector of length `len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any stored index is `>= len`.
-    pub fn to_dense(&self, len: usize) -> Vec<T> {
-        let mut out = vec![T::default(); len];
-        for (i, &v) in self.iter() {
-            out[i as usize] = v;
-        }
-        out
-    }
 }
 
 impl<T: fmt::Display> fmt::Display for SparseVec<T> {
@@ -250,7 +237,9 @@ mod tests {
         let dense = vec![0u32, 3, 0, 0, 7, 1];
         let sparse = SparseVec::from_dense(&dense);
         assert_eq!(sparse.nnz(), 3);
-        assert_eq!(sparse.to_dense(6), dense);
+        let view = sparse.as_view();
+        let back: Vec<u32> = (0..6).map(|i| view.get(i).unwrap_or(0)).collect();
+        assert_eq!(back, dense);
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl TraceContext {
         self.id
     }
 
-    /// The parent span id (0 = root / unknown).
-    pub fn parent_span(&self) -> u64 {
-        self.parent
-    }
-
     /// The `X-Saber-Trace` header value (`trace-parent`, both 16 hex
     /// digits), or `None` for a disabled context.
     pub fn header_value(&self) -> Option<String> {
@@ -445,11 +440,6 @@ impl TraceRing {
         }
     }
 
-    /// The fixed slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Records a finished trace. Never blocks: a contended slot drops the
     /// sample.
     pub fn push(&self, trace: Trace) {
@@ -561,7 +551,7 @@ mod tests {
         assert_eq!(header, "00000000000000ab-0000000000000003");
         assert_eq!(TraceContext::parse(&header), Some(ctx));
         let root = TraceContext::parse("00000000000000ab").unwrap();
-        assert_eq!(root.parent_span(), 0);
+        assert_eq!(root.parent, 0);
         assert!(root.enabled());
         assert_eq!(TraceContext::parse("xyz"), None);
         assert_eq!(TraceContext::parse("00000000000000ab-zz"), None);
@@ -659,7 +649,7 @@ mod tests {
     #[test]
     fn ring_wraps_and_reports_newest_first() {
         let ring = TraceRing::new(2);
-        assert_eq!(ring.capacity(), 2);
+        assert_eq!(ring.slots.len(), 2);
         for total in [1u64, 2, 3] {
             ring.push(Trace {
                 trace_id: TraceId::from_raw(total).unwrap(),

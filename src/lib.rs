@@ -5,16 +5,20 @@
 //! Chen, Zhu — ASPLOS 2017). It re-exports the public API of the workspace
 //! crates so downstream users need a single dependency:
 //!
-//! * [`corpus`] — corpora, synthetic dataset generators, UCI parser,
-//!   train/held-out splitting ([`saber_corpus`]);
-//! * [`sparse`] — CSR/dense matrix substrate ([`saber_sparse`]);
-//! * [`gpu`] — the deterministic GPU execution model ([`saber_gpu_sim`]);
+//! * [`corpus`] — corpora, synthetic dataset generators, the UCI
+//!   bag-of-words reader, train/held-out splitting ([`saber_corpus`]);
+//! * [`sparse`] — CSR/dense matrix substrate, prefix-sum search, radix sort
+//!   ([`saber_sparse`]);
+//! * [`gpu`] — the deterministic GPU execution model: warp vote, memory
+//!   accounting, block scheduling, cost model ([`saber_gpu_sim`]);
 //! * [`core`] — the SaberLDA trainer, kernels, W-ary tree, SSC, evaluation
 //!   ([`saber_core`]);
 //! * [`baselines`] — the comparison systems of the paper's Fig. 11
 //!   ([`saber_baselines`]);
 //! * [`serve`] — batched online topic inference with hot-swappable model
-//!   snapshots and an HTTP/1.1 network front-end ([`saber_serve`]).
+//!   snapshots and an HTTP/1.1 network front-end ([`saber_serve`]);
+//! * [`trace`] — dependency-free distributed request tracing
+//!   ([`saber_trace`]).
 //!
 //! The most common entry points are re-exported at the top level.
 //!
