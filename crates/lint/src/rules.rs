@@ -1,4 +1,4 @@
-//! The rule engine: eight lexical rules wired to the workspace invariants.
+//! The rule engine: seven lexical rules wired to the workspace invariants.
 //!
 //! Every rule is scoped to the files whose invariants it protects (see
 //! `docs/LINTS.md` for the catalogue) and runs over the token stream of
@@ -21,13 +21,12 @@ pub struct Diagnostic {
 }
 
 /// Rule identifiers, in catalogue order.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 7] = [
     NO_PANIC_SERVING,
     DETERMINISM,
     WIRE_GOLDEN_COVERAGE,
     NO_UNBOUNDED_ALLOC,
     LOCK_DISCIPLINE,
-    BREAKER_INSTRUMENTATION,
     EPOCH_THREADING,
     BAD_SUPPRESSION,
 ];
@@ -44,9 +43,6 @@ pub const NO_UNBOUNDED_ALLOC: &str = "no-unbounded-alloc-from-wire";
 /// Lock guards must not span another acquisition unless the pair is in
 /// [`ALLOWED_LOCK_ORDER`].
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
-/// Circuit-breaker state transitions must be counter-instrumented, so an
-/// operator can see every trip and re-admission in `RouterStats`.
-pub const BREAKER_INSTRUMENTATION: &str = "breaker-instrumentation";
 /// Every `publish*`/`commit*` seam in the training pipeline must thread an
 /// epoch value — an epoch-less publication cannot be fenced by the
 /// two-phase commit and can tear a fleet across versions.
@@ -80,7 +76,6 @@ pub fn run(files: &[(String, String)]) -> Vec<Diagnostic> {
         determinism(file, &mut diagnostics);
         no_unbounded_alloc(file, &mut diagnostics);
         lock_discipline(file, &ALLOWED_LOCK_ORDER, &mut diagnostics);
-        breaker_instrumentation(file, &mut diagnostics);
         epoch_threading(file, &mut diagnostics);
     }
     wire_golden_coverage(&lexed, &mut diagnostics);
@@ -721,78 +716,7 @@ fn new_guard(file: &LexedFile, dot_at: usize, lock: String, depth: i32, line: u3
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: breaker-instrumentation
-// ---------------------------------------------------------------------------
-
-/// Where replica circuit breakers live: the router (which consults them)
-/// and the transport layer (which defines them).
-fn breaker_scope(path: &str) -> bool {
-    [
-        "crates/serve/src/router.rs",
-        "crates/serve/src/transport.rs",
-    ]
-    .contains(&path)
-}
-
-/// Atomic methods that can flip a breaker's state word.
-const STATE_TRANSITIONS: [&str; 3] = ["store", "swap", "compare_exchange"];
-
-/// Flags breaker state transitions — a `store`/`swap`/`compare_exchange`
-/// whose arguments name a `STATE_*` constant — inside functions with no
-/// counter `fetch_add`. A silent flip is a breaker the operator cannot
-/// see: every trip, probe and re-admission must reach `RouterStats` (and
-/// from there `/stats` and `/metrics`).
-fn breaker_instrumentation(file: &LexedFile, out: &mut Vec<Diagnostic>) {
-    if !breaker_scope(&file.rel_path) {
-        return;
-    }
-    for i in 0..file.tokens.len() {
-        if file.in_test[i] {
-            continue;
-        }
-        let transitioning = file.text(i) == "."
-            && STATE_TRANSITIONS.contains(&file.text(i + 1))
-            && file.text(i + 2) == "(";
-        if !transitioning {
-            continue;
-        }
-        let Some(close) = matching_delim(file, i + 2, "(", ")") else {
-            continue;
-        };
-        let flips_state = (i + 3..close)
-            .any(|k| file.tokens[k].kind == TokenKind::Ident && file.text(k).starts_with("STATE_"));
-        if !flips_state {
-            continue;
-        }
-        let Some(fn_start) = file.fn_body[i] else {
-            continue;
-        };
-        let fn_name = file.text(fn_start + 1).to_string();
-        let mut open = fn_start;
-        while open < file.tokens.len() && file.text(open) != "{" {
-            open += 1;
-        }
-        let fn_end = matching_delim(file, open, "{", "}").unwrap_or(file.tokens.len());
-        let counted = (fn_start..fn_end).any(|k| file.is_ident(k, "fetch_add"));
-        if !counted {
-            out.push(Diagnostic {
-                file: file.rel_path.clone(),
-                line: file.tokens[i].line,
-                rule: BREAKER_INSTRUMENTATION,
-                message: format!(
-                    "`{}` flips a breaker `STATE_*` word but `{fn_name}` bumps no \
-                     counter (`fetch_add`) — the transition is invisible to \
-                     `RouterStats`, `/stats` and `/metrics`; count it (trips, \
-                     probes or readmits)",
-                    file.text(i + 1)
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 7: epoch-threading
+// Rule 6: epoch-threading
 // ---------------------------------------------------------------------------
 
 /// Where the continuous-training daemon publishes epochs to a live fleet.
@@ -1086,51 +1010,6 @@ mod tests {
         // The suppression is rejected, so the unwrap still fires too.
         assert_eq!(rule_ids(&diags), [BAD_SUPPRESSION, NO_PANIC_SERVING]);
         assert!(diags[0].message.contains("no reason"));
-    }
-
-    // -- breaker-instrumentation --------------------------------------------
-
-    #[test]
-    fn uncounted_breaker_transition_is_flagged() {
-        let src = "fn trip(&self) {\n    \
-                   self.state.store(STATE_OPEN, Ordering::SeqCst);\n}\n";
-        let diags = lint_one("crates/serve/src/transport.rs", src);
-        assert_eq!(rule_ids(&diags), [BREAKER_INSTRUMENTATION]);
-        assert_eq!(diags[0].line, 2);
-        assert!(
-            diags[0].message.contains("fetch_add"),
-            "{}",
-            diags[0].message
-        );
-    }
-
-    #[test]
-    fn counted_breaker_transitions_pass() {
-        let counted = "fn trip(&self) {\n    \
-                       self.state.store(STATE_OPEN, Ordering::SeqCst);\n    \
-                       self.trips.fetch_add(1, Ordering::Relaxed);\n}\n";
-        assert!(lint_one("crates/serve/src/transport.rs", counted).is_empty());
-        let exchanged = "fn admit(&self) -> bool {\n    \
-                         self.probes.fetch_add(1, Ordering::Relaxed);\n    \
-                         self.state\n        .compare_exchange(STATE_OPEN, STATE_HALF_OPEN, \
-                         Ordering::SeqCst, Ordering::SeqCst)\n        .is_ok()\n}\n";
-        assert!(lint_one("crates/serve/src/router.rs", exchanged).is_empty());
-    }
-
-    #[test]
-    fn breaker_rule_ignores_plain_atomics_tests_and_other_files() {
-        // A store of something that is not a STATE_* word is not a breaker
-        // transition.
-        let plain = "fn bump(&self) {\n    self.epoch.store(epoch, Ordering::SeqCst);\n}\n";
-        assert!(lint_one("crates/serve/src/transport.rs", plain).is_empty());
-        // Outside the breaker scope the same code is fine.
-        let src = "fn trip(&self) {\n    \
-                   self.state.store(STATE_OPEN, Ordering::SeqCst);\n}\n";
-        assert!(lint_one("crates/serve/src/server.rs", src).is_empty());
-        // And test code may drive state words directly.
-        let in_tests = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
-                        b.state.store(STATE_OPEN, Ordering::SeqCst);\n    }\n}\n";
-        assert!(lint_one("crates/serve/src/transport.rs", in_tests).is_empty());
     }
 
     // -- epoch-threading ----------------------------------------------------

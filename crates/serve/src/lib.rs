@@ -10,8 +10,10 @@
 //!   ([`SnapshotSampler`]: W-ary tree or alias table, the same §3.2.4
 //!   trade-off the paper studies for training). Sized ahead of publication
 //!   by the core memory estimator.
-//! * [`SnapshotCell`] — hot model swap: a trainer publishes refreshed
-//!   snapshots between iterations while serving continues; in-flight
+//! * [`SnapshotCell`] — hot model swap: a trainer stages and commits
+//!   refreshed snapshots between iterations
+//!   ([`TopicServer::stage`] + [`TopicServer::commit`], the only way a
+//!   server's snapshot changes) while serving continues; in-flight
 //!   requests keep the snapshot they started with, workers pick up the new
 //!   one at their next micro-batch with a single atomic check on the fast
 //!   path.
@@ -20,10 +22,10 @@
 //!   ESCA fold-in of [`saber_core::infer`] (`O(K_d)` per token, not
 //!   `O(K)`), and every request carries its own seed, so answers are
 //!   bit-reproducible regardless of batching, scheduling or concurrency.
-//! * Query API: [`TopicServer::infer_topics`] and
-//!   [`TopicServer::infer_raw`] (raw tokens +
-//!   [`OovPolicy`](saber_corpus::OovPolicy)) block on a full queue;
-//!   [`TopicServer::infer_with_trace`] — and
+//! * Query API: [`TopicServer::infer_topics`] blocks on a full queue
+//!   (raw tokens are encoded by the caller with
+//!   [`Vocabulary::encode`](saber_corpus::Vocabulary::encode), as the HTTP
+//!   `/infer` handler does); [`TopicServer::infer_with_trace`] — and
 //!   [`TopicServer::infer_with_deadline`], the same call under a disabled
 //!   trace builder — fail fast and bound the wait. Every entry point is a
 //!   wrapper over one admission core (the request-path table in
@@ -87,15 +89,16 @@
 //! assert_eq!(response.snapshot_version, 1);
 //! ```
 //!
-//! `examples/serve_demo.rs` at the workspace root walks through the full
-//! train → publish → concurrent-inference → hot-swap loop;
-//! `examples/http_serve.rs` stands the same pipeline up behind the HTTP
-//! listener. The crate-level architecture notes live in
+//! `examples/http_serve.rs` at the workspace root trains a model and stands
+//! it up behind the HTTP listener; `examples/saber_shardd.rs` runs a
+//! fleet of shard processes behind a router and publishes an epoch to it.
+//! The crate-level architecture notes live in
 //! `docs/ARCHITECTURE.md` and the wire protocol in `docs/SERVING.md`.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+mod breaker;
 pub mod http;
 pub mod router;
 pub mod server;
@@ -107,20 +110,17 @@ pub mod swap;
 pub mod transport;
 pub mod wire;
 
+pub use breaker::{ReplicaBreaker, FAILURE_THRESHOLD};
 pub use http::{EndpointStats, HttpConfig, HttpServer, HttpStats};
 pub use router::{FleetHealth, PipelineStats, ReplicaHealth, ReplicaSet, RouterStats, ShardRouter};
 pub use server::{
-    InferRequest, InferResponse, PartialRequest, PartialResponse, ServeConfig, ServeStats,
-    TopicServer,
+    InferResponse, PartialRequest, PartialResponse, ServeConfig, ServeStats, TopicServer,
 };
 pub use shard::{derive_replica_choice, derive_shard_seed, ShardPlan};
 pub use snapshot::{FoldInKind, FoldInParams, InferenceSnapshot, SnapshotSampler};
 pub use stats::{HistogramSnapshot, LatencyHistogram};
 pub use swap::SnapshotCell;
-pub use transport::{
-    HttpTransport, LocalTransport, PendingPartial, ReplicaBreaker, ShardInfo, ShardTransport,
-    FAILURE_THRESHOLD,
-};
+pub use transport::{HttpTransport, LocalTransport, PendingPartial, ShardInfo, ShardTransport};
 
 /// The inference surface the HTTP front-end ([`HttpServer`]) serves.
 ///
@@ -240,8 +240,6 @@ impl InferenceBackend for TopicServer {
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        // One snapshot load for both the range check and the fetch: a
-        // publish between two separate loads could shrink K and panic.
         let snapshot = self.snapshot();
         if k >= snapshot.n_topics() {
             return Err(ServeError::BadRequest {

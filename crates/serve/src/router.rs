@@ -63,13 +63,13 @@ use std::time::{Duration, Instant};
 
 use saber_core::infer::{em_update, esca_theta, PartialFoldIn};
 use saber_core::model::LdaModel;
-use saber_corpus::{OovPolicy, Vocabulary};
 use saber_trace::{TraceBuilder, TraceContext};
 
+use crate::breaker::ReplicaBreaker;
 use crate::server::{PartialRequest, PartialResponse};
 use crate::shard::{derive_replica_choice, derive_shard_seed, ShardPlan};
 use crate::snapshot::{FoldInKind, InferenceSnapshot};
-use crate::transport::{LocalTransport, PendingPartial, ReplicaBreaker, ShardInfo, ShardTransport};
+use crate::transport::{LocalTransport, PendingPartial, ShardInfo, ShardTransport};
 use crate::{InferResponse, ServeConfig, ServeError, ServeStats, TopicServer};
 
 mod publish;
@@ -502,7 +502,8 @@ impl<T: ShardTransport> ShardRouter<T> {
     }
 
     /// Document–topic smoothing α, fixed at construction and validated
-    /// across the fleet (it enters the router-side merge).
+    /// across the fleet (it enters the router-side merge); a publication
+    /// with another α is refused.
     pub fn alpha(&self) -> f32 {
         self.alpha
     }
@@ -588,27 +589,6 @@ impl<T: ShardTransport> ShardRouter<T> {
     ) -> Result<InferResponse, ServeError> {
         let deadline = Some(Instant::now() + deadline);
         self.route(&words, seed, deadline, trace, parent)
-    }
-
-    /// Encodes a raw-token document against `vocab` (the *full* model
-    /// vocabulary — global word ids, which the router then splits by
-    /// shard) and infers its topics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures ([`OovPolicy::Fail`]) plus everything
-    /// [`ShardRouter::infer_topics`] can return.
-    pub fn infer_raw<S: AsRef<str>>(
-        &self,
-        tokens: &[S],
-        vocab: &Vocabulary,
-        policy: OovPolicy,
-        seed: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
-        let mut response = self.infer_topics(encoded.ids, seed)?;
-        response.n_oov += encoded.n_oov;
-        Ok(response)
     }
 
     /// The `n` highest-probability words of topic `k` across the whole
@@ -837,7 +817,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         let request_for = |s: usize| PartialRequest::FoldIn {
             seed: derive_shard_seed(read.seed, s),
         };
-        let (merged, n_oov) = self.wave(split, read, &request_for, trace, fanout_span)?;
+        let merged = self.wave(split, read, &request_for, trace, fanout_span)?;
         trace.end(fanout_span);
         let merge_span = trace.begin(Some(parent), "merge");
         let theta = esca_theta(
@@ -850,7 +830,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         Ok(InferResponse {
             theta: theta.into_iter().map(|p| p as f32).collect(),
             snapshot_version: read.epoch,
-            n_oov,
+            n_oov: 0,
         })
     }
 
@@ -875,17 +855,13 @@ impl<T: ShardTransport> ShardRouter<T> {
             return Ok(self.uniform_response(read.epoch));
         }
         let mut theta = Arc::new(vec![1.0f64 / k as f64; k]);
-        let mut n_oov = 0usize;
         for round in 0..iterations {
             let round_span = trace.begin(Some(parent), format_args!("em-round {round}"));
             let request_for = |_s: usize| PartialRequest::EmRound {
                 round,
                 theta: Arc::clone(&theta),
             };
-            let (merged, round_oov) = self.wave(split, read, &request_for, trace, round_span)?;
-            if round == 0 {
-                n_oov = round_oov;
-            }
+            let merged = self.wave(split, read, &request_for, trace, round_span)?;
             let merge_span = trace.begin(Some(round_span), "merge");
             let mut next = vec![0.0f64; k];
             em_update(&mut next, &merged.counts, merged.n_words, self.alpha);
@@ -896,14 +872,15 @@ impl<T: ShardTransport> ShardRouter<T> {
         Ok(InferResponse {
             theta: theta.iter().map(|&p| p as f32).collect(),
             snapshot_version: read.epoch,
-            n_oov,
+            n_oov: 0,
         })
     }
 
     /// One fan-out wave: submits `request_for(shard)`, pinned to
     /// `read.epoch`, to every shard with words in `split`, then settles
     /// every leg ([`ShardRouter::settle_leg`]) and merges the partials.
-    /// Returns the merged counts and the shards' out-of-vocabulary total.
+    /// A shard drops no word it admitted (see [`PartialResponse::n_oov`]),
+    /// so a routed answer reports no out-of-vocabulary words either.
     ///
     /// All submissions land before any reply is awaited, so shards execute
     /// concurrently — in-process or across the network. Within each shard
@@ -921,7 +898,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         request_for: &impl Fn(usize) -> PartialRequest,
         trace: &mut TraceBuilder,
         wave_span: u64,
-    ) -> Result<(PartialFoldIn, usize), ServeError> {
+    ) -> Result<PartialFoldIn, ServeError> {
         let mut legs = Vec::new();
         for (s, words) in split.iter().enumerate() {
             if words.is_empty() {
@@ -946,14 +923,12 @@ impl<T: ShardTransport> ShardRouter<T> {
             });
         }
         let mut merged = PartialFoldIn::empty(self.n_topics);
-        let mut n_oov = 0;
         for leg in legs {
             let (words, request) = (&split[leg.shard], request_for(leg.shard));
             let response = self.settle_leg(leg, words, request, read, wave_span, trace)?;
             merged.merge(&response.partial);
-            n_oov += response.n_oov;
         }
-        Ok((merged, n_oov))
+        Ok(merged)
     }
 
     /// Finishes one fan-out leg: waits for the reply, notes the outcome on
@@ -1305,6 +1280,27 @@ mod tests {
             Err(ServeError::InvalidConfig { .. })
         ));
         assert_eq!(router.epoch(), 2);
+        router.shutdown();
+    }
+
+    #[test]
+    fn a_publication_with_another_alpha_is_refused() {
+        // The router finishes θ with the α it validated at construction, so
+        // shards sampling with another one would change every answer.
+        let router = router(2, FoldInKind::Esca);
+        let mut model = LdaModel::new(12, 3, 5.0, 0.01).unwrap();
+        for v in 0..12 {
+            model.word_topic_mut()[(v, v % 3)] = 50;
+        }
+        model.refresh_probabilities();
+        let other_alpha = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
+        assert!(matches!(
+            router.publish(other_alpha),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        assert_eq!(router.epoch(), 1);
+        assert_eq!(router.alpha(), 0.05);
+        assert!(router.router_stats().pipeline.is_none());
         router.shutdown();
     }
 

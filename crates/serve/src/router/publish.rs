@@ -7,7 +7,6 @@
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use saber_core::model::LdaModel;
 use saber_core::model_io::{delta_encoded_bytes, snapshot_encoded_bytes};
 
 use super::{ReplicaSet, ShardRouter};
@@ -55,7 +54,9 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when the snapshot's shape
-    /// (vocabulary or topic count) does not match the fleet's; propagates
+    /// (vocabulary or topic count) or α does not match the fleet's (the
+    /// router finishes every merge with the α it validated at
+    /// construction); propagates
     /// staging and commit failures (a commit failure can leave shards on
     /// mixed epochs — reads keep the old one, which every shard still
     /// holds — and the next publication restarts them all at a fresh one).
@@ -103,16 +104,6 @@ impl<T: ShardTransport> ShardRouter<T> {
         }
     }
 
-    /// Exports and publishes the current state of `model`; the sharded
-    /// counterpart of [`TopicServer::publish_model`](crate::TopicServer::publish_model).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardRouter::publish`].
-    pub fn publish_model(&self, model: &LdaModel) -> Result<u64, ServeError> {
-        self.publish(InferenceSnapshot::from_model(model, self.config.sampler))
-    }
-
     /// The shared two-phase publication, with the optional delta fast
     /// path. Its [`PipelineStats`] are recorded once, on success.
     fn publish_impl(
@@ -128,6 +119,15 @@ impl<T: ShardTransport> ShardRouter<T> {
                     snapshot.n_topics(),
                     self.plan.vocab_size(),
                     self.n_topics
+                ),
+            });
+        }
+        if snapshot.alpha().to_bits() != self.alpha.to_bits() {
+            return Err(ServeError::InvalidConfig {
+                detail: format!(
+                    "published snapshot has alpha {} but the fleet serves {}",
+                    snapshot.alpha(),
+                    self.alpha
                 ),
             });
         }

@@ -5,14 +5,14 @@
 //! micro-batches (one snapshot load per batch). Every entry point is a thin
 //! wrapper over one `submit` (the only place a job is minted and enqueued)
 //! and one `await_reply`, in one of two admission modes — blocking
-//! ([`TopicServer::infer_topics`], [`TopicServer::infer_partial`],
-//! [`TopicServer::infer_batch`]) or fail-fast with a reply deadline
+//! ([`TopicServer::infer_topics`], [`TopicServer::infer_partial`]) or
+//! fail-fast with a reply deadline
 //! ([`TopicServer::infer_with_deadline`] and its traced form
 //! [`TopicServer::infer_with_trace`], the ones the HTTP front-end maps to
 //! `429`/`503`). Workers time every request (queue wait + fold-in) into the
 //! lock-free histogram surfaced by [`ServeStats`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 use saber_core::infer::PartialFoldIn;
 use saber_core::model::LdaModel;
 use saber_core::model_io::DeltaPayload;
-use saber_corpus::{OovPolicy, Vocabulary};
 use saber_trace::{SpanRecord, TraceBuilder, TraceContext};
 
 use crate::snapshot::{FoldInParams, InferenceSnapshot, SnapshotSampler};
@@ -44,7 +43,8 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Fold-in quality knobs applied to every request.
     pub fold_in: FoldInParams,
-    /// Sampling structure used by [`TopicServer::publish_model`].
+    /// Sampling structure used by [`TopicServer::from_model`] and
+    /// [`ShardRouter::from_model`](crate::ShardRouter::from_model).
     pub sampler: SnapshotSampler,
 }
 
@@ -71,29 +71,18 @@ impl ServeConfig {
     }
 }
 
-/// One inference request: a document as vocabulary word ids plus the seed
-/// that makes its answer reproducible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InferRequest {
-    /// Word ids of the document (unordered bag of words).
-    pub words: Vec<u32>,
-    /// Per-request RNG seed. Equal seeds on equal words against an equal
-    /// snapshot give bit-identical responses, regardless of batching or
-    /// which worker serves them.
-    pub seed: u64,
-}
-
-/// The answer to an [`InferRequest`].
+/// The answer to one inference request. Equal seeds on equal words
+/// against an equal snapshot give bit-identical responses, regardless of
+/// batching or which worker serves them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferResponse {
     /// Topic distribution `θ` of the document (length `K`, sums to 1).
     pub theta: Vec<f32>,
     /// Version of the snapshot that served the request.
     pub snapshot_version: u64,
-    /// Input tokens dropped as out-of-vocabulary: unknown raw tokens on the
-    /// [`TopicServer::infer_raw`] path, plus word ids a snapshot swap made
-    /// unservable between admission and execution (only possible when a
-    /// published snapshot shrank the vocabulary).
+    /// Raw tokens dropped as out-of-vocabulary. Word-id requests never
+    /// drop any; the HTTP front-end adds the unknown tokens of a raw-token
+    /// body after encoding it against its vocabulary.
     pub n_oov: usize,
 }
 
@@ -209,8 +198,9 @@ pub struct PartialResponse {
     /// Version of the snapshot that served the request — the router checks
     /// these match across shards before trusting a merge.
     pub snapshot_version: u64,
-    /// Word ids dropped because a snapshot swap made them unservable
-    /// between admission and execution.
+    /// Always 0 from a shard: every snapshot a server holds has the `V` it
+    /// started with, so no admitted word id is ever dropped. Kept for the
+    /// pinned `/infer-partial` bytes, which carry it.
     pub n_oov: usize,
     /// Spans recorded while serving the request, empty unless the caller
     /// passed an enabled [`TraceContext`]. For remote shards these ride the
@@ -289,8 +279,9 @@ struct Job {
 /// requests were batched.
 ///
 /// A trainer (or anything holding the server handle) can
-/// [`TopicServer::publish`] a refreshed snapshot at any time; workers pick
-/// it up at their next batch without pausing the queue.
+/// [`TopicServer::stage`] a refreshed snapshot of the same `V × K` and
+/// [`TopicServer::commit`] it at any time; workers pick it up at their next
+/// batch without pausing the queue.
 ///
 /// Dropping the server joins all workers after in-flight requests drain.
 pub struct TopicServer {
@@ -299,14 +290,12 @@ pub struct TopicServer {
     workers: Vec<JoinHandle<()>>,
     counters: Arc<Counters>,
     config: ServeConfig,
-    /// Vocabulary size of the latest published snapshot, cached so request
-    /// admission never touches the snapshot cell's lock. All snapshots of
-    /// one server come from the same model family, so the bound is stable;
-    /// the worker tolerates a stale bound by dropping unservable ids.
-    vocab_bound: AtomicUsize,
+    /// Vocabulary size of every snapshot this server holds: `stage` refuses
+    /// any other shape and a delta keeps it, so admission checks word ids
+    /// without touching the snapshot cell's lock.
+    vocab_bound: usize,
     /// The epoch-tagged snapshot staged for its [`TopicServer::commit`].
-    /// The mutex also serialises every publication, so `vocab_bound` and
-    /// the cell swap cannot interleave across concurrent publishers.
+    /// The mutex also serialises every publication.
     publish_lock: Mutex<Option<(u64, InferenceSnapshot)>>,
 }
 
@@ -348,7 +337,7 @@ impl TopicServer {
                     })
             })
             .collect::<Result<Vec<_>, ServeError>>()?;
-        let vocab_bound = AtomicUsize::new(cell.load().vocab_size());
+        let vocab_bound = cell.load().vocab_size();
         Ok(TopicServer {
             cell,
             queue: Some(tx),
@@ -369,16 +358,6 @@ impl TopicServer {
     /// The server's configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// Publishes a new snapshot; returns its version. In-flight batches
-    /// finish on the snapshot they started with.
-    pub fn publish(&self, snapshot: InferenceSnapshot) -> u64 {
-        let _staged = self.publish_guard();
-        self.cell.release_previous();
-        self.vocab_bound
-            .store(snapshot.vocab_size(), Ordering::Relaxed);
-        self.cell.publish(snapshot)
     }
 
     /// Stages `slice` to be served as `epoch` from its
@@ -446,9 +425,11 @@ impl TopicServer {
         Ok(true)
     }
 
-    /// Swaps in the snapshot staged for `epoch` and returns `epoch`.
-    /// Idempotent for the epoch already served, and then leaves the stage
-    /// alone: a stale duplicate commit must never discard a newer stage.
+    /// Swaps in the snapshot staged for `epoch` and returns `epoch`: the
+    /// only place the served snapshot changes. In-flight batches finish on
+    /// the snapshot they started with. Idempotent for the epoch already
+    /// served, and then leaves the stage alone: a stale duplicate commit
+    /// must never discard a newer stage.
     ///
     /// # Errors
     ///
@@ -476,8 +457,6 @@ impl TopicServer {
                 detail: format!("cannot publish epoch {epoch} over current epoch {current}"),
             });
         }
-        self.vocab_bound
-            .store(snapshot.vocab_size(), Ordering::Relaxed);
         Ok(self.cell.publish_with_version(snapshot, epoch))
     }
 
@@ -488,19 +467,13 @@ impl TopicServer {
         self.publish_lock.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Exports and publishes the current state of `model` using the
-    /// configured sampler kind; returns the new version. This is the hook a
-    /// training loop calls between iterations.
-    pub fn publish_model(&self, model: &LdaModel) -> u64 {
-        self.publish(InferenceSnapshot::from_model(model, self.config.sampler))
-    }
-
     /// The currently served snapshot.
     pub fn snapshot(&self) -> Arc<InferenceSnapshot> {
         self.cell.load()
     }
 
-    /// Current snapshot version (increments on every publish).
+    /// Current snapshot version: the epoch of the last commit, 1 before
+    /// any.
     pub fn snapshot_version(&self) -> u64 {
         self.cell.version()
     }
@@ -605,46 +578,6 @@ impl TopicServer {
         Ok(response)
     }
 
-    /// Submits a whole batch and waits for every answer, preserving order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Closed`] if the worker pool has shut down.
-    pub fn infer_batch(
-        &self,
-        requests: Vec<InferRequest>,
-    ) -> Result<Vec<InferResponse>, ServeError> {
-        let trace = TraceContext::disabled();
-        let receivers: Vec<_> = requests
-            .into_iter()
-            .map(|r| self.submit(r.words, JobKind::Infer { seed: r.seed }, false, trace))
-            .collect::<Result<_, _>>()?;
-        receivers
-            .into_iter()
-            .map(|(rx, _)| Self::await_reply(&rx, None).and_then(expect_infer))
-            .collect()
-    }
-
-    /// Encodes a raw-token document against `vocab` and infers its topics;
-    /// the response carries the out-of-vocabulary count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures ([`OovPolicy::Fail`]) and
-    /// [`ServeError::Closed`].
-    pub fn infer_raw<S: AsRef<str>>(
-        &self,
-        tokens: &[S],
-        vocab: &Vocabulary,
-        policy: OovPolicy,
-        seed: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
-        let mut response = self.infer_topics(encoded.ids, seed)?;
-        response.n_oov += encoded.n_oov;
-        Ok(response)
-    }
-
     /// The `n` highest-probability words of topic `k` under the current
     /// snapshot.
     ///
@@ -676,10 +609,10 @@ impl TopicServer {
 
     /// Rejects word ids the served vocabulary cannot contain. Checked at
     /// submission so a malformed request surfaces as an error to its caller
-    /// instead of panicking a worker. Reads the cached bound — admission
+    /// instead of panicking a worker. Reads the fixed bound — admission
     /// must not contend on the snapshot cell.
     fn validate_words(&self, words: &[u32]) -> Result<(), ServeError> {
-        let vocab_size = self.vocab_bound.load(Ordering::Relaxed);
+        let vocab_size = self.vocab_bound;
         match words.iter().find(|&&w| w as usize >= vocab_size) {
             None => Ok(()),
             Some(&w) => Err(ServeError::BadRequest {
@@ -794,7 +727,7 @@ fn worker_loop(
             counters.swaps_observed.fetch_add(1, Ordering::Relaxed);
         }
         counters.batches.fetch_add(1, Ordering::Relaxed);
-        for mut job in batch.drain(..) {
+        for job in batch.drain(..) {
             let dequeued = Instant::now();
             let queue_wait = dequeued.duration_since(job.enqueued);
             // A commit may have landed between a pinned partial's admission
@@ -805,19 +738,11 @@ fn worker_loop(
                 }
                 _ => Some(Arc::clone(&snapshot)),
             };
-            // Submission validated against the then-current snapshot; if a
-            // swap shrank the vocabulary since, drop the now-unservable ids
-            // (reported as OOV) rather than panicking the worker.
-            let vocab_size = served.as_ref().map_or(0, |s| s.vocab_size()) as u32;
-            let submitted = job.words.len();
-            job.words.retain(|&w| w < vocab_size);
-            let n_oov = submitted - job.words.len();
-
             let reply = match (&job.kind, served) {
                 (JobKind::Infer { seed }, _) => JobReply::Infer(InferResponse {
                     theta: snapshot.infer_topics(&job.words, *seed, fold_in),
                     snapshot_version: snapshot.version(),
-                    n_oov,
+                    n_oov: 0,
                 }),
                 (JobKind::Partial { .. }, None) => {
                     JobReply::Partial(Err(ServeError::ShardVersionSkew))
@@ -833,7 +758,7 @@ fn worker_loop(
                             }
                         },
                         snapshot_version: served.version(),
-                        n_oov,
+                        n_oov: 0,
                         spans: Vec::new(),
                     }))
                 }
@@ -991,14 +916,22 @@ mod tests {
     #[test]
     fn batch_answers_preserve_order_and_seeds() {
         let server = small_server(3);
-        let requests: Vec<InferRequest> = (0..20)
-            .map(|i| InferRequest {
-                words: vec![(i % 12) as u32; 6],
-                seed: i as u64,
+        // Twenty requests in flight at once, so workers coalesce them.
+        let answers = || {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..20u32)
+                    .map(|i| {
+                        let server = &server;
+                        scope.spawn(move || server.infer_topics(vec![i % 12; 6], u64::from(i)))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap().unwrap())
+                    .collect::<Vec<_>>()
             })
-            .collect();
-        let a = server.infer_batch(requests.clone()).unwrap();
-        let b = server.infer_batch(requests).unwrap();
+        };
+        let (a, b) = (answers(), answers());
         assert_eq!(a.len(), 20);
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.theta, y.theta, "same seed must give same answer");
@@ -1014,38 +947,13 @@ mod tests {
     }
 
     #[test]
-    fn raw_token_path_reports_oov() {
-        let server = small_server(2);
-        let vocab = saber_corpus::Vocabulary::synthetic(12);
-        let response = server
-            .infer_raw(
-                &["w00000", "nope", "w00003", "w00006"],
-                &vocab,
-                OovPolicy::Skip,
-                1,
-            )
-            .unwrap();
-        assert_eq!(response.n_oov, 1);
-        assert_eq!(response.dominant_topic(), 0);
-        assert!(matches!(
-            server.infer_raw(&["nope"], &vocab, OovPolicy::Fail, 1),
-            Err(ServeError::Corpus(_))
-        ));
-        server.shutdown();
-    }
-
-    #[test]
-    fn publish_model_is_visible_to_later_requests() {
+    fn a_committed_snapshot_is_visible_to_later_requests() {
         let server = small_server(2);
         assert_eq!(server.snapshot_version(), 1);
         // New model: words planted shifted by one topic.
-        let mut model = LdaModel::new(12, 3, 0.05, 0.01).unwrap();
-        for v in 0..12 {
-            model.word_topic_mut()[(v, (v + 1) % 3)] = 50;
-        }
-        model.refresh_probabilities();
-        let v2 = server.publish_model(&model);
-        assert_eq!(v2, 2);
+        server.stage(2, shifted_snapshot()).unwrap();
+        assert_eq!(server.snapshot_version(), 1, "a stage serves nothing yet");
+        assert_eq!(server.commit(2).unwrap(), 2);
         let response = server.infer_topics(vec![0, 3, 6, 9, 0, 3], 42).unwrap();
         assert_eq!(response.snapshot_version, 2);
         assert_eq!(response.dominant_topic(), 1, "swap must retarget topic");
@@ -1072,8 +980,10 @@ mod tests {
             Err(ServeError::Conflict { .. })
         ));
         assert_eq!(server.snapshot_version(), 5);
-        // A regular publish continues from the pinned epoch.
-        assert_eq!(server.publish(snap()), 6);
+        // The next publication continues from the pinned epoch.
+        server.stage(6, snap()).unwrap();
+        assert_eq!(server.commit(6).unwrap(), 6);
+        assert_eq!(server.snapshot_version(), 6);
         server.shutdown();
     }
 
@@ -1190,30 +1100,6 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn a_pinned_partial_drops_words_its_epoch_never_held() {
-        // Word 15 is valid once a 20-word model replaced the 12-word one,
-        // but a read pinned to the replaced epoch must count it as OOV
-        // rather than index past that snapshot.
-        let server = small_server(1);
-        let grown = InferenceSnapshot::from_model(&planted_model(20, 3), SnapshotSampler::WaryTree);
-        assert_eq!(server.publish(grown), 2);
-        let off = TraceContext::disabled();
-        let fold_in = PartialRequest::FoldIn { seed: 5 };
-        let pinned = server.partial(vec![0, 15, 3], fold_in, Some(1), None, off);
-        let pinned = pinned.unwrap();
-        assert_eq!((pinned.snapshot_version, pinned.n_oov), (1, 1));
-        let live = server.partial(
-            vec![0, 15, 3],
-            PartialRequest::FoldIn { seed: 5 },
-            None,
-            None,
-            off,
-        );
-        assert_eq!(live.unwrap().n_oov, 0);
-        server.shutdown();
-    }
-
     /// The admission table: every entry point, grouped by the admission
     /// mode it must have, driven against a single worker wedged on a heavy
     /// request. Fail-fast entry points must time out once admitted and be
@@ -1285,16 +1171,6 @@ mod tests {
             (
                 "infer_partial",
                 Box::new(|| server.infer_partial(vec![3], fold_in()).map(drop)),
-            ),
-            (
-                "infer_batch",
-                Box::new(|| {
-                    let request = InferRequest {
-                        words: vec![3],
-                        seed: 2,
-                    };
-                    server.infer_batch(vec![request]).map(drop)
-                }),
             ),
             (
                 "submit_partial(.., None, ..)",

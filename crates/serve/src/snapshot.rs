@@ -177,8 +177,9 @@ impl InferenceSnapshot {
         self.sampler_kind
     }
 
-    /// Publication version, assigned by [`crate::SnapshotCell::publish`];
-    /// 0 until the snapshot has been published.
+    /// Publication version: 1 for the snapshot a server starts with, then
+    /// the epoch [`crate::TopicServer::commit`] swapped it in at (through
+    /// [`crate::SnapshotCell::publish_with_version`]); 0 until published.
     pub fn version(&self) -> u64 {
         self.version
     }

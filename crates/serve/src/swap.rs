@@ -1,7 +1,7 @@
 //! Hot model swap: publish refreshed snapshots while serving continues.
 //!
 //! The single primitive here, [`SnapshotCell`], decouples the publication
-//! rate (a trainer pushing a new [`InferenceSnapshot`] every iteration)
+//! rate (a trainer committing a new [`InferenceSnapshot`] every iteration)
 //! from the serving rate (workers loading the current snapshot once per
 //! micro-batch): readers never block publishers, publishers never wait for
 //! readers, and the version counter lets a cached reader skip the lock
@@ -22,8 +22,8 @@ use crate::snapshot::InferenceSnapshot;
 /// A publication point for [`InferenceSnapshot`]s.
 ///
 /// Readers take an `Arc` clone of the current snapshot and use it for as
-/// long as they like; [`SnapshotCell::publish`] swaps in a replacement
-/// without waiting for them. In-flight requests keep the snapshot they
+/// long as they like; [`SnapshotCell::publish_with_version`] swaps in a
+/// replacement without waiting for them. In-flight requests keep the snapshot they
 /// started with (the old `Arc` stays alive until its last reader drops it),
 /// so a running trainer can publish between iterations while serving
 /// continues uninterrupted.
@@ -37,7 +37,8 @@ pub struct SnapshotCell {
     /// `(current, previous)`: the served snapshot, and the one its last swap
     /// replaced until [`SnapshotCell::release_previous`].
     slots: Mutex<Slots>,
-    /// Monotonic publication counter; starts at 1 for the initial snapshot.
+    /// Version of the served snapshot; starts at 1 for the initial one and
+    /// only moves forward.
     version: AtomicU64,
 }
 
@@ -53,27 +54,16 @@ impl SnapshotCell {
         }
     }
 
-    /// Atomically replaces the served snapshot, assigning and returning the
-    /// next version number. Readers observe the swap on their next load; the
-    /// replaced snapshot is kept for [`SnapshotCell::load_at`].
-    pub fn publish(&self, snapshot: InferenceSnapshot) -> u64 {
-        self.store(snapshot, None)
-    }
-
-    /// Like [`SnapshotCell::publish`] but with a caller-chosen version —
-    /// how a remote shard lands on the *fleet's* epoch instead of its own
-    /// local counter (a restarted shard may be several epochs behind).
-    /// `version` must be greater than the current one; the caller
-    /// serialises publications (see `TopicServer`'s publish lock).
-    pub fn publish_with_version(&self, snapshot: InferenceSnapshot, version: u64) -> u64 {
-        self.store(snapshot, Some(version))
-    }
-
-    /// Swaps in `snapshot` as `version`, or as the next one when `None`.
-    fn store(&self, mut snapshot: InferenceSnapshot, version: Option<u64>) -> u64 {
+    /// Atomically replaces the served snapshot with `snapshot` as
+    /// `version` and returns it. The version is the *fleet's* epoch, not a
+    /// local counter (a restarted shard may be several epochs behind). It
+    /// must be greater than the current one; the caller serialises
+    /// publications (see `TopicServer`'s publish lock). Readers observe the
+    /// swap on their next load; the replaced snapshot is kept for
+    /// [`SnapshotCell::load_at`].
+    pub fn publish_with_version(&self, mut snapshot: InferenceSnapshot, version: u64) -> u64 {
         let (current, previous) = &mut *self.slots();
         let latest = self.version.load(Ordering::Acquire);
-        let version = version.unwrap_or(latest + 1);
         debug_assert!(
             version > latest,
             "a publication must move the version forward"
@@ -149,7 +139,7 @@ mod tests {
         let cell = SnapshotCell::new(tiny_snapshot());
         assert_eq!(cell.version(), 1);
         assert_eq!(cell.load().version(), 1);
-        let v2 = cell.publish(tiny_snapshot());
+        let v2 = cell.publish_with_version(tiny_snapshot(), 2);
         assert_eq!(v2, 2);
         assert_eq!(cell.load().version(), 2);
     }
@@ -158,7 +148,7 @@ mod tests {
     fn old_readers_keep_their_snapshot_across_a_swap() {
         let cell = SnapshotCell::new(tiny_snapshot());
         let held = cell.load();
-        cell.publish(tiny_snapshot());
+        cell.publish_with_version(tiny_snapshot(), 2);
         assert_eq!(held.version(), 1, "in-flight reader must keep its snapshot");
         assert_eq!(cell.load().version(), 2);
     }
@@ -169,8 +159,8 @@ mod tests {
         assert_eq!(cell.publish_with_version(tiny_snapshot(), 7), 7);
         assert_eq!(cell.version(), 7);
         assert_eq!(cell.load().version(), 7);
-        // A regular publish continues from there.
-        assert_eq!(cell.publish(tiny_snapshot()), 8);
+        // The initial snapshot is the one a swap replaced.
+        assert_eq!(cell.load_at(1).map(|s| s.version()), Some(1));
     }
 
     #[test]
@@ -189,7 +179,7 @@ mod tests {
         assert!(cell.load_at(1).is_none());
         assert_eq!(cell.load_at(4).map(|s| s.version()), Some(4));
         // A swap keeps only the snapshot it replaced.
-        cell.publish(tiny_snapshot());
+        cell.publish_with_version(tiny_snapshot(), 5);
         assert_eq!(cell.load_at(4).map(|s| s.version()), Some(4));
         assert!(cell.load_at(1).is_none());
     }
@@ -199,7 +189,7 @@ mod tests {
         let cell = SnapshotCell::new(tiny_snapshot());
         let mut cached = cell.load();
         assert!(!cell.load_if_newer(&mut cached));
-        cell.publish(tiny_snapshot());
+        cell.publish_with_version(tiny_snapshot(), 2);
         assert!(cell.load_if_newer(&mut cached));
         assert_eq!(cached.version(), 2);
         assert!(!cell.load_if_newer(&mut cached));
@@ -211,8 +201,8 @@ mod tests {
         let publisher = {
             let cell = Arc::clone(&cell);
             std::thread::spawn(move || {
-                for _ in 0..50 {
-                    cell.publish(tiny_snapshot());
+                for version in 2..=51 {
+                    cell.publish_with_version(tiny_snapshot(), version);
                 }
             })
         };

@@ -80,8 +80,8 @@ pub use saber_core::{
 pub use saber_corpus::{Corpus, Document, OovPolicy, TokenList, Vocabulary};
 pub use saber_gpu_sim::DeviceSpec;
 pub use saber_serve::{
-    FoldInKind, HttpConfig, HttpServer, InferRequest, InferResponse, InferenceBackend,
-    InferenceSnapshot, ServeConfig, ShardPlan, ShardRouter, SnapshotSampler, TopicServer,
+    FoldInKind, HttpConfig, HttpServer, InferResponse, InferenceBackend, InferenceSnapshot,
+    ServeConfig, ShardPlan, ShardRouter, SnapshotSampler, TopicServer,
 };
 
 #[cfg(test)]

@@ -336,11 +336,9 @@ fn snapshot_swap_is_visible_over_a_live_keep_alive_connection() {
 
     // Publish a shifted model (word v moves to topic (v+1) % K) while the
     // connection stays open.
-    let version = server.publish(InferenceSnapshot::from_model(
-        &planted_model(1),
-        SnapshotSampler::WaryTree,
-    ));
-    assert_eq!(version, 2);
+    let shifted = InferenceSnapshot::from_model(&planted_model(1), SnapshotSampler::WaryTree);
+    server.stage(2, shifted).unwrap();
+    assert_eq!(server.commit(2).unwrap(), 2);
 
     let (status, body) = send(&words_payload(&doc, 9));
     assert_eq!(status, 200);
@@ -379,10 +377,11 @@ fn raw_tokens_and_query_endpoints_round_trip() {
     // its bytes are those of the in-process answer, it is traced end to
     // end, and it feeds the endpoint's queue-wait/handler split a real
     // sample (not the 0 µs one an untraced call used to leave).
-    let tokens = ["w00000", "w00004", "notaword"];
-    let reference = server
-        .infer_raw(&tokens, &vocab, OovPolicy::Skip, 3)
+    let encoded = vocab
+        .encode(["w00000", "w00004", "notaword"], OovPolicy::Skip)
         .unwrap();
+    let mut reference = server.infer_topics(encoded.ids, 3).unwrap();
+    reference.n_oov += encoded.n_oov;
     assert_eq!(body, wire::encode_infer_response(&reference, 3).to_string());
     let (_, traces) = get(addr, "/trace/recent");
     let recent = wire::decode_trace_recent(&traces).unwrap();

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{FoldInParams, ServeConfig, SnapshotSampler, TopicServer};
-use saberlda::{InferRequest, InferenceSnapshot, LdaModel, SaberLda, SaberLdaConfig};
+use saberlda::{InferenceSnapshot, LdaModel, SaberLda, SaberLdaConfig};
 
 const K: usize = 4;
 const VOCAB: usize = 40;
@@ -153,22 +153,27 @@ fn fixed_seed_is_bit_identical_across_batch_shapes_and_threads() {
     let words: Vec<u32> = vec![0, 1, 2, 3, 8, 9, 10, 11, 0, 5];
     let reference = server.infer_topics(words.clone(), 1234).unwrap();
 
-    // Same request replayed alone, inside large mixed batches, and from
-    // multiple threads at once: the θ bits never change.
-    let in_batch = server
-        .infer_batch(
-            (0..24)
-                .map(|i| InferRequest {
-                    words: if i == 13 {
-                        words.clone()
+    // Same request replayed alone, inside large mixed batches (24 requests
+    // in flight at once), and from multiple threads at once: the θ bits
+    // never change.
+    let in_batch: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..24)
+            .map(|i| {
+                let (server, words) = (&server, &words);
+                scope.spawn(move || {
+                    if i == 13 {
+                        server.infer_topics(words.clone(), 1234)
                     } else {
-                        planted_doc(i % K, 9)
-                    },
-                    seed: if i == 13 { 1234 } else { i as u64 },
+                        server.infer_topics(planted_doc(i % K, 9), i as u64)
+                    }
                 })
-                .collect(),
-        )
-        .unwrap();
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect()
+    });
     assert_eq!(in_batch[13].theta, reference.theta);
 
     let threads: Vec<_> = (0..4)
@@ -246,8 +251,8 @@ fn mid_stream_snapshot_swap_is_observed_by_subsequent_requests() {
     std::thread::sleep(std::time::Duration::from_millis(5));
     let snapshot = InferenceSnapshot::from_model(&planted_model(1), SnapshotSampler::WaryTree);
     published.store(2, Ordering::SeqCst);
-    let version = server.publish(snapshot);
-    assert_eq!(version, 2);
+    server.stage(2, snapshot).unwrap();
+    assert_eq!(server.commit(2).unwrap(), 2);
 
     let exits: Vec<bool> = clients.into_iter().map(|c| c.join().unwrap()).collect();
     assert!(

@@ -283,8 +283,9 @@ fn budgeted_plan_serves_within_its_per_shard_budget() {
 
 #[test]
 fn raw_token_documents_route_identically() {
-    // The raw-token path encodes against the FULL vocabulary before
-    // splitting, so OOV accounting and θ match the direct server.
+    // Raw tokens are encoded against the FULL vocabulary before the router
+    // splits the ids, so θ matches the direct server and no shard drops a
+    // word.
     let model = random_model(VOCAB, K, 13);
     let vocab = saberlda::corpus::Vocabulary::synthetic(VOCAB);
     let direct = TopicServer::from_model(&model, config(FoldInKind::Em)).unwrap();
@@ -295,14 +296,13 @@ fn raw_token_documents_route_identically() {
     )
     .unwrap();
     let tokens = ["w00000", "unknown-token", "w00030", "w00059", "w00007"];
-    let a = direct
-        .infer_raw(&tokens, &vocab, saberlda::corpus::OovPolicy::Skip, 8)
+    let encoded = vocab
+        .encode(tokens, saberlda::corpus::OovPolicy::Skip)
         .unwrap();
-    let b = routed
-        .infer_raw(&tokens, &vocab, saberlda::corpus::OovPolicy::Skip, 8)
-        .unwrap();
-    assert_eq!(a.n_oov, 1);
-    assert_eq!(b.n_oov, 1);
+    assert_eq!(encoded.n_oov, 1);
+    let a = direct.infer_topics(encoded.ids.clone(), 8).unwrap();
+    let b = routed.infer_topics(encoded.ids, 8).unwrap();
+    assert_eq!((a.n_oov, b.n_oov), (0, 0));
     assert!(linf(&a.theta, &b.theta) <= 1e-5);
     direct.shutdown();
     routed.shutdown();

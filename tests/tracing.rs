@@ -316,14 +316,11 @@ fn a_raw_token_request_through_a_router_is_traced_like_word_ids() {
             body
         ),
     );
-    let reference = router
-        .infer_raw(
-            &["w00000", "w00059", "nope", "w00002"],
-            &vocab,
-            OovPolicy::Skip,
-            6,
-        )
+    let encoded = vocab
+        .encode(["w00000", "w00059", "nope", "w00002"], OovPolicy::Skip)
         .unwrap();
+    let mut reference = router.infer_topics(encoded.ids, 6).unwrap();
+    reference.n_oov += encoded.n_oov;
     assert_eq!(reference.n_oov, 1);
     assert_eq!(
         response,
