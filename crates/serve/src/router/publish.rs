@@ -56,10 +56,10 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// Returns [`ServeError::InvalidConfig`] when the snapshot's shape
     /// (vocabulary or topic count) or α does not match the fleet's (the
     /// router finishes every merge with the α it validated at
-    /// construction); propagates
-    /// staging and commit failures (a commit failure can leave shards on
-    /// mixed epochs — reads keep the old one, which every shard still
-    /// holds — and the next publication restarts them all at a fresh one).
+    /// construction); propagates staging and commit failures (a commit
+    /// failure can leave shards on mixed epochs — reads keep the old one,
+    /// which every shard still holds — and the next publication restarts
+    /// them all at a fresh one).
     pub fn publish(&self, snapshot: InferenceSnapshot) -> Result<u64, ServeError> {
         self.publish_impl(&snapshot, None)
     }
@@ -111,22 +111,17 @@ impl<T: ShardTransport> ShardRouter<T> {
         snapshot: &InferenceSnapshot,
         delta: Option<(&[u32], u64)>,
     ) -> Result<u64, ServeError> {
-        if snapshot.vocab_size() != self.plan.vocab_size() || snapshot.n_topics() != self.n_topics {
+        let shape = |v: usize, k: usize, alpha: f32| (v, k, alpha.to_bits());
+        let fleet = shape(self.plan.vocab_size(), self.n_topics, self.alpha);
+        if shape(snapshot.vocab_size(), snapshot.n_topics(), snapshot.alpha()) != fleet {
             return Err(ServeError::InvalidConfig {
                 detail: format!(
-                    "published snapshot is {}x{} but the fleet serves {}x{}",
+                    "published snapshot is {}x{} at alpha {}, the fleet serves {}x{} at alpha {}",
                     snapshot.vocab_size(),
                     snapshot.n_topics(),
-                    self.plan.vocab_size(),
-                    self.n_topics
-                ),
-            });
-        }
-        if snapshot.alpha().to_bits() != self.alpha.to_bits() {
-            return Err(ServeError::InvalidConfig {
-                detail: format!(
-                    "published snapshot has alpha {} but the fleet serves {}",
                     snapshot.alpha(),
+                    self.plan.vocab_size(),
+                    self.n_topics,
                     self.alpha
                 ),
             });

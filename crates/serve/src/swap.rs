@@ -23,10 +23,10 @@ use crate::snapshot::InferenceSnapshot;
 ///
 /// Readers take an `Arc` clone of the current snapshot and use it for as
 /// long as they like; [`SnapshotCell::publish_with_version`] swaps in a
-/// replacement without waiting for them. In-flight requests keep the snapshot they
-/// started with (the old `Arc` stays alive until its last reader drops it),
-/// so a running trainer can publish between iterations while serving
-/// continues uninterrupted.
+/// replacement without waiting for them. In-flight requests keep the
+/// snapshot they started with (the old `Arc` stays alive until its last
+/// reader drops it), so a running trainer can publish between iterations
+/// while serving continues uninterrupted.
 ///
 /// The hot read path is wait-free in the common case: workers cache the
 /// `Arc` they already hold and re-read the cell only when the atomic
