@@ -15,6 +15,7 @@
 
 use saber_gpu_sim::DeviceSpec;
 
+use crate::model::valid_smoothing;
 use crate::{Result, SaberError};
 
 /// Order of tokens inside a streamed chunk.
@@ -191,9 +192,9 @@ impl SaberLdaConfig {
                 ),
             });
         }
-        if self.alpha <= 0.0 || self.beta <= 0.0 {
+        if !valid_smoothing(self.alpha) || !valid_smoothing(self.beta) {
             return Err(SaberError::InvalidConfig {
-                detail: "alpha and beta must be positive".into(),
+                detail: "alpha and beta must be finite and positive".into(),
             });
         }
         if self.n_chunks == 0 || self.n_workers == 0 {
@@ -410,6 +411,12 @@ mod tests {
         assert!(SaberLdaConfig::builder().n_topics(0).build().is_err());
         assert!(SaberLdaConfig::builder().n_topics(40_000).build().is_err());
         assert!(SaberLdaConfig::builder().beta(0.0).build().is_err());
+        assert!(SaberLdaConfig::builder().alpha(f32::NAN).build().is_err());
+        assert!(SaberLdaConfig::builder().beta(f32::NAN).build().is_err());
+        assert!(SaberLdaConfig::builder()
+            .alpha(f32::INFINITY)
+            .build()
+            .is_err());
         assert!(SaberLdaConfig::builder()
             .threads_per_block(100)
             .build()

@@ -139,7 +139,10 @@ pub fn sample_chunk(
 /// of [`LANES`] runs — they use no random number — advance together. The
 /// draws follow run by run: the RNG is consumed in storage order, exactly as
 /// by one [`crate::sampling::sample_token`] per token.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the frozen E-step state is passed as borrowed slices, not bundled"
+)]
 fn sample_tokens(
     docs: &[u32],
     words: &[u32],

@@ -44,6 +44,10 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+// Determinism (bit-identical replay) is `clippy.toml`'s disallowed types and
+// methods. Every suppression is an `#[expect(lint, reason = "..")]`, which
+// fails the build once it suppresses nothing.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod config;
 pub mod count;

@@ -41,22 +41,28 @@ pub struct LdaModel {
     topic_totals: Vec<u64>,
 }
 
+/// Whether `x` can smooth a Dirichlet prior: finite and positive (a bare
+/// `x <= 0.0` test lets NaN through).
+pub(crate) fn valid_smoothing(x: f32) -> bool {
+    x.is_finite() && x > 0.0
+}
+
 impl LdaModel {
     /// Creates an empty model.
     ///
     /// # Errors
     ///
     /// Returns [`SaberError::InvalidConfig`] if any dimension is zero or a
-    /// smoothing parameter is non-positive.
+    /// smoothing parameter is not finite and positive.
     pub fn new(vocab_size: usize, n_topics: usize, alpha: f32, beta: f32) -> Result<Self> {
         if vocab_size == 0 || n_topics == 0 {
             return Err(SaberError::InvalidConfig {
                 detail: "vocab_size and n_topics must be positive".into(),
             });
         }
-        if alpha <= 0.0 || beta <= 0.0 {
+        if !valid_smoothing(alpha) || !valid_smoothing(beta) {
             return Err(SaberError::InvalidConfig {
-                detail: "alpha and beta must be positive".into(),
+                detail: "alpha and beta must be finite and positive".into(),
             });
         }
         Ok(LdaModel {
@@ -233,6 +239,9 @@ mod tests {
         assert!(LdaModel::new(5, 0, 0.1, 0.1).is_err());
         assert!(LdaModel::new(5, 3, 0.0, 0.1).is_err());
         assert!(LdaModel::new(5, 3, 0.1, -1.0).is_err());
+        assert!(LdaModel::new(5, 3, f32::NAN, 0.1).is_err());
+        assert!(LdaModel::new(5, 3, 0.1, f32::NAN).is_err());
+        assert!(LdaModel::new(5, 3, f32::INFINITY, 0.1).is_err());
         assert!(LdaModel::new(5, 3, 0.1, 0.1).is_ok());
     }
 

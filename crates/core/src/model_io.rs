@@ -16,7 +16,7 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
-use crate::model::LdaModel;
+use crate::model::{valid_smoothing, LdaModel};
 use crate::{Result, SaberError};
 
 const MAGIC: &[u8; 8] = b"SABERLDA";
@@ -229,7 +229,7 @@ impl SnapshotHeader {
 ///
 /// Returns [`SaberError::Io`] for truncated input and
 /// [`SaberError::InvalidConfig`] for a bad magic number, unsupported format
-/// version or implausible dimensions.
+/// version, implausible dimensions or an α that is not finite and positive.
 pub fn read_snapshot_header<R: Read>(reader: &mut R) -> Result<SnapshotHeader> {
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
@@ -257,6 +257,11 @@ pub fn read_snapshot_header<R: Read>(reader: &mut R) -> Result<SnapshotHeader> {
     {
         return Err(SaberError::InvalidConfig {
             detail: format!("implausible snapshot dimensions {vocab_size} x {n_topics}"),
+        });
+    }
+    if !valid_smoothing(alpha) {
+        return Err(SaberError::InvalidConfig {
+            detail: format!("snapshot alpha {alpha} is not finite and positive"),
         });
     }
     Ok(SnapshotHeader {
@@ -587,6 +592,18 @@ mod tests {
         let mut wrong_version = buf.clone();
         wrong_version[8] = 9;
         assert!(load_snapshot(wrong_version.as_slice()).is_err());
+        // α sits after the magic, the version and the two u64 dimensions.
+        for alpha in [f32::NAN, f32::INFINITY, 0.0, -0.05] {
+            let mut bad_alpha = buf.clone();
+            bad_alpha[28..32].copy_from_slice(&alpha.to_le_bytes());
+            assert!(
+                matches!(
+                    load_snapshot(bad_alpha.as_slice()),
+                    Err(SaberError::InvalidConfig { .. })
+                ),
+                "alpha {alpha} loaded"
+            );
+        }
         // A matrix that disagrees with its dimensions won't save.
         assert!(save_snapshot_parts(3, 2, 0.05, 1, &[0.5; 5], &mut Vec::new()).is_err());
     }

@@ -72,9 +72,11 @@ pub struct SaberLda {
 }
 
 /// The one place the trainer reads the clock.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock time is reported in IterationStats for operators, never fed back into sampling"
+)]
 fn now() -> Instant {
-    // saber-lint: allow(determinism) wall-clock time is reported in
-    // IterationStats for operators, never fed back into sampling.
     Instant::now()
 }
 

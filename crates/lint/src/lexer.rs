@@ -6,18 +6,17 @@
 //! stream:
 //!
 //! * **Test regions** — code under a `#[cfg(test)]` module or a `#[test]`
-//!   function is exempt from the serving invariants (tests are allowed to
-//!   `unwrap()`), so every token carries an `in_test` flag, derived by
-//!   tracking attributes and brace depth.
+//!   function is exempt from the rules (test fixtures may allocate what
+//!   they like and publish without an epoch), so every token carries an
+//!   `in_test` flag, derived by tracking attributes and brace depth.
 //! * **Function bodies** — the allocation rule needs "earlier in the same
 //!   function" to look for bound checks, so every token carries the index
 //!   of its enclosing `fn` body's opening brace.
 //!
-//! Comments are not tokens; they are collected separately with their line
-//! numbers so the engine can interpret `// saber-lint: allow(...)`
-//! suppressions. String and character literals are lexed as opaque
-//! literals, which is what makes the whole approach sound: an `unwrap()`
-//! inside a doc comment or a fixture string never looks like code.
+//! Comments are skipped, and string and character literals are lexed as
+//! opaque literals, which is what makes the whole approach sound: a
+//! `with_capacity(n)` inside a doc comment or a fixture string never looks
+//! like code.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,15 +44,6 @@ pub enum TokenKind {
     Punct,
 }
 
-/// A comment with its source span (line of its last character).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line the comment *starts* on.
-    pub line: u32,
-    /// Comment text without the `//` / `/*` markers, trimmed.
-    pub text: String,
-}
-
 /// A fully lexed source file plus the structural context rules need.
 #[derive(Debug)]
 pub struct LexedFile {
@@ -67,15 +57,13 @@ pub struct LexedFile {
     /// `fn_body[i]` — index of the token opening the enclosing function
     /// body (`{`), when inside one.
     pub fn_body: Vec<Option<usize>>,
-    /// Line comments, for suppression parsing.
-    pub comments: Vec<Comment>,
 }
 
 impl LexedFile {
     /// Lexes `source`; `rel_path` decides whether the whole file counts as
     /// test code (anything under a `tests/` directory).
     pub fn lex(rel_path: &str, source: &str) -> LexedFile {
-        let (tokens, comments) = tokenize(source);
+        let tokens = tokenize(source);
         let whole_file_is_test = rel_path.starts_with("tests/") || rel_path.contains("/tests/");
         let in_test = if whole_file_is_test {
             vec![true; tokens.len()]
@@ -88,7 +76,6 @@ impl LexedFile {
             tokens,
             in_test,
             fn_body,
-            comments,
         }
     }
 
@@ -110,11 +97,10 @@ const MULTI_PUNCT: [&str; 12] = [
     "::", "=>", "->", "..", "<=", ">=", "==", "!=", "&&", "||", "<<", ">>",
 ];
 
-/// Splits `source` into tokens and comments.
-fn tokenize(source: &str) -> (Vec<Token>, Vec<Comment>) {
+/// Splits `source` into tokens, skipping comments.
+fn tokenize(source: &str) -> Vec<Token> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
-    let mut comments = Vec::new();
     let mut i = 0;
     let mut line: u32 = 1;
     while i < bytes.len() {
@@ -125,17 +111,10 @@ fn tokenize(source: &str) -> (Vec<Token>, Vec<Comment>) {
         } else if c.is_whitespace() {
             i += 1;
         } else if c == '/' && bytes.get(i + 1) == Some(&b'/') {
-            let start = i + 2;
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
-            comments.push(Comment {
-                line,
-                text: source[start..i].trim().to_string(),
-            });
         } else if c == '/' && bytes.get(i + 1) == Some(&b'*') {
-            let start_line = line;
-            let start = i + 2;
             let mut depth = 1;
             i += 2;
             while i < bytes.len() && depth > 0 {
@@ -152,11 +131,6 @@ fn tokenize(source: &str) -> (Vec<Token>, Vec<Comment>) {
                     i += 1;
                 }
             }
-            let end = i.saturating_sub(2).max(start);
-            comments.push(Comment {
-                line: start_line,
-                text: source[start..end].trim().to_string(),
-            });
         } else if is_raw_string_start(bytes, i) {
             let (consumed, newlines) = lex_raw_string(bytes, i);
             tokens.push(Token {
@@ -237,7 +211,7 @@ fn tokenize(source: &str) -> (Vec<Token>, Vec<Comment>) {
             }
         }
     }
-    (tokens, comments)
+    tokens
 }
 
 /// `r"..."`, `r#"..."#`, `br"..."` — a raw-string opener?

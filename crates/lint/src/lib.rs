@@ -1,7 +1,7 @@
 //! `saber-lint` — workspace-native static analysis for the SaberLDA repo.
 //!
-//! Every guarantee this reproduction makes — bit-identical replay, exact
-//! EM merges across shards, all-or-nothing epoch swaps — used to be
+//! Every guarantee this reproduction makes — stable wire bytes, bounded
+//! decoding, deadlock-free fan-out, all-or-nothing epoch swaps — used to be
 //! enforced only by differential tests after the fact. This crate checks
 //! the *source* against those invariants before a test ever runs, in the
 //! same dependency-free spirit as the hand-rolled JSON and HTTP layers:
@@ -9,17 +9,28 @@
 //! that walks the workspace and emits `file:line: rule-id: message`
 //! diagnostics, exiting nonzero on violations.
 //!
-//! The rules and the invariants they protect are catalogued in
-//! `docs/LINTS.md`. Findings can be suppressed inline with
-//! `// saber-lint: allow(rule-id) reason` — the reason is mandatory, and
-//! unused suppressions are themselves errors, so the allow-list can never
-//! silently rot.
-//!
-//! The binary lints its own source: `crates/lint/src` is in scope for the
-//! panic-freedom rule, because a CI gate that can panic is a gate that can
-//! be wedged open.
+//! The four rules and the invariants they protect are catalogued in
+//! `docs/LINTS.md`. They are the invariants no built-in lint can express;
+//! panic-freedom and determinism are clippy's (`#![deny(..)]` in
+//! `saber-serve` and here, `crates/core/clippy.toml`). The rules have no
+//! inline suppression: a finding is fixed, or the lock-order table is
+//! extended.
 
 #![deny(missing_docs)]
+// Panic-freedom: a CI gate that can panic is a gate that can be wedged
+// open. Test code may unwrap.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod lexer;
 pub mod rules;
@@ -101,47 +112,5 @@ pub fn render_text(diagnostics: &[Diagnostic]) -> String {
             d.file, d.line, d.rule, d.message
         ));
     }
-    out
-}
-
-/// Renders diagnostics as a JSON object for tooling:
-/// `{"files_scanned": N, "diagnostics": [{file, line, rule, message}, …]}`.
-pub fn render_json(diagnostics: &[Diagnostic], files_scanned: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"files_scanned\":{files_scanned},\"diagnostics\":["
-    ));
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"file\":{},\"line\":{},\"rule\":{},\"message\":{}}}",
-            json_string(&d.file),
-            d.line,
-            json_string(d.rule),
-            json_string(&d.message)
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }

@@ -1,9 +1,10 @@
-//! The rule engine: seven lexical rules wired to the workspace invariants.
+//! The rule engine: four lexical rules wired to the workspace invariants
+//! that no built-in rustc or clippy lint can express.
 //!
 //! Every rule is scoped to the files whose invariants it protects (see
 //! `docs/LINTS.md` for the catalogue) and runs over the token stream of
 //! [`LexedFile`], never over raw text — so comments, doc examples and
-//! string fixtures can mention `unwrap()` freely.
+//! string fixtures can mention `Vec::with_capacity(n)` freely.
 
 use crate::lexer::{LexedFile, TokenKind};
 
@@ -21,21 +22,13 @@ pub struct Diagnostic {
 }
 
 /// Rule identifiers, in catalogue order.
-pub const RULES: [&str; 7] = [
-    NO_PANIC_SERVING,
-    DETERMINISM,
+pub const RULES: [&str; 4] = [
     WIRE_GOLDEN_COVERAGE,
     NO_UNBOUNDED_ALLOC,
     LOCK_DISCIPLINE,
     EPOCH_THREADING,
-    BAD_SUPPRESSION,
 ];
 
-/// Panic-freedom of the serving hot path (and of this linter itself).
-pub const NO_PANIC_SERVING: &str = "no-panic-serving";
-/// Bit-identical replay: no unordered iteration / wall-clock / OS entropy
-/// in the float-accumulating core.
-pub const DETERMINISM: &str = "determinism";
 /// Every public wire codec is pinned by `tests/wire_golden.rs`.
 pub const WIRE_GOLDEN_COVERAGE: &str = "wire-golden-coverage";
 /// Allocation sizes decoded from the wire must be bound-checked first.
@@ -47,12 +40,10 @@ pub const LOCK_DISCIPLINE: &str = "lock-discipline";
 /// epoch value — an epoch-less publication cannot be fenced by the
 /// two-phase commit and can tear a fleet across versions.
 pub const EPOCH_THREADING: &str = "epoch-threading";
-/// Meta-rule: malformed / reason-less / unused suppression comments.
-pub const BAD_SUPPRESSION: &str = "bad-suppression";
 
 /// The declared lock-order table for [`LOCK_DISCIPLINE`]: `(outer, inner)`
 /// pairs that are allowed to nest, in this order only. Extend it (with a
-/// review) rather than suppressing the rule inline.
+/// review); the rule has no inline suppression.
 ///
 /// * `publish_lock → reads`, `publish_lock → pipeline` — a publication,
 ///   serialised under the router's `publish_lock`, drains the reads in
@@ -62,9 +53,8 @@ pub const BAD_SUPPRESSION: &str = "bad-suppression";
 pub const ALLOWED_LOCK_ORDER: [(&str, &str); 2] =
     [("publish_lock", "reads"), ("publish_lock", "pipeline")];
 
-/// Runs every rule over `files` (workspace-relative path + content),
-/// applies suppressions, and returns the surviving diagnostics sorted by
-/// file, line and rule.
+/// Runs every rule over `files` (workspace-relative path + content) and
+/// returns the diagnostics sorted by file, line and rule.
 pub fn run(files: &[(String, String)]) -> Vec<Diagnostic> {
     let lexed: Vec<LexedFile> = files
         .iter()
@@ -72,295 +62,18 @@ pub fn run(files: &[(String, String)]) -> Vec<Diagnostic> {
         .collect();
     let mut diagnostics = Vec::new();
     for file in &lexed {
-        no_panic_serving(file, &mut diagnostics);
-        determinism(file, &mut diagnostics);
         no_unbounded_alloc(file, &mut diagnostics);
         lock_discipline(file, &ALLOWED_LOCK_ORDER, &mut diagnostics);
         epoch_threading(file, &mut diagnostics);
     }
     wire_golden_coverage(&lexed, &mut diagnostics);
-    let mut diagnostics = apply_suppressions(&lexed, diagnostics);
     diagnostics
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     diagnostics
 }
 
 // ---------------------------------------------------------------------------
-// Suppressions
-// ---------------------------------------------------------------------------
-
-/// A parsed `// saber-lint: allow(rule-id) reason` comment.
-struct Suppression {
-    file: String,
-    line: u32,
-    /// The code line this suppression covers: the first line after the
-    /// comment run it starts (a long reason may wrap onto more `//` lines).
-    target: u32,
-    rule: String,
-    reason: String,
-    used: bool,
-}
-
-/// Parses suppression comments, drops the diagnostics they cover (the
-/// comment's own line — the trailing-comment form — or the first code line
-/// below its comment run), and reports malformed, reason-less and unused
-/// suppressions as [`BAD_SUPPRESSION`].
-fn apply_suppressions(files: &[LexedFile], diagnostics: Vec<Diagnostic>) -> Vec<Diagnostic> {
-    let mut suppressions: Vec<Suppression> = Vec::new();
-    let mut bad = Vec::new();
-    for file in files {
-        for comment in &file.comments {
-            let Some(rest) = comment.text.strip_prefix("saber-lint:") else {
-                continue;
-            };
-            let rest = rest.trim();
-            let parsed = rest.strip_prefix("allow(").and_then(|r| r.split_once(')'));
-            let Some((rule, reason)) = parsed else {
-                bad.push(Diagnostic {
-                    file: file.rel_path.clone(),
-                    line: comment.line,
-                    rule: BAD_SUPPRESSION,
-                    message: format!(
-                        "malformed suppression `{}` — expected `saber-lint: allow(rule-id) reason`",
-                        comment.text
-                    ),
-                });
-                continue;
-            };
-            let rule = rule.trim();
-            let reason = reason.trim_start_matches(':').trim();
-            if !RULES.contains(&rule) {
-                bad.push(Diagnostic {
-                    file: file.rel_path.clone(),
-                    line: comment.line,
-                    rule: BAD_SUPPRESSION,
-                    message: format!("suppression names unknown rule `{rule}`"),
-                });
-                continue;
-            }
-            if reason.is_empty() {
-                bad.push(Diagnostic {
-                    file: file.rel_path.clone(),
-                    line: comment.line,
-                    rule: BAD_SUPPRESSION,
-                    message: format!(
-                        "suppression of `{rule}` carries no reason — say why the invariant holds"
-                    ),
-                });
-                continue;
-            }
-            // The reason may wrap onto further comment lines; the
-            // suppression covers the first non-comment line after the run.
-            let mut target = comment.line + 1;
-            while file.comments.iter().any(|c| c.line == target) {
-                target += 1;
-            }
-            suppressions.push(Suppression {
-                file: file.rel_path.clone(),
-                line: comment.line,
-                target,
-                rule: rule.to_string(),
-                reason: reason.to_string(),
-                used: false,
-            });
-        }
-    }
-    let mut kept = Vec::new();
-    for diagnostic in diagnostics {
-        let covered = suppressions.iter_mut().find(|s| {
-            s.rule == diagnostic.rule
-                && s.file == diagnostic.file
-                && (s.line == diagnostic.line || s.target == diagnostic.line)
-        });
-        match covered {
-            Some(s) => s.used = true,
-            None => kept.push(diagnostic),
-        }
-    }
-    for s in &suppressions {
-        if !s.used {
-            kept.push(Diagnostic {
-                file: s.file.clone(),
-                line: s.line,
-                rule: BAD_SUPPRESSION,
-                message: format!(
-                    "unused suppression of `{}` (reason: {}) — the code below no longer \
-                     triggers it; delete the comment",
-                    s.rule, s.reason
-                ),
-            });
-        }
-    }
-    kept.extend(bad);
-    kept
-}
-
-// ---------------------------------------------------------------------------
-// Rule 1: no-panic-serving
-// ---------------------------------------------------------------------------
-
-/// Files whose non-test code must not be able to panic: the serving crate
-/// (a shard must degrade, not die) and this linter (it gates CI).
-fn panic_free_scope(path: &str) -> bool {
-    path.starts_with("crates/serve/src/") || path.starts_with("crates/lint/src/")
-}
-
-const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"];
-/// Keywords that can legally precede a `[` without it being an index
-/// expression (slice patterns, `in [..]`, …).
-const NON_INDEX_KEYWORDS: [&str; 10] = [
-    "let", "in", "match", "return", "if", "else", "mut", "ref", "move", "box",
-];
-
-fn no_panic_serving(file: &LexedFile, out: &mut Vec<Diagnostic>) {
-    if !panic_free_scope(&file.rel_path) {
-        return;
-    }
-    let is_wire = file.rel_path.ends_with("serve/src/wire.rs");
-    for (i, token) in file.tokens.iter().enumerate() {
-        if file.in_test[i] {
-            continue;
-        }
-        // Indexing sub-check, only in the untrusted-input decode file:
-        // `ident[...]` can panic on a hostile length. Macro brackets
-        // (`vec![`), attributes (`#[`), slice patterns (`let [a, b]`) and
-        // array types/literals never have a plain identifier before `[`.
-        if is_wire && token.text == "[" && i >= 1 {
-            let prev = &file.tokens[i - 1];
-            if prev.kind == TokenKind::Ident && !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()) {
-                out.push(Diagnostic {
-                    file: file.rel_path.clone(),
-                    line: token.line,
-                    rule: NO_PANIC_SERVING,
-                    message: format!(
-                        "`{}[..]` indexing in the untrusted-input decode path can panic \
-                         on a hostile length; use iterator adapters or `get()`",
-                        prev.text
-                    ),
-                });
-            }
-            continue;
-        }
-        if token.kind != TokenKind::Ident {
-            continue;
-        }
-        match token.text.as_str() {
-            "unwrap" | "expect"
-                if file.text(i.wrapping_sub(1)) == "." && file.text(i + 1) == "(" =>
-            {
-                out.push(Diagnostic {
-                    file: file.rel_path.clone(),
-                    line: token.line,
-                    rule: NO_PANIC_SERVING,
-                    message: format!(
-                        "`.{}()` can panic a serving thread; propagate a `ServeError` \
-                         (or recover, e.g. `unwrap_or_else`) instead",
-                        token.text
-                    ),
-                });
-            }
-            m if PANIC_MACROS.contains(&m) && file.text(i + 1) == "!" => {
-                out.push(Diagnostic {
-                    file: file.rel_path.clone(),
-                    line: token.line,
-                    rule: NO_PANIC_SERVING,
-                    message: format!(
-                        "`{m}!` aborts the serving thread; a shard must degrade \
-                         (return an error), not die"
-                    ),
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: determinism
-// ---------------------------------------------------------------------------
-
-/// The float-accumulating core files whose output must replay bit-identically.
-fn determinism_scope(path: &str) -> bool {
-    [
-        "crates/core/src/infer.rs",
-        "crates/core/src/kernel.rs",
-        "crates/core/src/sampling.rs",
-        "crates/core/src/trainer.rs",
-    ]
-    .contains(&path)
-}
-
-fn determinism(file: &LexedFile, out: &mut Vec<Diagnostic>) {
-    if !determinism_scope(&file.rel_path) {
-        return;
-    }
-    let diag = |line: u32, message: String| Diagnostic {
-        file: file.rel_path.clone(),
-        line,
-        rule: DETERMINISM,
-        message,
-    };
-    for (i, token) in file.tokens.iter().enumerate() {
-        if file.in_test[i] || token.kind != TokenKind::Ident {
-            continue;
-        }
-        match token.text.as_str() {
-            "HashMap" | "HashSet" => out.push(diag(
-                token.line,
-                format!(
-                    "`{}` iteration order is nondeterministic and poisons float \
-                     accumulation order; use `BTreeMap`/`Vec` keyed structures",
-                    token.text
-                ),
-            )),
-            "par_iter" | "into_par_iter" | "par_chunks" | "par_bridge" | "rayon" => out.push(diag(
-                token.line,
-                format!(
-                    "`{}` makes float accumulation order scheduling-dependent; \
-                         the core must reduce in a fixed sequential order",
-                    token.text
-                ),
-            )),
-            "thread_rng" | "from_entropy" => out.push(diag(
-                token.line,
-                format!(
-                    "`{}` draws OS entropy; all randomness must come from the \
-                     seeded request/trainer RNG so runs replay bit-identically",
-                    token.text
-                ),
-            )),
-            "Instant" | "SystemTime" if file.text(i + 1) == "::" && file.is_ident(i + 2, "now") => {
-                out.push(diag(
-                    token.line,
-                    format!(
-                        "`{}::now()` reads the wall clock; time-dependent control \
-                         flow breaks bit-identical replay",
-                        token.text
-                    ),
-                ));
-            }
-            "values" | "keys"
-                if file.text(i + 1) == "("
-                    && file.text(i + 2) == ")"
-                    && file.text(i + 3) == "."
-                    && ["sum", "fold", "product"].contains(&file.text(i + 4)) =>
-            {
-                out.push(diag(
-                    token.line,
-                    format!(
-                        "accumulating over `.{}()` iterates a map in storage order; \
-                         reduce over an explicitly ordered sequence instead",
-                        token.text
-                    ),
-                ));
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: wire-golden-coverage
+// Rule 1: wire-golden-coverage
 // ---------------------------------------------------------------------------
 
 const WIRE_FILE: &str = "crates/serve/src/wire.rs";
@@ -407,7 +120,7 @@ fn wire_golden_coverage(files: &[LexedFile], out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: no-unbounded-alloc-from-wire
+// Rule 2: no-unbounded-alloc-from-wire
 // ---------------------------------------------------------------------------
 
 /// Files that decode untrusted bytes into allocations.
@@ -543,7 +256,7 @@ fn has_bound_evidence(file: &LexedFile, alloc_at: usize, ident: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: lock-discipline
+// Rule 3: lock-discipline
 // ---------------------------------------------------------------------------
 
 /// Files where the router/transport seam takes locks around fan-out.
@@ -716,7 +429,7 @@ fn new_guard(file: &LexedFile, dot_at: usize, lock: String, depth: i32, line: u3
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: epoch-threading
+// Rule 4: epoch-threading
 // ---------------------------------------------------------------------------
 
 /// Where the continuous-training daemon publishes epochs to a live fleet.
@@ -782,95 +495,6 @@ mod tests {
 
     fn rule_ids(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.rule).collect()
-    }
-
-    // -- no-panic-serving ---------------------------------------------------
-
-    #[test]
-    fn flags_unwrap_expect_and_panic_macros_in_serve() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n\
-                   fn g(x: Option<u32>) -> u32 {\n    x.expect(\"boom\")\n}\n\
-                   fn h() {\n    unreachable!(\"no\")\n}\n";
-        let diags = lint_one("crates/serve/src/foo.rs", src);
-        assert_eq!(
-            rule_ids(&diags),
-            [NO_PANIC_SERVING, NO_PANIC_SERVING, NO_PANIC_SERVING]
-        );
-        assert_eq!(diags[0].line, 2);
-        assert_eq!(diags[1].line, 5);
-        assert_eq!(diags[2].line, 8);
-    }
-
-    #[test]
-    fn flags_indexing_only_in_the_wire_decode_file() {
-        let src = "fn f(v: &[u32], i: usize) -> u32 {\n    v[i]\n}\n";
-        let wire = lint_one("crates/serve/src/wire.rs", src);
-        assert_eq!(rule_ids(&wire), [NO_PANIC_SERVING]);
-        assert!(wire[0].message.contains("v[..]"), "{}", wire[0].message);
-        // The same indexing elsewhere in serve is not an untrusted-length
-        // hazard and stays quiet.
-        assert!(lint_one("crates/serve/src/foo.rs", src).is_empty());
-    }
-
-    #[test]
-    fn panic_rule_ignores_tests_and_out_of_scope_files() {
-        let in_tests = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
-                        None::<u32>.unwrap();\n        panic!(\"fine in tests\");\n    }\n}\n";
-        assert!(lint_one("crates/serve/src/foo.rs", in_tests).is_empty());
-        let unwrap = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert!(lint_one("crates/core/src/lib.rs", unwrap).is_empty());
-        // Comments and string fixtures may say `unwrap()` freely: rules see
-        // tokens, and literals are opaque.
-        let in_text = "// call .unwrap() here\nfn f() -> &'static str { \".unwrap()\" }\n";
-        assert!(lint_one("crates/serve/src/foo.rs", in_text).is_empty());
-    }
-
-    #[test]
-    fn suppression_with_reason_silences_the_panic_rule() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    \
-                   // saber-lint: allow(no-panic-serving) invariant: x is Some by construction\n    \
-                   x.unwrap()\n}\n";
-        assert!(lint_one("crates/serve/src/foo.rs", src).is_empty());
-    }
-
-    #[test]
-    fn suppression_covers_a_wrapped_comment_run() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    \
-                   // saber-lint: allow(no-panic-serving) a reason so long that\n    \
-                   // it wraps onto a second comment line\n    \
-                   x.unwrap()\n}\n";
-        assert!(lint_one("crates/serve/src/foo.rs", src).is_empty());
-    }
-
-    // -- determinism --------------------------------------------------------
-
-    #[test]
-    fn flags_hash_collections_entropy_and_wall_clock_in_core() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f() {\n    let t = Instant::now();\n    let r = thread_rng();\n}\n";
-        let diags = lint_one("crates/core/src/kernel.rs", src);
-        assert_eq!(rule_ids(&diags), [DETERMINISM, DETERMINISM, DETERMINISM]);
-        assert_eq!(diags[0].line, 1);
-    }
-
-    #[test]
-    fn flags_accumulation_over_map_iteration_order() {
-        let src = "fn f(m: &std::collections::BTreeMap<u32, f64>) -> f64 {\n    \
-                   m.values().sum()\n}\n";
-        let diags = lint_one("crates/core/src/sampling.rs", src);
-        assert_eq!(rule_ids(&diags), [DETERMINISM]);
-        assert!(diags[0].message.contains("values"), "{}", diags[0].message);
-    }
-
-    #[test]
-    fn determinism_rule_is_scoped_and_suppressible() {
-        let hash = "use std::collections::HashMap;\n";
-        // model_io.rs is not in the float-accumulating core.
-        assert!(lint_one("crates/core/src/model_io.rs", hash).is_empty());
-        let suppressed = "fn f() {\n    \
-            // saber-lint: allow(determinism) wall clock is reported, never fed back\n    \
-            let t = Instant::now();\n}\n";
-        assert!(lint_one("crates/core/src/trainer.rs", suppressed).is_empty());
     }
 
     // -- wire-golden-coverage -----------------------------------------------
@@ -941,6 +565,13 @@ mod tests {
         // Out of scope: allocation in the sampler is not wire-reachable.
         let src = "fn read(n: usize) -> Vec<u8> {\n    Vec::with_capacity(n)\n}\n";
         assert!(lint_one("crates/core/src/sampling.rs", src).is_empty());
+        // Comments and string fixtures may say it freely: rules see tokens,
+        // and literals are opaque. Test code is exempt.
+        let in_text = "// Vec::with_capacity(n)\nfn f() -> &'static str { \"vec![0u8; n]\" }\n";
+        assert!(lint_one("crates/serve/src/http.rs", in_text).is_empty());
+        let in_tests = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t(n: usize) {\n        \
+                        let _ = Vec::<u8>::with_capacity(n);\n    }\n}\n";
+        assert!(lint_one("crates/serve/src/http.rs", in_tests).is_empty());
     }
 
     // -- lock-discipline ----------------------------------------------------
@@ -992,26 +623,6 @@ mod tests {
         assert!(lint_one("crates/serve/src/server.rs", src).is_empty());
     }
 
-    // -- bad-suppression ----------------------------------------------------
-
-    #[test]
-    fn malformed_unknown_and_reasonless_suppressions_are_errors() {
-        let malformed = "// saber-lint: allowing stuff\nfn f() {}\n";
-        let diags = lint_one("crates/serve/src/foo.rs", malformed);
-        assert_eq!(rule_ids(&diags), [BAD_SUPPRESSION]);
-        assert!(diags[0].message.contains("malformed"));
-        let unknown = "// saber-lint: allow(no-such-rule) because\nfn f() {}\n";
-        let diags = lint_one("crates/serve/src/foo.rs", unknown);
-        assert_eq!(rule_ids(&diags), [BAD_SUPPRESSION]);
-        assert!(diags[0].message.contains("unknown rule"));
-        let reasonless = "fn f(x: Option<u32>) -> u32 {\n    \
-                          // saber-lint: allow(no-panic-serving)\n    x.unwrap()\n}\n";
-        let diags = lint_one("crates/serve/src/foo.rs", reasonless);
-        // The suppression is rejected, so the unwrap still fires too.
-        assert_eq!(rule_ids(&diags), [BAD_SUPPRESSION, NO_PANIC_SERVING]);
-        assert!(diags[0].message.contains("no reason"));
-    }
-
     // -- epoch-threading ----------------------------------------------------
 
     #[test]
@@ -1059,28 +670,24 @@ mod tests {
     }
 
     #[test]
-    fn unused_suppressions_are_errors() {
-        let src = "// saber-lint: allow(no-panic-serving) stale claim\nfn f() {}\n";
-        let diags = lint_one("crates/serve/src/foo.rs", src);
-        assert_eq!(rule_ids(&diags), [BAD_SUPPRESSION]);
-        assert!(diags[0].message.contains("unused"));
-    }
-
-    #[test]
     fn diagnostics_are_sorted_by_file_line_and_rule() {
-        let a = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-        let b = "fn g(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\nfn h() {\n    panic!()\n}\n";
+        let alloc = "fn f(n: usize) -> Vec<u8> {\n    Vec::with_capacity(n)\n}\n";
+        let locks = "fn g(&self) {\n    let a = self.m.lock();\n    let b = self.m.lock();\n}\n\
+                     fn h(n: usize) -> Vec<u8> {\n    vec![0u8; n]\n}\n";
         let diags = run(&[
-            ("crates/serve/src/zzz.rs".to_string(), a.to_string()),
-            ("crates/serve/src/aaa.rs".to_string(), b.to_string()),
+            (
+                "crates/serve/src/transport.rs".to_string(),
+                locks.to_string(),
+            ),
+            ("crates/serve/src/http.rs".to_string(), alloc.to_string()),
         ]);
         let keys: Vec<(&str, u32)> = diags.iter().map(|d| (d.file.as_str(), d.line)).collect();
         assert_eq!(
             keys,
             [
-                ("crates/serve/src/aaa.rs", 2),
-                ("crates/serve/src/aaa.rs", 5),
-                ("crates/serve/src/zzz.rs", 2),
+                ("crates/serve/src/http.rs", 2),
+                ("crates/serve/src/transport.rs", 3),
+                ("crates/serve/src/transport.rs", 6),
             ]
         );
     }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `saber-lint` binary: builds a throwaway
 //! workspace tree on disk, runs the real executable over it with `--root`,
-//! and checks the text output, the JSON report and the exit codes.
+//! and checks the text output and the exit codes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -62,71 +62,25 @@ fn violations_exit_one_with_file_line_rule_diagnostics() {
     let tree = TempTree::new("dirty");
     tree.write("Cargo.toml", "[workspace]\n");
     tree.write(
-        "crates/serve/src/lib.rs",
-        "pub fn take(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+        "crates/serve/src/http.rs",
+        "pub fn read(n: usize) -> Vec<u8> {\n    Vec::with_capacity(n)\n}\n",
     );
     let out = run_lint(tree.root(), &[]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
-        stdout.contains("crates/serve/src/lib.rs:2: no-panic-serving:"),
+        stdout.contains("crates/serve/src/http.rs:2: no-unbounded-alloc-from-wire:"),
         "{stdout}"
     );
-}
-
-#[test]
-fn json_mode_emits_a_machine_readable_report() {
-    let tree = TempTree::new("json");
-    tree.write("Cargo.toml", "[workspace]\n");
-    tree.write(
-        "crates/core/src/kernel.rs",
-        "use std::collections::HashMap;\n",
-    );
-    tree.write("crates/core/src/lib.rs", "pub mod kernel;\n");
-    let out = run_lint(tree.root(), &["--json"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.starts_with("{\"files_scanned\":2,"), "{stdout}");
-    assert!(
-        stdout.contains(r#""rule":"determinism""#) && stdout.contains(r#""line":1"#),
-        "{stdout}"
-    );
-    // Clean trees still report the scan in JSON mode, with exit 0.
-    let clean = TempTree::new("json-clean");
-    clean.write("Cargo.toml", "[workspace]\n");
-    clean.write("crates/core/src/lib.rs", "pub fn id(x: u32) -> u32 { x }\n");
-    let out = run_lint(clean.root(), &["--json"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"diagnostics\":[]"), "{stdout}");
-}
-
-#[test]
-fn suppressions_with_reasons_survive_the_cli_path() {
-    let tree = TempTree::new("suppressed");
-    tree.write("Cargo.toml", "[workspace]\n");
-    tree.write(
-        "crates/serve/src/lib.rs",
-        "pub fn take(x: Option<u32>) -> u32 {\n    \
-         // saber-lint: allow(no-panic-serving) x is Some: checked by the caller\n    \
-         x.unwrap()\n}\n",
-    );
-    let out = run_lint(tree.root(), &[]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
 #[test]
 fn target_and_hidden_directories_are_skipped() {
     let tree = TempTree::new("skips");
     tree.write("Cargo.toml", "[workspace]\n");
-    tree.write(
-        "target/release/build/generated.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    );
-    tree.write(
-        ".git/hooks/sample.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    );
+    let unbounded = "pub fn read(n: usize) -> Vec<u8> { Vec::with_capacity(n) }\n";
+    tree.write("target/release/build/generated.rs", unbounded);
+    tree.write(".git/hooks/sample.rs", unbounded);
     tree.write("crates/serve/src/lib.rs", "pub fn ok() {}\n");
     let out = run_lint(tree.root(), &[]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");

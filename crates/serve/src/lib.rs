@@ -97,6 +97,22 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+// Panic-freedom: a shard must degrade (return an error), not die. Test code
+// may unwrap.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+// Every suppression is an `#[expect(lint, reason = "..")]`, which fails the
+// build once it suppresses nothing.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 mod breaker;
 pub mod http;

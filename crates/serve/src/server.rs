@@ -374,7 +374,8 @@ impl TopicServer {
     /// [`ServeError::Conflict`] when `epoch` is not ahead of the served one
     /// (its commit would be a silent no-op), [`ServeError::BadRequest`]
     /// when the slice is not the served `V × K` (it would fail every
-    /// request at the router's merge).
+    /// request at the router's merge) or carries another α (the shard would
+    /// sample with a prior the router does not finish θ with).
     pub fn stage(&self, epoch: u64, slice: InferenceSnapshot) -> Result<(), ServeError> {
         let mut staged = self.publish_guard();
         let served = self.snapshot();
@@ -384,13 +385,17 @@ impl TopicServer {
                 detail: format!("epoch {epoch} is not ahead of the served epoch {version}"),
             });
         }
-        let (vocab_size, n_topics) = (served.vocab_size(), served.n_topics());
-        if (slice.vocab_size(), slice.n_topics()) != (vocab_size, n_topics) {
+        let shape = |s: &InferenceSnapshot| (s.vocab_size(), s.n_topics(), s.alpha().to_bits());
+        if shape(&slice) != shape(&served) {
             return Err(ServeError::BadRequest {
                 detail: format!(
-                    "published snapshot is {}x{} but this shard serves {vocab_size}x{n_topics}",
+                    "published snapshot is {}x{} at alpha {} but this shard serves {}x{} at alpha {}",
                     slice.vocab_size(),
-                    slice.n_topics()
+                    slice.n_topics(),
+                    slice.alpha(),
+                    served.vocab_size(),
+                    served.n_topics(),
+                    served.alpha()
                 ),
             });
         }

@@ -288,9 +288,11 @@ impl InferenceSnapshot {
         let (start, end) = (range.start as usize, range.end as usize);
         let k = self.n_topics();
         let data = self.bhat.as_slice()[start * k..end * k].to_vec();
+        #[expect(
+            clippy::expect_used,
+            reason = "the assert above pins the dims; shard() runs at publish time, never on a request thread"
+        )]
         let bhat = DenseMatrix::from_vec(end - start, k, data)
-            // saber-lint: allow(no-panic-serving) the assert above pins the
-            // dims; shard() runs at publish time, never on a request thread
             .expect("shard slice dimensions are consistent by construction");
         InferenceSnapshot {
             bhat,

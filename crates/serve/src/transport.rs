@@ -1314,19 +1314,23 @@ mod tests {
     #[test]
     fn both_transports_refuse_the_same_slices_at_staging() {
         fn check(t: &impl ShardTransport) {
-            let slice = |vocab, k| {
-                InferenceSnapshot::from_model(&planted_model(vocab, k), SnapshotSampler::WaryTree)
+            let slice = |vocab, k, alpha| {
+                let mut model = saber_core::LdaModel::new(vocab, k, alpha, 0.01).unwrap();
+                *model.word_topic_mut() = planted_model(vocab, k).word_topic().clone();
+                model.refresh_probabilities();
+                InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree)
             };
             let bad_request = ServeError::BadRequest { detail: "".into() };
             let conflict = ServeError::Conflict { detail: "".into() };
             let variant = std::mem::discriminant::<ServeError>;
-            for (vocab, k, epoch, refusal, why) in [
-                (6, 3, 2, &bad_request, "a wrong-V slice"),
-                (12, 4, 2, &bad_request, "a wrong-K slice"),
-                (12, 3, 0, &conflict, "a stale epoch"),
-                (12, 3, 1, &conflict, "the epoch already served"),
+            for (vocab, k, alpha, epoch, refusal, why) in [
+                (6, 3, 0.05, 2, &bad_request, "a wrong-V slice"),
+                (12, 4, 0.05, 2, &bad_request, "a wrong-K slice"),
+                (12, 3, 5.0, 2, &bad_request, "another alpha"),
+                (12, 3, 0.05, 0, &conflict, "a stale epoch"),
+                (12, 3, 0.05, 1, &conflict, "the epoch already served"),
             ] {
-                match t.prepare_publish(slice(vocab, k), epoch) {
+                match t.prepare_publish(slice(vocab, k, alpha), epoch) {
                     Err(e) => assert_eq!(variant(&e), variant(refusal), "{why}: {e:?}"),
                     Ok(()) => panic!("{why} was staged"),
                 }
@@ -1336,7 +1340,7 @@ mod tests {
                 Ok(_) => panic!("a refused slice was staged"),
             }
             // …and the contract refuses nothing it should not.
-            t.prepare_publish(slice(12, 3), 2).unwrap();
+            t.prepare_publish(slice(12, 3, 0.05), 2).unwrap();
             assert_eq!(t.commit_publish(2).unwrap(), 2);
             assert_eq!(t.observe_epoch().unwrap(), 2);
         }

@@ -28,6 +28,10 @@
 //! assert!(matches!(raw.body, InferBody::Tokens { .. }));
 //! ```
 
+// The decoders read untrusted bytes: a hostile length must not panic a
+// shard through an index or a slice.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fmt;
 use std::sync::Arc;
 
@@ -1303,11 +1307,13 @@ pub fn decode_shard_info(body: &str) -> Result<ShardInfo, WireError> {
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| WireError::new(format!("'{name}' must be an unsigned integer")))
     };
+    // Checked after the cast: `1e39` is a finite `f64` but an infinite `f32`.
     let alpha = value
         .get("alpha")
         .and_then(JsonValue::as_f64)
-        .filter(|a| a.is_finite())
-        .ok_or_else(|| WireError::new("'alpha' must be a finite number"))? as f32;
+        .map(|a| a as f32)
+        .filter(|a| a.is_finite() && *a > 0.0)
+        .ok_or_else(|| WireError::new("'alpha' must be a finite positive number"))?;
     let shard_range = decode_shard_range(
         value
             .get("shard")
@@ -1491,6 +1497,28 @@ mod tests {
         );
         let err = decode_shard_info(body).expect_err("the counts sum past u64::MAX");
         assert!(err.detail.contains("'latency.buckets'"), "{err}");
+    }
+
+    #[test]
+    fn shard_info_alpha_must_be_finite_and_positive() {
+        let body = |alpha: &str| {
+            format!(
+                concat!(
+                    r#"{{"epoch":2,"vocab_size":12,"n_topics":3,"alpha":{},"#,
+                    r#""shard":[0,12],"fold_in":{{"kind":"esca","burn_in":5,"samples":8}},"#,
+                    r#""stats":{{"requests":0,"tokens":0,"batches":0,"swaps_observed":0,"#,
+                    r#""latency":{{"sum_us":0,"buckets":[]}},"#,
+                    r#""queue_wait":{{"sum_us":0,"buckets":[]}},"handler":{{"sum_us":0,"buckets":[]}}}}}}"#,
+                ),
+                alpha
+            )
+        };
+        assert_eq!(decode_shard_info(&body("0.05")).unwrap().alpha, 0.05);
+        // `1e39` is a finite f64 that overflows to an infinite f32.
+        for alpha in ["1e39", "0", "-0.05", "null"] {
+            let err = decode_shard_info(&body(alpha)).expect_err(alpha);
+            assert!(err.detail.contains("'alpha'"), "{alpha}: {err}");
+        }
     }
 
     /// Every `/metrics` series name of a row.
