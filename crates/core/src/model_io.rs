@@ -116,12 +116,19 @@ pub fn load_model<R: Read>(mut reader: R) -> Result<LdaModel> {
             detail: format!("implausible model dimensions {vocab_size} x {n_topics}"),
         });
     }
-    let mut model = LdaModel::new(vocab_size, n_topics, alpha, beta)?;
-    for v in 0..vocab_size {
-        for k in 0..n_topics {
-            model.word_topic_mut()[(v, k)] = read_u32(&mut reader)?;
-        }
+    // Read the counts as they arrive and build the model only after the
+    // last one, as `load_snapshot` does: dimensions within the bounds above
+    // can still describe petabytes, and allocating them from the header
+    // alone would abort the process.
+    let mut counts = Vec::new();
+    for _ in 0..vocab_size * n_topics {
+        counts.push(read_u32(&mut reader)?);
     }
+    let mut model = LdaModel::new(vocab_size, n_topics, alpha, beta)?;
+    model
+        .word_topic_mut()
+        .as_mut_slice()
+        .copy_from_slice(&counts);
     model.refresh_probabilities();
     Ok(model)
 }
@@ -606,6 +613,24 @@ mod tests {
         }
         // A matrix that disagrees with its dimensions won't save.
         assert!(save_snapshot_parts(3, 2, 0.05, 1, &[0.5; 5], &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn model_load_survives_a_hostile_header() {
+        // A 36-byte header claiming the maximum plausible dimensions
+        // (2^32 × 2^20 counts) and no body must fail with a truncated-input
+        // error, not allocate the model up front and abort the process.
+        let mut hostile = Vec::new();
+        hostile.extend_from_slice(MAGIC);
+        hostile.extend_from_slice(&VERSION.to_le_bytes());
+        hostile.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        hostile.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        hostile.extend_from_slice(&0.1f32.to_le_bytes());
+        hostile.extend_from_slice(&0.01f32.to_le_bytes());
+        assert!(matches!(
+            load_model(hostile.as_slice()),
+            Err(SaberError::Io(_))
+        ));
     }
 
     #[test]

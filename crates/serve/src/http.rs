@@ -1015,6 +1015,10 @@ fn handle_infer(
             let encode_span = trace.begin(Some(root), "encode");
             // Sized once: a θ element prints as at most 24 bytes with its
             // comma, the other members as fewer than 96.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "θ has the served model's K entries"
+            )]
             let mut body = String::with_capacity(24 * response.theta.len() + 96);
             let _ = write!(body, "{}", wire::encode_infer_response(&response, seed));
             trace.end(encode_span);
@@ -1172,6 +1176,10 @@ fn read_request(
     // Read the body in bounded steps so a trickling client is cut off when
     // the request budget expires (a single `read_exact` would reset the
     // clock on every byte).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "content_length is within body_limit, max_body_bytes by default, above"
+    )]
     let mut body = vec![0u8; content_length];
     let mut filled = 0;
     while filled < content_length {
@@ -1288,6 +1296,10 @@ fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
 /// passed through literally rather than failing the request.
 fn percent_decode(raw: &str) -> String {
     let bytes = raw.as_bytes();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the input's own length, already received"
+    )]
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {

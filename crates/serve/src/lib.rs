@@ -110,6 +110,12 @@
         clippy::unreachable
     )
 )]
+// Bounded allocation is `clippy.toml`'s disallowed methods; test code may
+// size its buffers freely.
+#![cfg_attr(
+    test,
+    expect(clippy::disallowed_methods, reason = "test inputs have fixed sizes")
+)]
 // Every suppression is an `#[expect(lint, reason = "..")]`, which fails the
 // build once it suppresses nothing.
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]

@@ -58,7 +58,7 @@
 //!   ([`derive_replica_choice`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use saber_core::infer::{em_update, esca_theta, PartialFoldIn};
@@ -72,7 +72,9 @@ use crate::snapshot::{FoldInKind, InferenceSnapshot};
 use crate::transport::{LocalTransport, PendingPartial, ShardInfo, ShardTransport};
 use crate::{InferResponse, ServeConfig, ServeError, ServeStats, TopicServer};
 
+mod locks;
 mod publish;
+use locks::RouterLocks;
 pub use publish::PipelineStats;
 
 /// Router-level counters, complementing the per-shard [`ServeStats`].
@@ -315,19 +317,9 @@ pub struct ShardRouter<T: ShardTransport = LocalTransport> {
     /// this router's publications after their last commit and re-probed
     /// after a shard refused it (`publish` live-probes the fleet itself).
     last_epoch: AtomicU64,
-    /// Held shared by every read for its whole fan-out, and taken
-    /// exclusively by a publication before it stages (which releases the
-    /// epoch before the served one on every shard): no read can still be
-    /// pinned to that epoch once the exclusive guard is granted.
-    reads: RwLock<()>,
-    /// Serialises whole-fleet publications so two publishers cannot
-    /// interleave shard swaps (which could strand shards on permanently
-    /// different versions).
-    publish_lock: Mutex<()>,
-    /// Publication-path counters, `None` until the first successful
-    /// publish. A lock of its own, so a `/stats` scrape never waits for a
-    /// publication to finish.
-    pipeline: Mutex<Option<PipelineStats>>,
+    /// The read, publish and pipeline-counter locks, which nest only as
+    /// `router/locks.rs` allows.
+    locks: RouterLocks,
 }
 
 impl<T: ShardTransport> std::fmt::Debug for ShardRouter<T> {
@@ -475,9 +467,7 @@ impl<T: ShardTransport> ShardRouter<T> {
             transport_retries: AtomicU64::new(0),
             shard_requests,
             last_epoch: AtomicU64::new(epoch),
-            reads: RwLock::new(()),
-            publish_lock: Mutex::new(()),
-            pipeline: Mutex::new(None),
+            locks: RouterLocks::default(),
         })
     }
 
@@ -606,7 +596,7 @@ impl<T: ShardTransport> ShardRouter<T> {
                 detail: format!("topic {k} out of range (K = {})", self.n_topics),
             });
         }
-        let mut merged: Vec<(u32, f32)> = Vec::with_capacity(n * self.shards.len());
+        let mut merged: Vec<(u32, f32)> = Vec::new();
         for (set, range) in self.shards.iter().zip(self.plan.ranges()) {
             merged.extend(
                 set.ask(|transport| transport.top_words(k, n))?
@@ -670,9 +660,9 @@ impl<T: ShardTransport> ShardRouter<T> {
     pub fn router_stats(&self) -> RouterStats {
         let mut breaker_trips = 0;
         let mut breaker_readmits = 0;
-        let mut replica_health = Vec::with_capacity(self.shards.len());
+        let mut replica_health = Vec::new();
         for set in &self.shards {
-            let mut admitted = Vec::with_capacity(set.len());
+            let mut admitted = Vec::new();
             for r in 0..set.len() {
                 if let Some(breaker) = set.breaker(r) {
                     breaker_trips += breaker.trips();
@@ -697,11 +687,7 @@ impl<T: ShardTransport> ShardRouter<T> {
             breaker_trips,
             breaker_readmits,
             replica_health,
-            pipeline: self
-                .pipeline
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
+            pipeline: self.locks.pipeline_stats(),
         }
     }
 
@@ -775,8 +761,7 @@ impl<T: ShardTransport> ShardRouter<T> {
     ) -> Result<InferResponse, ServeError> {
         let split = self.plan.split(words)?;
         self.requests.fetch_add(1, Ordering::Relaxed);
-        // Poisoning guards nothing here: the lock protects no data.
-        let _reading = self.reads.read().unwrap_or_else(|e| e.into_inner());
+        let _reading = self.locks.read();
         let read = Read {
             seed,
             epoch: self.epoch(),
@@ -854,6 +839,10 @@ impl<T: ShardTransport> ShardRouter<T> {
         if iterations == 0 {
             return Ok(self.uniform_response(read.epoch));
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "k is the fleet's validated topic count"
+        )]
         let mut theta = Arc::new(vec![1.0f64 / k as f64; k]);
         for round in 0..iterations {
             let round_span = trace.begin(Some(parent), format_args!("em-round {round}"));
@@ -863,6 +852,10 @@ impl<T: ShardTransport> ShardRouter<T> {
             };
             let merged = self.wave(split, read, &request_for, trace, round_span)?;
             let merge_span = trace.begin(Some(round_span), "merge");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "k is the fleet's validated topic count"
+            )]
             let mut next = vec![0.0f64; k];
             em_update(&mut next, &merged.counts, merged.n_words, self.alpha);
             trace.end(merge_span);
@@ -983,6 +976,10 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// The uniform θ an empty document gets, cast through the same `f64 →
     /// f32` path as the single-server code so the answers stay
     /// bit-identical.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "n_topics is the fleet's validated topic count"
+    )]
     fn uniform_response(&self, epoch: u64) -> InferResponse {
         InferResponse {
             theta: vec![(1.0f64 / self.n_topics as f64) as f32; self.n_topics],
@@ -1386,6 +1383,7 @@ mod tests {
         model.refresh_probabilities();
         let snapshot = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
         let direct = snapshot.top_words(2, 4);
+        let all = snapshot.top_words(2, usize::MAX);
         let router = ShardRouter::start(
             snapshot,
             ShardPlan::uniform(12, 4).unwrap(),
@@ -1393,6 +1391,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(router.top_words(2, 4).unwrap(), direct);
+        // `n` comes off the query string: an absurd one sizes no buffer.
+        assert_eq!(router.top_words(2, usize::MAX).unwrap(), all);
         assert!(matches!(
             router.top_words(3, 4),
             Err(ServeError::BadRequest { .. })

@@ -127,9 +127,8 @@ impl<T: ShardTransport> ShardRouter<T> {
             });
         }
         let started = Instant::now();
-        let _guard = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
         // Staging releases the epoch before the served one: drain reads.
-        drop(self.reads.write().unwrap_or_else(|e| e.into_inner()));
+        let publication = self.locks.publication();
         let observed = self.observe_fleet_epoch()?;
         let epoch = observed + 1;
         let k = self.n_topics as u64;
@@ -185,15 +184,15 @@ impl<T: ShardTransport> ShardRouter<T> {
         }
         self.last_epoch.fetch_max(committed, Ordering::AcqRel);
         let micros = started.elapsed().as_micros() as u64;
-        let mut stats = self.pipeline.lock().unwrap_or_else(|e| e.into_inner());
-        let stats = stats.get_or_insert_with(PipelineStats::default);
-        stats.epochs_published += 1;
-        stats.delta_epochs += u64::from(all_delta);
-        stats.rows_shipped += rows_shipped;
-        stats.rows_total += rows_total;
-        stats.fallbacks += fallbacks;
-        stats.last_publish_micros = micros;
-        stats.publish_micros_total += micros;
+        publication.record(|stats| {
+            stats.epochs_published += 1;
+            stats.delta_epochs += u64::from(all_delta);
+            stats.rows_shipped += rows_shipped;
+            stats.rows_total += rows_total;
+            stats.fallbacks += fallbacks;
+            stats.last_publish_micros = micros;
+            stats.publish_micros_total += micros;
+        });
         Ok(committed)
     }
 

@@ -704,7 +704,7 @@ fn worker_loop(
     max_batch: usize,
 ) {
     let mut snapshot = cell.load();
-    let mut batch = Vec::with_capacity(max_batch);
+    let mut batch = Vec::new();
     loop {
         // Take one job (blocking), then opportunistically drain more up to
         // the batch cap. Holding the queue lock while blocked parks this

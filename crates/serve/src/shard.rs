@@ -92,7 +92,7 @@ impl ShardPlan {
         }
         let base = vocab_size / n_shards;
         let extra = vocab_size % n_shards;
-        let mut bounds = Vec::with_capacity(n_shards + 1);
+        let mut bounds = Vec::new();
         let mut at = 0usize;
         bounds.push(0);
         for s in 0..n_shards {
@@ -196,7 +196,7 @@ impl ShardPlan {
     /// vocabulary — the router-level analogue of
     /// [`TopicServer`](crate::TopicServer)'s admission check.
     pub fn split(&self, words: &[u32]) -> Result<Vec<Vec<u32>>, ServeError> {
-        let mut per_shard = vec![Vec::new(); self.n_shards()];
+        let mut per_shard: Vec<Vec<u32>> = (0..self.n_shards()).map(|_| Vec::new()).collect();
         for &w in words {
             let Some(s) = self.shard_of(w) else {
                 return Err(ServeError::BadRequest {

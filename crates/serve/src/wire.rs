@@ -947,6 +947,10 @@ pub fn decode_partial_response(body: &str) -> Result<PartialResponse, WireError>
             "'topics' and 'counts' must have the same length",
         ));
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "k is checked against MAX_PARTIAL_TOPICS above"
+    )]
     let mut counts = vec![0.0f64; k as usize];
     let mut next = 0u64;
     for (topic, count) in topics.iter().zip(values) {
@@ -1564,5 +1568,31 @@ mod tests {
             }
         }
         assert_eq!(documented, declared);
+    }
+
+    #[test]
+    fn the_golden_suite_names_every_wire_codec() {
+        let wire = include_str!("wire.rs");
+        let golden = include_str!("../../../tests/wire_golden.rs");
+        let non_test = wire.split("\n#[cfg(test)]\nmod tests").next().unwrap();
+        let codecs: Vec<&str> = non_test
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix("pub fn "))
+            .map(|rest| rest.split(['(', '<']).next().unwrap())
+            .filter(|name| name.starts_with("encode_") || name.starts_with("decode_"))
+            .collect();
+        assert!(!codecs.is_empty(), "no codec found in wire.rs");
+        // A word: not part of a longer identifier on either side.
+        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+        for name in codecs {
+            let named = golden.match_indices(name).any(|(at, _)| {
+                !golden[..at].ends_with(is_ident)
+                    && !golden[at + name.len()..].starts_with(is_ident)
+            });
+            assert!(
+                named,
+                "wire codec `{name}` has no fixture in tests/wire_golden.rs"
+            );
+        }
     }
 }
