@@ -21,7 +21,6 @@ pub(crate) fn cpu_host_spec() -> DeviceSpec {
         mem_bandwidth_gb_s: 68.0,
         l2_cache_bytes: 30 * 1024 * 1024,
         shared_mem_per_block: 256 * 1024,
-        max_threads_per_block: 1024,
         warp_size: 8,
         pcie_bandwidth_gb_s: 0.0,
     }

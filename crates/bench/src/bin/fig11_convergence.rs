@@ -1,105 +1,8 @@
-//! Fig. 11: convergence over time, NYTimes and PubMed shapes at K = 1000,
-//! SaberLDA vs. the dense GPU baseline and the three CPU baselines.
-//!
-//! Prints one `(cumulative modelled seconds, held-out log-likelihood/token)`
-//! series per system and the time each needs to reach the target likelihood
-//! (the paper's −8.0 / −7.3 thresholds do not transfer to scaled synthetic
-//! corpora, so the target is set relative to the best likelihood observed).
+//! Fig. 11: convergence over time, SaberLDA vs. the dense GPU baseline and
+//! the three CPU baselines (see [`saber_bench::fig11`]).
 
-use saber_baselines::{DenseGibbsLda, EscaCpuLda, FTreeLda, WarpLdaMh};
-use saber_bench::{bench_corpus, BenchArgs};
-use saber_core::{HeldOutEvaluator, LdaTrainer, SaberLda, SaberLdaConfig};
-use saber_corpus::presets::DatasetPreset;
-use saber_gpu_sim::DeviceSpec;
-
-fn run_dataset(preset: DatasetPreset, args: &BenchArgs) {
-    let corpus = bench_corpus(preset, args, 13);
-    let k = 1000usize;
-    let alpha = 50.0 / k as f32;
-    let beta = 0.01f32;
-    let iters = args.iters.unwrap_or(20);
-    let eval_every = 4usize;
-    let evaluator = HeldOutEvaluator::new(&corpus, 5).expect("split");
-
-    println!(
-        "\n## {} (scaled): D={} T={} V={}  K={k}, {iters} iterations\n",
-        preset,
-        corpus.n_docs(),
-        corpus.n_tokens(),
-        corpus.vocab_size()
-    );
-
-    let saber_config = SaberLdaConfig::builder()
-        .n_topics(k)
-        .n_iterations(iters)
-        .n_chunks(3)
-        .seed(1)
-        .build()
-        .expect("config");
-    let mut systems: Vec<Box<dyn LdaTrainer>> = vec![
-        Box::new(SaberLda::new(saber_config, &corpus).expect("corpus")),
-        Box::new(DenseGibbsLda::new(
-            &corpus,
-            k,
-            alpha,
-            beta,
-            1,
-            DeviceSpec::gtx_1080(),
-        )),
-        Box::new(EscaCpuLda::new(&corpus, k, alpha, beta, 1)),
-        Box::new(FTreeLda::new(&corpus, k, alpha, beta, 1)),
-        Box::new(WarpLdaMh::new(&corpus, k, alpha, beta, 1)),
-    ];
-
-    let mut summaries = Vec::new();
-    for system in systems.iter_mut() {
-        let mut elapsed = 0.0f64;
-        let mut curve: Vec<(f64, f64)> = Vec::new();
-        for i in 0..iters {
-            elapsed += system.step().seconds;
-            if i % eval_every == 0 || i + 1 == iters {
-                let ll = evaluator.log_likelihood(system.word_topic_prob(), system.alpha());
-                curve.push((elapsed, ll));
-            }
-        }
-        println!("### {}", system.name());
-        for (t, ll) in &curve {
-            println!("  t = {t:>10.3}s   LL/token = {ll:.4}");
-        }
-        summaries.push((system.name(), curve));
-    }
-
-    // Time-to-target: target = best final LL minus a small margin, so every
-    // system that gets close is credited.
-    let best_final = summaries
-        .iter()
-        .filter_map(|(_, c)| c.last().map(|&(_, ll)| ll))
-        .fold(f64::NEG_INFINITY, f64::max);
-    let target = best_final - 0.02;
-    println!("\ntime to reach LL >= {target:.4}:");
-    let saber_time = summaries[0]
-        .1
-        .iter()
-        .find(|&&(_, ll)| ll >= target)
-        .map(|&(t, _)| t);
-    for (name, curve) in &summaries {
-        match curve.iter().find(|&&(_, ll)| ll >= target) {
-            Some(&(t, _)) => {
-                let rel = saber_time.map(|s| t / s).unwrap_or(f64::NAN);
-                println!("  {name:<34} {t:>10.3}s  ({rel:.1}x SaberLDA)");
-            }
-            None => println!("  {name:<34} did not reach the target"),
-        }
-    }
-}
+use saber_bench::{fig11, BenchArgs};
 
 fn main() {
-    let args = BenchArgs::from_env();
-    println!("# Fig. 11 — convergence over time (K = 1000)");
-    println!(
-        "Paper's result: SaberLDA ~5.6x faster than BIDMach, ~4x faster than ESCA (CPU), ~5.4x\n\
-         faster than DMLC F+LDA; WarpLDA converges to a worse likelihood plateau."
-    );
-    run_dataset(DatasetPreset::NyTimes, &args);
-    run_dataset(DatasetPreset::PubMed, &args);
+    print!("{}", fig11::convergence(&BenchArgs::from_env()));
 }

@@ -1,57 +1,8 @@
-//! Fig. 12: SaberLDA on the ClueWeb subset — convergence at K = 5000 on the
-//! GTX 1080 and the Titan X, and at K = 10 000 on the Titan X.
+//! Fig. 12: SaberLDA on the ClueWeb subset on two devices (see
+//! [`saber_bench::fig12`]).
 
-use saber_bench::{bench_corpus, BenchArgs};
-use saber_core::{HeldOutEvaluator, SaberLda, SaberLdaConfig};
-use saber_corpus::presets::DatasetPreset;
-use saber_gpu_sim::DeviceSpec;
+use saber_bench::{fig12, BenchArgs};
 
 fn main() {
-    let args = BenchArgs::from_env();
-    let corpus = bench_corpus(DatasetPreset::ClueWeb, &args, 23);
-    let iters = args.iters.unwrap_or(12);
-    let evaluator = HeldOutEvaluator::new(&corpus, 3).expect("split");
-
-    println!("# Fig. 12 — ClueWeb-subset convergence (scaled corpus)");
-    println!(
-        "corpus: D={} T={} V={}\n",
-        corpus.n_docs(),
-        corpus.n_tokens(),
-        corpus.vocab_size()
-    );
-    println!(
-        "Paper's result: convergence in ~5 hours on both cards at K=5000 (135 Mtoken/s on the\n\
-         GTX 1080, 116 Mtoken/s on the Titan X) and at K=10000 on the Titan X (92 Mtoken/s).\n"
-    );
-
-    let runs: [(&str, DeviceSpec, usize); 3] = [
-        ("GTX 1080, K=5000", DeviceSpec::gtx_1080(), 5000),
-        ("Titan X,  K=5000", DeviceSpec::titan_x_maxwell(), 5000),
-        ("Titan X,  K=10000", DeviceSpec::titan_x_maxwell(), 10_000),
-    ];
-
-    for (label, device, k) in runs {
-        let config = SaberLdaConfig::builder()
-            .n_topics(k)
-            .n_iterations(iters)
-            .n_chunks(4)
-            .device(device)
-            .seed(2)
-            .build()
-            .expect("config");
-        let mut lda = SaberLda::new(config, &corpus).expect("corpus");
-        let report = lda.train_with_eval(&evaluator, 3);
-        println!("## {label}");
-        for (t, ll) in report.convergence_curve() {
-            println!("  t = {t:>10.3}s   LL/token = {ll:.4}");
-        }
-        println!(
-            "  throughput: {:.1} Mtoken/s (modelled)\n",
-            report.mean_throughput_mtokens_per_s()
-        );
-    }
-    println!(
-        "Expected shape: the GTX 1080 is modestly faster than the Titan X at equal K; doubling\n\
-         K to 10,000 costs well under 2x throughput because the sampler is O(K_d)."
-    );
+    print!("{}", fig12::clueweb(&BenchArgs::from_env()));
 }

@@ -1,59 +1,8 @@
-//! Table 1: maximum problem sizes of GPU-based LDA systems.
-//!
-//! The paper's Table 1 contrasts the corpus/model sizes prior GPU systems
-//! handled (K ≤ 256, T ≤ 100M) with SaberLDA (K = 10 000, T = 7.1B). This
-//! harness recomputes the capacity limits from the memory model: prior
-//! systems keep everything dense and resident, SaberLDA streams the token
-//! list and the CSR document–topic matrix.
+//! Table 1: maximum problem sizes of GPU-based LDA systems (see
+//! [`saber_bench::table1`]).
 
-use saber_bench::print_header;
-use saber_core::memory::MemoryEstimator;
-use saber_corpus::presets::DatasetPreset;
-use saber_gpu_sim::DeviceSpec;
+use saber_bench::table1;
 
 fn main() {
-    println!("# Table 1 — problem sizes supported by GPU LDA systems\n");
-    println!("Paper's reported rows (for reference):");
-    println!("  Yan et al.          D=300K  K=128  V=100K  T=100M");
-    println!("  BIDMach             D=300K  K=256  V=100K  T=100M");
-    println!("  Steele & Tristan    D=50K   K=20   V=40K   T=3M");
-    println!("  SaberLDA            D=19.4M K=10K  V=100K  T=7.1B\n");
-
-    println!("Recomputed capacity on an 8 GB GTX 1080 (dense-resident vs. streaming):\n");
-    print_header(&[
-        "dataset",
-        "D",
-        "T",
-        "V",
-        "max K (dense resident)",
-        "max K (SaberLDA streaming)",
-    ]);
-    let gpu = DeviceSpec::gtx_1080();
-    let titan = DeviceSpec::titan_x_maxwell();
-    for preset in DatasetPreset::ALL {
-        let stats = preset.paper_stats();
-        let est = MemoryEstimator::for_corpus_shape(
-            stats.n_docs,
-            stats.n_tokens,
-            stats.vocab_size,
-            10_000,
-        );
-        let dense = est.max_topics_dense_resident(&gpu);
-        let streaming = est.max_topics_streaming(&gpu, 64);
-        println!(
-            "| {} | {} | {} | {} | {} | {} |",
-            stats.name, stats.n_docs, stats.n_tokens, stats.vocab_size, dense, streaming
-        );
-    }
-    println!();
-    let cw = DatasetPreset::ClueWeb.paper_stats();
-    let est = MemoryEstimator::for_corpus_shape(cw.n_docs, cw.n_tokens, cw.vocab_size, 10_000);
-    println!(
-        "ClueWeb subset on the 12 GB Titan X (Fig. 12 configuration): max streaming K = {}",
-        est.max_topics_streaming(&titan, 64)
-    );
-    println!(
-        "\nReading: dense-resident designs (prior GPU systems) are capped at a few hundred topics\n\
-         by the D x K document-topic matrix; SaberLDA's CSR + streaming design reaches 10,000."
-    );
+    print!("{}", table1::capacity());
 }

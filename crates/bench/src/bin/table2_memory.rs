@@ -1,53 +1,8 @@
-//! Table 2: memory consumption of the PubMed data structures for
-//! K = 100 / 1 000 / 10 000.
+//! Table 2: memory consumption of the PubMed data structures (see
+//! [`saber_bench::table2`]).
 
-use saber_bench::print_header;
-use saber_core::memory::{format_bytes, MemoryEstimator};
-use saber_corpus::presets::DatasetPreset;
-use saber_gpu_sim::DeviceSpec;
+use saber_bench::table2;
 
 fn main() {
-    let stats = DatasetPreset::PubMed.paper_stats();
-    let est = MemoryEstimator {
-        n_docs: stats.n_docs,
-        n_tokens: stats.n_tokens,
-        vocab_size: stats.vocab_size,
-        mean_doc_topics: 88.0,
-    };
-
-    println!("# Table 2 — memory consumption, PubMed shape (V=141k, T=738M, D=8.2M)\n");
-    println!("Paper's values: B,B̂ = 0.108/1.08/10.8 GB; L = 8.65 GB; A dense = 3.2/32/320 GB; A sparse = 5.8 GB\n");
-    print_header(&[
-        "K",
-        "word-topic B,B̂ (dense)",
-        "token list L",
-        "doc-topic A (dense)",
-        "doc-topic A (CSR)",
-    ]);
-    for k in [100usize, 1_000, 10_000] {
-        let e = est.estimate(k);
-        println!(
-            "| {k} | {} | {} | {} | {} |",
-            format_bytes(e.word_topic_dense_bytes),
-            format_bytes(e.token_list_bytes),
-            format_bytes(e.doc_topic_dense_bytes),
-            format_bytes(e.doc_topic_sparse_bytes),
-        );
-    }
-
-    let gpu = DeviceSpec::gtx_1080();
-    println!();
-    for k in [1_000usize, 5_000] {
-        match est.min_chunks_for_device(k, &gpu, 64) {
-            Some(p) => println!(
-                "K = {k}: fits on the {} when streamed in >= {p} chunks",
-                gpu.name
-            ),
-            None => println!("K = {k}: does not fit on the {} at any chunking", gpu.name),
-        }
-    }
-    println!(
-        "\nReading: the CSR document-topic matrix is independent of K, which is what makes\n\
-         thousands of topics feasible; the dense alternative grows to hundreds of GB."
-    );
+    print!("{}", table2::memory());
 }

@@ -88,15 +88,10 @@ impl fmt::Display for Ablation {
             f,
             "G1: + PDOW   G2: + W-ary tree   G3: + SSC   G4: + async workers\n"
         )?;
-        f.write_str(&table_header(&[
-            "level",
-            "sampling (s)",
-            "A update (s)",
-            "preprocessing (s)",
-            "transfer (s)",
-            "total (s)",
-            "speedup vs G0",
-        ]))?;
+        f.write_str(&table_header(
+            "level | sampling (s) | A update (s) | preprocessing (s) | transfer (s) | total (s) | \
+             speedup vs G0",
+        ))?;
         let g0 = self.rows.first().map_or(0.0, |row| row.simulated.total());
         for AblationRow {
             level, simulated, ..
@@ -119,15 +114,9 @@ impl fmt::Display for Ablation {
             f,
             "\nMeasured on this CPU (wall-clock seconds, same runs):\n"
         )?;
-        f.write_str(&table_header(&[
-            "level",
-            "sampling",
-            "rebuild A",
-            "accumulate B",
-            "refresh B̂",
-            "trees",
-            "iterate() total",
-        ]))?;
+        f.write_str(&table_header(
+            "level | sampling | rebuild A | accumulate B | refresh B̂ | trees | iterate() total",
+        ))?;
         for AblationRow {
             level,
             measured: m,
@@ -151,12 +140,9 @@ impl fmt::Display for Ablation {
             f,
             "\nSimulated against measured, step by step (speed-up of a whole iteration):\n"
         )?;
-        f.write_str(&table_header(&[
-            "step",
-            "simulated",
-            "measured iterate()",
-            "agreement",
-        ]))?;
+        f.write_str(&table_header(
+            "step | simulated | measured iterate() | agreement",
+        ))?;
         for (from, to) in self.rows.iter().zip(self.rows.iter().skip(1)) {
             let simulated = from.simulated.total() / to.simulated.total();
             let on_cpu = from.wall_s / to.wall_s;

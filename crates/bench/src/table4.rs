@@ -11,11 +11,12 @@
 
 use std::fmt;
 
+use saber_core::{SaberLda, SaberLdaConfig};
 use saber_corpus::presets::DatasetPreset;
 use saber_gpu_sim::cost::CostModel;
 use saber_gpu_sim::KernelStats;
 
-use crate::{bench_corpus, saber_trainer, table_header, BenchArgs};
+use crate::{bench_corpus, table_header, BenchArgs};
 
 /// Topics of the run.
 const TOPICS: usize = 1000;
@@ -63,7 +64,14 @@ pub struct Bandwidth {
 pub fn bandwidth(args: &BenchArgs) -> Bandwidth {
     let corpus = bench_corpus(DatasetPreset::NyTimes, args, 3);
     let iters = args.iters.unwrap_or(10);
-    let mut lda = saber_trainer(&corpus, TOPICS, iters, 2);
+    let config = SaberLdaConfig::builder()
+        .n_topics(TOPICS)
+        .n_iterations(iters)
+        .n_chunks(2)
+        .seed(42)
+        .build()
+        .expect("valid config");
+    let mut lda = SaberLda::new(config, &corpus).expect("non-empty corpus");
     let mut sampling = KernelStats::default();
     let (mut sampling_s, mut measured_sampling_s) = (0.0f64, 0.0f64);
     for _ in 0..iters {
@@ -106,11 +114,9 @@ impl fmt::Display for Bandwidth {
             "# Table 4 — memory bandwidth utilisation (NYTimes-like, K = {k}, {iters} iterations)\n"
         )?;
         writeln!(f, "Paper's values: global 144 GB/s (50%), L2 203 GB/s (30%), L1 894 GB/s (20%), shared 458 GB/s (20%)\n")?;
-        f.write_str(&table_header(&[
-            "memory level",
-            "throughput (GB/s)",
-            "utilisation of peak",
-        ]))?;
+        f.write_str(&table_header(
+            "memory level | throughput (GB/s) | utilisation of peak",
+        ))?;
         for row in &self.rows {
             writeln!(
                 f,

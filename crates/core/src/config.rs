@@ -1,8 +1,7 @@
 //! Training configuration.
 //!
-//! The configuration exposes every design dimension the paper evaluates so the
-//! ablation of Fig. 9 and the tuning sweeps of Fig. 10 can be expressed as
-//! plain configuration changes:
+//! The configuration exposes the design dimensions the paper evaluates so the
+//! ablation of Fig. 9 can be expressed as plain configuration changes:
 //!
 //! * [`TokenOrder`] — PDOW word-major ordering vs. the document-major ordering
 //!   of earlier systems (§3.1.3/§3.1.4);
@@ -11,7 +10,7 @@
 //! * [`CountRebuild`] — shuffle-and-segmented-count vs. naive global sort for
 //!   rebuilding the document–topic matrix (§3.3);
 //! * [`KernelKind`] — warp-based vs. thread-based sampling (§3.2);
-//! * chunk / worker / threads-per-block counts (§3.1.2, §3.4, Fig. 10).
+//! * chunk and worker counts (§3.1.2, §3.4).
 
 use saber_gpu_sim::DeviceSpec;
 
@@ -116,12 +115,11 @@ pub struct SaberLdaConfig {
     pub beta: f32,
     /// Number of training iterations.
     pub n_iterations: usize,
-    /// Number of chunks the token list is partitioned into (`P` in Fig. 10a).
+    /// Number of chunks the token list is partitioned into (`P`).
     pub n_chunks: usize,
-    /// Number of streaming workers (`W` in Fig. 10b).
+    /// Number of streaming workers; with one, transfers do not overlap
+    /// compute.
     pub n_workers: usize,
-    /// Threads per block for the sampling kernel (`T` in Fig. 10c).
-    pub threads_per_block: u32,
     /// Token ordering inside each chunk.
     pub token_order: TokenOrder,
     /// Pre-processed structure for the dense sub-problem.
@@ -130,8 +128,6 @@ pub struct SaberLdaConfig {
     pub count_rebuild: CountRebuild,
     /// Thread mapping of the sampling kernel.
     pub kernel: KernelKind,
-    /// Whether transfers overlap compute (multi-worker asynchrony).
-    pub async_streams: bool,
     /// Whether to sort each chunk's words by descending token count for
     /// block-level load balance (§3.4).
     pub sort_words_by_frequency: bool,
@@ -166,7 +162,6 @@ impl SaberLdaConfig {
         } else {
             CountRebuild::NaiveSort
         };
-        self.async_streams = level >= OptLevel::G4;
         self.n_workers = if level >= OptLevel::G4 { 4 } else { 1 };
         self.kernel = KernelKind::WarpBased;
         self
@@ -202,17 +197,6 @@ impl SaberLdaConfig {
                 detail: "n_chunks and n_workers must be at least 1".into(),
             });
         }
-        if self.threads_per_block < 32
-            || !self.threads_per_block.is_multiple_of(32)
-            || self.threads_per_block > self.device.max_threads_per_block
-        {
-            return Err(SaberError::InvalidConfig {
-                detail: format!(
-                    "threads_per_block must be a multiple of 32 in [32, {}], got {}",
-                    self.device.max_threads_per_block, self.threads_per_block
-                ),
-            });
-        }
         Ok(())
     }
 }
@@ -226,12 +210,10 @@ impl Default for SaberLdaConfig {
             n_iterations: 100,
             n_chunks: 1,
             n_workers: 4,
-            threads_per_block: 256,
             token_order: TokenOrder::WordMajor,
             preprocess: PreprocessKind::WaryTree,
             count_rebuild: CountRebuild::Ssc,
             kernel: KernelKind::WarpBased,
-            async_streams: true,
             sort_words_by_frequency: true,
             device: DeviceSpec::gtx_1080(),
             seed: 0,
@@ -298,18 +280,6 @@ impl SaberLdaConfigBuilder {
         self
     }
 
-    /// Sets the number of streaming workers.
-    pub fn n_workers(mut self, n: usize) -> Self {
-        self.config.n_workers = n;
-        self
-    }
-
-    /// Sets the number of threads per block.
-    pub fn threads_per_block(mut self, t: u32) -> Self {
-        self.config.threads_per_block = t;
-        self
-    }
-
     /// Sets the token ordering.
     pub fn token_order(mut self, order: TokenOrder) -> Self {
         self.config.token_order = order;
@@ -334,12 +304,6 @@ impl SaberLdaConfigBuilder {
         self
     }
 
-    /// Enables or disables asynchronous streaming.
-    pub fn async_streams(mut self, on: bool) -> Self {
-        self.config.async_streams = on;
-        self
-    }
-
     /// Enables or disables sorting words by frequency for load balance.
     pub fn sort_words_by_frequency(mut self, on: bool) -> Self {
         self.config.sort_words_by_frequency = on;
@@ -358,7 +322,7 @@ impl SaberLdaConfigBuilder {
         self
     }
 
-    /// Applies a whole ablation level (overrides layout/tree/count/async
+    /// Applies a whole ablation level (overrides layout/tree/count/worker
     /// fields at [`Self::build`] time).
     pub fn opt_level(mut self, level: OptLevel) -> Self {
         self.opt_level = Some(level);
@@ -370,7 +334,7 @@ impl SaberLdaConfigBuilder {
     /// # Errors
     ///
     /// Returns [`SaberError::InvalidConfig`] for inconsistent settings (zero
-    /// topics, non-multiple-of-32 block size, …).
+    /// topics, zero chunks, non-finite smoothing, …).
     pub fn build(self) -> Result<SaberLdaConfig> {
         let mut config = self.config;
         if let Some(level) = self.opt_level {
@@ -417,14 +381,6 @@ mod tests {
             .alpha(f32::INFINITY)
             .build()
             .is_err());
-        assert!(SaberLdaConfig::builder()
-            .threads_per_block(100)
-            .build()
-            .is_err());
-        assert!(SaberLdaConfig::builder()
-            .threads_per_block(2048)
-            .build()
-            .is_err());
         assert!(SaberLdaConfig::builder().n_chunks(0).build().is_err());
     }
 
@@ -435,7 +391,7 @@ mod tests {
         assert_eq!(g0.token_order, TokenOrder::DocMajor);
         assert_eq!(g0.preprocess, PreprocessKind::AliasTable);
         assert_eq!(g0.count_rebuild, CountRebuild::NaiveSort);
-        assert!(!g0.async_streams);
+        assert_eq!(g0.n_workers, 1);
 
         let g1 = base.clone().opt_level(OptLevel::G1).build().unwrap();
         assert_eq!(g1.token_order, TokenOrder::WordMajor);
@@ -447,10 +403,9 @@ mod tests {
 
         let g3 = base.clone().opt_level(OptLevel::G3).build().unwrap();
         assert_eq!(g3.count_rebuild, CountRebuild::Ssc);
-        assert!(!g3.async_streams);
+        assert_eq!(g3.n_workers, 1);
 
         let g4 = base.opt_level(OptLevel::G4).build().unwrap();
-        assert!(g4.async_streams);
         assert_eq!(g4.n_workers, 4);
     }
 

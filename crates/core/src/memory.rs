@@ -73,31 +73,22 @@ impl MemoryEstimator {
         }
     }
 
-    /// Whether the *resident* working set of SaberLDA — the dense word–topic
-    /// matrices plus one chunk's share of the token list and sparse
-    /// document–topic matrix — fits on `device` when streaming in `n_chunks`
-    /// chunks.
-    pub(crate) fn fits_on_device(
-        &self,
-        n_topics: usize,
-        n_chunks: usize,
-        device: &DeviceSpec,
-    ) -> bool {
-        let e = self.estimate(n_topics);
-        let chunked = (e.token_list_bytes + e.doc_topic_sparse_bytes) / n_chunks.max(1) as u64;
-        e.word_topic_dense_bytes + chunked <= device.global_mem_bytes
-    }
-
     /// The smallest number of chunks that fits on `device`, if any number up
     /// to `max_chunks` does (the paper minimises the chunk count subject to
-    /// the memory budget, §3.1.4).
+    /// the memory budget, §3.1.4). A chunking fits when the *resident*
+    /// working set of SaberLDA — the dense word–topic matrices plus one
+    /// chunk's share of the token list and sparse document–topic matrix —
+    /// does.
     pub fn min_chunks_for_device(
         &self,
         n_topics: usize,
         device: &DeviceSpec,
         max_chunks: usize,
     ) -> Option<usize> {
-        (1..=max_chunks).find(|&p| self.fits_on_device(n_topics, p, device))
+        let e = self.estimate(n_topics);
+        let streamed = e.token_list_bytes + e.doc_topic_sparse_bytes;
+        (1..=max_chunks)
+            .find(|&p| e.word_topic_dense_bytes + streamed / p as u64 <= device.global_mem_bytes)
     }
 
     /// The largest number of topics (searched over powers of two times 1 000)
@@ -163,91 +154,31 @@ pub fn snapshot_bytes(
     bhat + vocab_size * per_word
 }
 
-/// Formats a byte count the way Table 2 does (GB with two decimals, or MB for
-/// small values).
+/// Formats a byte count the way Table 2 does: decimal GB (10⁹ bytes) with
+/// two decimals, or decimal MB for small values.
 pub fn format_bytes(bytes: u64) -> String {
-    let gb = bytes as f64 / (1024.0 * 1024.0 * 1024.0);
+    let gb = bytes as f64 / 1e9;
     if gb >= 0.1 {
         format!("{gb:.2} GB")
     } else {
-        format!("{:.1} MB", bytes as f64 / (1024.0 * 1024.0))
+        format!("{:.1} MB", bytes as f64 / 1e6)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saber_corpus::presets::DatasetPreset;
 
     /// The PubMed shape of Table 2: V = 141k, T = 738M, D = 8.2M.
     fn pubmed() -> MemoryEstimator {
+        let stats = DatasetPreset::PubMed.paper_stats();
         MemoryEstimator {
-            n_docs: 8_200_000,
-            n_tokens: 738_000_000,
-            vocab_size: 141_000,
+            n_docs: stats.n_docs,
+            n_tokens: stats.n_tokens,
+            vocab_size: stats.vocab_size,
             mean_doc_topics: 88.0, // T/D = 90, nearly all distinct at K >= 1000
         }
-    }
-
-    #[test]
-    fn table2_word_topic_sizes_match_paper() {
-        // Paper: 0.108 GB at K=100, 1.08 GB at K=1k, 10.8 GB at K=10k for the
-        // "B, B̂" column, i.e. 8 bytes per (word, topic) pair.
-        let est = pubmed();
-        let gb = |b: u64| b as f64 / 1e9;
-        assert!((gb(est.estimate(100).word_topic_dense_bytes) - 0.108).abs() < 0.015);
-        assert!((gb(est.estimate(1000).word_topic_dense_bytes) - 1.08).abs() < 0.15);
-        assert!((gb(est.estimate(10_000).word_topic_dense_bytes) - 10.8).abs() < 1.5);
-    }
-
-    #[test]
-    fn table2_token_list_and_dense_a_match_paper() {
-        let est = pubmed();
-        let e = est.estimate(1000);
-        // Paper: token list 8.65 GB (stored with doc ids); ours keeps the doc
-        // id implicit in the chunk so 8 bytes/token ≈ 5.9 GB; check the order
-        // of magnitude and the dense A sizes which the paper lists as
-        // 3.2 / 32 / 320 GB for K = 100 / 1k / 10k.
-        assert!(e.token_list_bytes > 5_000_000_000 && e.token_list_bytes < 9_000_000_000);
-        let gb = |b: u64| b as f64 / 1e9;
-        assert!((gb(est.estimate(100).doc_topic_dense_bytes) - 3.28).abs() < 0.2);
-        assert!((gb(est.estimate(1000).doc_topic_dense_bytes) - 32.8).abs() < 1.0);
-        assert!((gb(est.estimate(10_000).doc_topic_dense_bytes) - 328.0).abs() < 10.0);
-    }
-
-    #[test]
-    fn sparse_a_is_independent_of_k_and_much_smaller() {
-        let est = pubmed();
-        let sparse_1k = est.estimate(1000).doc_topic_sparse_bytes;
-        let sparse_10k = est.estimate(10_000).doc_topic_sparse_bytes;
-        assert_eq!(sparse_1k, sparse_10k, "CSR size must not depend on K");
-        // Paper: 5.8 GB sparse vs 32 GB dense at K = 1000.
-        assert!(sparse_1k < est.estimate(1000).doc_topic_dense_bytes / 4);
-        let gb = sparse_1k as f64 / 1e9;
-        assert!(gb > 4.0 && gb < 8.0, "sparse A = {gb} GB");
-    }
-
-    /// The ClueWeb subset shape of §4.5: V = 100k, T = 7.1B, D = 19.4M.
-    fn clueweb() -> MemoryEstimator {
-        MemoryEstimator {
-            n_docs: 19_400_000,
-            n_tokens: 7_100_000_000,
-            vocab_size: 100_000,
-            mean_doc_topics: 120.0,
-        }
-    }
-
-    #[test]
-    fn streaming_supports_large_k_where_dense_does_not() {
-        // A dense resident system (prior GPU LDA) tops out in the hundreds of
-        // topics on PubMed (Table 1 lists K ≤ 256 for prior systems).
-        let est = pubmed();
-        let gpu = DeviceSpec::gtx_1080();
-        assert!(est.max_topics_dense_resident(&gpu) < 1000);
-        // SaberLDA streams and reaches thousands of topics on the same card…
-        assert!(est.max_topics_streaming(&gpu, 64) >= 5_000);
-        // …and 10k topics on the 12 GB Titan X with the ClueWeb vocabulary,
-        // the configuration of Fig. 12 / Table 1.
-        assert!(clueweb().max_topics_streaming(&DeviceSpec::titan_x_maxwell(), 64) >= 10_000);
     }
 
     #[test]
@@ -290,7 +221,8 @@ mod tests {
 
     #[test]
     fn byte_formatting() {
-        assert_eq!(format_bytes(1024 * 1024 * 1024), "1.00 GB");
-        assert!(format_bytes(10 * 1024 * 1024).contains("MB"));
+        assert_eq!(format_bytes(1_000_000_000), "1.00 GB");
+        assert_eq!(format_bytes(3_280_000_000), "3.28 GB");
+        assert_eq!(format_bytes(10_000_000), "10.0 MB");
     }
 }

@@ -15,9 +15,10 @@ use saber_sparse::DenseMatrix;
 pub struct IterationOutcome {
     /// Time attributed to this iteration, in seconds.
     ///
-    /// For simulated-GPU systems this is estimated device time from the cost
-    /// model; for CPU systems it is measured wall-clock time. Either way it is
-    /// the quantity the convergence-over-time figures plot.
+    /// Modelled time: the roofline cost model's estimate on the system's
+    /// device (the CPU baselines are priced on a model of the paper's host),
+    /// so it is the same on every run. It is the quantity the
+    /// convergence-over-time figures plot.
     pub seconds: f64,
     /// Number of tokens processed.
     pub tokens: u64,

@@ -81,16 +81,6 @@ pub struct PaperDatasetStats {
     pub tokens_per_doc: f64,
 }
 
-impl fmt::Display for PaperDatasetStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: D={} T={} V={} T/D={:.0}",
-            self.name, self.n_docs, self.n_tokens, self.vocab_size, self.tokens_per_doc
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

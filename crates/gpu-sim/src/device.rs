@@ -25,8 +25,6 @@ pub struct DeviceSpec {
     pub l2_cache_bytes: u64,
     /// Shared memory available per block in bytes.
     pub shared_mem_per_block: u32,
-    /// Maximum threads per block.
-    pub max_threads_per_block: u32,
     /// Warp width (lanes per warp). 32 on every NVIDIA GPU to date.
     pub warp_size: u32,
     /// Host↔device (PCIe) bandwidth in GB/s.
@@ -45,7 +43,6 @@ impl DeviceSpec {
             mem_bandwidth_gb_s: 320.0,
             l2_cache_bytes: 2 * 1024 * 1024,
             shared_mem_per_block: 48 * 1024,
-            max_threads_per_block: 1024,
             warp_size: 32,
             pcie_bandwidth_gb_s: 12.0,
         }
@@ -63,7 +60,6 @@ impl DeviceSpec {
             mem_bandwidth_gb_s: 336.5,
             l2_cache_bytes: 3 * 1024 * 1024,
             shared_mem_per_block: 48 * 1024,
-            max_threads_per_block: 1024,
             warp_size: 32,
             pcie_bandwidth_gb_s: 12.0,
         }
@@ -81,7 +77,6 @@ impl DeviceSpec {
             mem_bandwidth_gb_s: 10.0,
             l2_cache_bytes: 64 * 1024,
             shared_mem_per_block: 16 * 1024,
-            max_threads_per_block: 256,
             warp_size: 32,
             pcie_bandwidth_gb_s: 2.0,
         }

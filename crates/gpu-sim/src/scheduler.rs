@@ -9,8 +9,7 @@
 //!
 //! This module simulates that scheduler: given per-item work amounts it
 //! computes the makespan under dynamic (greedy) dispatch, which the trainer
-//! uses to model how well `threads_per_block` and the word ordering balance
-//! the load (Fig. 10c).
+//! uses to model how well its blocks and the word ordering balance the load.
 
 /// Outcome of simulating a dynamic schedule.
 #[derive(Debug, Clone, PartialEq)]

@@ -40,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .n_topics(k)
         .n_iterations(20)
         .n_chunks(3)
-        .n_workers(4)
         .seed(1)
         .build()?;
     let evaluator = HeldOutEvaluator::new(&split.test, 5)?;
