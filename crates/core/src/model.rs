@@ -185,14 +185,31 @@ impl LdaModel {
     }
 
     /// The `n` highest-probability words of topic `k`, as `(word id,
-    /// probability)` pairs in decreasing order.
+    /// probability)` pairs ordered by probability, descending
+    /// ([`f32::total_cmp`]), then by word id, ascending. Every word with the
+    /// same count in topic `k` has a bit-equal `B̂_vk`, so ties are common;
+    /// this order defines which tied words make the cut at `n`. A partial
+    /// select keeps the sort to the returned prefix.
     ///
     /// # Panics
     ///
     /// Panics if `k >= n_topics`.
     pub fn top_words(&self, k: usize, n: usize) -> Vec<(u32, f32)> {
         assert!(k < self.n_topics, "topic {k} out of range");
-        top_words_of_column(&self.word_topic_prob, k, n)
+        let n = n.min(self.vocab_size);
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut scored: Vec<(u32, f32)> = (0..self.vocab_size)
+            .map(|v| (v as u32, self.word_topic_prob[(v, k)]))
+            .collect();
+        let order = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        if n < scored.len() {
+            scored.select_nth_unstable_by(n - 1, order);
+            scored.truncate(n);
+        }
+        scored.sort_unstable_by(order);
+        scored
     }
 
     /// An owned copy of `B̂` as of the last [`LdaModel::refresh_probabilities`]
@@ -201,32 +218,6 @@ impl LdaModel {
     pub fn snapshot_probabilities(&self) -> DenseMatrix<f32> {
         self.word_topic_prob.clone()
     }
-}
-
-/// The `n` highest-weight rows of column `k` of `matrix`, as `(row id,
-/// weight)` pairs in decreasing order — the top-words query shared by
-/// [`LdaModel`] and serving snapshots. Uses a partial select so only the
-/// returned prefix is fully sorted.
-///
-/// # Panics
-///
-/// Panics if `k` is out of column range.
-pub fn top_words_of_column(matrix: &DenseMatrix<f32>, k: usize, n: usize) -> Vec<(u32, f32)> {
-    let n = n.min(matrix.rows());
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut scored: Vec<(u32, f32)> = (0..matrix.rows())
-        .map(|v| (v as u32, matrix[(v, k)]))
-        .collect();
-    let descending =
-        |a: &(u32, f32), b: &(u32, f32)| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal);
-    if n < scored.len() {
-        scored.select_nth_unstable_by(n - 1, descending);
-        scored.truncate(n);
-    }
-    scored.sort_by(descending);
-    scored
 }
 
 #[cfg(test)]
@@ -293,6 +284,19 @@ mod tests {
         assert!(top[0].1 > top[1].1);
         assert_eq!(m.top_words(0, 100).len(), 5);
         assert!(m.top_words(0, 0).is_empty());
+    }
+
+    #[test]
+    fn top_words_break_ties_by_ascending_word_id() {
+        // Topic 0 holds words 19 (twice) and 1; every other word ties at the
+        // bare-β probability, and the cut takes the lowest ids among them.
+        let mut m = LdaModel::new(20, 2, 0.1, 0.01).unwrap();
+        m.rebuild_from_assignments(vec![(19u32, 0u32), (19, 0), (1, 0), (0, 1)]);
+        let ids: Vec<u32> = m.top_words(0, 5).iter().map(|&(v, _)| v).collect();
+        assert_eq!(ids, [19, 1, 0, 2, 3]);
+        let ids: Vec<u32> = m.top_words(0, 20).iter().map(|&(v, _)| v).collect();
+        assert_eq!(ids[..3], [19, 1, 0]);
+        assert!(ids[2..].windows(2).all(|w| w[0] < w[1]), "{ids:?}");
     }
 
     #[test]

@@ -193,11 +193,6 @@ impl SaberLda {
         &self.config
     }
 
-    /// Total number of tokens under training.
-    pub fn n_tokens(&self) -> u64 {
-        self.chunks.iter().map(|c| c.n_tokens() as u64).sum()
-    }
-
     /// Number of chunks the corpus was partitioned into.
     pub fn n_chunks(&self) -> usize {
         self.chunks.len()
@@ -696,7 +691,6 @@ mod tests {
     fn training_runs_and_counts_every_token() {
         let corpus = SyntheticSpec::small_test().generate(1);
         let mut lda = SaberLda::new(small_config(8, 3), &corpus).unwrap();
-        assert_eq!(lda.n_tokens(), corpus.n_tokens());
         let report = lda.train();
         assert_eq!(report.iterations.len(), 3);
         for it in &report.iterations {

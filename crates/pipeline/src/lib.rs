@@ -321,7 +321,6 @@ pub struct TrainingPipeline<T: ShardTransport = LocalTransport> {
     /// The epoch the fleet served after our last publication — the base
     /// every delta is built against.
     served_epoch: u64,
-    ticks: u64,
     ticks_since_epoch_push: u64,
     epochs_pushed: u64,
 }
@@ -385,7 +384,6 @@ impl<T: ShardTransport> TrainingPipeline<T> {
             router,
             config,
             served_epoch,
-            ticks: 0,
             ticks_since_epoch_push: 0,
             epochs_pushed: 0,
         })
@@ -411,11 +409,6 @@ impl<T: ShardTransport> TrainingPipeline<T> {
         self.served_epoch
     }
 
-    /// Ticks executed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
     /// One pipeline step: ingest `docs`, run the configured incremental
     /// passes, and publish if the cadence fires. An empty `docs` still
     /// runs the passes (dirty chunks keep resampling) and still counts
@@ -438,7 +431,6 @@ impl<T: ShardTransport> TrainingPipeline<T> {
         for _ in 0..self.config.iterations_per_batch {
             tokens_resampled += self.trainer.iterate_incremental();
         }
-        self.ticks += 1;
         self.ticks_since_epoch_push += 1;
         let published = if self.ticks_since_epoch_push >= self.config.publish_every as u64 {
             Some(self.push_epoch()?)

@@ -30,8 +30,6 @@
 //!
 //! * `POST /infer` — topic inference for word-id or raw-token documents,
 //!   deterministic per seed (`X-Saber-Seed` header or `"seed"` body member).
-//! * `GET /top-words?topic=K&n=N` — highest-probability words of a topic.
-//! * `GET /similar?a=1,2&b=3,4` — Hellinger/cosine similarity of two docs.
 //! * `GET /stats` — counters plus latency percentiles (including
 //!   router-level epoch/retry/per-shard counters when the backend is a
 //!   [`ShardRouter`](crate::ShardRouter)).
@@ -39,8 +37,8 @@
 //!   format, with cumulative latency histogram buckets.
 //! * `GET /healthz` — liveness plus the served snapshot version.
 //! * `GET /trace/recent` — recently completed request traces (every
-//!   `/infer` and `/similar` is traced end to end, fan-out and shard spans
-//!   included) plus the slow-request capture; see `docs/OBSERVABILITY.md`.
+//!   `/infer` is traced end to end, fan-out and shard spans included) plus
+//!   the slow-request capture; see `docs/OBSERVABILITY.md`.
 //!
 //! When the backend is a single [`TopicServer`] the listener additionally
 //! speaks the *shard protocol* that lets a
@@ -99,7 +97,6 @@ use saber_core::json::JsonValue;
 use saber_corpus::Vocabulary;
 use saber_trace::{SlowCapture, Trace, TraceBuilder, TraceContext, TraceId, TraceRing};
 
-use crate::similarity::{cosine_similarity, hellinger_distance};
 use crate::snapshot::InferenceSnapshot;
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
 use crate::transport::ShardInfo;
@@ -116,9 +113,9 @@ pub struct HttpConfig {
     /// cut off with `408` once the budget is spent, instead of resetting
     /// the clock on every byte).
     pub read_timeout: Duration,
-    /// End-to-end deadline for one `/infer` (or `/similar`) inference: the
-    /// request is admitted fail-fast and its reply awaited at most this
-    /// long before answering `503`.
+    /// End-to-end deadline for one `/infer` inference: the request is
+    /// admitted fail-fast and its reply awaited at most this long before
+    /// answering `503`.
     pub request_deadline: Duration,
     /// Maximum concurrently served connections; excess connections receive
     /// an immediate `503` and are closed.
@@ -166,9 +163,8 @@ const SLOW_TRACE_KEEP: usize = 8;
 
 /// Point-in-time latency split of one endpoint: the end-to-end service
 /// time plus the queue-wait/handler decomposition recovered from request
-/// traces — one sample per answered request of `/infer` and `/similar`
-/// (whose two inferences are summed). The endpoints that never queue on
-/// the worker pool (`/top-words`, `/stats`, `/healthz`) report empty
+/// traces — one sample per answered `/infer`. The endpoints that never
+/// queue on the worker pool (`/stats`, `/healthz`) report empty
 /// `queue_wait`/`handler` histograms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EndpointStats {
@@ -192,10 +188,6 @@ pub struct HttpStats {
     pub active_connections: usize,
     /// Latency of `POST /infer`, split into queue wait and handler time.
     pub infer: EndpointStats,
-    /// Latency of `GET /top-words`.
-    pub top_words: EndpointStats,
-    /// Latency of `GET /similar`.
-    pub similar: EndpointStats,
     /// Latency of `GET /stats`.
     pub stats: EndpointStats,
     /// Latency of `GET /healthz`.
@@ -223,8 +215,6 @@ impl EndpointTimers {
 #[derive(Debug, Default)]
 struct EndpointHistograms {
     infer: EndpointTimers,
-    top_words: EndpointTimers,
-    similar: EndpointTimers,
     stats: EndpointTimers,
     healthz: EndpointTimers,
 }
@@ -268,7 +258,7 @@ impl HttpServer {
     /// [`TopicServer`] or a
     /// [`ShardRouter`](crate::ShardRouter); the listener (and therefore
     /// every client) is agnostic to which. A `vocab` enables the raw-token
-    /// `/infer` path and token names in `/top-words`.
+    /// `/infer` path.
     ///
     /// # Errors
     ///
@@ -416,8 +406,8 @@ impl Drop for ConnectionSlot<'_> {
 /// One parsed HTTP request.
 struct Request {
     method: String,
+    /// The request target up to any `?`.
     path: String,
-    query: Vec<(String, String)>,
     /// Header names lowercased at parse time.
     headers: Vec<(String, String)>,
     body: Vec<u8>,
@@ -427,13 +417,6 @@ struct Request {
 impl Request {
     fn header(&self, name: &str) -> Option<&str> {
         self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn query_param(&self, name: &str) -> Option<&str> {
-        self.query
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
@@ -502,8 +485,6 @@ fn serve_connection(stream: TcpStream, state: &Arc<HttpState>) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Endpoint {
     Infer,
-    TopWords,
-    Similar,
     Stats,
     Healthz,
 }
@@ -511,8 +492,6 @@ enum Endpoint {
 fn endpoint_timers(state: &HttpState, endpoint: Endpoint) -> &EndpointTimers {
     match endpoint {
         Endpoint::Infer => &state.endpoints.infer,
-        Endpoint::TopWords => &state.endpoints.top_words,
-        Endpoint::Similar => &state.endpoints.similar,
         Endpoint::Stats => &state.endpoints.stats,
         Endpoint::Healthz => &state.endpoints.healthz,
     }
@@ -540,13 +519,7 @@ fn route(
                 Some(Endpoint::Stats),
                 0,
             ),
-            ("GET", "/top-words") => (
-                handle_top_words(request, state),
-                Some(Endpoint::TopWords),
-                0,
-            ),
-            ("GET", "/similar") => trace_request(request, state, Endpoint::Similar, handle_similar),
-            ("POST", "/infer") => trace_request(request, state, Endpoint::Infer, handle_infer),
+            ("POST", "/infer") => trace_request(request, state),
             // Fleet-internal endpoints (shard fan-out, epoch publication,
             // scrapes, trace retrieval): routed but not part of the
             // per-endpoint latency histograms, which stay focused on
@@ -560,11 +533,9 @@ fn route(
             ("POST", "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch") => {
                 (handle_shard_protocol(request, state), None, 0)
             }
-            (
-                _,
-                "/healthz" | "/stats" | "/top-words" | "/similar" | "/metrics" | "/shard-info"
-                | "/trace/recent",
-            ) => (error(405, "use GET for this endpoint"), None, 0),
+            (_, "/healthz" | "/stats" | "/metrics" | "/shard-info" | "/trace/recent") => {
+                (error(405, "use GET for this endpoint"), None, 0)
+            }
             (
                 _,
                 "/infer" | "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch",
@@ -632,8 +603,6 @@ fn http_stats(state: &HttpState) -> HttpStats {
         errors: state.errors.load(Ordering::Relaxed),
         active_connections: state.active_connections.load(Ordering::Relaxed),
         infer: state.endpoints.infer.snapshot(),
-        top_words: state.endpoints.top_words.snapshot(),
-        similar: state.endpoints.similar.snapshot(),
         stats: state.endpoints.stats.snapshot(),
         healthz: state.endpoints.healthz.snapshot(),
     }
@@ -852,66 +821,8 @@ fn handle_commit_epoch(request: &Request, server: &TopicServer) -> (u16, String)
     }
 }
 
-fn handle_top_words(request: &Request, state: &HttpState) -> (u16, String) {
-    let topic = match request.query_param("topic").map(str::parse::<usize>) {
-        Some(Ok(k)) => k,
-        _ => return error(400, "missing or invalid 'topic' query parameter"),
-    };
-    let n = match request.query_param("n").map(str::parse::<usize>) {
-        None => 10,
-        Some(Ok(n)) => n.min(1000),
-        Some(Err(_)) => return error(400, "invalid 'n' query parameter"),
-    };
-    let top = match state.backend.top_words(topic, n) {
-        Ok(top) => top,
-        Err(e) => return serve_error(&e),
-    };
-    let body = wire::encode_top_words(topic, &top, state.vocab.as_ref());
-    (200, body.to_string())
-}
-
-fn handle_similar(
-    request: &Request,
-    state: &HttpState,
-    trace: &mut TraceBuilder,
-    root: u64,
-) -> (u16, String) {
-    let parse = |name: &str| -> Result<Vec<u32>, String> {
-        match request.query_param(name) {
-            None => Err(format!("missing '{name}' query parameter")),
-            Some(raw) => {
-                wire::parse_id_list(raw).map_err(|e| format!("query parameter '{name}': {e}"))
-            }
-        }
-    };
-    let (doc_a, doc_b) = match (parse("a"), parse("b")) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return error(400, &e),
-    };
-    let seed = match request.query_param("seed") {
-        None => DEFAULT_SEED,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => return error(400, "invalid 'seed' query parameter"),
-        },
-    };
-    // Both documents share the seed so `a == b` implies distance 0; halve
-    // the deadline since one HTTP request costs two inferences.
-    let deadline = state.config.request_deadline / 2;
-    let backend = &state.backend;
-    let mut infer = |words| backend.infer_with_trace(words, seed, deadline, trace, root);
-    let (a, b) = match (infer(doc_a), infer(doc_b)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return serve_error(&e),
-    };
-    let hellinger = hellinger_distance(&a.theta, &b.theta);
-    let cosine = cosine_similarity(&a.theta, &b.theta);
-    let body = wire::encode_similar(&a, &b, hellinger, cosine, seed);
-    (200, body.to_string())
-}
-
 /// Parses an `/infer` body and resolves its seed. Split out of
-/// [`handle_infer`] so the whole parse sits under one trace span.
+/// [`trace_request`] so the whole parse sits under one trace span.
 fn parse_infer(request: &Request) -> Result<(InferBody, u64), (u16, String)> {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
@@ -938,21 +849,15 @@ fn parse_infer(request: &Request) -> Result<(InferBody, u64), (u16, String)> {
     Ok((decoded.body, seed))
 }
 
-/// Runs an inference endpoint's `handler` under a request trace. Every
-/// inference is traced end to end: a client-supplied X-Saber-Trace header
-/// joins an existing distributed trace (and makes this server's spans a
-/// child subtree of it); otherwise a fresh trace id is minted at ingress.
-/// An answered request records the queue-wait/handler decomposition for
-/// `/stats` from the spans the backend (or its shards) reported; the
-/// finished trace lands in the ring behind `GET /trace/recent` and is
-/// offered to the slow capture. Returns [`route`]'s `(response, endpoint,
-/// raw trace id)`.
-fn trace_request(
-    request: &Request,
-    state: &HttpState,
-    endpoint: Endpoint,
-    handler: fn(&Request, &HttpState, &mut TraceBuilder, u64) -> (u16, String),
-) -> ((u16, String), Option<Endpoint>, u64) {
+/// Answers `POST /infer` under a request trace. Every inference is traced
+/// end to end: a client-supplied X-Saber-Trace header joins an existing
+/// distributed trace (and makes this server's spans a child subtree of it);
+/// otherwise a fresh trace id is minted at ingress. An answered request
+/// records the queue-wait/handler decomposition for `/stats` from the spans
+/// the backend (or its shards) reported; the finished trace lands in the
+/// ring behind `GET /trace/recent` and is offered to the slow capture.
+/// Returns [`route`]'s `(response, endpoint, raw trace id)`.
+fn trace_request(request: &Request, state: &HttpState) -> ((u16, String), Option<Endpoint>, u64) {
     let inbound = request
         .header("x-saber-trace")
         .and_then(TraceContext::parse);
@@ -961,10 +866,53 @@ fn trace_request(
         .unwrap_or_else(TraceId::mint);
     let mut trace = TraceBuilder::new(trace_id);
     let root = trace.begin(None, "ingress");
-    let response = handler(request, state, &mut trace, root);
+    let response = 'infer: {
+        let parse_span = trace.begin(Some(root), "parse");
+        let parsed = parse_infer(request);
+        trace.end(parse_span);
+        let (body, seed) = match parsed {
+            Ok(parsed) => parsed,
+            Err(response) => break 'infer response,
+        };
+        // Raw tokens are encoded here — the one place that holds a
+        // vocabulary — and then take the same call as word ids.
+        let (words, n_oov) = match body {
+            InferBody::Words(words) => (words, 0),
+            InferBody::Tokens { tokens, policy } => {
+                let Some(vocab) = state.vocab.as_ref() else {
+                    break 'infer error(400, "server has no vocabulary; send 'words' ids instead");
+                };
+                match vocab.encode(tokens.iter().map(String::as_str), policy) {
+                    Ok(encoded) => (encoded.ids, encoded.n_oov),
+                    Err(e) => break 'infer serve_error(&e.into()),
+                }
+            }
+        };
+        let deadline = state.config.request_deadline;
+        match state
+            .backend
+            .infer_with_trace(words, seed, deadline, &mut trace, root)
+        {
+            Ok(mut response) => {
+                response.n_oov += n_oov;
+                let encode_span = trace.begin(Some(root), "encode");
+                // Sized once: a θ element prints as at most 24 bytes with
+                // its comma, the other members as fewer than 96.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "θ has the served model's K entries"
+                )]
+                let mut body = String::with_capacity(24 * response.theta.len() + 96);
+                let _ = write!(body, "{}", wire::encode_infer_response(&response, seed));
+                trace.end(encode_span);
+                (200, body)
+            }
+            Err(e) => serve_error(&e),
+        }
+    };
     trace.end(root);
     if response.0 == 200 {
-        let timers = endpoint_timers(state, endpoint);
+        let timers = endpoint_timers(state, Endpoint::Infer);
         timers
             .queue_wait
             .record(Duration::from_micros(trace.named_total_us("queue-wait")));
@@ -975,57 +923,7 @@ fn trace_request(
     let done = trace.finish();
     state.slow.offer(&done);
     state.ring.push(done);
-    (response, Some(endpoint), trace_id.raw())
-}
-
-fn handle_infer(
-    request: &Request,
-    state: &HttpState,
-    trace: &mut TraceBuilder,
-    root: u64,
-) -> (u16, String) {
-    let parse_span = trace.begin(Some(root), "parse");
-    let parsed = parse_infer(request);
-    trace.end(parse_span);
-    let (body, seed) = match parsed {
-        Ok(parsed) => parsed,
-        Err(response) => return response,
-    };
-    // Raw tokens are encoded here — the one place that holds a vocabulary —
-    // and then take the same call as word ids.
-    let (words, n_oov) = match body {
-        InferBody::Words(words) => (words, 0),
-        InferBody::Tokens { tokens, policy } => {
-            let Some(vocab) = state.vocab.as_ref() else {
-                return error(400, "server has no vocabulary; send 'words' ids instead");
-            };
-            match vocab.encode(tokens.iter().map(String::as_str), policy) {
-                Ok(encoded) => (encoded.ids, encoded.n_oov),
-                Err(e) => return serve_error(&e.into()),
-            }
-        }
-    };
-    let deadline = state.config.request_deadline;
-    match state
-        .backend
-        .infer_with_trace(words, seed, deadline, trace, root)
-    {
-        Ok(mut response) => {
-            response.n_oov += n_oov;
-            let encode_span = trace.begin(Some(root), "encode");
-            // Sized once: a θ element prints as at most 24 bytes with its
-            // comma, the other members as fewer than 96.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "θ has the served model's K entries"
-            )]
-            let mut body = String::with_capacity(24 * response.theta.len() + 96);
-            let _ = write!(body, "{}", wire::encode_infer_response(&response, seed));
-            trace.end(encode_span);
-            (200, body)
-        }
-        Err(e) => serve_error(&e),
-    }
+    (response, Some(Endpoint::Infer), trace_id.raw())
 }
 
 fn error(status: u16, detail: &str) -> (u16, String) {
@@ -1154,7 +1052,7 @@ fn read_request(
     if method == "POST" && header("content-length").is_none() {
         return ReadOutcome::Reject(411, "POST requires content-length".into());
     }
-    let (path, query) = parse_target(&target);
+    let path = target_path(target);
     let max_body = body_limit(state, &method, &path);
     if content_length > max_body {
         return ReadOutcome::Reject(
@@ -1206,7 +1104,6 @@ fn read_request(
     ReadOutcome::Request(Request {
         method,
         path,
-        query,
         headers,
         body,
         keep_alive,
@@ -1275,57 +1172,13 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-/// Splits a request target into its decoded path and query parameters.
-fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let params = query
-        .split('&')
-        .filter(|p| !p.is_empty())
-        .map(|pair| match pair.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(pair), String::new()),
-        })
-        .collect();
-    (percent_decode(path), params)
-}
-
-/// Minimal percent-decoding (`%XX` and `+` → space); invalid escapes are
-/// passed through literally rather than failing the request.
-fn percent_decode(raw: &str) -> String {
-    let bytes = raw.as_bytes();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the input's own length, already received"
-    )]
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => out.push(b' '),
-            b'%' => {
-                // Two ASCII hex digits exactly: `from_str_radix` alone would
-                // also take a sign, decoding `%+4` to U+0004.
-                match bytes
-                    .get(i + 1..i + 3)
-                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                    .and_then(|h| std::str::from_utf8(h).ok())
-                    .and_then(|h| u8::from_str_radix(h, 16).ok())
-                {
-                    Some(b) => {
-                        out.push(b);
-                        i += 2;
-                    }
-                    None => out.push(b'%'),
-                }
-            }
-            b => out.push(b),
-        }
-        i += 1;
+/// The path of a request target: everything before a `?`. No endpoint
+/// reads a query string, and no endpoint path has a byte to percent-decode.
+fn target_path(mut target: String) -> String {
+    if let Some(query) = target.find('?') {
+        target.truncate(query);
     }
-    String::from_utf8_lossy(&out).into_owned()
+    target
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -1394,34 +1247,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percent_decoding() {
-        assert_eq!(percent_decode("a%2Cb"), "a,b");
-        assert_eq!(percent_decode("a+b"), "a b");
-        assert_eq!(percent_decode("plain"), "plain");
-        assert_eq!(percent_decode("bad%zz"), "bad%zz");
-        assert_eq!(percent_decode("trunc%2"), "trunc%2");
-        // A sign is not a hex digit: the `%` passes through, and the `+`
-        // after it is still a space.
-        assert_eq!(percent_decode("%+4"), "% 4");
-        assert_eq!(percent_decode("%+f"), "% f");
-        assert_eq!(percent_decode("%-1"), "%-1");
-    }
-
-    #[test]
     fn target_parsing() {
-        let (path, query) = parse_target("/similar?a=1,2&b=3&seed=7");
-        assert_eq!(path, "/similar");
-        assert_eq!(
-            query,
-            vec![
-                ("a".to_string(), "1,2".to_string()),
-                ("b".to_string(), "3".to_string()),
-                ("seed".to_string(), "7".to_string()),
-            ]
-        );
-        let (path, query) = parse_target("/healthz");
-        assert_eq!(path, "/healthz");
-        assert!(query.is_empty());
+        assert_eq!(target_path("/healthz?probe=1".into()), "/healthz");
+        assert_eq!(target_path("/healthz".into()), "/healthz");
+        assert_eq!(target_path("/stats?".into()), "/stats");
+        // The path is taken as sent: an escape is not decoded.
+        assert_eq!(target_path("/heal%74hz".into()), "/heal%74hz");
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!   [`TopicServer::infer_with_deadline`], the same call under a disabled
 //!   trace builder — fail fast and bound the wait. Every entry point is a
 //!   wrapper over one admission core (the request-path table in
-//!   `docs/SERVING.md`). Plus [`TopicServer::top_words`] and document
-//!   similarity in topic space ([`similarity`]).
+//!   `docs/SERVING.md`). A topic's highest-probability words are read
+//!   from the trainer's [`LdaModel`](saber_core::LdaModel), whose `B̂` the
+//!   snapshot copies bit for bit.
 //! * [`ShardPlan`] + [`ShardRouter`] — vocabulary-sharded serving for
 //!   models whose snapshot exceeds one worker pool's memory budget: the
 //!   vocabulary is cut into byte-budgeted contiguous ranges ([`shard`]),
@@ -125,7 +126,6 @@ pub mod http;
 pub mod router;
 pub mod server;
 pub mod shard;
-pub mod similarity;
 pub mod snapshot;
 pub mod stats;
 pub mod swap;
@@ -188,18 +188,6 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
         self.infer_with_trace(words, seed, deadline, &mut trace, 0)
     }
 
-    /// The `n` highest-probability words of topic `k` (global word ids).
-    ///
-    /// Range-checks and fetches against **one** snapshot load, so a
-    /// concurrent publish can never panic the caller between a check and
-    /// the fetch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadRequest`] when `k` is outside the served
-    /// topic count.
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError>;
-
     /// Number of topics `K`.
     fn n_topics(&self) -> usize;
 
@@ -261,16 +249,6 @@ impl InferenceBackend for TopicServer {
         TopicServer::infer_with_trace(self, words, seed, deadline, trace, parent)
     }
 
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        let snapshot = self.snapshot();
-        if k >= snapshot.n_topics() {
-            return Err(ServeError::BadRequest {
-                detail: format!("topic {k} out of range (K = {})", snapshot.n_topics()),
-            });
-        }
-        Ok(snapshot.top_words(k, n))
-    }
-
     fn n_topics(&self) -> usize {
         self.snapshot().n_topics()
     }
@@ -314,12 +292,6 @@ impl<T: ShardTransport> InferenceBackend for ShardRouter<T> {
         parent: u64,
     ) -> Result<InferResponse, ServeError> {
         ShardRouter::infer_with_trace(self, words, seed, deadline, trace, parent)
-    }
-
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        // The router's K is fixed at construction (publish validates the
-        // shape), so the check cannot race a publication.
-        ShardRouter::top_words(self, k, n)
     }
 
     fn n_topics(&self) -> usize {

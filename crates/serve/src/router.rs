@@ -581,38 +581,6 @@ impl<T: ShardTransport> ShardRouter<T> {
         self.route(&words, seed, deadline, trace, parent)
     }
 
-    /// The `n` highest-probability words of topic `k` across the whole
-    /// vocabulary: each shard reports its local top `n`, the router maps
-    /// them back to global word ids and keeps the overall best (ties
-    /// broken by ascending word id, so the merged order is deterministic).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadRequest`] when `k` is outside the served
-    /// topic count, and propagates transport errors from remote shards.
-    pub fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        if k >= self.n_topics {
-            return Err(ServeError::BadRequest {
-                detail: format!("topic {k} out of range (K = {})", self.n_topics),
-            });
-        }
-        let mut merged: Vec<(u32, f32)> = Vec::new();
-        for (set, range) in self.shards.iter().zip(self.plan.ranges()) {
-            merged.extend(
-                set.ask(|transport| transport.top_words(k, n))?
-                    .into_iter()
-                    .map(|(local, prob)| (local + range.start, prob)),
-            );
-        }
-        merged.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        merged.truncate(n);
-        Ok(merged)
-    }
-
     /// Fleet-wide serving counters: every shard's [`ServeStats`] merged
     /// ([`ServeStats::merge`]), histograms included — not just shard 0's
     /// view. Note that one routed document counts as one request *per
@@ -1371,33 +1339,6 @@ mod tests {
             "3 delta rows, then 12 full-slice rows"
         );
         fleet.shutdown();
-    }
-
-    #[test]
-    fn top_words_merge_matches_the_unsharded_snapshot() {
-        // Distinct per-word counts so the global ranking has no ties.
-        let mut model = LdaModel::new(12, 3, 0.05, 0.01).unwrap();
-        for v in 0..12 {
-            model.word_topic_mut()[(v, v % 3)] = 10 + v as u32;
-        }
-        model.refresh_probabilities();
-        let snapshot = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
-        let direct = snapshot.top_words(2, 4);
-        let all = snapshot.top_words(2, usize::MAX);
-        let router = ShardRouter::start(
-            snapshot,
-            ShardPlan::uniform(12, 4).unwrap(),
-            ServeConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(router.top_words(2, 4).unwrap(), direct);
-        // `n` comes off the query string: an absurd one sizes no buffer.
-        assert_eq!(router.top_words(2, usize::MAX).unwrap(), all);
-        assert!(matches!(
-            router.top_words(3, 4),
-            Err(ServeError::BadRequest { .. })
-        ));
-        router.shutdown();
     }
 
     #[test]

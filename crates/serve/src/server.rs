@@ -583,16 +583,6 @@ impl TopicServer {
         Ok(response)
     }
 
-    /// The `n` highest-probability words of topic `k` under the current
-    /// snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn top_words(&self, k: usize, n: usize) -> Vec<(u32, f32)> {
-        self.snapshot().top_words(k, n)
-    }
-
     /// A point-in-time copy of the serving counters and latency histogram.
     pub fn stats(&self) -> ServeStats {
         ServeStats {

@@ -414,17 +414,6 @@ impl InferenceSnapshot {
         })
     }
 
-    /// The `n` highest-probability words of topic `k`, as `(word id,
-    /// probability)` pairs in decreasing order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= n_topics`.
-    pub fn top_words(&self, k: usize, n: usize) -> Vec<(u32, f32)> {
-        assert!(k < self.n_topics(), "topic {k} out of range");
-        saber_core::model::top_words_of_column(&self.bhat, k, n)
-    }
-
     /// Writes the snapshot in the versioned `SABRSNAP` binary format of
     /// [`saber_core::model_io`]: header (dimensions, α, sampler kind) plus
     /// the normalised `B̂` bits, little-endian and bit-exact. A process that
@@ -830,23 +819,5 @@ pub(crate) mod tests {
     fn shard_rejects_out_of_bounds_ranges() {
         let model = planted_model(6, 2);
         InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree).shard(2..9);
-    }
-
-    #[test]
-    fn top_words_follow_planted_structure() {
-        let model = planted_model(12, 3);
-        let snap = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
-        let top = snap.top_words(1, 4);
-        assert_eq!(top.len(), 4);
-        for (word, _) in top {
-            assert_eq!(word % 3, 1, "word {word} not planted in topic 1");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn top_words_rejects_bad_topic() {
-        let model = planted_model(6, 2);
-        InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree).top_words(2, 1);
     }
 }

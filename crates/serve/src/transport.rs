@@ -4,8 +4,7 @@
 //! PR 4's router assumed its shards were function calls away: it held
 //! [`TopicServer`] handles and pushed jobs straight into their queues. The
 //! [`ShardTransport`] trait re-cuts that seam so the router only speaks a
-//! small protocol — submit a partial fold-in, fetch top-words rows, read
-//! shard stats/health, observe the snapshot epoch, and stage/commit an
+//! small protocol — submit a partial fold-in, read shard stats/health, observe the snapshot epoch, and stage/commit an
 //! epoch publication — and *where* the shard lives becomes an
 //! implementation detail:
 //!
@@ -152,14 +151,6 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
         self.submit_partial_pinned(words, request, None, deadline, trace)
     }
 
-    /// The `n` highest-probability words of topic `k`, in *shard-local* ids
-    /// (the router re-bases them to global ids).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, or the shard's own rejection of `k`.
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError>;
-
     /// The shard's self-description and full serving counters.
     ///
     /// # Errors
@@ -303,16 +294,6 @@ impl ShardTransport for LocalTransport {
         Ok(LocalPending { rx, timings })
     }
 
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        let snapshot = self.server.snapshot();
-        if k >= snapshot.n_topics() {
-            return Err(ServeError::BadRequest {
-                detail: format!("topic {k} out of range (K = {})", snapshot.n_topics()),
-            });
-        }
-        Ok(snapshot.top_words(k, n))
-    }
-
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
         let snapshot = self.server.snapshot();
         let vocab_size = snapshot.vocab_size();
@@ -364,8 +345,8 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// error after this long instead of hanging a router thread. (Shortened
 /// under test so the silent-peer case does not take ten seconds.)
 const IO_TIMEOUT: Duration = Duration::from_secs(if cfg!(test) { 1 } else { 10 });
-/// How long control calls (`shard_info`, `top_words`, epoch probes,
-/// commits) wait for their reply before giving up.
+/// How long control calls (`shard_info`, epoch probes, commits) wait for
+/// their reply before giving up.
 const CONTROL_WAIT: Duration = Duration::from_secs(5);
 /// How long a staged-snapshot upload may take; snapshots are the largest
 /// messages on this protocol.
@@ -732,11 +713,6 @@ impl ShardTransport for HttpTransport {
             Some(&trace),
         );
         self.send(request)
-    }
-
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        let path = format!("/top-words?topic={k}&n={n}");
-        self.get(&path, wire::decode_top_words)
     }
 
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {

@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use saber_core::infer::PartialFoldIn;
 use saber_core::json::{self, Escaped, JsonValue};
-use saber_corpus::{OovPolicy, Vocabulary};
+use saber_corpus::OovPolicy;
 use saber_trace::{SpanEvent, SpanRecord, Trace, TraceId};
 
 use crate::http::{EndpointStats, HttpStats};
@@ -48,7 +48,7 @@ use crate::stats::{HistogramSnapshot, N_BUCKETS};
 use crate::transport::ShardInfo;
 use crate::ServeError;
 
-/// A malformed request body or query string; the HTTP layer answers `400`.
+/// A malformed request body; the HTTP layer answers `400`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// Human-readable description, echoed to the client.
@@ -173,25 +173,6 @@ fn decode_word_ids(value: &JsonValue) -> Result<Vec<u32>, WireError> {
         .collect()
 }
 
-/// Parses a comma-separated word-id list from a query-string value
-/// (`a=1,2,3` on `GET /similar`).
-///
-/// # Errors
-///
-/// Returns [`WireError`] when any element is not an unsigned 32-bit integer.
-pub fn parse_id_list(raw: &str) -> Result<Vec<u32>, WireError> {
-    if raw.is_empty() {
-        return Ok(Vec::new());
-    }
-    raw.split(',')
-        .map(|part| {
-            part.trim()
-                .parse::<u32>()
-                .map_err(|_| WireError::new(format!("'{part}' is not an unsigned word id")))
-        })
-        .collect()
-}
-
 /// A JSON array of numbers exactly as [`JsonValue`] prints one
 /// (shortest-round-trip `f64`, non-finite → `null`), written without a value
 /// tree. Each distinct bit pattern is formatted once and every repeat is a
@@ -264,47 +245,6 @@ pub fn encode_infer_response(response: &InferResponse, seed: u64) -> impl fmt::D
             response.n_oov,
         )
     })
-}
-
-/// Encodes a `GET /top-words` response; word ids are resolved to strings
-/// when the server has a vocabulary attached.
-pub fn encode_top_words(topic: usize, top: &[(u32, f32)], vocab: Option<&Vocabulary>) -> JsonValue {
-    let words = top
-        .iter()
-        .map(|&(word, prob)| {
-            let mut pairs = vec![
-                ("word", JsonValue::from(u64::from(word))),
-                ("prob", JsonValue::Number(f64::from(prob))),
-            ];
-            if let Some(token) = vocab.and_then(|v| v.word(word)) {
-                pairs.push(("token", JsonValue::from(token)));
-            }
-            JsonValue::object(pairs)
-        })
-        .collect();
-    JsonValue::object([
-        ("topic", JsonValue::from(topic)),
-        ("words", JsonValue::Array(words)),
-    ])
-}
-
-/// Encodes a `GET /similar` response: both distance measures plus the
-/// per-document θ metadata needed to interpret them.
-pub fn encode_similar(
-    a: &InferResponse,
-    b: &InferResponse,
-    hellinger: f32,
-    cosine: f32,
-    seed: u64,
-) -> JsonValue {
-    JsonValue::object([
-        ("hellinger", JsonValue::Number(f64::from(hellinger))),
-        ("cosine", JsonValue::Number(f64::from(cosine))),
-        ("dominant_topic_a", JsonValue::from(a.dominant_topic())),
-        ("dominant_topic_b", JsonValue::from(b.dominant_topic())),
-        ("snapshot_version", JsonValue::from(a.snapshot_version)),
-        ("seed", JsonValue::from(seed)),
-    ])
 }
 
 /// Encodes a latency histogram as `{count, mean_us, p50_us, p95_us, p99_us}`
@@ -535,10 +475,8 @@ const HTTP: [Row<HttpStats>; 3] = {
 type EndpointOf = fn(&HttpStats) -> &EndpointStats;
 
 /// The timed endpoints, in the order both documents list them.
-const ENDPOINTS: [(&str, EndpointOf); 5] = [
+const ENDPOINTS: [(&str, EndpointOf); 3] = [
     ("infer", |h| &h.infer),
-    ("top_words", |h| &h.top_words),
-    ("similar", |h| &h.similar),
     ("stats", |h| &h.stats),
     ("healthz", |h| &h.healthz),
 ];
@@ -1344,34 +1282,6 @@ pub fn decode_shard_info(body: &str) -> Result<ShardInfo, WireError> {
     })
 }
 
-/// Decodes a `GET /top-words` response into `(word id, probability)` pairs
-/// — the client half of [`encode_top_words`] a remote transport uses.
-///
-/// # Errors
-///
-/// Returns [`WireError`] when the body is not a top-words response.
-pub fn decode_top_words(body: &str) -> Result<Vec<(u32, f32)>, WireError> {
-    let value = json::parse(body)?;
-    value
-        .get("words")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| WireError::new("response must carry a 'words' array"))?
-        .iter()
-        .map(|entry| {
-            let word = entry
-                .get("word")
-                .and_then(JsonValue::as_u64)
-                .filter(|&w| w <= u64::from(u32::MAX))
-                .ok_or_else(|| WireError::new("'word' must be an unsigned 32-bit integer"))?;
-            let prob = entry
-                .get("prob")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| WireError::new("'prob' must be a number"))?;
-            Ok((word as u32, prob as f32))
-        })
-        .collect()
-}
-
 /// Extracts the served snapshot version from a `GET /healthz` body — the
 /// cheap epoch probe a remote transport polls.
 ///
@@ -1446,15 +1356,6 @@ mod tests {
     }
 
     #[test]
-    fn id_list_parsing() {
-        assert_eq!(parse_id_list("1,2,3").unwrap(), vec![1, 2, 3]);
-        assert_eq!(parse_id_list("7").unwrap(), vec![7]);
-        assert_eq!(parse_id_list("").unwrap(), Vec::<u32>::new());
-        assert!(parse_id_list("1,x").is_err());
-        assert!(parse_id_list("-1").is_err());
-    }
-
-    #[test]
     fn response_encoding_has_stable_members() {
         let response = InferResponse {
             theta: vec![0.75, 0.25],
@@ -1467,17 +1368,6 @@ mod tests {
         assert_eq!(encoded.get("n_oov").unwrap().as_u64(), Some(1));
         assert_eq!(encoded.get("seed").unwrap().as_u64(), Some(42));
         assert_eq!(encoded.get("theta").unwrap().as_array().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn top_words_resolve_tokens_when_vocab_present() {
-        let vocab = Vocabulary::synthetic(4);
-        let encoded = encode_top_words(1, &[(0, 0.5), (3, 0.25)], Some(&vocab));
-        let words = encoded.get("words").unwrap().as_array().unwrap();
-        assert_eq!(words[0].get("token").unwrap().as_str(), Some("w00000"));
-        let anonymous = encode_top_words(1, &[(0, 0.5)], None);
-        let words = anonymous.get("words").unwrap().as_array().unwrap();
-        assert!(words[0].get("token").is_none());
     }
 
     #[test]

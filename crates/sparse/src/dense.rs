@@ -105,15 +105,6 @@ impl<T> DenseMatrix<T> {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Checked element access.
-    pub fn get(&self, r: usize, c: usize) -> Option<&T> {
-        if r < self.rows && c < self.cols {
-            Some(&self.data[r * self.cols + c])
-        } else {
-            None
-        }
-    }
-
     /// The underlying flat row-major buffer.
     pub fn as_slice(&self) -> &[T] {
         &self.data
@@ -193,9 +184,6 @@ mod tests {
         assert_eq!(m[(2, 3)], 0);
         m[(2, 3)] = 7;
         assert_eq!(m[(2, 3)], 7);
-        assert_eq!(m.get(2, 3), Some(&7));
-        assert_eq!(m.get(3, 0), None);
-        assert_eq!(m.get(0, 4), None);
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const K: usize = 8;
 
     // 1. Train a model on a synthetic corpus with an attached vocabulary so
-    //    the raw-token `/infer` path and named `/top-words` work.
+    //    the raw-token `/infer` path works.
     let corpus = SyntheticSpec {
         n_docs: 400,
         vocab_size: 800,
@@ -90,8 +90,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  curl http://{addr}/healthz");
     println!("  curl -X POST http://{addr}/infer -d '{{\"words\": [0, 8, 16], \"seed\": 7}}'");
     println!("  curl -X POST http://{addr}/infer -H 'X-Saber-Seed: 7' -d '{{\"tokens\": [\"w00000\", \"w00008\"], \"oov\": \"skip\"}}'");
-    println!("  curl 'http://{addr}/top-words?topic=0&n=6'");
-    println!("  curl 'http://{addr}/similar?a=0,8,16&b=1,9,17&seed=5'");
     println!("  curl http://{addr}/stats\n");
 
     if std::env::var("SABER_HTTP_HOLD").is_ok() {
@@ -150,16 +148,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         http(addr, &request)?;
     }
-    let top = http(
-        addr,
-        "GET /top-words?topic=0&n=6 HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n",
-    )?;
-    println!("GET /top-words?topic=0&n=6 -> {}", body_of(&top));
-    let similar = http(
-        addr,
-        "GET /similar?a=0,8,16&b=1,9,17&seed=5 HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n",
-    )?;
-    println!("GET /similar -> {}", body_of(&similar));
     let stats = http(
         addr,
         "GET /stats HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n",

@@ -1,5 +1,6 @@
-//! Quickstart: train SaberLDA on a small synthetic corpus and print the
-//! discovered topics.
+//! Quickstart: train SaberLDA on a small synthetic corpus, track its
+//! held-out likelihood, and print the per-phase time and the discovered
+//! topics.
 //!
 //! Run with:
 //!
@@ -7,6 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use saberlda::corpus::split::train_test_split;
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::corpus::Vocabulary;
 use saberlda::{HeldOutEvaluator, SaberLda, SaberLdaConfig};
@@ -23,11 +25,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SyntheticSpec::default()
     };
     let corpus = spec.generate(2024);
+    // Hold out a tenth of the documents: the likelihood below is measured on
+    // documents the trainer never sees.
+    let split = train_test_split(&corpus, 0.1, 3)?;
     println!(
-        "corpus: {} documents, {} tokens, vocabulary {}",
+        "corpus: {} documents, {} tokens, vocabulary {}; {} held out",
         corpus.n_docs(),
         corpus.n_tokens(),
-        corpus.vocab_size()
+        corpus.vocab_size(),
+        split.test.n_docs()
     );
 
     // 2. Configure SaberLDA: K topics, α, the paper's β = 0.01.
@@ -40,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // 3. Train, evaluating held-out likelihood every 5 iterations.
-    let evaluator = HeldOutEvaluator::new(&corpus, 1)?;
-    let mut lda = SaberLda::new(config, &corpus)?;
+    let evaluator = HeldOutEvaluator::new(&split.test, 1)?;
+    let mut lda = SaberLda::new(config, &split.train)?;
     let report = lda.train_with_eval(&evaluator, 5);
 
     println!(
@@ -53,6 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (t, ll) in report.convergence_curve() {
         println!("  t = {t:>8.3}s   held-out log-likelihood/token = {ll:.4}");
     }
+    // The simulated device time by phase, the breakdown Fig. 9 is made of.
+    let phases = report.phase_totals();
+    println!(
+        "phases: sampling {:.4}s, A update {:.4}s, preprocessing {:.4}s, transfer {:.4}s",
+        phases.sampling, phases.a_update, phases.preprocessing, phases.transfer
+    );
 
     // 4. Show the top words of the first few topics.
     let fallback = Vocabulary::synthetic(corpus.vocab_size());

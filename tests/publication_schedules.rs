@@ -200,10 +200,6 @@ impl ShardTransport for ScriptedReplica {
             .submit_partial_pinned(words, request, epoch, deadline, trace)
     }
 
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        self.inner.top_words(k, n)
-    }
-
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
         self.inner.shard_info()
     }
@@ -261,10 +257,6 @@ impl ShardTransport for EmView {
     ) -> Result<Self::Pending, ServeError> {
         self.inner
             .submit_partial_pinned(words, request, epoch, deadline, trace)
-    }
-
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        self.inner.top_words(k, n)
     }
 
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {

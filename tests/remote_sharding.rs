@@ -186,37 +186,29 @@ fn remote_epoch_swap_never_serves_a_mixed_version_answer() {
 }
 
 #[test]
-fn remote_fleet_stats_and_top_words_merge_like_local_ones() {
+fn remote_fleet_stats_merge_like_local_ones() {
     let model = random_model(VOCAB, K, 11);
     let cfg = config(FoldInKind::Esca);
     let plan = ShardPlan::uniform(VOCAB, 3).unwrap();
     let local = ShardRouter::from_model(&model, plan.clone(), cfg).unwrap();
     let (shards, transports) = spawn_shard_fleet(&model, &plan, cfg);
     let remote = ShardRouter::with_transports(plan, transports, cfg).unwrap();
-    // Same global top-words merge through both transports.
-    for k in 0..K {
-        assert_eq!(
-            local.top_words(k, 7).unwrap(),
-            remote.top_words(k, 7).unwrap(),
-            "topic {k} top-words diverged over the wire"
-        );
-    }
-    assert!(matches!(
-        remote.top_words(K, 3),
-        Err(ServeError::BadRequest { .. })
-    ));
-    // Stats aggregate across remote shards, histograms included.
+    // Stats aggregate across remote shards, histograms included, and count
+    // what the same traffic counts through in-process transports.
     for seed in 0..4 {
         remote.infer_topics(vec![0, 21, 41], seed).unwrap();
+        local.infer_topics(vec![0, 21, 41], seed).unwrap();
     }
-    let merged = remote.stats();
-    assert_eq!(merged.requests, 12, "3 shard requests per document");
-    assert_eq!(merged.tokens, 12);
-    assert_eq!(merged.latency.count(), 12);
+    for router_stats in [remote.stats(), local.stats()] {
+        assert_eq!(router_stats.requests, 12, "3 shard requests per document");
+        assert_eq!(router_stats.tokens, 12);
+        assert_eq!(router_stats.latency.count(), 12);
+    }
     let per_shard = remote.shard_stats();
     assert_eq!(per_shard.len(), 3);
     assert!(per_shard.iter().all(|s| s.requests == 4));
     assert_eq!(remote.router_stats().shard_requests, vec![4, 4, 4]);
+    assert_eq!(local.router_stats().shard_requests, vec![4, 4, 4]);
     local.shutdown();
     remote.shutdown();
     for shard in shards {

@@ -254,10 +254,6 @@ impl ShardTransport for FlakyTransport {
             .submit_partial_pinned(words, request, epoch, deadline, trace)
     }
 
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        self.inner.top_words(k, n)
-    }
-
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
         self.inner.shard_info()
     }
@@ -412,10 +408,6 @@ impl ShardTransport for ExtraTopicsTransport {
         Ok(ExtraTopicsPending(pending, self.extra_topics))
     }
 
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        self.inner.top_words(k, n)
-    }
-
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
         self.inner.shard_info()
     }
@@ -517,10 +509,6 @@ impl ShardTransport for FailOnceTransport {
             .inner
             .submit_partial_pinned(words, request, epoch, deadline, trace)?;
         Ok(FailOncePending::Real(pending))
-    }
-
-    fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        self.inner.top_words(k, n)
     }
 
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {

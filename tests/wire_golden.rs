@@ -23,7 +23,7 @@ use saberlda::serve::{
     ShardRouter, TopicServer,
 };
 use saberlda::trace::{SpanEvent, SpanRecord, Trace, TraceId};
-use saberlda::{LdaModel, Vocabulary};
+use saberlda::LdaModel;
 
 #[test]
 fn infer_response_bytes_are_stable() {
@@ -52,33 +52,6 @@ fn error_body_bytes_are_stable() {
     );
 }
 
-#[test]
-fn top_words_bytes_are_stable() {
-    let vocab = Vocabulary::synthetic(4);
-    assert_eq!(
-        wire::encode_top_words(1, &[(0, 0.5), (3, 0.25)], Some(&vocab)).to_string(),
-        r#"{"topic":1,"words":[{"word":0,"prob":0.5,"token":"w00000"},{"word":3,"prob":0.25,"token":"w00003"}]}"#,
-    );
-}
-
-#[test]
-fn similar_bytes_are_stable() {
-    let a = InferResponse {
-        theta: vec![0.5, 0.5],
-        snapshot_version: 3,
-        n_oov: 0,
-    };
-    let b = InferResponse {
-        theta: vec![0.25, 0.75],
-        snapshot_version: 3,
-        n_oov: 0,
-    };
-    assert_eq!(
-        wire::encode_similar(&a, &b, 0.25, 0.875, 7).to_string(),
-        r#"{"hellinger":0.25,"cosine":0.875,"dominant_topic_a":1,"dominant_topic_b":1,"snapshot_version":3,"seed":7}"#,
-    );
-}
-
 /// The `/stats` bytes of an endpoint no request has hit yet: all three
 /// sub-histograms (total, queue-wait, handler) empty.
 const EMPTY_ENDPOINT: &str = concat!(
@@ -97,10 +70,6 @@ fn idle_http_block() -> String {
     [
         r#""http":{"requests":1,"errors":0,"active_connections":1,"endpoints":{"#,
         r#""infer":"#,
-        EMPTY_ENDPOINT,
-        r#","top_words":"#,
-        EMPTY_ENDPOINT,
-        r#","similar":"#,
         EMPTY_ENDPOINT,
         r#","stats":"#,
         EMPTY_ENDPOINT,
@@ -147,24 +116,6 @@ saber_http_queue_wait_seconds_bucket{endpoint="infer",le="10"} 0
 saber_http_queue_wait_seconds_bucket{endpoint="infer",le="+Inf"} 0
 saber_http_queue_wait_seconds_sum{endpoint="infer"} 0
 saber_http_queue_wait_seconds_count{endpoint="infer"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="0.0001"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="0.001"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="0.01"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="0.1"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="1"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="10"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="top_words",le="+Inf"} 0
-saber_http_queue_wait_seconds_sum{endpoint="top_words"} 0
-saber_http_queue_wait_seconds_count{endpoint="top_words"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="similar",le="0.0001"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="similar",le="0.001"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="similar",le="0.01"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="similar",le="0.1"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="similar",le="1"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="similar",le="10"} 0
-saber_http_queue_wait_seconds_bucket{endpoint="similar",le="+Inf"} 0
-saber_http_queue_wait_seconds_sum{endpoint="similar"} 0
-saber_http_queue_wait_seconds_count{endpoint="similar"} 0
 saber_http_queue_wait_seconds_bucket{endpoint="stats",le="0.0001"} 0
 saber_http_queue_wait_seconds_bucket{endpoint="stats",le="0.001"} 0
 saber_http_queue_wait_seconds_bucket{endpoint="stats",le="0.01"} 0
@@ -193,24 +144,6 @@ saber_http_handler_seconds_bucket{endpoint="infer",le="10"} 0
 saber_http_handler_seconds_bucket{endpoint="infer",le="+Inf"} 0
 saber_http_handler_seconds_sum{endpoint="infer"} 0
 saber_http_handler_seconds_count{endpoint="infer"} 0
-saber_http_handler_seconds_bucket{endpoint="top_words",le="0.0001"} 0
-saber_http_handler_seconds_bucket{endpoint="top_words",le="0.001"} 0
-saber_http_handler_seconds_bucket{endpoint="top_words",le="0.01"} 0
-saber_http_handler_seconds_bucket{endpoint="top_words",le="0.1"} 0
-saber_http_handler_seconds_bucket{endpoint="top_words",le="1"} 0
-saber_http_handler_seconds_bucket{endpoint="top_words",le="10"} 0
-saber_http_handler_seconds_bucket{endpoint="top_words",le="+Inf"} 0
-saber_http_handler_seconds_sum{endpoint="top_words"} 0
-saber_http_handler_seconds_count{endpoint="top_words"} 0
-saber_http_handler_seconds_bucket{endpoint="similar",le="0.0001"} 0
-saber_http_handler_seconds_bucket{endpoint="similar",le="0.001"} 0
-saber_http_handler_seconds_bucket{endpoint="similar",le="0.01"} 0
-saber_http_handler_seconds_bucket{endpoint="similar",le="0.1"} 0
-saber_http_handler_seconds_bucket{endpoint="similar",le="1"} 0
-saber_http_handler_seconds_bucket{endpoint="similar",le="10"} 0
-saber_http_handler_seconds_bucket{endpoint="similar",le="+Inf"} 0
-saber_http_handler_seconds_sum{endpoint="similar"} 0
-saber_http_handler_seconds_count{endpoint="similar"} 0
 saber_http_handler_seconds_bucket{endpoint="stats",le="0.0001"} 0
 saber_http_handler_seconds_bucket{endpoint="stats",le="0.001"} 0
 saber_http_handler_seconds_bucket{endpoint="stats",le="0.01"} 0
@@ -260,8 +193,6 @@ fn stats_body_bytes_are_stable() {
             queue_wait: LatencyHistogram::new().snapshot(),
             handler: LatencyHistogram::new().snapshot(),
         },
-        top_words: EndpointStats::default(),
-        similar: EndpointStats::default(),
         stats: EndpointStats::default(),
         healthz: EndpointStats::default(),
     };
@@ -279,12 +210,6 @@ fn stats_body_bytes_are_stable() {
             r#""p95_us":1448.1546878700494,"p99_us":1448.1546878700494},"#,
             r#""queue_wait":{"count":0,"mean_us":null,"p50_us":null,"p95_us":null,"p99_us":null},"#,
             r#""handler":{"count":0,"mean_us":null,"p50_us":null,"p95_us":null,"p99_us":null}},"#,
-            r#""top_words":"#,
-            EMPTY_ENDPOINT,
-            r#","#,
-            r#""similar":"#,
-            EMPTY_ENDPOINT,
-            r#","#,
             r#""stats":"#,
             EMPTY_ENDPOINT,
             r#","#,
@@ -471,8 +396,6 @@ fn prometheus_bytes_are_stable() {
             queue_wait: LatencyHistogram::new().snapshot(),
             handler: LatencyHistogram::new().snapshot(),
         },
-        top_words: EndpointStats::default(),
-        similar: EndpointStats::default(),
         stats: EndpointStats::default(),
         healthz: EndpointStats::default(),
     };
@@ -559,24 +482,6 @@ saber_http_request_duration_seconds_bucket{endpoint="infer",le="10"} 1
 saber_http_request_duration_seconds_bucket{endpoint="infer",le="+Inf"} 1
 saber_http_request_duration_seconds_sum{endpoint="infer"} 0.0009
 saber_http_request_duration_seconds_count{endpoint="infer"} 1
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.0001"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.001"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.01"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.1"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="1"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="10"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="+Inf"} 0
-saber_http_request_duration_seconds_sum{endpoint="top_words"} 0
-saber_http_request_duration_seconds_count{endpoint="top_words"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.0001"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.001"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.01"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.1"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="1"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="10"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="+Inf"} 0
-saber_http_request_duration_seconds_sum{endpoint="similar"} 0
-saber_http_request_duration_seconds_count{endpoint="similar"} 0
 saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.0001"} 0
 saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.001"} 0
 saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.01"} 0
@@ -649,8 +554,6 @@ fn stats_body_with_router_member_is_stable() {
         errors: 0,
         active_connections: 1,
         infer: EndpointStats::default(),
-        top_words: EndpointStats::default(),
-        similar: EndpointStats::default(),
         stats: EndpointStats::default(),
         healthz: EndpointStats::default(),
     };
@@ -707,8 +610,6 @@ fn pipeline_stats_bytes_are_stable() {
         errors: 0,
         active_connections: 1,
         infer: EndpointStats::default(),
-        top_words: EndpointStats::default(),
-        similar: EndpointStats::default(),
         stats: EndpointStats::default(),
         healthz: EndpointStats::default(),
     };
@@ -839,24 +740,6 @@ saber_http_request_duration_seconds_bucket{endpoint="infer",le="10"} 0
 saber_http_request_duration_seconds_bucket{endpoint="infer",le="+Inf"} 0
 saber_http_request_duration_seconds_sum{endpoint="infer"} 0
 saber_http_request_duration_seconds_count{endpoint="infer"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.0001"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.001"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.01"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="0.1"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="1"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="10"} 0
-saber_http_request_duration_seconds_bucket{endpoint="top_words",le="+Inf"} 0
-saber_http_request_duration_seconds_sum{endpoint="top_words"} 0
-saber_http_request_duration_seconds_count{endpoint="top_words"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.0001"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.001"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.01"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="0.1"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="1"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="10"} 0
-saber_http_request_duration_seconds_bucket{endpoint="similar",le="+Inf"} 0
-saber_http_request_duration_seconds_sum{endpoint="similar"} 0
-saber_http_request_duration_seconds_count{endpoint="similar"} 0
 saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.0001"} 0
 saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.001"} 0
 saber_http_request_duration_seconds_bucket{endpoint="stats",le="0.01"} 0
@@ -1104,8 +987,6 @@ fn metrics_exposition_is_stable_end_to_end_over_tcp() {
         errors: 0,
         active_connections: 1,
         infer: EndpointStats::default(),
-        top_words: EndpointStats::default(),
-        similar: EndpointStats::default(),
         stats: EndpointStats::default(),
         healthz: EndpointStats::default(),
     };
@@ -1268,8 +1149,6 @@ fn histogram_overflow_member_appears_only_when_clamped() {
         errors: 0,
         active_connections: 0,
         infer: EndpointStats::default(),
-        top_words: EndpointStats::default(),
-        similar: EndpointStats::default(),
         stats: EndpointStats::default(),
         healthz: EndpointStats::default(),
     };
@@ -1387,19 +1266,6 @@ fn trace_recent_bytes_are_stable() {
         "{slow}"
     );
     assert_eq!(wire::decode_trace_recent(&slow).unwrap(), Vec::new());
-}
-
-#[test]
-fn top_words_decoding_is_stable() {
-    // The client half of `top_words_bytes_are_stable`'s fixture: decode is
-    // the exact inverse of encode on the pinned bytes.
-    let decoded = wire::decode_top_words(
-        r#"{"topic":1,"words":[{"word":0,"prob":0.5,"token":"w00000"},{"word":3,"prob":0.25,"token":"w00003"}]}"#,
-    )
-    .unwrap();
-    assert_eq!(decoded, vec![(0, 0.5), (3, 0.25)]);
-    assert!(wire::decode_top_words(r#"{"topic":1}"#).is_err());
-    assert!(wire::decode_top_words(r#"{"words":[{"word":-1,"prob":0.5}]}"#).is_err());
 }
 
 #[test]
