@@ -2,17 +2,21 @@
 //!
 //! [`TopicServer`] is the crate's execution engine: a bounded request queue
 //! drained by `n_workers` threads that coalesce waiting requests into
-//! micro-batches (one snapshot load per batch). Every entry point is a thin
-//! wrapper over one `submit` (the only place a job is minted and enqueued)
-//! and one `await_reply`, in one of two admission modes — blocking
-//! ([`TopicServer::infer_topics`], [`TopicServer::infer_partial`]) or
-//! fail-fast with a reply deadline
+//! micro-batches (one snapshot load per batch). Every queued entry point is
+//! a thin wrapper over one `submit` (the only place a job is minted and
+//! enqueued) and one `await_reply`, in one of two admission modes —
+//! blocking ([`TopicServer::infer_topics`], [`TopicServer::infer_partial`])
+//! or fail-fast with a reply deadline
 //! ([`TopicServer::infer_with_deadline`] and its traced form
 //! [`TopicServer::infer_with_trace`], the ones the HTTP front-end maps to
-//! `429`/`503`). Workers time every request (queue wait + fold-in) into the
+//! `429`/`503`). The one exception is a partial (`/infer-partial`) that
+//! arrives while fewer than `n_workers` jobs are admitted and unfinished:
+//! the calling thread claims the free slot and answers it itself, as a
+//! one-request batch with no queue wait, saving the two thread hand-offs
+//! of the queue. Every request (queue wait + fold-in) is timed into the
 //! lock-free histogram surfaced by [`ServeStats`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -105,12 +109,51 @@ struct Counters {
     tokens: AtomicU64,
     batches: AtomicU64,
     swaps_observed: AtomicU64,
+    /// The newest live snapshot version a batch has loaded, so each
+    /// publication counts one swap however many batches observe it.
+    seen_version: AtomicU64,
     /// Queue wait + fold-in time per request, recorded by workers.
     latency: LatencyHistogram,
     /// Admission-to-dequeue time alone: how long requests sat in the queue.
     queue_wait: LatencyHistogram,
     /// Dequeue-to-reply time alone: the fold-in compute itself.
     handler: LatencyHistogram,
+}
+
+impl Counters {
+    /// Counts a swap when `version` is newer than any a batch loaded before.
+    fn observe(&self, version: u64) {
+        if self.seen_version.fetch_max(version, Ordering::Relaxed) < version {
+            self.swaps_observed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one answered request of `tokens` tokens, admitted at
+    /// `admitted`, and stamps a traced request's split into `timings`.
+    fn record(
+        &self,
+        tokens: usize,
+        admitted: Instant,
+        (queue_wait, handler): (Duration, Duration),
+        trace: TraceContext,
+        timings: Option<&JobTimings>,
+    ) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.tokens.fetch_add(tokens as u64, Ordering::Relaxed);
+        self.queue_wait.record(queue_wait);
+        self.handler.record(handler);
+        self.latency.record_with_exemplar(
+            admitted.elapsed(),
+            trace.trace_id().map_or(0, |id| id.raw()),
+        );
+        if let Some(timings) = timings {
+            let micros = |d: Duration| d.as_micros().min(u128::from(u64::MAX)) as u64;
+            timings
+                .queue_wait_us
+                .store(micros(queue_wait), Ordering::Relaxed);
+            timings.handler_us.store(micros(handler), Ordering::Relaxed);
+        }
+    }
 }
 
 /// A point-in-time copy of the server's counters.
@@ -120,9 +163,11 @@ pub struct ServeStats {
     pub requests: u64,
     /// Tokens folded in across all requests.
     pub tokens: u64,
-    /// Micro-batches executed.
+    /// Micro-batches executed. A partial answered on its caller's thread
+    /// (a worker slot was free) is a batch of one.
     pub batches: u64,
-    /// Times a worker observed a newer snapshot at batch start.
+    /// Publications observed: a batch that loads a newer live snapshot than
+    /// every batch before it counts one.
     pub swaps_observed: u64,
     /// End-to-end request latency (submission to reply, i.e. queue wait plus
     /// fold-in) as a log-bucketed histogram; see
@@ -131,7 +176,8 @@ pub struct ServeStats {
     /// microseconds.
     pub latency: HistogramSnapshot,
     /// The queue-wait component of `latency` alone (admission to dequeue),
-    /// so overload (queue grows) is distinguishable from slow compute.
+    /// so overload (queue grows) is distinguishable from slow compute. A
+    /// partial answered on its caller's thread records 0 µs here.
     pub queue_wait: HistogramSnapshot,
     /// The compute component of `latency` alone (dequeue to reply).
     pub handler: HistogramSnapshot,
@@ -253,9 +299,39 @@ impl JobTimings {
     }
 }
 
+/// An admitted, unfinished job's claim on its server's in-flight count,
+/// given back when dropped.
+struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    /// Claims a slot whatever the count: a job bound for the queue.
+    fn take(in_flight: &Arc<AtomicUsize>) -> Slot {
+        in_flight.fetch_add(1, Ordering::AcqRel);
+        Slot(Arc::clone(in_flight))
+    }
+
+    /// Claims a slot only while fewer than `bound` are claimed.
+    fn claim_below(in_flight: &Arc<AtomicUsize>, bound: usize) -> Option<Slot> {
+        in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < bound).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Slot(Arc::clone(in_flight)))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 struct Job {
     words: Vec<u32>,
     kind: JobKind,
+    /// Held from admission until the answer is computed.
+    slot: Slot,
     reply: SyncSender<JobReply>,
     /// When the request was admitted, so workers can attribute queue wait to
     /// the latency histogram.
@@ -278,6 +354,12 @@ struct Job {
 /// request carries its own seed, results are reproducible no matter how
 /// requests were batched.
 ///
+/// A partial ([`TopicServer::infer_partial`], the `/infer-partial`
+/// handler) skips the queue when fewer than `n_workers` jobs are admitted
+/// and unfinished: its calling thread answers it with the same steps, and
+/// the same counters, as a worker's one-request batch. A saturated server
+/// queues it like every other request, keeping its `429` and its batching.
+///
 /// A trainer (or anything holding the server handle) can
 /// [`TopicServer::stage`] a refreshed snapshot of the same `V × K` and
 /// [`TopicServer::commit`] it at any time; workers pick it up at their next
@@ -289,6 +371,9 @@ pub struct TopicServer {
     queue: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
     counters: Arc<Counters>,
+    /// Jobs admitted and not yet answered, queued or computing: the
+    /// partial path answers inline only while this is below `n_workers`.
+    in_flight: Arc<AtomicUsize>,
     config: ServeConfig,
     /// Vocabulary size of every snapshot this server holds: `stage` refuses
     /// any other shape and a delta keeps it, so admission checks word ids
@@ -321,7 +406,10 @@ impl TopicServer {
         let cell = Arc::new(SnapshotCell::new(initial));
         let (tx, rx) = sync_channel::<Job>(config.queue_depth);
         let rx = Arc::new(Mutex::new(rx));
-        let counters = Arc::new(Counters::default());
+        let counters = Arc::new(Counters {
+            seen_version: AtomicU64::new(cell.version()),
+            ..Counters::default()
+        });
         let workers = (0..config.n_workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
@@ -343,6 +431,7 @@ impl TopicServer {
             queue: Some(tx),
             workers,
             counters,
+            in_flight: Arc::new(AtomicUsize::new(0)),
             config,
             vocab_bound,
             publish_lock: Mutex::new(None),
@@ -498,8 +587,9 @@ impl TopicServer {
 
     /// Blockingly computes the partial sufficient statistics of `request`
     /// over `words` — the per-shard half of a sharded fold-in (see
-    /// [`crate::ShardRouter`]). Goes through the same queue, batching and
-    /// latency accounting as full requests.
+    /// [`crate::ShardRouter`]). Answered on the calling thread when a worker
+    /// slot is free, through the queue otherwise; the answer, the counters
+    /// and the spans are the same either way.
     ///
     /// # Errors
     ///
@@ -516,6 +606,11 @@ impl TopicServer {
     /// One partial job answered from the snapshot of `epoch` (the live one
     /// when `None`): fail-fast and bounded by `deadline` when one is given,
     /// blocking otherwise. The `/infer-partial` handler's path.
+    ///
+    /// While fewer than `n_workers` jobs are admitted and unfinished, the
+    /// calling thread claims a slot and computes the answer itself: a
+    /// one-request batch with 0 µs of queue wait, returned as
+    /// [`ServeError::DeadlineExceeded`] if it took longer than `deadline`.
     pub(crate) fn partial(
         &self,
         words: Vec<u32>,
@@ -525,8 +620,26 @@ impl TopicServer {
         trace: TraceContext,
     ) -> Result<PartialResponse, ServeError> {
         let kind = JobKind::Partial { request, epoch };
-        let (rx, timings) = self.submit(words, kind, deadline.is_some(), trace)?;
-        finish_partial(Self::await_reply(&rx, deadline)?, timings.as_deref())
+        let Some(slot) = Slot::claim_below(&self.in_flight, self.config.n_workers) else {
+            let (rx, timings) = self.submit(words, kind, deadline.is_some(), trace)?;
+            return finish_partial(Self::await_reply(&rx, deadline)?, timings.as_deref());
+        };
+        self.validate_words(&words)?;
+        let started = Instant::now();
+        let live = self.cell.load();
+        self.counters.observe(live.version());
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        let reply = answer(&words, &kind, &live, &self.cell, self.config.fold_in);
+        let handler = started.elapsed();
+        drop(slot);
+        let timings = trace.enabled().then(JobTimings::default);
+        let split = (Duration::ZERO, handler);
+        self.counters
+            .record(words.len(), started, split, trace, timings.as_ref());
+        if deadline.is_some_and(|deadline| handler > deadline) {
+            return Err(ServeError::DeadlineExceeded);
+        }
+        finish_partial(reply, timings.as_ref())
     }
 
     /// Fail-fast inference with a response deadline: rejects immediately
@@ -636,6 +749,7 @@ impl TopicServer {
         let job = Job {
             words,
             kind,
+            slot: Slot::take(&self.in_flight),
             reply,
             enqueued: Instant::now(),
             trace,
@@ -693,7 +807,6 @@ fn worker_loop(
     fold_in: FoldInParams,
     max_batch: usize,
 ) {
-    let mut snapshot = cell.load();
     let mut batch = Vec::new();
     loop {
         // Take one job (blocking), then opportunistically drain more up to
@@ -717,73 +830,67 @@ fn worker_loop(
         }
 
         // One snapshot load per micro-batch: requests in a batch see a
-        // consistent model, swaps are picked up at the next batch.
-        if cell.load_if_newer(&mut snapshot) {
-            counters.swaps_observed.fetch_add(1, Ordering::Relaxed);
-        }
+        // consistent model, swaps are picked up at the next batch, and the
+        // snapshot is dropped at the batch's end, so an idle worker keeps
+        // no released epoch alive.
+        let live = cell.load();
+        counters.observe(live.version());
         counters.batches.fetch_add(1, Ordering::Relaxed);
         for job in batch.drain(..) {
             let dequeued = Instant::now();
             let queue_wait = dequeued.duration_since(job.enqueued);
-            // A commit may have landed between a pinned partial's admission
-            // and this batch: serve it from the snapshot of its epoch.
-            let served = match job.kind {
-                JobKind::Partial { epoch: Some(e), .. } if e != snapshot.version() => {
-                    cell.load_at(e)
-                }
-                _ => Some(Arc::clone(&snapshot)),
-            };
-            let reply = match (&job.kind, served) {
-                (JobKind::Infer { seed }, _) => JobReply::Infer(InferResponse {
-                    theta: snapshot.infer_topics(&job.words, *seed, fold_in),
-                    snapshot_version: snapshot.version(),
-                    n_oov: 0,
-                }),
-                (JobKind::Partial { .. }, None) => {
-                    JobReply::Partial(Err(ServeError::ShardVersionSkew))
-                }
-                (JobKind::Partial { request, .. }, Some(served)) => {
-                    JobReply::Partial(Ok(PartialResponse {
-                        partial: match request {
-                            PartialRequest::FoldIn { seed } => {
-                                served.partial_fold_in(&job.words, *seed, fold_in)
-                            }
-                            PartialRequest::EmRound { theta, .. } => {
-                                served.em_round(&job.words, theta)
-                            }
-                        },
-                        snapshot_version: served.version(),
-                        n_oov: 0,
-                        spans: Vec::new(),
-                    }))
-                }
-            };
+            let reply = answer(&job.words, &job.kind, &live, cell, fold_in);
             let handler = dequeued.elapsed();
-            counters.requests.fetch_add(1, Ordering::Relaxed);
-            counters
-                .tokens
-                .fetch_add(job.words.len() as u64, Ordering::Relaxed);
-            counters.queue_wait.record(queue_wait);
-            counters.handler.record(handler);
-            counters.latency.record_with_exemplar(
-                job.enqueued.elapsed(),
-                job.trace.trace_id().map_or(0, |id| id.raw()),
-            );
-            if let Some(timings) = &job.timings {
-                timings.queue_wait_us.store(
-                    queue_wait.as_micros().min(u128::from(u64::MAX)) as u64,
-                    Ordering::Relaxed,
-                );
-                timings.handler_us.store(
-                    handler.as_micros().min(u128::from(u64::MAX)) as u64,
-                    Ordering::Relaxed,
-                );
-            }
+            // Free the slot before the reply wakes the requester, so its
+            // next partial finds it free.
+            drop(job.slot);
+            let split = (queue_wait, handler);
+            let timings = job.timings.as_deref();
+            counters.record(job.words.len(), job.enqueued, split, job.trace, timings);
             // A send only fails if the requester's receiver is gone (its
             // thread panicked between submit and reply); nothing to do.
             let _ = job.reply.send(reply);
         }
     }
+}
+
+/// Answers one job from `live`, the snapshot its batch loaded. A partial
+/// pinned to another epoch (a commit landed between its admission and its
+/// batch) is answered from the cell's snapshot of that epoch, and refused
+/// with [`ServeError::ShardVersionSkew`] when the cell holds none.
+fn answer(
+    words: &[u32],
+    kind: &JobKind,
+    live: &Arc<InferenceSnapshot>,
+    cell: &SnapshotCell,
+    fold_in: FoldInParams,
+) -> JobReply {
+    let (request, epoch) = match kind {
+        JobKind::Infer { seed } => {
+            return JobReply::Infer(InferResponse {
+                theta: live.infer_topics(words, *seed, fold_in),
+                snapshot_version: live.version(),
+                n_oov: 0,
+            })
+        }
+        JobKind::Partial { request, epoch } => (request, *epoch),
+    };
+    let served = match epoch {
+        Some(e) if e != live.version() => cell.load_at(e),
+        _ => Some(Arc::clone(live)),
+    };
+    let Some(served) = served else {
+        return JobReply::Partial(Err(ServeError::ShardVersionSkew));
+    };
+    JobReply::Partial(Ok(PartialResponse {
+        partial: match request {
+            PartialRequest::FoldIn { seed } => served.partial_fold_in(words, *seed, fold_in),
+            PartialRequest::EmRound { theta, .. } => served.em_round(words, theta),
+        },
+        snapshot_version: served.version(),
+        n_oov: 0,
+        spans: Vec::new(),
+    }))
 }
 
 /// Workers answer every [`JobKind`] with its matching [`JobReply`] variant,
@@ -1030,6 +1137,71 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_worker_keeps_no_released_epoch_alive() {
+        let server = small_server(1);
+        server.infer_topics(vec![0, 3, 6], 1).unwrap();
+        let first = Arc::downgrade(&server.snapshot());
+        server.stage(2, shifted_snapshot()).unwrap();
+        assert_eq!(server.commit(2).unwrap(), 2);
+        server.stage(3, shifted_snapshot()).unwrap();
+        // The worker replies before its batch ends: give it that moment.
+        let patience = Instant::now() + Duration::from_secs(5);
+        while first.strong_count() > 0 && Instant::now() < patience {
+            std::thread::yield_now();
+        }
+        assert_eq!(first.strong_count(), 0, "epoch 1 outlived its release");
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_inline_partial_is_answered_like_a_queued_one() {
+        let server = small_server(1);
+        let counts = |s: &ServeStats| {
+            let histograms = [&s.latency, &s.queue_wait, &s.handler].map(|h| h.count());
+            [s.requests, s.tokens, s.batches]
+                .into_iter()
+                .chain(histograms)
+        };
+        let shape = |r: &PartialResponse| {
+            let spans = r.spans.iter().map(|s| (s.id, s.parent, s.name.clone()));
+            spans.collect::<Vec<_>>()
+        };
+        // One answer and the counters it moved. While `busy` holds the
+        // only slot the partial queues; otherwise it is answered inline.
+        let answer = |epoch, busy: bool| {
+            let held = busy.then(|| Slot::take(&server.in_flight));
+            let before = server.stats();
+            let trace = TraceContext::root(saber_trace::TraceId::mint());
+            let request = PartialRequest::FoldIn { seed: 5 };
+            let response = server.partial(vec![0, 3, 6, 1], request, Some(epoch), None, trace);
+            drop(held);
+            let after = server.stats();
+            let moved: Vec<u64> = counts(&after)
+                .zip(counts(&before))
+                .map(|(a, b)| a - b)
+                .collect();
+            response.map(|response| (response, moved))
+        };
+        let (inline, inline_moved) = answer(1, false).unwrap();
+        let (queued, queued_moved) = answer(1, true).unwrap();
+        assert_eq!(inline.spans[1].name, "queue-wait");
+        assert_eq!(inline.spans[1].duration_us, 0, "answered inline");
+        assert_eq!(count_bits(&inline), count_bits(&queued));
+        assert_eq!(inline.snapshot_version, queued.snapshot_version);
+        assert_eq!(inline_moved, queued_moved);
+        assert_eq!(inline_moved, [1, 4, 1, 1, 1, 1]);
+        assert_eq!(shape(&inline), shape(&queued));
+        // A read pinned to a released epoch is refused on both paths.
+        server.stage(2, shifted_snapshot()).unwrap();
+        assert_eq!(server.commit(2).unwrap(), 2);
+        server.stage(3, shifted_snapshot()).unwrap();
+        for busy in [false, true] {
+            assert!(matches!(answer(1, busy), Err(ServeError::ShardVersionSkew)));
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn a_job_pinned_to_e_is_answered_from_e_when_its_batch_loads_e_plus_1() {
         let first = InferenceSnapshot::from_model(&planted_model(12, 3), SnapshotSampler::WaryTree);
         let (words, seed, fold_in) = (vec![0u32, 3, 6, 1], 5, FoldInParams::default());
@@ -1050,6 +1222,7 @@ mod tests {
                         request,
                         epoch: Some(epoch),
                     },
+                    slot: Slot::take(&Arc::default()),
                     reply,
                     enqueued: Instant::now(),
                     trace: TraceContext::disabled(),
@@ -1111,7 +1284,7 @@ mod tests {
                 ServeConfig {
                     n_workers: 1,
                     max_batch: 1,
-                    queue_depth: 4,
+                    queue_depth: 5,
                     fold_in: FoldInParams {
                         burn_in: 100,
                         samples: 100,
@@ -1157,6 +1330,15 @@ mod tests {
                     pending.wait(at).map(drop)
                 }),
             ),
+            (
+                "partial(.., Some(deadline), ..)",
+                Box::new(|| {
+                    let deadline = Some(brief);
+                    server
+                        .partial(vec![3], fold_in(), None, deadline, off())
+                        .map(drop)
+                }),
+            ),
         ];
         let blocking: Vec<Call> = vec![
             (
@@ -1184,15 +1366,16 @@ mod tests {
             while server.stats().batches == 0 {
                 std::thread::yield_now();
             }
-            // Each fail-fast call takes one of the four free queue slots
-            // and goes unanswered within its deadline…
+            // Each fail-fast call takes one of the five free queue slots
+            // and goes unanswered within its deadline (the busy worker holds
+            // the only slot, so no partial is answered inline)…
             for (name, call) in &fail_fast {
                 assert!(
                     matches!(call(), Err(ServeError::DeadlineExceeded)),
                     "{name}: admitted but unanswered must be DeadlineExceeded"
                 );
             }
-            // …and the four abandoned jobs now fill the queue: fail fast.
+            // …and the five abandoned jobs now fill the queue: fail fast.
             for (name, call) in &fail_fast {
                 assert!(
                     matches!(call(), Err(ServeError::Overloaded)),

@@ -3,9 +3,8 @@
 //! The single primitive here, [`SnapshotCell`], decouples the publication
 //! rate (a trainer committing a new [`InferenceSnapshot`] every iteration)
 //! from the serving rate (workers loading the current snapshot once per
-//! micro-batch): readers never block publishers, publishers never wait for
-//! readers, and the version counter lets a cached reader skip the lock
-//! entirely when nothing changed.
+//! micro-batch): readers never block publishers and publishers never wait
+//! for readers.
 //!
 //! The version stamp is also what makes *sharded* hot swap safe: a
 //! [`ShardRouter`](crate::ShardRouter) names the epoch it reads on every
@@ -26,12 +25,8 @@ use crate::snapshot::InferenceSnapshot;
 /// replacement without waiting for them. In-flight requests keep the
 /// snapshot they started with (the old `Arc` stays alive until its last
 /// reader drops it), so a running trainer can publish between iterations
-/// while serving continues uninterrupted.
-///
-/// The hot read path is wait-free in the common case: workers cache the
-/// `Arc` they already hold and re-read the cell only when the atomic
-/// version counter moves (see [`SnapshotCell::load_if_newer`]). The slow
-/// path takes a `Mutex` only long enough to clone an `Arc`.
+/// while serving continues uninterrupted. A load takes a `Mutex` only long
+/// enough to clone an `Arc`.
 #[derive(Debug)]
 pub struct SnapshotCell {
     /// `(current, previous)`: the served snapshot, and the one its last swap
@@ -71,7 +66,7 @@ impl SnapshotCell {
         snapshot.set_version(version);
         *previous = Some(std::mem::replace(current, Arc::new(snapshot)));
         // Publish the version only after the slot holds the new snapshot, so
-        // `load_if_newer` can never see the new version with the old data.
+        // a reader of the version never sees it ahead of the data.
         self.version.store(version, Ordering::Release);
         version
     }
@@ -102,17 +97,6 @@ impl SnapshotCell {
     /// cannot hold a half-written snapshot: recover and continue.
     fn slots(&self) -> std::sync::MutexGuard<'_, Slots> {
         self.slots.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Refreshes `cached` only if a newer snapshot has been published:
-    /// a single atomic load when nothing changed. Returns `true` when the
-    /// cache was refreshed.
-    pub fn load_if_newer(&self, cached: &mut Arc<InferenceSnapshot>) -> bool {
-        if self.version.load(Ordering::Acquire) == cached.version() {
-            return false;
-        }
-        *cached = self.load();
-        true
     }
 
     /// The current publication version (1-based).
@@ -182,17 +166,6 @@ mod tests {
         cell.publish_with_version(tiny_snapshot(), 5);
         assert_eq!(cell.load_at(4).map(|s| s.version()), Some(4));
         assert!(cell.load_at(1).is_none());
-    }
-
-    #[test]
-    fn load_if_newer_is_a_no_op_when_current() {
-        let cell = SnapshotCell::new(tiny_snapshot());
-        let mut cached = cell.load();
-        assert!(!cell.load_if_newer(&mut cached));
-        cell.publish_with_version(tiny_snapshot(), 2);
-        assert!(cell.load_if_newer(&mut cached));
-        assert_eq!(cached.version(), 2);
-        assert!(!cell.load_if_newer(&mut cached));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of one benchmark workload, then `compare`.
 #
-#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs]
+#   scripts/bench-pairs.sh [--record <pr>] <parent-rev> <workload> [pairs]
 #
 # Steps 2-3 of docs/BENCHMARKING.md "Reproducing a before/after claim":
 # exports <parent-rev> with `git archive`, builds the benchmark of both
@@ -15,10 +15,25 @@
 # exported parent and both target directories are reused by later calls,
 # the runs land in $BENCH_DIR/<workload>/{parent,change}, which a call
 # empties first. Run nothing else meanwhile: a build beside a run skews it.
+#
+# With `--record <pr>` it also writes `compare`'s rows into the root
+# BENCH_trajectory.json (schema: docs/BENCHMARKING.md) with `jq`: the
+# workload's entry (per gated metric, both sides' median / q1 / q3 and the
+# verdict, plus its failed operations) goes into the record of PR <pr>,
+# which is appended, with the parent, the date, the seeds and pairs and
+# the machine, when the newest record is another PR's. Recording a
+# workload again replaces its entry. A newest record without a `commit`
+# gets the parent's when a new record is appended after it: the parent is
+# the commit it measured.
 set -euo pipefail
 
+record=
+if [ "${1:-}" = --record ]; then
+    record=${2:?--record needs a PR number}
+    shift 2
+fi
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <parent-rev> <workload> [pairs]" >&2
+    echo "usage: $0 [--record <pr>] <parent-rev> <workload> [pairs]" >&2
     exit 1
 fi
 rev=$1 workload=$2 pairs=${3:-10}
@@ -52,4 +67,66 @@ for seed in $(seq 1 "$pairs"); do
             >"$out/$side/seed$seed.log"
     done
 done
-"$change_bin" compare "$out/parent" "$out/change"
+"$change_bin" compare "$out/parent" "$out/change" >"$out/compare.txt" || status=$?
+cat "$out/compare.txt"
+[ -z "$record" ] && exit "${status:-0}"
+
+# A row reads `<workload> <metric> <verdict> A n=N median [q1, q3]  B n=N
+# median [q1, q3] <unit> ...`; the bracket-free fields 6-8 and 11-13 are
+# the two sides.
+metrics=$(awk -v w="$workload" '$1 == w && $4 == "A" && $9 == "B" {
+    gsub(/[][,]/, ""); print $2, $3, $6, $7, $8, $11, $12, $13 }' "$out/compare.txt" |
+    jq -R -s 'def side(m; a; b): {median: (m | tonumber), q1: (a | tonumber), q3: (b | tonumber)};
+        [split("\n")[] | select(length > 0) | split(" ")
+         | {key: .[0], value: {parent: side(.[2]; .[3]; .[4]),
+                               change: side(.[5]; .[6]; .[7]), verdict: .[1]}}]
+        | from_entries')
+failed() { jq -s '[.[].phases[].failed] | add // 0' "$out/$1"/run_*.json; }
+trajectory=$repo/BENCH_trajectory.json
+open=$(jq --argjson pr "$record" '.records[-1].pr == $pr' "$trajectory")
+# The record, written in the file's own layout: one line per gated metric.
+record_text=$(jq -r --argjson pr "$record" --argjson open "$open" --arg parent "$short" \
+    --arg date "$(date -u +%F)" --argjson nproc "$(nproc)" \
+    --arg cpu "$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)" \
+    --argjson pairs "$pairs" --argjson seeds "$(seq 1 "$pairs" | jq -s -c .)" \
+    --arg workload "$workload" --argjson metrics "$metrics" \
+    --argjson failed "{\"parent\": $(failed parent), \"change\": $(failed change)}" '
+    def c: tojson | gsub("\":"; "\": ") | gsub(",(?=[\"\\[{0-9-])"; ", ");
+    def lines(ind; f): "{\n" + ([to_entries[] | ind + "  " + (.key | tojson) + ": " + f]
+        | join(",\n")) + "\n" + ind + "}";
+    def layout: "    " + lines("    "; if .key == "workloads"
+        then .value | lines("      "; .value | lines("        "; if .key == "metrics"
+            then .value | lines("          "; .value | c) else .value | c end))
+        else .value | c end);
+    (if $open then .records[-1] else
+        {pr: $pr, parent: $parent, date: $date,
+         machine: {nproc: $nproc, cpu_model: $cpu}, pairs: $pairs, seeds: $seeds,
+         source: "benchmark compare", workloads: {}} end) as $base
+    | ({metrics: $metrics, failed_operations: $failed}
+       + (if $base.pairs == $pairs then {} else {pairs: $pairs, seeds: $seeds} end)) as $entry
+    | $base | .workloads[$workload] = $entry
+    | .failed_operations = (reduce (.workloads[] | .failed_operations // empty) as $f
+        ({parent: 0, change: 0}; .parent += $f.parent | .change += $f.change))
+    | layout' "$trajectory")
+# Splice it in as text, so every other record keeps its bytes: replace the
+# newest record (`    {` up to the `  ]` closing the list), or append
+# after it, first giving it the parent as its commit if it has none.
+first=$(grep -n '^    {$' "$trajectory" | tail -1 | cut -d: -f1)
+close=$(grep -n '^  \]$' "$trajectory" | tail -1 | cut -d: -f1)
+needs_commit=$(jq '.records[-1] | has("commit") | not' "$trajectory")
+{
+    if [ "$open" = true ]; then
+        head -n $((first - 1)) "$trajectory"
+    else
+        head -n $((close - 2)) "$trajectory" | awk -v from="$first" -v add="$needs_commit" \
+            -v commit="$short" '{ print }
+            NR >= from && add == "true" && /^      "pr": / { print "      \"commit\": \"" commit "\","; add = "" }'
+        echo "    },"
+    fi
+    printf '%s\n' "$record_text"
+    tail -n +"$close" "$trajectory"
+} >"$trajectory.partial"
+jq -e '.records[-1].pr' "$trajectory.partial" >/dev/null
+mv "$trajectory.partial" "$trajectory"
+echo "recorded $workload in PR $record's record of $trajectory" >&2
+exit "${status:-0}"

@@ -11,7 +11,9 @@ use std::time::Duration;
 use saberlda::core::json;
 use saberlda::corpus::OovPolicy;
 use saberlda::serve::http::{HttpConfig, HttpServer};
-use saberlda::serve::{wire, FoldInParams, ServeConfig, SnapshotSampler, TopicServer};
+use saberlda::serve::{
+    wire, FoldInParams, PartialRequest, ServeConfig, SnapshotSampler, TopicServer,
+};
 use saberlda::{InferenceSnapshot, LdaModel, Vocabulary};
 
 const K: usize = 4;
@@ -277,6 +279,50 @@ fn missed_deadline_answers_503() {
     let (status, body) = post_infer(addr, &words_payload(&planted_doc(0, 8000), 1), "");
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("deadline"), "{body}");
+
+    front.shutdown();
+    Arc::try_unwrap(server).unwrap().shutdown();
+}
+
+#[test]
+fn missed_deadline_answers_503_on_an_idle_shard_partial() {
+    // An idle shard answers /infer-partial on its connection thread, not
+    // through the queue; a reply computed past the deadline is still a 503.
+    let (server, front) = start(
+        ServeConfig {
+            n_workers: 1,
+            fold_in: FoldInParams {
+                burn_in: 40,
+                samples: 40,
+                ..FoldInParams::default()
+            },
+            ..ServeConfig::default()
+        },
+        HttpConfig {
+            request_deadline: Duration::from_millis(1),
+            ..HttpConfig::default()
+        },
+        None,
+    );
+    let words = planted_doc(0, 8000);
+    let payload = wire::encode_partial_request(&words, &PartialRequest::FoldIn { seed: 1 });
+    let payload = payload.to_string();
+    let (status, body) = request(
+        front.local_addr(),
+        &format!(
+            "POST /infer-partial HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+            payload.len()
+        ),
+    );
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("deadline"), "{body}");
+    let stats = server.stats();
+    assert_eq!(
+        stats.queue_wait.count(),
+        1,
+        "the abandoned answer is counted"
+    );
+    assert_eq!(stats.queue_wait.sum_micros(), 0, "and was never queued");
 
     front.shutdown();
     Arc::try_unwrap(server).unwrap().shutdown();
