@@ -16,7 +16,10 @@
 //!   [`crate::trees`]. This is the same cost profile that makes training
 //!   sparsity-aware, applied to inference.
 //!
-//! Both return a dense `θ` of length `K` summing to 1.
+//! Both return a dense `θ` of length `K` summing to 1. They read `B̂`
+//! through [`TopicRows`] (and ESCA its per-word samplers through
+//! [`SampledRows`]), so evaluation's dense matrix and a serving snapshot's
+//! shared per-word rows run the same code.
 //!
 //! # Decomposition for sharded serving
 //!
@@ -44,6 +47,44 @@ use saber_sparse::{DenseMatrix, SparseRowView};
 use crate::sampling::{sample_token, SampleScratch};
 use crate::trees::TopicSampler;
 
+/// Row lookup into a topic–word matrix `B̂` (`V × K`, columns normalised):
+/// what the fold-ins read, whatever holds the rows.
+pub trait TopicRows {
+    /// Topic count `K`: the length of every row.
+    fn n_topics(&self) -> usize;
+
+    /// Word `v`'s `B̂` row.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `v` is out of vocabulary range.
+    fn topic_row(&self, v: usize) -> &[f32];
+}
+
+impl TopicRows for DenseMatrix<f32> {
+    fn n_topics(&self) -> usize {
+        self.cols()
+    }
+
+    fn topic_row(&self, v: usize) -> &[f32] {
+        self.row(v)
+    }
+}
+
+/// [`TopicRows`] plus one pre-processed structure per word for the dense
+/// sub-problem `p₂(k) ∝ B̂_vk`: what the ESCA fold-in reads.
+pub trait SampledRows: TopicRows {
+    /// The per-word structure.
+    type Sampler: TopicSampler;
+
+    /// Word `v`'s `B̂` row and its sampler, in one lookup.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `v` is out of vocabulary range.
+    fn sampled_row(&self, v: usize) -> (&[f32], &Self::Sampler);
+}
+
 /// Estimates `θ_d` from observed words by soft-EM iterations against fixed
 /// topic–word distributions `bhat` (`V × K`, columns normalised).
 ///
@@ -52,13 +93,13 @@ use crate::trees::TopicSampler;
 /// # Panics
 ///
 /// Panics if a word id in `words` is out of range of `bhat`.
-pub fn fold_in_em(
+pub fn fold_in_em<B: TopicRows + ?Sized>(
     words: &[u32],
-    bhat: &DenseMatrix<f32>,
+    bhat: &B,
     alpha: f32,
     iterations: usize,
 ) -> Vec<f64> {
-    let k = bhat.cols();
+    let k = bhat.n_topics();
     let mut theta = vec![1.0f64 / k as f64; k];
     if words.is_empty() {
         return theta;
@@ -85,11 +126,16 @@ pub fn fold_in_em(
 /// # Panics
 ///
 /// Panics if a word id is out of range of `bhat`, or if `theta` / `counts`
-/// are shorter than `bhat.cols()`.
-pub fn em_accumulate(words: &[u32], bhat: &DenseMatrix<f32>, theta: &[f64], counts: &mut [f64]) {
+/// are shorter than `K`.
+pub fn em_accumulate<B: TopicRows + ?Sized>(
+    words: &[u32],
+    bhat: &B,
+    theta: &[f64],
+    counts: &mut [f64],
+) {
     // Without these, the zips below would silently truncate to the shorter
     // slice and under-count topics instead of failing.
-    let k = bhat.cols();
+    let k = bhat.n_topics();
     assert!(
         theta.len() >= k && counts.len() >= k,
         "theta ({}) and counts ({}) must cover all K = {k} topics",
@@ -99,7 +145,7 @@ pub fn em_accumulate(words: &[u32], bhat: &DenseMatrix<f32>, theta: &[f64], coun
     // One responsibility buffer for the whole document, not one per word.
     let mut resp = vec![0.0f64; k];
     for &v in words {
-        let row = bhat.row(v as usize);
+        let row = bhat.topic_row(v as usize);
         for ((r, &t), &b) in resp.iter_mut().zip(theta).zip(row) {
             *r = t * b as f64;
         }
@@ -188,10 +234,9 @@ impl SparseDocTopics {
 /// decomposition applied to inference).
 ///
 /// * `words` — the document's word ids;
-/// * `bhat` — topic–word probabilities (`V × K`, columns normalised);
-/// * `samplers` — one pre-processed structure per word for
-///   `p₂(k) ∝ B̂_vk` (any [`TopicSampler`], e.g. `WordSampler` rows built by
-///   a serving snapshot);
+/// * `rows` — topic–word probabilities (`V × K`, columns normalised), each
+///   word's row with its pre-processed structure for `p₂(k) ∝ B̂_vk` (e.g. a
+///   serving snapshot's `WordSampler` rows);
 /// * `alpha` — document–topic smoothing;
 /// * `burn_in` — sweeps discarded before measuring;
 /// * `n_samples` — sweeps averaged into the estimate (at least 1 is used);
@@ -203,11 +248,10 @@ impl SparseDocTopics {
 ///
 /// # Panics
 ///
-/// Panics if a word id is out of range of `bhat` or `samplers`.
-pub fn fold_in_esca<R, S>(
+/// Panics if a word id is out of range of `rows`.
+pub fn fold_in_esca<R, W>(
     words: &[u32],
-    bhat: &DenseMatrix<f32>,
-    samplers: &[S],
+    rows: &W,
     alpha: f32,
     burn_in: usize,
     n_samples: usize,
@@ -215,13 +259,13 @@ pub fn fold_in_esca<R, S>(
 ) -> Vec<f64>
 where
     R: Rng + ?Sized,
-    S: TopicSampler,
+    W: SampledRows + ?Sized,
 {
-    let k = bhat.cols();
+    let k = rows.n_topics();
     if words.is_empty() {
         return vec![1.0f64 / k as f64; k];
     }
-    let partial = fold_in_esca_partial(words, bhat, samplers, alpha, burn_in, n_samples, rng);
+    let partial = fold_in_esca_partial(words, rows, alpha, burn_in, n_samples, rng);
     esca_theta(partial.counts, partial.n_words, n_samples, alpha)
 }
 
@@ -273,7 +317,7 @@ impl PartialFoldIn {
 /// accumulator instead of a normalised θ.
 ///
 /// A vocabulary shard calls this with its own word subset (ids local to its
-/// `bhat` slice) and an independently seeded `rng`; the router sums the
+/// rows) and an independently seeded `rng`; the router sums the
 /// partial counts and finishes with [`esca_theta`]. With the full word list
 /// and the same RNG state this is exactly the computation inside
 /// [`fold_in_esca`], so a single-shard deployment reproduces it
@@ -281,11 +325,10 @@ impl PartialFoldIn {
 ///
 /// # Panics
 ///
-/// Panics if a word id is out of range of `bhat` or `samplers`.
-pub fn fold_in_esca_partial<R, S>(
+/// Panics if a word id is out of range of `rows`.
+pub fn fold_in_esca_partial<R, W>(
     words: &[u32],
-    bhat: &DenseMatrix<f32>,
-    samplers: &[S],
+    rows: &W,
     alpha: f32,
     burn_in: usize,
     n_samples: usize,
@@ -293,9 +336,9 @@ pub fn fold_in_esca_partial<R, S>(
 ) -> PartialFoldIn
 where
     R: Rng + ?Sized,
-    S: TopicSampler,
+    W: SampledRows + ?Sized,
 {
-    let k = bhat.cols();
+    let k = rows.n_topics();
     if words.is_empty() {
         return PartialFoldIn::empty(k);
     }
@@ -308,7 +351,7 @@ where
         .iter()
         .map(|&v| {
             let u: f32 = rng.gen_range(0.0..1.0);
-            let z = samplers[v as usize].sample_with(u) as u32;
+            let z = rows.sampled_row(v as usize).1.sample_with(u) as u32;
             counts.add(z);
             z
         })
@@ -319,11 +362,12 @@ where
     for sweep in 0..burn_in + n_samples {
         for (i, &v) in words.iter().enumerate() {
             counts.remove(assignments[i]);
+            let (bhat_row, sampler) = rows.sampled_row(v as usize);
             let z = sample_token(
                 counts.as_view(),
-                bhat.row(v as usize),
+                bhat_row,
                 alpha,
-                &samplers[v as usize],
+                sampler,
                 &mut scratch,
                 rng,
             );
@@ -382,10 +426,37 @@ mod tests {
         b
     }
 
-    fn samplers_for(bhat: &DenseMatrix<f32>, kind: PreprocessKind) -> Vec<WordSampler> {
-        (0..bhat.rows())
-            .map(|v| WordSampler::build(kind, bhat.row(v)))
-            .collect()
+    /// A dense `B̂` with one sampler per row, as the ESCA fold-in reads it.
+    struct Sampled {
+        bhat: DenseMatrix<f32>,
+        samplers: Vec<WordSampler>,
+    }
+
+    impl TopicRows for Sampled {
+        fn n_topics(&self) -> usize {
+            self.bhat.cols()
+        }
+
+        fn topic_row(&self, v: usize) -> &[f32] {
+            self.bhat.row(v)
+        }
+    }
+
+    impl SampledRows for Sampled {
+        type Sampler = WordSampler;
+
+        fn sampled_row(&self, v: usize) -> (&[f32], &WordSampler) {
+            (self.bhat.row(v), &self.samplers[v])
+        }
+    }
+
+    fn sampled_rows(bhat: &DenseMatrix<f32>, kind: PreprocessKind) -> Sampled {
+        Sampled {
+            bhat: bhat.clone(),
+            samplers: (0..bhat.rows())
+                .map(|v| WordSampler::build(kind, bhat.row(v)))
+                .collect(),
+        }
     }
 
     #[test]
@@ -408,18 +479,10 @@ mod tests {
     fn esca_fold_in_recovers_dominant_topic_with_both_sampler_kinds() {
         let bhat = planted_bhat(12, 3);
         for kind in [PreprocessKind::WaryTree, PreprocessKind::AliasTable] {
-            let samplers = samplers_for(&bhat, kind);
+            let rows = sampled_rows(&bhat, kind);
             let mut rng = StdRng::seed_from_u64(11);
             // Words ≡ 1 (mod 3): planted topic 1.
-            let theta = fold_in_esca(
-                &[1, 4, 7, 10, 1, 4, 7],
-                &bhat,
-                &samplers,
-                0.05,
-                5,
-                10,
-                &mut rng,
-            );
+            let theta = fold_in_esca(&[1, 4, 7, 10, 1, 4, 7], &rows, 0.05, 5, 10, &mut rng);
             let argmax = theta
                 .iter()
                 .enumerate()
@@ -435,10 +498,10 @@ mod tests {
     #[test]
     fn esca_fold_in_is_deterministic_for_a_seed() {
         let bhat = planted_bhat(12, 3);
-        let samplers = samplers_for(&bhat, PreprocessKind::WaryTree);
+        let rows = sampled_rows(&bhat, PreprocessKind::WaryTree);
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            fold_in_esca(&[0, 3, 6, 9, 1], &bhat, &samplers, 0.1, 3, 4, &mut rng)
+            fold_in_esca(&[0, 3, 6, 9, 1], &rows, 0.1, 3, 4, &mut rng)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
@@ -447,20 +510,20 @@ mod tests {
     #[test]
     fn esca_fold_in_of_empty_document_is_uniform() {
         let bhat = planted_bhat(6, 2);
-        let samplers = samplers_for(&bhat, PreprocessKind::WaryTree);
+        let rows = sampled_rows(&bhat, PreprocessKind::WaryTree);
         let mut rng = StdRng::seed_from_u64(0);
-        let theta = fold_in_esca(&[], &bhat, &samplers, 0.1, 2, 2, &mut rng);
+        let theta = fold_in_esca(&[], &rows, 0.1, 2, 2, &mut rng);
         assert_eq!(theta, vec![0.5, 0.5]);
     }
 
     #[test]
     fn esca_and_em_fold_in_broadly_agree() {
         let bhat = planted_bhat(20, 4);
-        let samplers = samplers_for(&bhat, PreprocessKind::WaryTree);
+        let rows = sampled_rows(&bhat, PreprocessKind::WaryTree);
         let words: Vec<u32> = vec![2, 6, 10, 14, 18, 2, 6, 10];
         let em = fold_in_em(&words, &bhat, 0.05, 10);
         let mut rng = StdRng::seed_from_u64(42);
-        let esca = fold_in_esca(&words, &bhat, &samplers, 0.05, 10, 40, &mut rng);
+        let esca = fold_in_esca(&words, &rows, 0.05, 10, 40, &mut rng);
         for k in 0..4 {
             assert!(
                 (em[k] - esca[k]).abs() < 0.12,
@@ -474,12 +537,12 @@ mod tests {
     #[test]
     fn esca_partial_plus_finish_reproduces_fold_in_bit_for_bit() {
         let bhat = planted_bhat(12, 3);
-        let samplers = samplers_for(&bhat, PreprocessKind::WaryTree);
+        let rows = sampled_rows(&bhat, PreprocessKind::WaryTree);
         let words = [0u32, 3, 6, 9, 1, 4, 2];
         let mut rng = StdRng::seed_from_u64(21);
-        let direct = fold_in_esca(&words, &bhat, &samplers, 0.1, 4, 6, &mut rng);
+        let direct = fold_in_esca(&words, &rows, 0.1, 4, 6, &mut rng);
         let mut rng = StdRng::seed_from_u64(21);
-        let partial = fold_in_esca_partial(&words, &bhat, &samplers, 0.1, 4, 6, &mut rng);
+        let partial = fold_in_esca_partial(&words, &rows, 0.1, 4, 6, &mut rng);
         assert_eq!(partial.n_words, words.len());
         let finished = esca_theta(partial.counts, partial.n_words, 6, 0.1);
         assert_eq!(

@@ -211,13 +211,6 @@ impl LdaModel {
         scored.sort_unstable_by(order);
         scored
     }
-
-    /// An owned copy of `B̂` as of the last [`LdaModel::refresh_probabilities`]
-    /// call — the immutable export a serving snapshot is built from, detached
-    /// from the (still-training) model.
-    pub fn snapshot_probabilities(&self) -> DenseMatrix<f32> {
-        self.word_topic_prob.clone()
-    }
 }
 
 #[cfg(test)]

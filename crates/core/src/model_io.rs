@@ -144,7 +144,7 @@ pub fn load_model_file<P: AsRef<Path>>(path: P) -> Result<LdaModel> {
 }
 
 /// The serialisable content of an inference snapshot: normalised `B̂`
-/// probabilities (row-major, `vocab_size × n_topics`) plus the scalar
+/// probabilities (one row per word, `vocab_size × n_topics`) plus the scalar
 /// metadata a serving process needs to rebuild its per-word samplers.
 ///
 /// This type is deliberately free of serving-crate types so the binary
@@ -161,35 +161,36 @@ pub struct SnapshotPayload {
     /// Sampler-kind discriminant, opaque to this module (the serving crate
     /// maps it to its sampler enum; unknown codes fail the load there).
     pub sampler_code: u8,
-    /// `B̂` in row-major order, length `vocab_size * n_topics`.
-    pub bhat: Vec<f32>,
+    /// `B̂`'s rows: `vocab_size` of them, each `n_topics` long.
+    pub rows: Vec<Vec<f32>>,
 }
 
 /// Writes a snapshot to `writer` in the versioned `SABRSNAP` format: magic,
 /// format version, dimensions, α, sampler code, then the raw little-endian
-/// `B̂` bits (so a round trip through [`load_snapshot`] is bit-exact). It
-/// takes borrowed parts, so a caller that holds `B̂` as a contiguous slice
-/// (a serving snapshot) streams it out without first copying the matrix
+/// `B̂` bits row after row (so a round trip through [`load_snapshot`] is
+/// bit-exact). It takes borrowed rows, so a caller that holds `B̂` row by
+/// row (a serving snapshot) streams it out without first copying the matrix
 /// into a [`SnapshotPayload`].
 ///
 /// # Errors
 ///
 /// Returns [`SaberError::Io`] on write failures and
-/// [`SaberError::InvalidConfig`] when `bhat` does not have
-/// `vocab_size * n_topics` entries.
-pub fn save_snapshot_parts<W: Write>(
+/// [`SaberError::InvalidConfig`] when `rows` is not `vocab_size` rows of
+/// `n_topics` probabilities.
+pub fn save_snapshot_parts<'a, W: Write>(
     vocab_size: usize,
     n_topics: usize,
     alpha: f32,
     sampler_code: u8,
-    bhat: &[f32],
+    rows: impl IntoIterator<Item = &'a [f32]>,
     mut writer: W,
 ) -> Result<()> {
-    if bhat.len() != vocab_size * n_topics {
+    let rows: Vec<&[f32]> = rows.into_iter().collect();
+    if rows.len() != vocab_size || rows.iter().any(|row| row.len() != n_topics) {
         return Err(SaberError::InvalidConfig {
             detail: format!(
                 "snapshot payload carries {} probabilities for {vocab_size} x {n_topics}",
-                bhat.len(),
+                rows.iter().map(|row| row.len()).sum::<usize>(),
             ),
         });
     }
@@ -199,8 +200,9 @@ pub fn save_snapshot_parts<W: Write>(
     writer.write_all(&(n_topics as u64).to_le_bytes())?;
     writer.write_all(&alpha.to_le_bytes())?;
     writer.write_all(&[sampler_code])?;
-    for &p in bhat {
-        writer.write_all(&p.to_le_bytes())?;
+    let mut bytes = Vec::new();
+    for row in rows {
+        write_row(row, &mut bytes, &mut writer)?;
     }
     Ok(())
 }
@@ -288,22 +290,22 @@ pub fn read_snapshot_header<R: Read>(reader: &mut R) -> Result<SnapshotHeader> {
 /// version or implausible dimensions.
 pub fn load_snapshot<R: Read>(mut reader: R) -> Result<SnapshotPayload> {
     let header = read_snapshot_header(&mut reader)?;
-    let total = header.vocab_size * header.n_topics;
     // Grow the matrix as data actually arrives instead of pre-allocating
     // from the (untrusted) header: dimensions within the plausibility
     // bounds can still describe petabytes, and an up-front allocation of
     // that size would abort the process. A short body fails with a
     // truncated-input I/O error long before memory becomes a concern.
-    let mut bhat = Vec::new();
-    for _ in 0..total {
-        bhat.push(read_f32(&mut reader)?);
+    let mut rows = Vec::new();
+    let mut bytes = Vec::new();
+    for _ in 0..header.vocab_size {
+        rows.push(read_row(&mut reader, header.n_topics, &mut bytes)?);
     }
     Ok(SnapshotPayload {
         vocab_size: header.vocab_size,
         n_topics: header.n_topics,
         alpha: header.alpha,
         sampler_code: header.sampler_code,
-        bhat,
+        rows,
     })
 }
 
@@ -403,11 +405,10 @@ pub fn save_delta<W: Write>(delta: &DeltaPayload, mut writer: W) -> Result<()> {
     writer.write_all(&delta.alpha.to_le_bytes())?;
     writer.write_all(&[delta.sampler_code])?;
     writer.write_all(&(delta.rows.len() as u64).to_le_bytes())?;
+    let mut bytes = Vec::new();
     for (row, probs) in &delta.rows {
         writer.write_all(&row.to_le_bytes())?;
-        for &p in probs {
-            writer.write_all(&p.to_le_bytes())?;
-        }
+        write_row(probs, &mut bytes, &mut writer)?;
     }
     Ok(())
 }
@@ -472,6 +473,7 @@ pub fn load_delta<R: Read>(mut reader: R) -> Result<DeltaPayload> {
     // `load_snapshot`: a plausible header can still describe far more data
     // than the body carries, and pre-allocating from it would abort.
     let mut rows: Vec<(u32, Vec<f32>)> = Vec::new();
+    let mut bytes = Vec::new();
     let mut previous: Option<u32> = None;
     for _ in 0..n_rows {
         let row = read_u32(&mut reader)?;
@@ -481,11 +483,7 @@ pub fn load_delta<R: Read>(mut reader: R) -> Result<DeltaPayload> {
             });
         }
         previous = Some(row);
-        let mut probs = Vec::new();
-        for _ in 0..n_topics {
-            probs.push(read_f32(&mut reader)?);
-        }
-        rows.push((row, probs));
+        rows.push((row, read_row(&mut reader, n_topics, &mut bytes)?));
     }
     // The encoding is length-prefixed, not terminator-framed: exactly one
     // delta per message. A single successfully read extra byte means the
@@ -505,6 +503,35 @@ pub fn load_delta<R: Read>(mut reader: R) -> Result<DeltaPayload> {
         sampler_code: sampler_code[0],
         rows,
     })
+}
+
+/// Writes one `B̂` row as raw little-endian bits with a single `write_all`,
+/// encoding through `bytes` (a buffer reused across rows).
+fn write_row<W: Write>(row: &[f32], bytes: &mut Vec<u8>, writer: &mut W) -> Result<()> {
+    bytes.resize(4 * row.len(), 0);
+    for (b, p) in bytes.chunks_exact_mut(4).zip(row) {
+        b.copy_from_slice(&p.to_le_bytes());
+    }
+    writer.write_all(bytes)?;
+    Ok(())
+}
+
+/// Reads one `B̂` row of `n_topics` little-endian `f32`s through `bytes` (a
+/// buffer reused across rows). The buffer grows only as data arrives, so a
+/// header claiming a huge `K` over a short body fails with a truncated-input
+/// error instead of allocating what it claims.
+fn read_row<R: Read>(reader: &mut R, n_topics: usize, bytes: &mut Vec<u8>) -> Result<Vec<f32>> {
+    // The header checks bound `n_topics` to 2^20, so this cannot overflow.
+    let want = 4 * n_topics;
+    bytes.clear();
+    reader.take(want as u64).read_to_end(bytes)?;
+    if bytes.len() != want {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect())
 }
 
 fn read_u32<R: Read>(reader: &mut R) -> Result<u32> {
@@ -582,17 +609,23 @@ mod tests {
             n_topics: 2,
             alpha: 0.05,
             sampler_code: 1,
-            bhat: vec![0.1, 0.9, 0.5, 0.5, 1.0 / 3.0, 2.0 / 3.0],
+            rows: vec![vec![0.1, 0.9], vec![0.5, 0.5], vec![1.0 / 3.0, 2.0 / 3.0]],
         };
         let mut buf = Vec::new();
-        save_snapshot_parts(3, 2, payload.alpha, 1, &payload.bhat, &mut buf).unwrap();
+        let rows = payload.rows.iter().map(Vec::as_slice);
+        save_snapshot_parts(3, 2, payload.alpha, 1, rows, &mut buf).unwrap();
         let loaded = load_snapshot(buf.as_slice()).unwrap();
         assert_eq!(loaded.vocab_size, 3);
         assert_eq!(loaded.n_topics, 2);
         assert_eq!(loaded.alpha.to_bits(), payload.alpha.to_bits());
         assert_eq!(loaded.sampler_code, 1);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&loaded.bhat), bits(&payload.bhat));
+        let bits = |rows: &[Vec<f32>]| {
+            rows.iter()
+                .flatten()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&loaded.rows), bits(&payload.rows));
         // Malformed inputs are rejected, not mis-parsed.
         assert!(load_snapshot(&b"WRONGMAG rest"[..]).is_err());
         assert!(load_snapshot(&buf[..buf.len() - 2]).is_err());
@@ -612,7 +645,9 @@ mod tests {
             );
         }
         // A matrix that disagrees with its dimensions won't save.
-        assert!(save_snapshot_parts(3, 2, 0.05, 1, &[0.5; 5], &mut Vec::new()).is_err());
+        let short: [&[f32]; 3] = [&[0.5; 2], &[0.5; 2], &[0.5; 1]];
+        assert!(save_snapshot_parts(3, 2, 0.05, 1, short, &mut Vec::new()).is_err());
+        assert!(save_snapshot_parts(3, 2, 0.05, 1, [&[0.5; 2][..]; 2], &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -741,9 +776,68 @@ mod tests {
     }
 
     #[test]
+    fn a_row_cut_short_is_a_truncated_input_error() {
+        let rows = [&[0.25f32, 0.5, 0.75][..], &[0.125, 0.375, 0.625]];
+        let mut snapshot = Vec::new();
+        save_snapshot_parts(2, 3, 0.05, 0, rows, &mut snapshot).unwrap();
+        let mut delta = Vec::new();
+        let payload = DeltaPayload {
+            n_topics: 3,
+            rows: vec![(1, rows[0].to_vec()), (4, rows[1].to_vec())],
+            ..sample_delta()
+        };
+        save_delta(&payload, &mut delta).unwrap();
+        // Cut both encodings one float and a half into their last row.
+        let cut = |bytes: &[u8]| bytes.len() - 3 * 4 + 6;
+        assert!(matches!(
+            load_snapshot(&snapshot[..cut(&snapshot)]),
+            Err(SaberError::Io(_))
+        ));
+        assert!(matches!(
+            load_delta(&delta[..cut(&delta)]),
+            Err(SaberError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn a_header_claiming_a_huge_k_over_a_tiny_body_is_refused() {
+        // K = 2^20 claims 4 MiB per row; the body carries 12 bytes. The row
+        // buffer grows with what arrives, then the short row is an error.
+        let body = [0u8; 12];
+        let mut snapshot = Vec::new();
+        snapshot.extend_from_slice(SNAPSHOT_MAGIC);
+        snapshot.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        snapshot.extend_from_slice(&1u64.to_le_bytes());
+        snapshot.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        snapshot.extend_from_slice(&0.1f32.to_le_bytes());
+        snapshot.push(0);
+        snapshot.extend_from_slice(&body);
+        assert!(matches!(
+            load_snapshot(snapshot.as_slice()),
+            Err(SaberError::Io(_))
+        ));
+        let mut delta = Vec::new();
+        delta.extend_from_slice(DELTA_MAGIC);
+        delta.extend_from_slice(&DELTA_VERSION.to_le_bytes());
+        delta.extend_from_slice(&1u64.to_le_bytes());
+        delta.extend_from_slice(&2u64.to_le_bytes());
+        delta.extend_from_slice(&1u64.to_le_bytes());
+        delta.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        delta.extend_from_slice(&0.1f32.to_le_bytes());
+        delta.push(0);
+        delta.extend_from_slice(&1u64.to_le_bytes());
+        delta.extend_from_slice(&0u32.to_le_bytes());
+        delta.extend_from_slice(&body);
+        assert!(matches!(
+            load_delta(delta.as_slice()),
+            Err(SaberError::Io(_))
+        ));
+    }
+
+    #[test]
     fn snapshot_header_reports_its_encoded_size() {
         let mut buf = Vec::new();
-        save_snapshot_parts(3, 2, 0.05, 1, &[0.5; 6], &mut buf).unwrap();
+        save_snapshot_parts(3, 2, 0.05, 1, [&[0.5; 2][..]; 3], &mut buf).unwrap();
         let header = read_snapshot_header(&mut buf.as_slice()).unwrap();
         assert_eq!(header.vocab_size, 3);
         assert_eq!(header.n_topics, 2);

@@ -65,7 +65,7 @@ pub trait TopicSampler: std::fmt::Debug {
 }
 
 /// A [`TopicSampler`] chosen at runtime from a [`PreprocessKind`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WordSampler {
     /// W-ary tree variant.
     Wary(WaryTree),

@@ -15,8 +15,10 @@
 //! topic totals) guarantees this, so a `SABRDELTA` of the touched rows
 //! applied server-side reconstructs the next epoch exactly — replicas
 //! refreshed by delta answer bit-for-bit like replicas handed the full
-//! snapshot. See `docs/PIPELINE.md` for the daemon lifecycle, the delta
-//! format and the fallback rules.
+//! snapshot. The same invariant lets the pipeline derive each export from
+//! the last one by rebuilding only the touched rows
+//! ([`InferenceSnapshot::refreshed`]). See `docs/PIPELINE.md` for the daemon
+//! lifecycle, the delta format and the fallback rules.
 //!
 //! # Example
 //!
@@ -321,6 +323,9 @@ pub struct TrainingPipeline<T: ShardTransport = LocalTransport> {
     /// The epoch the fleet served after our last publication — the base
     /// every delta is built against.
     served_epoch: u64,
+    /// The snapshot the last push exported, from which the next is derived
+    /// by rebuilding the touched rows; `None` until the first push.
+    export: Option<InferenceSnapshot>,
     ticks_since_epoch_push: u64,
     epochs_pushed: u64,
 }
@@ -384,6 +389,7 @@ impl<T: ShardTransport> TrainingPipeline<T> {
             router,
             config,
             served_epoch,
+            export: None,
             ticks_since_epoch_push: 0,
             epochs_pushed: 0,
         })
@@ -447,7 +453,10 @@ impl<T: ShardTransport> TrainingPipeline<T> {
 
     /// Publishes the trainer's current model immediately, regardless of
     /// cadence: drains the touched rows and offers them to the fleet as
-    /// a delta against the last served epoch.
+    /// a delta against the last served epoch. The snapshot is the last
+    /// push's with the touched rows rebuilt (only the first push exports
+    /// the whole model), and it is kept for the next push whether or not
+    /// the fleet takes it: it equals a fresh export of the model either way.
     ///
     /// # Errors
     ///
@@ -464,12 +473,21 @@ impl<T: ShardTransport> TrainingPipeline<T> {
             self.trainer.full_refresh();
         }
         let changed = self.trainer.take_touched_rows();
-        let snapshot =
-            InferenceSnapshot::from_model(self.trainer.model(), self.router.config().sampler);
-        let epoch = match self
-            .router
-            .publish_incremental(snapshot, &changed, self.served_epoch)
-        {
+        let model = self.trainer.model();
+        let exported = match &self.export {
+            Some(last) => last.refreshed(model, &changed).map_err(PipelineError::from),
+            None => Ok(InferenceSnapshot::from_model(
+                model,
+                self.router.config().sampler,
+            )),
+        };
+        let published = exported.and_then(|snapshot| {
+            self.export = Some(snapshot.clone());
+            self.router
+                .publish_incremental(snapshot, &changed, self.served_epoch)
+                .map_err(PipelineError::from)
+        });
+        let epoch = match published {
             Ok(epoch) => epoch,
             Err(e) => {
                 // Nothing was committed under our base epoch; without this
@@ -478,7 +496,7 @@ impl<T: ShardTransport> TrainingPipeline<T> {
                 // fleet accepts (the base still matches) — silently serving
                 // bits that diverge from the trainer.
                 self.trainer.restore_touched_rows(&changed);
-                return Err(e.into());
+                return Err(e);
             }
         };
         self.served_epoch = epoch;
@@ -522,8 +540,12 @@ impl<T: ShardTransport> TrainingPipeline<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saber_core::model_io::DeltaPayload;
     use saber_core::SaberLdaConfig;
-    use saber_serve::FoldInParams;
+    use saber_serve::{FoldInParams, PartialRequest, ShardInfo, TopicServer};
+    use saber_trace::TraceContext;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
 
     fn warm_trainer(seed: u64) -> SaberLda {
         let spec = SyntheticSpec::small_test();
@@ -695,6 +717,132 @@ mod tests {
             "a rebase touches every row"
         );
         pipeline.shutdown();
+    }
+
+    /// A [`LocalTransport`] whose next staging fails while `fail` is set
+    /// (and clears it): one failed publication on demand.
+    #[derive(Debug)]
+    struct FailNextStage {
+        inner: LocalTransport,
+        fail: AtomicBool,
+    }
+
+    impl FailNextStage {
+        fn refuse(&self) -> Result<(), ServeError> {
+            match self.fail.swap(false, Ordering::SeqCst) {
+                true => Err(ServeError::transport("injected staging failure")),
+                false => Ok(()),
+            }
+        }
+    }
+
+    impl ShardTransport for FailNextStage {
+        type Pending = <LocalTransport as ShardTransport>::Pending;
+
+        fn submit_partial_pinned(
+            &self,
+            words: Vec<u32>,
+            request: PartialRequest,
+            epoch: Option<u64>,
+            deadline: Option<Instant>,
+            trace: TraceContext,
+        ) -> Result<Self::Pending, ServeError> {
+            self.inner
+                .submit_partial_pinned(words, request, epoch, deadline, trace)
+        }
+
+        fn shard_info(&self) -> Result<ShardInfo, ServeError> {
+            self.inner.shard_info()
+        }
+
+        fn observe_epoch(&self) -> Result<u64, ServeError> {
+            self.inner.observe_epoch()
+        }
+
+        fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
+            self.refuse()?;
+            self.inner.prepare_publish(slice, epoch)
+        }
+
+        fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
+            self.refuse()?;
+            self.inner.prepare_publish_delta(delta)
+        }
+
+        fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
+            self.inner.commit_publish(epoch)
+        }
+    }
+
+    fn snapshot_bytes(snapshot: &InferenceSnapshot) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        snapshot.save(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn the_kept_export_equals_a_fresh_export_after_every_push() {
+        for full_refresh_every in [0, 2] {
+            let trainer = warm_trainer(7);
+            let config = serve_config();
+            let snapshot = InferenceSnapshot::from_model(trainer.model(), config.sampler);
+            let plan = ShardPlan::uniform(trainer.model().vocab_size(), 2).unwrap();
+            let transports = plan
+                .ranges()
+                .map(|range| FailNextStage {
+                    inner: LocalTransport::new(
+                        TopicServer::start(snapshot.shard(range), config).unwrap(),
+                    ),
+                    fail: AtomicBool::new(false),
+                })
+                .collect();
+            let router = Arc::new(ShardRouter::with_transports(plan, transports, config).unwrap());
+            let mut pipeline = TrainingPipeline::new(
+                trainer,
+                Arc::clone(&router),
+                PipelineConfig {
+                    batch_docs: 8,
+                    iterations_per_batch: 1,
+                    publish_every: 1,
+                    full_refresh_every,
+                },
+            )
+            .unwrap();
+            let kept_equals_fresh = |pipeline: &TrainingPipeline<FailNextStage>| {
+                let fresh =
+                    InferenceSnapshot::from_model(pipeline.trainer().model(), config.sampler);
+                let kept = pipeline.export.as_ref().expect("a push keeps its export");
+                snapshot_bytes(kept) == snapshot_bytes(&fresh)
+            };
+            for tick in 0..6u64 {
+                let docs = SyntheticSpec {
+                    n_docs: 8,
+                    ..SyntheticSpec::small_test()
+                }
+                .generate(40 + tick)
+                .documents()
+                .iter()
+                .map(|d| d.words().to_vec())
+                .collect();
+                if tick == 3 {
+                    // The last shard refuses this tick's staging; the next
+                    // push re-patches the restored rows.
+                    router.replica_sets()[1].replicas()[0]
+                        .fail
+                        .store(true, Ordering::SeqCst);
+                    assert!(pipeline.tick(docs).is_err());
+                } else {
+                    pipeline.tick(docs).unwrap();
+                }
+                assert!(
+                    kept_equals_fresh(&pipeline),
+                    "full_refresh_every {full_refresh_every}, tick {tick}"
+                );
+            }
+            assert_eq!(pipeline.served_epoch(), 6, "five of six pushes landed");
+            drop(pipeline);
+            Arc::try_unwrap(router).unwrap().shutdown();
+        }
     }
 
     #[test]

@@ -734,6 +734,15 @@ fn handle_publish_shard(request: &Request, server: &TopicServer) -> (u16, String
         Some(Ok(epoch)) => epoch,
         _ => return error(400, "publication requires an X-Saber-Epoch header"),
     };
+    // Refuse what `stage` would refuse from the header alone: decoding a
+    // slice of another shape builds every row of it, samplers and all,
+    // which for K = 1 is dozens of times the body's bytes.
+    if let Ok(header) = saber_core::model_io::read_snapshot_header(&mut &request.body[..]) {
+        let refused = server.check_stage(epoch, header.vocab_size, header.n_topics, header.alpha);
+        if refused.is_err() {
+            return staged(epoch, refused);
+        }
+    }
     let snapshot = match InferenceSnapshot::load(&request.body[..]) {
         Ok(snapshot) => snapshot,
         Err(e) => return error(400, &format!("malformed snapshot body: {e}")),
@@ -762,12 +771,12 @@ fn handle_publish_delta(request: &Request, server: &TopicServer) -> (u16, String
             ),
         );
     }
-    let outcome = match server.stage_delta(&delta) {
+    let base = delta.base_version;
+    let outcome = match server.stage_delta(delta) {
         Ok(true) => Ok(()),
         Ok(false) => Err(ServeError::Conflict {
             detail: format!(
-                "declined a delta from epoch {} to {target}: this shard serves epoch {}",
-                delta.base_version,
+                "declined a delta from epoch {base} to {target}: this shard serves epoch {}",
                 server.snapshot_version()
             ),
         }),
@@ -1245,6 +1254,39 @@ fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::tests::planted_model;
+    use crate::{ServeConfig, SnapshotSampler};
+
+    #[test]
+    fn a_slice_of_another_shape_is_refused_from_its_header() {
+        let model = planted_model(12, 3);
+        let server = TopicServer::from_model(&model, ServeConfig::default()).unwrap();
+        let mut body = Vec::new();
+        InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree)
+            .save(&mut body)
+            .unwrap();
+        let publish = |body: Vec<u8>| Request {
+            method: "POST".into(),
+            path: "/publish-shard".into(),
+            headers: vec![("x-saber-epoch".into(), "2".into())],
+            body,
+            keep_alive: true,
+        };
+        // The header claims 2^20 one-topic rows over the 36 floats of a
+        // 12 x 3 slice: refused for its shape, not decoded and found short.
+        let mut foreign = body.clone();
+        foreign[12..20].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        foreign[20..28].copy_from_slice(&1u64.to_le_bytes());
+        let (status, reply) = handle_publish_shard(&publish(foreign), &server);
+        assert_eq!(status, 400);
+        assert!(
+            reply.contains("published snapshot is 1048576x1"),
+            "reply was: {reply}"
+        );
+        // The served shape still stages.
+        let (status, reply) = handle_publish_shard(&publish(body), &server);
+        assert_eq!(status, 200, "reply was: {reply}");
+    }
 
     #[test]
     fn target_parsing() {

@@ -467,6 +467,23 @@ impl TopicServer {
     /// sample with a prior the router does not finish θ with).
     pub fn stage(&self, epoch: u64, slice: InferenceSnapshot) -> Result<(), ServeError> {
         let mut staged = self.publish_guard();
+        self.check_stage(epoch, slice.vocab_size(), slice.n_topics(), slice.alpha())?;
+        self.cell.release_previous();
+        *staged = Some((epoch, slice));
+        Ok(())
+    }
+
+    /// [`TopicServer::stage`]'s refusals for a slice of `vocab_size ×
+    /// n_topics` at `alpha`, against what is served now. The `/publish-shard`
+    /// handler asks it of a `SABRSNAP` header, so a slice of another shape
+    /// is refused before its rows and samplers are built.
+    pub(crate) fn check_stage(
+        &self,
+        epoch: u64,
+        vocab_size: usize,
+        n_topics: usize,
+        alpha: f32,
+    ) -> Result<(), ServeError> {
         let served = self.snapshot();
         let version = served.version();
         if epoch <= version {
@@ -474,22 +491,14 @@ impl TopicServer {
                 detail: format!("epoch {epoch} is not ahead of the served epoch {version}"),
             });
         }
-        let shape = |s: &InferenceSnapshot| (s.vocab_size(), s.n_topics(), s.alpha().to_bits());
-        if shape(&slice) != shape(&served) {
+        let (v, k, a) = (served.vocab_size(), served.n_topics(), served.alpha());
+        if (vocab_size, n_topics, alpha.to_bits()) != (v, k, a.to_bits()) {
             return Err(ServeError::BadRequest {
                 detail: format!(
-                    "published snapshot is {}x{} at alpha {} but this shard serves {}x{} at alpha {}",
-                    slice.vocab_size(),
-                    slice.n_topics(),
-                    slice.alpha(),
-                    served.vocab_size(),
-                    served.n_topics(),
-                    served.alpha()
+                    "published snapshot is {vocab_size}x{n_topics} at alpha {alpha} but this shard serves {v}x{k} at alpha {a}"
                 ),
             });
         }
-        self.cell.release_previous();
-        *staged = Some((epoch, slice));
         Ok(())
     }
 
@@ -503,19 +512,20 @@ impl TopicServer {
     ///
     /// [`ServeError::BadRequest`] when the delta does not apply to the
     /// served snapshot (another shape, sampler or α).
-    pub fn stage_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
+    pub fn stage_delta(&self, delta: DeltaPayload) -> Result<bool, ServeError> {
         let mut staged = self.publish_guard();
         let served = self.snapshot();
-        if served.version() != delta.base_version || delta.target_version <= served.version() {
+        let target = delta.target_version;
+        if served.version() != delta.base_version || target <= served.version() {
             return Ok(false);
         }
         self.cell.release_previous();
         let patched = served
-            .apply_delta(delta)
+            .apply_owned_delta(delta)
             .map_err(|e| ServeError::BadRequest {
                 detail: format!("delta does not apply to the served snapshot: {e}"),
             })?;
-        *staged = Some((delta.target_version, patched));
+        *staged = Some((target, patched));
         Ok(true)
     }
 

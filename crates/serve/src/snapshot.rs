@@ -1,36 +1,43 @@
 //! Immutable inference snapshots exported from a trained [`LdaModel`].
 //!
 //! A snapshot is everything inference needs and nothing the trainer can
-//! touch afterwards: the normalised topic–word matrix `B̂` plus one
-//! pre-processed per-word sampling structure ([`SnapshotSampler`] picks the
-//! W-ary tree / alias table trade-off of the paper's §3.2.4). Being plain
-//! immutable data, snapshots are shared behind `Arc` across worker threads
-//! and publications ([`crate::SnapshotCell`]) without synchronisation on
-//! the read path.
+//! touch afterwards: per word, its row of the normalised topic–word matrix
+//! `B̂` plus one pre-processed sampling structure ([`SnapshotSampler`] picks
+//! the W-ary tree / alias table trade-off of the paper's §3.2.4). Being
+//! plain immutable data, snapshots are shared behind `Arc` across worker
+//! threads and publications ([`crate::SnapshotCell`]) without
+//! synchronisation on the read path.
+//!
+//! Each word's row is itself an immutable `Arc`, so snapshots that agree on
+//! a word share it: cloning, [`InferenceSnapshot::shard`] and
+//! [`InferenceSnapshot::apply_delta`] copy pointers for the unchanged words
+//! and build only the changed ones, and a delta epoch costs
+//! `O(changed · K)`, not `O(V · K)`.
 
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saber_core::config::PreprocessKind;
 use saber_core::infer::{
-    em_accumulate, fold_in_em, fold_in_esca, fold_in_esca_partial, PartialFoldIn,
+    em_accumulate, fold_in_em, fold_in_esca, fold_in_esca_partial, PartialFoldIn, SampledRows,
+    TopicRows,
 };
 use saber_core::memory::snapshot_bytes;
 use saber_core::model::LdaModel;
 use saber_core::model_io;
 use saber_core::trees::WordSampler;
 use saber_core::SaberError;
-use saber_sparse::DenseMatrix;
 
 /// Which pre-processed per-word structure a snapshot builds for the dense
 /// sub-problem `p₂(k) ∝ B̂_vk`.
 ///
 /// Serving exposes the same trade-off the paper studies for training
-/// (§3.2.4): the W-ary tree is cheap to build (snapshots are rebuilt on
-/// every publish) while the alias table answers queries in `O(1)`. Fenwick
+/// (§3.2.4): the W-ary tree is cheap to build (every publication rebuilds
+/// the changed rows) while the alias table answers queries in `O(1)`. Fenwick
 /// trees lose on both axes, so serving does not offer them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SnapshotSampler {
@@ -119,18 +126,33 @@ impl Default for FoldInParams {
     }
 }
 
+/// One word's immutable share of a snapshot: its `B̂` row and the sampler
+/// built from it.
+#[derive(Debug)]
+struct WordRow {
+    probs: Box<[f32]>,
+    sampler: WordSampler,
+}
+
+impl WordRow {
+    fn build(kind: SnapshotSampler, probs: Box<[f32]>) -> Arc<WordRow> {
+        let sampler = WordSampler::build(kind.preprocess(), &probs);
+        Arc::new(WordRow { probs, sampler })
+    }
+}
+
 /// An immutable, self-contained view of a trained model, ready to serve
-/// topic inference: the normalised `B̂` plus one pre-processed sampling
-/// structure per word.
+/// topic inference: per word, its normalised `B̂` row plus one
+/// pre-processed sampling structure.
 ///
 /// Snapshots are plain data — cheap to share behind an [`std::sync::Arc`],
 /// never mutated after construction, and independent of the trainer that
 /// produced them, so training can continue (or the model be dropped) while
-/// requests are in flight.
+/// requests are in flight. A clone shares every word's row.
 #[derive(Debug, Clone)]
 pub struct InferenceSnapshot {
-    bhat: DenseMatrix<f32>,
-    samplers: Vec<WordSampler>,
+    rows: Vec<Arc<WordRow>>,
+    n_topics: usize,
     alpha: f32,
     sampler_kind: SnapshotSampler,
     version: u64,
@@ -144,27 +166,100 @@ impl InferenceSnapshot {
     /// every iteration; call [`LdaModel::refresh_probabilities`] after manual
     /// count edits).
     pub fn from_model(model: &LdaModel, kind: SnapshotSampler) -> Self {
-        let bhat = model.snapshot_probabilities();
-        let samplers = (0..bhat.rows())
-            .map(|v| WordSampler::build(kind.preprocess(), bhat.row(v)))
-            .collect();
+        let bhat = model.word_topic_prob();
         InferenceSnapshot {
-            bhat,
-            samplers,
+            rows: bhat
+                .iter_rows()
+                .map(|row| WordRow::build(kind, row.into()))
+                .collect(),
+            n_topics: bhat.cols(),
             alpha: model.alpha(),
             sampler_kind: kind,
             version: 0,
         }
     }
 
+    /// The snapshot [`InferenceSnapshot::from_model`] exports from `model`,
+    /// derived from this one by rebuilding only the `changed` rows and
+    /// sharing the rest. Exact when every other `B̂` row of `model` is
+    /// bit-identical to this snapshot's — the invariant the trainer's
+    /// touched-row tracking keeps between two exports. The result is
+    /// unpublished (version 0).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SaberError::InvalidConfig`] when `model`'s dimensions or α
+    /// differ from this snapshot's, or a changed row is out of range.
+    pub fn refreshed(
+        &self,
+        model: &LdaModel,
+        changed: &[u32],
+    ) -> Result<InferenceSnapshot, SaberError> {
+        let bhat = model.word_topic_prob();
+        if bhat.shape() != (self.vocab_size(), self.n_topics)
+            || model.alpha().to_bits() != self.alpha.to_bits()
+        {
+            return Err(SaberError::InvalidConfig {
+                detail: format!(
+                    "the model is {} x {} at alpha {} but the snapshot is {} x {} at alpha {}",
+                    bhat.rows(),
+                    bhat.cols(),
+                    model.alpha(),
+                    self.vocab_size(),
+                    self.n_topics,
+                    self.alpha
+                ),
+            });
+        }
+        if let Some(v) = changed.iter().find(|&&v| v as usize >= bhat.rows()) {
+            return Err(SaberError::InvalidConfig {
+                detail: format!("changed row {v} is out of range for V = {}", bhat.rows()),
+            });
+        }
+        self.with_rows(changed.iter().map(|&v| (v as usize, bhat.row(v as usize))))
+    }
+
+    /// This snapshot with each `(word, row)` of `replacements` rebuilt from
+    /// `row` (taken when owned, copied when borrowed) and every other word's
+    /// row shared: the one place rows change.
+    fn with_rows<P: AsRef<[f32]> + Into<Box<[f32]>>>(
+        &self,
+        replacements: impl IntoIterator<Item = (usize, P)>,
+    ) -> Result<InferenceSnapshot, SaberError> {
+        let mut rows = self.rows.clone();
+        for (v, probs) in replacements {
+            match rows.get_mut(v) {
+                Some(row) if probs.as_ref().len() == self.n_topics => {
+                    *row = WordRow::build(self.sampler_kind, probs.into());
+                }
+                _ => {
+                    return Err(SaberError::InvalidConfig {
+                        detail: format!(
+                            "row {v} invalid for a {} x {} snapshot",
+                            self.vocab_size(),
+                            self.n_topics
+                        ),
+                    })
+                }
+            }
+        }
+        Ok(InferenceSnapshot {
+            rows,
+            n_topics: self.n_topics,
+            alpha: self.alpha,
+            sampler_kind: self.sampler_kind,
+            version: 0,
+        })
+    }
+
     /// Number of topics `K`.
     pub fn n_topics(&self) -> usize {
-        self.bhat.cols()
+        self.n_topics
     }
 
     /// Vocabulary size `V`.
     pub fn vocab_size(&self) -> usize {
-        self.bhat.rows()
+        self.rows.len()
     }
 
     /// Document–topic smoothing α inherited from the model.
@@ -215,15 +310,14 @@ impl InferenceSnapshot {
                 let mut rng = StdRng::seed_from_u64(seed);
                 fold_in_esca(
                     words,
-                    &self.bhat,
-                    &self.samplers,
+                    self,
                     self.alpha,
                     params.burn_in,
                     params.samples,
                     &mut rng,
                 )
             }
-            FoldInKind::Em => fold_in_em(words, &self.bhat, self.alpha, params.total_sweeps()),
+            FoldInKind::Em => fold_in_em(words, self, self.alpha, params.total_sweeps()),
         }
         .into_iter()
         .map(|p| p as f32)
@@ -243,8 +337,7 @@ impl InferenceSnapshot {
         let mut rng = StdRng::seed_from_u64(seed);
         fold_in_esca_partial(
             words,
-            &self.bhat,
-            &self.samplers,
+            self,
             self.alpha,
             params.burn_in,
             params.samples,
@@ -262,16 +355,16 @@ impl InferenceSnapshot {
     /// than `K`.
     pub fn em_round(&self, words: &[u32], theta: &[f64]) -> PartialFoldIn {
         let mut partial = PartialFoldIn::empty(self.n_topics());
-        em_accumulate(words, &self.bhat, theta, &mut partial.counts);
+        em_accumulate(words, self, theta, &mut partial.counts);
         partial.n_words = words.len();
         partial
     }
 
     /// Slices the snapshot down to the contiguous word-id range `range`:
     /// the `B̂` rows and per-word samplers of those words, with word ids
-    /// re-based to `0..range.len()`. Per-row data is copied bit-for-bit, so
-    /// a shard answers its words' likelihood terms exactly as the full
-    /// snapshot would.
+    /// re-based to `0..range.len()`. The slice shares those words' rows with
+    /// this snapshot, so a shard answers its words' likelihood terms exactly
+    /// as the full snapshot would.
     ///
     /// The slice keeps `alpha`, the sampler kind and `K`; its version is
     /// reset to 0 (unpublished).
@@ -285,18 +378,9 @@ impl InferenceSnapshot {
             "shard range {range:?} invalid for V = {}",
             self.vocab_size()
         );
-        let (start, end) = (range.start as usize, range.end as usize);
-        let k = self.n_topics();
-        let data = self.bhat.as_slice()[start * k..end * k].to_vec();
-        #[expect(
-            clippy::expect_used,
-            reason = "the assert above pins the dims; shard() runs at publish time, never on a request thread"
-        )]
-        let bhat = DenseMatrix::from_vec(end - start, k, data)
-            .expect("shard slice dimensions are consistent by construction");
         InferenceSnapshot {
-            bhat,
-            samplers: self.samplers[start..end].to_vec(),
+            rows: self.rows[range.start as usize..range.end as usize].to_vec(),
+            n_topics: self.n_topics,
             alpha: self.alpha,
             sampler_kind: self.sampler_kind,
             version: 0,
@@ -329,7 +413,7 @@ impl InferenceSnapshot {
         let rows = changed_rows
             .iter()
             .filter(|&&v| range.contains(&v))
-            .map(|&v| (v - range.start, self.bhat.row(v as usize).to_vec()))
+            .map(|&v| (v - range.start, self.rows[v as usize].probs.to_vec()))
             .collect();
         model_io::DeltaPayload {
             base_version,
@@ -343,10 +427,11 @@ impl InferenceSnapshot {
     }
 
     /// Applies a `SABRDELTA` on top of this snapshot: the changed `B̂` rows
-    /// are overwritten bit-for-bit and *only their* per-word samplers are
-    /// rebuilt — `O(changed·K)`, which is what makes continuous publication
-    /// affordable. The result is unpublished (version 0) until a cell or
-    /// fleet assigns it the delta's target epoch.
+    /// are replaced bit-for-bit with *only their* per-word samplers rebuilt,
+    /// and every other row is shared with this snapshot — `O(changed·K)`,
+    /// which is what makes continuous publication affordable. The result is
+    /// unpublished (version 0) until a cell or fleet assigns it the delta's
+    /// target epoch.
     ///
     /// Version bookkeeping (does `base_version` match what is being
     /// served?) belongs to the caller — the publish seams reject or fall
@@ -361,6 +446,34 @@ impl InferenceSnapshot {
         &self,
         delta: &model_io::DeltaPayload,
     ) -> Result<InferenceSnapshot, SaberError> {
+        self.check_delta(delta)?;
+        self.with_rows(
+            delta
+                .rows
+                .iter()
+                .map(|(row, values)| (*row as usize, values.as_slice())),
+        )
+    }
+
+    /// [`InferenceSnapshot::apply_delta`] that takes the delta's rows
+    /// instead of copying them: what a shard that decoded the delta itself
+    /// stages.
+    pub(crate) fn apply_owned_delta(
+        &self,
+        delta: model_io::DeltaPayload,
+    ) -> Result<InferenceSnapshot, SaberError> {
+        self.check_delta(&delta)?;
+        self.with_rows(
+            delta
+                .rows
+                .into_iter()
+                .map(|(row, values)| (row as usize, values)),
+        )
+    }
+
+    /// Whether `delta` was cut for a snapshot of this one's shape, sampler
+    /// kind and α.
+    fn check_delta(&self, delta: &model_io::DeltaPayload) -> Result<(), SaberError> {
         if delta.vocab_size != self.vocab_size() || delta.n_topics != self.n_topics() {
             return Err(SaberError::InvalidConfig {
                 detail: format!(
@@ -389,29 +502,7 @@ impl InferenceSnapshot {
                 ),
             });
         }
-        let k = self.n_topics();
-        let mut bhat = self.bhat.clone();
-        let mut samplers = self.samplers.clone();
-        for (row, values) in &delta.rows {
-            let v = *row as usize;
-            if v >= self.vocab_size() || values.len() != k {
-                return Err(SaberError::InvalidConfig {
-                    detail: format!(
-                        "delta row {row} invalid for a {} x {k} snapshot",
-                        delta.vocab_size
-                    ),
-                });
-            }
-            bhat.row_mut(v).copy_from_slice(values);
-            samplers[v] = WordSampler::build(self.sampler_kind.preprocess(), bhat.row(v));
-        }
-        Ok(InferenceSnapshot {
-            bhat,
-            samplers,
-            alpha: self.alpha,
-            sampler_kind: self.sampler_kind,
-            version: 0,
-        })
+        Ok(())
     }
 
     /// Writes the snapshot in the versioned `SABRSNAP` binary format of
@@ -429,15 +520,15 @@ impl InferenceSnapshot {
     ///
     /// Returns [`SaberError::Io`] on write failures.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), SaberError> {
-        // Stream straight from the resident matrix: cloning B̂ into an
-        // owned payload would double peak memory for exactly the large
-        // snapshots persistence exists for.
+        // Stream straight from the resident rows: cloning B̂ into an owned
+        // payload would double peak memory for exactly the large snapshots
+        // persistence exists for.
         model_io::save_snapshot_parts(
             self.vocab_size(),
             self.n_topics(),
             self.alpha,
             self.sampler_kind.code(),
-            self.bhat.as_slice(),
+            self.rows.iter().map(|row| &*row.probs),
             writer,
         )
     }
@@ -457,13 +548,13 @@ impl InferenceSnapshot {
                 detail: format!("unknown snapshot sampler code {}", payload.sampler_code),
             }
         })?;
-        let bhat = DenseMatrix::from_vec(payload.vocab_size, payload.n_topics, payload.bhat)?;
-        let samplers = (0..bhat.rows())
-            .map(|v| WordSampler::build(sampler_kind.preprocess(), bhat.row(v)))
-            .collect();
         Ok(InferenceSnapshot {
-            bhat,
-            samplers,
+            rows: payload
+                .rows
+                .into_iter()
+                .map(|probs| WordRow::build(sampler_kind, probs.into()))
+                .collect(),
+            n_topics: payload.n_topics,
             alpha: payload.alpha,
             sampler_kind,
             version: 0,
@@ -520,9 +611,37 @@ impl InferenceSnapshot {
     }
 }
 
+impl TopicRows for InferenceSnapshot {
+    fn n_topics(&self) -> usize {
+        self.n_topics
+    }
+
+    fn topic_row(&self, v: usize) -> &[f32] {
+        &self.rows[v].probs
+    }
+}
+
+impl SampledRows for InferenceSnapshot {
+    type Sampler = WordSampler;
+
+    fn sampled_row(&self, v: usize) -> (&[f32], &WordSampler) {
+        let row = &*self.rows[v];
+        (&row.probs, &row.sampler)
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Whether word `v` of `a` and word `w` of `b` are one shared row.
+    fn shared(a: &InferenceSnapshot, v: usize, b: &InferenceSnapshot, w: usize) -> bool {
+        Arc::ptr_eq(&a.rows[v], &b.rows[w])
+    }
 
     pub(crate) fn planted_model(vocab: usize, k: usize) -> LdaModel {
         let mut model = LdaModel::new(vocab, k, 0.05, 0.01).unwrap();
@@ -624,9 +743,12 @@ pub(crate) mod tests {
         assert_eq!(shard.version(), 0);
         for local in 0..8usize {
             let global = local + 5;
-            let a: Vec<u32> = shard.bhat.row(local).iter().map(|x| x.to_bits()).collect();
-            let b: Vec<u32> = snap.bhat.row(global).iter().map(|x| x.to_bits()).collect();
-            assert_eq!(a, b, "row {global} must slice exactly");
+            assert_eq!(
+                bits(shard.topic_row(local)),
+                bits(snap.topic_row(global)),
+                "row {global} must slice exactly"
+            );
+            assert!(shared(&shard, local, &snap, global));
         }
         // A shard's partial fold-in over a local word equals the full
         // snapshot's over the global word: same rows, same samplers.
@@ -684,7 +806,7 @@ pub(crate) mod tests {
         model.refresh_probability_rows(&[2, 7, 11]);
         let next = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
         let changed: Vec<u32> = (0..16u32)
-            .filter(|&v| base.bhat.row(v as usize) != next.bhat.row(v as usize))
+            .filter(|&v| base.topic_row(v as usize) != next.topic_row(v as usize))
             .collect();
         assert!(!changed.is_empty() && changed.len() < 16);
         let delta = next.shard_delta(0..16, &changed, 3, 4);
@@ -692,9 +814,11 @@ pub(crate) mod tests {
         let patched = base.apply_delta(&delta).unwrap();
         assert_eq!(patched.version(), 0);
         for v in 0..16usize {
-            let a: Vec<u32> = patched.bhat.row(v).iter().map(|x| x.to_bits()).collect();
-            let b: Vec<u32> = next.bhat.row(v).iter().map(|x| x.to_bits()).collect();
-            assert_eq!(a, b, "row {v} differs after applying the delta");
+            assert_eq!(
+                bits(patched.topic_row(v)),
+                bits(next.topic_row(v)),
+                "row {v} differs after applying the delta"
+            );
         }
         let words = [1u32, 2, 7, 11, 15, 2];
         for seed in [0u64, 9] {
@@ -709,19 +833,59 @@ pub(crate) mod tests {
         saber_core::model_io::save_delta(&delta, &mut wire).unwrap();
         let decoded = saber_core::model_io::load_delta(wire.as_slice()).unwrap();
         let repatched = base.apply_delta(&decoded).unwrap();
-        assert_eq!(
-            repatched
-                .bhat
-                .as_slice()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            next.bhat
-                .as_slice()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        );
+        for v in 0..16usize {
+            assert_eq!(bits(repatched.topic_row(v)), bits(next.topic_row(v)));
+        }
+    }
+
+    #[test]
+    fn apply_delta_shares_unchanged_rows_and_equals_a_full_load() {
+        for kind in [SnapshotSampler::WaryTree, SnapshotSampler::AliasTable] {
+            let base = InferenceSnapshot::from_model(&planted_model(16, 4), kind);
+            let mut model = planted_model(16, 4);
+            let changed = [0u32, 5, 6, 15];
+            for &v in &changed {
+                model.word_topic_mut()[(v as usize, (v as usize + 2) % 4)] += 7;
+            }
+            model.refresh_probability_rows(&changed);
+            let next = InferenceSnapshot::from_model(&model, kind);
+            let words = [0u32, 3, 5, 6, 9, 15, 5];
+            let params = FoldInParams::default();
+            let before = base.infer_topics(&words, 11, params);
+
+            let delta = next.shard_delta(0..16, &changed, 1, 2);
+            let mut full = Vec::new();
+            next.save(&mut full).unwrap();
+            let loaded = InferenceSnapshot::load(full.as_slice()).unwrap();
+            // Borrowed or owned, the delta's rows apply the same way.
+            for patched in [
+                base.apply_delta(&delta).unwrap(),
+                base.apply_owned_delta(delta.clone()).unwrap(),
+            ] {
+                for v in 0..16 {
+                    let rebuilt = changed.contains(&(v as u32));
+                    assert_eq!(!shared(&patched, v, &base, v), rebuilt, "row {v}");
+                }
+                // Bit for bit what a full SABRSNAP of the same rows loads
+                // as: every B̂ row and every sampler.
+                let mut saved = Vec::new();
+                patched.save(&mut saved).unwrap();
+                assert_eq!(saved, full);
+                for v in 0..16 {
+                    assert_eq!(
+                        patched.sampled_row(v).1,
+                        loaded.sampled_row(v).1,
+                        "{kind:?}: sampler {v}"
+                    );
+                }
+                assert_eq!(
+                    bits(&patched.infer_topics(&words, 11, params)),
+                    bits(&loaded.infer_topics(&words, 11, params))
+                );
+            }
+            // The base is untouched: it answers as it did before the apply.
+            assert_eq!(bits(&base.infer_topics(&words, 11, params)), bits(&before));
+        }
     }
 
     #[test]
@@ -733,7 +897,7 @@ pub(crate) mod tests {
         assert_eq!(ids, vec![0, 1, 7], "global 5, 6, 12 re-based into 5..13");
         for (local, values) in &delta.rows {
             let global = *local as usize + 5;
-            assert_eq!(values.as_slice(), snap.bhat.row(global));
+            assert_eq!(values.as_slice(), snap.topic_row(global));
         }
     }
 
@@ -753,6 +917,10 @@ pub(crate) mod tests {
             snap.apply_delta(&delta),
             Err(SaberError::InvalidConfig { .. })
         ));
+        // A refresh from another model's shape, or of a row past V.
+        assert!(snap.refreshed(&planted_model(6, 2), &[0]).is_err());
+        assert!(snap.refreshed(&planted_model(8, 2), &[8]).is_err());
+        assert!(snap.refreshed(&planted_model(8, 2), &[7]).is_ok());
     }
 
     #[test]

@@ -40,7 +40,8 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use saber_core::model_io::{save_delta, DeltaPayload};
+use saber_core::model_io::{save_delta, snapshot_encoded_bytes, DeltaPayload};
+use saber_core::SaberError;
 use saber_trace::TraceContext;
 
 use crate::server::{
@@ -321,7 +322,7 @@ impl ShardTransport for LocalTransport {
     }
 
     fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        self.server.stage_delta(delta)
+        self.server.stage_delta(delta.clone())
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
@@ -462,11 +463,25 @@ impl HttpTransport {
         epoch: Option<u64>,
         trace: Option<&TraceContext>,
     ) -> Vec<u8> {
+        let mut request = Self::request_head(method, path, content_type, body.len(), epoch, trace);
+        request.extend_from_slice(body);
+        request
+    }
+
+    /// The head of [`HttpTransport::request_bytes`] for a body of
+    /// `content_length` bytes, which the caller appends.
+    fn request_head(
+        method: &str,
+        path: &str,
+        content_type: &str,
+        content_length: usize,
+        epoch: Option<u64>,
+        trace: Option<&TraceContext>,
+    ) -> Vec<u8> {
         let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: shard\r\nContent-Length: {}\r\n",
-            body.len()
+            "{method} {path} HTTP/1.1\r\nHost: shard\r\nContent-Length: {content_length}\r\n"
         );
-        if !body.is_empty() {
+        if content_length > 0 {
             head.push_str(&format!("Content-Type: {content_type}\r\n"));
         }
         if let Some(epoch) = epoch {
@@ -476,9 +491,7 @@ impl HttpTransport {
             head.push_str(&format!("X-Saber-Trace: {value}\r\n"));
         }
         head.push_str("\r\n");
-        let mut request = head.into_bytes();
-        request.extend_from_slice(body);
-        request
+        head.into_bytes()
     }
 
     /// Writes `request` on the calling thread — on the warmest idle
@@ -520,17 +533,41 @@ impl HttpTransport {
         decode_body(status, &body, decode)
     }
 
-    /// An epoch-tagged publication `POST`: status and body of the reply.
-    fn post(
+    /// An epoch-tagged binary publication `POST` of `what`, whose body
+    /// `encode` writes straight behind the head: a many-megabyte slice or
+    /// delta is not copied into a second buffer. `len` is the size the
+    /// body's format promises (`None` when it overflows); a body of any
+    /// other size is refused before it is sent.
+    fn post_encoded(
         &self,
         path: &str,
-        content_type: &str,
-        body: &[u8],
         epoch: u64,
-        wait: Duration,
+        what: &str,
+        len: Option<u64>,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), SaberError>,
     ) -> Result<(u16, Vec<u8>), ServeError> {
-        let request = Self::request_bytes("POST", path, content_type, body, Some(epoch), None);
-        self.call(request, wait)
+        let fail =
+            |detail: String| ServeError::transport(format!("failed to serialise {what}: {detail}"));
+        let len = len
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| fail("its size overflows".into()))?;
+        let mut request = Self::request_head(
+            "POST",
+            path,
+            "application/octet-stream",
+            len,
+            Some(epoch),
+            None,
+        );
+        let head = request.len();
+        encode(&mut request).map_err(|e| fail(e.to_string()))?;
+        if request.len() - head != len {
+            return Err(fail(format!(
+                "{} bytes written where {len} were promised",
+                request.len() - head
+            )));
+        }
+        self.call(request, PUBLISH_WAIT)
     }
 }
 
@@ -724,31 +761,21 @@ impl ShardTransport for HttpTransport {
     }
 
     fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        let mut body = Vec::new();
-        slice.save(&mut body).map_err(|e| {
-            ServeError::transport(format!("failed to serialise snapshot slice: {e}"))
-        })?;
-        let (status, body) = self.post(
-            "/publish-shard",
-            "application/octet-stream",
-            &body,
-            epoch,
-            PUBLISH_WAIT,
-        )?;
+        let len = snapshot_encoded_bytes(slice.vocab_size() as u64, slice.n_topics() as u64);
+        let (status, body) =
+            self.post_encoded("/publish-shard", epoch, "snapshot slice", len, |body| {
+                slice.save(body)
+            })?;
         decode_body(status, &body, |_| Ok(()))
     }
 
     fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        let mut body = Vec::new();
-        save_delta(delta, &mut body).map_err(|e| {
-            ServeError::transport(format!("failed to serialise snapshot delta: {e}"))
-        })?;
-        let (status, body) = self.post(
+        let (status, body) = self.post_encoded(
             "/publish-delta",
-            "application/octet-stream",
-            &body,
             delta.target_version,
-            PUBLISH_WAIT,
+            "snapshot delta",
+            delta.encoded_bytes(),
+            |body| save_delta(delta, body),
         )?;
         match decode_body(status, &body, |_| Ok(())) {
             Ok(()) => Ok(true),
@@ -764,13 +791,15 @@ impl ShardTransport for HttpTransport {
         let body = format!("{{\"epoch\":{epoch}}}");
         // The epoch also rides the X-Saber-Epoch header so the shard can
         // verify the commit names the epoch it actually has staged.
-        let (status, body) = self.post(
+        let request = Self::request_bytes(
+            "POST",
             "/commit-epoch",
             "application/json",
             body.as_bytes(),
-            epoch,
-            CONTROL_WAIT,
-        )?;
+            Some(epoch),
+            None,
+        );
+        let (status, body) = self.call(request, CONTROL_WAIT)?;
         decode_body(status, &body, wire::decode_healthz_version)?;
         Ok(epoch)
     }

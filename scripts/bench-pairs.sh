@@ -18,8 +18,9 @@
 #
 # With `--record <pr>` it also writes `compare`'s rows into the root
 # BENCH_trajectory.json (schema: docs/BENCHMARKING.md) with `jq`: the
-# workload's entry (per gated metric, both sides' median / q1 / q3 and the
-# verdict, plus its failed operations) goes into the record of PR <pr>,
+# workload's entry (per gated metric, both sides' median / q1 / q3, the
+# verdict and `pairs_ahead`, plus its failed operations) goes into the
+# record of PR <pr>,
 # which is appended, with the parent, the date, the seeds and pairs and
 # the machine, when the newest record is another PR's. Recording a
 # workload again replaces its entry. A newest record without a `commit`
@@ -81,6 +82,22 @@ metrics=$(awk -v w="$workload" '$1 == w && $4 == "A" && $9 == "B" {
          | {key: .[0], value: {parent: side(.[2]; .[3]; .[4]),
                                change: side(.[5]; .[6]; .[7]), verdict: .[1]}}]
         | from_entries')
+# Per gated metric, the seeds on which the change's run beats the parent's
+# in BENCHMARK.json's `better` direction (a tie counts for neither side):
+# the count the claim rule asks for, which `compare`'s verdict does not give.
+metrics=$(jq -n --argjson metrics "$metrics" --slurpfile spec "$repo/BENCHMARK.json" \
+    --slurpfile parent <(cat "$out"/parent/run_*.json) \
+    --slurpfile change <(cat "$out"/change/run_*.json) '
+    def by_seed: map({key: (.seed | tostring),
+        value: (.metrics | map({key: .name, value: .value}) | from_entries)}) | from_entries;
+    ($parent | by_seed) as $p | ($change | by_seed) as $c
+    | ($spec[0].end_to_end | map({key: .name, value: .better}) | from_entries) as $better
+    | $metrics | with_entries(.key as $m | .value.pairs_ahead =
+        ([$p | keys[] | select($c[.] != null) | [$p[.][$m], $c[.][$m]]
+          | select(if $better[$m] == "higher" then .[1] > .[0] else .[1] < .[0] end)]
+         | length))')
+jq -r --argjson pairs "$pairs" \
+    'to_entries[] | "\(.key): change ahead in \(.value.pairs_ahead) of \($pairs) pairs"' <<<"$metrics"
 failed() { jq -s '[.[].phases[].failed] | add // 0' "$out/$1"/run_*.json; }
 trajectory=$repo/BENCH_trajectory.json
 open=$(jq --argjson pr "$record" '.records[-1].pr == $pr' "$trajectory")
