@@ -94,28 +94,10 @@ pub fn save_model_file<P: AsRef<Path>>(model: &LdaModel, path: P) -> Result<()> 
 /// [`SaberError::InvalidConfig`] for a bad magic number, version or
 /// dimensions.
 pub fn load_model<R: Read>(mut reader: R) -> Result<LdaModel> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(SaberError::InvalidConfig {
-            detail: "not a SaberLDA model file (bad magic)".into(),
-        });
-    }
-    let version = read_u32(&mut reader)?;
-    if version != VERSION {
-        return Err(SaberError::InvalidConfig {
-            detail: format!("unsupported model version {version}"),
-        });
-    }
-    let vocab_size = read_u64(&mut reader)? as usize;
-    let n_topics = read_u64(&mut reader)? as usize;
+    read_preamble(&mut reader, MAGIC, VERSION, "model file")?;
+    let (vocab_size, n_topics) = read_dims(&mut reader, "model")?;
     let alpha = read_f32(&mut reader)?;
     let beta = read_f32(&mut reader)?;
-    if vocab_size == 0 || n_topics == 0 || vocab_size > (1 << 32) || n_topics > (1 << 20) {
-        return Err(SaberError::InvalidConfig {
-            detail: format!("implausible model dimensions {vocab_size} x {n_topics}"),
-        });
-    }
     // Read the counts as they arrive and build the model only after the
     // last one, as `load_snapshot` does: dimensions within the bounds above
     // can still describe petabytes, and allocating them from the header
@@ -210,7 +192,8 @@ pub fn save_snapshot_parts<'a, W: Write>(
 /// A parsed `SABRSNAP` header: the dimensions and scalar metadata ahead of
 /// the raw `B̂` bits. Splitting the header read from the body read lets a
 /// booting shard validate the header-declared size against the file length
-/// *before* consuming (or allocating for) a multi-GB body.
+/// *before* consuming (or allocating for) a multi-GB body. A `SABRDELTA`
+/// header carries the same block ([`DeltaHeader::shape`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotHeader {
     /// Vocabulary size `V` (number of `B̂` rows).
@@ -240,37 +223,21 @@ impl SnapshotHeader {
 /// [`SaberError::InvalidConfig`] for a bad magic number, unsupported format
 /// version, implausible dimensions or an α that is not finite and positive.
 pub fn read_snapshot_header<R: Read>(reader: &mut R) -> Result<SnapshotHeader> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != SNAPSHOT_MAGIC {
-        return Err(SaberError::InvalidConfig {
-            detail: "not a SaberLDA snapshot file (bad magic)".into(),
-        });
-    }
-    let version = read_u32(reader)?;
-    if version != SNAPSHOT_VERSION {
-        return Err(SaberError::InvalidConfig {
-            detail: format!("unsupported snapshot version {version}"),
-        });
-    }
-    let vocab_size = read_u64(reader)? as usize;
-    let n_topics = read_u64(reader)? as usize;
+    read_preamble(reader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "snapshot file")?;
+    read_shape(reader, "snapshot")
+}
+
+/// Reads the `(V, K, α, sampler code)` block both the `SABRSNAP` and the
+/// `SABRDELTA` header carry, and checks it as [`read_snapshot_header`]
+/// documents.
+fn read_shape<R: Read>(reader: &mut R, what: &str) -> Result<SnapshotHeader> {
+    let (vocab_size, n_topics) = read_dims(reader, what)?;
     let alpha = read_f32(reader)?;
     let mut sampler_code = [0u8; 1];
     reader.read_exact(&mut sampler_code)?;
-    if vocab_size == 0
-        || n_topics == 0
-        || vocab_size > (1 << 32)
-        || n_topics > (1 << 20)
-        || vocab_size.checked_mul(n_topics).is_none()
-    {
-        return Err(SaberError::InvalidConfig {
-            detail: format!("implausible snapshot dimensions {vocab_size} x {n_topics}"),
-        });
-    }
     if !valid_smoothing(alpha) {
         return Err(SaberError::InvalidConfig {
-            detail: format!("snapshot alpha {alpha} is not finite and positive"),
+            detail: format!("{what} alpha {alpha} is not finite and positive"),
         });
     }
     Ok(SnapshotHeader {
@@ -279,6 +246,43 @@ pub fn read_snapshot_header<R: Read>(reader: &mut R) -> Result<SnapshotHeader> {
         alpha,
         sampler_code: sampler_code[0],
     })
+}
+
+/// Reads `V` and `K` and refuses dimensions no model has: every format's
+/// first check of a header, before any of its body is read.
+fn read_dims<R: Read>(reader: &mut R, what: &str) -> Result<(usize, usize)> {
+    let vocab_size = read_u64(reader)? as usize;
+    let n_topics = read_u64(reader)? as usize;
+    if vocab_size == 0
+        || n_topics == 0
+        || vocab_size > (1 << 32)
+        || n_topics > (1 << 20)
+        || vocab_size.checked_mul(n_topics).is_none()
+    {
+        return Err(SaberError::InvalidConfig {
+            detail: format!("implausible {what} dimensions {vocab_size} x {n_topics}"),
+        });
+    }
+    Ok((vocab_size, n_topics))
+}
+
+/// Reads and checks the magic number and format version every format opens
+/// with.
+fn read_preamble<R: Read>(reader: &mut R, magic: &[u8; 8], version: u32, what: &str) -> Result<()> {
+    let mut found = [0u8; 8];
+    reader.read_exact(&mut found)?;
+    if &found != magic {
+        return Err(SaberError::InvalidConfig {
+            detail: format!("not a SaberLDA {what} (bad magic)"),
+        });
+    }
+    let found = read_u32(reader)?;
+    if found != version {
+        return Err(SaberError::InvalidConfig {
+            detail: format!("unsupported {what} version {found}"),
+        });
+    }
+    Ok(())
 }
 
 /// Reads a snapshot payload previously written by [`save_snapshot_parts`].
@@ -413,34 +417,36 @@ pub fn save_delta<W: Write>(delta: &DeltaPayload, mut writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Reads a delta payload previously written by [`save_delta`]. Strict: a
-/// malformed input of any kind is an error, never a panic, and the decoder
-/// consumes exactly the encoded bytes — trailing garbage is rejected, so a
-/// framing bug upstream cannot be silently half-parsed.
+/// A parsed `SABRDELTA` header: the epochs, the shape block a `SABRSNAP`
+/// header also carries, and the row count, ahead of the rows. A shard
+/// judges a delta by it before decoding a row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeltaHeader {
+    /// The snapshot version the delta applies on top of.
+    pub base_version: u64,
+    /// The snapshot version the patched snapshot serves as (ahead of the
+    /// base).
+    pub target_version: u64,
+    /// `V`, `K`, α and sampler code of the snapshot being patched.
+    pub shape: SnapshotHeader,
+    /// How many rows follow (at most `V`).
+    pub n_rows: usize,
+}
+
+/// Reads and validates a `SABRDELTA` header, leaving `reader` positioned at
+/// the first row.
 ///
 /// # Errors
 ///
 /// Returns [`SaberError::Io`] for truncated input and
 /// [`SaberError::InvalidConfig`] for a bad magic number, unsupported format
-/// version, implausible dimensions, a target epoch not ahead of the base,
-/// a row count exceeding the vocabulary, out-of-range or non-increasing
-/// row ids, or trailing bytes after the last row.
-pub fn load_delta<R: Read>(mut reader: R) -> Result<DeltaPayload> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != DELTA_MAGIC {
-        return Err(SaberError::InvalidConfig {
-            detail: "not a SaberLDA snapshot delta (bad magic)".into(),
-        });
-    }
-    let version = read_u32(&mut reader)?;
-    if version != DELTA_VERSION {
-        return Err(SaberError::InvalidConfig {
-            detail: format!("unsupported snapshot delta version {version}"),
-        });
-    }
-    let base_version = read_u64(&mut reader)?;
-    let target_version = read_u64(&mut reader)?;
+/// version, a target epoch not ahead of the base, implausible dimensions,
+/// an α that is not finite and positive, or a row count exceeding the
+/// vocabulary.
+pub fn read_delta_header<R: Read>(reader: &mut R) -> Result<DeltaHeader> {
+    read_preamble(reader, DELTA_MAGIC, DELTA_VERSION, "snapshot delta")?;
+    let base_version = read_u64(reader)?;
+    let target_version = read_u64(reader)?;
     if target_version <= base_version {
         return Err(SaberError::InvalidConfig {
             detail: format!(
@@ -448,34 +454,44 @@ pub fn load_delta<R: Read>(mut reader: R) -> Result<DeltaPayload> {
             ),
         });
     }
-    let vocab_size = read_u64(&mut reader)? as usize;
-    let n_topics = read_u64(&mut reader)? as usize;
-    let alpha = read_f32(&mut reader)?;
-    let mut sampler_code = [0u8; 1];
-    reader.read_exact(&mut sampler_code)?;
-    if vocab_size == 0
-        || n_topics == 0
-        || vocab_size > (1 << 32)
-        || n_topics > (1 << 20)
-        || vocab_size.checked_mul(n_topics).is_none()
-    {
+    let shape = read_shape(reader, "delta")?;
+    let n_rows = read_u64(reader)? as usize;
+    if n_rows > shape.vocab_size {
         return Err(SaberError::InvalidConfig {
-            detail: format!("implausible delta dimensions {vocab_size} x {n_topics}"),
+            detail: format!(
+                "delta claims {n_rows} rows for a {}-word vocabulary",
+                shape.vocab_size
+            ),
         });
     }
-    let n_rows = read_u64(&mut reader)? as usize;
-    if n_rows > vocab_size {
-        return Err(SaberError::InvalidConfig {
-            detail: format!("delta claims {n_rows} rows for a {vocab_size}-word vocabulary"),
-        });
-    }
+    Ok(DeltaHeader {
+        base_version,
+        target_version,
+        shape,
+        n_rows,
+    })
+}
+
+/// Reads a delta payload previously written by [`save_delta`]. Strict: a
+/// malformed input of any kind is an error, never a panic, and the decoder
+/// consumes exactly the encoded bytes — trailing garbage is rejected, so a
+/// framing bug upstream cannot be silently half-parsed.
+///
+/// # Errors
+///
+/// As [`read_delta_header`], plus [`SaberError::Io`] for truncated rows and
+/// [`SaberError::InvalidConfig`] for out-of-range or non-increasing row
+/// ids or trailing bytes after the last row.
+pub fn load_delta<R: Read>(mut reader: R) -> Result<DeltaPayload> {
+    let header = read_delta_header(&mut reader)?;
+    let (vocab_size, n_topics) = (header.shape.vocab_size, header.shape.n_topics);
     // Rows grow as data arrives — same hostile-header defence as
     // `load_snapshot`: a plausible header can still describe far more data
     // than the body carries, and pre-allocating from it would abort.
     let mut rows: Vec<(u32, Vec<f32>)> = Vec::new();
     let mut bytes = Vec::new();
     let mut previous: Option<u32> = None;
-    for _ in 0..n_rows {
+    for _ in 0..header.n_rows {
         let row = read_u32(&mut reader)?;
         if row as usize >= vocab_size || previous.is_some_and(|p| p >= row) {
             return Err(SaberError::InvalidConfig {
@@ -495,12 +511,12 @@ pub fn load_delta<R: Read>(mut reader: R) -> Result<DeltaPayload> {
         });
     }
     Ok(DeltaPayload {
-        base_version,
-        target_version,
+        base_version: header.base_version,
+        target_version: header.target_version,
         vocab_size,
         n_topics,
-        alpha,
-        sampler_code: sampler_code[0],
+        alpha: header.shape.alpha,
+        sampler_code: header.shape.sampler_code,
         rows,
     })
 }

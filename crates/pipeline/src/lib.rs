@@ -374,15 +374,8 @@ impl<T: ShardTransport> TrainingPipeline<T> {
     ) -> Result<Self, PipelineError> {
         config.validate()?;
         let model = trainer.model();
-        if model.vocab_size() != router.vocab_size() || model.n_topics() != router.n_topics() {
-            return Err(PipelineError::InvalidConfig(format!(
-                "trainer is {}x{} but the fleet serves {}x{}",
-                model.vocab_size(),
-                model.n_topics(),
-                router.vocab_size(),
-                router.n_topics()
-            )));
-        }
+        let fit = router.check_fit(model.vocab_size(), model.n_topics(), model.alpha());
+        fit.map_err(|e| PipelineError::InvalidConfig(e.to_string()))?;
         let served_epoch = router.epoch();
         Ok(TrainingPipeline {
             trainer,
@@ -892,6 +885,37 @@ mod tests {
             ),
             Err(PipelineError::InvalidConfig(_))
         ));
+        Arc::try_unwrap(router).unwrap().shutdown();
+    }
+
+    #[test]
+    fn a_trainer_at_another_alpha_is_refused() {
+        let trainer_at = |alpha: f32| {
+            let config = SaberLdaConfig::builder()
+                .n_topics(8)
+                .alpha(alpha)
+                .n_iterations(1)
+                .seed(1)
+                .build()
+                .unwrap();
+            SaberLda::new(config, &SyntheticSpec::small_test().generate(3)).unwrap()
+        };
+        let fleet = trainer_at(0.05);
+        let plan = ShardPlan::uniform(fleet.model().vocab_size(), 2).unwrap();
+        let router =
+            Arc::new(ShardRouter::from_model(fleet.model(), plan, serve_config()).unwrap());
+        // Same V and K: only α differs, and every push would fail on it.
+        let refused = TrainingPipeline::new(
+            trainer_at(0.1),
+            Arc::clone(&router),
+            PipelineConfig::default(),
+        );
+        match refused {
+            Err(PipelineError::InvalidConfig(detail)) => {
+                assert!(detail.contains("at alpha 0.1"), "{detail}")
+            }
+            other => panic!("a trainer at alpha 0.1 was not refused: {:?}", other.err()),
+        }
         Arc::try_unwrap(router).unwrap().shutdown();
     }
 

@@ -94,6 +94,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use saber_core::json::JsonValue;
+use saber_core::{model_io, SaberError};
 use saber_corpus::Vocabulary;
 use saber_trace::{SlowCapture, Trace, TraceBuilder, TraceContext, TraceId, TraceRing};
 
@@ -737,8 +738,9 @@ fn handle_publish_shard(request: &Request, server: &TopicServer) -> (u16, String
     // Refuse what `stage` would refuse from the header alone: decoding a
     // slice of another shape builds every row of it, samplers and all,
     // which for K = 1 is dozens of times the body's bytes.
-    if let Ok(header) = saber_core::model_io::read_snapshot_header(&mut &request.body[..]) {
-        let refused = server.check_stage(epoch, header.vocab_size, header.n_topics, header.alpha);
+    if let Ok(h) = model_io::read_snapshot_header(&mut &request.body[..]) {
+        let refused =
+            server.check_stage(epoch, (h.vocab_size, h.n_topics, h.alpha), h.sampler_code);
         if refused.is_err() {
             return staged(epoch, refused);
         }
@@ -758,21 +760,33 @@ fn handle_publish_delta(request: &Request, server: &TopicServer) -> (u16, String
         Some(Ok(epoch)) => epoch,
         _ => return error(400, "delta publication requires an X-Saber-Epoch header"),
     };
-    let delta = match saber_core::model_io::load_delta(&request.body[..]) {
-        Ok(delta) => delta,
-        Err(e) => return error(400, &format!("malformed delta body: {e}")),
+    let malformed = |e: SaberError| error(400, &format!("malformed delta body: {e}"));
+    let header = match model_io::read_delta_header(&mut &request.body[..]) {
+        Ok(header) => header,
+        Err(e) => return malformed(e),
     };
-    if delta.target_version != target {
+    if header.target_version != target {
         return error(
             400,
             &format!(
                 "X-Saber-Epoch {target} does not match the delta's target epoch {}",
-                delta.target_version
+                header.target_version
             ),
         );
     }
-    let base = delta.base_version;
-    let outcome = match server.stage_delta(delta) {
+    // Judge the delta by its header, as `/publish-shard` does: the rows of
+    // a delta cut for another shape cost up to a dozen times their bytes
+    // to decode.
+    let (base, h) = (header.base_version, header.shape);
+    let shape = (h.vocab_size, h.n_topics, h.alpha);
+    let outcome = match server.check_delta_stage((base, target), shape, h.sampler_code) {
+        Ok(true) => match model_io::load_delta(&request.body[..]) {
+            Ok(delta) => server.stage_delta(delta),
+            Err(e) => return malformed(e),
+        },
+        verdict => verdict,
+    };
+    let outcome = match outcome {
         Ok(true) => Ok(()),
         Ok(false) => Err(ServeError::Conflict {
             detail: format!(

@@ -10,7 +10,7 @@ use std::time::Instant;
 use saber_core::model_io::{delta_encoded_bytes, snapshot_encoded_bytes};
 
 use super::{ReplicaSet, ShardRouter};
-use crate::snapshot::InferenceSnapshot;
+use crate::snapshot::{check_fit, InferenceSnapshot};
 use crate::transport::ShardTransport;
 use crate::ServeError;
 
@@ -104,6 +104,26 @@ impl<T: ShardTransport> ShardRouter<T> {
         }
     }
 
+    /// Whether a snapshot of `vocab_size × n_topics` at `alpha` can be
+    /// published to this fleet: the check [`ShardRouter::publish`] makes
+    /// first, for a trainer to make before it starts.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidConfig`] when `V`, `K` or the bits of α differ
+    /// from the fleet's.
+    pub fn check_fit(
+        &self,
+        vocab_size: usize,
+        n_topics: usize,
+        alpha: f32,
+    ) -> Result<(), ServeError> {
+        let ours = (vocab_size, n_topics, alpha);
+        let fleet = (self.plan.vocab_size(), self.n_topics, self.alpha);
+        let fit = check_fit("published snapshot", ours, "the fleet", fleet);
+        fit.map_err(|detail| ServeError::InvalidConfig { detail })
+    }
+
     /// The shared two-phase publication, with the optional delta fast
     /// path. Its [`PipelineStats`] are recorded once, on success.
     fn publish_impl(
@@ -111,21 +131,7 @@ impl<T: ShardTransport> ShardRouter<T> {
         snapshot: &InferenceSnapshot,
         delta: Option<(&[u32], u64)>,
     ) -> Result<u64, ServeError> {
-        let shape = |v: usize, k: usize, alpha: f32| (v, k, alpha.to_bits());
-        let fleet = shape(self.plan.vocab_size(), self.n_topics, self.alpha);
-        if shape(snapshot.vocab_size(), snapshot.n_topics(), snapshot.alpha()) != fleet {
-            return Err(ServeError::InvalidConfig {
-                detail: format!(
-                    "published snapshot is {}x{} at alpha {}, the fleet serves {}x{} at alpha {}",
-                    snapshot.vocab_size(),
-                    snapshot.n_topics(),
-                    snapshot.alpha(),
-                    self.plan.vocab_size(),
-                    self.n_topics,
-                    self.alpha
-                ),
-            });
-        }
+        self.check_fit(snapshot.vocab_size(), snapshot.n_topics(), snapshot.alpha())?;
         let started = Instant::now();
         // Staging releases the epoch before the served one: drain reads.
         let publication = self.locks.publication();

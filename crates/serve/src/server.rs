@@ -27,7 +27,7 @@ use saber_core::model::LdaModel;
 use saber_core::model_io::DeltaPayload;
 use saber_trace::{SpanRecord, TraceBuilder, TraceContext};
 
-use crate::snapshot::{FoldInParams, InferenceSnapshot, SnapshotSampler};
+use crate::snapshot::{check_fit, FoldInParams, InferenceSnapshot, Shape, SnapshotSampler};
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
 use crate::swap::SnapshotCell;
 use crate::ServeError;
@@ -467,23 +467,18 @@ impl TopicServer {
     /// sample with a prior the router does not finish θ with).
     pub fn stage(&self, epoch: u64, slice: InferenceSnapshot) -> Result<(), ServeError> {
         let mut staged = self.publish_guard();
-        self.check_stage(epoch, slice.vocab_size(), slice.n_topics(), slice.alpha())?;
+        self.check_stage(epoch, slice.shape(), slice.sampler_kind().code())?;
         self.cell.release_previous();
         *staged = Some((epoch, slice));
         Ok(())
     }
 
-    /// [`TopicServer::stage`]'s refusals for a slice of `vocab_size ×
-    /// n_topics` at `alpha`, against what is served now. The `/publish-shard`
+    /// [`TopicServer::stage`]'s refusals for a slice of `shape` with
+    /// sampler `code`, against what is served now. The `/publish-shard`
     /// handler asks it of a `SABRSNAP` header, so a slice of another shape
-    /// is refused before its rows and samplers are built.
-    pub(crate) fn check_stage(
-        &self,
-        epoch: u64,
-        vocab_size: usize,
-        n_topics: usize,
-        alpha: f32,
-    ) -> Result<(), ServeError> {
+    /// (or of a sampler no build knows) is refused before its rows and
+    /// samplers are built.
+    pub(crate) fn check_stage(&self, epoch: u64, shape: Shape, code: u8) -> Result<(), ServeError> {
         let served = self.snapshot();
         let version = served.version();
         if epoch <= version {
@@ -491,12 +486,11 @@ impl TopicServer {
                 detail: format!("epoch {epoch} is not ahead of the served epoch {version}"),
             });
         }
-        let (v, k, a) = (served.vocab_size(), served.n_topics(), served.alpha());
-        if (vocab_size, n_topics, alpha.to_bits()) != (v, k, a.to_bits()) {
+        check_fit("published snapshot", shape, "this shard", served.shape())
+            .map_err(|detail| ServeError::BadRequest { detail })?;
+        if SnapshotSampler::from_code(code).is_none() {
             return Err(ServeError::BadRequest {
-                detail: format!(
-                    "published snapshot is {vocab_size}x{n_topics} at alpha {alpha} but this shard serves {v}x{k} at alpha {a}"
-                ),
+                detail: format!("unknown snapshot sampler code {code}"),
             });
         }
         Ok(())
@@ -511,21 +505,37 @@ impl TopicServer {
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] when the delta does not apply to the
-    /// served snapshot (another shape, sampler or α).
+    /// served snapshot (another shape, sampler or α, or a row out of
+    /// range).
     pub fn stage_delta(&self, delta: DeltaPayload) -> Result<bool, ServeError> {
         let mut staged = self.publish_guard();
-        let served = self.snapshot();
-        let target = delta.target_version;
-        if served.version() != delta.base_version || target <= served.version() {
+        let (base, target) = (delta.base_version, delta.target_version);
+        let shape = (delta.vocab_size, delta.n_topics, delta.alpha);
+        if !self.check_delta_stage((base, target), shape, delta.sampler_code)? {
             return Ok(false);
         }
         self.cell.release_previous();
-        let patched = served
-            .apply_owned_delta(delta)
-            .map_err(|e| ServeError::BadRequest {
-                detail: format!("delta does not apply to the served snapshot: {e}"),
-            })?;
+        let rows = delta.rows.into_iter().map(|(v, row)| (v as usize, row));
+        let patched = self.snapshot().with_rows(rows).map_err(delta_refused)?;
         *staged = Some((target, patched));
+        Ok(true)
+    }
+
+    /// [`TopicServer::stage_delta`]'s verdict on a delta from `base` to
+    /// `target` of `shape` with sampler `code`, against what is served now:
+    /// `false` declines it, an error refuses it. The `/publish-delta`
+    /// handler asks it of a `SABRDELTA` header, before decoding a row.
+    pub(crate) fn check_delta_stage(
+        &self,
+        (base, target): (u64, u64),
+        shape: Shape,
+        code: u8,
+    ) -> Result<bool, ServeError> {
+        let served = self.snapshot();
+        if served.version() != base || target <= served.version() {
+            return Ok(false);
+        }
+        served.check_delta(shape, code).map_err(delta_refused)?;
         Ok(true)
     }
 
@@ -807,6 +817,13 @@ impl TopicServer {
 impl Drop for TopicServer {
     fn drop(&mut self) {
         self.shutdown_in_place();
+    }
+}
+
+/// A delta that does not apply to the served snapshot, as a `400`.
+fn delta_refused(e: saber_core::SaberError) -> ServeError {
+    ServeError::BadRequest {
+        detail: format!("delta does not apply to the served snapshot: {e}"),
     }
 }
 

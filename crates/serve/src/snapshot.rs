@@ -59,14 +59,14 @@ impl SnapshotSampler {
     }
 
     /// The on-disk/wire discriminant used by [`InferenceSnapshot::save`].
-    fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             SnapshotSampler::WaryTree => 0,
             SnapshotSampler::AliasTable => 1,
         }
     }
 
-    fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         match code {
             0 => Some(SnapshotSampler::WaryTree),
             1 => Some(SnapshotSampler::AliasTable),
@@ -126,6 +126,25 @@ impl Default for FoldInParams {
     }
 }
 
+/// `V`, `K` and α: what a publication must share with what serves it.
+pub(crate) type Shape = (usize, usize, f32);
+
+/// The publication fit rule, the one comparison behind every refusal of a
+/// snapshot, slice, delta or trainer cut for another model: `ours` (named
+/// `what`) fits `theirs` (named `whom`, what serves it) when `V`, `K` and
+/// the bits of α agree. A shard sampling with another α than the router finishes θ
+/// with would answer wrongly without failing.
+pub(crate) fn check_fit(what: &str, ours: Shape, whom: &str, theirs: Shape) -> Result<(), String> {
+    let bits = |(v, k, alpha): Shape| (v, k, alpha.to_bits());
+    if bits(ours) == bits(theirs) {
+        return Ok(());
+    }
+    let ((v, k, a), (sv, sk, sa)) = (ours, theirs);
+    Err(format!(
+        "{what} is {v}x{k} at alpha {a} but {whom} serves {sv}x{sk} at alpha {sa}"
+    ))
+}
+
 /// One word's immutable share of a snapshot: its `B̂` row and the sampler
 /// built from it.
 #[derive(Debug)]
@@ -138,6 +157,21 @@ impl WordRow {
     fn build(kind: SnapshotSampler, probs: Box<[f32]>) -> Arc<WordRow> {
         let sampler = WordSampler::build(kind.preprocess(), &probs);
         Arc::new(WordRow { probs, sampler })
+    }
+
+    /// [`WordRow::build`] for row `v` of a publication: the samplers assert
+    /// that their weights are finite and non-negative, so a row that is not
+    /// (a -0.0 included) is refused here instead. Branch-free, so the scan
+    /// vectorises: a float's bits, or its bits plus the lowest exponent,
+    /// reach the sign bit exactly when it is negative, infinite or NaN.
+    fn decoded(kind: SnapshotSampler, v: usize, row: Box<[f32]>) -> Result<Arc<Self>, SaberError> {
+        let bad = |acc: u32, p: &f32| acc | p.to_bits() | p.to_bits().wrapping_add(0x0080_0000);
+        if row.iter().fold(0, bad) >> 31 == 0 {
+            return Ok(WordRow::build(kind, row));
+        }
+        Err(SaberError::InvalidConfig {
+            detail: format!("row {v} holds a probability that is negative or not finite"),
+        })
     }
 }
 
@@ -195,22 +229,10 @@ impl InferenceSnapshot {
         model: &LdaModel,
         changed: &[u32],
     ) -> Result<InferenceSnapshot, SaberError> {
+        let ours = (model.vocab_size(), model.n_topics(), model.alpha());
+        check_fit("the model", ours, "the snapshot", self.shape())
+            .map_err(|detail| SaberError::InvalidConfig { detail })?;
         let bhat = model.word_topic_prob();
-        if bhat.shape() != (self.vocab_size(), self.n_topics)
-            || model.alpha().to_bits() != self.alpha.to_bits()
-        {
-            return Err(SaberError::InvalidConfig {
-                detail: format!(
-                    "the model is {} x {} at alpha {} but the snapshot is {} x {} at alpha {}",
-                    bhat.rows(),
-                    bhat.cols(),
-                    model.alpha(),
-                    self.vocab_size(),
-                    self.n_topics,
-                    self.alpha
-                ),
-            });
-        }
         if let Some(v) = changed.iter().find(|&&v| v as usize >= bhat.rows()) {
             return Err(SaberError::InvalidConfig {
                 detail: format!("changed row {v} is out of range for V = {}", bhat.rows()),
@@ -221,8 +243,10 @@ impl InferenceSnapshot {
 
     /// This snapshot with each `(word, row)` of `replacements` rebuilt from
     /// `row` (taken when owned, copied when borrowed) and every other word's
-    /// row shared: the one place rows change.
-    fn with_rows<P: AsRef<[f32]> + Into<Box<[f32]>>>(
+    /// row shared: the one place rows change. A shard that decoded a delta
+    /// and put its header to [`InferenceSnapshot::check_delta`] stages it
+    /// through here, moving the rows.
+    pub(crate) fn with_rows<P: AsRef<[f32]> + Into<Box<[f32]>>>(
         &self,
         replacements: impl IntoIterator<Item = (usize, P)>,
     ) -> Result<InferenceSnapshot, SaberError> {
@@ -230,7 +254,7 @@ impl InferenceSnapshot {
         for (v, probs) in replacements {
             match rows.get_mut(v) {
                 Some(row) if probs.as_ref().len() == self.n_topics => {
-                    *row = WordRow::build(self.sampler_kind, probs.into());
+                    *row = WordRow::decoded(self.sampler_kind, v, probs.into())?;
                 }
                 _ => {
                     return Err(SaberError::InvalidConfig {
@@ -446,7 +470,8 @@ impl InferenceSnapshot {
         &self,
         delta: &model_io::DeltaPayload,
     ) -> Result<InferenceSnapshot, SaberError> {
-        self.check_delta(delta)?;
+        let shape = (delta.vocab_size, delta.n_topics, delta.alpha);
+        self.check_delta(shape, delta.sampler_code)?;
         self.with_rows(
             delta
                 .rows
@@ -455,54 +480,25 @@ impl InferenceSnapshot {
         )
     }
 
-    /// [`InferenceSnapshot::apply_delta`] that takes the delta's rows
-    /// instead of copying them: what a shard that decoded the delta itself
-    /// stages.
-    pub(crate) fn apply_owned_delta(
-        &self,
-        delta: model_io::DeltaPayload,
-    ) -> Result<InferenceSnapshot, SaberError> {
-        self.check_delta(&delta)?;
-        self.with_rows(
-            delta
-                .rows
-                .into_iter()
-                .map(|(row, values)| (row as usize, values)),
-        )
-    }
-
-    /// Whether `delta` was cut for a snapshot of this one's shape, sampler
-    /// kind and α.
-    fn check_delta(&self, delta: &model_io::DeltaPayload) -> Result<(), SaberError> {
-        if delta.vocab_size != self.vocab_size() || delta.n_topics != self.n_topics() {
+    /// Whether a delta of `shape` with `sampler_code` was cut for a snapshot
+    /// of this one's shape, α and sampler kind: the one delta-fit check.
+    pub(crate) fn check_delta(&self, shape: Shape, sampler_code: u8) -> Result<(), SaberError> {
+        check_fit("the delta", shape, "the snapshot", self.shape())
+            .map_err(|detail| SaberError::InvalidConfig { detail })?;
+        let ours = self.sampler_kind.code();
+        if sampler_code != ours {
             return Err(SaberError::InvalidConfig {
                 detail: format!(
-                    "delta is {} x {} but the snapshot is {} x {}",
-                    delta.vocab_size,
-                    delta.n_topics,
-                    self.vocab_size(),
-                    self.n_topics()
-                ),
-            });
-        }
-        if delta.sampler_code != self.sampler_kind.code() {
-            return Err(SaberError::InvalidConfig {
-                detail: format!(
-                    "delta sampler code {} does not match the snapshot's {}",
-                    delta.sampler_code,
-                    self.sampler_kind.code()
-                ),
-            });
-        }
-        if delta.alpha.to_bits() != self.alpha.to_bits() {
-            return Err(SaberError::InvalidConfig {
-                detail: format!(
-                    "delta alpha {} does not match the snapshot's {}",
-                    delta.alpha, self.alpha
+                    "delta sampler code {sampler_code} does not match the snapshot's {ours}"
                 ),
             });
         }
         Ok(())
+    }
+
+    /// This snapshot's `V`, `K` and α, as [`check_fit`] compares them.
+    pub(crate) fn shape(&self) -> Shape {
+        (self.vocab_size(), self.n_topics, self.alpha)
     }
 
     /// Writes the snapshot in the versioned `SABRSNAP` binary format of
@@ -552,8 +548,9 @@ impl InferenceSnapshot {
             rows: payload
                 .rows
                 .into_iter()
-                .map(|probs| WordRow::build(sampler_kind, probs.into()))
-                .collect(),
+                .enumerate()
+                .map(|(v, probs)| WordRow::decoded(sampler_kind, v, probs.into()))
+                .collect::<Result<_, _>>()?,
             n_topics: payload.n_topics,
             alpha: payload.alpha,
             sampler_kind,
@@ -857,10 +854,12 @@ pub(crate) mod tests {
             let mut full = Vec::new();
             next.save(&mut full).unwrap();
             let loaded = InferenceSnapshot::load(full.as_slice()).unwrap();
-            // Borrowed or owned, the delta's rows apply the same way.
+            // Borrowed or owned (as a shard stages them), the delta's rows
+            // apply the same way.
+            let owned_rows = delta.rows.iter().map(|(v, row)| (*v as usize, row.clone()));
             for patched in [
                 base.apply_delta(&delta).unwrap(),
-                base.apply_owned_delta(delta.clone()).unwrap(),
+                base.with_rows(owned_rows.clone()).unwrap(),
             ] {
                 for v in 0..16 {
                     let rebuilt = changed.contains(&(v as u32));

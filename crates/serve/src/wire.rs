@@ -1298,6 +1298,148 @@ pub fn decode_healthz_version(body: &str) -> Result<u64, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use saber_core::infer::PartialFoldIn;
+
+    /// The `JsonValue` tree `encode_infer_response` built before it wrote θ
+    /// itself: the oracle the tree-free writer must match byte for byte.
+    fn infer_response_tree(response: &InferResponse, seed: u64) -> String {
+        JsonValue::object([
+            ("theta", JsonValue::f32_array(&response.theta)),
+            ("dominant_topic", JsonValue::from(response.dominant_topic())),
+            (
+                "snapshot_version",
+                JsonValue::from(response.snapshot_version),
+            ),
+            ("n_oov", JsonValue::from(response.n_oov)),
+            ("seed", JsonValue::from(seed)),
+        ])
+        .to_string()
+    }
+
+    fn assert_theta_bytes(theta: Vec<f32>) {
+        let response = InferResponse {
+            theta,
+            snapshot_version: 3,
+            n_oov: 1,
+        };
+        assert_eq!(
+            encode_infer_response(&response, u64::MAX).to_string(),
+            infer_response_tree(&response, u64::MAX),
+            "θ = {:?}",
+            response.theta
+        );
+    }
+
+    #[test]
+    fn theta_writer_matches_the_tree_on_edge_cases() {
+        let base = 0.05f32 / 74.0;
+        for theta in [
+            vec![],
+            vec![0.5],
+            vec![0.0, -0.0, 0.0, 0.0, -0.0, -0.0],
+            vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN, 1.0],
+            vec![
+                f32::MIN_POSITIVE,
+                1e-40,
+                -1e-45,
+                f32::MAX,
+                f32::MIN,
+                f32::EPSILON,
+            ],
+            // The shape of a short document: one value almost everywhere.
+            [
+                vec![base; 700],
+                vec![0.25, base, base, 0.125],
+                vec![base; 300],
+            ]
+            .concat(),
+            vec![base; 4096],
+            // More distinct values than any memo holds, each repeated later.
+            (0..600).map(|i| (i % 300) as f32 / 7.0).collect(),
+        ] {
+            assert_theta_bytes(theta);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary `f32` bit patterns (NaNs, infinities, subnormals and both
+        /// zeros included) in runs of arbitrary length, K from 0 upwards.
+        #[test]
+        fn theta_writer_matches_the_tree(
+            palette in vec(any::<u32>(), 1..6usize),
+            picks in vec(any::<u8>(), 0..40usize),
+            runs in vec(1usize..50, 0..40usize),
+        ) {
+            let theta: Vec<f32> = picks
+                .iter()
+                .zip(&runs)
+                .flat_map(|(&pick, &run)| {
+                    // Half the picks come from the shared palette (repeats far
+                    // apart), the rest are the IEEE corner cases.
+                    let corner = [0.0, -0.0, f32::NAN, f32::INFINITY, 1e-40, 1.0];
+                    let value = match pick % 12 {
+                        c @ 0..=5 => corner[c as usize],
+                        p => f32::from_bits(palette[p as usize % palette.len()]),
+                    };
+                    std::iter::repeat_n(value, run)
+                })
+                .collect();
+            let response = InferResponse { theta, snapshot_version: 9, n_oov: 0 };
+            prop_assert_eq!(
+                encode_infer_response(&response, 7).to_string(),
+                infer_response_tree(&response, 7)
+            );
+        }
+    }
+
+    #[test]
+    fn partial_response_size_follows_the_touched_topics_not_k() {
+        // One 24-token document under the default 8 measured sweeps: 192
+        // assignments, here over 60 topics.
+        let partial = |k: usize| {
+            let mut counts = vec![0.0f64; k];
+            for draw in 0..192usize {
+                counts[(draw % 60) * 16 + 5] += 1.0;
+            }
+            PartialResponse {
+                partial: PartialFoldIn {
+                    counts,
+                    n_words: 24,
+                },
+                snapshot_version: 41,
+                n_oov: 0,
+                spans: Vec::new(),
+            }
+        };
+        let small = encode_partial_response(&partial(1000), (0, 5100)).to_string();
+        let large = encode_partial_response(&partial(4000), (0, 5100)).to_string();
+        assert!(small.len() < 1024, "{} bytes: {small}", small.len());
+        assert!(
+            large.len().abs_diff(small.len()) < 16,
+            "{} vs {}",
+            small.len(),
+            large.len()
+        );
+        assert_eq!(decode_partial_response(&large).unwrap(), partial(4000));
+
+        // An EM round's responsibilities touch every topic: sparse in form
+        // only, and still the exact inverse.
+        let dense = PartialResponse {
+            partial: PartialFoldIn {
+                counts: (1..=500).map(|t| 1.0 / f64::from(t)).collect(),
+                n_words: 24,
+            },
+            snapshot_version: 41,
+            n_oov: 2,
+            spans: Vec::new(),
+        };
+        let body = encode_partial_response(&dense, (0, 5100)).to_string();
+        assert_eq!(decode_partial_response(&body).unwrap(), dense);
+    }
 
     #[test]
     fn decodes_word_id_bodies() {
