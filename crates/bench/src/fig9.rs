@@ -2,7 +2,7 @@
 //!
 //! Trains the NYTimes-like corpus at K = 1000 for a fixed number of
 //! iterations under each cumulative optimisation level. [`ablation`] returns
-//! one [`AblationRow`] per level: the per-phase modelled device time
+//! one [`PhaseRow`] per level: the per-phase modelled device time
 //! (sampling, A update, preprocessing, transfer), i.e. the stacked bars of
 //! Fig. 9, and beside it the wall-clock this CPU measured in each phase of
 //! the same run. [`Ablation`]'s `Display` prints both tables, then the two
@@ -11,26 +11,13 @@
 
 use std::fmt;
 
-use saber_core::{OptLevel, PhaseTimes, PhaseWall, SaberLda, SaberLdaConfig};
+use saber_core::{OptLevel, SaberLda, SaberLdaConfig};
 use saber_corpus::presets::DatasetPreset;
 
-use crate::{bench_corpus, table_header, BenchArgs};
+use crate::{bench_corpus, table_header, write_phases, BenchArgs, PhaseRow};
 
 /// Topics of every level's run.
 const TOPICS: usize = 1000;
-
-/// One optimisation level's training run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AblationRow {
-    /// The cumulative optimisation level.
-    pub level: OptLevel,
-    /// Modelled device time per phase, summed over the iterations.
-    pub simulated: PhaseTimes,
-    /// Measured CPU wall-clock per phase, summed over the iterations.
-    pub measured: PhaseWall,
-    /// Measured CPU wall-clock of the whole `iterate()` calls.
-    pub wall_s: f64,
-}
 
 /// The Fig. 9 table: one row per level, G0 first.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +27,7 @@ pub struct Ablation {
     /// Iterations of every run.
     pub iters: usize,
     /// One row per level of [`OptLevel::ALL`], in that order.
-    pub rows: Vec<AblationRow>,
+    pub rows: Vec<PhaseRow<OptLevel>>,
 }
 
 /// Runs every optimisation level on the NYTimes-like corpus (`--scale`
@@ -60,13 +47,7 @@ pub fn ablation(args: &BenchArgs) -> Ablation {
                 .build()
                 .expect("valid config");
             let mut lda = SaberLda::new(config, &corpus).expect("non-empty corpus");
-            let report = lda.train();
-            AblationRow {
-                level,
-                simulated: report.phase_totals(),
-                measured: report.measured_totals(),
-                wall_s: report.wall_seconds(),
-            }
+            PhaseRow::of_run(level, &lda.train())
         })
         .collect();
     Ablation {
@@ -88,53 +69,12 @@ impl fmt::Display for Ablation {
             f,
             "G1: + PDOW   G2: + W-ary tree   G3: + SSC   G4: + async workers\n"
         )?;
-        f.write_str(&table_header(
-            "level | sampling (s) | A update (s) | preprocessing (s) | transfer (s) | total (s) | \
-             speedup vs G0",
-        ))?;
         let g0 = self.rows.first().map_or(0.0, |row| row.simulated.total());
-        for AblationRow {
-            level, simulated, ..
-        } in &self.rows
-        {
-            let total = simulated.total();
-            writeln!(
-                f,
-                "| {level} | {:.4} | {:.4} | {:.4} | {:.4} | {:.4} | {:.2}x |",
-                simulated.sampling,
-                simulated.a_update,
-                simulated.preprocessing,
-                simulated.transfer,
-                total,
-                g0 / total
-            )?;
-        }
-
-        writeln!(
-            f,
-            "\nMeasured on this CPU (wall-clock seconds, same runs):\n"
-        )?;
-        f.write_str(&table_header(
-            "level | sampling | rebuild A | accumulate B | refresh B̂ | trees | iterate() total",
-        ))?;
-        for AblationRow {
-            level,
-            measured: m,
-            wall_s,
-            ..
-        } in &self.rows
-        {
-            writeln!(
-                f,
-                "| {level} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |",
-                m.sampling_s,
-                m.rebuild_doc_topic_s,
-                m.accumulate_word_topic_s,
-                m.refresh_s,
-                m.trees_s,
-                wall_s
-            )?;
-        }
+        let speedup = |total: f64| format!("{:.2}x", g0 / total);
+        let rows: Vec<_> = (self.rows.iter())
+            .map(|row| (row, speedup(row.simulated.total())))
+            .collect();
+        write_phases(f, ("level", "speedup vs G0"), &rows)?;
 
         writeln!(
             f,
@@ -155,7 +95,7 @@ impl fmt::Display for Ablation {
             writeln!(
                 f,
                 "| {} -> {} | {simulated:.2}x | {on_cpu:.2}x | {verdict} |",
-                from.level, to.level
+                from.label, to.label
             )?;
         }
         writeln!(

@@ -7,9 +7,11 @@
 //! per phase and level), [`fig11::convergence`] (SaberLDA against the four
 //! baselines), [`fig12::clueweb`] (the ClueWeb subset on two devices),
 //! [`table1::capacity`] and [`table2::memory`] (the memory model on the
-//! paper's corpus shapes) and [`table4::bandwidth`] (the sampling kernel's
-//! memory-level throughput). `tests/paper_claims.rs` checks the rows of
-//! every one against the paper's claims.
+//! paper's corpus shapes), [`table4::bandwidth`] (the sampling kernel's
+//! memory-level throughput) and [`kscale::scaling`] (throughput from
+//! K = 1 000 to 10 000). `tests/paper_claims.rs` checks the rows of every
+//! one against the paper's claims. Fig. 9 and the K-scaling table share one
+//! row type, [`PhaseRow`], and print it through the same two tables.
 //!
 //! The binaries that train accept `--scale <N>` and `--iters <N>`: the
 //! synthetic corpora are the paper's datasets scaled down by `N` (default: a
@@ -22,11 +24,14 @@
 pub mod fig11;
 pub mod fig12;
 pub mod fig9;
+pub mod kscale;
 pub mod table1;
 pub mod table2;
 pub mod table4;
 
-use saber_core::{HeldOutEvaluator, LdaTrainer};
+use std::fmt;
+
+use saber_core::{HeldOutEvaluator, LdaTrainer, PhaseTimes, PhaseWall, TrainingReport};
 use saber_corpus::presets::DatasetPreset;
 use saber_corpus::Corpus;
 
@@ -131,6 +136,76 @@ pub(crate) fn converge(
         }
     }
     curve
+}
+
+/// One training run of a table that varies one setting, labelled by it
+/// (the optimisation level in Fig. 9, the topic count in the K-scaling
+/// table): the modelled and the measured time of each phase.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseRow<L> {
+    /// The setting the run varies.
+    pub label: L,
+    /// Modelled device time per phase, summed over the iterations.
+    pub simulated: PhaseTimes,
+    /// Measured CPU wall-clock per phase, summed over the iterations.
+    pub measured: PhaseWall,
+    /// Measured CPU wall-clock of the whole `iterate()` calls.
+    pub wall_s: f64,
+}
+
+impl<L> PhaseRow<L> {
+    /// The row of a finished run.
+    pub(crate) fn of_run(label: L, report: &TrainingReport) -> Self {
+        PhaseRow {
+            label,
+            simulated: report.phase_totals(),
+            measured: report.measured_totals(),
+            wall_s: report.wall_seconds(),
+        }
+    }
+}
+
+/// Writes the modelled table of `rows` (the label, the four phases, their
+/// total, then each row's extra cells) and below it the measured table of
+/// the same runs. `label` and `extra` name the label column and the extra
+/// ones, joined by `" | "`.
+pub(crate) fn write_phases<L: fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
+    (label, extra): (&str, &str),
+    rows: &[(&PhaseRow<L>, String)],
+) -> fmt::Result {
+    f.write_str(&table_header(&format!(
+        "{label} | sampling (s) | A update (s) | preprocessing (s) | transfer (s) | total (s) | \
+         {extra}"
+    )))?;
+    for (row, extra) in rows {
+        let (s, total) = (&row.simulated, row.simulated.total());
+        let seconds = [s.sampling, s.a_update, s.preprocessing, s.transfer, total];
+        let seconds: Vec<String> = seconds.iter().map(|x| format!("{x:.6}")).collect();
+        writeln!(f, "| {} | {} | {extra} |", row.label, seconds.join(" | "))?;
+    }
+    writeln!(
+        f,
+        "\nMeasured on this CPU (wall-clock seconds, same runs):\n"
+    )?;
+    f.write_str(&table_header(&format!(
+        "{label} | sampling | rebuild A | accumulate B | refresh B̂ | trees | iterate() total"
+    )))?;
+    for (row, _) in rows {
+        let m = &row.measured;
+        writeln!(
+            f,
+            "| {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |",
+            row.label,
+            m.sampling_s,
+            m.rebuild_doc_topic_s,
+            m.accumulate_word_topic_s,
+            m.refresh_s,
+            m.trees_s,
+            row.wall_s
+        )?;
+    }
+    Ok(())
 }
 
 /// A Markdown-style table header for `cells`, the column names joined by

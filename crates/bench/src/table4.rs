@@ -72,14 +72,12 @@ pub fn bandwidth(args: &BenchArgs) -> Bandwidth {
         .build()
         .expect("valid config");
     let mut lda = SaberLda::new(config, &corpus).expect("non-empty corpus");
+    let report = lda.train();
     let mut sampling = KernelStats::default();
-    let (mut sampling_s, mut measured_sampling_s) = (0.0f64, 0.0f64);
-    for _ in 0..iters {
-        let it = lda.iterate();
+    for it in &report.iterations {
         sampling.merge(&it.sampling_stats);
-        sampling_s += it.phases.sampling;
-        measured_sampling_s += it.measured.sampling_s;
     }
+    let sampling_s = report.phase_totals().sampling;
     let cost = CostModel::new(lda.config().device.clone());
     let row = |level, bytes: u64, peak_gb_s| BandwidthRow {
         level,
@@ -93,7 +91,7 @@ pub fn bandwidth(args: &BenchArgs) -> Bandwidth {
         iters,
         device: cost.device().name.clone(),
         sampling_s,
-        measured_sampling_s,
+        measured_sampling_s: report.measured_totals().sampling_s,
         rows: vec![
             row(
                 "global memory (DRAM)",

@@ -158,28 +158,6 @@ impl TrainingReport {
         self.iterations.iter().map(|i| i.wall_seconds).sum()
     }
 
-    /// One line setting the modelled device time beside the wall-clock the
-    /// host CPU measured, phase by phase.
-    pub fn summary(&self) -> String {
-        let m = self.measured_totals();
-        let wall = self.wall_seconds();
-        format!(
-            "{} iterations: {:.4} s simulated ({:.1} Mtoken/s); {:.3} s measured on this CPU \
-             (sampling {:.3} | rebuild A {:.3} | accumulate B {:.3} | refresh B̂ {:.3} | \
-             trees {:.3} | other {:.3})",
-            self.iterations.len(),
-            self.total_seconds(),
-            self.mean_throughput_mtokens_per_s(),
-            wall,
-            m.sampling_s,
-            m.rebuild_doc_topic_s,
-            m.accumulate_word_topic_s,
-            m.refresh_s,
-            m.trees_s,
-            wall - m.total(),
-        )
-    }
-
     /// Mean throughput over all iterations, in Mtoken/s.
     pub fn mean_throughput_mtokens_per_s(&self) -> f64 {
         if self.iterations.is_empty() {
@@ -269,10 +247,6 @@ mod tests {
         let measured = report.measured_totals();
         assert_eq!((measured.sampling_s, measured.refresh_s), (1.0, 0.5));
         assert_eq!(measured.total(), 1.5);
-        let summary = report.summary();
-        assert!(summary.contains("2.000 s measured"), "{summary}");
-        assert!(summary.contains("sampling 1.000"), "{summary}");
-        assert!(summary.contains("other 0.500"), "{summary}");
     }
 
     #[test]

@@ -195,12 +195,15 @@ fn run(args: &[String]) -> Result<(), Failure> {
         pipeline.served_epoch()
     );
 
-    // The daemon loop: tick until the feed runs dry, narrating each epoch.
+    // The daemon loop: tick until the feed runs dry, narrating each epoch,
+    // then flush the ticks the cadence left unpublished, if any.
+    let mut unpublished = false;
     while let Some(batch) = feed
         .next_batch(pipeline.config().batch_docs)
         .map_err(runtime)?
     {
         let tick = pipeline.tick(batch).map_err(runtime)?;
+        unpublished = tick.published.is_none();
         if let Some(epoch) = &tick.published {
             println!(
                 "epoch {}: {} docs, {} tokens in, {} rows offered as delta{}",
@@ -216,8 +219,10 @@ fn run(args: &[String]) -> Result<(), Failure> {
             );
         }
     }
-    let final_epoch = pipeline.push_epoch().map_err(runtime)?;
-    println!("final epoch {}: flushed", final_epoch.epoch);
+    if unpublished {
+        let final_epoch = pipeline.push_epoch().map_err(runtime)?;
+        println!("final epoch {}: flushed", final_epoch.epoch);
+    }
 
     if let Some(stats) = pipeline.router().router_stats().pipeline {
         println!(

@@ -1,5 +1,6 @@
 //! `saber-traind` exits 1 on a bad command line, before any training
-//! starts, as its module doc promises (2 is reserved for runtime failures).
+//! starts, as its module doc promises (2 is reserved for runtime failures),
+//! and publishes no epoch at shutdown that its last tick already published.
 
 use std::process::Command;
 
@@ -19,4 +20,39 @@ fn bad_command_lines_exit_with_the_usage_code() {
         assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: saber-traind"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_stream_published_tick_by_tick_ends_without_an_empty_epoch() {
+    // Three batches of 32 documents, each published by its own tick.
+    let args = [
+        "--stream-docs",
+        "96",
+        "--batch-docs",
+        "32",
+        "--topics",
+        "8",
+        "--warmup-docs",
+        "64",
+        "--warmup-iters",
+        "2",
+    ];
+    let output = Command::new(env!("CARGO_BIN_EXE_saber-traind"))
+        .args(args)
+        .output()
+        .expect("the daemon binary runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr),
+    );
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    let epochs: Vec<&str> = stdout
+        .lines()
+        .filter(|line| line.starts_with("epoch") || line.starts_with("final epoch"))
+        .collect();
+    assert_eq!(epochs.len(), 3, "{stdout}");
+    assert!(
+        epochs.iter().all(|line| line.starts_with("epoch")),
+        "{stdout}"
+    );
 }

@@ -460,7 +460,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<HttpState>) {
         state.requests.fetch_add(1, Ordering::Relaxed);
         let keep_alive = request.keep_alive && !state.shutdown.load(Ordering::SeqCst);
         let started = Instant::now();
-        let (status, body, endpoint, content_type, trace_id) = route(&request, state);
+        let (status, body, endpoint, content_type) = route(&request, state);
         if status >= 400 {
             state.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -474,7 +474,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<HttpState>) {
         if let Some(endpoint) = endpoint {
             endpoint_timers(state, endpoint)
                 .total
-                .record_with_exemplar(started.elapsed(), trace_id);
+                .record(started.elapsed());
         }
         if !keep_alive || !write_ok {
             return;
@@ -504,46 +504,39 @@ const JSON_CONTENT_TYPE: &str = "application/json";
 const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
 /// Dispatches one request; returns `(status, response body, endpoint for
-/// latency accounting, content type, trace id)` — the trace id is the raw
-/// id of the request's trace (`0` for untraced endpoints), recorded as the
-/// endpoint histogram's exemplar.
-fn route(
-    request: &Request,
-    state: &HttpState,
-) -> (u16, String, Option<Endpoint>, &'static str, u64) {
+/// latency accounting, content type)`.
+fn route(request: &Request, state: &HttpState) -> (u16, String, Option<Endpoint>, &'static str) {
     let mut content_type = JSON_CONTENT_TYPE;
-    let ((status, body), endpoint, trace_id) =
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => (handle_healthz(state), Some(Endpoint::Healthz), 0),
-            ("GET", "/stats") => (
-                handle_stats(state, wire::encode_stats_body),
-                Some(Endpoint::Stats),
-                0,
-            ),
-            ("POST", "/infer") => trace_request(request, state),
-            // Fleet-internal endpoints (shard fan-out, epoch publication,
-            // scrapes, trace retrieval): routed but not part of the
-            // per-endpoint latency histograms, which stay focused on
-            // client-facing traffic.
-            ("GET", "/metrics") => {
-                content_type = METRICS_CONTENT_TYPE;
-                (handle_stats(state, wire::encode_prometheus), None, 0)
-            }
-            ("GET", "/shard-info") => (handle_shard_info(state), None, 0),
-            ("GET", "/trace/recent") => (handle_trace_recent(state), None, 0),
-            ("POST", "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch") => {
-                (handle_shard_protocol(request, state), None, 0)
-            }
-            (_, "/healthz" | "/stats" | "/metrics" | "/shard-info" | "/trace/recent") => {
-                (error(405, "use GET for this endpoint"), None, 0)
-            }
-            (
-                _,
-                "/infer" | "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch",
-            ) => (error(405, "use POST for this endpoint"), None, 0),
-            _ => (error(404, "unknown path"), None, 0),
-        };
-    (status, body, endpoint, content_type, trace_id)
+    let ((status, body), endpoint) = match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/healthz") => (handle_healthz(state), Some(Endpoint::Healthz)),
+        ("GET", "/stats") => (
+            handle_stats(state, wire::encode_stats_body),
+            Some(Endpoint::Stats),
+        ),
+        ("POST", "/infer") => trace_request(request, state),
+        // Fleet-internal endpoints (shard fan-out, epoch publication,
+        // scrapes, trace retrieval): routed but not part of the
+        // per-endpoint latency histograms, which stay focused on
+        // client-facing traffic.
+        ("GET", "/metrics") => {
+            content_type = METRICS_CONTENT_TYPE;
+            (handle_stats(state, wire::encode_prometheus), None)
+        }
+        ("GET", "/shard-info") => (handle_shard_info(state), None),
+        ("GET", "/trace/recent") => (handle_trace_recent(state), None),
+        ("POST", "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch") => {
+            (handle_shard_protocol(request, state), None)
+        }
+        (_, "/healthz" | "/stats" | "/metrics" | "/shard-info" | "/trace/recent") => {
+            (error(405, "use GET for this endpoint"), None)
+        }
+        (
+            _,
+            "/infer" | "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch",
+        ) => (error(405, "use POST for this endpoint"), None),
+        _ => (error(404, "unknown path"), None),
+    };
+    (status, body, endpoint, content_type)
 }
 
 fn handle_healthz(state: &HttpState) -> (u16, String) {
@@ -879,8 +872,8 @@ fn parse_infer(request: &Request) -> Result<(InferBody, u64), (u16, String)> {
 /// records the queue-wait/handler decomposition for `/stats` from the spans
 /// the backend (or its shards) reported; the finished trace lands in the
 /// ring behind `GET /trace/recent` and is offered to the slow capture.
-/// Returns [`route`]'s `(response, endpoint, raw trace id)`.
-fn trace_request(request: &Request, state: &HttpState) -> ((u16, String), Option<Endpoint>, u64) {
+/// Returns [`route`]'s `(response, endpoint)`.
+fn trace_request(request: &Request, state: &HttpState) -> ((u16, String), Option<Endpoint>) {
     let inbound = request
         .header("x-saber-trace")
         .and_then(TraceContext::parse);
@@ -946,7 +939,7 @@ fn trace_request(request: &Request, state: &HttpState) -> ((u16, String), Option
     let done = trace.finish();
     state.slow.offer(&done);
     state.ring.push(done);
-    (response, Some(Endpoint::Infer), trace_id.raw())
+    (response, Some(Endpoint::Infer))
 }
 
 fn error(status: u16, detail: &str) -> (u16, String) {

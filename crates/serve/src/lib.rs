@@ -58,8 +58,7 @@
 //! * [`stats`] — lock-free log-bucketed latency histograms behind
 //!   [`ServeStats`] and the HTTP `/stats` endpoint's p50/p95/p99, with
 //!   cross-shard merging ([`HistogramSnapshot::merge`],
-//!   [`ServeStats::merge`]), a queue-wait/compute split per request, and
-//!   per-bucket trace-id exemplars.
+//!   [`ServeStats::merge`]) and a queue-wait/compute split per request.
 //! * Distributed tracing (`saber-trace`) — every HTTP inference carries a
 //!   [`TraceBuilder`](saber_trace::TraceBuilder) (its id minted at ingress
 //!   or parsed from `X-Saber-Trace`) down the one request path, where

@@ -266,12 +266,13 @@ struct Leg<T: ShardTransport> {
 
 /// What every leg of one routed request shares: the request seed (drives
 /// shard seeds and replica preference), the epoch every leg is pinned to,
-/// and the caller's deadline.
+/// the caller's deadline and the fleet's topic count.
 #[derive(Clone, Copy)]
 struct Read {
     seed: u64,
     epoch: u64,
     deadline: Option<Instant>,
+    n_topics: usize,
 }
 
 impl Read {
@@ -287,10 +288,12 @@ impl Read {
         transport.submit_partial_pinned(words.to_vec(), request, epoch, deadline, ctx)
     }
 
-    /// Waits for a leg, refusing a partial answered from another epoch
-    /// than the pinned one: the guard against a shard that ignored it.
+    /// Waits for a leg, refusing a partial over another topic count than
+    /// the fleet's (a shard republished with another K, or another build)
+    /// as a transport error, and one answered from another epoch than the
+    /// pinned one: the guard against a shard that ignored it.
     fn wait<P: PendingPartial>(self, pending: P) -> Result<PartialResponse, ServeError> {
-        let response = pending.wait(self.deadline)?;
+        let response = pending.wait_over(self.deadline, self.n_topics)?;
         if response.snapshot_version == self.epoch {
             Ok(response)
         } else {
@@ -734,6 +737,7 @@ impl<T: ShardTransport> ShardRouter<T> {
             seed,
             epoch: self.epoch(),
             deadline,
+            n_topics: self.n_topics,
         };
         if words.is_empty() {
             return Ok(self.uniform_response(read.epoch));
@@ -938,7 +942,7 @@ impl<T: ShardTransport> ShardRouter<T> {
                 });
             set.note(target, outcome.as_ref().err());
         }
-        collect_shard(s, leg.span, outcome, self.n_topics, wave_span, trace)
+        collect_shard(s, leg.span, outcome, wave_span, trace)
     }
 
     /// The uniform θ an empty document gets, cast through the same `f64 →
@@ -1037,8 +1041,7 @@ fn attribute_shard(err: ServeError, s: usize) -> ServeError {
     }
 }
 
-/// Finishes one leg of a fan-out: a partial over another topic count than
-/// the fleet's becomes a transport error; on success, stitches the shard's
+/// Finishes one leg of a fan-out: on success, stitches the shard's
 /// reported span subtree under its `shard {s}` span and closes it; on
 /// failure, attributes the error to the shard and records a trace event
 /// naming the culprit on the wave's parent span.
@@ -1046,18 +1049,9 @@ fn collect_shard(
     s: usize,
     (span_id, begin_us): (u64, u64),
     outcome: Result<PartialResponse, ServeError>,
-    n_topics: usize,
     wave_span: u64,
     trace: &mut TraceBuilder,
 ) -> Result<PartialResponse, ServeError> {
-    // A shard republished with another K after validation (or running
-    // another build) must fail this request, not the merge's length assert.
-    let outcome = outcome.and_then(|response| match response.partial.counts.len() {
-        k if k == n_topics => Ok(response),
-        k => Err(ServeError::transport(format!(
-            "shard answered a partial over {k} topics, the fleet serves {n_topics}"
-        ))),
-    });
     match outcome {
         Ok(response) => {
             trace.attach(span_id, &response.spans, begin_us);

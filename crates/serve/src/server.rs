@@ -135,17 +135,13 @@ impl Counters {
         tokens: usize,
         admitted: Instant,
         (queue_wait, handler): (Duration, Duration),
-        trace: TraceContext,
         timings: Option<&JobTimings>,
     ) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.tokens.fetch_add(tokens as u64, Ordering::Relaxed);
         self.queue_wait.record(queue_wait);
         self.handler.record(handler);
-        self.latency.record_with_exemplar(
-            admitted.elapsed(),
-            trace.trace_id().map_or(0, |id| id.raw()),
-        );
+        self.latency.record(admitted.elapsed());
         if let Some(timings) = timings {
             let micros = |d: Duration| d.as_micros().min(u128::from(u64::MAX)) as u64;
             timings
@@ -336,11 +332,7 @@ struct Job {
     /// When the request was admitted, so workers can attribute queue wait to
     /// the latency histogram.
     enqueued: Instant,
-    /// Distributed-tracing context; disabled for untraced callers. Carried
-    /// by every job so workers can attach the trace id as a latency-bucket
-    /// exemplar.
-    trace: TraceContext,
-    /// Present only when `trace` is enabled: where the worker deposits this
+    /// Present only for a traced request: where the worker deposits this
     /// job's queue-wait/handler split for the submitter's spans.
     timings: Option<Arc<JobTimings>>,
 }
@@ -655,7 +647,7 @@ impl TopicServer {
         let timings = trace.enabled().then(JobTimings::default);
         let split = (Duration::ZERO, handler);
         self.counters
-            .record(words.len(), started, split, trace, timings.as_ref());
+            .record(words.len(), started, split, timings.as_ref());
         if deadline.is_some_and(|deadline| handler > deadline) {
             return Err(ServeError::DeadlineExceeded);
         }
@@ -754,8 +746,8 @@ impl TopicServer {
     /// reply channel and enqueues it — failing fast with
     /// [`ServeError::Overloaded`] on a full queue when `fail_fast`, parking
     /// until there is room otherwise. A timings cell is allocated only for
-    /// traced jobs (`trace` enabled), so untraced requests pay nothing
-    /// beyond copying the disabled context.
+    /// traced jobs (`trace` enabled), so untraced requests pay nothing for
+    /// tracing.
     pub(crate) fn submit(
         &self,
         words: Vec<u32>,
@@ -772,7 +764,6 @@ impl TopicServer {
             slot: Slot::take(&self.in_flight),
             reply,
             enqueued: Instant::now(),
-            trace,
             timings: timings.clone(),
         };
         let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
@@ -873,7 +864,7 @@ fn worker_loop(
             drop(job.slot);
             let split = (queue_wait, handler);
             let timings = job.timings.as_deref();
-            counters.record(job.words.len(), job.enqueued, split, job.trace, timings);
+            counters.record(job.words.len(), job.enqueued, split, timings);
             // A send only fails if the requester's receiver is gone (its
             // thread panicked between submit and reply); nothing to do.
             let _ = job.reply.send(reply);
@@ -1252,7 +1243,6 @@ mod tests {
                     slot: Slot::take(&Arc::default()),
                     reply,
                     enqueued: Instant::now(),
-                    trace: TraceContext::disabled(),
                     timings: None,
                 };
                 queue.send(job).unwrap();

@@ -59,11 +59,6 @@ pub struct LatencyHistogram {
     /// visible instead of silently folding a 20-day sample into "12.7
     /// days" with no indicator.
     overflow: AtomicU64,
-    /// Per-bucket exemplar: the raw trace id of the most recent traced
-    /// sample that landed in the bucket (0 = none yet). Turns "the p99
-    /// bucket moved" into "this request moved it" — `GET /trace/recent`
-    /// joins these ids against the trace ring.
-    exemplars: [AtomicU64; N_BUCKETS],
 }
 
 impl Default for LatencyHistogram {
@@ -79,7 +74,6 @@ impl LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_micros: AtomicU64::new(0),
             overflow: AtomicU64::new(0),
-            exemplars: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -116,37 +110,6 @@ impl LatencyHistogram {
         if micros >= 1u64 << N_BUCKETS {
             self.overflow.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Records one sample and attaches `trace_id` as the bucket's exemplar
-    /// (ignored when 0, the untraced sentinel). Same wait-free cost class
-    /// as [`LatencyHistogram::record`]: two or three relaxed atomic ops.
-    pub fn record_with_exemplar(&self, duration: Duration, trace_id: u64) {
-        let i = Self::bucket_index(duration);
-        self.record(duration);
-        if trace_id != 0 {
-            self.exemplars[i].store(trace_id, Ordering::Relaxed);
-        }
-    }
-
-    /// The exemplar trace id attached to bucket `i`, or `None` when no
-    /// traced sample has landed there yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= N_BUCKETS`.
-    pub fn exemplar(&self, i: usize) -> Option<u64> {
-        let raw = self.exemplars[i].load(Ordering::Relaxed);
-        (raw != 0).then_some(raw)
-    }
-
-    /// The non-empty `(bucket index, exemplar trace id)` pairs, top bucket
-    /// first — the slow tail's exemplars lead.
-    pub fn exemplars(&self) -> Vec<(usize, u64)> {
-        (0..N_BUCKETS)
-            .rev()
-            .filter_map(|i| self.exemplar(i).map(|id| (i, id)))
-            .collect()
     }
 
     /// A point-in-time copy of the bucket counts.
@@ -486,28 +449,6 @@ mod tests {
                 "q{q}: merged {merged_q} outside [{lo}, {hi}]"
             );
         }
-    }
-
-    #[test]
-    fn exemplars_track_the_last_traced_sample_per_bucket() {
-        let hist = LatencyHistogram::new();
-        hist.record(Duration::from_micros(10)); // untraced: no exemplar
-        hist.record_with_exemplar(Duration::from_micros(12), 0xAA);
-        hist.record_with_exemplar(Duration::from_micros(13), 0xBB);
-        hist.record_with_exemplar(Duration::from_millis(50), 0xCC);
-        hist.record_with_exemplar(Duration::from_micros(900), 0); // untraced sentinel
-        let bucket_10us = LatencyHistogram::bucket_index(Duration::from_micros(10));
-        assert_eq!(hist.exemplar(bucket_10us), Some(0xBB), "last write wins");
-        let bucket_900us = LatencyHistogram::bucket_index(Duration::from_micros(900));
-        assert_eq!(hist.exemplar(bucket_900us), None);
-        // Top (slowest) buckets lead the exemplar listing.
-        let bucket_50ms = LatencyHistogram::bucket_index(Duration::from_millis(50));
-        assert_eq!(
-            hist.exemplars(),
-            vec![(bucket_50ms, 0xCC), (bucket_10us, 0xBB)]
-        );
-        // Exemplars ride alongside the counts without perturbing them.
-        assert_eq!(hist.snapshot().count(), 5);
     }
 
     #[test]

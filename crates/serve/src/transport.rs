@@ -86,7 +86,7 @@ pub struct ShardInfo {
 /// Dropping a pending handle cancels the wait — a local shard's eventual
 /// reply is discarded at its channel, a remote one's connection is closed
 /// — which is how a request that failed on another leg abandons the rest.
-pub trait PendingPartial {
+pub trait PendingPartial: Sized {
     /// Awaits the shard's reply, honouring the request deadline the router
     /// passed at submission.
     ///
@@ -96,6 +96,23 @@ pub trait PendingPartial {
     /// [`ServeError::Closed`] when the shard (or its transport) has shut
     /// down, and transport- or shard-reported errors otherwise.
     fn wait(self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError>;
+
+    /// [`PendingPartial::wait`] for a partial over the fleet's `k` topics:
+    /// a reply over another count is a transport error. A remote handle
+    /// refuses it before allocating the reply's counts.
+    ///
+    /// # Errors
+    ///
+    /// As [`PendingPartial::wait`].
+    fn wait_over(self, deadline: Option<Instant>, k: usize) -> Result<PartialResponse, ServeError> {
+        let response = self.wait(deadline)?;
+        match response.partial.counts.len() {
+            n if n == k => Ok(response),
+            n => Err(ServeError::transport(format!(
+                "a partial over {n} topics, the fleet serves {k}"
+            ))),
+        }
+    }
 }
 
 /// How a [`ShardRouter`](crate::ShardRouter) reaches one shard.
@@ -711,6 +728,13 @@ impl PendingPartial for HttpPending {
         let (status, body) = self.read(deadline)?;
         decode_body(status, &body, wire::decode_partial_response)
     }
+
+    fn wait_over(self, deadline: Option<Instant>, k: usize) -> Result<PartialResponse, ServeError> {
+        let (status, body) = self.read(deadline)?;
+        decode_body(status, &body, |text| {
+            wire::decode_partial_response_over(text, Some(k))
+        })
+    }
 }
 
 /// Parses a 200 body with `decode`, or maps the shard's error status onto
@@ -1241,6 +1265,31 @@ mod tests {
         assert_eq!(idle_connections(&transport), 0, "unframed bytes followed");
         submit(&transport).wait(None).unwrap();
         assert_eq!(idle_connections(&transport), 1, "exactly one response");
+    }
+
+    #[test]
+    fn a_partial_over_another_k_is_refused_against_the_fleets() {
+        // Under 100 bytes that claim the largest `k` the wire admits.
+        let body =
+            r#"{"k":1048576,"topics":[],"counts":[],"n_words":3,"snapshot_version":1,"n_oov":0}"#;
+        let reply = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let (transport, _seen) = scripted_peer(move |_, mut stream, _| {
+            while read_request(&mut stream) {
+                stream.write_all(reply.as_bytes()).unwrap();
+            }
+        });
+        match submit(&transport).wait_over(None, 64) {
+            Err(ServeError::Transport { detail, .. }) => {
+                assert!(detail.contains("1048576 topics"), "detail was: {detail}");
+            }
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+        // Without the fleet's K the same reply decodes.
+        let unbounded = submit(&transport).wait(None).unwrap();
+        assert_eq!(unbounded.partial.counts.len(), 1 << 20);
     }
 
     #[test]

@@ -851,6 +851,21 @@ pub fn encode_partial_response(
 /// below `k` or differs in length from `counts`, and — naming the cause —
 /// for the dense `counts` body of the pre-sparse partial protocol.
 pub fn decode_partial_response(body: &str) -> Result<PartialResponse, WireError> {
+    decode_partial_response_over(body, None)
+}
+
+/// [`decode_partial_response`] for a router whose fleet serves `n_topics`
+/// topics (`None`: any `k` up to [`MAX_PARTIAL_TOPICS`]). A partial over
+/// another `k` is refused before its dense counts are allocated, so a
+/// short body cannot size them.
+///
+/// # Errors
+///
+/// As [`decode_partial_response`], and when `k` is not `n_topics`.
+pub fn decode_partial_response_over(
+    body: &str,
+    n_topics: Option<usize>,
+) -> Result<PartialResponse, WireError> {
     let value = json::parse(body)?;
     let uint = |name: &str| {
         value
@@ -875,6 +890,11 @@ pub fn decode_partial_response(body: &str) -> Result<PartialResponse, WireError>
         .and_then(JsonValue::as_array)
         .ok_or_else(|| WireError::new("'topics' must be an array of topic ids"))?;
     let k = uint("k")?;
+    if let Some(n) = n_topics.filter(|&n| k != n as u64) {
+        return Err(WireError::new(format!(
+            "a partial over {k} topics, the fleet serves {n}"
+        )));
+    }
     if k > MAX_PARTIAL_TOPICS as u64 {
         return Err(WireError::new(format!(
             "'k' of {k} exceeds the {MAX_PARTIAL_TOPICS}-topic limit"

@@ -2,7 +2,7 @@
 //! run under a counting allocator.
 //!
 //! Rows: `load_model`, `InferenceSnapshot::load`, `load_delta`, the
-//! `wire.rs` decoders, the `X-Saber-Trace` parser (alone, and on `/infer`),
+//! `wire.rs` decoders (the partial response also against a fleet's K), the `X-Saber-Trace` parser (alone, and on `/infer`),
 //! and `/publish-shard`, `/publish-delta` and `/commit-epoch`, sent one
 //! request at a time to a loopback `HttpServer`. A pure decoder's cases
 //! come from one generator: valid bodies of several shapes, every strict
@@ -446,6 +446,19 @@ fn wire_rows(table: &mut Table) {
     let decode = |b: &[u8]| wire::decode_partial_response(&string(b)).map_err(err);
     let (bound, cases) = ((64, 1, 8 * MAX_PARTIAL_TOPICS), generated(valid, true, refused));
     table.row("decode_partial_response", bound, decode, encode, cases);
+
+    // A router decodes its shards' partials against the fleet's K: a `k`
+    // the cap admits but the fleet does not serve is refused before the
+    // accumulator is sized, so the peak is bounded by the fleet's shape.
+    let valid = [(64, 2, 77), (64, 1, 3), (64, 64, !0)].map(|(k, every, fill)| encode(&partial(k, every, fill)));
+    let refused = vec![
+        no("k = the cap", k(MAX_PARTIAL_TOPICS), "the fleet serves 64"),
+        no("k one short", k(63), "the fleet serves 64"),
+        no("k one over", k(65), "the fleet serves 64"),
+    ];
+    let decode = |b: &[u8]| wire::decode_partial_response_over(&string(b), Some(64)).map_err(err);
+    let (bound, cases) = ((64, 1, 8 * 64), generated(valid.into(), true, refused));
+    table.row("decode_partial_response_over", bound, decode, encode, cases);
 
     let encode = |info: &_| text(wire::encode_shard_info(info));
     let decode = |b: &[u8]| wire::decode_shard_info(&string(b)).map_err(err);

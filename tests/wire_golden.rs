@@ -281,6 +281,22 @@ fn partial_response_bytes_are_stable() {
 }
 
 #[test]
+fn partial_response_bytes_decode_against_the_fleets_k() {
+    // A router decodes a shard's partial against its fleet's K: the golden
+    // bytes above are a K = 3 fleet's partial, and any other K refuses them.
+    let encoded = r#"{"k":3,"topics":[0,1],"counts":[4.5,1.5],"n_words":6,"snapshot_version":3,"n_oov":1,"shard":[12,24]}"#;
+    let decoded = wire::decode_partial_response_over(encoded, Some(3)).unwrap();
+    assert_eq!(decoded, wire::decode_partial_response(encoded).unwrap());
+    for k in [2, 4] {
+        let refused = wire::decode_partial_response_over(encoded, Some(k)).unwrap_err();
+        assert!(
+            refused.to_string().contains("the fleet serves"),
+            "{refused}"
+        );
+    }
+}
+
+#[test]
 fn traced_partial_response_bytes_are_stable() {
     // When the router forwards an `X-Saber-Trace` header, the shard's
     // spans ride home inline in the `/infer-partial` response. `parent`
