@@ -6,10 +6,10 @@
 //! NYTimes-like corpus at each K of [`TOPICS`] and returns one [`KScaleRow`]
 //! per K: the modelled and measured phases (Fig. 9's [`PhaseRow`], labelled
 //! by K), the modelled throughput, and the `B̂` elements the M-step's
-//! preprocessing writes per sweep. The last is what
-//! [`LdaModel::refresh_probabilities`](saber_core::LdaModel::refresh_probabilities)
-//! returns for the trained model: `V·K` for the dense `B̂` the trainer
-//! rebuilds, the one per-sweep cost that grows with K whatever the corpus.
+//! preprocessing writes per sweep. The last is the last iteration's
+//! [`IterationStats::preprocessed_elements`](saber_core::IterationStats::preprocessed_elements):
+//! `V·K` for the dense `B̂` the trainer rebuilds, the one per-sweep cost
+//! that grows with K whatever the corpus.
 
 use std::fmt;
 
@@ -68,9 +68,8 @@ pub fn scaling(args: &BenchArgs) -> KScale {
                 .expect("valid config");
             let mut lda = SaberLda::new(config, &corpus).expect("non-empty corpus");
             let report = lda.train();
-            // The trainer keeps no count of its own refresh: redo the last
-            // sweep's on a copy of the model.
-            let preprocessed_elements = lda.model().clone().refresh_probabilities();
+            let last = report.iterations.last();
+            let preprocessed_elements = last.map_or(0, |i| i.preprocessed_elements);
             KScaleRow {
                 phases: PhaseRow::of_run(k, &report),
                 mtokens_per_s: report.mean_throughput_mtokens_per_s(),

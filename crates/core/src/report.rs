@@ -114,12 +114,13 @@ pub struct IterationStats {
     pub sampling_dram_bytes: u64,
     /// The sampling kernel's counters, summed over every chunk.
     pub sampling_stats: KernelStats,
+    /// `B̂` elements the M-step's preprocessing wrote: `V·K` for the dense
+    /// refresh ([`crate::LdaModel::refresh_probabilities`]).
+    pub preprocessed_elements: usize,
     /// Training-set log-likelihood per token, if it was evaluated this
     /// iteration (`None` otherwise).
     pub log_likelihood: Option<f64>,
 }
-
-impl IterationStats {}
 
 /// The full record of a training run.
 #[derive(Debug, Clone, Default)]
@@ -209,6 +210,7 @@ mod tests {
             },
             sampling_dram_bytes: 0,
             sampling_stats: KernelStats::default(),
+            preprocessed_elements: 0,
             log_likelihood: ll,
         }
     }

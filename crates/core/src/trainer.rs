@@ -121,6 +121,8 @@ struct Sweep {
     /// The M-step's counters (`A` rebuilds and `B` accumulation).
     update: KernelStats,
     measured: PhaseWall,
+    /// `B̂` elements the M-step's refresh wrote.
+    preprocessed_elements: usize,
 }
 
 impl SaberLda {
@@ -179,7 +181,7 @@ impl SaberLda {
                 count_chunk(chunk, &trainer.config, word_topic, &mut tracker, &mut wall)
             })
             .collect();
-        trainer.finish_m_step(&mut wall);
+        trainer.refresh_all(&mut wall);
         Ok(trainer)
     }
 
@@ -230,6 +232,7 @@ impl SaberLda {
             measured: sweep.measured,
             sampling_dram_bytes: sampling_stats.dram_bytes(),
             sampling_stats,
+            preprocessed_elements: sweep.preprocessed_elements,
             log_likelihood: None,
         };
         self.iteration += 1;
@@ -307,12 +310,15 @@ impl SaberLda {
         ));
         *self.model.word_topic_mut() = word_topic;
         self.doc_topics = doc_topics;
-        self.finish_m_step(&mut measured);
+        // Every chunk is now freshly sampled against consistent counts.
+        self.dirty_chunks.clear();
+        let preprocessed_elements = self.refresh_all(&mut measured);
         Sweep {
             tokens,
             sampling,
             update: update.take_stats(),
             measured,
+            preprocessed_elements,
         }
     }
 
@@ -326,10 +332,7 @@ impl SaberLda {
             .collect();
         let sampling_time: f64 = per_chunk_sampling.iter().sum();
 
-        let a_update_time = self
-            .cost
-            .kernel_time(&self.a_update_stats(&sweep.update))
-            .total_seconds;
+        let a_update_time = self.cost.kernel_time(&sweep.update).total_seconds;
         let preprocessing_time = self
             .cost
             .kernel_time(&self.preprocessing_stats())
@@ -389,17 +392,17 @@ impl SaberLda {
         report
     }
 
-    /// The M-step once every chunk is counted: refreshes `B̂` and rebuilds
-    /// the per-word sampling structures, timing both into `wall`.
-    fn finish_m_step(&mut self, wall: &mut PhaseWall) {
-        timed(&mut wall.refresh_s, || self.model.refresh_probabilities());
+    /// The M-step's tail once every chunk is counted, and the pipeline's
+    /// rebase: refreshes `B̂` and rebuilds the per-word sampling structures,
+    /// timing both into `wall`. Returns the `B̂` elements written.
+    fn refresh_all(&mut self, wall: &mut PhaseWall) -> usize {
+        let elements = timed(&mut wall.refresh_s, || self.model.refresh_probabilities());
         timed(&mut wall.trees_s, || self.rebuild_samplers());
         // A full refresh rewrites every B̂ row (the per-topic denominators
-        // change), so every row is dirty for the next snapshot export, and
-        // every chunk is freshly sampled against consistent counts.
+        // change), so every row is dirty for the next snapshot export.
         self.touched.extend(0..self.model.vocab_size() as u32);
-        self.dirty_chunks.clear();
         self.full_rebuilds += 1;
+        elements
     }
 
     /// Rebuilds every word's sampling structure from its `B̂` row, each in
@@ -462,14 +465,10 @@ impl SaberLda {
         let mut chunk = chunks.remove(0);
         chunk.randomize_topics(self.config.n_topics, &mut self.rng);
         let tokens = chunk.n_tokens() as u64;
-        let mut tracker = MemoryTracker::disabled();
-        accumulate_word_topic(&chunk, self.model.word_topic_mut(), &mut tracker);
-        self.doc_topics.push(rebuild_doc_topic(
-            &chunk,
-            self.config.n_topics,
-            self.config.count_rebuild,
-            &mut tracker,
-        ));
+        let (mut tracker, mut wall) = (MemoryTracker::disabled(), PhaseWall::default());
+        let word_topic = self.model.word_topic_mut();
+        let a = count_chunk(&chunk, &self.config, word_topic, &mut tracker, &mut wall);
+        self.doc_topics.push(a);
         let changed: BTreeSet<u32> = chunk.word_ids.iter().copied().collect();
         self.chunks.push(chunk);
         self.dirty_chunks.insert(self.chunks.len() - 1);
@@ -506,13 +505,9 @@ impl SaberLda {
                 &mut tracker,
                 &mut self.rng,
             );
-            accumulate_word_topic(&self.chunks[ci], self.model.word_topic_mut(), &mut tracker);
-            self.doc_topics[ci] = rebuild_doc_topic(
-                &self.chunks[ci],
-                self.config.n_topics,
-                self.config.count_rebuild,
-                &mut tracker,
-            );
+            let (chunk, wall) = (&self.chunks[ci], &mut PhaseWall::default());
+            let word_topic = self.model.word_topic_mut();
+            self.doc_topics[ci] = count_chunk(chunk, &self.config, word_topic, &mut tracker, wall);
             changed.extend(self.chunks[ci].word_ids.iter().copied());
         }
         self.refresh_rows(&changed);
@@ -538,10 +533,7 @@ impl SaberLda {
     /// and sampler rebuild (every row becomes touched). The continuous
     /// pipeline calls this on a cadence so incremental drift stays bounded.
     pub fn full_refresh(&mut self) {
-        self.model.refresh_probabilities();
-        self.rebuild_samplers();
-        self.touched.extend(0..self.model.vocab_size() as u32);
-        self.full_rebuilds += 1;
+        self.refresh_all(&mut PhaseWall::default());
     }
 
     /// The word ids whose `B̂` rows changed since the last call (sorted,
@@ -571,12 +563,6 @@ impl SaberLda {
     /// included).
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
-    }
-
-    /// Counters attributed to the A-update phase (everything the M-step
-    /// tracker recorded).
-    fn a_update_stats(&self, update: &KernelStats) -> KernelStats {
-        *update
     }
 
     /// Counters attributed to pre-processing: recomputing `B̂` (one read of `B`
@@ -768,7 +754,7 @@ mod tests {
                 a
             })
             .collect();
-        lda.model.refresh_probabilities();
+        let preprocessed_elements = lda.model.refresh_probabilities();
         let kind = lda.config.preprocess;
         lda.samplers = (0..lda.model.vocab_size())
             .map(|v| WordSampler::build(kind, lda.model.word_topic_prob().row(v)))
@@ -778,6 +764,7 @@ mod tests {
             sampling,
             update: update.take_stats(),
             measured: PhaseWall::default(),
+            preprocessed_elements,
         }
     }
 
@@ -827,6 +814,10 @@ mod tests {
                             assert_eq!(stats.tokens, expected.tokens, "{case}");
                             assert_eq!(stats.sampling_stats, expected.sampling_stats, "{case}");
                             assert_eq!(overlapped.update, serial.update, "{case}");
+                            assert_eq!(
+                                stats.preprocessed_elements, expected.preprocessed_elements,
+                                "{case}"
+                            );
                             assert_eq!(
                                 stats.phases.total().to_bits(),
                                 expected.phases.total().to_bits(),

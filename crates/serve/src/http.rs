@@ -52,8 +52,9 @@
 //! * `GET /shard-info` — shape, α, fold-in parameters, epoch and full
 //!   serving counters, for fleet validation and stats aggregation.
 //! * `POST /publish-shard` and `/publish-delta` — stage an epoch-tagged
-//!   `SABRSNAP` slice or `SABRDELTA` ([`TopicServer::stage`],
-//!   [`TopicServer::stage_delta`]) without serving it.
+//!   `SABRSNAP` slice ([`TopicServer::stage`]) or a `SABRDELTA` patch over
+//!   the served snapshot without serving it; one handler judges either
+//!   body's header under the publish lock before decoding a row.
 //! * `POST /commit-epoch` — swaps to the staged epoch
 //!   ([`TopicServer::commit`]).
 //!
@@ -98,6 +99,7 @@ use saber_core::{model_io, SaberError};
 use saber_corpus::Vocabulary;
 use saber_trace::{SlowCapture, Trace, TraceBuilder, TraceContext, TraceId, TraceRing};
 
+use crate::server::delta_refused;
 use crate::snapshot::InferenceSnapshot;
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
 use crate::transport::ShardInfo;
@@ -669,8 +671,8 @@ fn handle_shard_protocol(request: &Request, state: &HttpState) -> (u16, String) 
     };
     match request.path.as_str() {
         "/infer-partial" => handle_infer_partial(request, state, server),
-        "/publish-shard" => handle_publish_shard(request, server),
-        "/publish-delta" => handle_publish_delta(request, server),
+        "/publish-shard" => handle_publish(request, server, Publication::Slice),
+        "/publish-delta" => handle_publish(request, server, Publication::Delta),
         _ => handle_commit_epoch(request, server),
     }
 }
@@ -689,9 +691,9 @@ fn handle_infer_partial(
         Err(e) => return error(400, &e.detail),
     };
     // The epoch a router pins its read to; none means the live snapshot.
-    let epoch = match request.header("x-saber-epoch").map(str::parse).transpose() {
+    let epoch = match saber_epoch(request) {
         Ok(epoch) => epoch,
-        Err(_) => return error(400, "unparsable X-Saber-Epoch header"),
+        Err(refused) => return refused,
     };
     // A router that traces its fan-out forwards the trace id and the
     // shard's parent span in X-Saber-Trace; the shard then measures its
@@ -721,81 +723,86 @@ fn handle_infer_partial(
     }
 }
 
-/// Stages an uploaded `SABRSNAP` slice for the `X-Saber-Epoch` it names
-/// ([`TopicServer::stage`]).
-fn handle_publish_shard(request: &Request, server: &TopicServer) -> (u16, String) {
-    let epoch = match request.header("x-saber-epoch").map(str::parse::<u64>) {
-        Some(Ok(epoch)) => epoch,
-        _ => return error(400, "publication requires an X-Saber-Epoch header"),
-    };
-    // Refuse what `stage` would refuse from the header alone: decoding a
-    // slice of another shape builds every row of it, samplers and all,
-    // which for K = 1 is dozens of times the body's bytes.
-    if let Ok(h) = model_io::read_snapshot_header(&mut &request.body[..]) {
-        let refused =
-            server.check_stage(epoch, (h.vocab_size, h.n_topics, h.alpha), h.sampler_code);
-        if refused.is_err() {
-            return staged(epoch, refused);
-        }
-    }
-    let snapshot = match InferenceSnapshot::load(&request.body[..]) {
-        Ok(snapshot) => snapshot,
-        Err(e) => return error(400, &format!("malformed snapshot body: {e}")),
-    };
-    staged(epoch, server.stage(epoch, snapshot))
+/// The body format of a publication: a whole `SABRSNAP` slice
+/// (`/publish-shard`) or a `SABRDELTA` patch over the served snapshot
+/// (`/publish-delta`).
+#[derive(Debug, Clone, Copy)]
+enum Publication {
+    Slice,
+    Delta,
 }
 
-/// Stages a `SABRDELTA` publication ([`TopicServer::stage_delta`]). A
-/// decline is a `409`, on which the publisher falls back to a full
+/// Stages a publication for the `X-Saber-Epoch` it names
+/// ([`TopicServer::stage`] for a slice). Its header is judged once, under
+/// the publish lock, before a row is decoded: the rows of a body cut for
+/// another shape cost up to dozens of times their bytes to build. A
+/// declined delta is a `409`, on which the publisher falls back to a full
 /// `/publish-shard`.
-fn handle_publish_delta(request: &Request, server: &TopicServer) -> (u16, String) {
-    let target = match request.header("x-saber-epoch").map(str::parse::<u64>) {
-        Some(Ok(epoch)) => epoch,
-        _ => return error(400, "delta publication requires an X-Saber-Epoch header"),
+fn handle_publish(request: &Request, server: &TopicServer, body: Publication) -> (u16, String) {
+    let epoch = match saber_epoch(request) {
+        Ok(Some(epoch)) => epoch,
+        Ok(None) => return error(400, "publication requires an X-Saber-Epoch header"),
+        Err(refused) => return refused,
     };
-    let malformed = |e: SaberError| error(400, &format!("malformed delta body: {e}"));
-    let header = match model_io::read_delta_header(&mut &request.body[..]) {
+    let bytes = &request.body[..];
+    let (what, header) = match body {
+        Publication::Slice => {
+            let header = model_io::read_snapshot_header(&mut &bytes[..]);
+            ("snapshot", header.map(|h| (None, epoch, h)))
+        }
+        Publication::Delta => {
+            let header = model_io::read_delta_header(&mut &bytes[..]);
+            (
+                "delta",
+                header.map(|h| (Some(h.base_version), h.target_version, h.shape)),
+            )
+        }
+    };
+    let malformed = |e: SaberError| ServeError::BadRequest {
+        detail: format!("malformed {what} body: {e}"),
+    };
+    let (base, target, h) = match header {
         Ok(header) => header,
-        Err(e) => return malformed(e),
+        Err(e) => return serve_error(&malformed(e)),
     };
-    if header.target_version != target {
+    if target != epoch {
         return error(
             400,
-            &format!(
-                "X-Saber-Epoch {target} does not match the delta's target epoch {}",
-                header.target_version
-            ),
+            &format!("X-Saber-Epoch {epoch} does not match the delta's target epoch {target}"),
         );
     }
-    // Judge the delta by its header, as `/publish-shard` does: the rows of
-    // a delta cut for another shape cost up to a dozen times their bytes
-    // to decode.
-    let (base, h) = (header.base_version, header.shape);
-    let shape = (h.vocab_size, h.n_topics, h.alpha);
-    let outcome = match server.check_delta_stage((base, target), shape, h.sampler_code) {
-        Ok(true) => match model_io::load_delta(&request.body[..]) {
-            Ok(delta) => server.stage_delta(delta),
-            Err(e) => return malformed(e),
-        },
-        verdict => verdict,
-    };
-    let outcome = match outcome {
-        Ok(true) => Ok(()),
-        Ok(false) => Err(ServeError::Conflict {
+    let declared = ((h.vocab_size, h.n_topics, h.alpha), h.sampler_code);
+    let outcome = server.stage_with((base, target), declared, |served| match body {
+        Publication::Slice => InferenceSnapshot::load(bytes).map_err(malformed),
+        Publication::Delta => {
+            let delta = model_io::load_delta(bytes).map_err(malformed)?;
+            let rows = delta.rows.into_iter().map(|(v, row)| (v as usize, row));
+            served.with_rows(rows).map_err(delta_refused)
+        }
+    });
+    match outcome {
+        Ok(true) => {
+            let body = JsonValue::object([("staged_epoch", JsonValue::from(epoch))]);
+            (200, body.to_string())
+        }
+        Ok(false) => serve_error(&ServeError::Conflict {
             detail: format!(
-                "declined a delta from epoch {base} to {target}: this shard serves epoch {}",
+                "declined a delta from epoch {} to {target}: this shard serves epoch {}",
+                base.unwrap_or_default(),
                 server.snapshot_version()
             ),
         }),
-        Err(e) => Err(e),
-    };
-    staged(target, outcome)
+        Err(e) => serve_error(&e),
+    }
 }
 
-/// The reply to a stage: `{"staged_epoch": N}`, or the refusal's status.
-fn staged(epoch: u64, outcome: Result<(), ServeError>) -> (u16, String) {
-    let body = JsonValue::object([("staged_epoch", JsonValue::from(epoch))]);
-    outcome.map_or_else(|e| serve_error(&e), |()| (200, body.to_string()))
+/// The epoch a shard request names in `X-Saber-Epoch`, if any; an
+/// unparsable one is a `400`.
+fn saber_epoch(request: &Request) -> Result<Option<u64>, (u16, String)> {
+    let header = request.header("x-saber-epoch").map(str::parse);
+    header
+        .transpose()
+        .map_err(|_| error(400, "unparsable X-Saber-Epoch header"))
 }
 
 fn handle_commit_epoch(request: &Request, server: &TopicServer) -> (u16, String) {
@@ -814,18 +821,14 @@ fn handle_commit_epoch(request: &Request, server: &TopicServer) -> (u16, String)
     // must agree — a commit that would swap in whatever happened to be
     // staged last is exactly the stale-stage race a continuous publisher
     // hits.
-    if let Some(header) = request.header("x-saber-epoch") {
-        match header.parse::<u64>() {
-            Ok(h) if h == epoch => {}
-            Ok(h) => {
-                return serve_error(&ServeError::Conflict {
-                    detail: format!(
-                        "X-Saber-Epoch {h} does not match the commit body epoch {epoch}"
-                    ),
-                })
-            }
-            Err(_) => return error(400, "unparsable X-Saber-Epoch header"),
+    match saber_epoch(request) {
+        Ok(Some(h)) if h != epoch => {
+            return serve_error(&ServeError::Conflict {
+                detail: format!("X-Saber-Epoch {h} does not match the commit body epoch {epoch}"),
+            })
         }
+        Ok(_) => {}
+        Err(refused) => return refused,
     }
     match server.commit(epoch) {
         // `{"snapshot_version": N}`, as `decode_healthz_version` reads it.
@@ -1284,14 +1287,14 @@ mod tests {
         let mut foreign = body.clone();
         foreign[12..20].copy_from_slice(&(1u64 << 20).to_le_bytes());
         foreign[20..28].copy_from_slice(&1u64.to_le_bytes());
-        let (status, reply) = handle_publish_shard(&publish(foreign), &server);
+        let (status, reply) = handle_publish(&publish(foreign), &server, Publication::Slice);
         assert_eq!(status, 400);
         assert!(
             reply.contains("published snapshot is 1048576x1"),
             "reply was: {reply}"
         );
         // The served shape still stages.
-        let (status, reply) = handle_publish_shard(&publish(body), &server);
+        let (status, reply) = handle_publish(&publish(body), &server, Publication::Slice);
         assert_eq!(status, 200, "reply was: {reply}");
     }
 

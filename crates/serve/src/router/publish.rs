@@ -1,7 +1,8 @@
 //! The router's half of epoch publication: one two-phase body, and the
-//! [`PipelineStats`] it records. The shard's half is
-//! [`TopicServer::stage`](crate::TopicServer::stage), `stage_delta` and
-//! `commit`, behind any [`ShardTransport`]. `tests/publication_schedules.rs`
+//! [`PipelineStats`] it records. The shard's half is its one stage path
+//! (a slice or a delta) and
+//! [`TopicServer::commit`](crate::TopicServer::commit), behind any
+//! [`ShardTransport`]. `tests/publication_schedules.rs`
 //! runs both against every schedule of up to two transport faults.
 
 use std::sync::atomic::Ordering;

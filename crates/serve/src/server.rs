@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 
 use saber_core::infer::PartialFoldIn;
 use saber_core::model::LdaModel;
-use saber_core::model_io::DeltaPayload;
 use saber_trace::{SpanRecord, TraceBuilder, TraceContext};
 
 use crate::snapshot::{check_fit, FoldInParams, InferenceSnapshot, Shape, SnapshotSampler};
@@ -458,76 +457,59 @@ impl TopicServer {
     /// request at the router's merge) or carries another α (the shard would
     /// sample with a prior the router does not finish θ with).
     pub fn stage(&self, epoch: u64, slice: InferenceSnapshot) -> Result<(), ServeError> {
-        let mut staged = self.publish_guard();
-        self.check_stage(epoch, slice.shape(), slice.sampler_kind().code())?;
-        self.cell.release_previous();
-        *staged = Some((epoch, slice));
-        Ok(())
+        let declared = (slice.shape(), slice.sampler_kind().code());
+        self.stage_with((None, epoch), declared, |_| Ok(slice))
+            .map(drop)
     }
 
-    /// [`TopicServer::stage`]'s refusals for a slice of `shape` with
-    /// sampler `code`, against what is served now. The `/publish-shard`
-    /// handler asks it of a `SABRSNAP` header, so a slice of another shape
-    /// (or of a sampler no build knows) is refused before its rows and
-    /// samplers are built.
-    pub(crate) fn check_stage(&self, epoch: u64, shape: Shape, code: u8) -> Result<(), ServeError> {
-        let served = self.snapshot();
-        let version = served.version();
-        if epoch <= version {
-            return Err(ServeError::Conflict {
-                detail: format!("epoch {epoch} is not ahead of the served epoch {version}"),
-            });
-        }
-        check_fit("published snapshot", shape, "this shard", served.shape())
-            .map_err(|detail| ServeError::BadRequest { detail })?;
-        if SnapshotSampler::from_code(code).is_none() {
-            return Err(ServeError::BadRequest {
-                detail: format!("unknown snapshot sampler code {code}"),
-            });
-        }
-        Ok(())
-    }
-
-    /// [`TopicServer::stage`]s `delta`'s rows applied over the served
-    /// snapshot for the delta's target epoch, releasing the previous one
-    /// first. Returns `false` (declines, so the publisher falls back to a
-    /// full slice) when the served epoch is not the delta's base or the
-    /// target is not ahead of it.
+    /// The one stage path, for a whole slice and a delta alike. Under the
+    /// publish lock it judges what a publication declares against what is
+    /// served now: the epoch `target` it stages, the served epoch `base` a
+    /// delta patches (`None` for a whole slice), and its `shape` and
+    /// sampler `code`. Then it releases the snapshot the last commit
+    /// replaced and any earlier stage, builds the new snapshot with `build`
+    /// (handed the served one) and stages it for `target`. A stage refused
+    /// from its declaration touches nothing; one whose build fails leaves
+    /// nothing staged. Returns `false` when a delta is declined: the served
+    /// epoch is not its base, or its target is not ahead of it (the
+    /// publisher falls back to a full slice).
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] when the delta does not apply to the
-    /// served snapshot (another shape, sampler or α, or a row out of
-    /// range).
-    pub fn stage_delta(&self, delta: DeltaPayload) -> Result<bool, ServeError> {
-        let mut staged = self.publish_guard();
-        let (base, target) = (delta.base_version, delta.target_version);
-        let shape = (delta.vocab_size, delta.n_topics, delta.alpha);
-        if !self.check_delta_stage((base, target), shape, delta.sampler_code)? {
-            return Ok(false);
-        }
-        self.cell.release_previous();
-        let rows = delta.rows.into_iter().map(|(v, row)| (v as usize, row));
-        let patched = self.snapshot().with_rows(rows).map_err(delta_refused)?;
-        *staged = Some((target, patched));
-        Ok(true)
-    }
-
-    /// [`TopicServer::stage_delta`]'s verdict on a delta from `base` to
-    /// `target` of `shape` with sampler `code`, against what is served now:
-    /// `false` declines it, an error refuses it. The `/publish-delta`
-    /// handler asks it of a `SABRDELTA` header, before decoding a row.
-    pub(crate) fn check_delta_stage(
+    /// For a slice, [`TopicServer::stage`]'s refusals, and an unknown
+    /// sampler code as [`ServeError::BadRequest`]. For a delta, a
+    /// [`ServeError::BadRequest`] when it was cut for another shape, α or
+    /// sampler. Then whatever `build` returns.
+    pub(crate) fn stage_with(
         &self,
-        (base, target): (u64, u64),
-        shape: Shape,
-        code: u8,
+        (base, target): (Option<u64>, u64),
+        (shape, code): (Shape, u8),
+        build: impl FnOnce(&InferenceSnapshot) -> Result<InferenceSnapshot, ServeError>,
     ) -> Result<bool, ServeError> {
+        let mut staged = self.publish_guard();
         let served = self.snapshot();
-        if served.version() != base || target <= served.version() {
-            return Ok(false);
+        let version = served.version();
+        match base {
+            Some(base) if base != version || target <= version => return Ok(false),
+            Some(_) => served.check_delta(shape, code).map_err(delta_refused)?,
+            None if target <= version => {
+                return Err(ServeError::Conflict {
+                    detail: format!("epoch {target} is not ahead of the served epoch {version}"),
+                })
+            }
+            None => {
+                check_fit("published snapshot", shape, "this shard", served.shape())
+                    .map_err(|detail| ServeError::BadRequest { detail })?;
+                if SnapshotSampler::from_code(code).is_none() {
+                    return Err(ServeError::BadRequest {
+                        detail: format!("unknown snapshot sampler code {code}"),
+                    });
+                }
+            }
         }
-        served.check_delta(shape, code).map_err(delta_refused)?;
+        *staged = None;
+        self.cell.release_previous();
+        *staged = Some((target, build(&served)?));
         Ok(true)
     }
 
@@ -812,7 +794,7 @@ impl Drop for TopicServer {
 }
 
 /// A delta that does not apply to the served snapshot, as a `400`.
-fn delta_refused(e: saber_core::SaberError) -> ServeError {
+pub(crate) fn delta_refused(e: saber_core::SaberError) -> ServeError {
     ServeError::BadRequest {
         detail: format!("delta does not apply to the served snapshot: {e}"),
     }
@@ -1147,11 +1129,40 @@ mod tests {
         assert_eq!(count_bits(&replaced), count_bits(&first));
         let live = pinned(2).unwrap();
         assert_ne!(count_bits(&live), count_bits(&first));
+        // A stage refused or declined from what it declares builds nothing
+        // and releases nothing: epoch 1 still answers.
+        let (v, k, alpha) = server.snapshot().shape();
+        let code = SnapshotSampler::WaryTree.code();
+        let alias = SnapshotSampler::AliasTable.code();
+        for (epochs, declared, declined) in [
+            ((None, 2), ((v, k, alpha), code), false),
+            ((None, 3), ((v + 1, k, alpha), code), false),
+            ((None, 3), ((v, k, 0.5), code), false),
+            ((None, 3), ((v, k, alpha), 7), false),
+            ((Some(1), 3), ((v, k, alpha), code), true),
+            ((Some(2), 2), ((v, k, alpha), code), true),
+            ((Some(2), 3), ((v, k + 1, alpha), code), false),
+            ((Some(2), 3), ((v, k, alpha), alias), false),
+        ] {
+            let case = format!("{epochs:?} {declared:?}");
+            let outcome = server.stage_with(epochs, declared, |_| unreachable!("{case} was built"));
+            assert_eq!(outcome.ok(), declined.then_some(false), "{case}");
+            assert_eq!(pinned(1).unwrap().snapshot_version, 1, "{case}");
+        }
         // An accepted stage releases epoch 1; epoch 2 still answers.
         server.stage(3, shifted_snapshot()).unwrap();
         assert!(server.cell.load_at(1).is_none());
         assert!(matches!(pinned(1), Err(ServeError::ShardVersionSkew)));
         assert_eq!(count_bits(&pinned(2).unwrap()), count_bits(&live));
+        // A stage whose build fails leaves nothing staged, not even the
+        // stage it replaced: its epoch's commit is a conflict.
+        let cut = || ServeError::BadRequest {
+            detail: "cut".into(),
+        };
+        let failed = server.stage_with((None, 3), ((v, k, alpha), code), |_| Err(cut()));
+        assert!(matches!(failed, Err(ServeError::BadRequest { .. })));
+        assert!(matches!(server.commit(3), Err(ServeError::Conflict { .. })));
+        assert_eq!(server.snapshot_version(), 2);
     }
 
     #[test]

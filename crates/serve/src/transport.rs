@@ -14,24 +14,28 @@
 //!   unchanged against it).
 //! * [`HttpTransport`] speaks the crate's existing HTTP/1.1 wire format
 //!   (`POST /infer-partial`, `GET /shard-info`, `POST /publish-shard`,
-//!   `POST /commit-epoch`; see [`crate::wire`]) to a shard process on
-//!   another machine, with no machinery of its own: the calling thread
-//!   writes each request on a pooled keep-alive connection and reads the
-//!   reply when it waits. Because the JSON codec round-trips `f64`s exactly,
-//!   a remote EM fan-out reproduces the local one bit for bit, and epoch
-//!   pinning works identically: the router names its epoch in the
-//!   `X-Saber-Epoch` header, and every partial response carries the
+//!   `POST /publish-delta`, `POST /commit-epoch`; see [`crate::wire`]) to
+//!   a shard process on another machine, with no machinery of its own: the
+//!   calling thread writes each request on a pooled keep-alive connection
+//!   and reads the reply when it waits. Because the JSON codec round-trips
+//!   `f64`s exactly, a remote EM fan-out reproduces the local one bit for
+//!   bit, and epoch pinning works identically: the router names its epoch
+//!   in the `X-Saber-Epoch` header, and every partial response carries the
 //!   snapshot version that produced it.
 //!
 //! Publication is split into the two phases a fleet-wide all-or-nothing
-//! swap needs: [`ShardTransport::prepare_publish`] stages an epoch-tagged
-//! snapshot slice on every shard, and only when *every* stage succeeded
-//! does the router run the cheap [`ShardTransport::commit_publish`] loop
-//! that actually swaps — keeping the mixed-version window as tight as a
-//! single in-process Arc swap. The shard's half of that contract lives in
-//! [`TopicServer::stage`], [`TopicServer::stage_delta`] and
-//! [`TopicServer::commit`]: a local transport calls them, a remote one
-//! uploads to the HTTP endpoints that call them.
+//! swap needs: every shard stages the epoch first, either a whole slice
+//! ([`ShardTransport::prepare_publish`]) or the changed rows over what it
+//! serves ([`ShardTransport::prepare_publish_delta`], which a shard may
+//! decline, and the router then sends the slice), and only when *every*
+//! stage succeeded does the router run the cheap
+//! [`ShardTransport::commit_publish`] loop that actually swaps — keeping
+//! the mixed-version window as tight as a single in-process Arc swap. The
+//! shard's half of that contract is one stage path on [`TopicServer`],
+//! which judges a stage's declared epoch, shape and sampler under the
+//! publish lock before building it, and [`TopicServer::commit`]: a local
+//! transport calls them, a remote one uploads to the HTTP endpoints that
+//! call them.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -45,7 +49,7 @@ use saber_core::SaberError;
 use saber_trace::TraceContext;
 
 use crate::server::{
-    finish_partial, JobKind, JobReply, JobTimings, PartialRequest, PartialResponse,
+    delta_refused, finish_partial, JobKind, JobReply, JobTimings, PartialRequest, PartialResponse,
 };
 use crate::snapshot::{FoldInParams, InferenceSnapshot};
 use crate::wire;
@@ -339,7 +343,11 @@ impl ShardTransport for LocalTransport {
     }
 
     fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        self.server.stage_delta(delta.clone())
+        let epochs = (Some(delta.base_version), delta.target_version);
+        let shape = (delta.vocab_size, delta.n_topics, delta.alpha);
+        let build = |served: &InferenceSnapshot| served.apply_delta(delta).map_err(delta_refused);
+        self.server
+            .stage_with(epochs, (shape, delta.sampler_code), build)
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {

@@ -621,6 +621,8 @@ fn endpoint_rows(table: &mut Table) {
     for cut in [0, 8, 12, 20, 28, 32, 33, 37, own.len() / 2, own.len() - 2] {
         cases.push(no(format!("cut at byte {cut}"), shard(4, &own[..cut]), "400"));
     }
+    // A slice that failed to build staged nothing.
+    cases.push(no("commit of epoch 4", post("/commit-epoch", &epoch(4), br#"{"epoch":4}"#), "409"));
     table.row("POST /publish-shard", bounds, decode, commit, cases);
 
     // Serving the W-ary slice at epoch 3; each valid delta applies over
@@ -650,6 +652,8 @@ fn endpoint_rows(table: &mut Table) {
         let request = post("/publish-delta", &epoch(6), &body[..cut]);
         cases.push(no(format!("cut at byte {cut}"), request, "400"));
     }
+    // A delta that failed to build staged nothing.
+    cases.push(no("commit of epoch 6", post("/commit-epoch", &epoch(6), br#"{"epoch":6}"#), "409"));
     table.row("POST /publish-delta", bounds, decode, commit, cases);
 
     // Serving epoch 5; epoch 6 staged here, outside any case.
