@@ -510,9 +510,25 @@ impl<T: ShardTransport> TrainingPipeline<T> {
     /// As [`Self::tick`] and [`Self::push_epoch`]; the run stops at the
     /// first error.
     pub fn run(&mut self, feed: &mut DocumentFeed) -> Result<RunReport, PipelineError> {
+        self.run_with(feed, |_| {})
+    }
+
+    /// [`Self::run`], handing each tick's report to `on_tick` as it
+    /// finishes (the final flush is not a tick: it shows in the returned
+    /// [`RunReport::epochs_published`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`].
+    pub fn run_with(
+        &mut self,
+        feed: &mut DocumentFeed,
+        mut on_tick: impl FnMut(&TickReport),
+    ) -> Result<RunReport, PipelineError> {
         let mut report = RunReport::default();
         while let Some(batch) = feed.next_batch(self.config.batch_docs)? {
             let tick = self.tick(batch)?;
+            on_tick(&tick);
             report.ticks += 1;
             report.docs_ingested += tick.batch_docs;
             report.tokens_ingested += tick.tokens_ingested;
@@ -533,9 +549,8 @@ impl<T: ShardTransport> TrainingPipeline<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saber_core::model_io::DeltaPayload;
     use saber_core::SaberLdaConfig;
-    use saber_serve::{FoldInParams, PartialRequest, ShardInfo, TopicServer};
+    use saber_serve::{FoldInParams, PartialRequest, Publication, ShardInfo, TopicServer};
     use saber_trace::TraceContext;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
@@ -752,14 +767,9 @@ mod tests {
             self.inner.observe_epoch()
         }
 
-        fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
+        fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
             self.refuse()?;
-            self.inner.prepare_publish(slice, epoch)
-        }
-
-        fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-            self.refuse()?;
-            self.inner.prepare_publish_delta(delta)
+            self.inner.stage(epoch, publication)
         }
 
         fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {

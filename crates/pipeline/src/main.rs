@@ -195,33 +195,30 @@ fn run(args: &[String]) -> Result<(), Failure> {
         pipeline.served_epoch()
     );
 
-    // The daemon loop: tick until the feed runs dry, narrating each epoch,
-    // then flush the ticks the cadence left unpublished, if any.
-    let mut unpublished = false;
-    while let Some(batch) = feed
-        .next_batch(pipeline.config().batch_docs)
-        .map_err(runtime)?
-    {
-        let tick = pipeline.tick(batch).map_err(runtime)?;
-        unpublished = tick.published.is_none();
-        if let Some(epoch) = &tick.published {
-            println!(
-                "epoch {}: {} docs, {} tokens in, {} rows offered as delta{}",
-                epoch.epoch,
-                tick.batch_docs,
-                tick.tokens_ingested,
-                epoch.changed_rows,
-                if epoch.full_refresh {
-                    " (full refresh)"
-                } else {
-                    ""
-                }
-            );
-        }
-    }
-    if unpublished {
-        let final_epoch = pipeline.push_epoch().map_err(runtime)?;
-        println!("final epoch {}: flushed", final_epoch.epoch);
+    // The daemon loop: tick until the feed runs dry, narrating each epoch;
+    // the run then flushes the ticks the cadence left unpublished, if any.
+    let mut published = 0;
+    let report = pipeline
+        .run_with(&mut feed, |tick| {
+            if let Some(epoch) = &tick.published {
+                published += 1;
+                println!(
+                    "epoch {}: {} docs, {} tokens in, {} rows offered as delta{}",
+                    epoch.epoch,
+                    tick.batch_docs,
+                    tick.tokens_ingested,
+                    epoch.changed_rows,
+                    if epoch.full_refresh {
+                        " (full refresh)"
+                    } else {
+                        ""
+                    }
+                );
+            }
+        })
+        .map_err(runtime)?;
+    if report.epochs_published > published {
+        println!("final epoch {}: flushed", report.final_epoch);
     }
 
     if let Some(stats) = pipeline.router().router_stats().pipeline {

@@ -44,17 +44,20 @@
 //! speaks the *shard protocol* that lets a
 //! [`ShardRouter`](crate::ShardRouter) on another machine fan out to it
 //! (see [`crate::transport::HttpTransport`] and `docs/SERVING.md`); a
-//! router-backed listener answers `400` to all but `GET /shard-info`:
+//! router-backed listener answers `400` to all five endpoints, so no router
+//! can be built over another router's front:
 //!
 //! * `POST /infer-partial` — one shard's half of a fan-out (ESCA chain
 //!   seed or EM round + θ in, partial counts + snapshot version out),
 //!   from the snapshot of its `X-Saber-Epoch` pin (`503` if not held).
 //! * `GET /shard-info` — shape, α, fold-in parameters, epoch and full
-//!   serving counters, for fleet validation and stats aggregation.
+//!   serving counters ([`TopicServer::shard_info`]), for fleet validation
+//!   and stats aggregation.
 //! * `POST /publish-shard` and `/publish-delta` — stage an epoch-tagged
-//!   `SABRSNAP` slice ([`TopicServer::stage`]) or a `SABRDELTA` patch over
-//!   the served snapshot without serving it; one handler judges either
-//!   body's header under the publish lock before decoding a row.
+//!   `SABRSNAP` slice or a `SABRDELTA` patch over the served snapshot
+//!   without serving it, by the rules of [`TopicServer::stage`]; one
+//!   handler judges either body's header under the publish lock before
+//!   decoding a row.
 //! * `POST /commit-epoch` — swaps to the staged epoch
 //!   ([`TopicServer::commit`]).
 //!
@@ -99,10 +102,9 @@ use saber_core::{model_io, SaberError};
 use saber_corpus::Vocabulary;
 use saber_trace::{SlowCapture, Trace, TraceBuilder, TraceContext, TraceId, TraceRing};
 
-use crate::server::delta_refused;
+use crate::server::{check_target, delta_refused};
 use crate::snapshot::InferenceSnapshot;
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
-use crate::transport::ShardInfo;
 use crate::wire::{self, InferBody};
 use crate::{InferenceBackend, RouterStats, ServeError, ServeStats, TopicServer};
 
@@ -524,9 +526,9 @@ fn route(request: &Request, state: &HttpState) -> (u16, String, Option<Endpoint>
             content_type = METRICS_CONTENT_TYPE;
             (handle_stats(state, wire::encode_prometheus), None)
         }
-        ("GET", "/shard-info") => (handle_shard_info(state), None),
         ("GET", "/trace/recent") => (handle_trace_recent(state), None),
-        ("POST", "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch") => {
+        ("GET", "/shard-info")
+        | ("POST", "/infer-partial" | "/publish-shard" | "/publish-delta" | "/commit-epoch") => {
             (handle_shard_protocol(request, state), None)
         }
         (_, "/healthz" | "/stats" | "/metrics" | "/shard-info" | "/trace/recent") => {
@@ -641,28 +643,16 @@ fn effective_shard_range(state: &HttpState) -> (u32, u32) {
         .unwrap_or((0, state.backend.vocab_size() as u32))
 }
 
-fn handle_shard_info(state: &HttpState) -> (u16, String) {
-    let backend = &state.backend;
-    let info = ShardInfo {
-        epoch: backend.snapshot_version(),
-        vocab_size: backend.vocab_size(),
-        n_topics: backend.n_topics(),
-        alpha: backend.alpha(),
-        shard_range: effective_shard_range(state),
-        fold_in: backend.fold_in_params(),
-        stats: backend.serve_stats(),
-    };
-    (200, wire::encode_shard_info(&info).to_string())
-}
-
 /// The shard protocol, answered by the server behind this listener. A
-/// router-backed front has none (it holds no one snapshot to stage over,
-/// and could never commit one), so every shard endpoint refuses it with
-/// `400` before its body is even parsed.
+/// router-backed front has none (it is no one shard to describe, holds no
+/// one snapshot to stage over, and could never commit one), so every shard
+/// endpoint refuses it with `400` before its body is even parsed: a router
+/// pointed at another router's front fails at construction.
 fn handle_shard_protocol(request: &Request, state: &HttpState) -> (u16, String) {
     let Some(server) = state.backend.shard() else {
         let detail = match request.path.as_str() {
             "/infer-partial" => "this backend does not serve shard partials",
+            "/shard-info" => "this backend does not describe a shard",
             _ => "this backend does not accept epoch publications",
         };
         return serve_error(&ServeError::BadRequest {
@@ -671,8 +661,12 @@ fn handle_shard_protocol(request: &Request, state: &HttpState) -> (u16, String) 
     };
     match request.path.as_str() {
         "/infer-partial" => handle_infer_partial(request, state, server),
-        "/publish-shard" => handle_publish(request, server, Publication::Slice),
-        "/publish-delta" => handle_publish(request, server, Publication::Delta),
+        "/shard-info" => {
+            let info = server.shard_info(state.config.shard_range);
+            (200, wire::encode_shard_info(&info).to_string())
+        }
+        "/publish-shard" => handle_publish(request, server, Format::Snapshot),
+        "/publish-delta" => handle_publish(request, server, Format::Delta),
         _ => handle_commit_epoch(request, server),
     }
 }
@@ -727,18 +721,18 @@ fn handle_infer_partial(
 /// (`/publish-shard`) or a `SABRDELTA` patch over the served snapshot
 /// (`/publish-delta`).
 #[derive(Debug, Clone, Copy)]
-enum Publication {
-    Slice,
+enum Format {
+    Snapshot,
     Delta,
 }
 
-/// Stages a publication for the `X-Saber-Epoch` it names
-/// ([`TopicServer::stage`] for a slice). Its header is judged once, under
+/// Stages a publication for the `X-Saber-Epoch` it names, by the rules of
+/// [`TopicServer::stage`]. Its header is judged once, under
 /// the publish lock, before a row is decoded: the rows of a body cut for
 /// another shape cost up to dozens of times their bytes to build. A
 /// declined delta is a `409`, on which the publisher falls back to a full
 /// `/publish-shard`.
-fn handle_publish(request: &Request, server: &TopicServer, body: Publication) -> (u16, String) {
+fn handle_publish(request: &Request, server: &TopicServer, body: Format) -> (u16, String) {
     let epoch = match saber_epoch(request) {
         Ok(Some(epoch)) => epoch,
         Ok(None) => return error(400, "publication requires an X-Saber-Epoch header"),
@@ -746,11 +740,11 @@ fn handle_publish(request: &Request, server: &TopicServer, body: Publication) ->
     };
     let bytes = &request.body[..];
     let (what, header) = match body {
-        Publication::Slice => {
+        Format::Snapshot => {
             let header = model_io::read_snapshot_header(&mut &bytes[..]);
             ("snapshot", header.map(|h| (None, epoch, h)))
         }
-        Publication::Delta => {
+        Format::Delta => {
             let header = model_io::read_delta_header(&mut &bytes[..]);
             (
                 "delta",
@@ -765,16 +759,13 @@ fn handle_publish(request: &Request, server: &TopicServer, body: Publication) ->
         Ok(header) => header,
         Err(e) => return serve_error(&malformed(e)),
     };
-    if target != epoch {
-        return error(
-            400,
-            &format!("X-Saber-Epoch {epoch} does not match the delta's target epoch {target}"),
-        );
+    if let Err(e) = check_target(epoch, target) {
+        return serve_error(&e);
     }
     let declared = ((h.vocab_size, h.n_topics, h.alpha), h.sampler_code);
     let outcome = server.stage_with((base, target), declared, |served| match body {
-        Publication::Slice => InferenceSnapshot::load(bytes).map_err(malformed),
-        Publication::Delta => {
+        Format::Snapshot => InferenceSnapshot::load(bytes).map_err(malformed),
+        Format::Delta => {
             let delta = model_io::load_delta(bytes).map_err(malformed)?;
             let rows = delta.rows.into_iter().map(|(v, row)| (v as usize, row));
             served.with_rows(rows).map_err(delta_refused)
@@ -1287,14 +1278,14 @@ mod tests {
         let mut foreign = body.clone();
         foreign[12..20].copy_from_slice(&(1u64 << 20).to_le_bytes());
         foreign[20..28].copy_from_slice(&1u64.to_le_bytes());
-        let (status, reply) = handle_publish(&publish(foreign), &server, Publication::Slice);
+        let (status, reply) = handle_publish(&publish(foreign), &server, Format::Snapshot);
         assert_eq!(status, 400);
         assert!(
             reply.contains("published snapshot is 1048576x1"),
             "reply was: {reply}"
         );
         // The served shape still stages.
-        let (status, reply) = handle_publish(&publish(body), &server, Publication::Slice);
+        let (status, reply) = handle_publish(&publish(body), &server, Format::Snapshot);
         assert_eq!(status, 200, "reply was: {reply}");
     }
 

@@ -135,7 +135,8 @@ pub use breaker::{ReplicaBreaker, FAILURE_THRESHOLD};
 pub use http::{EndpointStats, HttpConfig, HttpServer, HttpStats};
 pub use router::{FleetHealth, PipelineStats, ReplicaHealth, ReplicaSet, RouterStats, ShardRouter};
 pub use server::{
-    InferResponse, PartialRequest, PartialResponse, ServeConfig, ServeStats, TopicServer,
+    InferResponse, PartialRequest, PartialResponse, Publication, ServeConfig, ServeStats,
+    TopicServer,
 };
 pub use shard::{derive_replica_choice, derive_shard_seed, ShardPlan};
 pub use snapshot::{FoldInKind, FoldInParams, InferenceSnapshot, SnapshotSampler};
@@ -203,15 +204,6 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
     /// Serving counters, aggregated across shards.
     fn serve_stats(&self) -> ServeStats;
 
-    /// Document–topic smoothing α of the served model (reported by
-    /// `GET /shard-info` so a remote router can validate and merge).
-    fn alpha(&self) -> f32;
-
-    /// The fold-in parameters applied to every request (reported by
-    /// `GET /shard-info`; a remote router refuses a shard whose parameters
-    /// disagree with its own).
-    fn fold_in_params(&self) -> FoldInParams;
-
     /// Router-level counters, when this backend *is* a router (`None` for
     /// a plain [`TopicServer`]); surfaced in `GET /stats` and `/metrics`.
     fn router_stats(&self) -> Option<RouterStats> {
@@ -227,8 +219,9 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// The server behind the shard endpoints (`POST /infer-partial`,
-    /// `/publish-shard`, `/publish-delta` and `/commit-epoch`), when this
+    /// The server behind the shard endpoints (`GET /shard-info`,
+    /// `POST /infer-partial`, `/publish-shard`, `/publish-delta` and
+    /// `/commit-epoch`), when this
     /// backend *is* a shard: a [`TopicServer`] returns itself. The default
     /// `None`, a router's answer, makes those endpoints refuse with `400`.
     fn shard(&self) -> Option<&TopicServer> {
@@ -268,14 +261,6 @@ impl InferenceBackend for TopicServer {
         self.stats()
     }
 
-    fn alpha(&self) -> f32 {
-        self.snapshot().alpha()
-    }
-
-    fn fold_in_params(&self) -> FoldInParams {
-        self.config().fold_in
-    }
-
     fn shard(&self) -> Option<&TopicServer> {
         Some(self)
     }
@@ -311,14 +296,6 @@ impl<T: ShardTransport> InferenceBackend for ShardRouter<T> {
 
     fn serve_stats(&self) -> ServeStats {
         self.stats()
-    }
-
-    fn alpha(&self) -> f32 {
-        ShardRouter::alpha(self)
-    }
-
-    fn fold_in_params(&self) -> FoldInParams {
-        self.config().fold_in
     }
 
     fn router_stats(&self) -> Option<RouterStats> {

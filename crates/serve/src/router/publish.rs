@@ -1,7 +1,8 @@
 //! The router's half of epoch publication: one two-phase body, and the
-//! [`PipelineStats`] it records. The shard's half is its one stage path
-//! (a slice or a delta) and
-//! [`TopicServer::commit`](crate::TopicServer::commit), behind any
+//! [`PipelineStats`] it records. Each replica is staged through one call,
+//! [`ShardTransport::stage`], for a delta and for the slice it falls back
+//! to; the shard's half is [`TopicServer::stage`](crate::TopicServer::stage)
+//! and [`TopicServer::commit`](crate::TopicServer::commit), behind any
 //! [`ShardTransport`]. `tests/publication_schedules.rs`
 //! runs both against every schedule of up to two transport faults.
 
@@ -13,7 +14,7 @@ use saber_core::model_io::{delta_encoded_bytes, snapshot_encoded_bytes};
 use super::{ReplicaSet, ShardRouter};
 use crate::snapshot::{check_fit, InferenceSnapshot};
 use crate::transport::ShardTransport;
-use crate::ServeError;
+use crate::{Publication, ServeError};
 
 /// Counters of the continuous-publication path, surfaced under
 /// `"pipeline"` in `GET /stats` and as `saber_pipeline_*` in `/metrics`.
@@ -70,7 +71,7 @@ impl<T: ShardTransport> ShardRouter<T> {
     /// deduplicated here, so callers need not pre-canonicalise) and the
     /// epoch the fleet should currently serve (`base_epoch`). Each replica
     /// is first offered a `SABRDELTA` of its range's changed rows
-    /// ([`ShardTransport::prepare_publish_delta`]); a replica that
+    /// ([`ShardTransport::stage`] of a [`Publication::Delta`]); a replica that
     /// declines, a range whose delta would not be smaller than its full
     /// slice, or an observed fleet epoch different from `base_epoch` falls
     /// back to the full-slice staging — both paths stage bit-identical
@@ -169,14 +170,14 @@ impl<T: ShardTransport> ShardRouter<T> {
             });
             for transport in set.replicas() {
                 let staged_via_delta = match &payload {
-                    Some(p) => transport.prepare_publish_delta(p)?,
+                    Some(p) => transport.stage(epoch, Publication::Delta(p))?,
                     None => false,
                 };
                 rows_total += range_len;
                 if staged_via_delta {
                     rows_shipped += payload.as_ref().map_or(0, |p| p.rows.len() as u64);
                 } else {
-                    transport.prepare_publish(snapshot.shard(range.clone()), epoch)?;
+                    transport.stage(epoch, Publication::Slice(snapshot.shard(range.clone())))?;
                     rows_shipped += range_len;
                     if changed.is_some() {
                         fallbacks += 1;

@@ -24,11 +24,13 @@ use std::time::{Duration, Instant};
 
 use saber_core::infer::PartialFoldIn;
 use saber_core::model::LdaModel;
+use saber_core::model_io::DeltaPayload;
 use saber_trace::{SpanRecord, TraceBuilder, TraceContext};
 
 use crate::snapshot::{check_fit, FoldInParams, InferenceSnapshot, Shape, SnapshotSampler};
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
 use crate::swap::SnapshotCell;
+use crate::transport::ShardInfo;
 use crate::ServeError;
 
 /// Configuration of a [`TopicServer`].
@@ -440,10 +442,12 @@ impl TopicServer {
         &self.config
     }
 
-    /// Stages `slice` to be served as `epoch` from its
+    /// Stages `publication` to be served as `epoch` from its
     /// [`TopicServer::commit`], the shard half of a fleet's all-or-nothing
     /// publication on either transport. Serving is untouched until the
-    /// commit; a stage replaces any earlier, aborted one.
+    /// commit; a stage replaces any earlier, aborted one. Returns `false`
+    /// only for a declined delta: the served epoch is not its base, or
+    /// `epoch` is not ahead of it (the publisher then stages the slice).
     ///
     /// Accepting a stage releases the snapshot the last commit replaced (a
     /// router stages only once its reads in flight finished), so peak
@@ -451,15 +455,46 @@ impl TopicServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Conflict`] when `epoch` is not ahead of the served one
-    /// (its commit would be a silent no-op), [`ServeError::BadRequest`]
-    /// when the slice is not the served `V × K` (it would fail every
-    /// request at the router's merge) or carries another α (the shard would
-    /// sample with a prior the router does not finish θ with).
-    pub fn stage(&self, epoch: u64, slice: InferenceSnapshot) -> Result<(), ServeError> {
-        let declared = (slice.shape(), slice.sampler_kind().code());
-        self.stage_with((None, epoch), declared, |_| Ok(slice))
-            .map(drop)
+    /// [`ServeError::Conflict`] when a slice's `epoch` is not ahead of the
+    /// served one (its commit would be a silent no-op).
+    /// [`ServeError::BadRequest`] when a slice is not the served `V × K`
+    /// (it would fail every request at the router's merge) or carries
+    /// another α (the shard would sample with a prior the router does not
+    /// finish θ with), and when a delta targets another epoch than `epoch`
+    /// or was cut for another shape, α or sampler.
+    pub fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
+        match publication {
+            Publication::Slice(slice) => {
+                let declared = (slice.shape(), slice.sampler_kind().code());
+                self.stage_with((None, epoch), declared, |_| Ok(slice))
+            }
+            Publication::Delta(delta) => {
+                check_target(epoch, delta.target_version)?;
+                let shape = (delta.vocab_size, delta.n_topics, delta.alpha);
+                let declared = (shape, delta.sampler_code);
+                let build =
+                    |served: &InferenceSnapshot| served.apply_delta(delta).map_err(delta_refused);
+                self.stage_with((Some(delta.base_version), epoch), declared, build)
+            }
+        }
+    }
+
+    /// This server's self-description as one shard of a fleet: the served
+    /// snapshot's epoch, shape and α, the fold-in parameters and the
+    /// serving counters. `range` is the global word-id range `[start, end)`
+    /// it serves, when known; `None` reports the local `[0, V)`.
+    pub fn shard_info(&self, range: Option<(u32, u32)>) -> ShardInfo {
+        let snapshot = self.snapshot();
+        let vocab_size = snapshot.vocab_size();
+        ShardInfo {
+            epoch: snapshot.version(),
+            vocab_size,
+            n_topics: snapshot.n_topics(),
+            alpha: snapshot.alpha(),
+            shard_range: range.unwrap_or((0, vocab_size as u32)),
+            fold_in: self.config.fold_in,
+            stats: self.stats(),
+        }
     }
 
     /// The one stage path, for a whole slice and a delta alike. Under the
@@ -793,6 +828,29 @@ impl Drop for TopicServer {
     }
 }
 
+/// What a publisher stages on a shard ([`TopicServer::stage`],
+/// [`ShardTransport::stage`](crate::ShardTransport::stage)): a whole slice
+/// of the fleet's snapshot, or the rows that changed since the epoch the
+/// shard serves.
+#[derive(Debug)]
+pub enum Publication<'a> {
+    /// The shard's whole slice (a `SABRSNAP` body on the wire).
+    Slice(InferenceSnapshot),
+    /// The changed rows over the served epoch `base_version` (a `SABRDELTA`
+    /// body on the wire). A shard that does not serve that base declines it.
+    Delta(&'a DeltaPayload),
+}
+
+/// Refuses a delta staged for another epoch than the one it targets.
+pub(crate) fn check_target(epoch: u64, target: u64) -> Result<(), ServeError> {
+    if target == epoch {
+        return Ok(());
+    }
+    Err(ServeError::BadRequest {
+        detail: format!("epoch {epoch} does not match the delta's target epoch {target}"),
+    })
+}
+
 /// A delta that does not apply to the served snapshot, as a `400`.
 pub(crate) fn delta_refused(e: saber_core::SaberError) -> ServeError {
     ServeError::BadRequest {
@@ -1053,7 +1111,9 @@ mod tests {
         let server = small_server(2);
         assert_eq!(server.snapshot_version(), 1);
         // New model: words planted shifted by one topic.
-        server.stage(2, shifted_snapshot()).unwrap();
+        server
+            .stage(2, Publication::Slice(shifted_snapshot()))
+            .unwrap();
         assert_eq!(server.snapshot_version(), 1, "a stage serves nothing yet");
         assert_eq!(server.commit(2).unwrap(), 2);
         let response = server.infer_topics(vec![0, 3, 6, 9, 0, 3], 42).unwrap();
@@ -1083,7 +1143,7 @@ mod tests {
         ));
         assert_eq!(server.snapshot_version(), 5);
         // The next publication continues from the pinned epoch.
-        server.stage(6, snap()).unwrap();
+        server.stage(6, Publication::Slice(snap())).unwrap();
         assert_eq!(server.commit(6).unwrap(), 6);
         assert_eq!(server.snapshot_version(), 6);
         server.shutdown();
@@ -1121,7 +1181,9 @@ mod tests {
             pending.wait(None)
         };
         let first = pinned(1).unwrap();
-        server.stage(2, shifted_snapshot()).unwrap();
+        server
+            .stage(2, Publication::Slice(shifted_snapshot()))
+            .unwrap();
         assert_eq!(server.commit(2).unwrap(), 2);
         assert!(server.cell.load_at(1).is_some());
         let replaced = pinned(1).unwrap();
@@ -1150,7 +1212,9 @@ mod tests {
             assert_eq!(pinned(1).unwrap().snapshot_version, 1, "{case}");
         }
         // An accepted stage releases epoch 1; epoch 2 still answers.
-        server.stage(3, shifted_snapshot()).unwrap();
+        server
+            .stage(3, Publication::Slice(shifted_snapshot()))
+            .unwrap();
         assert!(server.cell.load_at(1).is_none());
         assert!(matches!(pinned(1), Err(ServeError::ShardVersionSkew)));
         assert_eq!(count_bits(&pinned(2).unwrap()), count_bits(&live));
@@ -1170,9 +1234,13 @@ mod tests {
         let server = small_server(1);
         server.infer_topics(vec![0, 3, 6], 1).unwrap();
         let first = Arc::downgrade(&server.snapshot());
-        server.stage(2, shifted_snapshot()).unwrap();
+        server
+            .stage(2, Publication::Slice(shifted_snapshot()))
+            .unwrap();
         assert_eq!(server.commit(2).unwrap(), 2);
-        server.stage(3, shifted_snapshot()).unwrap();
+        server
+            .stage(3, Publication::Slice(shifted_snapshot()))
+            .unwrap();
         // The worker replies before its batch ends: give it that moment.
         let patience = Instant::now() + Duration::from_secs(5);
         while first.strong_count() > 0 && Instant::now() < patience {
@@ -1221,9 +1289,13 @@ mod tests {
         assert_eq!(inline_moved, [1, 4, 1, 1, 1, 1]);
         assert_eq!(shape(&inline), shape(&queued));
         // A read pinned to a released epoch is refused on both paths.
-        server.stage(2, shifted_snapshot()).unwrap();
+        server
+            .stage(2, Publication::Slice(shifted_snapshot()))
+            .unwrap();
         assert_eq!(server.commit(2).unwrap(), 2);
-        server.stage(3, shifted_snapshot()).unwrap();
+        server
+            .stage(3, Publication::Slice(shifted_snapshot()))
+            .unwrap();
         for busy in [false, true] {
             assert!(matches!(answer(1, busy), Err(ServeError::ShardVersionSkew)));
         }

@@ -24,18 +24,19 @@
 //!   snapshot version that produced it.
 //!
 //! Publication is split into the two phases a fleet-wide all-or-nothing
-//! swap needs: every shard stages the epoch first, either a whole slice
-//! ([`ShardTransport::prepare_publish`]) or the changed rows over what it
-//! serves ([`ShardTransport::prepare_publish_delta`], which a shard may
-//! decline, and the router then sends the slice), and only when *every*
-//! stage succeeded does the router run the cheap
+//! swap needs: every shard stages the epoch first
+//! ([`ShardTransport::stage`], handed a [`Publication`]: a whole slice, or
+//! the changed rows over what the shard serves, which a shard may decline,
+//! and the router then sends the slice), and only when *every* stage
+//! succeeded does the router run the cheap
 //! [`ShardTransport::commit_publish`] loop that actually swaps — keeping
 //! the mixed-version window as tight as a single in-process Arc swap. The
-//! shard's half of that contract is one stage path on [`TopicServer`],
-//! which judges a stage's declared epoch, shape and sampler under the
-//! publish lock before building it, and [`TopicServer::commit`]: a local
-//! transport calls them, a remote one uploads to the HTTP endpoints that
-//! call them.
+//! shard's half of that contract is [`TopicServer::stage`], which judges a
+//! stage's declared epoch, shape and sampler under the publish lock before
+//! building it, and [`TopicServer::commit`]: a local transport calls them,
+//! a remote one uploads to the HTTP endpoints that call them. A shard
+//! describes itself once, in [`TopicServer::shard_info`], which a local
+//! transport calls and `GET /shard-info` serves.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -44,14 +45,14 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use saber_core::model_io::{save_delta, snapshot_encoded_bytes, DeltaPayload};
+use saber_core::model_io::{save_delta, snapshot_encoded_bytes};
 use saber_core::SaberError;
 use saber_trace::TraceContext;
 
 use crate::server::{
-    delta_refused, finish_partial, JobKind, JobReply, JobTimings, PartialRequest, PartialResponse,
+    finish_partial, JobKind, JobReply, JobTimings, PartialRequest, PartialResponse, Publication,
 };
-use crate::snapshot::{FoldInParams, InferenceSnapshot};
+use crate::snapshot::FoldInParams;
 use crate::wire;
 use crate::{ServeError, ServeStats, TopicServer};
 
@@ -188,43 +189,24 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
     /// Transport errors for unreachable shards.
     fn observe_epoch(&self) -> Result<u64, ServeError>;
 
-    /// Stages `slice` as the shard's next snapshot, tagged with the fleet
-    /// epoch it will serve as. Staging does **not** change what the shard
-    /// serves; the router stages every shard before committing any, so a
-    /// failure here aborts the publication with the old epoch intact
-    /// everywhere.
+    /// Stages `publication` as the shard's next snapshot, tagged with the
+    /// fleet epoch it will serve as: a whole slice, or a delta of the rows
+    /// that changed since the epoch the shard should be serving. Staging
+    /// does **not** change what the shard serves; the router stages every
+    /// shard before committing any, so a failure here aborts the
+    /// publication with the old epoch intact everywhere. Returns `Ok(false)`
+    /// only when the shard *declines* a delta (it does not serve the
+    /// delta's base, or `epoch` is not ahead of what it serves); the router
+    /// then stages the slice of the same epoch, which builds the
+    /// bit-identical snapshot.
     ///
     /// # Errors
     ///
-    /// Transport errors, or the shard's refusal as
-    /// [`TopicServer::stage`] words it: [`ServeError::Conflict`] for an
-    /// epoch not ahead of the served one, [`ServeError::BadRequest`] for
-    /// another shape.
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError>;
-
-    /// Stages an incremental publication: a `SABRDELTA` of the rows that
-    /// changed between `delta.base_version` (what the shard should be
-    /// serving) and `delta.target_version` (the epoch being staged).
-    /// Returns `Ok(true)` when the shard applied and staged the patched
-    /// snapshot, and `Ok(false)` when it *declined* — its served version
-    /// does not match the delta's base, or the transport/shard predates
-    /// delta support — in which case the caller falls back to a full
-    /// [`ShardTransport::prepare_publish`] of the same epoch. Both paths
-    /// stage bit-identical snapshots, so the fallback is invisible to
-    /// correctness.
-    ///
-    /// The default declines, so third-party transports stay correct
-    /// without opting in.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, or shard-side rejection of a *malformed* delta
-    /// (shape mismatch, bad encoding) — distinct from the clean
-    /// `Ok(false)` decline.
-    fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        let _ = delta;
-        Ok(false)
-    }
+    /// Transport errors, or the shard's refusal as [`TopicServer::stage`]
+    /// words it: [`ServeError::Conflict`] for a slice whose epoch is not
+    /// ahead of the served one, [`ServeError::BadRequest`] for another
+    /// shape, or a delta that targets another epoch or does not decode.
+    fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError>;
 
     /// Commits the staged snapshot: the shard swaps to `epoch` and serves
     /// it from its next batch. Idempotent when the shard already serves
@@ -250,7 +232,7 @@ pub struct LocalTransport {
     server: TopicServer,
     /// The global word-id range this shard serves, when the builder knows
     /// it (the router's own fleets always do).
-    range: Option<Range<u32>>,
+    range: Option<(u32, u32)>,
 }
 
 impl LocalTransport {
@@ -267,7 +249,7 @@ impl LocalTransport {
     pub fn with_range(server: TopicServer, range: Range<u32>) -> Self {
         LocalTransport {
             server,
-            range: Some(range),
+            range: Some((range.start, range.end)),
         }
     }
 
@@ -317,37 +299,15 @@ impl ShardTransport for LocalTransport {
     }
 
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
-        let snapshot = self.server.snapshot();
-        let vocab_size = snapshot.vocab_size();
-        let shard_range = match &self.range {
-            Some(range) => (range.start, range.end),
-            None => (0, vocab_size as u32),
-        };
-        Ok(ShardInfo {
-            epoch: snapshot.version(),
-            vocab_size,
-            n_topics: snapshot.n_topics(),
-            alpha: snapshot.alpha(),
-            shard_range,
-            fold_in: self.server.config().fold_in,
-            stats: self.server.stats(),
-        })
+        Ok(self.server.shard_info(self.range))
     }
 
     fn observe_epoch(&self) -> Result<u64, ServeError> {
         Ok(self.server.snapshot_version())
     }
 
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.server.stage(epoch, slice)
-    }
-
-    fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        let epochs = (Some(delta.base_version), delta.target_version);
-        let shape = (delta.vocab_size, delta.n_topics, delta.alpha);
-        let build = |served: &InferenceSnapshot| served.apply_delta(delta).map_err(delta_refused);
-        self.server
-            .stage_with(epochs, (shape, delta.sampler_code), build)
+    fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
+        self.server.stage(epoch, publication)
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
@@ -441,7 +401,8 @@ impl Peer {
 ///
 /// The shard on the other end is any [`crate::HttpServer`] fronting a
 /// [`TopicServer`] — typically one started by the `saber_shardd` example
-/// or your own process that loads an [`InferenceSnapshot`] from disk.
+/// or your own process that loads an
+/// [`InferenceSnapshot`](crate::InferenceSnapshot) from disk.
 #[derive(Debug)]
 pub struct HttpTransport {
     peer: Arc<Peer>,
@@ -792,29 +753,29 @@ impl ShardTransport for HttpTransport {
         self.get("/healthz", wire::decode_healthz_version)
     }
 
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        let len = snapshot_encoded_bytes(slice.vocab_size() as u64, slice.n_topics() as u64);
-        let (status, body) =
-            self.post_encoded("/publish-shard", epoch, "snapshot slice", len, |body| {
-                slice.save(body)
-            })?;
-        decode_body(status, &body, |_| Ok(()))
-    }
-
-    fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        let (status, body) = self.post_encoded(
-            "/publish-delta",
-            delta.target_version,
-            "snapshot delta",
-            delta.encoded_bytes(),
-            |body| save_delta(delta, body),
-        )?;
+    fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
+        let (status, body) = match &publication {
+            Publication::Slice(slice) => {
+                let len =
+                    snapshot_encoded_bytes(slice.vocab_size() as u64, slice.n_topics() as u64);
+                self.post_encoded("/publish-shard", epoch, "snapshot slice", len, |body| {
+                    slice.save(body)
+                })?
+            }
+            Publication::Delta(delta) => {
+                let len = delta.encoded_bytes();
+                self.post_encoded("/publish-delta", epoch, "snapshot delta", len, |body| {
+                    save_delta(delta, body)
+                })?
+            }
+        };
         match decode_body(status, &body, |_| Ok(())) {
             Ok(()) => Ok(true),
-            // The shard declined: its served version is not the delta's
-            // base (or the target is behind). Not an error: the caller
-            // falls back to a full publication of the same epoch.
-            Err(ServeError::Conflict { .. }) => Ok(false),
+            // The shard declined the delta: it does not serve the delta's
+            // base. Not an error: the caller stages the slice instead.
+            Err(ServeError::Conflict { .. }) if matches!(publication, Publication::Delta(_)) => {
+                Ok(false)
+            }
             Err(e) => Err(e),
         }
     }
@@ -842,7 +803,7 @@ mod tests {
     use super::*;
     use crate::breaker::{ReplicaBreaker, COOLDOWN, FAILURE_THRESHOLD};
     use crate::snapshot::tests::planted_model;
-    use crate::snapshot::SnapshotSampler;
+    use crate::snapshot::{InferenceSnapshot, SnapshotSampler};
     use crate::ServeConfig;
 
     fn transport() -> LocalTransport {
@@ -948,7 +909,7 @@ mod tests {
     fn local_prepare_commit_swaps_on_commit_only() {
         let transport = transport();
         let slice = InferenceSnapshot::from_model(&planted_model(12, 3), SnapshotSampler::WaryTree);
-        transport.prepare_publish(slice, 2).unwrap();
+        assert!(transport.stage(2, Publication::Slice(slice)).unwrap());
         assert_eq!(
             transport.observe_epoch().unwrap(),
             1,
@@ -966,7 +927,7 @@ mod tests {
         // A delayed duplicate commit of the served epoch must NOT consume
         // a snapshot already staged for the next one.
         let next = InferenceSnapshot::from_model(&planted_model(12, 3), SnapshotSampler::WaryTree);
-        transport.prepare_publish(next, 3).unwrap();
+        transport.stage(3, Publication::Slice(next)).unwrap();
         assert_eq!(transport.commit_publish(2).unwrap(), 2, "stale duplicate");
         assert_eq!(
             transport.commit_publish(3).unwrap(),
@@ -986,7 +947,7 @@ mod tests {
         let changed: Vec<u32> = (0..12).collect();
         // Base 1 matches the freshly-started server's version.
         let delta = next.shard_delta(0..12, &changed, 1, 2);
-        assert!(transport.prepare_publish_delta(&delta).unwrap());
+        assert!(transport.stage(2, Publication::Delta(&delta)).unwrap());
         assert_eq!(
             transport.observe_epoch().unwrap(),
             1,
@@ -999,12 +960,12 @@ mod tests {
         assert_eq!(info.epoch, 2);
         // A delta whose base is no longer served is declined, not applied.
         let stale = next.shard_delta(0..12, &changed, 1, 3);
-        assert!(!transport.prepare_publish_delta(&stale).unwrap());
+        assert!(!transport.stage(3, Publication::Delta(&stale)).unwrap());
         // A delta with the wrong shape is a hard error.
         let misshapen =
             InferenceSnapshot::from_model(&planted_model(6, 3), SnapshotSampler::WaryTree)
                 .shard_delta(0..6, &[0, 2], 2, 3);
-        assert!(transport.prepare_publish_delta(&misshapen).is_err());
+        assert!(transport.stage(3, Publication::Delta(&misshapen)).is_err());
     }
 
     #[test]
@@ -1385,24 +1346,59 @@ mod tests {
             let bad_request = ServeError::BadRequest { detail: "".into() };
             let conflict = ServeError::Conflict { detail: "".into() };
             let variant = std::mem::discriminant::<ServeError>;
-            for (vocab, k, alpha, epoch, refusal, why) in [
-                (6, 3, 0.05, 2, &bad_request, "a wrong-V slice"),
-                (12, 4, 0.05, 2, &bad_request, "a wrong-K slice"),
-                (12, 3, 5.0, 2, &bad_request, "another alpha"),
-                (12, 3, 0.05, 0, &conflict, "a stale epoch"),
-                (12, 3, 0.05, 1, &conflict, "the epoch already served"),
+            // Cut over the served epoch 1 for epoch 3, staged for epoch 2.
+            let delta = slice(12, 3, 0.05).shard_delta(0..12, &[1, 2], 1, 3);
+            for (epoch, publication, refusal, why) in [
+                (
+                    2,
+                    Publication::Slice(slice(6, 3, 0.05)),
+                    &bad_request,
+                    "a wrong-V slice",
+                ),
+                (
+                    2,
+                    Publication::Slice(slice(12, 4, 0.05)),
+                    &bad_request,
+                    "a wrong-K slice",
+                ),
+                (
+                    2,
+                    Publication::Slice(slice(12, 3, 5.0)),
+                    &bad_request,
+                    "another alpha",
+                ),
+                (
+                    0,
+                    Publication::Slice(slice(12, 3, 0.05)),
+                    &conflict,
+                    "a stale epoch",
+                ),
+                (
+                    1,
+                    Publication::Slice(slice(12, 3, 0.05)),
+                    &conflict,
+                    "the epoch served",
+                ),
+                (
+                    2,
+                    Publication::Delta(&delta),
+                    &bad_request,
+                    "a delta for epoch 3",
+                ),
             ] {
-                match t.prepare_publish(slice(vocab, k, alpha), epoch) {
+                match t.stage(epoch, publication) {
                     Err(e) => assert_eq!(variant(&e), variant(refusal), "{why}: {e:?}"),
-                    Ok(()) => panic!("{why} was staged"),
+                    Ok(staged) => panic!("{why} was answered {staged}"),
                 }
             }
-            match t.commit_publish(2) {
-                Err(e) => assert_eq!(variant(&e), variant(&conflict), "{e:?}"),
-                Ok(_) => panic!("a refused slice was staged"),
+            for epoch in [2, 3] {
+                match t.commit_publish(epoch) {
+                    Err(e) => assert_eq!(variant(&e), variant(&conflict), "{e:?}"),
+                    Ok(_) => panic!("a refused publication was staged for epoch {epoch}"),
+                }
             }
             // …and the contract refuses nothing it should not.
-            t.prepare_publish(slice(12, 3, 0.05), 2).unwrap();
+            assert!(t.stage(2, Publication::Slice(slice(12, 3, 0.05))).unwrap());
             assert_eq!(t.commit_publish(2).unwrap(), 2);
             assert_eq!(t.observe_epoch().unwrap(), 2);
         }
@@ -1441,7 +1437,7 @@ mod tests {
         let mut body = Vec::new();
         slice.save(&mut body).unwrap();
         assert!(body.len() > HttpConfig::default().max_body_bytes);
-        remote.prepare_publish(slice, 2).unwrap();
+        remote.stage(2, Publication::Slice(slice)).unwrap();
         assert_eq!(remote.commit_publish(2).unwrap(), 2);
         assert_eq!(remote.observe_epoch().unwrap(), 2);
         // Every other body keeps the 1 MiB bound, and a publication larger
@@ -1478,24 +1474,58 @@ mod tests {
             HttpConfig::default(),
         )
         .unwrap();
+        // No shard stands behind the front to describe, read from, stage
+        // over or commit: every shard endpoint answers 400 before it parses
+        // the (malformed) body.
+        for (method, path, detail) in [
+            (
+                "POST",
+                "/infer-partial",
+                "this backend does not serve shard partials",
+            ),
+            (
+                "POST",
+                "/publish-shard",
+                "this backend does not accept epoch publications",
+            ),
+            (
+                "POST",
+                "/publish-delta",
+                "this backend does not accept epoch publications",
+            ),
+            (
+                "POST",
+                "/commit-epoch",
+                "this backend does not accept epoch publications",
+            ),
+            (
+                "GET",
+                "/shard-info",
+                "this backend does not describe a shard",
+            ),
+        ] {
+            let mut stream = TcpStream::connect(front.local_addr()).unwrap();
+            stream.set_read_timeout(Some(PATIENCE)).unwrap();
+            let head = format!(
+                "{method} {path} HTTP/1.1\r\nHost: t\r\nX-Saber-Epoch: 2\r\n\
+                 Content-Length: 5\r\nConnection: close\r\n\r\n"
+            );
+            stream
+                .write_all(&[head.as_bytes(), b"\xff{\"]1"].concat())
+                .unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            assert!(reply.starts_with("HTTP/1.1 400 "), "{path}: {reply}");
+            assert!(reply.contains(detail), "{path}: {reply}");
+        }
+        // So a router pointed at the front fails at construction.
         let remote = HttpTransport::connect(front.local_addr()).unwrap();
-        // Well-formed in the fleet's own shape, yet no shard stands behind
-        // the front to stage over or commit: every endpoint answers 400.
-        let slice = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
-        let delta = slice.shard_delta(0..12, &[1, 2], 1, 2);
-        let refusals = [
-            submit(&remote).wait(None).map(drop),
-            remote.prepare_publish(slice, 2),
-            remote.prepare_publish_delta(&delta).map(drop),
-            remote.commit_publish(2).map(drop),
-        ];
-        for refused in refusals {
-            match refused {
-                Err(ServeError::BadRequest { detail }) => {
-                    assert!(detail.contains("this backend does not"), "{detail}")
-                }
-                other => panic!("expected a 400, got {other:?}"),
+        let plan = ShardPlan::single(12).unwrap();
+        match ShardRouter::with_transports(plan, vec![remote], ServeConfig::default()) {
+            Err(ServeError::BadRequest { detail }) => {
+                assert!(detail.contains("this backend does not"), "{detail}")
             }
+            other => panic!("expected a 400, got {other:?}"),
         }
         assert_eq!(router.epoch(), 1);
         // Its bodies are bounded by `max_body_bytes`, not by the shape of
@@ -1511,7 +1541,6 @@ mod tests {
             let status = status_for_declared_body(bounded.local_addr(), path, 101);
             assert_eq!(status, 413, "{path}");
         }
-        drop(remote);
         front.shutdown();
         bounded.shutdown();
     }

@@ -4,7 +4,7 @@
 //! is a separate OS process that boots a [`TopicServer`] from a snapshot
 //! slice saved on disk (no retraining) and exposes the shard protocol over
 //! HTTP (`/infer-partial`, `/shard-info`, `/publish-shard`,
-//! `/commit-epoch`). A `ShardRouter<HttpTransport>` in the parent process
+//! `/publish-delta`, `/commit-epoch`). A `ShardRouter<HttpTransport>` in the parent process
 //! fans documents out over real localhost TCP, checks the answers against
 //! an in-process `ShardRouter<LocalTransport>` reference, performs a
 //! remote all-or-nothing epoch publication, and shuts the fleet down.

@@ -24,7 +24,9 @@
 //!   `c · input bytes + m · shape bytes + FLOOR`. Each row states `c` and
 //!   `m` before it runs; `shape` is the served snapshot's `V · K · 4` bytes
 //!   for the endpoints, the largest dense partial the cap admits for
-//!   partial responses, and 0 otherwise.
+//!   partial responses, and 0 otherwise. Each endpoint row starts from a
+//!   fresh shard holding one epoch, so no case is credited with freeing
+//!   what another row left behind.
 //!
 //! The table is this binary's only `#[test]`, so no sibling test allocates
 //! while a case is measured. With `--nocapture` it prints each decoder's
@@ -43,7 +45,9 @@ use saberlda::core::json::{self, JsonValue};
 use saberlda::core::model_io::{load_delta, load_model, save_delta, save_model, DeltaPayload};
 use saberlda::serve::wire::{self, InferBody, InferWire, MAX_PARTIAL_TOPICS};
 use saberlda::serve::{HttpConfig, HttpServer, InferenceSnapshot, PartialRequest};
-use saberlda::serve::{PartialResponse, ServeConfig, ServeError, SnapshotSampler, TopicServer};
+use saberlda::serve::{
+    PartialResponse, Publication, ServeConfig, ServeError, SnapshotSampler, TopicServer,
+};
 use saberlda::trace::{TraceContext, TraceId};
 use saberlda::{LdaModel, OovPolicy};
 
@@ -568,6 +572,29 @@ fn epoch(e: u64) -> String {
     format!("X-Saber-Epoch: {e}\r\n")
 }
 
+/// A fresh shard serving `model`'s W-ary export at `epoch` and holding no
+/// other epoch, behind a loopback listener.
+fn fresh_shard(model: &LdaModel, epoch: u64) -> (Arc<TopicServer>, HttpServer) {
+    let server = Arc::new(TopicServer::from_model(model, ServeConfig::default()).unwrap());
+    if epoch > 1 {
+        let own = InferenceSnapshot::from_model(model, SnapshotSampler::WaryTree);
+        server.stage(epoch, Publication::Slice(own)).unwrap();
+        server.commit(epoch).unwrap();
+        // A stage whose build fails (a row past `V`) releases the epoch the
+        // commit replaced and stages nothing.
+        let (vocab, k) = (model.vocab_size(), model.n_topics());
+        let rows = vec![(vocab as u32, vec![0.5; k])];
+        let bad = DeltaPayload {
+            rows,
+            ..delta(vocab, k, vocab, (epoch, epoch + 1))
+        };
+        assert!(server.stage(epoch + 1, Publication::Delta(&bad)).is_err());
+    }
+    let config = HttpConfig::default();
+    let http = HttpServer::bind("127.0.0.1:0", Arc::clone(&server), None, config);
+    (server, http.unwrap())
+}
+
 /// A request whose `Content-Length` claims 2^40 bytes over 3.
 fn lying_length(path: &str) -> Case {
     let head = format!(
@@ -590,18 +617,17 @@ fn endpoint_rows(table: &mut Table) {
     let (vocab, k) = (1024, 64);
     let bounds = (3, 3, vocab * k * 4);
     let model = planted(vocab, k);
-    let server = Arc::new(TopicServer::from_model(&model, ServeConfig::default()).unwrap());
-    let http = HttpServer::bind("127.0.0.1:0", Arc::clone(&server), None, HttpConfig::default());
-    let http = http.unwrap();
-    let addr = http.local_addr();
-    let decode = |b: &[u8]| send(addr, b);
     // A stage's answer, committed: the served bytes must be what was sent.
-    let commit = |reply: &String| {
+    let commit = |server: &TopicServer, reply: &String| {
         let staged = json::parse(reply).unwrap().get("staged_epoch").and_then(JsonValue::as_u64);
         server.commit(staged.unwrap()).unwrap();
         slice(&server.snapshot())
     };
     let exact = |what: &str, request, want| Case(what.into(), request, Expect::Exact(want));
+
+    let (server, http) = fresh_shard(&model, 1);
+    let addr = http.local_addr();
+    let decode = |b: &[u8]| send(addr, b);
 
     let shard = |e: u64, body: &[u8]| post("/publish-shard", &epoch(e), body);
     let own = export(&model, SnapshotSampler::WaryTree);
@@ -623,10 +649,14 @@ fn endpoint_rows(table: &mut Table) {
     }
     // A slice that failed to build staged nothing.
     cases.push(no("commit of epoch 4", post("/commit-epoch", &epoch(4), br#"{"epoch":4}"#), "409"));
-    table.row("POST /publish-shard", bounds, decode, commit, cases);
+    table.row("POST /publish-shard", bounds, decode, |r| commit(&server, r), cases);
+    http.shutdown();
 
     // Serving the W-ary slice at epoch 3; each valid delta applies over
     // the one before it.
+    let (server, http) = fresh_shard(&model, 3);
+    let addr = http.local_addr();
+    let decode = |b: &[u8]| send(addr, b);
     let publish = |e: u64, d: &DeltaPayload| post("/publish-delta", &epoch(e), &encoded(d));
     let (whole, sparse) = (delta(vocab, k, 1, (3, 4)), delta(vocab, k, 37, (4, 5)));
     let after_whole = server.snapshot().apply_delta(&whole).unwrap();
@@ -654,10 +684,15 @@ fn endpoint_rows(table: &mut Table) {
     }
     // A delta that failed to build staged nothing.
     cases.push(no("commit of epoch 6", post("/commit-epoch", &epoch(6), br#"{"epoch":6}"#), "409"));
-    table.row("POST /publish-delta", bounds, decode, commit, cases);
+    table.row("POST /publish-delta", bounds, decode, |r| commit(&server, r), cases);
+    http.shutdown();
 
     // Serving epoch 5; epoch 6 staged here, outside any case.
-    server.stage(6, InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree)).unwrap();
+    let (server, http) = fresh_shard(&model, 5);
+    let addr = http.local_addr();
+    let decode = |b: &[u8]| send(addr, b);
+    let wary = InferenceSnapshot::from_model(&model, SnapshotSampler::WaryTree);
+    server.stage(6, Publication::Slice(wary)).unwrap();
     let json = |e: u64| format!("{{\"epoch\":{e}}}");
     let commit = |headers: &str, body: &[u8]| post("/commit-epoch", headers, body);
     let six = json(6);

@@ -12,7 +12,7 @@ use saberlda::core::json;
 use saberlda::corpus::OovPolicy;
 use saberlda::serve::http::{HttpConfig, HttpServer};
 use saberlda::serve::{
-    wire, FoldInParams, PartialRequest, ServeConfig, SnapshotSampler, TopicServer,
+    wire, FoldInParams, PartialRequest, Publication, ServeConfig, SnapshotSampler, TopicServer,
 };
 use saberlda::{InferenceSnapshot, LdaModel, Vocabulary};
 
@@ -383,7 +383,7 @@ fn snapshot_swap_is_visible_over_a_live_keep_alive_connection() {
     // Publish a shifted model (word v moves to topic (v+1) % K) while the
     // connection stays open.
     let shifted = InferenceSnapshot::from_model(&planted_model(1), SnapshotSampler::WaryTree);
-    server.stage(2, shifted).unwrap();
+    server.stage(2, Publication::Slice(shifted)).unwrap();
     assert_eq!(server.commit(2).unwrap(), 2);
 
     let (status, body) = send(&words_payload(&doc, 9));

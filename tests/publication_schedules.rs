@@ -4,9 +4,9 @@
 //! The fleet is 2 ranges × 2 replicas of real `TopicServer` shards behind
 //! the real `ShardRouter`, fed by the real `TrainingPipeline::push_epoch`.
 //! Each replica is a `LocalTransport` wrapped in a `ScriptedReplica`, whose
-//! four publication calls (`observe_epoch`, `prepare_publish`,
-//! `prepare_publish_delta`, `commit_publish`) consult a shared script. A
-//! call is answered as the shard answers it, or it meets a fault:
+//! publication calls (`observe_epoch`, `stage` of a slice or of a delta,
+//! `commit_publish`) consult a shared script. A call is answered as the
+//! shard answers it, or it meets a fault:
 //!
 //! * `Unreachable`: a transport error, and the shard never sees the call;
 //! * `ReplyLost`: the shard acts on the call, then a transport error;
@@ -49,11 +49,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use saber_pipeline::{PipelineConfig, PipelineError, TrainingPipeline};
-use saberlda::core::model_io::DeltaPayload;
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
     FoldInKind, FoldInParams, InferenceSnapshot, LocalTransport, PartialRequest, PendingPartial,
-    ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport, TopicServer,
+    Publication, ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport,
+    TopicServer,
 };
 use saberlda::trace::TraceContext;
 use saberlda::{SaberLda, SaberLdaConfig};
@@ -164,25 +164,6 @@ impl ScriptedReplica {
             Some(Duplicated) | None => shard(),
         }
     }
-
-    /// Runs `stage` on the shard, noting a stage accepted for an epoch the
-    /// shard already served (invariant 4).
-    fn stage<R>(
-        &self,
-        epoch: u64,
-        stage: impl FnOnce() -> Result<R, ServeError>,
-        accepted: impl FnOnce(&Result<R, ServeError>) -> bool,
-    ) -> Result<R, ServeError> {
-        let served = self.inner.server().snapshot_version();
-        let outcome = stage();
-        if accepted(&outcome) && epoch <= served {
-            lock(&self.script).violations.push(format!(
-                "replica {} of range {} accepted a stage for epoch {epoch} while serving {served}",
-                self.replica, self.range
-            ));
-        }
-        outcome
-    }
 }
 
 impl ShardTransport for ScriptedReplica {
@@ -208,17 +189,23 @@ impl ShardTransport for ScriptedReplica {
         self.apply(self.next(Op::Observe), || self.inner.observe_epoch())
     }
 
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.apply(self.next(Op::Stage), || {
-            let stage = || self.inner.prepare_publish(slice, epoch);
-            self.stage(epoch, stage, Result::is_ok)
-        })
-    }
-
-    fn prepare_publish_delta(&self, delta: &DeltaPayload) -> Result<bool, ServeError> {
-        self.apply(self.next(Op::StageDelta), || {
-            let stage = || self.inner.prepare_publish_delta(delta);
-            self.stage(delta.target_version, stage, |o| matches!(o, Ok(true)))
+    /// Stages on the shard, noting a stage accepted for an epoch the shard
+    /// already served (invariant 4).
+    fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
+        let op = match publication {
+            Publication::Slice(_) => Op::Stage,
+            Publication::Delta(_) => Op::StageDelta,
+        };
+        self.apply(self.next(op), || {
+            let served = self.inner.server().snapshot_version();
+            let outcome = self.inner.stage(epoch, publication);
+            if matches!(outcome, Ok(true)) && epoch <= served {
+                lock(&self.script).violations.push(format!(
+                    "replica {} of range {} accepted a stage for epoch {epoch} while serving {served}",
+                    self.replica, self.range
+                ));
+            }
+            outcome
         })
     }
 
@@ -270,8 +257,8 @@ impl ShardTransport for EmView {
         self.inner.observe_epoch()
     }
 
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.inner.prepare_publish(slice, epoch)
+    fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
+        self.inner.stage(epoch, publication)
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {

@@ -34,8 +34,8 @@ use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
     derive_replica_choice, derive_shard_seed, FoldInKind, HttpConfig, HttpServer, HttpTransport,
     InferenceSnapshot, LocalTransport, PartialRequest, PartialResponse, PendingPartial,
-    ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport, TopicServer,
-    FAILURE_THRESHOLD,
+    Publication, ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport,
+    TopicServer, FAILURE_THRESHOLD,
 };
 use saberlda::trace::{TraceBuilder, TraceContext, TraceId};
 use saberlda::LdaModel;
@@ -265,8 +265,8 @@ impl ShardTransport for FlakyTransport {
         self.inner.observe_epoch()
     }
 
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.inner.prepare_publish(slice, epoch)
+    fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
+        self.inner.stage(epoch, publication)
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
@@ -416,8 +416,8 @@ impl ShardTransport for ExtraTopicsTransport {
         self.inner.observe_epoch()
     }
 
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.inner.prepare_publish(slice, epoch)
+    fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
+        self.inner.stage(epoch, publication)
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {
@@ -519,8 +519,8 @@ impl ShardTransport for FailOnceTransport {
         self.inner.observe_epoch()
     }
 
-    fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
-        self.inner.prepare_publish(slice, epoch)
+    fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError> {
+        self.inner.stage(epoch, publication)
     }
 
     fn commit_publish(&self, epoch: u64) -> Result<u64, ServeError> {

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use saberlda::corpus::synthetic::SyntheticSpec;
-use saberlda::serve::{FoldInParams, ServeConfig, SnapshotSampler, TopicServer};
+use saberlda::serve::{FoldInParams, Publication, ServeConfig, SnapshotSampler, TopicServer};
 use saberlda::{InferenceSnapshot, LdaModel, SaberLda, SaberLdaConfig};
 
 const K: usize = 4;
@@ -251,7 +251,7 @@ fn mid_stream_snapshot_swap_is_observed_by_subsequent_requests() {
     std::thread::sleep(std::time::Duration::from_millis(5));
     let snapshot = InferenceSnapshot::from_model(&planted_model(1), SnapshotSampler::WaryTree);
     published.store(2, Ordering::SeqCst);
-    server.stage(2, snapshot).unwrap();
+    server.stage(2, Publication::Slice(snapshot)).unwrap();
     assert_eq!(server.commit(2).unwrap(), 2);
 
     let exits: Vec<bool> = clients.into_iter().map(|c| c.join().unwrap()).collect();
