@@ -1,7 +1,7 @@
 //! Shared state and helpers for the baseline trainers.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use saber_core::model::LdaModel;
 use saber_corpus::Corpus;
 use saber_gpu_sim::DeviceSpec;
@@ -56,15 +56,23 @@ impl BaselineState {
     pub fn new(corpus: &Corpus, n_topics: usize, alpha: f32, beta: f32, seed: u64) -> Self {
         assert!(n_topics > 0, "n_topics must be positive");
         assert!(corpus.n_tokens() > 0, "corpus must contain tokens");
-        let mut tl = corpus.to_token_list();
+        let (doc_ids, word_ids): (Vec<u32>, Vec<u32>) = corpus
+            .documents()
+            .iter()
+            .enumerate()
+            .flat_map(|(d, doc)| doc.words().iter().map(move |&w| (d as u32, w)))
+            .unzip();
         let mut rng = StdRng::seed_from_u64(seed);
-        tl.randomize_topics(n_topics, &mut rng);
+        let topics = word_ids
+            .iter()
+            .map(|_| rng.gen_range(0..n_topics) as u32)
+            .collect();
         let model = LdaModel::new(corpus.vocab_size(), n_topics, alpha, beta)
             .expect("validated parameters");
         let mut state = BaselineState {
-            doc_ids: tl.doc_ids().to_vec(),
-            word_ids: tl.word_ids().to_vec(),
-            topics: tl.topics().to_vec(),
+            doc_ids,
+            word_ids,
+            topics,
             doc_topic: DenseMatrix::zeros(corpus.n_docs(), n_topics),
             model,
             alpha,
@@ -118,6 +126,7 @@ impl BaselineState {
 mod tests {
     use super::*;
     use saber_corpus::synthetic::SyntheticSpec;
+    use saber_corpus::Document;
 
     #[test]
     fn state_initialisation_is_consistent() {
@@ -138,6 +147,29 @@ mod tests {
         let a = BaselineState::new(&corpus, 5, 0.1, 0.01, 9);
         let b = BaselineState::new(&corpus, 5, 0.1, 0.01, 9);
         assert_eq!(a.topics, b.topics);
+    }
+
+    #[test]
+    fn state_flattens_the_corpus_in_document_order() {
+        let corpus = Corpus::from_documents(
+            5,
+            vec![
+                Document::new(vec![0, 1]),
+                Document::new(vec![2, 3, 2, 0]),
+                Document::new(vec![2, 4]),
+            ],
+        )
+        .unwrap();
+        let state = BaselineState::new(&corpus, 3, 0.1, 0.01, 0);
+        assert_eq!(state.doc_ids, [0, 0, 1, 1, 1, 1, 2, 2]);
+        assert_eq!(state.word_ids, [0, 1, 2, 3, 2, 0, 2, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_topics must be positive")]
+    fn zero_topics_panics() {
+        let corpus = SyntheticSpec::small_test().generate(0);
+        BaselineState::new(&corpus, 0, 0.1, 0.01, 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{CorpusError, Result, TokenList, Vocabulary};
+use crate::{CorpusError, Result, Vocabulary};
 
 /// One document: the sequence of word ids of its tokens.
 ///
@@ -186,22 +186,6 @@ impl Corpus {
         freq
     }
 
-    /// Flattens the corpus into a [`TokenList`] with all topic assignments set
-    /// to zero. Use [`TokenList::randomize_topics`] to initialise them.
-    pub fn to_token_list(&self) -> TokenList {
-        let mut doc_ids = Vec::with_capacity(self.n_tokens as usize);
-        let mut word_ids = Vec::with_capacity(self.n_tokens as usize);
-        for (d, doc) in self.docs.iter().enumerate() {
-            for &w in doc.words() {
-                doc_ids.push(d as u32);
-                word_ids.push(w);
-            }
-        }
-        let topics = vec![0u32; doc_ids.len()];
-        TokenList::from_parts(self.docs.len(), self.vocab_size, doc_ids, word_ids, topics)
-            .expect("corpus invariants guarantee a valid token list")
-    }
-
     /// Keeps only the documents selected by `keep`, returning a new corpus.
     /// Used by the train/held-out splitter.
     pub fn select_documents(&self, keep: impl Iterator<Item = usize>) -> Corpus {
@@ -254,18 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn token_list_flattening_preserves_tokens() {
-        let c = fig1_corpus();
-        let tl = c.to_token_list();
-        assert_eq!(tl.len(), 8);
-        assert_eq!(tl.n_docs(), 3);
-        assert_eq!(tl.vocab_size(), 5);
-        assert_eq!(tl.doc_ids()[0], 0);
-        assert_eq!(tl.word_ids()[2], 2);
-        assert_eq!(tl.doc_ids()[7], 2);
-    }
-
-    #[test]
     fn vocabulary_attachment_checks_size() {
         let c = fig1_corpus();
         assert!(c.clone().with_vocabulary(Vocabulary::synthetic(4)).is_err());
@@ -287,6 +259,5 @@ mod tests {
         let c = Corpus::from_documents(10, vec![]).unwrap();
         assert_eq!(c.n_docs(), 0);
         assert_eq!(c.mean_doc_len(), 0.0);
-        assert_eq!(c.to_token_list().len(), 0);
     }
 }

@@ -5,7 +5,7 @@
 //! (§2.1 of the paper). This crate provides:
 //!
 //! * the in-memory corpus representation ([`Corpus`], [`Document`],
-//!   [`Vocabulary`]) and the flattened structure-of-arrays [`TokenList`];
+//!   [`Vocabulary`]);
 //! * a parser for the UCI "bag of words" format ([`uci`]) used by the paper's
 //!   NYTimes and PubMed datasets;
 //! * synthetic corpus generators ([`synthetic`]) that reproduce the statistical
@@ -35,13 +35,11 @@ pub mod presets;
 pub mod split;
 pub mod stats;
 pub mod synthetic;
-mod token;
 pub mod uci;
 mod vocab;
 
 pub use corpus::{Corpus, Document};
 pub use error::CorpusError;
-pub use token::{Token, TokenList};
 pub use vocab::{EncodedDocument, OovPolicy, Vocabulary};
 
 /// Result alias for fallible operations in this crate.

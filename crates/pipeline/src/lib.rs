@@ -553,7 +553,7 @@ mod tests {
     use saber_serve::{FoldInParams, PartialRequest, Publication, ShardInfo, TopicServer};
     use saber_trace::TraceContext;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn warm_trainer(seed: u64) -> SaberLda {
         let spec = SyntheticSpec::small_test();
@@ -680,8 +680,13 @@ mod tests {
         .unwrap();
         for seed in [0u64, 7, 130] {
             let words = vec![1u32, 40, 7, 199, 40, 3];
-            let a = pipeline.router().infer_topics(words.clone(), seed).unwrap();
-            let b = reference.infer_topics(words, seed).unwrap();
+            let a = pipeline
+                .router()
+                .infer_with_deadline(words.clone(), seed, Duration::MAX)
+                .unwrap();
+            let b = reference
+                .infer_with_deadline(words, seed, Duration::MAX)
+                .unwrap();
             assert_eq!(
                 a.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 b.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

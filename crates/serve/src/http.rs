@@ -1157,7 +1157,8 @@ fn read_line_bounded(
             Err(_) => return LineOutcome::Error,
         };
         if deadline.is_none() {
-            *deadline = Some(Instant::now() + budget);
+            // A budget too far to represent is no budget.
+            *deadline = Instant::now().checked_add(budget);
         }
         let newline = buffered.iter().position(|&b| b == b'\n');
         let content = newline.unwrap_or(buffered.len());

@@ -22,16 +22,18 @@
 //!   ESCA fold-in of [`saber_core::infer`] (`O(K_d)` per token, not
 //!   `O(K)`), and every request carries its own seed, so answers are
 //!   bit-reproducible regardless of batching, scheduling or concurrency.
-//! * Query API: [`TopicServer::infer_topics`] blocks on a full queue
-//!   (raw tokens are encoded by the caller with
+//! * Query API: one read call per serving type,
+//!   [`InferenceBackend::infer_with_trace`] — and
+//!   [`InferenceBackend::infer_with_deadline`], the same call under a
+//!   disabled trace builder — which bounds the wait by its deadline (raw
+//!   tokens are encoded by the caller with
 //!   [`Vocabulary::encode`](saber_corpus::Vocabulary::encode), as the HTTP
-//!   `/infer` handler does); [`TopicServer::infer_with_trace`] — and
-//!   [`TopicServer::infer_with_deadline`], the same call under a disabled
-//!   trace builder — fail fast and bound the wait. Every entry point is a
-//!   wrapper over one admission core (the request-path table in
-//!   `docs/SERVING.md`). A topic's highest-probability words are read
-//!   from the trainer's [`LdaModel`](saber_core::LdaModel), whose `B̂` the
-//!   snapshot copies bit for bit.
+//!   `/infer` handler does). A shard's partial is
+//!   [`TopicServer::infer_partial`]; the request-path table in
+//!   `docs/SERVING.md` lists every entry. A topic's highest-probability
+//!   words are read from the trainer's
+//!   [`LdaModel`](saber_core::LdaModel), whose `B̂` the snapshot copies bit
+//!   for bit.
 //! * [`ShardPlan`] + [`ShardRouter`] — vocabulary-sharded serving for
 //!   models whose snapshot exceeds one worker pool's memory budget: the
 //!   vocabulary is cut into byte-budgeted contiguous ranges ([`shard`]),
@@ -73,8 +75,10 @@
 //! # Example
 //!
 //! ```
+//! use std::time::Duration;
+//!
 //! use saber_core::LdaModel;
-//! use saber_serve::{ServeConfig, TopicServer};
+//! use saber_serve::{InferenceBackend, ServeConfig, TopicServer};
 //!
 //! // A toy "trained" model: word v belongs to topic v % 2.
 //! let mut model = LdaModel::new(10, 2, 0.1, 0.01).unwrap();
@@ -84,7 +88,8 @@
 //! model.refresh_probabilities();
 //!
 //! let server = TopicServer::from_model(&model, ServeConfig::default()).unwrap();
-//! let response = server.infer_topics(vec![0, 2, 4, 6, 0, 2], 7).unwrap();
+//! let words = vec![0, 2, 4, 6, 0, 2];
+//! let response = server.infer_with_deadline(words, 7, Duration::from_secs(1)).unwrap();
 //! assert_eq!(response.dominant_topic(), 0);
 //! assert_eq!(response.snapshot_version, 1);
 //! ```
@@ -152,8 +157,8 @@ pub use transport::{HttpTransport, LocalTransport, PendingPartial, ShardInfo, Sh
 /// formats, same determinism guarantees. The only observable difference is
 /// the `shards` member of `/healthz` and `/stats`.
 pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
-    /// Fail-fast, deadline-bounded inference over word ids, recording child
-    /// spans under `parent` in `trace` — the single inference path, and the
+    /// Deadline-bounded inference over word ids, recording child spans
+    /// under `parent` in `trace` — each backend's one read body, and the
     /// one `POST /infer` drives. [`TopicServer`] records
     /// `queue-wait`/`handler` spans and [`ShardRouter`] a full fan-out
     /// subtree; a [disabled](saber_trace::TraceBuilder::disabled) builder
@@ -162,8 +167,13 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Backend-dependent; see [`TopicServer::infer_with_deadline`] and
-    /// [`ShardRouter::infer_with_deadline`].
+    /// [`ServeError::BadRequest`] for out-of-vocabulary word ids,
+    /// [`ServeError::Overloaded`] when a queue is full,
+    /// [`ServeError::DeadlineExceeded`] when no answer arrives in time and
+    /// [`ServeError::Closed`] after shutdown; a router also reports
+    /// [`ServeError::Transport`] for unreachable remote shards and
+    /// [`ServeError::ShardVersionSkew`] when some shard range holds no
+    /// snapshot of its epoch.
     fn infer_with_trace(
         &self,
         words: Vec<u32>,
@@ -229,84 +239,6 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
     }
 }
 
-impl InferenceBackend for TopicServer {
-    fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: std::time::Duration,
-        trace: &mut saber_trace::TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        TopicServer::infer_with_trace(self, words, seed, deadline, trace, parent)
-    }
-
-    fn n_topics(&self) -> usize {
-        self.snapshot().n_topics()
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.snapshot().vocab_size()
-    }
-
-    fn snapshot_version(&self) -> u64 {
-        TopicServer::snapshot_version(self)
-    }
-
-    fn n_shards(&self) -> usize {
-        1
-    }
-
-    fn serve_stats(&self) -> ServeStats {
-        self.stats()
-    }
-
-    fn shard(&self) -> Option<&TopicServer> {
-        Some(self)
-    }
-}
-
-impl<T: ShardTransport> InferenceBackend for ShardRouter<T> {
-    fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: std::time::Duration,
-        trace: &mut saber_trace::TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        ShardRouter::infer_with_trace(self, words, seed, deadline, trace, parent)
-    }
-
-    fn n_topics(&self) -> usize {
-        ShardRouter::n_topics(self)
-    }
-
-    fn vocab_size(&self) -> usize {
-        ShardRouter::vocab_size(self)
-    }
-
-    fn snapshot_version(&self) -> u64 {
-        self.epoch()
-    }
-
-    fn n_shards(&self) -> usize {
-        ShardRouter::n_shards(self)
-    }
-
-    fn serve_stats(&self) -> ServeStats {
-        self.stats()
-    }
-
-    fn router_stats(&self) -> Option<RouterStats> {
-        Some(ShardRouter::router_stats(self))
-    }
-
-    fn fleet_health(&self) -> Option<FleetHealth> {
-        Some(ShardRouter::fleet_health(self))
-    }
-}
-
 /// Errors produced by the serving subsystem.
 #[derive(Debug)]
 pub enum ServeError {
@@ -320,7 +252,7 @@ pub enum ServeError {
     /// The bounded request queue is full (fail-fast admission control).
     Overloaded,
     /// The request was admitted but no answer arrived within the caller's
-    /// deadline (see [`TopicServer::infer_with_deadline`]).
+    /// deadline (see [`InferenceBackend::infer_with_deadline`]).
     DeadlineExceeded,
     /// A request carried a word id outside the served vocabulary, or a
     /// shape this server can never serve.
@@ -358,8 +290,8 @@ pub enum ServeError {
     /// [`saber_corpus::OovPolicy::Fail`]).
     Corpus(saber_corpus::CorpusError),
     /// A broken internal invariant that would previously have panicked a
-    /// serving thread: a worker answered with the wrong reply kind, the OS
-    /// refused to spawn a thread, a router observed an impossible state.
+    /// serving thread: the OS refused to spawn a thread, a router observed
+    /// an impossible state.
     /// Serving degrades to a 500 on the one request instead of killing the
     /// shard for everyone.
     Internal {

@@ -70,7 +70,7 @@ use crate::server::{PartialRequest, PartialResponse};
 use crate::shard::{derive_replica_choice, derive_shard_seed, ShardPlan};
 use crate::snapshot::{FoldInKind, InferenceSnapshot};
 use crate::transport::{LocalTransport, PendingPartial, ShardInfo, ShardTransport};
-use crate::{InferResponse, ServeConfig, ServeError, ServeStats, TopicServer};
+use crate::{InferResponse, InferenceBackend, ServeConfig, ServeError, ServeStats, TopicServer};
 
 mod locks;
 mod publish;
@@ -524,64 +524,19 @@ impl<T: ShardTransport> ShardRouter<T> {
         self.last_epoch.load(Ordering::Acquire)
     }
 
-    /// Blockingly infers the topic distribution of one document across the
-    /// fleet; the sharded counterpart of [`TopicServer::infer_topics`],
-    /// deterministic for equal `(words, seed, epoch)`.
+    /// [`InferenceBackend::infer_with_deadline`], callable without the
+    /// trait in scope.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for out-of-vocabulary word ids,
-    /// [`ServeError::Closed`] after shutdown, [`ServeError::Transport`]
-    /// for unreachable remote shards, and
-    /// [`ServeError::ShardVersionSkew`] when some shard range holds no
-    /// snapshot of the router's epoch.
-    pub fn infer_topics(&self, words: Vec<u32>, seed: u64) -> Result<InferResponse, ServeError> {
-        self.route(&words, seed, None, &mut TraceBuilder::disabled(), 0)
-    }
-
-    /// Fail-fast, deadline-bounded inference; the sharded counterpart of
-    /// [`TopicServer::infer_with_deadline`] (the HTTP front-end's path).
-    /// The deadline covers the whole fan-out — all shards and, under
-    /// [`FoldInKind::Em`], all synchronisation rounds.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardRouter::infer_topics`], plus [`ServeError::Overloaded`]
-    /// when any shard's queue is full and [`ServeError::DeadlineExceeded`]
-    /// when the merged answer cannot be produced in time.
+    /// As [`InferenceBackend::infer_with_trace`].
     pub fn infer_with_deadline(
         &self,
         words: Vec<u32>,
         seed: u64,
         deadline: Duration,
     ) -> Result<InferResponse, ServeError> {
-        self.infer_with_trace(words, seed, deadline, &mut TraceBuilder::disabled(), 0)
-    }
-
-    /// [`ShardRouter::infer_with_deadline`] that records the whole fan-out
-    /// as child spans of `parent` in `trace`: a `fan-out` span per
-    /// submission wave (one `em-round {r}` wrapper per EM iteration), a
-    /// `shard {s}` span per touched shard — each carrying the shard's own
-    /// `infer-partial` subtree, stitched from the response by
-    /// [`TraceBuilder::attach`] whether the shard is in-process or on
-    /// another machine — and a `merge` span for the router-side finish.
-    /// The pinned epoch lands as an event on `parent`. A
-    /// disabled builder records none of it. Tracing never changes an
-    /// answer: seeds and merge order ignore it.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardRouter::infer_with_deadline`].
-    pub fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: Duration,
-        trace: &mut TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let deadline = Some(Instant::now() + deadline);
-        self.route(&words, seed, deadline, trace, parent)
+        InferenceBackend::infer_with_deadline(self, words, seed, deadline)
     }
 
     /// Fleet-wide serving counters: every shard's [`ServeStats`] merged
@@ -961,6 +916,62 @@ impl<T: ShardTransport> ShardRouter<T> {
     }
 }
 
+impl<T: ShardTransport> InferenceBackend for ShardRouter<T> {
+    /// Routes one document across the fleet, deterministic for equal
+    /// `(words, seed, epoch)`. The deadline covers the whole fan-out — all
+    /// shards and, under [`FoldInKind::Em`], all synchronisation rounds —
+    /// and every leg is submitted fail-fast under it. A deadline too far
+    /// to represent is no deadline: every leg then blocks, as a
+    /// [`LocalTransport`] leg submitted without one does.
+    ///
+    /// Records the whole fan-out as child spans of `parent` in `trace`: a
+    /// `fan-out` span per submission wave (one `em-round {r}` wrapper per
+    /// EM iteration), a `shard {s}` span per touched shard — each carrying
+    /// the shard's own `infer-partial` subtree, stitched from the response
+    /// by [`TraceBuilder::attach`] whether the shard is in-process or on
+    /// another machine — and a `merge` span for the router-side finish. The
+    /// pinned epoch lands as an event on `parent`.
+    fn infer_with_trace(
+        &self,
+        words: Vec<u32>,
+        seed: u64,
+        deadline: Duration,
+        trace: &mut TraceBuilder,
+        parent: u64,
+    ) -> Result<InferResponse, ServeError> {
+        let deadline = Instant::now().checked_add(deadline);
+        self.route(&words, seed, deadline, trace, parent)
+    }
+
+    fn n_topics(&self) -> usize {
+        ShardRouter::n_topics(self)
+    }
+
+    fn vocab_size(&self) -> usize {
+        ShardRouter::vocab_size(self)
+    }
+
+    fn snapshot_version(&self) -> u64 {
+        self.epoch()
+    }
+
+    fn n_shards(&self) -> usize {
+        ShardRouter::n_shards(self)
+    }
+
+    fn serve_stats(&self) -> ServeStats {
+        self.stats()
+    }
+
+    fn router_stats(&self) -> Option<RouterStats> {
+        Some(ShardRouter::router_stats(self))
+    }
+
+    fn fleet_health(&self) -> Option<FleetHealth> {
+        Some(ShardRouter::fleet_health(self))
+    }
+}
+
 /// Validates one replica's [`ShardInfo`] against the plan slot it was
 /// wired into and the fleet-wide reference (replica 0 of shard 0): the
 /// slice width must match the plan's range, topic count, α, fold-in
@@ -1108,7 +1119,9 @@ mod tests {
         for kind in [FoldInKind::Esca, FoldInKind::Em] {
             for n_shards in [1, 2, 3] {
                 let router = router(n_shards, kind);
-                let response = router.infer_topics(vec![1, 4, 7, 10, 1, 4], 9).unwrap();
+                let response = router
+                    .infer_with_deadline(vec![1, 4, 7, 10, 1, 4], 9, Duration::MAX)
+                    .unwrap();
                 assert_eq!(
                     response.dominant_topic(),
                     1,
@@ -1128,8 +1141,12 @@ mod tests {
     fn routed_inference_replays_bit_identically() {
         let router = router(3, FoldInKind::Esca);
         let words = vec![0u32, 5, 7, 11, 2, 0];
-        let a = router.infer_topics(words.clone(), 77).unwrap();
-        let b = router.infer_topics(words, 77).unwrap();
+        let a = router
+            .infer_with_deadline(words.clone(), 77, Duration::MAX)
+            .unwrap();
+        let b = router
+            .infer_with_deadline(words, 77, Duration::MAX)
+            .unwrap();
         assert_eq!(
             a.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             b.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1144,7 +1161,9 @@ mod tests {
 
         let router = router(2, FoldInKind::Esca);
         let words = vec![0u32, 5, 7, 11];
-        let plain = router.infer_topics(words.clone(), 13).unwrap();
+        let plain = router
+            .infer_with_deadline(words.clone(), 13, Duration::MAX)
+            .unwrap();
 
         let mut trace = TraceBuilder::new(TraceId::mint());
         let root = trace.begin(None, "ingress");
@@ -1197,8 +1216,12 @@ mod tests {
         let direct = TopicServer::from_model(&model, zero).unwrap();
         let routed =
             ShardRouter::from_model(&model, ShardPlan::uniform(12, 3).unwrap(), zero).unwrap();
-        let a = direct.infer_topics(vec![1, 4, 7], 5).unwrap();
-        let b = routed.infer_topics(vec![1, 4, 7], 5).unwrap();
+        let a = direct
+            .infer_with_deadline(vec![1, 4, 7], 5, Duration::MAX)
+            .unwrap();
+        let b = routed
+            .infer_with_deadline(vec![1, 4, 7], 5, Duration::MAX)
+            .unwrap();
         assert_eq!(
             a.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             b.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1210,12 +1233,14 @@ mod tests {
     #[test]
     fn empty_documents_and_bad_ids_behave_like_a_single_server() {
         let router = router(2, FoldInKind::Esca);
-        let response = router.infer_topics(vec![], 0).unwrap();
+        let response = router
+            .infer_with_deadline(vec![], 0, Duration::MAX)
+            .unwrap();
         for &t in &response.theta {
             assert!((t - 1.0 / 3.0).abs() < 1e-6);
         }
         assert!(matches!(
-            router.infer_topics(vec![12], 0),
+            router.infer_with_deadline(vec![12], 0, Duration::MAX),
             Err(ServeError::BadRequest { .. })
         ));
         router.shutdown();
@@ -1305,9 +1330,11 @@ mod tests {
             ShardRouter::from_model(&model, ShardPlan::uniform(12, 2).unwrap(), *fleet.config())
                 .unwrap();
         for seed in [0u64, 9, 41] {
-            let a = fleet.infer_topics(vec![1, 2, 7, 11, 4, 2], seed).unwrap();
+            let a = fleet
+                .infer_with_deadline(vec![1, 2, 7, 11, 4, 2], seed, Duration::MAX)
+                .unwrap();
             let b = reference
-                .infer_topics(vec![1, 2, 7, 11, 4, 2], seed)
+                .infer_with_deadline(vec![1, 2, 7, 11, 4, 2], seed, Duration::MAX)
                 .unwrap();
             assert_eq!(
                 a.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1341,7 +1368,9 @@ mod tests {
         for seed in 0..6 {
             // Words 0, 5 and 9 live on shards 0, 1 and 2 of the 12-word
             // plan, so every shard sees traffic.
-            router.infer_topics(vec![0, 5, 9], seed).unwrap();
+            router
+                .infer_with_deadline(vec![0, 5, 9], seed, Duration::MAX)
+                .unwrap();
         }
         let merged = router.stats();
         assert_eq!(merged.requests, 18, "3 shard requests per document");
@@ -1415,8 +1444,12 @@ mod tests {
         .unwrap();
         let reference =
             ShardRouter::from_model(&model, ShardPlan::uniform(12, 2).unwrap(), config).unwrap();
-        let a = hand_built.infer_topics(vec![1, 4, 7, 10], 3).unwrap();
-        let b = reference.infer_topics(vec![1, 4, 7, 10], 3).unwrap();
+        let a = hand_built
+            .infer_with_deadline(vec![1, 4, 7, 10], 3, Duration::MAX)
+            .unwrap();
+        let b = reference
+            .infer_with_deadline(vec![1, 4, 7, 10], 3, Duration::MAX)
+            .unwrap();
         assert_eq!(
             a.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             b.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

@@ -2,14 +2,16 @@
 //!
 //! [`TopicServer`] is the crate's execution engine: a bounded request queue
 //! drained by `n_workers` threads that coalesce waiting requests into
-//! micro-batches (one snapshot load per batch). Every queued entry point is
-//! a thin wrapper over one `submit` (the only place a job is minted and
-//! enqueued) and one `await_reply`, in one of two admission modes —
-//! blocking ([`TopicServer::infer_topics`], [`TopicServer::infer_partial`])
-//! or fail-fast with a reply deadline
-//! ([`TopicServer::infer_with_deadline`] and its traced form
-//! [`TopicServer::infer_with_trace`], the ones the HTTP front-end maps to
-//! `429`/`503`). The one exception is a partial (`/infer-partial`) that
+//! micro-batches (one snapshot load per batch). Every read is one `submit`
+//! (the only place a job is minted and enqueued) and one `await_reply`. A
+//! job carries a reply channel typed by its kind, on which the worker sends
+//! the answer with the job's measured (queue-wait, handler) split, so a
+//! traced caller turns that split into spans. Admission is fail-fast under
+//! a deadline — full inference through [`InferenceBackend`], the path the
+//! HTTP front-end maps to `429`/`503` — and blocking without one
+//! ([`TopicServer::infer_partial`], a
+//! [`LocalTransport`](crate::LocalTransport) leg submitted without a
+//! deadline). The one exception is a partial (`/infer-partial`) that
 //! arrives while fewer than `n_workers` jobs are admitted and unfinished:
 //! the calling thread claims the free slot and answers it itself, as a
 //! one-request batch with no queue wait, saving the two thread hand-offs
@@ -31,7 +33,7 @@ use crate::snapshot::{check_fit, FoldInParams, InferenceSnapshot, Shape, Snapsho
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
 use crate::swap::SnapshotCell;
 use crate::transport::ShardInfo;
-use crate::ServeError;
+use crate::{InferenceBackend, ServeError};
 
 /// Configuration of a [`TopicServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,26 +132,18 @@ impl Counters {
     }
 
     /// Records one answered request of `tokens` tokens, admitted at
-    /// `admitted`, and stamps a traced request's split into `timings`.
+    /// `admitted`, with its (queue-wait, handler) split.
     fn record(
         &self,
         tokens: usize,
         admitted: Instant,
         (queue_wait, handler): (Duration, Duration),
-        timings: Option<&JobTimings>,
     ) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.tokens.fetch_add(tokens as u64, Ordering::Relaxed);
         self.queue_wait.record(queue_wait);
         self.handler.record(handler);
         self.latency.record(admitted.elapsed());
-        if let Some(timings) = timings {
-            let micros = |d: Duration| d.as_micros().min(u128::from(u64::MAX)) as u64;
-            timings
-                .queue_wait_us
-                .store(micros(queue_wait), Ordering::Relaxed);
-            timings.handler_us.store(micros(handler), Ordering::Relaxed);
-        }
     }
 }
 
@@ -210,25 +204,29 @@ impl ServeStats {
     }
 }
 
-/// The work a queued job asks of a worker.
+/// What a worker sends on a job's reply channel: the answer and the job's
+/// measured (queue-wait, handler) split.
+pub(crate) type Reply<T> = (T, (Duration, Duration));
+
+/// A partial job's reply: refused with [`ServeError::ShardVersionSkew`]
+/// when the server holds no snapshot of its epoch.
+pub(crate) type PartialReply = Reply<Result<PartialResponse, ServeError>>;
+
+/// The work a queued job asks of a worker, and the channel its answer goes
+/// back on.
 pub(crate) enum JobKind {
-    /// Full fold-in: answer with θ ([`JobReply::Infer`]).
-    Infer { seed: u64 },
-    /// One shard's half of a sharded fold-in: answer with raw counts
-    /// ([`JobReply::Partial`]) from the snapshot of `epoch`, or from the
-    /// live one when `None`.
+    /// Full fold-in: answer with θ.
+    Infer {
+        seed: u64,
+        reply: SyncSender<Reply<InferResponse>>,
+    },
+    /// One shard's half of a sharded fold-in: answer with raw counts from
+    /// the snapshot of `epoch`, or from the live one when `None`.
     Partial {
         request: PartialRequest,
         epoch: Option<u64>,
+        reply: SyncSender<PartialReply>,
     },
-}
-
-/// What a worker sends back; the variant always matches the [`JobKind`].
-/// A partial is refused with [`ServeError::ShardVersionSkew`] when the
-/// server holds no snapshot of its epoch.
-pub(crate) enum JobReply {
-    Infer(InferResponse),
-    Partial(Result<PartialResponse, ServeError>),
 }
 
 /// The answer to a partial fold-in request ([`TopicServer::infer_partial`]):
@@ -275,27 +273,6 @@ pub enum PartialRequest {
     },
 }
 
-/// Per-job wall-clock attribution a worker fills in for traced requests,
-/// read back by the submitter to turn into spans. Written once by the
-/// worker, read once by the requester — relaxed atomics suffice.
-#[derive(Debug, Default)]
-pub(crate) struct JobTimings {
-    /// Admission-to-dequeue, microseconds.
-    queue_wait_us: AtomicU64,
-    /// Dequeue-to-reply (the fold-in compute), microseconds.
-    handler_us: AtomicU64,
-}
-
-impl JobTimings {
-    /// `(queue_wait_us, handler_us)` as stamped by the worker.
-    fn load(&self) -> (u64, u64) {
-        (
-            self.queue_wait_us.load(Ordering::Relaxed),
-            self.handler_us.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// An admitted, unfinished job's claim on its server's in-flight count,
 /// given back when dropped.
 struct Slot(Arc<AtomicUsize>);
@@ -329,13 +306,9 @@ struct Job {
     kind: JobKind,
     /// Held from admission until the answer is computed.
     slot: Slot,
-    reply: SyncSender<JobReply>,
     /// When the request was admitted, so workers can attribute queue wait to
     /// the latency histogram.
     enqueued: Instant,
-    /// Present only for a traced request: where the worker deposits this
-    /// job's queue-wait/handler split for the submitter's spans.
-    timings: Option<Arc<JobTimings>>,
 }
 
 /// A multi-threaded topic-inference server over hot-swappable snapshots.
@@ -601,19 +574,6 @@ impl TopicServer {
         self.cell.version()
     }
 
-    /// Blockingly infers the topic distribution of one document.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadRequest`] for word ids outside the served
-    /// vocabulary and [`ServeError::Closed`] if the worker pool has shut
-    /// down.
-    pub fn infer_topics(&self, words: Vec<u32>, seed: u64) -> Result<InferResponse, ServeError> {
-        let trace = TraceContext::disabled();
-        let (rx, _) = self.submit(words, JobKind::Infer { seed }, false, trace)?;
-        Self::await_reply(&rx, None).and_then(expect_infer)
-    }
-
     /// Blockingly computes the partial sufficient statistics of `request`
     /// over `words` — the per-shard half of a sharded fold-in (see
     /// [`crate::ShardRouter`]). Answered on the calling thread when a worker
@@ -648,81 +608,30 @@ impl TopicServer {
         deadline: Option<Duration>,
         trace: TraceContext,
     ) -> Result<PartialResponse, ServeError> {
-        let kind = JobKind::Partial { request, epoch };
         let Some(slot) = Slot::claim_below(&self.in_flight, self.config.n_workers) else {
-            let (rx, timings) = self.submit(words, kind, deadline.is_some(), trace)?;
-            return finish_partial(Self::await_reply(&rx, deadline)?, timings.as_deref());
+            let kind = |reply| JobKind::Partial {
+                request,
+                epoch,
+                reply,
+            };
+            let rx = self.submit(words, kind, deadline)?;
+            return finish_partial(Self::await_reply(&rx, deadline)?, trace.enabled());
         };
         self.validate_words(&words)?;
         let started = Instant::now();
         let live = self.cell.load();
         self.counters.observe(live.version());
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let reply = answer(&words, &kind, &live, &self.cell, self.config.fold_in);
+        let fold_in = self.config.fold_in;
+        let answer = answer_partial(&words, &request, epoch, &live, &self.cell, fold_in);
         let handler = started.elapsed();
         drop(slot);
-        let timings = trace.enabled().then(JobTimings::default);
         let split = (Duration::ZERO, handler);
-        self.counters
-            .record(words.len(), started, split, timings.as_ref());
+        self.counters.record(words.len(), started, split);
         if deadline.is_some_and(|deadline| handler > deadline) {
             return Err(ServeError::DeadlineExceeded);
         }
-        finish_partial(reply, timings.as_ref())
-    }
-
-    /// Fail-fast inference with a response deadline: rejects immediately
-    /// with [`ServeError::Overloaded`] when the queue is full, and gives up
-    /// with [`ServeError::DeadlineExceeded`] if no answer arrives within
-    /// `deadline`. This is the admission path the HTTP front-end uses to
-    /// turn overload into `429`/`503` instead of an unbounded hang.
-    ///
-    /// An abandoned request still completes on its worker (its reply channel
-    /// has capacity for the answer, so the worker never blocks on it) — the
-    /// deadline bounds the *caller's* wait, not the server's work.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] for out-of-range word ids,
-    /// [`ServeError::Overloaded`] when the queue is full,
-    /// [`ServeError::DeadlineExceeded`] on timeout and
-    /// [`ServeError::Closed`] after shutdown.
-    pub fn infer_with_deadline(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: Duration,
-    ) -> Result<InferResponse, ServeError> {
-        self.infer_with_trace(words, seed, deadline, &mut TraceBuilder::disabled(), 0)
-    }
-
-    /// [`TopicServer::infer_with_deadline`] that additionally records
-    /// `queue-wait` and `handler` child spans under `parent` in `trace`
-    /// (nothing, for a disabled builder) — the request path the HTTP
-    /// front-end's `/infer` handler uses. Tracing never perturbs the
-    /// answer: the seed, the words and the fold-in all ignore it.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`TopicServer::infer_with_deadline`].
-    pub fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: Duration,
-        trace: &mut TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let base_us = trace.elapsed_us();
-        let ctx = trace.context(parent);
-        let (rx, timings) = self.submit(words, JobKind::Infer { seed }, true, ctx)?;
-        let response = Self::await_reply(&rx, Some(deadline)).and_then(expect_infer)?;
-        if let Some(timings) = timings {
-            let (queue_wait_us, handler_us) = timings.load();
-            trace.push_span(Some(parent), "queue-wait", base_us, queue_wait_us);
-            trace.push_span(Some(parent), "handler", base_us + queue_wait_us, handler_us);
-        }
-        Ok(response)
+        finish_partial((answer, split), trace.enabled())
     }
 
     /// A point-in-time copy of the serving counters and latency histogram.
@@ -758,33 +667,27 @@ impl TopicServer {
         }
     }
 
-    /// The request half of every entry point, and the only place a [`Job`]
-    /// is minted: validates `words`, pairs the job with its capacity-1
-    /// reply channel and enqueues it — failing fast with
-    /// [`ServeError::Overloaded`] on a full queue when `fail_fast`, parking
-    /// until there is room otherwise. A timings cell is allocated only for
-    /// traced jobs (`trace` enabled), so untraced requests pay nothing for
-    /// tracing.
-    pub(crate) fn submit(
+    /// The request half of every read, and the only place a [`Job`] is
+    /// minted: validates `words`, hands `kind` the job's capacity-1 reply
+    /// channel and enqueues the job — failing fast with
+    /// [`ServeError::Overloaded`] on a full queue when a `deadline` is
+    /// given, parking until there is room otherwise.
+    pub(crate) fn submit<T>(
         &self,
         words: Vec<u32>,
-        kind: JobKind,
-        fail_fast: bool,
-        trace: TraceContext,
-    ) -> Result<(Receiver<JobReply>, Option<Arc<JobTimings>>), ServeError> {
+        kind: impl FnOnce(SyncSender<Reply<T>>) -> JobKind,
+        deadline: Option<Duration>,
+    ) -> Result<Receiver<Reply<T>>, ServeError> {
         self.validate_words(&words)?;
         let (reply, reply_rx) = sync_channel(1);
-        let timings = trace.enabled().then(|| Arc::new(JobTimings::default()));
         let job = Job {
             words,
-            kind,
+            kind: kind(reply),
             slot: Slot::take(&self.in_flight),
-            reply,
             enqueued: Instant::now(),
-            timings: timings.clone(),
         };
         let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        if fail_fast {
+        if deadline.is_some() {
             queue.try_send(job).map_err(|e| match e {
                 TrySendError::Full(_) => ServeError::Overloaded,
                 TrySendError::Disconnected(_) => ServeError::Closed,
@@ -792,17 +695,17 @@ impl TopicServer {
         } else {
             queue.send(job).map_err(|_| ServeError::Closed)?;
         }
-        Ok((reply_rx, timings))
+        Ok(reply_rx)
     }
 
-    /// The reply half of every entry point: waits for the worker's answer
-    /// to a [`TopicServer::submit`]ted job — at most `deadline` when one
-    /// is given ([`ServeError::DeadlineExceeded`] past it), indefinitely
+    /// The reply half of every read: waits for the worker's answer to a
+    /// [`TopicServer::submit`]ted job — at most `deadline` when one is
+    /// given ([`ServeError::DeadlineExceeded`] past it), indefinitely
     /// otherwise.
-    pub(crate) fn await_reply(
-        rx: &Receiver<JobReply>,
+    pub(crate) fn await_reply<T>(
+        rx: &Receiver<Reply<T>>,
         deadline: Option<Duration>,
-    ) -> Result<JobReply, ServeError> {
+    ) -> Result<Reply<T>, ServeError> {
         match deadline {
             None => rx.recv().map_err(|_| ServeError::Closed),
             Some(deadline) => rx.recv_timeout(deadline).map_err(|e| match e {
@@ -826,6 +729,64 @@ impl Drop for TopicServer {
     fn drop(&mut self) {
         self.shutdown_in_place();
     }
+}
+
+impl InferenceBackend for TopicServer {
+    /// Fail-fast inference under `deadline`: refused at once with
+    /// [`ServeError::Overloaded`] when the queue is full, given up with
+    /// [`ServeError::DeadlineExceeded`] when no answer arrives in time, so
+    /// the HTTP front-end answers overload with `429`/`503` instead of an
+    /// unbounded hang. An abandoned request still completes on its worker
+    /// (its reply channel has room for the answer): the deadline bounds the
+    /// caller's wait, not the server's work. Records `queue-wait` and
+    /// `handler` spans under `parent` from the split the worker replies
+    /// with.
+    fn infer_with_trace(
+        &self,
+        words: Vec<u32>,
+        seed: u64,
+        deadline: Duration,
+        trace: &mut TraceBuilder,
+        parent: u64,
+    ) -> Result<InferResponse, ServeError> {
+        let base_us = trace.elapsed_us();
+        let deadline = Some(deadline);
+        let rx = self.submit(words, |reply| JobKind::Infer { seed, reply }, deadline)?;
+        let (response, (queue_wait, handler)) = Self::await_reply(&rx, deadline)?;
+        let (queue_wait_us, handler_us) = (micros(queue_wait), micros(handler));
+        trace.push_span(Some(parent), "queue-wait", base_us, queue_wait_us);
+        trace.push_span(Some(parent), "handler", base_us + queue_wait_us, handler_us);
+        Ok(response)
+    }
+
+    fn n_topics(&self) -> usize {
+        self.snapshot().n_topics()
+    }
+
+    fn vocab_size(&self) -> usize {
+        self.snapshot().vocab_size()
+    }
+
+    fn snapshot_version(&self) -> u64 {
+        TopicServer::snapshot_version(self)
+    }
+
+    fn n_shards(&self) -> usize {
+        1
+    }
+
+    fn serve_stats(&self) -> ServeStats {
+        self.stats()
+    }
+
+    fn shard(&self) -> Option<&TopicServer> {
+        Some(self)
+    }
+}
+
+/// A span duration in whole microseconds.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// What a publisher stages on a shard ([`TopicServer::stage`],
@@ -894,53 +855,64 @@ fn worker_loop(
         let live = cell.load();
         counters.observe(live.version());
         counters.batches.fetch_add(1, Ordering::Relaxed);
-        for job in batch.drain(..) {
+        for Job {
+            words,
+            kind,
+            slot,
+            enqueued,
+        } in batch.drain(..)
+        {
             let dequeued = Instant::now();
-            let queue_wait = dequeued.duration_since(job.enqueued);
-            let reply = answer(&job.words, &job.kind, &live, cell, fold_in);
-            let handler = dequeued.elapsed();
-            // Free the slot before the reply wakes the requester, so its
-            // next partial finds it free.
-            drop(job.slot);
-            let split = (queue_wait, handler);
-            let timings = job.timings.as_deref();
-            counters.record(job.words.len(), job.enqueued, split, timings);
-            // A send only fails if the requester's receiver is gone (its
-            // thread panicked between submit and reply); nothing to do.
-            let _ = job.reply.send(reply);
+            // Called once the answer is computed: frees the slot before the
+            // reply wakes the requester, so its next partial finds it free,
+            // and records the job's split.
+            let done = |slot: Slot| {
+                let split = (dequeued.duration_since(enqueued), dequeued.elapsed());
+                drop(slot);
+                counters.record(words.len(), enqueued, split);
+                split
+            };
+            // A send only fails if the requester's receiver is gone (it gave
+            // up at its deadline, or its thread panicked); nothing to do.
+            match kind {
+                JobKind::Infer { seed, reply } => {
+                    let response = InferResponse {
+                        theta: live.infer_topics(&words, seed, fold_in),
+                        snapshot_version: live.version(),
+                        n_oov: 0,
+                    };
+                    let _ = reply.send((response, done(slot)));
+                }
+                JobKind::Partial {
+                    request,
+                    epoch,
+                    reply,
+                } => {
+                    let answer = answer_partial(&words, &request, epoch, &live, cell, fold_in);
+                    let _ = reply.send((answer, done(slot)));
+                }
+            }
         }
     }
 }
 
-/// Answers one job from `live`, the snapshot its batch loaded. A partial
-/// pinned to another epoch (a commit landed between its admission and its
-/// batch) is answered from the cell's snapshot of that epoch, and refused
-/// with [`ServeError::ShardVersionSkew`] when the cell holds none.
-fn answer(
+/// Answers one partial from `live`, the snapshot its batch loaded. A
+/// partial pinned to another epoch (a commit landed between its admission
+/// and its batch) is answered from the cell's snapshot of that epoch, and
+/// refused with [`ServeError::ShardVersionSkew`] when the cell holds none.
+fn answer_partial(
     words: &[u32],
-    kind: &JobKind,
+    request: &PartialRequest,
+    epoch: Option<u64>,
     live: &Arc<InferenceSnapshot>,
     cell: &SnapshotCell,
     fold_in: FoldInParams,
-) -> JobReply {
-    let (request, epoch) = match kind {
-        JobKind::Infer { seed } => {
-            return JobReply::Infer(InferResponse {
-                theta: live.infer_topics(words, *seed, fold_in),
-                snapshot_version: live.version(),
-                n_oov: 0,
-            })
-        }
-        JobKind::Partial { request, epoch } => (request, *epoch),
-    };
+) -> Result<PartialResponse, ServeError> {
     let served = match epoch {
-        Some(e) if e != live.version() => cell.load_at(e),
-        _ => Some(Arc::clone(live)),
+        Some(e) if e != live.version() => cell.load_at(e).ok_or(ServeError::ShardVersionSkew)?,
+        _ => Arc::clone(live),
     };
-    let Some(served) = served else {
-        return JobReply::Partial(Err(ServeError::ShardVersionSkew));
-    };
-    JobReply::Partial(Ok(PartialResponse {
+    Ok(PartialResponse {
         partial: match request {
             PartialRequest::FoldIn { seed } => served.partial_fold_in(words, *seed, fold_in),
             PartialRequest::EmRound { theta, .. } => served.em_round(words, theta),
@@ -948,40 +920,23 @@ fn answer(
         snapshot_version: served.version(),
         n_oov: 0,
         spans: Vec::new(),
-    }))
+    })
 }
 
-/// Workers answer every [`JobKind`] with its matching [`JobReply`] variant,
-/// so a mismatch is a serving-crate bug, not a caller error — but a bug in
-/// one code path must degrade that request to [`ServeError::Internal`], not
-/// kill the calling thread.
-fn expect_infer(reply: JobReply) -> Result<InferResponse, ServeError> {
-    match reply {
-        JobReply::Infer(response) => Ok(response),
-        JobReply::Partial(_) => Err(ServeError::Internal {
-            detail: "worker answered an infer job with a partial response".to_string(),
-        }),
-    }
-}
-
-/// Unwraps a partial job's reply and, for a traced job, fills in the
-/// self-contained span subtree a shard reports: an `infer-partial` root
-/// with `queue-wait` and `handler` children, ids dense from 1 and offsets
-/// relative to the request's admission. The `/infer-partial` handler and
-/// the local transport's wait path both finish through here, so local and
-/// remote shards produce identical subtrees for a router to attach.
+/// Unwraps a partial job's reply and, when `traced`, fills in the
+/// self-contained span subtree a shard reports from the reply's split: an
+/// `infer-partial` root with `queue-wait` and `handler` children, ids dense
+/// from 1 and offsets relative to the request's admission. The
+/// `/infer-partial` handler and the local transport's wait path both
+/// finish through here, so local and remote shards produce identical
+/// subtrees for a router to attach.
 pub(crate) fn finish_partial(
-    reply: JobReply,
-    timings: Option<&JobTimings>,
+    (response, (queue_wait, handler)): PartialReply,
+    traced: bool,
 ) -> Result<PartialResponse, ServeError> {
-    let JobReply::Partial(response) = reply else {
-        return Err(ServeError::Internal {
-            detail: "worker answered a partial job with a full response".to_string(),
-        });
-    };
     let mut response = response?;
-    if let Some(timings) = timings {
-        let (queue_wait_us, handler_us) = timings.load();
+    if traced {
+        let (queue_wait_us, handler_us) = (micros(queue_wait), micros(handler));
         let span = |id, parent, name: &str, start_us, duration_us| SpanRecord {
             id,
             parent,
@@ -1064,7 +1019,9 @@ mod tests {
     #[test]
     fn serves_single_requests() {
         let server = small_server(2);
-        let response = server.infer_topics(vec![0, 3, 6, 9, 0, 3], 42).unwrap();
+        let response = server
+            .infer_with_deadline(vec![0, 3, 6, 9, 0, 3], 42, Duration::MAX)
+            .unwrap();
         assert_eq!(response.dominant_topic(), 0);
         assert_eq!(response.snapshot_version, 1);
         assert_eq!(response.n_oov, 0);
@@ -1082,7 +1039,9 @@ mod tests {
                 let handles: Vec<_> = (0..20u32)
                     .map(|i| {
                         let server = &server;
-                        scope.spawn(move || server.infer_topics(vec![i % 12; 6], u64::from(i)))
+                        scope.spawn(move || {
+                            server.infer_with_deadline(vec![i % 12; 6], u64::from(i), Duration::MAX)
+                        })
                     })
                     .collect();
                 handles
@@ -1116,7 +1075,9 @@ mod tests {
             .unwrap();
         assert_eq!(server.snapshot_version(), 1, "a stage serves nothing yet");
         assert_eq!(server.commit(2).unwrap(), 2);
-        let response = server.infer_topics(vec![0, 3, 6, 9, 0, 3], 42).unwrap();
+        let response = server
+            .infer_with_deadline(vec![0, 3, 6, 9, 0, 3], 42, Duration::MAX)
+            .unwrap();
         assert_eq!(response.snapshot_version, 2);
         assert_eq!(response.dominant_topic(), 1, "swap must retarget topic");
         server.shutdown();
@@ -1130,7 +1091,9 @@ mod tests {
             || InferenceSnapshot::from_model(&planted_model(12, 3), SnapshotSampler::WaryTree);
         assert_eq!(server.publish_at(snap(), 5).unwrap(), 5);
         assert_eq!(server.snapshot_version(), 5);
-        let response = server.infer_topics(vec![0, 3], 1).unwrap();
+        let response = server
+            .infer_with_deadline(vec![0, 3], 1, Duration::MAX)
+            .unwrap();
         assert_eq!(response.snapshot_version, 5);
         // Equal or backwards epochs are refused, leaving the server as-is.
         assert!(matches!(
@@ -1232,7 +1195,9 @@ mod tests {
     #[test]
     fn an_idle_worker_keeps_no_released_epoch_alive() {
         let server = small_server(1);
-        server.infer_topics(vec![0, 3, 6], 1).unwrap();
+        server
+            .infer_with_deadline(vec![0, 3, 6], 1, Duration::MAX)
+            .unwrap();
         let first = Arc::downgrade(&server.snapshot());
         server
             .stage(2, Publication::Slice(shifted_snapshot()))
@@ -1322,11 +1287,10 @@ mod tests {
                     kind: JobKind::Partial {
                         request,
                         epoch: Some(epoch),
+                        reply,
                     },
                     slot: Slot::take(&Arc::default()),
-                    reply,
                     enqueued: Instant::now(),
-                    timings: None,
                 };
                 queue.send(job).unwrap();
                 reply_rx
@@ -1334,7 +1298,7 @@ mod tests {
             .collect();
         drop(queue);
         worker_loop(&Mutex::new(rx), &cell, &Counters::default(), fold_in, 3);
-        let answer = |rx: &Receiver<JobReply>| finish_partial(rx.recv().unwrap(), None);
+        let answer = |rx: &Receiver<PartialReply>| finish_partial(rx.recv().unwrap(), false);
         let pinned = answer(&replies[0]).unwrap();
         assert_eq!(pinned.snapshot_version, 1);
         let bits = |counts: &[f64]| counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
@@ -1350,7 +1314,7 @@ mod tests {
     fn out_of_range_word_ids_are_rejected_not_fatal() {
         let server = small_server(2);
         // A poison request must error out without killing a worker…
-        match server.infer_topics(vec![0, 99_999], 1) {
+        match server.infer_with_deadline(vec![0, 99_999], 1, Duration::MAX) {
             Err(ServeError::BadRequest { detail }) => {
                 assert!(detail.contains("99999"), "detail was: {detail}")
             }
@@ -1362,7 +1326,9 @@ mod tests {
         ));
         // …and the pool keeps serving afterwards.
         for seed in 0..8 {
-            let response = server.infer_topics(vec![0, 3, 6, 9], seed).unwrap();
+            let response = server
+                .infer_with_deadline(vec![0, 3, 6, 9], seed, Duration::MAX)
+                .unwrap();
             assert_eq!(response.dominant_topic(), 0);
         }
         server.shutdown();
@@ -1442,10 +1408,6 @@ mod tests {
         ];
         let blocking: Vec<Call> = vec![
             (
-                "infer_topics",
-                Box::new(|| server.infer_topics(vec![3], 2).map(drop)),
-            ),
-            (
                 "infer_partial",
                 Box::new(|| server.infer_partial(vec![3], fold_in()).map(drop)),
             ),
@@ -1462,7 +1424,8 @@ mod tests {
             // Wedge the single worker on a heavy request (40k tokens × 200
             // sweeps) and wait until it has dequeued it: the queue is empty
             // but the pool is busy.
-            let heavy = scope.spawn(|| server.infer_topics(vec![0; 40_000], 1));
+            let heavy =
+                scope.spawn(|| server.infer_with_deadline(vec![0; 40_000], 1, Duration::MAX));
             while server.stats().batches == 0 {
                 std::thread::yield_now();
             }
@@ -1499,10 +1462,12 @@ mod tests {
     #[test]
     fn partial_requests_reproduce_the_full_fold_in() {
         // A single-server "router" with the whole vocabulary: the partial
-        // chain plus the esca_theta finish must equal infer_topics exactly.
+        // chain plus the esca_theta finish must equal the full fold-in exactly.
         let server = small_server(2);
         let words = vec![0u32, 3, 6, 9, 0, 3];
-        let full = server.infer_topics(words.clone(), 11).unwrap();
+        let full = server
+            .infer_with_deadline(words.clone(), 11, Duration::MAX)
+            .unwrap();
         let partial = server
             .infer_partial(words.clone(), PartialRequest::FoldIn { seed: 11 })
             .unwrap();
@@ -1545,10 +1510,12 @@ mod tests {
         let a = small_server(1);
         let b = small_server(1);
         for seed in 0..4 {
-            a.infer_topics(vec![0, 3, 6], seed).unwrap();
+            a.infer_with_deadline(vec![0, 3, 6], seed, Duration::MAX)
+                .unwrap();
         }
         for seed in 0..3 {
-            b.infer_topics(vec![1, 4], seed).unwrap();
+            b.infer_with_deadline(vec![1, 4], seed, Duration::MAX)
+                .unwrap();
         }
         let mut merged = a.stats();
         let b_stats = b.stats();
@@ -1594,7 +1561,9 @@ mod tests {
             .infer_with_trace(vec![0, 3, 6], 7, Duration::from_secs(5), &mut trace, root)
             .unwrap();
         // Tracing is invisible to the answer itself.
-        let untraced = server.infer_topics(vec![0, 3, 6], 7).unwrap();
+        let untraced = server
+            .infer_with_deadline(vec![0, 3, 6], 7, Duration::MAX)
+            .unwrap();
         assert_eq!(
             traced.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             untraced
@@ -1635,7 +1604,9 @@ mod tests {
     #[test]
     fn empty_document_gets_uniform_theta() {
         let server = small_server(1);
-        let response = server.infer_topics(vec![], 0).unwrap();
+        let response = server
+            .infer_with_deadline(vec![], 0, Duration::MAX)
+            .unwrap();
         for &t in &response.theta {
             assert!((t - 1.0 / 3.0).abs() < 1e-6);
         }
@@ -1645,7 +1616,9 @@ mod tests {
     #[test]
     fn drop_joins_workers() {
         let server = small_server(4);
-        let _ = server.infer_topics(vec![1, 4, 7], 3).unwrap();
+        let _ = server
+            .infer_with_deadline(vec![1, 4, 7], 3, Duration::MAX)
+            .unwrap();
         drop(server); // must not hang or panic
     }
 }

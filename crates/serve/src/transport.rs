@@ -50,7 +50,7 @@ use saber_core::SaberError;
 use saber_trace::TraceContext;
 
 use crate::server::{
-    finish_partial, JobKind, JobReply, JobTimings, PartialRequest, PartialResponse, Publication,
+    finish_partial, JobKind, PartialReply, PartialRequest, PartialResponse, Publication,
 };
 use crate::snapshot::FoldInParams;
 use crate::wire;
@@ -260,12 +260,12 @@ impl LocalTransport {
 }
 
 /// The pending handle of a [`LocalTransport`] submission: the reply channel
-/// of the job sitting in the server's queue, plus the timings cell the
-/// worker fills for traced requests.
+/// of the job sitting in the server's queue, and whether the request is
+/// traced (its reply's split then becomes the shard's spans).
 #[derive(Debug)]
 pub struct LocalPending {
-    rx: Receiver<JobReply>,
-    timings: Option<Arc<JobTimings>>,
+    rx: Receiver<PartialReply>,
+    traced: bool,
 }
 
 impl PendingPartial for LocalPending {
@@ -278,7 +278,7 @@ impl PendingPartial for LocalPending {
             ),
         };
         let reply = TopicServer::await_reply(&self.rx, remaining)?;
-        finish_partial(reply, self.timings.as_deref())
+        finish_partial(reply, self.traced)
     }
 }
 
@@ -293,9 +293,17 @@ impl ShardTransport for LocalTransport {
         deadline: Option<Instant>,
         trace: TraceContext,
     ) -> Result<LocalPending, ServeError> {
-        let kind = JobKind::Partial { request, epoch };
-        let (rx, timings) = self.server.submit(words, kind, deadline.is_some(), trace)?;
-        Ok(LocalPending { rx, timings })
+        let kind = |reply| JobKind::Partial {
+            request,
+            epoch,
+            reply,
+        };
+        let budget = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+        let rx = self.server.submit(words, kind, budget)?;
+        Ok(LocalPending {
+            rx,
+            traced: trace.enabled(),
+        })
     }
 
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
@@ -1131,7 +1139,9 @@ mod tests {
         let plan = ShardPlan::single(12).unwrap();
         let router =
             ShardRouter::with_transports(plan, vec![transport], ServeConfig::default()).unwrap();
-        let first = router.infer_topics(vec![0, 3, 6], 4).unwrap();
+        let first = router
+            .infer_with_deadline(vec![0, 3, 6], 4, Duration::MAX)
+            .unwrap();
         // The shard hangs up on the idle pooled connection.
         let give_up = Instant::now() + PATIENCE;
         while http.stats().active_connections > 0 {
@@ -1141,7 +1151,9 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        let second = router.infer_topics(vec![0, 3, 6], 4).unwrap();
+        let second = router
+            .infer_with_deadline(vec![0, 3, 6], 4, Duration::MAX)
+            .unwrap();
         assert_eq!(first, second);
         let stats = router.router_stats();
         assert_eq!(stats.transport_retries, 0, "the replay is the transport's");

@@ -249,8 +249,8 @@ pub struct Trace {
 ///
 /// Not thread-safe by design: all router-side work for a request happens
 /// on its connection thread, and timing measured on *other* threads
-/// (worker queue-wait, shard processes) comes back as data — atomics or
-/// inline wire spans — and is recorded here by the owning thread.
+/// (worker queue-wait, shard processes) comes back as data — a worker's
+/// reply or inline wire spans — and is recorded here by the owning thread.
 ///
 /// [`TraceBuilder::disabled`] is the null object untraced callers pass
 /// down the same code path: it reads no clock, allocates nothing, records
@@ -312,7 +312,7 @@ impl TraceBuilder {
     }
 
     /// Records a fully-measured span (timing observed elsewhere, e.g. a
-    /// worker thread's queue-wait reported through an atomic cell).
+    /// worker thread's queue-wait sent back with its reply).
     pub fn push_span(
         &mut self,
         parent: Option<u64>,

@@ -27,6 +27,7 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+use std::time::Duration;
 
 use saberlda::serve::{
     FoldInKind, FoldInParams, HttpConfig, HttpServer, HttpTransport, InferenceSnapshot,
@@ -172,8 +173,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|i| (0..20).map(|j| ((i * 31 + j * 7) % VOCAB) as u32).collect())
         .collect();
     for (i, doc) in docs.iter().enumerate() {
-        let a = reference.infer_topics(doc.clone(), i as u64)?;
-        let b = remote.infer_topics(doc.clone(), i as u64)?;
+        let a = reference.infer_with_deadline(doc.clone(), i as u64, Duration::MAX)?;
+        let b = remote.infer_with_deadline(doc.clone(), i as u64, Duration::MAX)?;
         assert_eq!(
             a.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             b.theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -190,7 +191,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let refreshed = InferenceSnapshot::from_model(&model(1), serve_config().sampler);
     let epoch = remote.publish(refreshed.clone())?;
     reference.publish(refreshed)?;
-    let after = remote.infer_topics(docs[0].clone(), 99)?;
+    let after = remote.infer_with_deadline(docs[0].clone(), 99, Duration::MAX)?;
     println!(
         "published epoch {epoch} over HTTP; next answer served from epoch {}",
         after.snapshot_version

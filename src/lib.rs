@@ -77,7 +77,7 @@ pub use saber_core::{
     HeldOutEvaluator, IterationStats, LdaModel, LdaTrainer, OptLevel, PhaseTimes, SaberLda,
     SaberLdaConfig, TrainingReport,
 };
-pub use saber_corpus::{Corpus, Document, OovPolicy, TokenList, Vocabulary};
+pub use saber_corpus::{Corpus, Document, OovPolicy, Vocabulary};
 pub use saber_gpu_sim::DeviceSpec;
 pub use saber_serve::{
     FoldInKind, HttpConfig, HttpServer, InferResponse, InferenceBackend, InferenceSnapshot,

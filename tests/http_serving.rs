@@ -12,7 +12,8 @@ use saberlda::core::json;
 use saberlda::corpus::OovPolicy;
 use saberlda::serve::http::{HttpConfig, HttpServer};
 use saberlda::serve::{
-    wire, FoldInParams, PartialRequest, Publication, ServeConfig, SnapshotSampler, TopicServer,
+    wire, FoldInParams, InferenceBackend, PartialRequest, Publication, ServeConfig, ShardPlan,
+    ShardRouter, SnapshotSampler, TopicServer,
 };
 use saberlda::{InferenceSnapshot, LdaModel, Vocabulary};
 
@@ -132,6 +133,36 @@ fn healthz_and_infer_round_trip_over_real_tcp() {
 
     front.shutdown();
     Arc::try_unwrap(server).unwrap().shutdown();
+}
+
+/// `Duration::MAX` is a deadline too far to represent as an `Instant`: every
+/// backend, the router's fan-out and the HTTP read budget take it as no
+/// deadline, and answer.
+#[test]
+fn a_deadline_too_far_to_represent_is_no_deadline() {
+    let doc = planted_doc(1, 12);
+    let server =
+        Arc::new(TopicServer::from_model(&planted_model(0), ServeConfig::default()).unwrap());
+    let plan = ShardPlan::uniform(VOCAB, 2).unwrap();
+    let router = ShardRouter::from_model(&planted_model(0), plan, ServeConfig::default()).unwrap();
+    let router = Arc::new(router);
+    for backend in [&*server as &dyn InferenceBackend, &*router] {
+        let response = backend.infer_with_deadline(doc.clone(), 3, Duration::MAX);
+        assert_eq!(response.unwrap().dominant_topic(), 1, "{backend:?}");
+    }
+    let unbounded = HttpConfig {
+        request_deadline: Duration::MAX,
+        ..HttpConfig::default()
+    };
+    let front = HttpServer::bind("127.0.0.1:0", router, None, unbounded).unwrap();
+    let (status, body) = post_infer(front.local_addr(), &words_payload(&doc, 3), "");
+    assert_eq!(status, 200, "{body}");
+    let patient = HttpConfig {
+        read_timeout: Duration::MAX,
+        ..HttpConfig::default()
+    };
+    let front = HttpServer::bind("127.0.0.1:0", server, None, patient).unwrap();
+    assert_eq!(get(front.local_addr(), "/healthz").0, 200);
 }
 
 #[test]
@@ -426,7 +457,9 @@ fn raw_tokens_round_trip() {
     let encoded = vocab
         .encode(["w00000", "w00004", "notaword"], OovPolicy::Skip)
         .unwrap();
-    let mut reference = server.infer_topics(encoded.ids, 3).unwrap();
+    let mut reference = server
+        .infer_with_deadline(encoded.ids, 3, Duration::MAX)
+        .unwrap();
     reference.n_oov += encoded.n_oov;
     assert_eq!(body, wire::encode_infer_response(&reference, 3).to_string());
     let (_, traces) = get(addr, "/trace/recent");

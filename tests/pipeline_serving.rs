@@ -21,12 +21,14 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use saber_loadgen::{synthesize_trace, RequestTrace};
 use saber_pipeline::{DocumentFeed, PipelineConfig, TrainingPipeline};
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
-    FoldInKind, FoldInParams, InferenceSnapshot, ServeConfig, ShardPlan, ShardRouter, TopicServer,
+    FoldInKind, FoldInParams, InferenceBackend, InferenceSnapshot, ServeConfig, ShardPlan,
+    ShardRouter, TopicServer,
 };
 use saberlda::{LdaModel, SaberLda, SaberLdaConfig};
 
@@ -151,10 +153,10 @@ fn every_pinned_epoch_answers_identically_across_delta_full_and_cold_boot() {
                 let direct = TopicServer::from_model(trainer.model(), serve_config(kind)).unwrap();
                 for request in trace.requests().iter().take(10) {
                     let a = delta_fleet
-                        .infer_topics(request.words.clone(), request.seed)
+                        .infer_with_deadline(request.words.clone(), request.seed, Duration::MAX)
                         .unwrap();
                     let b = direct
-                        .infer_topics(request.words.clone(), request.seed)
+                        .infer_with_deadline(request.words.clone(), request.seed, Duration::MAX)
                         .unwrap();
                     assert!(
                         linf(&a.theta, &b.theta) <= 1e-5,
@@ -331,8 +333,13 @@ fn serve_while_training_pipeline_drops_nothing_and_lands_on_the_trained_model() 
     let cold = local_fleet(pipeline.trainer().model(), FoldInKind::Esca);
     for seed in [0u64, 31, 77] {
         let words = vec![0u32, 17, 42, 199, 17, 3];
-        let a = pipeline.router().infer_topics(words.clone(), seed).unwrap();
-        let b = cold.infer_topics(words, seed).unwrap();
+        let a = pipeline
+            .router()
+            .infer_with_deadline(words.clone(), seed, Duration::MAX)
+            .unwrap();
+        let b = cold
+            .infer_with_deadline(words, seed, Duration::MAX)
+            .unwrap();
         assert_eq!(bits(&a.theta), bits(&b.theta));
     }
     cold.shutdown();
@@ -379,10 +386,10 @@ fn delta_publication_over_real_tcp_matches_the_local_fleet() {
     let trace = synthesize_trace(&spec(), 30, 83);
     for request in trace.requests() {
         let a = remote
-            .infer_topics(request.words.clone(), request.seed)
+            .infer_with_deadline(request.words.clone(), request.seed, Duration::MAX)
             .unwrap();
         let b = local
-            .infer_topics(request.words.clone(), request.seed)
+            .infer_with_deadline(request.words.clone(), request.seed, Duration::MAX)
             .unwrap();
         assert_eq!(a.snapshot_version, 2);
         assert_eq!(bits(&a.theta), bits(&b.theta), "TCP delta fleet diverged");

@@ -46,7 +46,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use saber_pipeline::{PipelineConfig, PipelineError, TrainingPipeline};
 use saberlda::corpus::synthetic::SyntheticSpec;
@@ -390,7 +390,9 @@ impl Fleet {
     fn read(&self, kind: FoldInKind, seed: u64) -> (u64, Result<Vec<u32>, ServeError>) {
         let pin = self.router.epoch();
         let answer = match kind {
-            FoldInKind::Esca => self.router.infer_topics(READ.to_vec(), seed),
+            FoldInKind::Esca => self
+                .router
+                .infer_with_deadline(READ.to_vec(), seed, Duration::MAX),
             FoldInKind::Em => {
                 let sets = self.router.replica_sets().iter().map(|set| {
                     let view = |r: &ScriptedReplica| EmView {
@@ -402,7 +404,9 @@ impl Fleet {
                 let config = reader_config(kind);
                 let reader =
                     ShardRouter::with_replica_sets(self.plan.clone(), sets.collect(), config);
-                reader.unwrap().infer_topics(READ.to_vec(), seed)
+                reader
+                    .unwrap()
+                    .infer_with_deadline(READ.to_vec(), seed, Duration::MAX)
             }
         };
         let answer = answer.and_then(|a| match a.snapshot_version {
@@ -475,7 +479,12 @@ fn cold_boot(plan: &ShardPlan, kind: FoldInKind, seed: u64, slices: &[&Vec<u8>])
         LocalTransport::with_range(TopicServer::start(snapshot, config).unwrap(), range)
     });
     let cold = ShardRouter::with_transports(plan.clone(), shards.collect(), config).unwrap();
-    let answer = bits(&cold.infer_topics(READ.to_vec(), seed).unwrap().theta);
+    let answer = bits(
+        &cold
+            .infer_with_deadline(READ.to_vec(), seed, Duration::MAX)
+            .unwrap()
+            .theta,
+    );
     lock(&ANSWERS).insert(key, answer.clone());
     answer
 }
@@ -697,9 +706,11 @@ fn failed_publication_retries_with_every_row_since_the_last_success() {
             let words = doc.words().to_vec();
             let a = fleet
                 .router
-                .infer_topics(words.clone(), seed as u64)
+                .infer_with_deadline(words.clone(), seed as u64, Duration::MAX)
                 .unwrap();
-            let b = cold.infer_topics(words, seed as u64).unwrap();
+            let b = cold
+                .infer_with_deadline(words, seed as u64, Duration::MAX)
+                .unwrap();
             assert_eq!(a.snapshot_version, epoch);
             let bits = |theta: &[f32]| theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(

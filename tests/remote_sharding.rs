@@ -15,12 +15,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saberlda::serve::{
-    FoldInKind, HttpConfig, HttpServer, HttpTransport, InferenceSnapshot, ServeError, ShardPlan,
-    ShardRouter, SnapshotSampler, TopicServer,
+    FoldInKind, HttpConfig, HttpServer, HttpTransport, InferenceBackend, InferenceSnapshot,
+    ServeError, ShardPlan, ShardRouter, SnapshotSampler, TopicServer,
 };
 
 mod common;
@@ -44,8 +45,12 @@ fn one_shard_esca_over_tcp_is_bit_identical_to_direct_serving() {
         let mut rng = StdRng::seed_from_u64(100 + model_seed);
         for request_seed in 0..6u64 {
             let doc = random_doc(&mut rng, 3 + (request_seed as usize) * 4);
-            let a = direct.infer_topics(doc.clone(), request_seed).unwrap();
-            let b = remote.infer_topics(doc, request_seed).unwrap();
+            let a = direct
+                .infer_with_deadline(doc.clone(), request_seed, Duration::MAX)
+                .unwrap();
+            let b = remote
+                .infer_with_deadline(doc, request_seed, Duration::MAX)
+                .unwrap();
             assert_eq!(
                 bits(&a.theta),
                 bits(&b.theta),
@@ -79,9 +84,15 @@ fn n_shard_em_over_tcp_matches_local_routing_bit_for_bit() {
         let (shards, transports) = spawn_shard_fleet(&model, &plan, cfg);
         let remote = ShardRouter::with_transports(plan, transports, cfg).unwrap();
         for (i, doc) in docs.iter().enumerate() {
-            let reference = direct.infer_topics(doc.clone(), i as u64).unwrap();
-            let via_local = local.infer_topics(doc.clone(), i as u64).unwrap();
-            let via_tcp = remote.infer_topics(doc.clone(), i as u64).unwrap();
+            let reference = direct
+                .infer_with_deadline(doc.clone(), i as u64, Duration::MAX)
+                .unwrap();
+            let via_local = local
+                .infer_with_deadline(doc.clone(), i as u64, Duration::MAX)
+                .unwrap();
+            let via_tcp = remote
+                .infer_with_deadline(doc.clone(), i as u64, Duration::MAX)
+                .unwrap();
             let err = linf(&reference.theta, &via_tcp.theta);
             assert!(
                 err <= 1e-5,
@@ -119,7 +130,12 @@ fn remote_epoch_swap_never_serves_a_mixed_version_answer() {
         .iter()
         .map(|model| {
             let reference = ShardRouter::from_model(model, plan.clone(), cfg).unwrap();
-            let theta = bits(&reference.infer_topics(doc.clone(), seed).unwrap().theta);
+            let theta = bits(
+                &reference
+                    .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+                    .unwrap()
+                    .theta,
+            );
             reference.shutdown();
             theta
         })
@@ -138,7 +154,9 @@ fn remote_epoch_swap_never_serves_a_mixed_version_answer() {
             let expected = expected.clone();
             std::thread::spawn(move || {
                 for _ in 0..2_000u64 {
-                    let response = router.infer_topics(doc.clone(), seed).unwrap();
+                    let response = router
+                        .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+                        .unwrap();
                     match response.snapshot_version {
                         1 => assert_eq!(
                             bits(&response.theta),
@@ -196,8 +214,12 @@ fn remote_fleet_stats_merge_like_local_ones() {
     // Stats aggregate across remote shards, histograms included, and count
     // what the same traffic counts through in-process transports.
     for seed in 0..4 {
-        remote.infer_topics(vec![0, 21, 41], seed).unwrap();
-        local.infer_topics(vec![0, 21, 41], seed).unwrap();
+        remote
+            .infer_with_deadline(vec![0, 21, 41], seed, Duration::MAX)
+            .unwrap();
+        local
+            .infer_with_deadline(vec![0, 21, 41], seed, Duration::MAX)
+            .unwrap();
     }
     for router_stats in [remote.stats(), local.stats()] {
         assert_eq!(router_stats.requests, 12, "3 shard requests per document");
@@ -301,8 +323,12 @@ fn a_shard_process_boots_from_a_saved_snapshot() {
     let mut rng = StdRng::seed_from_u64(5);
     for seed in 0..4u64 {
         let doc = random_doc(&mut rng, 12);
-        let a = local.infer_topics(doc.clone(), seed).unwrap();
-        let b = remote.infer_topics(doc, seed).unwrap();
+        let a = local
+            .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+            .unwrap();
+        let b = remote
+            .infer_with_deadline(doc, seed, Duration::MAX)
+            .unwrap();
         assert_eq!(
             bits(&a.theta),
             bits(&b.theta),

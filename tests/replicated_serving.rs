@@ -33,9 +33,9 @@ use saber_loadgen::synthesize_trace;
 use saberlda::corpus::synthetic::SyntheticSpec;
 use saberlda::serve::{
     derive_replica_choice, derive_shard_seed, FoldInKind, HttpConfig, HttpServer, HttpTransport,
-    InferenceSnapshot, LocalTransport, PartialRequest, PartialResponse, PendingPartial,
-    Publication, ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter, ShardTransport,
-    TopicServer, FAILURE_THRESHOLD,
+    InferenceBackend, InferenceSnapshot, LocalTransport, PartialRequest, PartialResponse,
+    PendingPartial, Publication, ServeConfig, ServeError, ShardInfo, ShardPlan, ShardRouter,
+    ShardTransport, TopicServer, FAILURE_THRESHOLD,
 };
 use saberlda::trace::{TraceBuilder, TraceContext, TraceId};
 use saberlda::LdaModel;
@@ -92,8 +92,12 @@ fn replicated_local_fleet_is_bit_identical_to_single_replica() {
             let mut rng = StdRng::seed_from_u64(50);
             for seed in 0..8u64 {
                 let doc = random_doc(&mut rng, 4 + (seed as usize) * 3);
-                let a = single.infer_topics(doc.clone(), seed).unwrap();
-                let b = replicated.infer_topics(doc, seed).unwrap();
+                let a = single
+                    .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+                    .unwrap();
+                let b = replicated
+                    .infer_with_deadline(doc, seed, Duration::MAX)
+                    .unwrap();
                 assert_eq!(
                     bits(&a.theta),
                     bits(&b.theta),
@@ -133,8 +137,12 @@ fn killed_replica_mid_stream_keeps_esca_answers_bit_identical() {
         .collect();
 
     for (i, &seed) in before.iter().enumerate() {
-        let a = reference.infer_topics(docs[i].clone(), seed).unwrap();
-        let b = router.infer_topics(docs[i].clone(), seed).unwrap();
+        let a = reference
+            .infer_with_deadline(docs[i].clone(), seed, Duration::MAX)
+            .unwrap();
+        let b = router
+            .infer_with_deadline(docs[i].clone(), seed, Duration::MAX)
+            .unwrap();
         assert_eq!(bits(&a.theta), bits(&b.theta), "pre-kill doc {i} diverged");
         assert_eq!(b.snapshot_version, 1, "pre-kill doc {i} off-version");
     }
@@ -145,9 +153,11 @@ fn killed_replica_mid_stream_keeps_esca_answers_bit_identical() {
 
     for (j, &seed) in after.iter().enumerate() {
         let i = before.len() + j;
-        let a = reference.infer_topics(docs[i].clone(), seed).unwrap();
+        let a = reference
+            .infer_with_deadline(docs[i].clone(), seed, Duration::MAX)
+            .unwrap();
         let b = router
-            .infer_topics(docs[i].clone(), seed)
+            .infer_with_deadline(docs[i].clone(), seed, Duration::MAX)
             .unwrap_or_else(|e| panic!("post-kill doc {i} dropped: {e:?}"));
         assert_eq!(bits(&a.theta), bits(&b.theta), "post-kill doc {i} diverged");
         assert_eq!(b.snapshot_version, 1, "post-kill doc {i} off-version");
@@ -189,10 +199,14 @@ fn killed_replica_mid_stream_keeps_em_answers_within_tolerance() {
     fleet[1][0].take().unwrap().shutdown();
 
     for (i, (&seed, doc)) in seeds.iter().zip(&docs).enumerate() {
-        let reference = direct.infer_topics(doc.clone(), seed).unwrap();
-        let via_local = local.infer_topics(doc.clone(), seed).unwrap();
+        let reference = direct
+            .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+            .unwrap();
+        let via_local = local
+            .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+            .unwrap();
         let answer = router
-            .infer_topics(doc.clone(), seed)
+            .infer_with_deadline(doc.clone(), seed, Duration::MAX)
             .unwrap_or_else(|e| panic!("post-kill EM doc {i} dropped: {e:?}"));
         let err = linf(&reference.theta, &answer.theta);
         assert!(
@@ -307,9 +321,16 @@ fn breaker_trips_on_repeated_failures_and_readmits_after_recovery() {
     // Healthy: requests aimed at replica 1 answer there, bit-identically
     // to direct serving.
     let doc = random_doc(&mut rng, 9);
-    let healthy = router.infer_topics(doc.clone(), seeds[0]).unwrap();
+    let healthy = router
+        .infer_with_deadline(doc.clone(), seeds[0], Duration::MAX)
+        .unwrap();
     assert_eq!(
-        bits(&reference.infer_topics(doc.clone(), seeds[0]).unwrap().theta),
+        bits(
+            &reference
+                .infer_with_deadline(doc.clone(), seeds[0], Duration::MAX)
+                .unwrap()
+                .theta
+        ),
         bits(&healthy.theta),
     );
     assert_eq!(router.router_stats().breaker_trips, 0);
@@ -318,9 +339,16 @@ fn breaker_trips_on_repeated_failures_and_readmits_after_recovery() {
     // and the FAILURE_THRESHOLD-th consecutive failure trips the breaker.
     dead.store(true, Ordering::SeqCst);
     for &seed in &seeds[1..=threshold] {
-        let failed_over = router.infer_topics(doc.clone(), seed).unwrap();
+        let failed_over = router
+            .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+            .unwrap();
         assert_eq!(
-            bits(&reference.infer_topics(doc.clone(), seed).unwrap().theta),
+            bits(
+                &reference
+                    .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+                    .unwrap()
+                    .theta
+            ),
             bits(&failed_over.theta),
             "failover changed the answer"
         );
@@ -350,12 +378,12 @@ fn breaker_trips_on_repeated_failures_and_readmits_after_recovery() {
 
     // And it serves again, still bit-identically.
     let recovered = router
-        .infer_topics(doc.clone(), seeds[threshold + 1])
+        .infer_with_deadline(doc.clone(), seeds[threshold + 1], Duration::MAX)
         .unwrap();
     assert_eq!(
         bits(
             &reference
-                .infer_topics(doc.clone(), seeds[threshold + 1])
+                .infer_with_deadline(doc.clone(), seeds[threshold + 1], Duration::MAX)
                 .unwrap()
                 .theta
         ),
@@ -446,7 +474,7 @@ fn wrong_k_partial_is_a_transport_error_naming_the_shard() {
         })
         .collect();
     let router = ShardRouter::with_transports(plan, transports, cfg).unwrap();
-    match router.infer_topics(vec![1, 2, 31, 32], 0) {
+    match router.infer_with_deadline(vec![1, 2, 31, 32], 0, Duration::MAX) {
         Err(e @ ServeError::Transport { shard: Some(1), .. }) => {
             let text = e.to_string();
             assert!(text.contains("6 topics"), "{text}");
@@ -458,7 +486,9 @@ fn wrong_k_partial_is_a_transport_error_naming_the_shard() {
         other => panic!("expected a transport error naming shard 1, got {other:?}"),
     }
     // A document that stays on the honest shard is still answered.
-    let answer = router.infer_topics(vec![1, 2, 3], 0).unwrap();
+    let answer = router
+        .infer_with_deadline(vec![1, 2, 3], 0, Duration::MAX)
+        .unwrap();
     assert_eq!(answer.theta.len(), K);
     router.shutdown();
 }
@@ -556,7 +586,9 @@ fn transient_transport_failure_costs_one_bounded_retry() {
     // Same bytes as if nothing had gone wrong (shard 0's derived seed is
     // the raw request seed, so direct serving is the reference).
     assert_eq!(derive_shard_seed(seed, 0), seed);
-    let expected = reference.infer_topics(doc, seed).unwrap();
+    let expected = reference
+        .infer_with_deadline(doc, seed, Duration::MAX)
+        .unwrap();
     assert_eq!(bits(&expected.theta), bits(&answer.theta));
 
     // Exactly one bounded retry, counted and traced.

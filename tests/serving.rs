@@ -3,9 +3,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use saberlda::corpus::synthetic::SyntheticSpec;
-use saberlda::serve::{FoldInParams, Publication, ServeConfig, SnapshotSampler, TopicServer};
+use saberlda::serve::{
+    FoldInParams, InferenceBackend, Publication, ServeConfig, SnapshotSampler, TopicServer,
+};
 use saberlda::{InferenceSnapshot, LdaModel, SaberLda, SaberLdaConfig};
 
 const K: usize = 4;
@@ -73,7 +76,9 @@ fn trained_model_snapshot_recovers_planted_topics() {
             .into_iter()
             .flat_map(|(w, _)| [w, w])
             .collect();
-        let response = server.infer_topics(words, 17).unwrap();
+        let response = server
+            .infer_with_deadline(words, 17, Duration::MAX)
+            .unwrap();
         assert_eq!(
             response.dominant_topic(),
             k,
@@ -95,7 +100,11 @@ fn concurrent_clients_recover_planted_topics_from_four_threads() {
                     for i in 0..25 {
                         let topic = (c + i) % K;
                         let response = server
-                            .infer_topics(planted_doc(topic, 12), (c * 100 + i) as u64)
+                            .infer_with_deadline(
+                                planted_doc(topic, 12),
+                                (c * 100 + i) as u64,
+                                Duration::MAX,
+                            )
                             .unwrap();
                         assert_eq!(
                             response.dominant_topic(),
@@ -151,7 +160,9 @@ fn fixed_seed_is_bit_identical_across_batch_shapes_and_threads() {
         .unwrap(),
     );
     let words: Vec<u32> = vec![0, 1, 2, 3, 8, 9, 10, 11, 0, 5];
-    let reference = server.infer_topics(words.clone(), 1234).unwrap();
+    let reference = server
+        .infer_with_deadline(words.clone(), 1234, Duration::MAX)
+        .unwrap();
 
     // Same request replayed alone, inside large mixed batches (24 requests
     // in flight at once), and from multiple threads at once: the θ bits
@@ -162,9 +173,9 @@ fn fixed_seed_is_bit_identical_across_batch_shapes_and_threads() {
                 let (server, words) = (&server, &words);
                 scope.spawn(move || {
                     if i == 13 {
-                        server.infer_topics(words.clone(), 1234)
+                        server.infer_with_deadline(words.clone(), 1234, Duration::MAX)
                     } else {
-                        server.infer_topics(planted_doc(i % K, 9), i as u64)
+                        server.infer_with_deadline(planted_doc(i % K, 9), i as u64, Duration::MAX)
                     }
                 })
             })
@@ -183,7 +194,9 @@ fn fixed_seed_is_bit_identical_across_batch_shapes_and_threads() {
             let expected = reference.theta.clone();
             std::thread::spawn(move || {
                 for _ in 0..10 {
-                    let response = server.infer_topics(words.clone(), 1234).unwrap();
+                    let response = server
+                        .infer_with_deadline(words.clone(), 1234, Duration::MAX)
+                        .unwrap();
                     let got: Vec<u32> = response.theta.iter().map(|x| x.to_bits()).collect();
                     let want: Vec<u32> = expected.iter().map(|x| x.to_bits()).collect();
                     assert_eq!(got, want, "replay diverged");
@@ -196,7 +209,9 @@ fn fixed_seed_is_bit_identical_across_batch_shapes_and_threads() {
     }
 
     // A different seed on the same ambiguous document differs.
-    let other = server.infer_topics(words, 1235).unwrap();
+    let other = server
+        .infer_with_deadline(words, 1235, Duration::MAX)
+        .unwrap();
     assert_ne!(other.theta, reference.theta);
 }
 
@@ -206,7 +221,9 @@ fn mid_stream_snapshot_swap_is_observed_by_subsequent_requests() {
     let doc = planted_doc(0, 12);
 
     // Before the swap: version 1, dominant topic 0.
-    let before = server.infer_topics(doc.clone(), 9).unwrap();
+    let before = server
+        .infer_with_deadline(doc.clone(), 9, Duration::MAX)
+        .unwrap();
     assert_eq!(before.snapshot_version, 1);
     assert_eq!(before.dominant_topic(), 0);
 
@@ -223,7 +240,9 @@ fn mid_stream_snapshot_swap_is_observed_by_subsequent_requests() {
             let published = Arc::clone(&published);
             std::thread::spawn(move || {
                 for i in 0..100_000u64 {
-                    let response = server.infer_topics(doc.clone(), i).unwrap();
+                    let response = server
+                        .infer_with_deadline(doc.clone(), i, Duration::MAX)
+                        .unwrap();
                     match response.snapshot_version {
                         1 => assert_eq!(response.dominant_topic(), 0),
                         2 => {
@@ -261,7 +280,7 @@ fn mid_stream_snapshot_swap_is_observed_by_subsequent_requests() {
     );
 
     // After the dust settles every new request is served from v2.
-    let after = server.infer_topics(doc, 77).unwrap();
+    let after = server.infer_with_deadline(doc, 77, Duration::MAX).unwrap();
     assert_eq!(after.snapshot_version, 2);
     assert_eq!(after.dominant_topic(), 1);
 }
@@ -292,7 +311,9 @@ fn fold_in_params_trade_quality_for_latency() {
             },
         )
         .unwrap();
-        let response = server.infer_topics(planted_doc(2, 16), 3).unwrap();
+        let response = server
+            .infer_with_deadline(planted_doc(2, 16), 3, Duration::MAX)
+            .unwrap();
         assert_eq!(response.dominant_topic(), 2);
         server.shutdown();
     }

@@ -21,6 +21,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,8 +54,12 @@ fn one_shard_router_is_bit_identical_to_direct_serving() {
             let mut rng = StdRng::seed_from_u64(100 + model_seed);
             for request_seed in 0..8u64 {
                 let doc = random_doc(&mut rng, 3 + (request_seed as usize) * 4);
-                let a = direct.infer_topics(doc.clone(), request_seed).unwrap();
-                let b = routed.infer_topics(doc, request_seed).unwrap();
+                let a = direct
+                    .infer_with_deadline(doc.clone(), request_seed, Duration::MAX)
+                    .unwrap();
+                let b = routed
+                    .infer_with_deadline(doc, request_seed, Duration::MAX)
+                    .unwrap();
                 assert_eq!(
                     bits(&a.theta),
                     bits(&b.theta),
@@ -83,7 +88,12 @@ fn n_shard_em_matches_unsharded_within_1e5_linf() {
     let references: Vec<Vec<f32>> = docs
         .iter()
         .enumerate()
-        .map(|(i, doc)| direct.infer_topics(doc.clone(), i as u64).unwrap().theta)
+        .map(|(i, doc)| {
+            direct
+                .infer_with_deadline(doc.clone(), i as u64, Duration::MAX)
+                .unwrap()
+                .theta
+        })
         .collect();
     for n_shards in [2usize, 3, 5, 7] {
         let routed = ShardRouter::from_model(
@@ -93,7 +103,9 @@ fn n_shard_em_matches_unsharded_within_1e5_linf() {
         )
         .unwrap();
         for (i, doc) in docs.iter().enumerate() {
-            let response = routed.infer_topics(doc.clone(), i as u64).unwrap();
+            let response = routed
+                .infer_with_deadline(doc.clone(), i as u64, Duration::MAX)
+                .unwrap();
             let err = linf(&references[i], &response.theta);
             assert!(
                 err <= 1e-5,
@@ -130,8 +142,12 @@ fn n_shard_esca_agrees_statistically_with_unsharded() {
         for topic in 0..K {
             // A document drawn from one topic's words, spread over shards.
             let doc: Vec<u32> = (0..12).map(|i| (topic + K * (i % 6)) as u32).collect();
-            let a = direct.infer_topics(doc.clone(), topic as u64).unwrap();
-            let b = routed.infer_topics(doc, topic as u64).unwrap();
+            let a = direct
+                .infer_with_deadline(doc.clone(), topic as u64, Duration::MAX)
+                .unwrap();
+            let b = routed
+                .infer_with_deadline(doc, topic as u64, Duration::MAX)
+                .unwrap();
             assert_eq!(a.dominant_topic(), topic);
             assert_eq!(
                 b.dominant_topic(),
@@ -165,10 +181,16 @@ fn esca_shard_seeds_derive_from_the_request_seed() {
     )
     .unwrap();
     let doc: Vec<u32> = vec![0, 21, 41, 59, 5, 25, 45, 0, 21];
-    let a = routed.infer_topics(doc.clone(), 1234).unwrap();
-    let b = routed.infer_topics(doc.clone(), 1234).unwrap();
+    let a = routed
+        .infer_with_deadline(doc.clone(), 1234, Duration::MAX)
+        .unwrap();
+    let b = routed
+        .infer_with_deadline(doc.clone(), 1234, Duration::MAX)
+        .unwrap();
     assert_eq!(bits(&a.theta), bits(&b.theta), "replay diverged");
-    let c = routed.infer_topics(doc, 1235).unwrap();
+    let c = routed
+        .infer_with_deadline(doc, 1235, Duration::MAX)
+        .unwrap();
     assert_ne!(a.theta, c.theta, "different seeds must differ");
     for s in 1..3 {
         assert_ne!(derive_shard_seed(1234, s), 1234);
@@ -193,7 +215,12 @@ fn mid_stream_shard_set_swap_never_serves_a_mixed_version_answer() {
         .iter()
         .map(|model| {
             let reference = ShardRouter::from_model(model, plan(), cfg).unwrap();
-            let theta = bits(&reference.infer_topics(doc.clone(), seed).unwrap().theta);
+            let theta = bits(
+                &reference
+                    .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+                    .unwrap()
+                    .theta,
+            );
             reference.shutdown();
             theta
         })
@@ -210,7 +237,9 @@ fn mid_stream_shard_set_swap_never_serves_a_mixed_version_answer() {
             let expected = expected.clone();
             std::thread::spawn(move || {
                 for _ in 0..50_000u64 {
-                    let response = router.infer_topics(doc.clone(), seed).unwrap();
+                    let response = router
+                        .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+                        .unwrap();
                     match response.snapshot_version {
                         1 => assert_eq!(
                             bits(&response.theta),
@@ -272,8 +301,12 @@ fn budgeted_plan_serves_within_its_per_shard_budget() {
     let mut rng = StdRng::seed_from_u64(3);
     for seed in 0..4u64 {
         let doc = random_doc(&mut rng, 15);
-        let a = direct.infer_topics(doc.clone(), seed).unwrap();
-        let b = routed.infer_topics(doc, seed).unwrap();
+        let a = direct
+            .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+            .unwrap();
+        let b = routed
+            .infer_with_deadline(doc, seed, Duration::MAX)
+            .unwrap();
         assert!(linf(&a.theta, &b.theta) <= 1e-5);
         assert_eq!(a.dominant_topic(), b.dominant_topic());
     }
@@ -300,8 +333,12 @@ fn raw_token_documents_route_identically() {
         .encode(tokens, saberlda::corpus::OovPolicy::Skip)
         .unwrap();
     assert_eq!(encoded.n_oov, 1);
-    let a = direct.infer_topics(encoded.ids.clone(), 8).unwrap();
-    let b = routed.infer_topics(encoded.ids, 8).unwrap();
+    let a = direct
+        .infer_with_deadline(encoded.ids.clone(), 8, Duration::MAX)
+        .unwrap();
+    let b = routed
+        .infer_with_deadline(encoded.ids, 8, Duration::MAX)
+        .unwrap();
     assert_eq!((a.n_oov, b.n_oov), (0, 0));
     assert!(linf(&a.theta, &b.theta) <= 1e-5);
     direct.shutdown();

@@ -94,7 +94,9 @@ fn tracing_never_changes_theta_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(17);
         for seed in 0..5u64 {
             let doc = random_doc(&mut rng, 6 + seed as usize * 3);
-            let plain = server.infer_topics(doc.clone(), seed).unwrap();
+            let plain = server
+                .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+                .unwrap();
             let shaped = call_shapes_agree(&server, &doc, seed);
             assert_eq!(bits(&plain.theta), bits(&shaped.theta), "{kind:?}/{seed}");
         }
@@ -106,7 +108,9 @@ fn tracing_never_changes_theta_bit_for_bit() {
             let mut rng = StdRng::seed_from_u64(17);
             for seed in 0..5u64 {
                 let doc = random_doc(&mut rng, 6 + seed as usize * 3);
-                let plain = router.infer_topics(doc.clone(), seed).unwrap();
+                let plain = router
+                    .infer_with_deadline(doc.clone(), seed, Duration::MAX)
+                    .unwrap();
                 let shaped = call_shapes_agree(&router, &doc, seed);
                 assert_eq!(bits(&plain.theta), bits(&shaped.theta), "{kind:?}/{seed}");
                 let mut trace = TraceBuilder::new(TraceId::mint());
@@ -319,7 +323,9 @@ fn a_raw_token_request_through_a_router_is_traced_like_word_ids() {
     let encoded = vocab
         .encode(["w00000", "w00059", "nope", "w00002"], OovPolicy::Skip)
         .unwrap();
-    let mut reference = router.infer_topics(encoded.ids, 6).unwrap();
+    let mut reference = router
+        .infer_with_deadline(encoded.ids, 6, Duration::MAX)
+        .unwrap();
     reference.n_oov += encoded.n_oov;
     assert_eq!(reference.n_oov, 1);
     assert_eq!(

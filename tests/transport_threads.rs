@@ -10,6 +10,7 @@
 #![cfg(target_os = "linux")]
 
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +42,9 @@ fn routing_over_http_transports_starts_no_thread_in_the_router() {
     let mut rng = StdRng::seed_from_u64(9);
     for seed in 0..200u64 {
         let doc = random_doc(&mut rng, 12);
-        router.infer_topics(doc, seed).unwrap();
+        router
+            .infer_with_deadline(doc, seed, Duration::MAX)
+            .unwrap();
     }
     assert_eq!(router.router_stats().requests, 200);
 
