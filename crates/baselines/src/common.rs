@@ -149,9 +149,8 @@ mod tests {
         assert_eq!(a.topics, b.topics);
     }
 
-    #[test]
-    fn state_flattens_the_corpus_in_document_order() {
-        let corpus = Corpus::from_documents(
+    fn fig1_corpus() -> Corpus {
+        Corpus::from_documents(
             5,
             vec![
                 Document::new(vec![0, 1]),
@@ -159,8 +158,24 @@ mod tests {
                 Document::new(vec![2, 4]),
             ],
         )
-        .unwrap();
-        let state = BaselineState::new(&corpus, 3, 0.1, 0.01, 0);
+        .unwrap()
+    }
+
+    #[test]
+    fn initial_topics_in_range_and_seeded() {
+        let corpus = fig1_corpus();
+        let a = BaselineState::new(&corpus, 7, 0.1, 0.01, 1);
+        let b = BaselineState::new(&corpus, 7, 0.1, 0.01, 1);
+        assert_eq!(a.topics, b.topics);
+        assert!(a.topics.iter().all(|&k| k < 7));
+        let c = BaselineState::new(&corpus, 7, 0.1, 0.01, 2);
+        // Overwhelmingly likely to differ with 8 tokens and 7 topics.
+        assert_ne!(a.topics, c.topics);
+    }
+
+    #[test]
+    fn state_flattens_the_corpus_in_document_order() {
+        let state = BaselineState::new(&fig1_corpus(), 3, 0.1, 0.01, 0);
         assert_eq!(state.doc_ids, [0, 0, 1, 1, 1, 1, 2, 2]);
         assert_eq!(state.word_ids, [0, 1, 2, 3, 2, 0, 2, 4]);
     }

@@ -238,6 +238,20 @@ mod tests {
     }
 
     #[test]
+    fn word_frequency_histogram() {
+        let c = Corpus::from_documents(
+            6,
+            vec![
+                Document::new(vec![0, 1]),
+                Document::new(vec![2, 3, 2]),
+                Document::new(vec![4]),
+            ],
+        )
+        .unwrap();
+        assert_eq!(c.word_frequencies(), vec![1, 1, 2, 1, 1, 0]);
+    }
+
+    #[test]
     fn vocabulary_attachment_checks_size() {
         let c = fig1_corpus();
         assert!(c.clone().with_vocabulary(Vocabulary::synthetic(4)).is_err());
