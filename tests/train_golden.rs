@@ -8,7 +8,10 @@
 //! `(document, word)` tokens shared a product chain, four chains ran
 //! interleaved and the draw bisected) the same way. Those run K = 256 on
 //! documents of ≥ 150 tokens over 200 words, so rows of `A` are longer than
-//! a lane batch, unequal, and most pairs repeat.
+//! a lane batch, unequal, and most pairs repeat. The `incremental/3x2` line
+//! was captured at `3e7b0b0`, the last commit before the incremental pass
+//! marked its changed words in a per-word vector and refilled their
+//! samplers in place.
 //! A line pins, for one configuration on `SyntheticSpec::small_test()`:
 //! the FNV-1a hash of the word–topic counts `B` and of every token's topic
 //! after three sweeps, and per sweep the sampling kernel's DRAM bytes, the
@@ -54,6 +57,7 @@ const GOLDEN: &[&str] = &[
     "word/warp/wary/l2=4096 b=0x0f7814feb4994466 topics=0x2e89e8fdd9f81d1b sweeps=60800:0x3ed53c95db086c5a:0xf233b3c736711787,58240:0x3ed53c95db086c5a:0xe4f586926a94abba,57216:0x3ed53c95db086c5a:0x57c6e86e2c41771b",
     "doc/warp/wary/l2=4096 b=0x52d0e6c9b30882c0 topics=0xa79e0fea20c45f58 sweeps=135680:0x3ee2d6f5bc781f05:0x83f50a70d32752e9,134656:0x3ee278bf58ec6709:0x08aecf48f2a197b8,134400:0x3ee27e44643fbd84:0x83cd1d2a35e3b8ab",
     "incremental ingested=229 resampled=458 b=0x50acea3873086371 bhat=0xab15bb9d76e67738 touched=0x40d0f1d3d90d9325",
+    "incremental/3x2 wary ingested=671 resampled=2730 rows=377 b=0x3ecad90d6f2b9727 bhat=0x21faabf8a762d7cb touched=0x752b5f69ee173481 alias ingested=671 resampled=2730 rows=377 b=0xe1800eae574cca49 bhat=0x58147d7b61965c67 touched=0x752b5f69ee173481",
     "k256/word/warp/wary b=0xdb9ed0d57fbe033a topics=0x8573269be8c28f84 sweeps=255360:0x3f0a4f027591b719:0x82a47054902020c2,248832:0x3f06f7a3788f3b89:0x6128ae44004f4fb9,245376:0x3f051877efca27a2:0x1d5b6cfc3b5e591f",
     "k256/doc/warp/wary b=0x15d6ae4f5d56c756 topics=0x550dc6f13e7abef9 sweeps=256512:0x3f3515827e94e88c:0xa23ff81d138eafda,250240:0x3f31282cfb2abb46:0x510fa61b247f4c37,246400:0x3f2d789fa981cd1c:0x3e80e82cbe088230",
     "k256/word/warp/wary/l2=4096 b=0xdb9ed0d57fbe033a topics=0x8573269be8c28f84 sweeps=1206144:0x3f0a4f027591b719:0x41175775f8555b7a,1006720:0x3f06f7a3788f3b89:0x09bf91b7d20466cb,906240:0x3f051877efca27a2:0x4a1770a05487d5bc",
@@ -262,6 +266,49 @@ fn observe_incremental(corpus: &Corpus) -> String {
     )
 }
 
+/// Three ingested batches, each re-sampled by two incremental passes, so
+/// the dirty set holds one, two and then three chunks; once for the W-ary
+/// tree and once for the alias table.
+fn observe_incremental_batches(corpus: &Corpus) -> String {
+    let stream = SyntheticSpec::small_test().generate(99);
+    let docs: Vec<Vec<u32>> = stream
+        .documents()
+        .iter()
+        .take(24)
+        .map(|d| d.words().to_vec())
+        .collect();
+    let mut parts = Vec::new();
+    for (preprocess, name) in [
+        (PreprocessKind::WaryTree, "wary"),
+        (PreprocessKind::AliasTable, "alias"),
+    ] {
+        let config = config(
+            N_TOPICS,
+            TokenOrder::WordMajor,
+            KernelKind::WarpBased,
+            preprocess,
+            None,
+        );
+        let mut trainer = SaberLda::new(config, corpus).unwrap();
+        trainer.take_touched_rows();
+        let (mut ingested, mut resampled, mut touched) = (0, 0, Vec::new());
+        for batch in docs.chunks(8) {
+            ingested += trainer.ingest(batch.to_vec()).unwrap();
+            resampled += trainer.iterate_incremental() + trainer.iterate_incremental();
+            touched.extend(trainer.take_touched_rows());
+        }
+        let model = trainer.model();
+        parts.push(format!(
+            "{name} ingested={ingested} resampled={resampled} rows={} b={:#018x} bhat={:#018x} touched={:#018x}",
+            trainer.rows_rebuilt(),
+            fnv1a_u32(model.word_topic().as_slice().iter().copied()),
+            fnv1a_u32(model.word_topic_prob().as_slice().iter().map(|p| p.to_bits())),
+            fnv1a_u32(touched),
+        ));
+    }
+    format!("incremental/3x2 {}", parts.join(" "))
+}
+
 #[test]
 fn training_chain_matches_the_values_captured_before_the_split() {
     let corpus = SyntheticSpec::small_test().generate(5);
@@ -301,6 +348,7 @@ fn training_chain_matches_the_values_captured_before_the_split() {
         lines.push(observe_sweeps(label, config, &corpus));
     }
     lines.push(observe_incremental(&corpus));
+    lines.push(observe_incremental_batches(&corpus));
 
     // Rows of ≈ 150 non-zeros; under the 4 KiB L2 a row spans more lines
     // than the cache has sets.
