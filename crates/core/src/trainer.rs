@@ -62,10 +62,10 @@ pub struct SaberLda {
     cost: CostModel,
     rng: StdRng,
     iteration: usize,
-    /// Word ids whose `B̂` rows (and samplers) changed since the last
-    /// [`SaberLda::take_touched_rows`] — a `BTreeSet` so the exported row
-    /// list is deterministically sorted.
-    touched: BTreeSet<u32>,
+    /// One mark per word id whose `B̂` row (and sampler) changed since the
+    /// last [`SaberLda::take_touched_rows`], read back in id order so the
+    /// exported row list is sorted and deduplicated.
+    touched: Vec<bool>,
     /// Chunk indices needing incremental re-sampling (ingested since the
     /// last full iteration).
     dirty_chunks: BTreeSet<usize>,
@@ -109,6 +109,14 @@ fn count_chunk(
         accumulate_word_topic(chunk, word_topic, tracker)
     });
     a
+}
+
+/// The word ids marked in `marks`, in id order.
+fn marked(marks: &[bool]) -> Vec<u32> {
+    (0u32..)
+        .zip(marks)
+        .filter_map(|(v, &m)| m.then_some(v))
+        .collect()
 }
 
 /// What the E-step and M-step of one [`SaberLda::iterate`] produced, before
@@ -166,7 +174,7 @@ impl SaberLda {
             samplers: Vec::new(),
             rng,
             iteration: 0,
-            touched: BTreeSet::new(),
+            touched: vec![false; corpus.vocab_size()],
             dirty_chunks: BTreeSet::new(),
             rows_rebuilt: 0,
             full_rebuilds: 0,
@@ -400,7 +408,7 @@ impl SaberLda {
         timed(&mut wall.trees_s, || self.rebuild_samplers());
         // A full refresh rewrites every B̂ row (the per-topic denominators
         // change), so every row is dirty for the next snapshot export.
-        self.touched.extend(0..self.model.vocab_size() as u32);
+        self.touched.fill(true);
         self.full_rebuilds += 1;
         elements
     }
@@ -435,7 +443,9 @@ impl SaberLda {
     /// added to `B`, and only the `B̂` rows (and per-word samplers) of the
     /// words the new documents actually use are recomputed — `O(changed·K)`
     /// instead of the `O(V·K)` full preprocess, using the cached per-topic
-    /// denominators ([`LdaModel::refresh_probability_rows`]). The chunk is
+    /// denominators ([`LdaModel::refresh_probability_rows`]) and refilling
+    /// each sampler in place. The words are marked once per token in a
+    /// per-word vector, as [`SaberLda::iterate_incremental`] does. The chunk is
     /// marked for incremental re-sampling by
     /// [`SaberLda::iterate_incremental`]. Returns the number of tokens
     /// ingested.
@@ -469,10 +479,9 @@ impl SaberLda {
         let word_topic = self.model.word_topic_mut();
         let a = count_chunk(&chunk, &self.config, word_topic, &mut tracker, &mut wall);
         self.doc_topics.push(a);
-        let changed: BTreeSet<u32> = chunk.word_ids.iter().copied().collect();
+        self.dirty_chunks.insert(self.chunks.len());
         self.chunks.push(chunk);
-        self.dirty_chunks.insert(self.chunks.len() - 1);
-        self.refresh_rows(&changed);
+        self.refresh_rows(&self.changed_words(&[self.chunks.len() - 1]));
         Ok(tokens)
     }
 
@@ -486,9 +495,8 @@ impl SaberLda {
     /// further passes, or [`SaberLda::iterate`] for a full sweep.
     pub fn iterate_incremental(&mut self) -> u64 {
         let mut tokens = 0u64;
-        let mut changed: BTreeSet<u32> = BTreeSet::new();
         let dirty: Vec<usize> = self.dirty_chunks.iter().copied().collect();
-        for ci in dirty {
+        for &ci in &dirty {
             {
                 let chunk = &self.chunks[ci];
                 for (word, _, topic) in chunk.iter_tokens() {
@@ -508,25 +516,34 @@ impl SaberLda {
             let (chunk, wall) = (&self.chunks[ci], &mut PhaseWall::default());
             let word_topic = self.model.word_topic_mut();
             self.doc_topics[ci] = count_chunk(chunk, &self.config, word_topic, &mut tracker, wall);
-            changed.extend(self.chunks[ci].word_ids.iter().copied());
         }
-        self.refresh_rows(&changed);
+        self.refresh_rows(&self.changed_words(&dirty));
         tokens
     }
 
-    /// Recomputes `B̂` rows and samplers for exactly `rows`, with cached
-    /// denominators, and marks them touched for the next export.
-    fn refresh_rows(&mut self, rows: &BTreeSet<u32>) {
-        let sorted: Vec<u32> = rows.iter().copied().collect();
-        self.model.refresh_probability_rows(&sorted);
-        for &v in &sorted {
-            self.samplers[v as usize] = WordSampler::build(
-                self.config.preprocess,
-                self.model.word_topic_prob().row(v as usize),
-            );
+    /// The distinct word ids of the tokens of chunks `indices`, in id order:
+    /// each token marks its word in a `V`-length vector that is read back
+    /// once.
+    fn changed_words(&self, indices: &[usize]) -> Vec<u32> {
+        let mut marks = vec![false; self.model.vocab_size()];
+        for &w in indices.iter().flat_map(|&ci| &self.chunks[ci].word_ids) {
+            marks[w as usize] = true;
         }
-        self.rows_rebuilt += sorted.len() as u64;
-        self.touched.extend(sorted);
+        marked(&marks)
+    }
+
+    /// Recomputes `B̂` rows for exactly `rows` (sorted, deduplicated) with
+    /// cached denominators, refills their samplers in place with
+    /// [`WordSampler::rebuild`], as a full sweep does, and marks them
+    /// touched for the next export.
+    fn refresh_rows(&mut self, rows: &[u32]) {
+        self.model.refresh_probability_rows(rows);
+        let (kind, bhat) = (self.config.preprocess, self.model.word_topic_prob());
+        for &v in rows {
+            self.samplers[v as usize].rebuild(kind, bhat.row(v as usize));
+            self.touched[v as usize] = true;
+        }
+        self.rows_rebuilt += rows.len() as u64;
     }
 
     /// Rebases the lazily-stale per-topic denominators: a full `B̂` refresh
@@ -540,7 +557,9 @@ impl SaberLda {
     /// deduplicated), clearing the set — the changed-row list a snapshot
     /// export turns into a `SABRDELTA`.
     pub fn take_touched_rows(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.touched).into_iter().collect()
+        let rows = marked(&self.touched);
+        self.touched.fill(false);
+        rows
     }
 
     /// Re-marks `rows` as touched — the inverse of
@@ -548,9 +567,10 @@ impl SaberLda {
     /// *after* draining the set. Merging the drained list back in (rows
     /// touched since the drain stay touched) keeps the invariant that the
     /// next export covers every row changed since the last *successful*
-    /// publication, so a retried delta is never missing rows.
+    /// publication, so a retried delta is never missing rows. Each row must
+    /// be a word id of the vocabulary, as every drained row is.
     pub fn restore_touched_rows(&mut self, rows: &[u32]) {
-        self.touched.extend(rows.iter().copied());
+        rows.iter().for_each(|&v| self.touched[v as usize] = true);
     }
 
     /// `B̂` rows recomputed individually by the incremental path (ingest and
@@ -994,6 +1014,160 @@ mod tests {
         lda.ingest(vec![vec![2u32, 7]]).unwrap();
         assert_eq!(lda.take_touched_rows(), vec![0, 1, 2, 7]);
         assert!(lda.take_touched_rows().is_empty());
+    }
+
+    /// The incremental path as it stood before words were marked per id: a
+    /// `BTreeSet` of the changed words, a freshly built sampler for each of
+    /// their rows, and a `BTreeSet` of touched rows beside the trainer.
+    struct SetOracle {
+        lda: SaberLda,
+        touched: BTreeSet<u32>,
+    }
+
+    impl SetOracle {
+        fn new(config: SaberLdaConfig, corpus: &Corpus) -> Self {
+            let lda = SaberLda::new(config, corpus).unwrap();
+            let touched = (0..lda.model.vocab_size() as u32).collect();
+            SetOracle { lda, touched }
+        }
+
+        fn ingest(&mut self, docs: Vec<Vec<u32>>) -> u64 {
+            let lda = &mut self.lda;
+            let documents = docs.into_iter().map(saber_corpus::Document::new).collect();
+            let corpus = Corpus::from_documents(lda.model.vocab_size(), documents).unwrap();
+            let (order, sort) = (lda.config.token_order, lda.config.sort_words_by_frequency);
+            let mut chunk = build_chunks(&corpus, 1, order, sort).remove(0);
+            chunk.randomize_topics(lda.config.n_topics, &mut lda.rng);
+            let (mut tracker, mut wall) = (MemoryTracker::disabled(), PhaseWall::default());
+            let word_topic = lda.model.word_topic_mut();
+            let a = count_chunk(&chunk, &lda.config, word_topic, &mut tracker, &mut wall);
+            lda.doc_topics.push(a);
+            let changed: BTreeSet<u32> = chunk.word_ids.iter().copied().collect();
+            let tokens = chunk.n_tokens() as u64;
+            lda.chunks.push(chunk);
+            lda.dirty_chunks.insert(lda.chunks.len() - 1);
+            self.refresh_rows(&changed);
+            tokens
+        }
+
+        fn iterate_incremental(&mut self) -> u64 {
+            let (lda, mut tokens) = (&mut self.lda, 0);
+            let mut changed = BTreeSet::new();
+            for ci in lda.dirty_chunks.clone() {
+                for (word, _, topic) in lda.chunks[ci].iter_tokens() {
+                    lda.model.word_topic_mut()[(word as usize, topic as usize)] -= 1;
+                }
+                let mut tracker = MemoryTracker::disabled();
+                tokens += sample_chunk(
+                    &mut lda.chunks[ci],
+                    &lda.doc_topics[ci],
+                    &lda.model,
+                    &lda.samplers,
+                    &lda.config,
+                    &mut tracker,
+                    &mut lda.rng,
+                );
+                let (chunk, wall) = (&lda.chunks[ci], &mut PhaseWall::default());
+                let word_topic = lda.model.word_topic_mut();
+                lda.doc_topics[ci] =
+                    count_chunk(chunk, &lda.config, word_topic, &mut tracker, wall);
+                changed.extend(lda.chunks[ci].word_ids.iter().copied());
+            }
+            self.refresh_rows(&changed);
+            tokens
+        }
+
+        fn refresh_rows(&mut self, rows: &BTreeSet<u32>) {
+            let lda = &mut self.lda;
+            let sorted: Vec<u32> = rows.iter().copied().collect();
+            lda.model.refresh_probability_rows(&sorted);
+            for &v in &sorted {
+                let row = lda.model.word_topic_prob().row(v as usize);
+                lda.samplers[v as usize] = WordSampler::build(lda.config.preprocess, row);
+            }
+            lda.rows_rebuilt += sorted.len() as u64;
+            self.touched.extend(sorted);
+        }
+
+        fn take_touched_rows(&mut self) -> Vec<u32> {
+            std::mem::take(&mut self.touched).into_iter().collect()
+        }
+    }
+
+    #[test]
+    fn incremental_passes_equal_the_set_and_fresh_build_oracle() {
+        use crate::config::{PreprocessKind, TokenOrder};
+        let corpus = SyntheticSpec::small_test().generate(16);
+        let stream = SyntheticSpec::small_test().generate(17);
+        let docs: Vec<Vec<u32>> = stream
+            .documents()
+            .iter()
+            .take(18)
+            .map(|d| d.words().to_vec())
+            .collect();
+        for kind in [
+            PreprocessKind::WaryTree,
+            PreprocessKind::AliasTable,
+            PreprocessKind::FenwickTree,
+        ] {
+            for order in [TokenOrder::DocMajor, TokenOrder::WordMajor] {
+                let config = SaberLdaConfig::builder()
+                    .n_topics(12)
+                    .n_chunks(2)
+                    .token_order(order)
+                    .preprocess(kind)
+                    .seed(9)
+                    .build()
+                    .unwrap();
+                let mut lda = SaberLda::new(config.clone(), &corpus).unwrap();
+                let mut oracle = SetOracle::new(config, &corpus);
+                // Batch `b` leaves `b + 1` chunks in the dirty set.
+                for (b, batch) in docs.chunks(6).enumerate() {
+                    let ingested = lda.ingest(batch.to_vec()).unwrap();
+                    assert_eq!(ingested, oracle.ingest(batch.to_vec()));
+                    let case = format!("{kind:?}, {order:?}, batch {b}, ingest");
+                    assert_agree(&mut lda, &mut oracle, &case);
+                    for pass in 0..2 {
+                        let case = format!("{kind:?}, {order:?}, batch {b}, pass {pass}");
+                        let tokens = lda.iterate_incremental();
+                        assert_eq!(tokens, oracle.iterate_incremental(), "{case}");
+                        let touched = assert_agree(&mut lda, &mut oracle, &case);
+                        // A failed publication of the middle batch's last
+                        // drain: its rows merge into the last batch's ingest.
+                        if (b, pass) == (1, 1) {
+                            lda.restore_touched_rows(&touched);
+                            oracle.touched.extend(touched);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts that `lda` and `oracle` hold the same state, then drains both
+    /// touched sets, asserts they agree and returns the drained rows.
+    fn assert_agree(lda: &mut SaberLda, oracle: &mut SetOracle, case: &str) -> Vec<u32> {
+        let expected = &oracle.lda;
+        assert_eq!(
+            lda.model.word_topic(),
+            expected.model.word_topic(),
+            "{case}"
+        );
+        let bits = |m: &LdaModel| -> Vec<u32> {
+            let bhat = m.word_topic_prob().as_slice();
+            bhat.iter().map(|p| p.to_bits()).collect()
+        };
+        assert_eq!(bits(&lda.model), bits(&expected.model), "{case}");
+        for (a, b) in lda.chunks.iter().zip(&expected.chunks) {
+            assert_eq!(a.topics, b.topics, "{case}");
+        }
+        assert_eq!(lda.doc_topics, expected.doc_topics, "{case}");
+        assert_eq!(lda.rng, expected.rng, "{case}");
+        assert!(lda.samplers == expected.samplers, "{case}: samplers differ");
+        assert_eq!(lda.rows_rebuilt, expected.rows_rebuilt, "{case}");
+        let touched = lda.take_touched_rows();
+        assert_eq!(touched, oracle.take_touched_rows(), "{case}");
+        touched
     }
 
     #[test]

@@ -203,10 +203,11 @@ fn run(args: &[String]) -> Result<(), Failure> {
             if let Some(epoch) = &tick.published {
                 published += 1;
                 println!(
-                    "epoch {}: {} docs, {} tokens in, {} rows offered as delta{}",
+                    "epoch {}: {} docs, {} tokens in, {} resampled, {} rows offered as delta{}",
                     epoch.epoch,
                     tick.batch_docs,
                     tick.tokens_ingested,
+                    tick.tokens_resampled,
                     epoch.changed_rows,
                     if epoch.full_refresh {
                         " (full refresh)"

@@ -8,7 +8,9 @@
 # sides (each into its own target directory, `--locked`), runs `pairs`
 # (default 10, at least 10 for a claim) alternating pairs on seeds 1..pairs
 # (the parent goes first on odd seeds, the change on even ones) and ends
-# with `compare parent change`, whose exit status it returns.
+# with `compare parent change`, whose exit status it returns. After the
+# verdicts it prints each ungated diagnostic of the runs: both sides'
+# medians and the pairs in which the change reads lower.
 #
 # The change side is the working tree this script sits in. Everything goes
 # under $BENCH_DIR (default: ${TMPDIR:-/tmp}/saber-bench-pairs): the
@@ -70,6 +72,23 @@ for seed in $(seq 1 "$pairs"); do
 done
 "$change_bin" compare "$out/parent" "$out/change" >"$out/compare.txt" || status=$?
 cat "$out/compare.txt"
+# The ungated diagnostics (e.g. a pipeline's `tick_p50_s` and
+# `publish_epoch_p50_s`), which show the layer a saving came from: each
+# side's median over its runs and the pairs in which the change reads lower.
+jq -r -n --argjson pairs "$pairs" \
+    --slurpfile parent <(cat "$out"/parent/run_*.json) \
+    --slurpfile change <(cat "$out"/change/run_*.json) '
+    def by_seed: map({key: (.seed | tostring),
+        value: (.diagnostics | map({key: .name, value: .value}) | from_entries)}) | from_entries;
+    def median: sort | length as $n | if $n == 0 then null
+        else (.[($n - 1) / 2 | floor] + .[$n / 2 | floor]) / 2 end;
+    ($parent | by_seed) as $p | ($change | by_seed) as $c
+    | ([$parent[].diagnostics[] | {key: .name, value: .unit}] | from_entries) as $unit
+    | [$p[] | keys[]] | unique[] as $d
+    | ([$p[][$d] | numbers] | median) as $pm | ([$c[][$d] | numbers] | median) as $cm
+    | ([$p | keys[] | select(($c[.][$d] | type) == "number" and ($p[.][$d] | type) == "number")
+        | select($c[.][$d] < $p[.][$d])] | length) as $lower
+    | "diagnostic \($d): parent median \($pm) \($unit[$d]), change median \($cm) \($unit[$d]), change lower in \($lower) of \($pairs) pairs"'
 [ -z "$record" ] && exit "${status:-0}"
 
 # A row reads `<workload> <metric> <verdict> A n=N median [q1, q3]  B n=N
