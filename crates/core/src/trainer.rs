@@ -444,9 +444,8 @@ impl SaberLda {
     /// words the new documents actually use are recomputed — `O(changed·K)`
     /// instead of the `O(V·K)` full preprocess, using the cached per-topic
     /// denominators ([`LdaModel::refresh_probability_rows`]) and refilling
-    /// each sampler in place. The words are marked once per token in a
-    /// per-word vector, as [`SaberLda::iterate_incremental`] does. The chunk is
-    /// marked for incremental re-sampling by
+    /// each word's sampler in place, as [`SaberLda::iterate_incremental`]
+    /// does. The chunk is marked for incremental re-sampling by
     /// [`SaberLda::iterate_incremental`]. Returns the number of tokens
     /// ingested.
     ///
