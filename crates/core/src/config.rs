@@ -9,8 +9,10 @@
 //!   tree for the dense sub-problem (§3.2.4);
 //! * [`CountRebuild`] — shuffle-and-segmented-count vs. naive global sort for
 //!   rebuilding the document–topic matrix (§3.3);
-//! * [`KernelKind`] — warp-based vs. thread-based sampling (§3.2);
 //! * chunk and worker counts (§3.1.2, §3.4).
+//!
+//! The sampling kernel is always the paper's warp-based one (§3.2): one warp
+//! per token. The thread-based port it is measured against is not modelled.
 
 use saber_gpu_sim::DeviceSpec;
 
@@ -48,16 +50,6 @@ pub enum CountRebuild {
     Ssc,
     /// Naive rebuild: globally sort all tokens by (document, topic) and scan.
     NaiveSort,
-}
-
-/// Mapping of sampling work onto GPU threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// One warp collaborates on one token (the paper's design, Fig. 5).
-    WarpBased,
-    /// One thread per token (the straightforward port; suffers divergence and
-    /// uncoalesced access once the data are sparse).
-    ThreadBased,
 }
 
 /// The cumulative optimisation levels of the ablation study (Fig. 9).
@@ -126,8 +118,6 @@ pub struct SaberLdaConfig {
     pub preprocess: PreprocessKind,
     /// Document–topic rebuild algorithm.
     pub count_rebuild: CountRebuild,
-    /// Thread mapping of the sampling kernel.
-    pub kernel: KernelKind,
     /// Whether to sort each chunk's words by descending token count for
     /// block-level load balance (§3.4).
     pub sort_words_by_frequency: bool,
@@ -163,7 +153,6 @@ impl SaberLdaConfig {
             CountRebuild::NaiveSort
         };
         self.n_workers = if level >= OptLevel::G4 { 4 } else { 1 };
-        self.kernel = KernelKind::WarpBased;
         self
     }
 
@@ -213,7 +202,6 @@ impl Default for SaberLdaConfig {
             token_order: TokenOrder::WordMajor,
             preprocess: PreprocessKind::WaryTree,
             count_rebuild: CountRebuild::Ssc,
-            kernel: KernelKind::WarpBased,
             sort_words_by_frequency: true,
             device: DeviceSpec::gtx_1080(),
             seed: 0,
@@ -295,12 +283,6 @@ impl SaberLdaConfigBuilder {
     /// Sets the count-rebuild algorithm.
     pub fn count_rebuild(mut self, kind: CountRebuild) -> Self {
         self.config.count_rebuild = kind;
-        self
-    }
-
-    /// Sets the kernel thread mapping.
-    pub fn kernel(mut self, kind: KernelKind) -> Self {
-        self.config.kernel = kind;
         self
     }
 

@@ -1,22 +1,16 @@
-//! The E-step sampling kernels (§3.2, Fig. 5).
+//! The E-step sampling kernel (§3.2, Fig. 5).
 //!
-//! Two thread mappings are modelled:
+//! The kernel is the paper's warp-based one: all 32 lanes of a warp
+//! collaborate on one token — lane-parallel element-wise product over the
+//! non-zeros of `A_d`, a warp reduction for `S`, warp prefix-sum +
+//! ballot/ffs search for the sparse branch, and a W-ary tree descent for the
+//! dense branch. There is no waiting and no divergence, and the accesses to
+//! `A_d` are coalesced. The thread-based port the paper measures it against
+//! (one thread per token) is not modelled.
 //!
-//! * **Warp-based** (the paper's design): all 32 lanes of a warp collaborate
-//!   on one token — lane-parallel element-wise product over the non-zeros of
-//!   `A_d`, a warp reduction for `S`, warp prefix-sum + ballot/ffs search for
-//!   the sparse branch, and a W-ary tree descent for the dense branch. There
-//!   is no waiting and no divergence, and the accesses to `A_d` are coalesced.
-//! * **Thread-based** (the straightforward port): one thread per token. With
-//!   sparse rows the lanes' loop lengths differ (waiting), the branch between
-//!   the two sub-problems diverges, and accesses are uncoalesced; the kernel
-//!   charges those penalties to the cost counters.
-//!
-//! Both mappings draw topics from exactly the same distribution — the
-//! difference the paper studies is architectural efficiency, not statistics —
-//! so the reproduction uses one statistical sampler
-//! ([`crate::sampling::sample_token`]) and differentiates the *execution
-//! accounting* (memory traffic, instructions, waiting, divergence).
+//! The topics are drawn by one statistical sampler
+//! ([`crate::sampling::sample_token`]); a separate *execution accounting*
+//! pass charges the kernel's memory traffic and instructions.
 //!
 //! The token ordering of the chunk determines the memory-access pattern
 //! (Fig. 4): with word-major order the current `B̂_v` row is staged in shared
@@ -33,7 +27,7 @@ use saber_gpu_sim::warp::{
 use saber_gpu_sim::MemoryTracker;
 use saber_sparse::{CsrMatrix, SparseRowView};
 
-use crate::config::{KernelKind, SaberLdaConfig, TokenOrder};
+use crate::config::{SaberLdaConfig, TokenOrder};
 use crate::layout::Chunk;
 use crate::model::LdaModel;
 use crate::sampling::{draw_topic, product_chains, SampleScratch, LANES};
@@ -107,7 +101,6 @@ pub fn sample_chunk(
             rng,
         );
     }
-    let thread_based = config.kernel == KernelKind::ThreadBased;
     let k = model.n_topics();
     // The accounting reads the layout only: the topics leave the chunk for
     // the sampler while the rest of it is shared with the accounting thread.
@@ -116,12 +109,8 @@ pub fn sample_chunk(
     let ((), tokens) = crate::beside(
         "saber-gpu-sim",
         || match layout.order {
-            TokenOrder::WordMajor => {
-                account_word_major(layout, doc_topic, k, samplers, tracker, thread_based)
-            }
-            TokenOrder::DocMajor => {
-                account_doc_major(layout, doc_topic, k, samplers, tracker, thread_based)
-            }
+            TokenOrder::WordMajor => account_word_major(layout, doc_topic, k, samplers, tracker),
+            TokenOrder::DocMajor => account_doc_major(layout, doc_topic, k, samplers, tracker),
         },
         || sample(&layout.local_doc_ids, &layout.word_ids, &mut topics, rng),
     );
@@ -130,9 +119,9 @@ pub fn sample_chunk(
 }
 
 /// The sampling loop: every token draws its topic from its document's row
-/// of `A` and its word's row of `B̂`. Both thread mappings and both token
-/// orders draw from exactly this distribution; what they change is the order
-/// of the tokens and the execution accounting.
+/// of `A` and its word's row of `B̂`. Both token orders draw from exactly
+/// this distribution; what they change is the order of the tokens and the
+/// execution accounting.
 ///
 /// `A` and `B̂` are frozen for the whole E-step, so a run of adjacent tokens
 /// with one `(document, word)` pair shares one product chain, and the chains
@@ -199,7 +188,6 @@ fn account_word_major(
     n_topics: usize,
     samplers: &[WordSampler],
     tracker: &mut MemoryTracker,
-    thread_based: bool,
 ) {
     let map = AddressMap::default();
     let row_ptr = doc_topic.row_ptr();
@@ -238,22 +226,6 @@ fn account_word_major(
         tracker.shared_read(shared_read_bytes);
         tracker.instructions(instructions);
 
-        if thread_based {
-            // One thread per token: each full group of 32 diverges at the
-            // branch, and every lane waits for the longest row of its group.
-            let waits: u64 = docs
-                .chunks(WARP_SIZE)
-                .map(|group| {
-                    waiting_penalty(group.iter().map(|&d| {
-                        let (start, end) = row_of(d);
-                        end - start
-                    }))
-                })
-                .sum();
-            tracker.wait(waits);
-            tracker.divergence((seg.len() / WARP_SIZE) as u64);
-        }
-
         // Write the segment's updated topics back (contiguous, coalesced).
         tracker.global_write(
             map.token_list + (seg.start * 4) as u64,
@@ -272,7 +244,6 @@ fn account_doc_major(
     n_topics: usize,
     samplers: &[WordSampler],
     tracker: &mut MemoryTracker,
-    thread_based: bool,
 ) {
     let map = AddressMap::default();
     let row_ptr = doc_topic.row_ptr();
@@ -307,12 +278,6 @@ fn account_doc_major(
         tracker.shared_read(row_bytes * n_tokens);
         tracker.instructions(token_instructions(topics.len()) * n_tokens + query_instructions);
 
-        if thread_based {
-            // Every thread of a group walks the same row `A_d`, so no lane
-            // waits; each full group of 32 still diverges at the branch.
-            tracker.divergence((seg.len() / WARP_SIZE) as u64);
-        }
-
         tracker.global_write(
             map.token_list + (seg.start * 4) as u64,
             (seg.len() * 4) as u64,
@@ -336,18 +301,6 @@ fn token_instructions(nnz: usize) -> u64 {
     }
 }
 
-/// Extra warp-iterations wasted when up to 32 threads process rows of
-/// differing lengths: every lane waits for its group's longest row (§3.2).
-fn waiting_penalty(group_nnz: impl Iterator<Item = usize>) -> u64 {
-    let (mut max, mut sum, mut lanes) = (0, 0, 0);
-    for nnz in group_nnz {
-        max = max.max(nnz);
-        sum += nnz;
-        lanes += 1;
-    }
-    (max * lanes - sum) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,11 +311,8 @@ mod tests {
     use saber_corpus::synthetic::SyntheticSpec;
     use saber_gpu_sim::KernelStats;
 
-    fn setup(
-        order: TokenOrder,
-        kernel: KernelKind,
-    ) -> (Vec<Chunk>, LdaModel, Vec<WordSampler>, SaberLdaConfig) {
-        setup_on(&SyntheticSpec::small_test(), order, kernel)
+    fn setup(order: TokenOrder) -> (Vec<Chunk>, LdaModel, Vec<WordSampler>, SaberLdaConfig) {
+        setup_on(&SyntheticSpec::small_test(), order)
     }
 
     /// Twelve words over documents of ≈ 30 tokens: every document repeats
@@ -377,7 +327,6 @@ mod tests {
     fn setup_on(
         spec: &SyntheticSpec,
         order: TokenOrder,
-        kernel: KernelKind,
     ) -> (Vec<Chunk>, LdaModel, Vec<WordSampler>, SaberLdaConfig) {
         let corpus = spec.generate(11);
         let k = 8usize;
@@ -386,7 +335,6 @@ mod tests {
             .alpha(0.1)
             .n_iterations(1)
             .token_order(order)
-            .kernel(kernel)
             .count_rebuild(CountRebuild::Ssc)
             .build()
             .unwrap();
@@ -410,13 +358,8 @@ mod tests {
 
     #[test]
     fn sampling_keeps_topics_in_range_and_processes_every_token() {
-        for (order, kernel) in [
-            (TokenOrder::WordMajor, KernelKind::WarpBased),
-            (TokenOrder::WordMajor, KernelKind::ThreadBased),
-            (TokenOrder::DocMajor, KernelKind::WarpBased),
-            (TokenOrder::DocMajor, KernelKind::ThreadBased),
-        ] {
-            let (mut chunks, model, samplers, config) = setup(order, kernel);
+        for order in [TokenOrder::WordMajor, TokenOrder::DocMajor] {
+            let (mut chunks, model, samplers, config) = setup(order);
             let mut rng = StdRng::seed_from_u64(2);
             let mut total = 0u64;
             for chunk in &mut chunks {
@@ -444,15 +387,10 @@ mod tests {
 
     #[test]
     fn accounting_does_not_depend_on_the_topics_being_drawn() {
-        let mappings = [
-            (TokenOrder::WordMajor, KernelKind::WarpBased),
-            (TokenOrder::WordMajor, KernelKind::ThreadBased),
-            (TokenOrder::DocMajor, KernelKind::WarpBased),
-            (TokenOrder::DocMajor, KernelKind::ThreadBased),
-        ];
+        let orders = [TokenOrder::WordMajor, TokenOrder::DocMajor];
         let specs = [SyntheticSpec::small_test(), repeated_words()];
-        for (spec, (order, kernel)) in specs.iter().flat_map(|s| mappings.map(|m| (s, m))) {
-            let (mut chunks, model, samplers, config) = setup_on(spec, order, kernel);
+        for (spec, order) in specs.iter().flat_map(|s| orders.map(|o| (s, o))) {
+            let (mut chunks, model, samplers, config) = setup_on(spec, order);
             if *spec == repeated_words() && order == TokenOrder::WordMajor {
                 let repeats: usize = chunks
                     .iter()
@@ -461,7 +399,6 @@ mod tests {
                 assert!(repeats > 500, "only {repeats} tokens repeat their pair");
             }
             let k = model.n_topics();
-            let thread_based = kernel == KernelKind::ThreadBased;
             let mut rng = StdRng::seed_from_u64(5);
             for chunk in &mut chunks {
                 let a = rebuild_reference(chunk, k);
@@ -470,10 +407,10 @@ mod tests {
                     let mut tracker = MemoryTracker::new(4096);
                     match order {
                         TokenOrder::WordMajor => {
-                            account_word_major(chunk, &a, k, &samplers, &mut tracker, thread_based)
+                            account_word_major(chunk, &a, k, &samplers, &mut tracker)
                         }
                         TokenOrder::DocMajor => {
-                            account_doc_major(chunk, &a, k, &samplers, &mut tracker, thread_based)
+                            account_doc_major(chunk, &a, k, &samplers, &mut tracker)
                         }
                     }
                     *tracker.stats()
@@ -491,8 +428,8 @@ mod tests {
                     &mut rng,
                 );
                 assert_ne!(chunk.topics, old_topics, "sampling moved no topic");
-                assert_eq!(account(chunk), before, "{order:?}/{kernel:?}");
-                assert_eq!(*tracker.stats(), before, "{order:?}/{kernel:?}");
+                assert_eq!(account(chunk), before, "{order:?}");
+                assert_eq!(*tracker.stats(), before, "{order:?}");
             }
         }
     }
@@ -500,8 +437,7 @@ mod tests {
     #[test]
     fn disabled_tracker_stays_empty_and_changes_no_draw() {
         for order in [TokenOrder::WordMajor, TokenOrder::DocMajor] {
-            let (chunks, mut model, samplers, config) =
-                setup_on(&repeated_words(), order, KernelKind::WarpBased);
+            let (chunks, mut model, samplers, config) = setup_on(&repeated_words(), order);
             let (mut enabled_rng, mut disabled_rng) =
                 (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
             for chunk in &chunks {
@@ -548,15 +484,9 @@ mod tests {
 
     #[test]
     fn threaded_accounting_equals_the_two_passes_in_turn() {
-        for (order, kernel) in [
-            (TokenOrder::WordMajor, KernelKind::WarpBased),
-            (TokenOrder::WordMajor, KernelKind::ThreadBased),
-            (TokenOrder::DocMajor, KernelKind::WarpBased),
-            (TokenOrder::DocMajor, KernelKind::ThreadBased),
-        ] {
-            let (chunks, model, samplers, config) = setup_on(&repeated_words(), order, kernel);
+        for order in [TokenOrder::WordMajor, TokenOrder::DocMajor] {
+            let (chunks, model, samplers, config) = setup_on(&repeated_words(), order);
             let k = model.n_topics();
-            let thread_based = kernel == KernelKind::ThreadBased;
             let (mut threaded_rng, mut serial_rng) =
                 (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
             for chunk in &chunks {
@@ -577,22 +507,12 @@ mod tests {
                 let mut serial = chunk.clone();
                 let mut serial_tracker = MemoryTracker::new(4096);
                 match order {
-                    TokenOrder::WordMajor => account_word_major(
-                        &serial,
-                        &a,
-                        k,
-                        &samplers,
-                        &mut serial_tracker,
-                        thread_based,
-                    ),
-                    TokenOrder::DocMajor => account_doc_major(
-                        &serial,
-                        &a,
-                        k,
-                        &samplers,
-                        &mut serial_tracker,
-                        thread_based,
-                    ),
+                    TokenOrder::WordMajor => {
+                        account_word_major(&serial, &a, k, &samplers, &mut serial_tracker)
+                    }
+                    TokenOrder::DocMajor => {
+                        account_doc_major(&serial, &a, k, &samplers, &mut serial_tracker)
+                    }
                 }
                 let serial_tokens = sample_tokens(
                     &serial.local_doc_ids,
@@ -606,13 +526,13 @@ mod tests {
                 );
 
                 assert_ne!(threaded.topics, chunk.topics, "sampling moved no topic");
-                assert_eq!(threaded.topics, serial.topics, "{order:?}/{kernel:?}");
-                assert_eq!(threaded_tokens, serial_tokens, "{order:?}/{kernel:?}");
-                assert_eq!(threaded_rng, serial_rng, "{order:?}/{kernel:?}");
+                assert_eq!(threaded.topics, serial.topics, "{order:?}");
+                assert_eq!(threaded_tokens, serial_tokens, "{order:?}");
+                assert_eq!(threaded_rng, serial_rng, "{order:?}");
                 assert_eq!(
                     threaded_tracker.stats(),
                     serial_tracker.stats(),
-                    "{order:?}/{kernel:?}"
+                    "{order:?}"
                 );
             }
         }
@@ -621,11 +541,8 @@ mod tests {
     /// Samples the first chunk of `repeated_words` with the last word's
     /// sampler missing.
     fn sample_without_the_last_sampler(mut tracker: MemoryTracker) {
-        let (mut chunks, model, samplers, config) = setup_on(
-            &repeated_words(),
-            TokenOrder::WordMajor,
-            KernelKind::WarpBased,
-        );
+        let (mut chunks, model, samplers, config) =
+            setup_on(&repeated_words(), TokenOrder::WordMajor);
         let chunk = &mut chunks[0];
         let last = *chunk.word_ids.iter().max().unwrap() as usize;
         let a = rebuild_reference(chunk, model.n_topics());
@@ -656,10 +573,8 @@ mod tests {
     fn word_major_moves_less_dram_than_doc_major() {
         // The PDOW advantage (Fig. 9 G0→G1): staging B̂_v in shared memory
         // beats gathering random elements of B̂ from global memory.
-        let (mut wm_chunks, model, samplers, wm_config) =
-            setup(TokenOrder::WordMajor, KernelKind::WarpBased);
-        let (mut dm_chunks, dm_model, dm_samplers, dm_config) =
-            setup(TokenOrder::DocMajor, KernelKind::WarpBased);
+        let (mut wm_chunks, model, samplers, wm_config) = setup(TokenOrder::WordMajor);
+        let (mut dm_chunks, dm_model, dm_samplers, dm_config) = setup(TokenOrder::DocMajor);
 
         let mut rng = StdRng::seed_from_u64(3);
         let mut wm_tracker = MemoryTracker::new(1 << 21);
@@ -697,53 +612,11 @@ mod tests {
     }
 
     #[test]
-    fn thread_based_kernel_pays_waiting_and_divergence() {
-        let (mut chunks, model, samplers, config) =
-            setup(TokenOrder::WordMajor, KernelKind::ThreadBased);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut tracker = MemoryTracker::new(1 << 20);
-        for chunk in &mut chunks {
-            let a = rebuild_reference(chunk, model.n_topics());
-            sample_chunk(
-                chunk,
-                &a,
-                &model,
-                &samplers,
-                &config,
-                &mut tracker,
-                &mut rng,
-            );
-        }
-        assert!(tracker.stats().wait_iterations > 0);
-        assert!(tracker.stats().divergent_branches > 0);
-
-        // The warp-based kernel pays neither.
-        let (mut chunks, model, samplers, config) =
-            setup(TokenOrder::WordMajor, KernelKind::WarpBased);
-        let mut tracker = MemoryTracker::new(1 << 20);
-        for chunk in &mut chunks {
-            let a = rebuild_reference(chunk, model.n_topics());
-            sample_chunk(
-                chunk,
-                &a,
-                &model,
-                &samplers,
-                &config,
-                &mut tracker,
-                &mut rng,
-            );
-        }
-        assert_eq!(tracker.stats().wait_iterations, 0);
-        assert_eq!(tracker.stats().divergent_branches, 0);
-    }
-
-    #[test]
     fn sampling_moves_distribution_towards_cooccurrence() {
         // After a few E/M rounds on a tiny planted corpus the fraction of
         // tokens agreeing with their document's majority topic should rise
         // (the sampler is pulling topics together within documents).
-        let (mut chunks, mut model, _, config) =
-            setup(TokenOrder::WordMajor, KernelKind::WarpBased);
+        let (mut chunks, mut model, _, config) = setup(TokenOrder::WordMajor);
         let mut rng = StdRng::seed_from_u64(9);
         let n_topics = model.n_topics();
         let purity = move |chunks: &[Chunk]| -> f64 {

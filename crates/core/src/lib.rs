@@ -65,7 +65,7 @@ pub mod trainer;
 pub mod traits;
 pub mod trees;
 
-pub use config::{CountRebuild, KernelKind, OptLevel, PreprocessKind, SaberLdaConfig, TokenOrder};
+pub use config::{CountRebuild, OptLevel, PreprocessKind, SaberLdaConfig, TokenOrder};
 pub use eval::HeldOutEvaluator;
 pub use model::LdaModel;
 pub use report::{IterationStats, PhaseTimes, PhaseWall, TrainingReport};

@@ -789,7 +789,7 @@ mod tests {
 
     #[test]
     fn iterate_equals_its_e_step_and_m_step_run_one_after_the_other() {
-        use crate::config::{CountRebuild, KernelKind, TokenOrder};
+        use crate::config::{CountRebuild, TokenOrder};
         let corpus = SyntheticSpec {
             n_docs: 60,
             vocab_size: 150,
@@ -801,48 +801,43 @@ mod tests {
         // beside the sampling of the last.
         for n_chunks in [1, 3] {
             for order in [TokenOrder::DocMajor, TokenOrder::WordMajor] {
-                for kernel in [KernelKind::WarpBased, KernelKind::ThreadBased] {
-                    for count in [CountRebuild::Ssc, CountRebuild::NaiveSort] {
-                        let config = SaberLdaConfig::builder()
-                            .n_topics(12)
-                            .n_chunks(n_chunks)
-                            .token_order(order)
-                            .kernel(kernel)
-                            .count_rebuild(count)
-                            .seed(5)
-                            .build()
-                            .unwrap();
-                        let mut lda = SaberLda::new(config.clone(), &corpus).unwrap();
-                        let mut replay = SaberLda::new(config, &corpus).unwrap();
-                        for i in 0..3 {
-                            let case = format!(
-                                "{n_chunks} chunks, {order:?}, {kernel:?}, {count:?}, sweep {i}"
-                            );
-                            // `iterate()` is `sweep()` then `account()`.
-                            let (overlapped, start) = (lda.sweep(), now());
-                            let stats = lda.account(&overlapped, start);
-                            let serial = serial_sweep(&mut replay);
-                            let expected = replay.account(&serial, start);
+                for count in [CountRebuild::Ssc, CountRebuild::NaiveSort] {
+                    let config = SaberLdaConfig::builder()
+                        .n_topics(12)
+                        .n_chunks(n_chunks)
+                        .token_order(order)
+                        .count_rebuild(count)
+                        .seed(5)
+                        .build()
+                        .unwrap();
+                    let mut lda = SaberLda::new(config.clone(), &corpus).unwrap();
+                    let mut replay = SaberLda::new(config, &corpus).unwrap();
+                    for i in 0..3 {
+                        let case = format!("{n_chunks} chunks, {order:?}, {count:?}, sweep {i}");
+                        // `iterate()` is `sweep()` then `account()`.
+                        let (overlapped, start) = (lda.sweep(), now());
+                        let stats = lda.account(&overlapped, start);
+                        let serial = serial_sweep(&mut replay);
+                        let expected = replay.account(&serial, start);
 
-                            assert_eq!(lda.model.word_topic(), replay.model.word_topic(), "{case}");
-                            for (a, b) in lda.chunks.iter().zip(&replay.chunks) {
-                                assert_eq!(a.topics, b.topics, "{case}");
-                            }
-                            assert_eq!(lda.doc_topics, replay.doc_topics, "{case}");
-                            assert_eq!(lda.rng, replay.rng, "{case}");
-                            assert_eq!(stats.tokens, expected.tokens, "{case}");
-                            assert_eq!(stats.sampling_stats, expected.sampling_stats, "{case}");
-                            assert_eq!(overlapped.update, serial.update, "{case}");
-                            assert_eq!(
-                                stats.preprocessed_elements, expected.preprocessed_elements,
-                                "{case}"
-                            );
-                            assert_eq!(
-                                stats.phases.total().to_bits(),
-                                expected.phases.total().to_bits(),
-                                "{case}"
-                            );
+                        assert_eq!(lda.model.word_topic(), replay.model.word_topic(), "{case}");
+                        for (a, b) in lda.chunks.iter().zip(&replay.chunks) {
+                            assert_eq!(a.topics, b.topics, "{case}");
                         }
+                        assert_eq!(lda.doc_topics, replay.doc_topics, "{case}");
+                        assert_eq!(lda.rng, replay.rng, "{case}");
+                        assert_eq!(stats.tokens, expected.tokens, "{case}");
+                        assert_eq!(stats.sampling_stats, expected.sampling_stats, "{case}");
+                        assert_eq!(overlapped.update, serial.update, "{case}");
+                        assert_eq!(
+                            stats.preprocessed_elements, expected.preprocessed_elements,
+                            "{case}"
+                        );
+                        assert_eq!(
+                            stats.phases.total().to_bits(),
+                            expected.phases.total().to_bits(),
+                            "{case}"
+                        );
                     }
                 }
             }

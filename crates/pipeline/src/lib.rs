@@ -135,7 +135,13 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    fn validate(&self) -> Result<(), PipelineError> {
+    /// Checks the cadence knobs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::InvalidConfig`] when `batch_docs`,
+    /// `iterations_per_batch` or `publish_every` is zero.
+    pub fn validate(&self) -> Result<(), PipelineError> {
         if self.batch_docs == 0 || self.iterations_per_batch == 0 || self.publish_every == 0 {
             return Err(PipelineError::InvalidConfig(
                 "batch_docs, iterations_per_batch and publish_every must be positive".into(),
@@ -309,12 +315,12 @@ pub struct RunReport {
 /// # Invariant
 ///
 /// At construction the fleet must serve exactly the trainer's current
-/// model (as [`TrainingPipeline::bootstrap_local`] arranges). A fresh
-/// trainer also satisfies this trivially for *delta correctness*: its
-/// initial M-step marks every row touched, so the first publication
-/// covers any difference. From then on the trainer's touched-row
-/// tracking keeps untouched rows bit-identical across epochs, which is
-/// what lets [`ShardRouter::publish_incremental`] ship only changed rows.
+/// model (as [`TrainingPipeline::bootstrap_local`] arranges), so the
+/// constructor drains the rows the trainer has touched so far: the fleet
+/// already holds them, and the first publication is a delta of the rows
+/// the stream changed. From then on the trainer's touched-row tracking
+/// keeps untouched rows bit-identical across epochs, which is what lets
+/// [`ShardRouter::publish_incremental`] ship only changed rows.
 #[derive(Debug)]
 pub struct TrainingPipeline<T: ShardTransport = LocalTransport> {
     trainer: SaberLda,
@@ -360,7 +366,8 @@ impl TrainingPipeline<LocalTransport> {
 
 impl<T: ShardTransport> TrainingPipeline<T> {
     /// Drives an existing fleet. The fleet must currently serve the
-    /// trainer's model — see the type-level invariant.
+    /// trainer's model — see the type-level invariant; the trainer's
+    /// touched rows are drained.
     ///
     /// # Errors
     ///
@@ -368,7 +375,7 @@ impl<T: ShardTransport> TrainingPipeline<T> {
     /// a trainer/fleet shape mismatch, and [`PipelineError::Serve`] when
     /// the fleet's epoch cannot be observed.
     pub fn new(
-        trainer: SaberLda,
+        mut trainer: SaberLda,
         router: Arc<ShardRouter<T>>,
         config: PipelineConfig,
     ) -> Result<Self, PipelineError> {
@@ -376,6 +383,7 @@ impl<T: ShardTransport> TrainingPipeline<T> {
         let model = trainer.model();
         let fit = router.check_fit(model.vocab_size(), model.n_topics(), model.alpha());
         fit.map_err(|e| PipelineError::InvalidConfig(e.to_string()))?;
+        trainer.take_touched_rows();
         let served_epoch = router.epoch();
         Ok(TrainingPipeline {
             trainer,
@@ -612,6 +620,41 @@ mod tests {
         assert_eq!(epoch.epoch, 2);
         assert_eq!(pipeline.served_epoch(), 2);
         assert_eq!(pipeline.router().epoch(), 2);
+        pipeline.shutdown();
+    }
+
+    #[test]
+    fn the_first_epoch_ships_a_delta_of_the_rows_the_stream_changed() {
+        let mut pipeline = TrainingPipeline::bootstrap_local(
+            warm_trainer(8),
+            2,
+            serve_config(),
+            PipelineConfig {
+                batch_docs: 8,
+                iterations_per_batch: 1,
+                publish_every: 1,
+                full_refresh_every: 0,
+            },
+        )
+        .unwrap();
+        let docs = SyntheticSpec {
+            n_docs: 8,
+            ..SyntheticSpec::small_test()
+        }
+        .generate(12)
+        .documents()
+        .iter()
+        .map(|d| d.words().to_vec())
+        .collect();
+        let epoch = pipeline.tick(docs).unwrap().published.unwrap();
+        let vocab = pipeline.trainer().model().vocab_size() as u64;
+        assert!(
+            epoch.changed_rows < vocab,
+            "{} of {vocab} rows offered: the warm-up's rows were re-shipped",
+            epoch.changed_rows
+        );
+        let stats = pipeline.router().router_stats().pipeline.unwrap();
+        assert_eq!((stats.delta_epochs, stats.fallbacks), (1, 0));
         pipeline.shutdown();
     }
 

@@ -23,7 +23,7 @@ use saber_core::{SaberLda, SaberLdaConfig};
 use saber_corpus::presets::DatasetPreset;
 use saber_corpus::synthetic::SyntheticSpec;
 use saber_pipeline::{DocumentFeed, PipelineConfig, TrainingPipeline};
-use saber_serve::ServeConfig;
+use saber_serve::{ServeConfig, ShardPlan};
 
 const USAGE: &str = "usage: saber-traind [options]
   --preset nytimes|pubmed|clueweb   synthetic stream modelled on a paper dataset
@@ -63,6 +63,10 @@ enum Failure {
 
 fn runtime(error: impl std::fmt::Display) -> Failure {
     Failure::Runtime(error.to_string())
+}
+
+fn usage(error: impl std::fmt::Display) -> Failure {
+    Failure::Usage(error.to_string())
 }
 
 /// Pulls `--flag value` pairs out of `args`; rejects unknown flags.
@@ -156,6 +160,15 @@ fn run(args: &[String]) -> Result<(), Failure> {
         }
         None => SyntheticSpec::small_test(),
     };
+    // Every value is checked before the warm-up trains anything.
+    config.validate().map_err(usage)?;
+    ShardPlan::uniform(spec.vocab_size, shards).map_err(usage)?;
+    let trainer_config = SaberLdaConfig::builder()
+        .n_topics(topics)
+        .n_iterations(warmup_iters)
+        .seed(seed)
+        .build()
+        .map_err(usage)?;
     let mut feed = match flags.get("--feed") {
         Some(path) => DocumentFeed::open(Path::new(path)).map_err(runtime)?,
         None => DocumentFeed::synthetic(
@@ -178,12 +191,6 @@ fn run(args: &[String]) -> Result<(), Failure> {
         ..spec.clone()
     }
     .generate(seed);
-    let trainer_config = SaberLdaConfig::builder()
-        .n_topics(topics)
-        .n_iterations(warmup_iters)
-        .seed(seed)
-        .build()
-        .map_err(runtime)?;
     let mut trainer = SaberLda::new(trainer_config, &warmup).map_err(runtime)?;
     trainer.train();
 

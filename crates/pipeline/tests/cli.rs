@@ -11,6 +11,13 @@ fn bad_command_lines_exit_with_the_usage_code() {
         &["--topics"],
         &["--topics", "many"],
         &["--preset", "wikipedia"],
+        &["--topics", "0"],
+        &["--batch-docs", "0"],
+        &["--iters-per-batch", "0"],
+        &["--publish-every", "0"],
+        &["--shards", "0"],
+        // Above the V = 200 of the default stream.
+        &["--shards", "201"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_saber-traind"))
             .args(args)
@@ -19,6 +26,7 @@ fn bad_command_lines_exit_with_the_usage_code() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: saber-traind"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("warmup:"), "{args:?} trained: {stderr}");
     }
 }
 
@@ -55,4 +63,10 @@ fn a_stream_published_tick_by_tick_ends_without_an_empty_epoch() {
         epochs.iter().all(|line| line.starts_with("epoch")),
         "{stdout}"
     );
+    // The fleet boots on the warm-up's model, so no epoch re-ships it.
+    let summary = stdout
+        .lines()
+        .find(|line| line.starts_with("pipeline:"))
+        .unwrap_or_else(|| panic!("no summary line: {stdout}"));
+    assert!(summary.contains(" 0 fallbacks"), "{summary}");
 }

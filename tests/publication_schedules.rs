@@ -336,7 +336,6 @@ impl Fleet {
             .unwrap();
         let mut trainer = SaberLda::new(config, &spec().generate(5)).unwrap();
         trainer.train();
-        let _ = trainer.take_touched_rows(); // the fleet boots on this model
         let cfg = serve_config();
         let boot = InferenceSnapshot::from_model(trainer.model(), cfg.sampler);
         let plan = ShardPlan::uniform(trainer.model().vocab_size(), RANGES).unwrap();
