@@ -48,7 +48,10 @@ impl EscaCpuLda {
     }
 
     /// Internal constructor shared with the F+LDA baseline.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is a knob that tells one baseline from another"
+    )]
     pub(crate) fn with_structure(
         corpus: &Corpus,
         n_topics: usize,

@@ -23,6 +23,9 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+// Every suppression is an `#[expect(lint, reason = "..")]`, which fails the
+// build once it suppresses nothing.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 mod common;
 mod dense_gibbs;

@@ -286,12 +286,6 @@ impl SaberLdaConfigBuilder {
         self
     }
 
-    /// Enables or disables sorting words by frequency for load balance.
-    pub fn sort_words_by_frequency(mut self, on: bool) -> Self {
-        self.config.sort_words_by_frequency = on;
-        self
-    }
-
     /// Sets the simulated device.
     pub fn device(mut self, device: DeviceSpec) -> Self {
         self.config.device = device;

@@ -141,6 +141,9 @@ fn run(args: &[String]) -> Result<(), Failure> {
     let warmup_docs = flags.parse_num("--warmup-docs", 256usize)?;
     let warmup_iters = flags.parse_num("--warmup-iters", 10usize)?;
     let stream_docs = flags.parse_num("--stream-docs", 512usize)?;
+    if warmup_docs == 0 || stream_docs == 0 {
+        return Err(usage("--warmup-docs and --stream-docs must be at least 1"));
+    }
     let config = PipelineConfig {
         batch_docs: flags.parse_num("--batch-docs", 32usize)?,
         iterations_per_batch: flags.parse_num("--iters-per-batch", 2usize)?,

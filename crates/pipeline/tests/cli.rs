@@ -12,6 +12,8 @@ fn bad_command_lines_exit_with_the_usage_code() {
         &["--topics", "many"],
         &["--preset", "wikipedia"],
         &["--topics", "0"],
+        &["--warmup-docs", "0"],
+        &["--stream-docs", "0"],
         &["--batch-docs", "0"],
         &["--iters-per-batch", "0"],
         &["--publish-every", "0"],

@@ -15,13 +15,13 @@
 //!   ([`TopicServer::stage`] + [`TopicServer::commit`], the only way a
 //!   server's snapshot changes) while serving continues; in-flight
 //!   requests keep the snapshot they started with, workers pick up the new
-//!   one at their next micro-batch.
-//! * [`TopicServer`] — a pool of worker threads behind a bounded queue that
-//!   coalesces requests into micro-batches; a shard's partial is answered
-//!   on its caller's thread instead while a worker slot is free. Inference is the sparsity-aware
-//!   ESCA fold-in of [`saber_core::infer`] (`O(K_d)` per token, not
-//!   `O(K)`), and every request carries its own seed, so answers are
-//!   bit-reproducible regardless of batching, scheduling or concurrency.
+//!   one at their next job.
+//! * [`TopicServer`] — a pool of worker threads behind a bounded queue,
+//!   each answering one job per turn; a shard's partial is answered on its
+//!   caller's thread instead while a worker slot is free. Inference is the
+//!   sparsity-aware ESCA fold-in of [`saber_core::infer`] (`O(K_d)` per
+//!   token, not `O(K)`), and every request carries its own seed, so answers
+//!   are bit-reproducible regardless of scheduling or concurrency.
 //! * Query API: one read call per serving type,
 //!   [`InferenceBackend::infer_with_trace`] — and
 //!   [`InferenceBackend::infer_with_deadline`], the same call under a

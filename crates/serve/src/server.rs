@@ -1,22 +1,22 @@
-//! The batched, multi-threaded topic-inference server.
+//! The multi-threaded topic-inference server.
 //!
 //! [`TopicServer`] is the crate's execution engine: a bounded request queue
-//! drained by `n_workers` threads that coalesce waiting requests into
-//! micro-batches (one snapshot load per batch). Every read is one `submit`
-//! (the only place a job is minted and enqueued) and one `await_reply`. A
-//! job carries a reply channel typed by its kind, on which the worker sends
-//! the answer with the job's measured (queue-wait, handler) split, so a
-//! traced caller turns that split into spans. Admission is fail-fast under
-//! a deadline — full inference through [`InferenceBackend`], the path the
-//! HTTP front-end maps to `429`/`503` — and blocking without one
-//! ([`TopicServer::infer_partial`], a
+//! drained by `n_workers` threads, each taking one job per turn (one
+//! snapshot load per job), so an idle worker never waits while a sibling
+//! holds queued work. Every read is one `submit` (the only place a job is
+//! minted and enqueued) and one `await_reply`. A job carries a reply channel
+//! typed by its kind, on which the worker sends the answer with the job's
+//! measured (queue-wait, handler) split, so a traced caller turns that split
+//! into spans. Admission is fail-fast under a deadline — full inference
+//! through [`InferenceBackend`], the path the HTTP front-end maps to
+//! `429`/`503` — and blocking without one ([`TopicServer::infer_partial`], a
 //! [`LocalTransport`](crate::LocalTransport) leg submitted without a
 //! deadline). The one exception is a partial (`/infer-partial`) that
 //! arrives while fewer than `n_workers` jobs are admitted and unfinished:
-//! the calling thread claims the free slot and answers it itself, as a
-//! one-request batch with no queue wait, saving the two thread hand-offs
-//! of the queue. Every request (queue wait + fold-in) is timed into the
-//! lock-free histogram surfaced by [`ServeStats`].
+//! the calling thread claims the free slot and answers it itself, through
+//! the same job body as a worker, with no queue wait, saving the two thread
+//! hand-offs of the queue. Every request (queue wait + fold-in) is timed
+//! into the lock-free histogram surfaced by [`ServeStats`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -38,12 +38,9 @@ use crate::{InferenceBackend, ServeError};
 /// Configuration of a [`TopicServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of worker threads draining the request queue (≥ 1).
+    /// Number of worker threads draining the request queue (≥ 1), each
+    /// answering one job at a time.
     pub n_workers: usize,
-    /// Upper bound on the number of requests a worker coalesces into one
-    /// micro-batch (≥ 1). A batch loads the snapshot once and amortises
-    /// queue synchronisation across its requests.
-    pub max_batch: usize,
     /// Capacity of the bounded request queue; submissions block (or fail
     /// with [`ServeError::Overloaded`], for the deadline-bounded entry
     /// points) when it is full.
@@ -59,7 +56,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             n_workers: 4,
-            max_batch: 16,
             queue_depth: 256,
             fold_in: FoldInParams::default(),
             sampler: SnapshotSampler::default(),
@@ -69,9 +65,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     fn validate(&self) -> Result<(), ServeError> {
-        if self.n_workers == 0 || self.max_batch == 0 || self.queue_depth == 0 {
+        if self.n_workers == 0 || self.queue_depth == 0 {
             return Err(ServeError::InvalidConfig {
-                detail: "n_workers, max_batch and queue_depth must be at least 1".into(),
+                detail: "n_workers and queue_depth must be at least 1".into(),
             });
         }
         Ok(())
@@ -79,8 +75,8 @@ impl ServeConfig {
 }
 
 /// The answer to one inference request. Equal seeds on equal words
-/// against an equal snapshot give bit-identical responses, regardless of
-/// batching or which worker serves them.
+/// against an equal snapshot give bit-identical responses, whichever
+/// worker serves them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferResponse {
     /// Topic distribution `θ` of the document (length `K`, sums to 1).
@@ -110,41 +106,16 @@ impl InferResponse {
 struct Counters {
     requests: AtomicU64,
     tokens: AtomicU64,
-    batches: AtomicU64,
     swaps_observed: AtomicU64,
-    /// The newest live snapshot version a batch has loaded, so each
-    /// publication counts one swap however many batches observe it.
+    /// The newest live snapshot version a job has loaded, so each
+    /// publication counts one swap however many jobs observe it.
     seen_version: AtomicU64,
-    /// Queue wait + fold-in time per request, recorded by workers.
+    /// Queue wait + fold-in time per request.
     latency: LatencyHistogram,
     /// Admission-to-dequeue time alone: how long requests sat in the queue.
     queue_wait: LatencyHistogram,
     /// Dequeue-to-reply time alone: the fold-in compute itself.
     handler: LatencyHistogram,
-}
-
-impl Counters {
-    /// Counts a swap when `version` is newer than any a batch loaded before.
-    fn observe(&self, version: u64) {
-        if self.seen_version.fetch_max(version, Ordering::Relaxed) < version {
-            self.swaps_observed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one answered request of `tokens` tokens, admitted at
-    /// `admitted`, with its (queue-wait, handler) split.
-    fn record(
-        &self,
-        tokens: usize,
-        admitted: Instant,
-        (queue_wait, handler): (Duration, Duration),
-    ) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.tokens.fetch_add(tokens as u64, Ordering::Relaxed);
-        self.queue_wait.record(queue_wait);
-        self.handler.record(handler);
-        self.latency.record(admitted.elapsed());
-    }
 }
 
 /// A point-in-time copy of the server's counters.
@@ -154,11 +125,12 @@ pub struct ServeStats {
     pub requests: u64,
     /// Tokens folded in across all requests.
     pub tokens: u64,
-    /// Micro-batches executed. A partial answered on its caller's thread
-    /// (a worker slot was free) is a batch of one.
+    /// Batches executed. Every job is answered alone, so this equals
+    /// `requests`; it is kept for the `/stats`, `/metrics` and
+    /// `/shard-info` bytes that carry it.
     pub batches: u64,
-    /// Publications observed: a batch that loads a newer live snapshot than
-    /// every batch before it counts one.
+    /// Publications observed: a job that loads a newer live snapshot than
+    /// every job before it counts one.
     pub swaps_observed: u64,
     /// End-to-end request latency (submission to reply, i.e. queue wait plus
     /// fold-in) as a log-bucketed histogram; see
@@ -175,7 +147,7 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Mean requests per micro-batch (0 when nothing ran).
+    /// Mean requests per batch: 1 once anything ran, 0 before.
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -314,22 +286,21 @@ struct Job {
 /// A multi-threaded topic-inference server over hot-swappable snapshots.
 ///
 /// Requests enter a bounded queue; each of the `n_workers` threads pops one
-/// request, opportunistically drains up to `max_batch - 1` more, loads the
-/// current [`InferenceSnapshot`] once for the whole micro-batch and answers
-/// every request with the sparsity-aware fold-in sampler. Because each
-/// request carries its own seed, results are reproducible no matter how
-/// requests were batched.
+/// request, loads the current [`InferenceSnapshot`] for it and answers it
+/// with the sparsity-aware fold-in sampler, so a burst spreads over every
+/// idle worker. Because each request carries its own seed, results are
+/// reproducible whichever worker answers.
 ///
 /// A partial ([`TopicServer::infer_partial`], the `/infer-partial`
 /// handler) skips the queue when fewer than `n_workers` jobs are admitted
-/// and unfinished: its calling thread answers it with the same steps, and
-/// the same counters, as a worker's one-request batch. A saturated server
-/// queues it like every other request, keeping its `429` and its batching.
+/// and unfinished: its calling thread answers it through the same job body,
+/// and the same counters, as a worker. A saturated server queues it like
+/// every other request, keeping its `429`.
 ///
 /// A trainer (or anything holding the server handle) can
 /// [`TopicServer::stage`] a refreshed snapshot of the same `V × K` and
 /// [`TopicServer::commit`] it at any time; workers pick it up at their next
-/// batch without pausing the queue.
+/// job without pausing the queue.
 ///
 /// Dropping the server joins all workers after in-flight requests drain.
 pub struct TopicServer {
@@ -365,8 +336,8 @@ impl TopicServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for zero workers, batch size or
-    /// queue depth.
+    /// Returns [`ServeError::InvalidConfig`] for zero workers or queue
+    /// depth.
     pub fn start(initial: InferenceSnapshot, config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
         let cell = Arc::new(SnapshotCell::new(initial));
@@ -382,10 +353,9 @@ impl TopicServer {
                 let cell = Arc::clone(&cell);
                 let counters = Arc::clone(&counters);
                 let fold_in = config.fold_in;
-                let max_batch = config.max_batch;
                 std::thread::Builder::new()
                     .name(format!("saber-serve-{i}"))
-                    .spawn(move || worker_loop(&rx, &cell, &counters, fold_in, max_batch))
+                    .spawn(move || worker_loop(&rx, &cell, &counters, fold_in))
                     .map_err(|e| ServeError::Internal {
                         detail: format!("failed to spawn serving worker: {e}"),
                     })
@@ -522,7 +492,7 @@ impl TopicServer {
     }
 
     /// Swaps in the snapshot staged for `epoch` and returns `epoch`: the
-    /// only place the served snapshot changes. In-flight batches finish on
+    /// only place the served snapshot changes. In-flight jobs finish on
     /// the snapshot they started with. Idempotent for the epoch already
     /// served, and then leaves the stage alone: a stale duplicate commit
     /// must never discard a newer stage.
@@ -597,9 +567,9 @@ impl TopicServer {
     /// blocking otherwise. The `/infer-partial` handler's path.
     ///
     /// While fewer than `n_workers` jobs are admitted and unfinished, the
-    /// calling thread claims a slot and computes the answer itself: a
-    /// one-request batch with 0 µs of queue wait, returned as
-    /// [`ServeError::DeadlineExceeded`] if it took longer than `deadline`.
+    /// calling thread claims a slot and runs the job body itself, with 0 µs
+    /// of queue wait, returned as [`ServeError::DeadlineExceeded`] if it
+    /// took longer than `deadline`.
     pub(crate) fn partial(
         &self,
         words: Vec<u32>,
@@ -618,17 +588,16 @@ impl TopicServer {
             return finish_partial(Self::await_reply(&rx, deadline)?, trace.enabled());
         };
         self.validate_words(&words)?;
-        let started = Instant::now();
-        let live = self.cell.load();
-        self.counters.observe(live.version());
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
         let fold_in = self.config.fold_in;
-        let answer = answer_partial(&words, &request, epoch, &live, &self.cell, fold_in);
-        let handler = started.elapsed();
-        drop(slot);
-        let split = (Duration::ZERO, handler);
-        self.counters.record(words.len(), started, split);
-        if deadline.is_some_and(|deadline| handler > deadline) {
+        let (answer, split) = run_job(
+            &self.cell,
+            &self.counters,
+            words.len(),
+            slot,
+            Instant::now(),
+            |live| answer_partial(&words, &request, epoch, live, &self.cell, fold_in),
+        );
+        if deadline.is_some_and(|deadline| split.1 > deadline) {
             return Err(ServeError::DeadlineExceeded);
         }
         finish_partial((answer, split), trace.enabled())
@@ -636,10 +605,11 @@ impl TopicServer {
 
     /// A point-in-time copy of the serving counters and latency histogram.
     pub fn stats(&self) -> ServeStats {
+        let requests = self.counters.requests.load(Ordering::Relaxed);
         ServeStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
+            requests,
             tokens: self.counters.tokens.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
+            batches: requests,
             swaps_observed: self.counters.swaps_observed.load(Ordering::Relaxed),
             latency: self.counters.latency.snapshot(),
             queue_wait: self.counters.queue_wait.snapshot(),
@@ -824,82 +794,87 @@ fn worker_loop(
     cell: &SnapshotCell,
     counters: &Counters,
     fold_in: FoldInParams,
-    max_batch: usize,
 ) {
-    let mut batch = Vec::new();
     loop {
-        // Take one job (blocking), then opportunistically drain more up to
-        // the batch cap. Holding the queue lock while blocked parks this
+        // Take one job. Holding the queue lock while blocked parks this
         // worker and lets siblings wake in turn; submissions never take it.
-        {
-            // Sibling workers never panic while holding this lock (the loop
-            // body below catches every per-job hazard), but recover from
-            // poison anyway: a wedged queue would strand all requesters.
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            match guard.recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => return,
-            }
-            while batch.len() < max_batch {
-                match guard.try_recv() {
-                    Ok(job) => batch.push(job),
-                    Err(_) => break,
-                }
-            }
-        }
-
-        // One snapshot load per micro-batch: requests in a batch see a
-        // consistent model, swaps are picked up at the next batch, and the
-        // snapshot is dropped at the batch's end, so an idle worker keeps
-        // no released epoch alive.
-        let live = cell.load();
-        counters.observe(live.version());
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        for Job {
+        // Sibling workers never panic while holding this lock (it guards the
+        // `recv` alone), but recover from poison anyway: a wedged queue
+        // would strand all requesters.
+        let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        let Ok(Job {
             words,
             kind,
             slot,
             enqueued,
-        } in batch.drain(..)
-        {
-            let dequeued = Instant::now();
-            // Called once the answer is computed: frees the slot before the
-            // reply wakes the requester, so its next partial finds it free,
-            // and records the job's split.
-            let done = |slot: Slot| {
-                let split = (dequeued.duration_since(enqueued), dequeued.elapsed());
-                drop(slot);
-                counters.record(words.len(), enqueued, split);
-                split
-            };
-            // A send only fails if the requester's receiver is gone (it gave
-            // up at its deadline, or its thread panicked); nothing to do.
-            match kind {
-                JobKind::Infer { seed, reply } => {
-                    let response = InferResponse {
+        }) = job
+        else {
+            return;
+        };
+        // A send only fails if the requester's receiver is gone (it gave up
+        // at its deadline, or its thread panicked); nothing to do.
+        let tokens = words.len();
+        match kind {
+            JobKind::Infer { seed, reply } => {
+                let answer = run_job(cell, counters, tokens, slot, enqueued, |live| {
+                    InferResponse {
                         theta: live.infer_topics(&words, seed, fold_in),
                         snapshot_version: live.version(),
                         n_oov: 0,
-                    };
-                    let _ = reply.send((response, done(slot)));
-                }
-                JobKind::Partial {
-                    request,
-                    epoch,
-                    reply,
-                } => {
-                    let answer = answer_partial(&words, &request, epoch, &live, cell, fold_in);
-                    let _ = reply.send((answer, done(slot)));
-                }
+                    }
+                });
+                let _ = reply.send(answer);
+            }
+            JobKind::Partial {
+                request,
+                epoch,
+                reply,
+            } => {
+                let answer = run_job(cell, counters, tokens, slot, enqueued, |live| {
+                    answer_partial(&words, &request, epoch, live, cell, fold_in)
+                });
+                let _ = reply.send(answer);
             }
         }
     }
 }
 
-/// Answers one partial from `live`, the snapshot its batch loaded. A
-/// partial pinned to another epoch (a commit landed between its admission
-/// and its batch) is answered from the cell's snapshot of that epoch, and
-/// refused with [`ServeError::ShardVersionSkew`] when the cell holds none.
+/// One job's body, run by a worker for a queued job and by the caller of
+/// [`TopicServer::partial`] for one answered inline: loads the live
+/// snapshot, counts a swap when it is newer than any loaded before,
+/// computes `work` from it and records the job's `tokens` and its
+/// (queue-wait, handler) split since `enqueued`. Frees `slot` before
+/// returning, so the requester the reply wakes finds it free, and drops
+/// the snapshot, so an idle worker keeps no released epoch alive.
+fn run_job<T>(
+    cell: &SnapshotCell,
+    counters: &Counters,
+    tokens: usize,
+    slot: Slot,
+    enqueued: Instant,
+    work: impl FnOnce(&Arc<InferenceSnapshot>) -> T,
+) -> Reply<T> {
+    let dequeued = Instant::now();
+    let live = cell.load();
+    let version = live.version();
+    if counters.seen_version.fetch_max(version, Ordering::Relaxed) < version {
+        counters.swaps_observed.fetch_add(1, Ordering::Relaxed);
+    }
+    let answer = work(&live);
+    let (queue_wait, handler) = (dequeued.duration_since(enqueued), dequeued.elapsed());
+    drop(slot);
+    counters.requests.fetch_add(1, Ordering::Relaxed);
+    counters.tokens.fetch_add(tokens as u64, Ordering::Relaxed);
+    counters.queue_wait.record(queue_wait);
+    counters.handler.record(handler);
+    counters.latency.record(enqueued.elapsed());
+    (answer, (queue_wait, handler))
+}
+
+/// Answers one partial from `live`, the snapshot its job loaded. A partial
+/// pinned to another epoch (a commit landed between its admission and its
+/// load) is answered from the cell's snapshot of that epoch, and refused
+/// with [`ServeError::ShardVersionSkew`] when the cell holds none.
 fn answer_partial(
     words: &[u32],
     request: &PartialRequest,
@@ -959,6 +934,7 @@ mod tests {
     use super::*;
     use crate::snapshot::tests::planted_model;
     use saber_core::model::LdaModel;
+    use std::sync::mpsc::TryRecvError;
 
     fn small_server(n_workers: usize) -> TopicServer {
         TopicServer::from_model(
@@ -1033,7 +1009,7 @@ mod tests {
     #[test]
     fn batch_answers_preserve_order_and_seeds() {
         let server = small_server(3);
-        // Twenty requests in flight at once, so workers coalesce them.
+        // Twenty requests in flight at once, spread over the workers.
         let answers = || {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..20u32)
@@ -1206,11 +1182,7 @@ mod tests {
         server
             .stage(3, Publication::Slice(shifted_snapshot()))
             .unwrap();
-        // The worker replies before its batch ends: give it that moment.
-        let patience = Instant::now() + Duration::from_secs(5);
-        while first.strong_count() > 0 && Instant::now() < patience {
-            std::thread::yield_now();
-        }
+        // The worker dropped its snapshot before it replied.
         assert_eq!(first.strong_count(), 0, "epoch 1 outlived its release");
         server.shutdown();
     }
@@ -1268,46 +1240,64 @@ mod tests {
     }
 
     #[test]
-    fn a_job_pinned_to_e_is_answered_from_e_when_its_batch_loads_e_plus_1() {
+    fn a_job_pinned_to_e_is_answered_from_e_when_it_loads_e_plus_1() {
         let first = InferenceSnapshot::from_model(&planted_model(12, 3), SnapshotSampler::WaryTree);
         let (words, seed, fold_in) = (vec![0u32, 3, 6, 1], 5, FoldInParams::default());
         let expected = first.partial_fold_in(&words, seed, fold_in);
         let cell = SnapshotCell::new(first);
         cell.publish_with_version(shifted_snapshot(), 2);
-        // One batch, loaded after the commit, holding jobs pinned to the
-        // replaced epoch, the live one and one the cell never held.
-        let (queue, rx) = sync_channel(3);
-        let replies: Vec<_> = [1, 2, 7]
-            .into_iter()
-            .map(|epoch| {
-                let (reply, reply_rx) = sync_channel(1);
-                let request = PartialRequest::FoldIn { seed };
-                let job = Job {
-                    words: words.clone(),
-                    kind: JobKind::Partial {
-                        request,
-                        epoch: Some(epoch),
-                        reply,
-                    },
-                    slot: Slot::take(&Arc::default()),
-                    enqueued: Instant::now(),
-                };
-                queue.send(job).unwrap();
-                reply_rx
-            })
-            .collect();
-        drop(queue);
-        worker_loop(&Mutex::new(rx), &cell, &Counters::default(), fold_in, 3);
-        let answer = |rx: &Receiver<PartialReply>| finish_partial(rx.recv().unwrap(), false);
-        let pinned = answer(&replies[0]).unwrap();
+        // Three jobs, each loading the live epoch 2 after the commit: pinned
+        // to the replaced epoch, the live one and one the cell never held.
+        let answer = |epoch| {
+            let request = PartialRequest::FoldIn { seed };
+            let (answer, _) = run_job(
+                &cell,
+                &Counters::default(),
+                words.len(),
+                Slot::take(&Arc::default()),
+                Instant::now(),
+                |live| answer_partial(&words, &request, Some(epoch), live, &cell, fold_in),
+            );
+            answer
+        };
+        let pinned = answer(1).unwrap();
         assert_eq!(pinned.snapshot_version, 1);
         let bits = |counts: &[f64]| counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&pinned.partial.counts), bits(&expected.counts));
-        assert_eq!(answer(&replies[1]).unwrap().snapshot_version, 2);
-        assert!(matches!(
-            answer(&replies[2]),
-            Err(ServeError::ShardVersionSkew)
-        ));
+        assert_eq!(answer(2).unwrap().snapshot_version, 2);
+        assert!(matches!(answer(7), Err(ServeError::ShardVersionSkew)));
+    }
+
+    #[test]
+    fn a_light_job_behind_a_heavy_one_is_answered_by_the_idle_worker() {
+        let server = TopicServer::from_model(
+            &planted_model(12, 3),
+            ServeConfig {
+                n_workers: 2,
+                fold_in: FoldInParams {
+                    burn_in: 100,
+                    samples: 100,
+                    ..FoldInParams::default()
+                },
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        // 40k tokens × 200 sweeps: hundreds of milliseconds on one worker.
+        let infer = |words, seed| {
+            let kind = |reply| JobKind::Infer { seed, reply };
+            server.submit(words, kind, None).unwrap()
+        };
+        let heavy = infer(vec![0; 40_000], 1);
+        let light = infer(vec![3], 2);
+        let (answer, _) = light.recv_timeout(Duration::from_secs(60)).unwrap();
+        assert_eq!(answer.snapshot_version, 1);
+        assert!(
+            matches!(heavy.try_recv(), Err(TryRecvError::Empty)),
+            "the light job waited for the heavy one"
+        );
+        heavy.recv().unwrap();
+        server.shutdown();
     }
 
     #[test]
@@ -1349,7 +1339,6 @@ mod tests {
                 &planted_model(12, 3),
                 ServeConfig {
                     n_workers: 1,
-                    max_batch: 1,
                     queue_depth: 5,
                     fold_in: FoldInParams {
                         burn_in: 100,
@@ -1423,10 +1412,11 @@ mod tests {
         std::thread::scope(|scope| {
             // Wedge the single worker on a heavy request (40k tokens × 200
             // sweeps) and wait until it has dequeued it: the queue is empty
-            // but the pool is busy.
+            // but the pool is busy. The cell and this probe hold two
+            // references to the live snapshot; the computing worker a third.
             let heavy =
                 scope.spawn(|| server.infer_with_deadline(vec![0; 40_000], 1, Duration::MAX));
-            while server.stats().batches == 0 {
+            while Arc::strong_count(&server.snapshot()) < 3 {
                 std::thread::yield_now();
             }
             // Each fail-fast call takes one of the five free queue slots

@@ -322,8 +322,8 @@ impl InferenceSnapshot {
     /// [`saber_core::infer`]).
     ///
     /// Deterministic: equal `(words, seed, snapshot contents, params)` give
-    /// bit-identical results, independent of batching or the worker thread
-    /// that runs them.
+    /// bit-identical results, independent of the worker thread that runs
+    /// them.
     ///
     /// # Panics
     ///

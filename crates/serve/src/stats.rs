@@ -1,8 +1,7 @@
 //! Lock-free latency histograms and quantile snapshots.
 //!
 //! Serving a production workload means the *tail* matters more than the
-//! mean: a micro-batch scheduler that looks fine on average can still stall
-//! p99. This module provides the observability primitive behind
+//! mean: a worker pool that looks fine on average can still stall p99. This module provides the observability primitive behind
 //! [`ServeStats`](crate::ServeStats) and the HTTP front-end's `/stats`
 //! endpoint: a [`LatencyHistogram`] of atomically-updated log₂ buckets that
 //! threads record into without ever taking a lock, and an immutable

@@ -3,8 +3,8 @@
 //! The single primitive here, [`SnapshotCell`], decouples the publication
 //! rate (a trainer committing a new [`InferenceSnapshot`] every iteration)
 //! from the serving rate (workers loading the current snapshot once per
-//! micro-batch): readers never block publishers and publishers never wait
-//! for readers.
+//! job): readers never block publishers and publishers never wait for
+//! readers.
 //!
 //! The version stamp is also what makes *sharded* hot swap safe: a
 //! [`ShardRouter`](crate::ShardRouter) names the epoch it reads on every

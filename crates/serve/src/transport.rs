@@ -209,7 +209,7 @@ pub trait ShardTransport: Send + Sync + std::fmt::Debug {
     fn stage(&self, epoch: u64, publication: Publication<'_>) -> Result<bool, ServeError>;
 
     /// Commits the staged snapshot: the shard swaps to `epoch` and serves
-    /// it from its next batch. Idempotent when the shard already serves
+    /// it from its next job. Idempotent when the shard already serves
     /// `epoch` (a retried commit must not fail the publication).
     ///
     /// # Errors

@@ -72,7 +72,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lda.model(),
         ServeConfig {
             n_workers: 4,
-            max_batch: 16,
             sampler: SnapshotSampler::WaryTree,
             ..ServeConfig::default()
         },

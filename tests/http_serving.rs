@@ -198,7 +198,6 @@ fn concurrent_http_clients_recover_planted_topics() {
     let (server, front) = start(
         ServeConfig {
             n_workers: 4,
-            max_batch: 8,
             ..ServeConfig::default()
         },
         HttpConfig::default(),
@@ -244,7 +243,6 @@ fn overload_answers_429_instead_of_hanging() {
     let (server, front) = start(
         ServeConfig {
             n_workers: 1,
-            max_batch: 1,
             queue_depth: 1,
             fold_in: FoldInParams {
                 burn_in: 30,
@@ -292,7 +290,6 @@ fn missed_deadline_answers_503() {
     let (server, front) = start(
         ServeConfig {
             n_workers: 1,
-            max_batch: 1,
             fold_in: FoldInParams {
                 burn_in: 40,
                 samples: 40,

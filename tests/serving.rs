@@ -1,4 +1,4 @@
-//! End-to-end serving: train → publish → concurrent batched inference, with
+//! End-to-end serving: train → publish → concurrent inference, with
 //! deterministic replay and a mid-stream hot snapshot swap.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +37,6 @@ fn server(n_workers: usize, sampler: SnapshotSampler) -> TopicServer {
         &planted_model(0),
         ServeConfig {
             n_workers,
-            max_batch: 8,
             sampler,
             ..ServeConfig::default()
         },
@@ -153,7 +152,6 @@ fn fixed_seed_is_bit_identical_across_batch_shapes_and_threads() {
             &soft_model(),
             ServeConfig {
                 n_workers: 4,
-                max_batch: 8,
                 ..ServeConfig::default()
             },
         )
@@ -164,7 +162,7 @@ fn fixed_seed_is_bit_identical_across_batch_shapes_and_threads() {
         .infer_with_deadline(words.clone(), 1234, Duration::MAX)
         .unwrap();
 
-    // Same request replayed alone, inside large mixed batches (24 requests
+    // Same request replayed alone, inside a large mixed burst (24 requests
     // in flight at once), and from multiple threads at once: the θ bits
     // never change.
     let in_batch: Vec<_> = std::thread::scope(|scope| {
