@@ -20,6 +20,7 @@
 //! it quotes.
 
 #![deny(missing_docs)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod fig11;
 pub mod fig12;

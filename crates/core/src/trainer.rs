@@ -21,7 +21,6 @@
 //! report; convergence experiments additionally evaluate held-out likelihood
 //! between iterations.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -66,9 +65,9 @@ pub struct SaberLda {
     /// last [`SaberLda::take_touched_rows`], read back in id order so the
     /// exported row list is sorted and deduplicated.
     touched: Vec<bool>,
-    /// Chunk indices needing incremental re-sampling (ingested since the
-    /// last full iteration).
-    dirty_chunks: BTreeSet<usize>,
+    /// The first chunk needing incremental re-sampling: every chunk from it
+    /// on was ingested since the last full iteration.
+    first_dirty: usize,
     /// `B̂` rows recomputed one at a time by the incremental path.
     rows_rebuilt: u64,
     /// Full `O(V·K)` refresh + sampler rebuilds.
@@ -166,6 +165,7 @@ impl SaberLda {
             config.beta,
         )?;
         let mut trainer = SaberLda {
+            first_dirty: chunks.len(),
             cost: CostModel::new(config.device.clone()),
             config,
             chunks,
@@ -175,7 +175,6 @@ impl SaberLda {
             rng,
             iteration: 0,
             touched: vec![false; corpus.vocab_size()],
-            dirty_chunks: BTreeSet::new(),
             rows_rebuilt: 0,
             full_rebuilds: 0,
         };
@@ -319,7 +318,7 @@ impl SaberLda {
         *self.model.word_topic_mut() = word_topic;
         self.doc_topics = doc_topics;
         // Every chunk is now freshly sampled against consistent counts.
-        self.dirty_chunks.clear();
+        self.first_dirty = self.chunks.len();
         let preprocessed_elements = self.refresh_all(&mut measured);
         Sweep {
             tokens,
@@ -478,9 +477,8 @@ impl SaberLda {
         let word_topic = self.model.word_topic_mut();
         let a = count_chunk(&chunk, &self.config, word_topic, &mut tracker, &mut wall);
         self.doc_topics.push(a);
-        self.dirty_chunks.insert(self.chunks.len());
         self.chunks.push(chunk);
-        self.refresh_rows(&self.changed_words(&[self.chunks.len() - 1]));
+        self.refresh_rows(&self.changed_words(self.chunks.len() - 1));
         Ok(tokens)
     }
 
@@ -494,8 +492,7 @@ impl SaberLda {
     /// further passes, or [`SaberLda::iterate`] for a full sweep.
     pub fn iterate_incremental(&mut self) -> u64 {
         let mut tokens = 0u64;
-        let dirty: Vec<usize> = self.dirty_chunks.iter().copied().collect();
-        for &ci in &dirty {
+        for ci in self.first_dirty..self.chunks.len() {
             {
                 let chunk = &self.chunks[ci];
                 for (word, _, topic) in chunk.iter_tokens() {
@@ -516,16 +513,16 @@ impl SaberLda {
             let word_topic = self.model.word_topic_mut();
             self.doc_topics[ci] = count_chunk(chunk, &self.config, word_topic, &mut tracker, wall);
         }
-        self.refresh_rows(&self.changed_words(&dirty));
+        self.refresh_rows(&self.changed_words(self.first_dirty));
         tokens
     }
 
-    /// The distinct word ids of the tokens of chunks `indices`, in id order:
-    /// each token marks its word in a `V`-length vector that is read back
-    /// once.
-    fn changed_words(&self, indices: &[usize]) -> Vec<u32> {
+    /// The distinct word ids of the tokens of the chunks from `first` on, in
+    /// id order: each token marks its word in a `V`-length vector that is
+    /// read back once.
+    fn changed_words(&self, first: usize) -> Vec<u32> {
         let mut marks = vec![false; self.model.vocab_size()];
-        for &w in indices.iter().flat_map(|&ci| &self.chunks[ci].word_ids) {
+        for &w in self.chunks[first..].iter().flat_map(|c| &c.word_ids) {
             marks[w as usize] = true;
         }
         marked(&marks)
@@ -681,6 +678,7 @@ mod tests {
     use super::*;
     use crate::config::{OptLevel, SaberLdaConfig};
     use saber_corpus::synthetic::SyntheticSpec;
+    use std::collections::BTreeSet;
 
     fn small_config(k: usize, iterations: usize) -> SaberLdaConfig {
         SaberLdaConfig::builder()
@@ -1039,7 +1037,7 @@ mod tests {
             let changed: BTreeSet<u32> = chunk.word_ids.iter().copied().collect();
             let tokens = chunk.n_tokens() as u64;
             lda.chunks.push(chunk);
-            lda.dirty_chunks.insert(lda.chunks.len() - 1);
+            assert!(lda.first_dirty < lda.chunks.len(), "the new chunk is dirty");
             self.refresh_rows(&changed);
             tokens
         }
@@ -1047,7 +1045,7 @@ mod tests {
         fn iterate_incremental(&mut self) -> u64 {
             let (lda, mut tokens) = (&mut self.lda, 0);
             let mut changed = BTreeSet::new();
-            for ci in lda.dirty_chunks.clone() {
+            for ci in lda.first_dirty..lda.chunks.len() {
                 for (word, _, topic) in lda.chunks[ci].iter_tokens() {
                     lda.model.word_topic_mut()[(word as usize, topic as usize)] -= 1;
                 }

@@ -28,6 +28,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 mod corpus;
 mod error;

@@ -50,6 +50,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod cost;
 pub mod counters;

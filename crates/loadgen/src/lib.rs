@@ -10,6 +10,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub(crate) mod synth;
 

@@ -53,6 +53,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::collections::VecDeque;
 use std::io::BufRead;

@@ -1,4 +1,4 @@
-//! Batched online topic inference over trained SaberLDA models.
+//! Online topic inference over trained SaberLDA models.
 //!
 //! Training (the subject of the paper, reproduced in `saber-core`) produces
 //! a topic–word matrix; *using* it means answering "what is this document
@@ -10,12 +10,13 @@
 //!   ([`SnapshotSampler`]: W-ary tree or alias table, the same §3.2.4
 //!   trade-off the paper studies for training). Sized ahead of publication
 //!   by the core memory estimator.
-//! * [`SnapshotCell`] — hot model swap: a trainer stages and commits
-//!   refreshed snapshots between iterations
-//!   ([`TopicServer::stage`] + [`TopicServer::commit`], the only way a
-//!   server's snapshot changes) while serving continues; in-flight
-//!   requests keep the snapshot they started with, workers pick up the new
-//!   one at their next job.
+//! * Hot model swap — a trainer stages and commits refreshed snapshots
+//!   between iterations ([`TopicServer::stage`] + [`TopicServer::commit`],
+//!   the only way a server's snapshot changes) while serving continues.
+//!   Each server keeps one record of its epochs, the staged, the live and
+//!   the last-replaced snapshot, each paired once with its epoch; a
+//!   snapshot itself carries none. In-flight requests keep the snapshot
+//!   they started with, workers pick up the new one at their next job.
 //! * [`TopicServer`] — a pool of worker threads behind a bounded queue,
 //!   each answering one job per turn; a shard's partial is answered on its
 //!   caller's thread instead while a worker slot is free. Inference is the
@@ -132,7 +133,7 @@ pub mod server;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
-pub mod swap;
+mod swap;
 pub mod transport;
 pub mod wire;
 
@@ -146,7 +147,6 @@ pub use server::{
 pub use shard::{derive_replica_choice, derive_shard_seed, ShardPlan};
 pub use snapshot::{FoldInKind, FoldInParams, InferenceSnapshot, SnapshotSampler};
 pub use stats::{HistogramSnapshot, LatencyHistogram};
-pub use swap::SnapshotCell;
 pub use transport::{HttpTransport, LocalTransport, PendingPartial, ShardInfo, ShardTransport};
 
 /// The inference surface the HTTP front-end ([`HttpServer`]) serves.

@@ -32,9 +32,9 @@
 //! * **Epoch-pinned reads** — a request reads the router's epoch once and
 //!   names it on every leg of every round (`X-Saber-Epoch` on the wire).
 //!   Each shard answers from the live snapshot or the one its last commit
-//!   replaced ([`SnapshotCell::load_at`](crate::SnapshotCell::load_at)),
-//!   kept until its next stage, and a publication stages only once the
-//!   router's reads in flight have finished. So no *answer* mixes epochs,
+//!   replaced, kept until its next stage (the shard's one record of its
+//!   epochs pairs each with its epoch), and a publication stages only once
+//!   the router's reads in flight have finished. So no *answer* mixes epochs,
 //!   a read that straddles a commit needs no retry, and a fleet
 //!   half-committed by a failed publication keeps serving the old epoch. A
 //!   replica holding neither refuses with [`ServeError::ShardVersionSkew`];

@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -31,7 +31,7 @@ use saber_trace::{SpanRecord, TraceBuilder, TraceContext};
 
 use crate::snapshot::{check_fit, FoldInParams, InferenceSnapshot, Shape, SnapshotSampler};
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
-use crate::swap::SnapshotCell;
+use crate::swap::{Epoch, SnapshotCell};
 use crate::transport::ShardInfo;
 use crate::{InferenceBackend, ServeError};
 
@@ -316,16 +316,13 @@ pub struct TopicServer {
     /// any other shape and a delta keeps it, so admission checks word ids
     /// without touching the snapshot cell's lock.
     vocab_bound: usize,
-    /// The epoch-tagged snapshot staged for its [`TopicServer::commit`].
-    /// The mutex also serialises every publication.
-    publish_lock: Mutex<Option<(u64, InferenceSnapshot)>>,
 }
 
 impl std::fmt::Debug for TopicServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopicServer")
             .field("config", &self.config)
-            .field("snapshot_version", &self.cell.version())
+            .field("snapshot_version", &self.snapshot_version())
             .field("n_workers", &self.workers.len())
             .finish()
     }
@@ -344,7 +341,7 @@ impl TopicServer {
         let (tx, rx) = sync_channel::<Job>(config.queue_depth);
         let rx = Arc::new(Mutex::new(rx));
         let counters = Arc::new(Counters {
-            seen_version: AtomicU64::new(cell.version()),
+            seen_version: AtomicU64::new(cell.load().0),
             ..Counters::default()
         });
         let workers = (0..config.n_workers)
@@ -361,7 +358,7 @@ impl TopicServer {
                     })
             })
             .collect::<Result<Vec<_>, ServeError>>()?;
-        let vocab_bound = cell.load().vocab_size();
+        let vocab_bound = cell.load().1.vocab_size();
         Ok(TopicServer {
             cell,
             queue: Some(tx),
@@ -370,7 +367,6 @@ impl TopicServer {
             in_flight: Arc::new(AtomicUsize::new(0)),
             config,
             vocab_bound,
-            publish_lock: Mutex::new(None),
         })
     }
 
@@ -427,10 +423,10 @@ impl TopicServer {
     /// serving counters. `range` is the global word-id range `[start, end)`
     /// it serves, when known; `None` reports the local `[0, V)`.
     pub fn shard_info(&self, range: Option<(u32, u32)>) -> ShardInfo {
-        let snapshot = self.snapshot();
+        let (epoch, snapshot) = self.cell.load();
         let vocab_size = snapshot.vocab_size();
         ShardInfo {
-            epoch: snapshot.version(),
+            epoch,
             vocab_size,
             n_topics: snapshot.n_topics(),
             alpha: snapshot.alpha(),
@@ -440,16 +436,16 @@ impl TopicServer {
         }
     }
 
-    /// The one stage path, for a whole slice and a delta alike. Under the
-    /// publish lock it judges what a publication declares against what is
-    /// served now: the epoch `target` it stages, the served epoch `base` a
-    /// delta patches (`None` for a whole slice), and its `shape` and
-    /// sampler `code`. Then it releases the snapshot the last commit
-    /// replaced and any earlier stage, builds the new snapshot with `build`
-    /// (handed the served one) and stages it for `target`. A stage refused
-    /// from its declaration touches nothing; one whose build fails leaves
-    /// nothing staged. Returns `false` when a delta is declined: the served
-    /// epoch is not its base, or its target is not ahead of it (the
+    /// The one stage path, for a whole slice and a delta alike: the cell
+    /// ([`SnapshotCell::stage`]) judges the epoch `target` it stages and the
+    /// live epoch `base` a delta patches (`None` for a whole slice), and
+    /// this judges what it declares, its `shape` and sampler `code`, against
+    /// the served snapshot. Then the cell releases the snapshot the last
+    /// commit replaced and any earlier stage, builds the new snapshot with
+    /// `build` (handed the served one) and stages it for `target`. A stage
+    /// refused from its declaration touches nothing; one whose build fails
+    /// leaves nothing staged. Returns `false` when a delta is declined: the
+    /// served epoch is not its base, or its target is not ahead of it (the
     /// publisher falls back to a full slice).
     ///
     /// # Errors
@@ -464,31 +460,20 @@ impl TopicServer {
         (shape, code): (Shape, u8),
         build: impl FnOnce(&InferenceSnapshot) -> Result<InferenceSnapshot, ServeError>,
     ) -> Result<bool, ServeError> {
-        let mut staged = self.publish_guard();
-        let served = self.snapshot();
-        let version = served.version();
-        match base {
-            Some(base) if base != version || target <= version => return Ok(false),
-            Some(_) => served.check_delta(shape, code).map_err(delta_refused)?,
-            None if target <= version => {
-                return Err(ServeError::Conflict {
-                    detail: format!("epoch {target} is not ahead of the served epoch {version}"),
-                })
+        let check = |served: &InferenceSnapshot| {
+            if base.is_some() {
+                return served.check_delta(shape, code).map_err(delta_refused);
             }
-            None => {
-                check_fit("published snapshot", shape, "this shard", served.shape())
-                    .map_err(|detail| ServeError::BadRequest { detail })?;
-                if SnapshotSampler::from_code(code).is_none() {
-                    return Err(ServeError::BadRequest {
-                        detail: format!("unknown snapshot sampler code {code}"),
-                    });
-                }
+            check_fit("published snapshot", shape, "this shard", served.shape())
+                .map_err(|detail| ServeError::BadRequest { detail })?;
+            match SnapshotSampler::from_code(code) {
+                Some(_) => Ok(()),
+                None => Err(ServeError::BadRequest {
+                    detail: format!("unknown snapshot sampler code {code}"),
+                }),
             }
-        }
-        *staged = None;
-        self.cell.release_previous();
-        *staged = Some((target, build(&served)?));
-        Ok(true)
+        };
+        self.cell.stage((base, target), check, build)
     }
 
     /// Swaps in the snapshot staged for `epoch` and returns `epoch`: the
@@ -501,47 +486,18 @@ impl TopicServer {
     ///
     /// [`ServeError::Conflict`] when nothing is staged for `epoch`.
     pub fn commit(&self, epoch: u64) -> Result<u64, ServeError> {
-        let mut staged = self.publish_guard();
-        if self.cell.version() == epoch {
-            return Ok(epoch);
-        }
-        match staged.take_if(|(staged_epoch, _)| *staged_epoch == epoch) {
-            Some((_, slice)) => self.publish_at(slice, epoch),
-            None => Err(ServeError::Conflict {
-                detail: format!("no staged snapshot for epoch {epoch}"),
-            }),
-        }
-    }
-
-    /// Publishes `snapshot` at the router's epoch, whatever the server's own
-    /// counter says (a restarted process starts back at 1). Only
-    /// [`TopicServer::commit`] calls this, under the publish lock.
-    fn publish_at(&self, snapshot: InferenceSnapshot, epoch: u64) -> Result<u64, ServeError> {
-        let current = self.cell.version();
-        if epoch <= current {
-            return Err(ServeError::Conflict {
-                detail: format!("cannot publish epoch {epoch} over current epoch {current}"),
-            });
-        }
-        Ok(self.cell.publish_with_version(snapshot, epoch))
-    }
-
-    /// The publish lock over the staged snapshot. Every critical section
-    /// replaces or takes the whole `Option` and the cell swaps atomically,
-    /// so a poisoned lock never exposes a torn value: recover.
-    fn publish_guard(&self) -> MutexGuard<'_, Option<(u64, InferenceSnapshot)>> {
-        self.publish_lock.lock().unwrap_or_else(|e| e.into_inner())
+        self.cell.commit(epoch)
     }
 
     /// The currently served snapshot.
     pub fn snapshot(&self) -> Arc<InferenceSnapshot> {
-        self.cell.load()
+        self.cell.load().1
     }
 
     /// Current snapshot version: the epoch of the last commit, 1 before
     /// any.
     pub fn snapshot_version(&self) -> u64 {
-        self.cell.version()
+        self.cell.load().0
     }
 
     /// Blockingly computes the partial sufficient statistics of `request`
@@ -816,10 +772,10 @@ fn worker_loop(
         let tokens = words.len();
         match kind {
             JobKind::Infer { seed, reply } => {
-                let answer = run_job(cell, counters, tokens, slot, enqueued, |live| {
+                let answer = run_job(cell, counters, tokens, slot, enqueued, |(epoch, live)| {
                     InferResponse {
                         theta: live.infer_topics(&words, seed, fold_in),
-                        snapshot_version: live.version(),
+                        snapshot_version: *epoch,
                         n_oov: 0,
                     }
                 });
@@ -852,11 +808,11 @@ fn run_job<T>(
     tokens: usize,
     slot: Slot,
     enqueued: Instant,
-    work: impl FnOnce(&Arc<InferenceSnapshot>) -> T,
+    work: impl FnOnce(&Epoch) -> T,
 ) -> Reply<T> {
     let dequeued = Instant::now();
     let live = cell.load();
-    let version = live.version();
+    let version = live.0;
     if counters.seen_version.fetch_max(version, Ordering::Relaxed) < version {
         counters.swaps_observed.fetch_add(1, Ordering::Relaxed);
     }
@@ -879,20 +835,20 @@ fn answer_partial(
     words: &[u32],
     request: &PartialRequest,
     epoch: Option<u64>,
-    live: &Arc<InferenceSnapshot>,
+    (live_epoch, live): &Epoch,
     cell: &SnapshotCell,
     fold_in: FoldInParams,
 ) -> Result<PartialResponse, ServeError> {
-    let served = match epoch {
-        Some(e) if e != live.version() => cell.load_at(e).ok_or(ServeError::ShardVersionSkew)?,
-        _ => Arc::clone(live),
+    let (served_epoch, served) = match epoch {
+        Some(e) if e != *live_epoch => (e, cell.load_at(e).ok_or(ServeError::ShardVersionSkew)?),
+        _ => (*live_epoch, Arc::clone(live)),
     };
     Ok(PartialResponse {
         partial: match request {
             PartialRequest::FoldIn { seed } => served.partial_fold_in(words, *seed, fold_in),
             PartialRequest::EmRound { theta, .. } => served.em_round(words, theta),
         },
-        snapshot_version: served.version(),
+        snapshot_version: served_epoch,
         n_oov: 0,
         spans: Vec::new(),
     })
@@ -1060,26 +1016,26 @@ mod tests {
     }
 
     #[test]
-    fn publish_at_pins_the_epoch_and_rejects_regressions() {
+    fn a_commit_pins_the_routers_epoch_and_a_stage_refuses_regressions() {
         let server = small_server(1);
         assert_eq!(server.snapshot_version(), 1);
         let snap =
             || InferenceSnapshot::from_model(&planted_model(12, 3), SnapshotSampler::WaryTree);
-        assert_eq!(server.publish_at(snap(), 5).unwrap(), 5);
+        server.stage(5, Publication::Slice(snap())).unwrap();
+        assert_eq!(server.commit(5).unwrap(), 5);
         assert_eq!(server.snapshot_version(), 5);
         let response = server
             .infer_with_deadline(vec![0, 3], 1, Duration::MAX)
             .unwrap();
         assert_eq!(response.snapshot_version, 5);
         // Equal or backwards epochs are refused, leaving the server as-is.
-        assert!(matches!(
-            server.publish_at(snap(), 5),
-            Err(ServeError::Conflict { .. })
-        ));
-        assert!(matches!(
-            server.publish_at(snap(), 2),
-            Err(ServeError::Conflict { .. })
-        ));
+        for epoch in [5, 2] {
+            assert!(matches!(
+                server.stage(epoch, Publication::Slice(snap())),
+                Err(ServeError::Conflict { .. })
+            ));
+        }
+        assert!(matches!(server.commit(2), Err(ServeError::Conflict { .. })));
         assert_eq!(server.snapshot_version(), 5);
         // The next publication continues from the pinned epoch.
         server.stage(6, Publication::Slice(snap())).unwrap();
@@ -1245,7 +1201,9 @@ mod tests {
         let (words, seed, fold_in) = (vec![0u32, 3, 6, 1], 5, FoldInParams::default());
         let expected = first.partial_fold_in(&words, seed, fold_in);
         let cell = SnapshotCell::new(first);
-        cell.publish_with_version(shifted_snapshot(), 2);
+        cell.stage((None, 2), |_| Ok(()), |_| Ok(shifted_snapshot()))
+            .unwrap();
+        cell.commit(2).unwrap();
         // Three jobs, each loading the live epoch 2 after the commit: pinned
         // to the replaced epoch, the live one and one the cell never held.
         let answer = |epoch| {

@@ -4,9 +4,10 @@
 //! touch afterwards: per word, its row of the normalised topic–word matrix
 //! `B̂` plus one pre-processed sampling structure ([`SnapshotSampler`] picks
 //! the W-ary tree / alias table trade-off of the paper's §3.2.4). Being
-//! plain immutable data, snapshots are shared behind `Arc` across worker
-//! threads and publications ([`crate::SnapshotCell`]) without
-//! synchronisation on the read path.
+//! plain immutable data with no epoch of their own, snapshots are shared
+//! behind `Arc` across worker threads and publications without
+//! synchronisation on the read path; the server that serves one records
+//! the epoch it serves it as ([`crate::TopicServer::commit`]).
 //!
 //! Each word's row is itself an immutable `Arc`, so snapshots that agree on
 //! a word share it: cloning, [`InferenceSnapshot::shard`] and
@@ -189,7 +190,6 @@ pub struct InferenceSnapshot {
     n_topics: usize,
     alpha: f32,
     sampler_kind: SnapshotSampler,
-    version: u64,
 }
 
 impl InferenceSnapshot {
@@ -209,7 +209,6 @@ impl InferenceSnapshot {
             n_topics: bhat.cols(),
             alpha: model.alpha(),
             sampler_kind: kind,
-            version: 0,
         }
     }
 
@@ -217,8 +216,7 @@ impl InferenceSnapshot {
     /// derived from this one by rebuilding only the `changed` rows and
     /// sharing the rest. Exact when every other `B̂` row of `model` is
     /// bit-identical to this snapshot's — the invariant the trainer's
-    /// touched-row tracking keeps between two exports. The result is
-    /// unpublished (version 0).
+    /// touched-row tracking keeps between two exports.
     ///
     /// # Errors
     ///
@@ -272,7 +270,6 @@ impl InferenceSnapshot {
             n_topics: self.n_topics,
             alpha: self.alpha,
             sampler_kind: self.sampler_kind,
-            version: 0,
         })
     }
 
@@ -294,17 +291,6 @@ impl InferenceSnapshot {
     /// The sampling structure this snapshot was built with.
     pub fn sampler_kind(&self) -> SnapshotSampler {
         self.sampler_kind
-    }
-
-    /// Publication version: 1 for the snapshot a server starts with, then
-    /// the epoch [`crate::TopicServer::commit`] swapped it in at (through
-    /// [`crate::SnapshotCell::publish_with_version`]); 0 until published.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    pub(crate) fn set_version(&mut self, version: u64) {
-        self.version = version;
     }
 
     /// Estimated resident footprint in bytes, via the core memory estimator
@@ -390,8 +376,7 @@ impl InferenceSnapshot {
     /// this snapshot, so a shard answers its words' likelihood terms exactly
     /// as the full snapshot would.
     ///
-    /// The slice keeps `alpha`, the sampler kind and `K`; its version is
-    /// reset to 0 (unpublished).
+    /// The slice keeps `alpha`, the sampler kind and `K`.
     ///
     /// # Panics
     ///
@@ -407,7 +392,6 @@ impl InferenceSnapshot {
             n_topics: self.n_topics,
             alpha: self.alpha,
             sampler_kind: self.sampler_kind,
-            version: 0,
         }
     }
 
@@ -453,8 +437,8 @@ impl InferenceSnapshot {
     /// Applies a `SABRDELTA` on top of this snapshot: the changed `B̂` rows
     /// are replaced bit-for-bit with *only their* per-word samplers rebuilt,
     /// and every other row is shared with this snapshot — `O(changed·K)`,
-    /// which is what makes continuous publication affordable. The result is
-    /// unpublished (version 0) until a cell or fleet assigns it the delta's
+    /// which is what makes continuous publication affordable. The result
+    /// carries no epoch: a shard that stages it serves it as the delta's
     /// target epoch.
     ///
     /// Version bookkeeping (does `base_version` match what is being
@@ -509,8 +493,8 @@ impl InferenceSnapshot {
     /// `B̂` rows — so a remote shard can boot from disk (or from a wire
     /// publication) instead of retraining.
     ///
-    /// The publication version is *not* persisted: a loaded snapshot is
-    /// unpublished (version 0) until a cell or fleet assigns it an epoch.
+    /// No epoch is persisted, since a snapshot carries none: the server
+    /// that stages a loaded one serves it as the epoch it is published at.
     ///
     /// # Errors
     ///
@@ -554,7 +538,6 @@ impl InferenceSnapshot {
             n_topics: payload.n_topics,
             alpha: payload.alpha,
             sampler_kind,
-            version: 0,
         })
     }
 
@@ -656,7 +639,6 @@ pub(crate) mod tests {
         assert_eq!(snap.n_topics(), 3);
         assert_eq!(snap.vocab_size(), 12);
         assert_eq!(snap.alpha(), 0.05);
-        assert_eq!(snap.version(), 0);
         assert!(snap.memory_bytes() > (12 * 3 * 4) as u64);
     }
 
@@ -737,7 +719,6 @@ pub(crate) mod tests {
         assert_eq!(shard.n_topics(), 4);
         assert_eq!(shard.alpha(), snap.alpha());
         assert_eq!(shard.sampler_kind(), snap.sampler_kind());
-        assert_eq!(shard.version(), 0);
         for local in 0..8usize {
             let global = local + 5;
             assert_eq!(
@@ -770,7 +751,6 @@ pub(crate) mod tests {
             assert_eq!(loaded.n_topics(), 4);
             assert_eq!(loaded.alpha().to_bits(), original.alpha().to_bits());
             assert_eq!(loaded.sampler_kind(), kind);
-            assert_eq!(loaded.version(), 0, "loaded snapshots are unpublished");
             let words = [1u32, 5, 9, 13, 17, 1, 2, 19];
             for seed in [0u64, 7, 99] {
                 for fold_kind in [FoldInKind::Esca, FoldInKind::Em] {
@@ -809,7 +789,6 @@ pub(crate) mod tests {
         let delta = next.shard_delta(0..16, &changed, 3, 4);
         assert_eq!(delta.rows.len(), changed.len());
         let patched = base.apply_delta(&delta).unwrap();
-        assert_eq!(patched.version(), 0);
         for v in 0..16usize {
             assert_eq!(
                 bits(patched.topic_row(v)),

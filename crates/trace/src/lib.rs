@@ -49,6 +49,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -15,7 +15,7 @@
 //!   ([`saber_core`]);
 //! * [`baselines`] — the comparison systems of the paper's Fig. 11
 //!   ([`saber_baselines`]);
-//! * [`serve`] — batched online topic inference with hot-swappable model
+//! * [`serve`] — online topic inference with hot-swappable model
 //!   snapshots and an HTTP/1.1 network front-end ([`saber_serve`]);
 //! * [`trace`] — dependency-free distributed request tracing
 //!   ([`saber_trace`]).
@@ -50,6 +50,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 /// Corpus handling: [`saber_corpus`] re-exported.
 pub use saber_corpus as corpus;

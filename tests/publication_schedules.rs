@@ -435,8 +435,9 @@ impl Fleet {
         let replicas = self.router.replica_sets().iter().flat_map(|s| s.replicas());
         replicas
             .map(|r| {
-                let snapshot = r.inner.server().snapshot();
-                (r.range, snapshot.version(), bytes(&snapshot))
+                let server = r.inner.server();
+                let snapshot = server.snapshot();
+                (r.range, server.snapshot_version(), bytes(&snapshot))
             })
             .collect()
     }
